@@ -10,6 +10,7 @@
 package commchar_test
 
 import (
+	"context"
 	"io"
 	"os"
 	"runtime"
@@ -30,7 +31,7 @@ var (
 
 func benchRunner() *experiments.Runner {
 	runnerOnce.Do(func() {
-		runner = experiments.NewRunner(apps.ScaleFull)
+		runner = experiments.NewRunner(context.Background(), apps.ScaleFull, pipeline.NewDefault())
 	})
 	return runner
 }
@@ -206,7 +207,7 @@ func pipelineSuite(b *testing.B, eng *pipeline.Engine) {
 	for i, n := range names {
 		specs[i] = pipeline.RunSpec{App: n, Procs: 8, Scale: apps.ScaleSmall}
 	}
-	if _, err := eng.RunAll(specs...); err != nil {
+	if _, err := eng.RunAll(context.Background(), specs...); err != nil {
 		b.Fatal(err)
 	}
 }

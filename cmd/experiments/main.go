@@ -73,7 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		defer eng.Metrics().Render(stderr)
 	}
 
-	r := experiments.NewRunnerWith(sc, eng).WithContext(ctx)
+	r := experiments.NewRunner(ctx, sc, eng)
 	steps := r.Steps(*procs)
 	if *only != "" {
 		var picked []experiments.Step
@@ -97,5 +97,5 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// -on-error governs both layers: the engine's sweep policy (set via
 	// the shared pipeline flags) and whether a failed step stops the tool.
 	stopOnFailure := pf.OnError == "fail"
-	return experiments.RunStepsContext(ctx, stdout, steps, stopOnFailure)
+	return experiments.RunSteps(ctx, stdout, steps, stopOnFailure)
 }

@@ -193,7 +193,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 		defer eng.Metrics().Render(stderr)
 	}
 
-	arts, runErr := eng.RunAllContext(ctx, specs...)
+	arts, runErr := eng.RunAll(ctx, specs...)
 	// Render whatever completed, in spec order, before reporting the
 	// failures: a degraded sweep still carries its finished reports.
 	for i, art := range arts {

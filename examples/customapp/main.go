@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -28,7 +29,7 @@ func main() {
 	const blocks = 64
 	const rounds = 30
 
-	c, err := core.CharacterizeSharedMemory("ring", procs, func(m *spasm.Machine) error {
+	c, err := core.CharacterizeSharedMemory(context.Background(), "ring", procs, func(m *spasm.Machine) error {
 		// One block of 64 doubles per processor.
 		buffers := make([]spasm.Array, procs)
 		for i := range buffers {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -21,7 +22,7 @@ import (
 )
 
 func main() {
-	c, err := core.CharacterizeSharedMemory("1D-FFT", 16, func(m *spasm.Machine) error {
+	c, err := core.CharacterizeSharedMemory(context.Background(), "1D-FFT", 16, func(m *spasm.Machine) error {
 		cfg := fft1d.DefaultConfig()
 		cfg.Points = 4096
 		_, err := fft1d.Run(m, cfg)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -24,7 +25,7 @@ func main() {
 	var cs []*core.Characterization
 	for _, w := range apps.SharedMemory(apps.ScaleSmall) {
 		fmt.Printf("running %s on %d processors...\n", w.Name, *procs)
-		c, err := w.Characterize(*procs)
+		c, err := w.Characterize(context.Background(), *procs)
 		if err != nil {
 			log.Fatalf("%s: %v", w.Name, err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -25,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("characterizing IS on %d processors...\n", *procs)
-	c, err := w.Characterize(*procs)
+	c, err := w.Characterize(context.Background(), *procs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
 	"commchar/internal/core"
@@ -15,7 +16,7 @@ func TestRunsAreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() *core.Characterization {
-		c, err := w.Characterize(8)
+		c, err := w.Characterize(context.Background(), 8)
 		if err != nil {
 			t.Fatal(err)
 		}

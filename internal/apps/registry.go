@@ -6,6 +6,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 
 	"commchar/internal/apps/cholesky"
@@ -37,8 +38,9 @@ type Workload struct {
 	Strategy    core.Strategy
 	Description string
 	// Characterize runs the application on procs processors and returns
-	// its communication characterization.
-	Characterize func(procs int) (*core.Characterization, error)
+	// its communication characterization; cancelling ctx stops the
+	// simulation.
+	Characterize func(ctx context.Context, procs int) (*core.Characterization, error)
 }
 
 // smSizes holds the shared-memory problem sizes per scale tier.
@@ -139,8 +141,8 @@ func SharedMemory(scale Scale) []Workload {
 			Name:        name,
 			Strategy:    core.StrategyDynamic,
 			Description: desc,
-			Characterize: func(procs int) (*core.Characterization, error) {
-				return core.CharacterizeSharedMemory(name, procs, func(m *spasm.Machine) error {
+			Characterize: func(ctx context.Context, procs int) (*core.Characterization, error) {
+				return core.CharacterizeSharedMemory(ctx, name, procs, func(m *spasm.Machine) error {
 					return RunSharedMemoryOn(m, scale, name)
 				})
 			},
@@ -163,8 +165,8 @@ func MessagePassing(scale Scale) []Workload {
 			Name:        name,
 			Strategy:    core.StrategyStatic,
 			Description: desc,
-			Characterize: func(procs int) (*core.Characterization, error) {
-				return core.CharacterizeMessagePassing(name, procs, sp2.Default(), func(w *mp.World) error {
+			Characterize: func(ctx context.Context, procs int) (*core.Characterization, error) {
+				return core.CharacterizeMessagePassing(ctx, name, procs, sp2.Default(), func(w *mp.World) error {
 					return RunMessagePassingOn(w, scale, name, procs)
 				})
 			},

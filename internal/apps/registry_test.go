@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
 	"commchar/internal/core"
@@ -42,7 +43,7 @@ func TestEveryWorkloadCharacterizesSmall(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			procs := 8
-			c, err := w.Characterize(procs)
+			c, err := w.Characterize(context.Background(), procs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package coll_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -25,7 +26,7 @@ func runKernel(t testing.TB, procs int, alg mp.Algorithm, kernel func(r *mp.Rank
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := core.ReplayTrace(tr, core.MeshFor(procs), sp2.Default(), nil, sim.Watchdog{})
+	raw, err := core.ReplayTraceContext(context.Background(), tr, core.MeshFor(procs), sp2.Default(), nil, sim.Watchdog{})
 	if err != nil {
 		t.Fatal(err)
 	}

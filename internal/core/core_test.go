@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"commchar/internal/mesh"
@@ -122,7 +123,7 @@ func TestAnalyzeRejectsEmptyAndBadLogs(t *testing.T) {
 }
 
 func TestCharacterizeSharedMemoryEndToEnd(t *testing.T) {
-	c, err := CharacterizeSharedMemory("toy", 4, func(m *spasm.Machine) error {
+	c, err := CharacterizeSharedMemory(context.Background(), "toy", 4, func(m *spasm.Machine) error {
 		arr := m.NewArray(512, 8)
 		_, err := m.Run(func(e *spasm.Env) {
 			st := sim.NewStream(uint64(e.ID()))
@@ -150,7 +151,7 @@ func TestCharacterizeSharedMemoryEndToEnd(t *testing.T) {
 }
 
 func TestCharacterizeMessagePassingEndToEnd(t *testing.T) {
-	c, err := CharacterizeMessagePassing("toy-mp", 4, nil, func(w *mp.World) error {
+	c, err := CharacterizeMessagePassing(context.Background(), "toy-mp", 4, nil, func(w *mp.World) error {
 		_, err := w.Run(func(r *mp.Rank) {
 			for i := 0; i < 30; i++ {
 				r.Compute(sim.Duration(1000 * (r.ID() + 1)))

@@ -50,16 +50,10 @@ func (r *RawRun) Characterize(name string, strategy Strategy) (*Characterization
 	return c, nil
 }
 
-// AcquireSharedMemoryOn is the dynamic-strategy acquisition stage on a
-// caller-built machine: execute the kernel and collect the network log.
-func AcquireSharedMemoryOn(m *spasm.Machine, run func(m *spasm.Machine) error) (*RawRun, error) {
-	//lint:allow ctxflow context-free compatibility wrapper over AcquireSharedMemoryOnContext
-	return AcquireSharedMemoryOnContext(context.Background(), m, run)
-}
-
-// AcquireSharedMemoryOnContext is AcquireSharedMemoryOn under cooperative
-// cancellation: the machine's simulator polls ctx inside its cycle loop,
-// so a hung or runaway kernel is killable mid-execution.
+// AcquireSharedMemoryOnContext is the dynamic-strategy acquisition stage
+// on a caller-built machine: execute the kernel and collect the network
+// log. The machine's simulator polls ctx inside its cycle loop, so a hung
+// or runaway kernel is killable mid-execution.
 func AcquireSharedMemoryOnContext(ctx context.Context, m *spasm.Machine, run func(m *spasm.Machine) error) (*RawRun, error) {
 	m.Sim.SetContext(ctx)
 	if err := run(m); err != nil {
@@ -78,15 +72,11 @@ func AcquireSharedMemoryOnContext(ctx context.Context, m *spasm.Machine, run fun
 	}, nil
 }
 
-// AcquireMessagePassing is the static-strategy acquisition stage: execute
-// the message-passing program natively on the SP2-like machine and return
-// its application-level trace (replayed through the mesh by ReplayTrace).
-func AcquireMessagePassing(procs int, run func(w *mp.World) error) (*trace.Trace, error) {
-	return AcquireMessagePassingWith(procs, mp.AlgLinear, run)
-}
-
-// AcquireMessagePassingWith is AcquireMessagePassing with the collective
-// algorithm family of the native machine selected.
+// AcquireMessagePassingWith is the static-strategy acquisition stage:
+// execute the message-passing program natively on the SP2-like machine,
+// with the given collective algorithm family, and return its
+// application-level trace (replayed through the mesh by
+// ReplayTraceContext).
 func AcquireMessagePassingWith(procs int, alg mp.Algorithm, run func(w *mp.World) error) (*trace.Trace, error) {
 	cfg := mp.DefaultConfig(procs)
 	cfg.Collectives = alg
@@ -101,19 +91,13 @@ func AcquireMessagePassingWith(procs int, alg mp.Algorithm, run func(w *mp.World
 	return tr, nil
 }
 
-// ReplayTrace is the log stage of the static strategy: replay an
+// ReplayTraceContext is the log stage of the static strategy: replay an
 // application trace through a mesh, honouring send/receive dependencies,
 // under an optional fault injector and watchdog, and collect the network
 // log. The trace's rank count is used as the processor count of the run.
-func ReplayTrace(tr *trace.Trace, cfg mesh.Config, cost trace.CostModel, inj mesh.Injector, wd sim.Watchdog) (*RawRun, error) {
-	//lint:allow ctxflow context-free compatibility wrapper over ReplayTraceContext
-	return ReplayTraceContext(context.Background(), tr, cfg, cost, inj, wd)
-}
-
-// ReplayTraceContext is ReplayTrace under cooperative cancellation: the
-// simulator's cycle loop polls ctx, so a hung or fault-livelocked replay
-// is killable; the returned *sim.DeadlockError then carries the usual
-// blocked-process diagnostics with the context's error as its cause.
+// The simulator's cycle loop polls ctx, so a hung or fault-livelocked
+// replay is killable; the returned *sim.DeadlockError then carries the
+// usual blocked-process diagnostics with the context's error as its cause.
 func ReplayTraceContext(ctx context.Context, tr *trace.Trace, cfg mesh.Config, cost trace.CostModel, inj mesh.Injector, wd sim.Watchdog) (*RawRun, error) {
 	return ReplayTraceObserved(ctx, tr, cfg, cost, inj, wd, 0, nil)
 }
@@ -134,7 +118,7 @@ func ReplayTraceObserved(ctx context.Context, tr *trace.Trace, cfg mesh.Config, 
 		return nil, err
 	}
 	s.SetWatchdog(wd)
-	if err := s.RunCheckedContext(ctx); err != nil {
+	if err := s.RunChecked(); err != nil {
 		return nil, err
 	}
 	return &RawRun{
@@ -151,9 +135,10 @@ func ReplayTraceObserved(ctx context.Context, tr *trace.Trace, cfg mesh.Config, 
 
 // CharacterizeSharedMemory runs a shared-memory application under the
 // dynamic strategy end to end: build the machine, execute the kernel
-// (acquire), characterize the network log (analyze).
-func CharacterizeSharedMemory(name string, procs int, run func(m *spasm.Machine) error) (*Characterization, error) {
-	raw, err := AcquireSharedMemoryOn(spasm.NewDefault(procs), run)
+// (acquire, cancellable through ctx), characterize the network log
+// (analyze).
+func CharacterizeSharedMemory(ctx context.Context, name string, procs int, run func(m *spasm.Machine) error) (*Characterization, error) {
+	raw, err := AcquireSharedMemoryOnContext(ctx, spasm.NewDefault(procs), run)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
@@ -163,14 +148,14 @@ func CharacterizeSharedMemory(name string, procs int, run func(m *spasm.Machine)
 // CharacterizeMessagePassing runs a message-passing application under the
 // static strategy end to end: execute natively on the SP2-like machine to
 // obtain the application-level trace (acquire), replay the trace through
-// the mesh with the given software-overhead model (log), and characterize
-// the resulting network log (analyze).
-func CharacterizeMessagePassing(name string, procs int, cost trace.CostModel, run func(w *mp.World) error) (*Characterization, error) {
-	tr, err := AcquireMessagePassing(procs, run)
+// the mesh with the given software-overhead model (log, cancellable
+// through ctx), and characterize the resulting network log (analyze).
+func CharacterizeMessagePassing(ctx context.Context, name string, procs int, cost trace.CostModel, run func(w *mp.World) error) (*Characterization, error) {
+	tr, err := AcquireMessagePassingWith(procs, mp.AlgLinear, run)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	raw, err := ReplayTrace(tr, MeshFor(procs), cost, nil, sim.Watchdog{})
+	raw, err := ReplayTraceContext(ctx, tr, MeshFor(procs), cost, nil, sim.Watchdog{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}

@@ -1,11 +1,16 @@
-package core
+package core_test
 
 import (
 	"context"
 	"errors"
+	"io"
 	"testing"
 
+	"commchar/internal/apps"
+	"commchar/internal/core"
+	"commchar/internal/experiments"
 	"commchar/internal/mp"
+	"commchar/internal/pipeline"
 	"commchar/internal/sim"
 	"commchar/internal/spasm"
 	"commchar/internal/trace"
@@ -28,11 +33,36 @@ func ringTrace(t *testing.T, ranks, rounds int) *trace.Trace {
 	return tr
 }
 
+// busyKernel is a shared-memory kernel with enough work that cancellation
+// lands mid-run.
+func busyKernel(m *spasm.Machine) error {
+	_, err := m.Run(func(e *spasm.Env) {
+		for i := 0; i < 1000; i++ {
+			e.Read(uint64(i * 64))
+		}
+		e.Barrier()
+	})
+	return err
+}
+
+// ringProgram is a 4-rank message-passing ring of five rounds.
+func ringProgram(w *mp.World) error {
+	_, err := w.Run(func(r *mp.Rank) {
+		peer := (r.ID() + 1) % 4
+		prev := (r.ID() + 3) % 4
+		for i := 0; i < 5; i++ {
+			r.Send(peer, i, 64, nil)
+			r.Recv(prev, i)
+		}
+	})
+	return err
+}
+
 func TestReplayTraceContextCancellation(t *testing.T) {
 	tr := ringTrace(t, 4, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ReplayTraceContext(ctx, tr, MeshFor(4), nil, nil, sim.Watchdog{})
+	_, err := core.ReplayTraceContext(ctx, tr, core.MeshFor(4), nil, nil, sim.Watchdog{})
 	if err == nil {
 		t.Fatal("cancelled replay succeeded")
 	}
@@ -46,7 +76,7 @@ func TestReplayTraceContextCancellation(t *testing.T) {
 	}
 
 	// The same replay with a live context completes normally.
-	raw, err := ReplayTraceContext(context.Background(), tr, MeshFor(4), nil, nil, sim.Watchdog{})
+	raw, err := core.ReplayTraceContext(context.Background(), tr, core.MeshFor(4), nil, nil, sim.Watchdog{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +88,7 @@ func TestReplayTraceContextCancellation(t *testing.T) {
 func TestAcquireSharedMemoryOnContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m := spasm.NewDefault(4)
-	_, err := AcquireSharedMemoryOnContext(ctx, m, func(m *spasm.Machine) error {
-		_, err := m.Run(func(e *spasm.Env) {
-			// A kernel with enough work that cancellation lands mid-run.
-			for i := 0; i < 1000; i++ {
-				e.Read(uint64(i * 64))
-			}
-			e.Barrier()
-		})
-		return err
-	})
+	_, err := core.AcquireSharedMemoryOnContext(ctx, spasm.NewDefault(4), busyKernel)
 	if err == nil {
 		t.Fatal("cancelled acquisition succeeded")
 	}
@@ -77,21 +97,66 @@ func TestAcquireSharedMemoryOnContextCancellation(t *testing.T) {
 	}
 }
 
+// TestEntryPointsHonourCancelledContext extends the stage tests above to
+// every ctx-first entry point built on them, from one characterization up
+// to a whole sweep: a pre-cancelled context must surface as
+// context.Canceled.
+func TestEntryPointsHonourCancelledContext(t *testing.T) {
+	workload := func(name string) func(ctx context.Context) error {
+		return func(ctx context.Context) error {
+			w, err := apps.ByName(apps.ScaleSmall, name)
+			if err != nil {
+				return err
+			}
+			_, err = w.Characterize(ctx, 4)
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"core.CharacterizeSharedMemory", func(ctx context.Context) error {
+			_, err := core.CharacterizeSharedMemory(ctx, "toy", 4, busyKernel)
+			return err
+		}},
+		{"core.CharacterizeMessagePassing", func(ctx context.Context) error {
+			_, err := core.CharacterizeMessagePassing(ctx, "toy-mp", 4, nil, ringProgram)
+			return err
+		}},
+		{"apps.Workload.Characterize/dynamic", workload("IS")},
+		{"apps.Workload.Characterize/static", workload("3D-FFT")},
+		{"pipeline.Engine.RunAll", func(ctx context.Context) error {
+			_, err := pipeline.NewDefault().RunAll(ctx,
+				pipeline.RunSpec{App: "IS", Procs: 4, Scale: apps.ScaleSmall},
+				pipeline.RunSpec{App: "MG", Procs: 4, Scale: apps.ScaleSmall})
+			return err
+		}},
+		{"experiments.RunSteps", func(ctx context.Context) error {
+			r := experiments.NewRunner(ctx, apps.ScaleSmall, pipeline.NewDefault())
+			return experiments.RunSteps(ctx, io.Discard, r.Steps(4), false)
+		}},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.run(ctx)
+			if err == nil {
+				t.Fatal("cancelled run succeeded")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled in the chain", err)
+			}
+		})
+	}
+}
+
 func TestAcquireMessagePassingUnaffectedByReplayCancellation(t *testing.T) {
 	// The native acquisition stage has no simulator; only the replay is
 	// cancellable. This pins that a recorded trace replays identically
 	// whether or not an earlier replay attempt was cancelled.
-	tr, err := AcquireMessagePassing(4, func(w *mp.World) error {
-		_, err := w.Run(func(r *mp.Rank) {
-			peer := (r.ID() + 1) % 4
-			prev := (r.ID() + 3) % 4
-			for i := 0; i < 5; i++ {
-				r.Send(peer, i, 64, nil)
-				r.Recv(prev, i)
-			}
-		})
-		return err
-	})
+	tr, err := core.AcquireMessagePassingWith(4, mp.AlgLinear, ringProgram)
 	if err != nil {
 		t.Fatal(err)
 	}

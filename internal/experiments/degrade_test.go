@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -32,7 +33,7 @@ func TestSweepContinuesPastFailures(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	err := RunSteps(&buf, steps)
+	err := RunSteps(context.Background(), &buf, steps, false)
 
 	var se *SweepError
 	if !errors.As(err, &se) {
@@ -65,9 +66,9 @@ func TestSweepContinuesPastFailures(t *testing.T) {
 // TestSweepCleanRunReturnsNil: no failures, no error.
 func TestSweepCleanRunReturnsNil(t *testing.T) {
 	var buf bytes.Buffer
-	err := RunSteps(&buf, []Step{
+	err := RunSteps(context.Background(), &buf, []Step{
 		{Name: "only", Key: "only", Run: func(w io.Writer) error { return nil }},
-	})
+	}, false)
 	if err != nil {
 		t.Fatalf("clean sweep errored: %v", err)
 	}

@@ -32,26 +32,13 @@ type Runner struct {
 	ctx   context.Context
 }
 
-// NewRunner returns a runner at the given scale on a default engine
-// (GOMAXPROCS-wide worker pool, no disk cache).
-func NewRunner(scale apps.Scale) *Runner {
-	return NewRunnerWith(scale, pipeline.NewDefault())
-}
-
-// NewRunnerWith returns a runner backed by the given engine. Runners at
+// NewRunner returns a runner at the given scale backed by the given
+// engine, whose characterization runs are cancelled with ctx (a SIGINT'd
+// tool drains the pipeline instead of dying mid-run). Runners at
 // different scales may safely share one engine: the pipeline's cache key
 // covers the full spec, scale included.
-func NewRunnerWith(scale apps.Scale, eng *pipeline.Engine) *Runner {
-	//lint:allow ctxflow a fresh Runner starts uncancellable by design; WithContext rebinds it to the caller's ctx
-	return &Runner{Scale: scale, eng: eng, ctx: context.Background()}
-}
-
-// WithContext returns a runner whose characterization runs are cancelled
-// with ctx (a SIGINT'd tool drains the pipeline instead of dying mid-run).
-func (r *Runner) WithContext(ctx context.Context) *Runner {
-	r2 := *r
-	r2.ctx = ctx
-	return &r2
+func NewRunner(ctx context.Context, scale apps.Scale, eng *pipeline.Engine) *Runner {
+	return &Runner{Scale: scale, eng: eng, ctx: ctx}
 }
 
 // Engine exposes the runner's engine (for metrics summaries).
@@ -65,7 +52,7 @@ func (r *Runner) spec(name string, procs int) pipeline.RunSpec {
 // artifacts fans the specs out across the engine's worker pool and returns
 // them in order: the parallel core of every table and figure.
 func (r *Runner) artifacts(specs ...pipeline.RunSpec) ([]*pipeline.Artifact, error) {
-	arts, err := r.eng.RunAllContext(r.ctx, specs...)
+	arts, err := r.eng.RunAll(r.ctx, specs...)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -441,22 +428,16 @@ func (e *SweepError) Error() string {
 // every step failed is a plain failure, not a degraded success.
 func (e *SweepError) Degraded() bool { return len(e.Failed) < e.Total }
 
-// RunSteps runs each step under a panic recovery boundary and keeps going
-// past failures, so one broken experiment cannot suppress the rest of the
-// sweep's results. It returns a *SweepError naming the failed steps, or
-// nil if everything passed.
-func RunSteps(w io.Writer, steps []Step) error {
-	//lint:allow ctxflow context-free compatibility wrapper over RunStepsContext
-	return RunStepsContext(context.Background(), w, steps, false)
-}
-
-// RunStepsContext is RunSteps under cooperative cancellation and a
-// failure policy. The context is checked between steps (and every
-// step's runs observe it through the runner); once it is cancelled the
-// sweep stops and reports ctx.Err, so an interrupted tool exits as
-// cancelled, not as a cascade of step failures. With stopOnFailure the
-// sweep stops at the first failed step instead of continuing.
-func RunStepsContext(ctx context.Context, w io.Writer, steps []Step, stopOnFailure bool) error {
+// RunSteps runs each step under a panic recovery boundary, cooperative
+// cancellation, and a failure policy. The context is checked between
+// steps (and every step's runs observe it through the runner); once it is
+// cancelled the sweep stops and reports ctx.Err, so an interrupted tool
+// exits as cancelled, not as a cascade of step failures. Without
+// stopOnFailure the sweep keeps going past failures, so one broken
+// experiment cannot suppress the rest of its results, and returns a
+// *SweepError naming the failed steps; with it the sweep stops at the
+// first failed step.
+func RunSteps(ctx context.Context, w io.Writer, steps []Step, stopOnFailure bool) error {
 	var failed []StepFailure
 	for _, s := range steps {
 		if err := ctx.Err(); err != nil {
@@ -486,5 +467,5 @@ func RunStepsContext(ctx context.Context, w io.Writer, steps []Step, stopOnFailu
 // All regenerates every table, figure, and ablation in order, continuing
 // past individual failures.
 func (r *Runner) All(w io.Writer, procs int) error {
-	return RunStepsContext(r.ctx, w, r.Steps(procs), false)
+	return RunSteps(r.ctx, w, r.Steps(procs), false)
 }

@@ -35,7 +35,7 @@ func sweepObserved(t *testing.T, parallel int, ob *obs.Observer) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunnerWith(apps.ScaleSmall, eng)
+	r := NewRunner(context.Background(), apps.ScaleSmall, eng)
 	var sb strings.Builder
 	if err := r.All(&sb, 8); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func sweepDistributed(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunnerWith(apps.ScaleSmall, front)
+	r := NewRunner(context.Background(), apps.ScaleSmall, front)
 	var sb strings.Builder
 	if err := r.All(&sb, 8); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func sweepTopologyMatrix(t *testing.T, parallel int) string {
 	for _, topo := range []string{"", "torus3d", "fattree"} {
 		specs = append(specs, pipeline.RunSpec{App: "IS", Procs: 16, Scale: apps.ScaleSmall, Topology: topo})
 	}
-	arts, err := eng.RunAll(specs...)
+	arts, err := eng.RunAll(context.Background(), specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestParallelPoolSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunnerWith(apps.ScaleSmall, eng)
+	r := NewRunner(context.Background(), apps.ScaleSmall, eng)
 	var sb strings.Builder
 	if err := r.Table1(&sb, 4); err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestParallelPoolSmoke(t *testing.T) {
 }
 
 func TestRunnerCaches(t *testing.T) {
-	r := NewRunner(apps.ScaleSmall)
+	r := NewRunner(context.Background(), apps.ScaleSmall, pipeline.NewDefault())
 	a, err := r.characterize("Nbody", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +265,8 @@ func TestRunnerCaches(t *testing.T) {
 // engine at different scales must get different runs.
 func TestRunnersAtDifferentScalesDoNotCollide(t *testing.T) {
 	eng := pipeline.NewDefault()
-	small := NewRunnerWith(apps.ScaleSmall, eng)
-	full := NewRunnerWith(apps.ScaleFull, eng)
+	small := NewRunner(context.Background(), apps.ScaleSmall, eng)
+	full := NewRunner(context.Background(), apps.ScaleFull, eng)
 	a, err := small.characterize("Nbody", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestRunnersAtDifferentScalesDoNotCollide(t *testing.T) {
 // machine-configuration overrides (the old key also omitted the barrier).
 func TestRunnersWithDistinctConfigsDoNotCollide(t *testing.T) {
 	eng := pipeline.NewDefault()
-	r := NewRunnerWith(apps.ScaleSmall, eng)
+	r := NewRunner(context.Background(), apps.ScaleSmall, eng)
 	var sb strings.Builder
 	if err := r.AblationBarrier(&sb, 4); err != nil {
 		t.Fatal(err)
@@ -301,7 +301,7 @@ func TestRunnersWithDistinctConfigsDoNotCollide(t *testing.T) {
 }
 
 func TestAblationVirtualChannelsImproves(t *testing.T) {
-	r := NewRunner(apps.ScaleSmall)
+	r := NewRunner(context.Background(), apps.ScaleSmall, pipeline.NewDefault())
 	var sb strings.Builder
 	if err := r.AblationVirtualChannels(&sb); err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 		cancel()
 	}()
 	var interrupted strings.Builder
-	err = NewRunnerWith(apps.ScaleSmall, eng1).WithContext(ctx).Table1(&interrupted, procs)
+	err = NewRunner(ctx, apps.ScaleSmall, eng1).Table1(&interrupted, procs)
 	interruptedAt := j1.Len()
 	if cerr := eng1.Close(); cerr != nil {
 		t.Fatal(cerr)
@@ -365,7 +365,7 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resumed strings.Builder
-	if err := NewRunnerWith(apps.ScaleSmall, eng2).Table1(&resumed, procs); err != nil {
+	if err := NewRunner(context.Background(), apps.ScaleSmall, eng2).Table1(&resumed, procs); err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
 	defer eng2.Close()
@@ -378,7 +378,7 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 
 	// Phase 3: the resumed output is byte-identical to an uninterrupted run.
 	var reference strings.Builder
-	if err := NewRunner(apps.ScaleSmall).Table1(&reference, procs); err != nil {
+	if err := NewRunner(context.Background(), apps.ScaleSmall, pipeline.NewDefault()).Table1(&reference, procs); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.String() != reference.String() {

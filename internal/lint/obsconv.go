@@ -182,8 +182,8 @@ var metricPrefixRE = regexp.MustCompile(`^commchar(_[a-z0-9]+)*_$`)
 // registryMethods maps obs.Registry registration methods to whether
 // they register a counter (and thus need the _total suffix).
 var registryMethods = map[string]bool{
-	"Counter": true, "CounterFunc": true, "CounterVecFunc": true,
-	"Gauge": false, "GaugeFunc": false, "ConstGauge": false, "Histogram": false,
+	"CounterFunc": true, "CounterVec": true,
+	"Gauge": false, "ConstGauge": false, "Histogram": false,
 }
 
 // checkMetricName enforces the naming discipline at every Registry
@@ -233,9 +233,9 @@ func checkMetricName(pass *Pass, call *ast.CallExpr) {
 	// Vector registrations additionally take a label name, which must be
 	// constant: a dynamic label name is unbounded cardinality by
 	// construction.
-	if obj.Name() == "CounterVecFunc" && len(call.Args) >= 3 {
+	if obj.Name() == "CounterVec" && len(call.Args) >= 3 {
 		if _, known := constantString(info, call.Args[2]); !known {
-			pass.Reportf(call.Args[2].Pos(), "dynamic label name in CounterVecFunc: label names must be constants "+
+			pass.Reportf(call.Args[2].Pos(), "dynamic label name in CounterVec: label names must be constants "+
 				"so series cardinality stays bounded")
 		}
 	}

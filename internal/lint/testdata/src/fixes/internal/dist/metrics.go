@@ -7,7 +7,7 @@ import "obsconv/internal/obs"
 
 // Register wires up the sweep metrics.
 func Register(r *obs.Registry) {
-	r.Counter("commchar_dist_renewals", "lease renewals")
+	r.CounterFunc("commchar_dist_renewals", "lease renewals", nil)
 	r.Gauge("commcharDistDepth", "queue depth")
 }
 

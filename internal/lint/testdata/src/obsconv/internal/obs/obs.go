@@ -25,8 +25,8 @@ func (r *Registry) register(name string) {
 	r.names = append(r.names, name)
 }
 
-// Counter registers a monotonically increasing metric.
-func (r *Registry) Counter(name, help string) { r.register(name) }
+// CounterFunc registers a monotonically increasing metric read from fn.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) { r.register(name) }
 
 // Gauge registers an instantaneous metric.
 func (r *Registry) Gauge(name, help string) { r.register(name) }
@@ -34,10 +34,11 @@ func (r *Registry) Gauge(name, help string) { r.register(name) }
 // Histogram registers a distribution metric.
 func (r *Registry) Histogram(name, help string) { r.register(name) }
 
-// CounterVecFunc registers a labeled counter family.
-func (r *Registry) CounterVecFunc(name, help, label string, f func() map[string]int64) {
-	r.register(name)
-}
+// CounterVec is a counter family split by one label.
+type CounterVec struct{ series map[string]int64 }
+
+// CounterVec registers a labeled counter family.
+func (r *Registry) CounterVec(name, help, label string, v *CounterVec) { r.register(name) }
 
 // Tracer opens spans; it predates the nil-safety rule.
 type Tracer struct{ spans int }

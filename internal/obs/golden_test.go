@@ -79,13 +79,13 @@ func TestChromeTraceGolden(t *testing.T) {
 // fixtureRegistry populates one of every metric kind deterministically.
 func fixtureRegistry() *Registry {
 	r := NewRegistry()
-	runs := r.Counter("commchar_pipeline_runs_total", "simulations actually executed")
-	runs.Add(3)
+	r.CounterFunc("commchar_pipeline_runs_total", "simulations actually executed",
+		func() int64 { return 3 })
 	r.CounterFunc("commchar_pipeline_cache_hits_disk_total", "artifacts served from the on-disk cache",
 		func() int64 { return 2 })
 	g := r.Gauge("commchar_sim_clock_ns", "most recently reported simulated clock (ns)")
 	g.Set(1.25e6)
-	r.GaugeFunc("commchar_workers_busy", "worker slots in use", func() float64 { return 4 })
+	r.Gauge("commchar_workers_busy", "worker slots in use").Set(4)
 	r.ConstGauge("commchar_build_info", "build identity of the running binary (value is always 1)",
 		map[string]string{"path": "commchar", "version": "(devel)", "revision": "deadbeef", "go_version": "go1.22"}, 1)
 	h := r.Histogram("commchar_pipeline_replay_seconds", "wall time of the replay stage per executed run", nil)

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // A Registry is the unified metrics surface: counters, gauges, and
@@ -52,75 +51,22 @@ func (r *Registry) register(name, help string, col collector) {
 	r.entries[name] = &entry{name: name, help: help, col: col}
 }
 
-// A Counter is a monotonically increasing value.
-type Counter struct{ v atomic.Int64 }
+// counterFunc is a counter whose value is read from a callback at
+// export time.
+type counterFunc func() int64
 
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-func (c *Counter) kind() string { return "counter" }
-func (c *Counter) writeProm(w io.Writer, name string) error {
-	_, err := fmt.Fprintf(w, "%s %d\n", name, c.Value())
+func (f counterFunc) kind() string { return "counter" }
+func (f counterFunc) writeProm(w io.Writer, name string) error {
+	_, err := fmt.Fprintf(w, "%s %d\n", name, f())
 	return err
 }
-func (c *Counter) exportVar() any { return c.Value() }
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, c)
-	return c
-}
-
-// funcCollector adapts a read callback into a collector; integer
-// callbacks render as counters, float callbacks as gauges.
-type funcCollector struct {
-	kindName string
-	intFn    func() int64
-	floatFn  func() float64
-}
-
-func (f *funcCollector) kind() string { return f.kindName }
-func (f *funcCollector) writeProm(w io.Writer, name string) error {
-	var err error
-	if f.intFn != nil {
-		_, err = fmt.Fprintf(w, "%s %d\n", name, f.intFn())
-	} else {
-		_, err = fmt.Fprintf(w, "%s %s\n", name, formatFloat(f.floatFn()))
-	}
-	return err
-}
-func (f *funcCollector) exportVar() any {
-	if f.intFn != nil {
-		return f.intFn()
-	}
-	return f.floatFn()
-}
+func (f counterFunc) exportVar() any { return f() }
 
 // CounterFunc registers a counter whose value is read from fn at export
-// time — the bridge for pre-existing atomic counters (pipeline.Metrics).
+// time — the bridge for atomic counters owned by their subsystem
+// (pipeline.Metrics, dist.Metrics).
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.register(name, help, &funcCollector{kindName: "counter", intFn: fn})
-}
-
-// GaugeFunc registers a gauge read from fn at export time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, &funcCollector{kindName: "gauge", floatFn: fn})
+	r.register(name, help, counterFunc(fn))
 }
 
 // A Gauge is a settable instantaneous value.
@@ -209,40 +155,70 @@ func (r *Registry) ConstGauge(name, help string, labels map[string]string, value
 	r.register(name, help, &constGauge{labels: rendered, value: value, vars: vars})
 }
 
-// vecFunc renders a whole labeled counter family from one snapshot
-// callback: each key of the returned map becomes a series with the
-// configured label, in sorted key order (scrapes are deterministic).
-type vecFunc struct {
-	label string
-	fn    func() map[string]int64
+// A CounterVec is a family of counters split by the value of one label.
+// The zero value is an empty family ready to count: label values appear
+// as they are first added, so the family suits labels (topology, op)
+// whose values are not known up front.
+type CounterVec struct {
+	mu sync.Mutex
+	m  map[string]int64
 }
 
-func (v *vecFunc) kind() string { return "counter" }
-func (v *vecFunc) writeProm(w io.Writer, name string) error {
-	m := v.fn()
+// Add increments the series labelled value by n.
+func (v *CounterVec) Add(value string, n int64) {
+	if v == nil {
+		return
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.m == nil {
+		v.m = map[string]int64{}
+	}
+	v.m[value] += n
+}
+
+// Snapshot returns a copy of every series, keyed by label value.
+func (v *CounterVec) Snapshot() map[string]int64 {
+	out := map[string]int64{}
+	if v == nil {
+		return out
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for k, n := range v.m {
+		out[k] = n
+	}
+	return out
+}
+
+// vecCollector exports a CounterVec under its label name, one series per
+// label value in sorted order (scrapes are deterministic).
+type vecCollector struct {
+	label string
+	v     *CounterVec
+}
+
+func (c vecCollector) kind() string { return "counter" }
+func (c vecCollector) writeProm(w io.Writer, name string) error {
+	m := c.v.Snapshot()
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s{%s=%s} %d\n", name, v.label, strconv.Quote(k), m[k]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s{%s=%s} %d\n", name, c.label, strconv.Quote(k), m[k]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-func (v *vecFunc) exportVar() any { return v.fn() }
+func (c vecCollector) exportVar() any { return c.v.Snapshot() }
 
-// CounterVecFunc registers a labeled counter family whose series are read
-// from fn at scrape time: fn returns label-value -> count. The family
-// grows lazily as the callback's map does — the shape of per-topology
-// metrics, where the label values are not known at registration time.
-func (r *Registry) CounterVecFunc(name, help, label string, fn func() map[string]int64) {
-	if r == nil {
-		return
-	}
-	r.register(name, help, &vecFunc{label: label, fn: fn})
+// CounterVec registers v as a labelled counter family whose series are
+// read at scrape time, each label value exported under the label name.
+func (r *Registry) CounterVec(name, help, label string, v *CounterVec) {
+	r.register(name, help, vecCollector{label: label, v: v})
 }
 
 // DefBuckets are the default histogram bucket upper bounds, in seconds,

@@ -120,7 +120,13 @@ func TestNilObserverIsNoOp(t *testing.T) {
 		t.Error("nil tracer not empty")
 	}
 	var reg *Registry
-	reg.Counter("x", "").Inc()
+	reg.CounterFunc("x", "", nil)
+	reg.CounterVec("v", "", "l", &CounterVec{})
+	var vec *CounterVec
+	vec.Add("a", 1)
+	if vec.Snapshot() == nil {
+		t.Error("nil counter vec snapshot is nil, want an empty map")
+	}
 	reg.Gauge("y", "").Set(1)
 	reg.Histogram("z", "", nil).Observe(1)
 	var el *EventLog
@@ -189,5 +195,33 @@ func TestBuildInfoString(t *testing.T) {
 	}
 	if got := ReadBuildInfo().GoVersion; got == "" {
 		t.Error("ReadBuildInfo lost the Go version")
+	}
+}
+
+func TestCounterVecCountsFromZeroValue(t *testing.T) {
+	var v CounterVec
+	if snap := v.Snapshot(); snap == nil || len(snap) != 0 {
+		t.Fatalf("zero-value snapshot = %#v, want an empty map", snap)
+	}
+	v.Add("torus", 2)
+	v.Add("mesh", 1)
+	v.Add("torus", 3)
+	snap := v.Snapshot()
+	snap["mesh"] = 99 // a snapshot is a copy
+	if got := v.Snapshot(); got["mesh"] != 1 || got["torus"] != 5 || len(got) != 2 {
+		t.Fatalf("snapshot = %v, want mesh=1 torus=5", got)
+	}
+	r := NewRegistry()
+	r.CounterVec("commchar_mesh_runs_total", "runs per topology", "topology", &v)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP commchar_mesh_runs_total runs per topology\n" +
+		"# TYPE commchar_mesh_runs_total counter\n" +
+		"commchar_mesh_runs_total{topology=\"mesh\"} 1\n" +
+		"commchar_mesh_runs_total{topology=\"torus\"} 5\n"
+	if buf.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }

@@ -25,7 +25,8 @@ func get(t *testing.T, addr, path string) (int, string) {
 
 func TestDebugServerEndpoints(t *testing.T) {
 	o := NewObserver(NewFake(epoch, time.Millisecond))
-	o.Registry.Counter("commchar_pipeline_runs_total", "simulations actually executed").Add(7)
+	o.Registry.CounterFunc("commchar_pipeline_runs_total", "simulations actually executed",
+		func() int64 { return 7 })
 	o.Progress.Done("IS#1", "run")
 	o.Events.Emit("spec.done", map[string]string{"spec": "IS#1"})
 	if err := o.ServeDebug("127.0.0.1:0"); err != nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"commchar/internal/apps"
@@ -26,7 +27,7 @@ func BenchmarkColdSweepTopology(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				arts, err := eng.RunAll(RunSpec{App: "IS", Procs: 16, Scale: apps.ScaleSmall, Topology: topo})
+				arts, err := eng.RunAll(context.Background(), RunSpec{App: "IS", Procs: 16, Scale: apps.ScaleSmall, Topology: topo})
 				if err != nil {
 					b.Fatal(err)
 				}

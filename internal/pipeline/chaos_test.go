@@ -54,7 +54,7 @@ func TestChaosWorkerPanicLosesOnlyThatSpec(t *testing.T) {
 					panic("chaos: worker crash")
 				},
 			})
-		arts, err := e.RunAll(chaosSpecs("IS", "Cholesky", "Nbody", "Maxflow")...)
+		arts, err := e.RunAll(context.Background(), chaosSpecs("IS", "Cholesky", "Nbody", "Maxflow")...)
 		return arts, err, e.Metrics()
 	}
 
@@ -112,7 +112,7 @@ func TestChaosSlowStageHitsDeadline(t *testing.T) {
 		})
 	specs := chaosSpecs("IS", "Nbody")
 	specs[1].Timeout = 50 * time.Millisecond
-	arts, err := e.RunAll(specs...)
+	arts, err := e.RunAll(context.Background(), specs...)
 	var de *DegradedError
 	if !errors.As(err, &de) {
 		t.Fatalf("expected *DegradedError, got %v", err)
@@ -151,7 +151,7 @@ func TestChaosTransientFailureIsRetried(t *testing.T) {
 				return &stageResult{raw: syntheticRaw(spec.Procs)}, nil
 			},
 		})
-	arts, err := e.RunAll(chaosSpecs("IS", "Nbody")...)
+	arts, err := e.RunAll(context.Background(), chaosSpecs("IS", "Nbody")...)
 	if err != nil {
 		t.Fatalf("transient failure leaked: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestChaosFailFastCancelsSiblings(t *testing.T) {
 				return nil, ctx.Err()
 			},
 		})
-	_, err := e.RunAll(chaosSpecs("IS", "Nbody")...)
+	_, err := e.RunAll(context.Background(), chaosSpecs("IS", "Nbody")...)
 	if err == nil {
 		t.Fatal("fail-fast sweep reported success")
 	}
@@ -203,7 +203,7 @@ func TestChaosCacheCorruptionMidSweep(t *testing.T) {
 	dir := t.TempDir()
 	e1 := chaosEngine(t, Options{Parallel: 2, CacheDir: dir}, nil)
 	specs := chaosSpecs("IS", "Nbody", "Maxflow")
-	arts, err := e1.RunAll(specs...)
+	arts, err := e1.RunAll(context.Background(), specs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestChaosCacheCorruptionMidSweep(t *testing.T) {
 	}
 
 	e2 := chaosEngine(t, Options{Parallel: 2, CacheDir: dir}, nil)
-	arts2, err := e2.RunAll(specs...)
+	arts2, err := e2.RunAll(context.Background(), specs...)
 	if err != nil {
 		t.Fatalf("sweep over corrupt cache failed: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 		}
 		cancel()
 	}()
-	_, err = e1.RunAllContext(ctx, chaosSpecs(names...)...)
+	_, err = e1.RunAll(ctx, chaosSpecs(names...)...)
 	if err == nil {
 		t.Fatal("interrupted sweep reported success")
 	}
@@ -302,7 +302,7 @@ func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 		t.Fatalf("journal lost records: %d vs %d", j2.Len(), doneAtInterrupt)
 	}
 	e2 := chaosEngine(t, Options{Parallel: 1, CacheDir: dir, Journal: j2}, nil)
-	arts, err := e2.RunAllContext(context.Background(), chaosSpecs(names...)...)
+	arts, err := e2.RunAll(context.Background(), chaosSpecs(names...)...)
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
@@ -323,7 +323,7 @@ func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 
 	// The resumed sweep's artifacts match an uninterrupted reference run.
 	ref := chaosEngine(t, Options{Parallel: 1}, nil)
-	refArts, err := ref.RunAll(chaosSpecs(names...)...)
+	refArts, err := ref.RunAll(context.Background(), chaosSpecs(names...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"commchar/internal/obs"
@@ -13,9 +12,7 @@ import (
 )
 
 // Metrics aggregates the engine's per-stage counters and timings. All
-// fields are updated atomically, so a single Metrics can be shared by
-// concurrent runs (and by several engines, if a caller wants one summary
-// across tools).
+// fields are updated atomically, so concurrent runs share one Metrics.
 type Metrics struct {
 	Runs       atomic.Int64 // simulations actually executed
 	MemoryHits atomic.Int64 // served from the in-memory artifact cache
@@ -53,87 +50,13 @@ type Metrics struct {
 	// actually simulated on ("mesh", "torus", "hypercube", "fattree",
 	// "dragonfly"). Exported as labeled commchar_mesh_* counter families;
 	// absent from the text Summary so its byte layout stays stable.
-	topoMu    sync.Mutex
-	topoRuns  map[string]int64
-	topoMsgs  map[string]int64
-	topoSimNS map[string]int64
+	topoRuns, topoMsgs, topoSimNS obs.CounterVec
 
 	// Per-collective-op accounting, keyed by "op/algorithm" (e.g.
 	// "bcast/binomial") as characterized by internal/coll. Exported as
 	// labeled commchar_coll_* counter families; absent from the text
 	// Summary so its byte layout stays stable.
-	collMu    sync.Mutex
-	collInsts map[string]int64
-	collMsgs  map[string]int64
-	collBytes map[string]int64
-}
-
-// collRun records one executed run's collective characterization for one
-// (op, algorithm) group: its instances, messages, and payload bytes.
-func (m *Metrics) collRun(op string, instances, messages, bytes int64) {
-	m.collMu.Lock()
-	defer m.collMu.Unlock()
-	if m.collInsts == nil {
-		m.collInsts = map[string]int64{}
-		m.collMsgs = map[string]int64{}
-		m.collBytes = map[string]int64{}
-	}
-	m.collInsts[op] += instances
-	m.collMsgs[op] += messages
-	m.collBytes[op] += bytes
-}
-
-// CollInstances returns the per-op collective instance counts (a copy).
-func (m *Metrics) CollInstances() map[string]int64 { return m.collSnapshot(&m.collInsts) }
-
-// CollMessages returns the per-op collective message counts (a copy).
-func (m *Metrics) CollMessages() map[string]int64 { return m.collSnapshot(&m.collMsgs) }
-
-// CollBytes returns the per-op collective payload bytes (a copy).
-func (m *Metrics) CollBytes() map[string]int64 { return m.collSnapshot(&m.collBytes) }
-
-func (m *Metrics) collSnapshot(src *map[string]int64) map[string]int64 {
-	m.collMu.Lock()
-	defer m.collMu.Unlock()
-	out := make(map[string]int64, len(*src))
-	for k, v := range *src {
-		out[k] = v
-	}
-	return out
-}
-
-// topoRun records one executed simulation on the named topology: the run
-// itself, the messages its network log delivered, and its simulated time.
-func (m *Metrics) topoRun(topology string, messages, simNS int64) {
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	if m.topoRuns == nil {
-		m.topoRuns = map[string]int64{}
-		m.topoMsgs = map[string]int64{}
-		m.topoSimNS = map[string]int64{}
-	}
-	m.topoRuns[topology]++
-	m.topoMsgs[topology] += messages
-	m.topoSimNS[topology] += simNS
-}
-
-// TopoRuns returns the per-topology executed-run counts (a copy).
-func (m *Metrics) TopoRuns() map[string]int64 { return m.topoSnapshot(&m.topoRuns) }
-
-// TopoMessages returns the per-topology delivered-message counts (a copy).
-func (m *Metrics) TopoMessages() map[string]int64 { return m.topoSnapshot(&m.topoMsgs) }
-
-// TopoSimTimeNS returns the per-topology simulated time in ns (a copy).
-func (m *Metrics) TopoSimTimeNS() map[string]int64 { return m.topoSnapshot(&m.topoSimNS) }
-
-func (m *Metrics) topoSnapshot(src *map[string]int64) map[string]int64 {
-	m.topoMu.Lock()
-	defer m.topoMu.Unlock()
-	out := make(map[string]int64, len(*src))
-	for k, v := range *src {
-		out[k] = v
-	}
-	return out
+	collInsts, collMsgs, collBytes obs.CounterVec
 }
 
 // Summary renders the counters as a report table: the pipeline's per-run
@@ -197,7 +120,7 @@ func (m *Metrics) Summary() *report.Table {
 	}
 	// Collective rows appear only when an executed run carried collective
 	// traffic, keeping pre-collectives summaries byte-stable.
-	if insts := m.CollInstances(); len(insts) > 0 {
+	if insts := m.collInsts.Snapshot(); len(insts) > 0 {
 		var total int64
 		keys := make([]string, 0, len(insts))
 		for k := range insts {
@@ -218,8 +141,8 @@ func (m *Metrics) Render(w io.Writer) { m.Summary().Render(w) }
 
 // RegisterWith exposes every counter through an obs registry under the
 // commchar_pipeline_* namespace (Prometheus on /metrics, JSON on /varz).
-// The registrations read the live atomics at scrape time, so one Metrics
-// shared by several engines exports one consistent view.
+// The registrations read the live atomics and label families at scrape
+// time, so the counters have one store.
 func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter := func(name, help string, v *atomic.Int64) {
 		r.CounterFunc("commchar_pipeline_"+name, help, v.Load)
@@ -248,16 +171,16 @@ func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter("spec_failures_total", "specs that produced no artifact", &m.SpecFailures)
 	counter("resumed_total", "journaled specs recognized as already complete", &m.Resumed)
 	counter("journal_errors_total", "best-effort journal appends that failed", &m.JournalErrors)
-	r.CounterVecFunc("commchar_mesh_runs_total",
-		"simulations executed per interconnect topology", "topology", m.TopoRuns)
-	r.CounterVecFunc("commchar_mesh_messages_total",
-		"network-log messages recorded per interconnect topology", "topology", m.TopoMessages)
-	r.CounterVecFunc("commchar_mesh_sim_time_ns_total",
-		"simulated time accumulated per interconnect topology", "topology", m.TopoSimTimeNS)
-	r.CounterVecFunc("commchar_coll_instances_total",
-		"collective instances characterized per op/algorithm", "op", m.CollInstances)
-	r.CounterVecFunc("commchar_coll_messages_total",
-		"collective messages attributed per op/algorithm", "op", m.CollMessages)
-	r.CounterVecFunc("commchar_coll_bytes_total",
-		"collective payload bytes attributed per op/algorithm", "op", m.CollBytes)
+	r.CounterVec("commchar_mesh_runs_total",
+		"simulations executed per interconnect topology", "topology", &m.topoRuns)
+	r.CounterVec("commchar_mesh_messages_total",
+		"network-log messages recorded per interconnect topology", "topology", &m.topoMsgs)
+	r.CounterVec("commchar_mesh_sim_time_ns_total",
+		"simulated time accumulated per interconnect topology", "topology", &m.topoSimNS)
+	r.CounterVec("commchar_coll_instances_total",
+		"collective instances characterized per op/algorithm", "op", &m.collInsts)
+	r.CounterVec("commchar_coll_messages_total",
+		"collective messages attributed per op/algorithm", "op", &m.collMsgs)
+	r.CounterVec("commchar_coll_bytes_total",
+		"collective payload bytes attributed per op/algorithm", "op", &m.collBytes)
 }

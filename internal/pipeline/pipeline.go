@@ -119,9 +119,6 @@ type Options struct {
 	CacheDir string
 	// Salt is the cache-key code-version salt; empty means DefaultSalt.
 	Salt string
-	// Metrics, when non-nil, receives this engine's counters (so several
-	// engines can share one summary). Nil allocates a fresh set.
-	Metrics *Metrics
 	// OnError is the sweep failure policy of RunAll; the zero value is
 	// OnErrorContinue (one lost spec does not cancel its siblings).
 	OnError OnError
@@ -209,10 +206,7 @@ func newEngine(opts Options) *Engine {
 	if salt == "" {
 		salt = DefaultSalt
 	}
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = &Metrics{}
-	}
+	metrics := &Metrics{}
 	retry := opts.Retry
 	if retry == (resilience.Policy{}) {
 		retry = resilience.DefaultPolicy()
@@ -401,21 +395,15 @@ func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (*Artifact, error
 }
 
 // RunAll characterizes every spec concurrently (bounded by the worker
-// pool) and returns the artifacts in spec order. Errors are joined; the
-// artifact slot of a failed spec is nil.
-func (e *Engine) RunAll(specs ...RunSpec) ([]*Artifact, error) {
-	//lint:allow ctxflow context-free compatibility wrapper over RunAllContext
-	return e.RunAllContext(context.Background(), specs...)
-}
-
-// RunAllContext is RunAll under the engine's failure policy. With
+// pool) under the engine's failure policy and returns the artifacts in
+// spec order; the artifact slot of a failed spec is nil. With
 // OnErrorContinue (the default) every spec runs to completion regardless
 // of sibling failures; if some specs succeeded and some failed, the
 // joined failures are wrapped in a *DegradedError so callers (and exit
 // codes) can tell a degraded sweep from a clean one. With OnErrorFail the
 // first failure cancels the remaining specs; the siblings' collateral
 // cancellations are dropped from the report.
-func (e *Engine) RunAllContext(ctx context.Context, specs ...RunSpec) ([]*Artifact, error) {
+func (e *Engine) RunAll(ctx context.Context, specs ...RunSpec) ([]*Artifact, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -615,10 +603,16 @@ func (e *Engine) runOnce(ctx context.Context, spec RunSpec, key, track string) (
 	e.metrics.Runs.Add(1)
 	e.metrics.SimEvents.Add(res.raw.Events)
 	e.metrics.SimTimeNS.Add(int64(res.raw.Elapsed))
-	e.metrics.topoRun(e.meshConfig(spec).Topology.String(), int64(len(res.raw.Log)), int64(res.raw.Elapsed))
+	topo := e.meshConfig(spec).Topology.String()
+	e.metrics.topoRuns.Add(topo, 1)
+	e.metrics.topoMsgs.Add(topo, int64(len(res.raw.Log)))
+	e.metrics.topoSimNS.Add(topo, int64(res.raw.Elapsed))
 	if c.Coll != nil {
 		for _, om := range c.Coll.PerOp {
-			e.metrics.collRun(om.Op+"/"+om.Algorithm, int64(om.Count), int64(om.Messages), om.Bytes)
+			op := om.Op + "/" + om.Algorithm
+			e.metrics.collInsts.Add(op, int64(om.Count))
+			e.metrics.collMsgs.Add(op, int64(om.Messages))
+			e.metrics.collBytes.Add(op, om.Bytes)
 		}
 	}
 	var faulted, failed int64

@@ -238,7 +238,7 @@ func TestRunAllPreservesOrder(t *testing.T) {
 		{App: "Nbody", Procs: 4, Scale: apps.ScaleSmall},
 		{App: "IS", Procs: 8, Scale: apps.ScaleSmall},
 	}
-	arts, err := e.RunAll(specs...)
+	arts, err := e.RunAll(context.Background(), specs...)
 	if err != nil {
 		t.Fatal(err)
 	}

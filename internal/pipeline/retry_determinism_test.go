@@ -37,7 +37,7 @@ func TestRetryScheduleDeterministicAcrossParallelism(t *testing.T) {
 			}
 			return inner(ctx, spec, track)
 		}
-		arts, err := e.RunAll(specs...)
+		arts, err := e.RunAll(context.Background(), specs...)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}

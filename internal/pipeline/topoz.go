@@ -35,9 +35,9 @@ type topoFabric struct {
 func topozHandler(m *Metrics) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st := topoState{
-			Runs:      m.TopoRuns(),
-			Messages:  m.TopoMessages(),
-			SimTimeNS: m.TopoSimTimeNS(),
+			Runs:      m.topoRuns.Snapshot(),
+			Messages:  m.topoMsgs.Snapshot(),
+			SimTimeNS: m.topoSimNS.Snapshot(),
 		}
 		names := core.TopologyNames()
 		sort.Strings(names)

@@ -40,12 +40,13 @@ func TestInterruptedNilOnCleanRun(t *testing.T) {
 	}
 }
 
-func TestRunCheckedContextCancellation(t *testing.T) {
+func TestRunCheckedCancellation(t *testing.T) {
 	s := New()
 	livelock(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := s.RunCheckedContext(ctx)
+	s.SetContext(ctx)
+	err := s.RunChecked()
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("expected *DeadlockError, got %v", err)

@@ -192,7 +192,7 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 // nothing it reaches may allocate.
 //
 //lint:hot
-//lint:allow ctxflow pops at most one event per iteration, bounded by the calendar; cancellation is Run's and RunCheckedContext's job
+//lint:allow ctxflow pops at most one event per iteration, bounded by the calendar; cancellation is Run's and RunChecked's job
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
 		e := heap.Pop(&s.queue).(*Event)
@@ -241,7 +241,7 @@ func (s *Simulator) Run() {
 
 // RunUntil fires events with time <= t, then sets the clock to t (if the
 // simulation had not already advanced past it).
-//lint:allow ctxflow drains only events at or before t, bounded by the calendar; cancellable runs go through RunCheckedContext
+//lint:allow ctxflow drains only events at or before t, bounded by the calendar; cancellable runs go through RunChecked
 func (s *Simulator) RunUntil(t Time) {
 	for len(s.queue) > 0 {
 		// Peek without popping: queue[0] is the minimum.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -50,7 +49,7 @@ type DeadlockError struct {
 	Diagnostics []string // named dumps from AddDiagnostic sources
 
 	// Cause, when non-nil, is the underlying trigger — a cancelled
-	// context's error for a run stopped by RunCheckedContext — surfaced
+	// context's error for a run stopped by RunChecked — surfaced
 	// through Unwrap so errors.Is(err, context.Canceled) works.
 	Cause error
 }
@@ -188,40 +187,22 @@ func (s *Simulator) stallError(reason string) *DeadlockError {
 // the installed watchdog and with structural deadlock detection: if the
 // calendar drains while processes are still blocked, or a progress budget
 // is exceeded, it stops and returns a *DeadlockError describing who waits
-// on what instead of hanging or finishing silently.
+// on what instead of hanging or finishing silently. Like Run, it polls the
+// context installed with SetContext; once that is cancelled it stops and
+// returns a *DeadlockError carrying the same diagnostics with the
+// context's error as its Cause (so errors.Is(err, context.Canceled)
+// holds).
 func (s *Simulator) RunChecked() error {
-	//lint:allow ctxflow context-free compatibility wrapper over RunCheckedContext
-	return s.RunCheckedContext(context.Background())
-}
-
-// RunCheckedContext is RunChecked under cooperative cancellation: the
-// cycle loop polls ctx periodically and, once it is cancelled, stops and
-// returns a *DeadlockError carrying the usual blocked-process and
-// wait-for diagnostics with the context's error as its Cause (so
-// errors.Is(err, context.Canceled) holds). A context installed via
-// SetContext is honoured as well.
-func (s *Simulator) RunCheckedContext(ctx context.Context) error {
 	if s.running {
 		panic("sim: Run re-entered")
 	}
 	s.running = true
 	defer func() { s.running = false }()
 
-	done := ctx.Done()
-	var installed <-chan struct{}
+	var done <-chan struct{}
 	if s.ctx != nil {
-		installed = s.ctx.Done()
+		done = s.ctx.Done()
 	}
-	cancelError := func() error {
-		err := ctx.Err()
-		if err == nil && s.ctx != nil {
-			err = s.ctx.Err()
-		}
-		e := s.stallError(fmt.Sprintf("cancelled: %v", err))
-		e.Cause = err
-		return e
-	}
-
 	wd := s.watchdog
 	var deadline time.Time
 	if wd.MaxWall > 0 {
@@ -242,18 +223,14 @@ func (s *Simulator) RunCheckedContext(ctx context.Context) error {
 		if wd.MaxWall > 0 && i%1024 == 0 && time.Now().After(deadline) {
 			return s.stallError(fmt.Sprintf("wall-clock budget %v exceeded", wd.MaxWall))
 		}
-		if i&255 == 0 {
+		if done != nil && i&255 == 0 {
 			select {
 			case <-done:
-				return cancelError()
+				err := s.ctx.Err()
+				e := s.stallError(fmt.Sprintf("cancelled: %v", err))
+				e.Cause = err
+				return e
 			default:
-			}
-			if installed != nil {
-				select {
-				case <-installed:
-					return cancelError()
-				default:
-				}
 			}
 		}
 		if !s.Step() {
