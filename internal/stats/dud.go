@@ -52,8 +52,8 @@ type Model struct {
 
 // FitOptions controls the DUD iteration.
 type FitOptions struct {
-	MaxIter int     // default 200
-	Tol     float64 // relative RSS improvement tolerance, default 1e-10
+	MaxIter int     // default 400
+	Tol     float64 // relative RSS improvement tolerance, default 1e-12
 }
 
 func (o FitOptions) withDefaults() FitOptions {
@@ -85,7 +85,9 @@ type FitResult struct {
 // DUD maintains p+1 parameter vectors; the model surface is locally
 // approximated by secants through their function values, a linear
 // least-squares step predicts a better point, and step halving guards the
-// descent. No derivatives of F are ever taken.
+// descent. No derivatives of F are ever taken. Each point keeps its model
+// vector, so an iteration evaluates the model only at the points it
+// replaces, and every buffer is allocated once per call.
 func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitResult, error) {
 	opt = opt.withDefaults()
 	if len(xs) != len(ys) {
@@ -102,47 +104,62 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 		return FitResult{}, fmt.Errorf("stats: %d observations cannot identify %d parameters", len(xs), p)
 	}
 
-	natural := func(u []float64) []float64 {
-		th := make([]float64, p)
+	// The workspace. pts[j] is a simplex point in unconstrained space,
+	// vals[j] its RSS and g[j] its model vector F(pts[j]; xs); g[p+1]
+	// receives the candidate's vector.
+	n := len(xs)
+	th := make([]float64, p)
+	pts := newMatrix(p+1, p)
+	vals := make([]float64, p+1)
+	g := newMatrix(p+2, n)
+	dTheta := newMatrix(p, p)
+	dG := newMatrix(p, n)
+	r := make([]float64, n)
+	ata := newMatrix(p, p)
+	atb := make([]float64, p)
+	lu := newMatrix(p, p)
+	alpha := make([]float64, p)
+	cand := make([]float64, p)
+
+	// eval fills gv with the model at u and returns the RSS, or +Inf if a
+	// residual is NaN or infinite. It fills the whole vector either way,
+	// because the secants read every entry.
+	eval := func(u, gv []float64) float64 {
 		for j := range th {
 			th[j] = m.Transforms[j].toNatural(u[j])
 		}
-		return th
-	}
-	rss := func(u []float64) float64 {
-		th := natural(u)
+		for i, x := range xs {
+			gv[i] = m.F(th, x)
+		}
 		var s float64
-		for i := range xs {
-			r := ys[i] - m.F(th, xs[i])
-			if math.IsNaN(r) || math.IsInf(r, 0) {
+		for i := range gv {
+			e := ys[i] - gv[i]
+			if math.IsNaN(e) || math.IsInf(e, 0) {
 				return math.Inf(1)
 			}
-			s += r * r
+			s += e * e
 		}
 		return s
 	}
 
 	// Initial simplex of p+1 points: theta0 plus per-coordinate nudges.
-	u0 := make([]float64, p)
+	u0 := pts[0]
 	for j := range u0 {
 		u0[j] = m.Transforms[j].toUnconstrained(theta0[j])
 		if math.IsNaN(u0[j]) || math.IsInf(u0[j], 0) {
 			return FitResult{}, fmt.Errorf("stats: initial parameter %d (%v) not in the transform's domain", j, theta0[j])
 		}
 	}
-	pts := make([][]float64, p+1)
-	vals := make([]float64, p+1)
-	pts[0] = u0
-	vals[0] = rss(u0)
+	vals[0] = eval(u0, g[0])
 	for j := 0; j < p; j++ {
-		u := append([]float64(nil), u0...)
+		u := pts[j+1]
+		copy(u, u0)
 		step := 0.1 * math.Abs(u[j])
 		if step < 0.1 {
 			step = 0.1
 		}
 		u[j] += step
-		pts[j+1] = u
-		vals[j+1] = rss(u)
+		vals[j+1] = eval(u, g[j+1])
 	}
 
 	// order sorts points so pts[0] is worst and pts[p] is best.
@@ -152,6 +169,7 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 				if vals[k] > vals[i] {
 					pts[i], pts[k] = pts[k], pts[i]
 					vals[i], vals[k] = vals[k], vals[i]
+					g[i], g[k] = g[k], g[i]
 				}
 			}
 		}
@@ -163,52 +181,43 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 	for ; iters < opt.MaxIter; iters++ {
 		best := pts[p]
 		bestVal := vals[p]
+		gBest := g[p]
 		if math.IsInf(bestVal, 1) {
 			return FitResult{}, errors.New("stats: model not evaluable near initial estimate")
 		}
 
 		// Secant approximation around the best point.
-		thBest := natural(best)
-		gBest := make([]float64, len(xs))
-		for i := range xs {
-			gBest[i] = m.F(thBest, xs[i])
-		}
 		// Columns: dTheta[j] = pts[j] - best; dG[j][i] = F(pts[j]) - F(best).
-		dTheta := make([][]float64, p)
-		dG := make([][]float64, p)
 		for j := 0; j < p; j++ {
-			dTheta[j] = make([]float64, p)
 			for k := 0; k < p; k++ {
 				dTheta[j][k] = pts[j][k] - best[k]
 			}
-			th := natural(pts[j])
-			col := make([]float64, len(xs))
-			for i := range xs {
-				col[i] = m.F(th, xs[i]) - gBest[i]
+			gj, dj := g[j][:n], dG[j][:n]
+			for i, gb := range gBest[:n] {
+				dj[i] = gj[i] - gb
 			}
-			dG[j] = col
 		}
 
 		// Solve min_alpha || r - dG alpha || where r = y - g(best):
 		// normal equations (dG^T dG) alpha = dG^T r, with ridge fallback.
-		r := make([]float64, len(xs))
-		for i := range xs {
-			r[i] = ys[i] - gBest[i]
+		// Every sum accumulates in index order: another order would
+		// change the fitted bits.
+		for i, gb := range gBest[:n] {
+			r[i] = ys[i] - gb
 		}
-		ata := make([][]float64, p)
-		atb := make([]float64, p)
 		for j := 0; j < p; j++ {
-			ata[j] = make([]float64, p)
+			dj := dG[j][:n]
 			for k := 0; k <= j; k++ {
+				dk := dG[k][:n]
 				var s float64
-				for i := range xs {
-					s += dG[j][i] * dG[k][i]
+				for i, v := range dj {
+					s += v * dk[i]
 				}
 				ata[j][k] = s
 			}
 			var s float64
-			for i := range xs {
-				s += dG[j][i] * r[i]
+			for i, v := range dj {
+				s += v * r[i]
 			}
 			atb[j] = s
 		}
@@ -217,14 +226,13 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 				ata[j][k] = ata[k][j]
 			}
 		}
-		alpha, ok := solveLinear(ata, atb)
-		if !ok {
+		if !solveLinear(ata, atb, lu, alpha) {
 			// Degenerate secant set: regularize by re-nudging the worst
 			// point off the best and retry next iteration.
 			for j := range pts[0] {
 				pts[0][j] = best[j] + (0.05+1e-3*float64(iters))*(1+math.Abs(best[j]))*sign(float64(j%2)*2-1)
 			}
-			vals[0] = rss(pts[0])
+			vals[0] = eval(pts[0], g[0])
 			order()
 			continue
 		}
@@ -250,7 +258,6 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 			scale = maxStep / maxMove
 		}
 		for h := 0; h < 10; h++ {
-			cand := make([]float64, p)
 			for k := 0; k < p; k++ {
 				var move float64
 				for j := 0; j < p; j++ {
@@ -258,9 +265,10 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 				}
 				cand[k] = best[k] + move
 			}
-			cv := rss(cand)
-			if cv < vals[0] { // better than the worst: accept
-				pts[0] = cand
+			cv := eval(cand, g[p+1])
+			if cv < vals[0] { // better than the worst: accept, with its vector
+				pts[0], cand = cand, pts[0]
+				g[0], g[p+1] = g[p+1], g[0]
 				vals[0] = cv
 				improved = true
 				break
@@ -278,7 +286,7 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 					d := pts[j][k] - best[k]
 					size += d * d
 				}
-				vals[j] = rss(pts[j])
+				vals[j] = eval(pts[j], g[j])
 			}
 			if size < 1e-24 {
 				break
@@ -299,7 +307,11 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 	}
 
 	order()
-	return FitResult{Theta: natural(pts[p]), RSS: vals[p], Iters: iters}, nil
+	theta := make([]float64, p)
+	for j := range theta {
+		theta[j] = m.Transforms[j].toNatural(pts[p][j])
+	}
+	return FitResult{Theta: theta, RSS: vals[p], Iters: iters}, nil
 }
 
 func sign(x float64) float64 {
@@ -309,16 +321,26 @@ func sign(x float64) float64 {
 	return 1
 }
 
-// solveLinear solves A x = b for small dense systems by Gaussian elimination
-// with partial pivoting. It reports false for (near-)singular systems.
-func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
-	n := len(b)
-	// Work on copies.
-	m := make([][]float64, n)
+// newMatrix returns an r×c matrix whose rows share one backing array.
+func newMatrix(r, c int) [][]float64 {
+	cells := make([]float64, r*c)
+	m := make([][]float64, r)
 	for i := range m {
-		m[i] = append([]float64(nil), a[i]...)
+		m[i] = cells[i*c : (i+1)*c : (i+1)*c]
 	}
-	x := append([]float64(nil), b...)
+	return m
+}
+
+// solveLinear solves A x = b for small dense systems by Gaussian elimination
+// with partial pivoting, eliminating in m, the caller's n×n scratch, and
+// leaving the solution in x; a and b are not modified. It reports false for
+// (near-)singular systems.
+func solveLinear(a [][]float64, b []float64, m [][]float64, x []float64) bool {
+	n := len(b)
+	for i := range m {
+		copy(m[i], a[i])
+	}
+	copy(x, b)
 
 	for col := 0; col < n; col++ {
 		// Pivot.
@@ -329,7 +351,7 @@ func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
 			}
 		}
 		if math.Abs(m[piv][col]) < 1e-14 {
-			return nil, false
+			return false
 		}
 		m[col], m[piv] = m[piv], m[col]
 		x[col], x[piv] = x[piv], x[col]
@@ -352,8 +374,8 @@ func solveLinear(a [][]float64, b []float64) ([]float64, bool) {
 	}
 	for _, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, false
+			return false
 		}
 	}
-	return x, true
+	return true
 }

@@ -7,10 +7,17 @@ import (
 	"commchar/internal/sim"
 )
 
+// solve runs solveLinear on fresh scratch and returns its solution.
+func solve(a [][]float64, b []float64) ([]float64, bool) {
+	x := make([]float64, len(b))
+	ok := solveLinear(a, b, newMatrix(len(b), len(b)), x)
+	return x, ok
+}
+
 func TestSolveLinear(t *testing.T) {
 	a := [][]float64{{2, 1}, {1, 3}}
 	b := []float64{5, 10}
-	x, ok := solveLinear(a, b)
+	x, ok := solve(a, b)
 	if !ok {
 		t.Fatal("solver failed")
 	}
@@ -22,7 +29,7 @@ func TestSolveLinear(t *testing.T) {
 
 func TestSolveLinearSingular(t *testing.T) {
 	a := [][]float64{{1, 2}, {2, 4}}
-	if _, ok := solveLinear(a, []float64{1, 2}); ok {
+	if _, ok := solve(a, []float64{1, 2}); ok {
 		t.Fatal("singular system solved")
 	}
 }
@@ -30,7 +37,7 @@ func TestSolveLinearSingular(t *testing.T) {
 func TestSolveLinearPivoting(t *testing.T) {
 	// Zero on the diagonal forces a pivot swap.
 	a := [][]float64{{0, 1}, {1, 0}}
-	x, ok := solveLinear(a, []float64{3, 4})
+	x, ok := solve(a, []float64{3, 4})
 	if !ok || !almostEqual(x[0], 4, 1e-12) || !almostEqual(x[1], 3, 1e-12) {
 		t.Fatalf("pivoted solve = %v ok=%v", x, ok)
 	}
