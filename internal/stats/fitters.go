@@ -3,7 +3,10 @@ package stats
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // CandidateFit is one fitted distribution family with its goodness-of-fit
@@ -50,9 +53,22 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 	ecdf := NewECDF(samples)
 	xs, ys := ecdf.Points(maxRegressionPoints)
 
+	// Every family is fitted from every start in parallel, then scored in
+	// parallel. Each result has its own slot and is read in candidate
+	// order, so the outcome does not depend on how the workers ran.
+	cands := candidateModels(sum, samples)
+	runs := make([]dudRun, len(cands)*len(multiStarts))
+	parallelFor(len(runs), func(t int) {
+		c := cands[t/len(multiStarts)]
+		seed := startFrom(c, multiStarts[t%len(multiStarts)])
+		runs[t].res, runs[t].err = FitDUD(c.model, xs, ys, seed, FitOptions{})
+	})
+	fits := make([]*CandidateFit, len(cands))
+	parallelFor(len(cands), func(i int) {
+		fits[i] = score(cands[i], runs[i*len(multiStarts):(i+1)*len(multiStarts)], xs, ys, ecdf.xs)
+	})
 	var out []CandidateFit
-	for _, c := range candidateModels(sum, samples) {
-		fit := refineAndScore(c, xs, ys, samples)
+	for _, fit := range fits {
 		if fit != nil {
 			out = append(out, *fit)
 		}
@@ -247,22 +263,67 @@ func candidateModels(sum Summary, samples []float64) []candidate {
 	return cands
 }
 
-func refineAndScore(c candidate, xs, ys []float64, samples []float64) *CandidateFit {
+// multiStarts scale each family's moment or MLE seed into the starts DUD
+// runs from, to dodge the local minima multi-parameter families (H2
+// especially) suffer from.
+var multiStarts = []float64{1, 0.3, 3}
+
+// startFrom scales the candidate's initial estimate by one multi-start
+// factor, staying inside each parameter's domain.
+func startFrom(c candidate, f float64) []float64 {
+	seed := make([]float64, len(c.init))
+	for j, v := range c.init {
+		seed[j] = scaleParam(c.model.Transforms[j], v, f)
+	}
+	return seed
+}
+
+// dudRun is the outcome of one DUD fit from one start.
+type dudRun struct {
+	res FitResult
+	err error
+}
+
+// parallelFor calls f(i) for every i in [0, n) from min(GOMAXPROCS, n)
+// goroutines that pull indices from a shared counter, and returns once
+// every call has. A panic in f is raised again on the caller's goroutine,
+// so the caller's recovery boundary still catches it.
+func parallelFor(n int, f func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var once sync.Once
+	var panicked any
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { panicked = r })
+				}
+			}()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
+}
+
+// score keeps the family's best run, in start order, and scores it: R²
+// against the ECDF points (xs, ys), KS and χ² against the sorted sample.
+func score(c candidate, runs []dudRun, xs, ys []float64, sorted []float64) *CandidateFit {
 	theta := c.init
 	iters := 0
 	bestRSS := math.Inf(1)
-	// Multi-start: the moment/MLE seed plus scaled variants, to dodge the
-	// local minima multi-parameter families (H2 especially) suffer from.
-	for _, f := range []float64{1, 0.3, 3} {
-		seed := make([]float64, len(c.init))
-		for j, v := range c.init {
-			seed[j] = scaleParam(c.model.Transforms[j], v, f)
-		}
-		res, err := FitDUD(c.model, xs, ys, seed, FitOptions{})
-		if err == nil && res.RSS < bestRSS {
-			bestRSS = res.RSS
-			theta = res.Theta
-			iters += res.Iters
+	for _, r := range runs {
+		if r.err == nil && r.res.RSS < bestRSS {
+			bestRSS = r.res.RSS
+			theta = r.res.Theta
+			iters += r.res.Iters
 		}
 	}
 	dist := c.build(theta)
@@ -292,8 +353,8 @@ func refineAndScore(c candidate, xs, ys []float64, samples []float64) *Candidate
 	return &CandidateFit{
 		Dist:  dist,
 		R2:    r2,
-		KS:    KolmogorovSmirnov(samples, dist),
-		Chi:   ChiSquareGoF(samples, dist, chiSquareBins, c.nparams),
+		KS:    ksSorted(sorted, dist),
+		Chi:   chiSquareSorted(sorted, dist, chiSquareBins, c.nparams),
 		Iters: iters,
 	}
 }

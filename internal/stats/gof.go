@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // RSquared computes the coefficient of determination of predictions yhat
 // against observations y: 1 - RSS/TSS.
@@ -35,13 +32,15 @@ func RSquared(y, yhat []float64) float64 {
 // KolmogorovSmirnov returns the KS statistic sup_x |F_n(x) - F(x)| of the
 // sample against the distribution's CDF.
 func KolmogorovSmirnov(sample []float64, d Distribution) float64 {
-	n := len(sample)
+	return ksSorted(NewECDF(sample).xs, d)
+}
+
+// ksSorted is KolmogorovSmirnov on an already sorted sample.
+func ksSorted(xs []float64, d Distribution) float64 {
+	n := len(xs)
 	if n == 0 {
 		return math.NaN()
 	}
-	xs := make([]float64, n)
-	copy(xs, sample)
-	sort.Float64s(xs)
 	var ks float64
 	for i, x := range xs {
 		f := d.CDF(x)
@@ -68,13 +67,15 @@ type ChiSquareResult struct {
 // distribution, using equal-probability bins (so expected counts are uniform)
 // and the given number of estimated parameters for the degrees of freedom.
 func ChiSquareGoF(sample []float64, d Distribution, bins, estimatedParams int) ChiSquareResult {
-	n := len(sample)
+	return chiSquareSorted(NewECDF(sample).xs, d, bins, estimatedParams)
+}
+
+// chiSquareSorted is ChiSquareGoF on an already sorted sample.
+func chiSquareSorted(xs []float64, d Distribution, bins, estimatedParams int) ChiSquareResult {
+	n := len(xs)
 	if n == 0 || bins < 2 {
 		return ChiSquareResult{Statistic: math.NaN(), PValue: math.NaN()}
 	}
-	xs := make([]float64, n)
-	copy(xs, sample)
-	sort.Float64s(xs)
 
 	expected := float64(n) / float64(bins)
 	var stat float64
