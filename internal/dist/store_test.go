@@ -206,6 +206,11 @@ func TestWorkerAttachesStoreAndCoordinatorFeedsIt(t *testing.T) {
 	if hs.Base() != srv.URL {
 		t.Fatalf("worker store base %q, want %q (attached from the lease)", hs.Base(), srv.URL)
 	}
+	// The feed is write-behind: Execute returns once the completion is
+	// accepted, and the blob lands after that. Wait for it, up to a bound.
+	for deadline := time.Now().Add(5 * time.Second); coord.Metrics().StoreBlobs.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if coord.Metrics().StoreBlobs.Load() != 1 || bs.Len() != 1 {
 		t.Fatalf("write-behind feed: blobs metric=%d, stored=%d",
 			coord.Metrics().StoreBlobs.Load(), bs.Len())
