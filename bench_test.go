@@ -31,7 +31,11 @@ var (
 
 func benchRunner() *experiments.Runner {
 	runnerOnce.Do(func() {
-		runner = experiments.NewRunner(context.Background(), apps.ScaleFull, pipeline.NewDefault())
+		eng, err := pipeline.New(pipeline.Options{})
+		if err != nil {
+			panic(err) // no cache directory: New cannot fail
+		}
+		runner = experiments.NewRunner(context.Background(), apps.ScaleFull, eng)
 	})
 	return runner
 }
@@ -233,7 +237,10 @@ func BenchmarkPipelineColdParallel(b *testing.B) {
 }
 
 func BenchmarkPipelineWarmMemory(b *testing.B) {
-	eng := pipeline.NewDefault()
+	eng, err := pipeline.New(pipeline.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	pipelineSuite(b, eng) // prime
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

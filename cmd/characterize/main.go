@@ -144,7 +144,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			coord.Drain(ctx, 5*time.Second)
 		}()
 	}
-	eng, err := pf.EngineObserved(ob)
+	eng, err := pf.Engine(ob)
 	if err != nil {
 		return err
 	}

@@ -184,7 +184,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 		cfg.pf.Remote = coord
 	}
 
-	eng, err := cfg.pf.EngineObserved(ob)
+	eng, err := cfg.pf.Engine(ob)
 	if err != nil {
 		return err
 	}
@@ -275,7 +275,7 @@ func runWorker(ctx context.Context, cfg workerConfig, ob *obs.Observer, stdout, 
 	store := dist.NewHTTPStore(dist.HTTPStoreOptions{Obs: ob, Metrics: dm, Transport: storeChaos})
 	cfg.pf.Store = store
 
-	eng, err := cfg.pf.EngineObserved(ob)
+	eng, err := cfg.pf.Engine(ob)
 	if err != nil {
 		return err
 	}

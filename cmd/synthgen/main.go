@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		defer ob.Close()
-		eng, err := pf.EngineObserved(ob)
+		eng, err := pf.Engine(ob)
 		if err != nil {
 			return err
 		}

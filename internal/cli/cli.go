@@ -64,16 +64,6 @@ func ParseFlags(fs *flag.FlagSet, args []string) error {
 	return nil
 }
 
-// PanicError is a panic converted into an error at a recovery boundary.
-// It is an alias of the resilience package's type, kept here so existing
-// errors.As call sites keep matching panics recovered at either layer.
-type PanicError = resilience.PanicError
-
-// Protect runs fn, converting a panic into a *PanicError. It is the
-// recovery boundary the tools and the experiment pipeline wrap around
-// sub-steps so one failing step cannot take down the whole run.
-func Protect(fn func() error) error { return resilience.Protect(fn) }
-
 // degraded is the marker interface of partial-success errors (see
 // pipeline.DegradedError); defined structurally so cli does not import
 // the pipeline.
@@ -107,7 +97,8 @@ func ExitCode(err error) int {
 // SIGTERM cancels the context — the tool drains its workers, flushes its
 // cache and journal, and returns context.Canceled (exit 130); a second
 // signal reverts to the default handler and kills the process
-// immediately. A *PanicError additionally dumps the captured stack.
+// immediately. A *resilience.PanicError additionally dumps the captured
+// stack.
 func Main(name string, run func(ctx context.Context, args []string, stdout, stderr io.Writer) error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -118,12 +109,12 @@ func Main(name string, run func(ctx context.Context, args []string, stdout, stde
 		stop()
 	}()
 
-	err := Protect(func() error {
+	err := resilience.Protect(func() error {
 		return run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	})
 	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-		var pe *PanicError
+		var pe *resilience.PanicError
 		if errors.As(err, &pe) {
 			os.Stderr.Write(pe.Stack)
 		}

@@ -6,8 +6,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 	"testing"
+
+	"commchar/internal/resilience"
 )
 
 // degradedErr is a stand-in for pipeline.DegradedError (cli matches the
@@ -29,7 +30,7 @@ func TestExitCodes(t *testing.T) {
 		{"usage", Usagef("-trace required"), ExitUsage},
 		{"wrapped usage", errors.Join(errors.New("ctx"), Usagef("bad")), ExitUsage},
 		{"runtime", errors.New("boom"), ExitFailure},
-		{"panic", &PanicError{Value: "boom"}, ExitFailure},
+		{"panic", &resilience.PanicError{Value: "boom"}, ExitFailure},
 		{"cancelled", context.Canceled, ExitCancelled},
 		{"wrapped cancelled", fmt.Errorf("sweep: %w", context.Canceled), ExitCancelled},
 		{"deadline", context.DeadlineExceeded, ExitFailure},
@@ -46,30 +47,6 @@ func TestExitCodes(t *testing.T) {
 		if got := ExitCode(c.err); got != c.want {
 			t.Errorf("%s: exit %d, want %d", c.name, got, c.want)
 		}
-	}
-}
-
-func TestProtectConvertsPanics(t *testing.T) {
-	err := Protect(func() error { panic("kaboom") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("expected PanicError, got %v", err)
-	}
-	if !strings.Contains(pe.Error(), "kaboom") {
-		t.Errorf("panic value lost: %v", pe)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("stack not captured")
-	}
-}
-
-func TestProtectPassesThrough(t *testing.T) {
-	want := errors.New("plain failure")
-	if err := Protect(func() error { return want }); err != want {
-		t.Fatalf("got %v", err)
-	}
-	if err := Protect(func() error { return nil }); err != nil {
-		t.Fatalf("got %v", err)
 	}
 }
 

@@ -128,7 +128,7 @@ type IdleReport struct {
 
 // Characterization is the collective/asynchronicity characterization of
 // one static-strategy run. It rides inside core.Characterization, so it
-// serializes through the artifact cache and the distributed wire codec
+// serializes through the artifact codec (cache, wire and store alike)
 // unchanged.
 type Characterization struct {
 	Ranks   int

@@ -127,13 +127,21 @@ func TestEntryPointsHonourCancelledContext(t *testing.T) {
 		{"apps.Workload.Characterize/dynamic", workload("IS")},
 		{"apps.Workload.Characterize/static", workload("3D-FFT")},
 		{"pipeline.Engine.RunAll", func(ctx context.Context) error {
-			_, err := pipeline.NewDefault().RunAll(ctx,
+			eng, err := pipeline.New(pipeline.Options{})
+			if err != nil {
+				return err
+			}
+			_, err = eng.RunAll(ctx,
 				pipeline.RunSpec{App: "IS", Procs: 4, Scale: apps.ScaleSmall},
 				pipeline.RunSpec{App: "MG", Procs: 4, Scale: apps.ScaleSmall})
 			return err
 		}},
 		{"experiments.RunSteps", func(ctx context.Context) error {
-			r := experiments.NewRunner(ctx, apps.ScaleSmall, pipeline.NewDefault())
+			eng, err := pipeline.New(pipeline.Options{})
+			if err != nil {
+				return err
+			}
+			r := experiments.NewRunner(ctx, apps.ScaleSmall, eng)
 			return experiments.RunSteps(ctx, io.Discard, r.Steps(4), false)
 		}},
 	}

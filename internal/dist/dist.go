@@ -7,8 +7,9 @@
 // whose lease expires — because the worker crashed, hung past its
 // heartbeats, or lost the network — is re-enqueued, so no failure mode of
 // a worker can strand work. Workers poll for leases, send heartbeats that
-// extend their lease and report per-spec progress, and stream the
-// completed artifact back through the pipeline's wire codec. Duplicate
+// extend their lease and report per-spec progress, and send the
+// completed artifact back in the pipeline's artifact format
+// (pipeline.MarshalArtifact, the disk cache entry's bytes). Duplicate
 // completions from lease-expiry races are idempotent: artifacts are
 // content-addressed by the spec's cache key and bit-identical by the
 // determinism invariant, so whichever completion lands first wins and the
@@ -51,7 +52,12 @@ import (
 // store — correct but silently slower — and, worse, a v2 coordinator
 // would drop the degradation report a v3 worker is owed an exit code
 // for; the skew stays fatal.
-const ProtoVersion = 3
+//
+// Version 4: CompleteRequest.Artifact became the zip-archive artifact
+// serialization (base64 bytes) in place of embedded JSON. Either side of
+// a v3/v4 skew would reject every completion of the other as
+// undecodable and re-lease the work forever; the skew must be fatal.
+const ProtoVersion = 4
 
 // DegradedError reports a sweep that completed — every artifact was
 // produced and the output is byte-identical to a local run — but not at

@@ -22,7 +22,9 @@ import (
 	"commchar/internal/resilience"
 )
 
-// testArtifact builds a small, fully wire-round-trippable artifact.
+// testArtifact builds a small, fully wire-round-trippable artifact for a
+// testSpec of the same name (the decoder checks the processor count
+// against the spec).
 func testArtifact(name string) *pipeline.Artifact {
 	log := []mesh.Delivery{
 		{Message: mesh.Message{ID: 1, Src: 0, Dst: 1, Bytes: 64, Inject: 10}, End: 30, Latency: 20, Blocked: 0, Hops: 1},
@@ -30,7 +32,7 @@ func testArtifact(name string) *pipeline.Artifact {
 	}
 	return &pipeline.Artifact{
 		C: &core.Characterization{
-			Name: name, Strategy: core.StrategyDynamic, Procs: 2,
+			Name: name, Strategy: core.StrategyDynamic, Procs: 4,
 			Messages: len(log), TotalBytes: 192, Elapsed: 90,
 			Log: log,
 		},

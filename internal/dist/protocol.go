@@ -13,7 +13,9 @@ import "encoding/json"
 //
 // Every request carries V (ProtoVersion); a mismatch is answered with
 // HTTP 400 and an errorResponse whose Code is "version-mismatch", which
-// the client surfaces as a permanent *ProtocolError.
+// the client surfaces as a permanent *ProtocolError. Since version 4 a
+// completion carries the artifact as opaque bytes (base64 in the JSON):
+// the zip archive that is also the disk cache entry and the store blob.
 
 // Lease statuses returned by /v1/lease.
 const (
@@ -76,9 +78,10 @@ type CompleteRequest struct {
 	Worker string `json:"worker"`
 	ID     uint64 `json:"id"`
 	Key    string `json:"key"`
-	// Artifact is the pipeline wire codec's serialization
-	// (pipeline.MarshalArtifact).
-	Artifact json.RawMessage `json:"artifact"`
+	// Artifact is the artifact's serialization (pipeline.MarshalArtifact):
+	// a zip archive, base64 in the JSON body, byte for byte the blob the
+	// coordinator feeds into its shared store.
+	Artifact []byte `json:"artifact"`
 	// StoreDegraded reports that this worker fell back from the shared
 	// store at least once: the sweep completed, but degraded. The
 	// coordinator surfaces it through Degraded (exit code 3).

@@ -21,8 +21,8 @@ import (
 
 // The shared artifact store is the fleet-wide tier of the pipeline's
 // cache hierarchy: a content-addressed blob store the coordinator serves
-// over HTTP (GET/PUT /v1/blob/{key}), holding wire-codec artifact
-// serializations keyed by the spec's cache key. The coordinator feeds it
+// over HTTP (GET/PUT /v1/blob/{key}), holding artifact serializations
+// (pipeline.MarshalArtifact) keyed by the spec's cache key. The coordinator feeds it
 // write-behind from every accepted completion; workers attach an
 // HTTPStore as their engine's pipeline.CacheStore, so one worker's
 // finished run is every other worker's warm hit.

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"commchar/internal/cli"
+	"commchar/internal/resilience"
 )
 
 // TestSweepContinuesPastFailures: a sweep with one erroring and one
@@ -45,7 +45,7 @@ func TestSweepContinuesPastFailures(t *testing.T) {
 	if se.Failed[0].Name != "bad-config" || se.Failed[1].Name != "panics" {
 		t.Fatalf("wrong failed steps: %+v", se.Failed)
 	}
-	var pe *cli.PanicError
+	var pe *resilience.PanicError
 	if !errors.As(se.Failed[1].Err, &pe) {
 		t.Fatalf("panic not converted to PanicError: %v", se.Failed[1].Err)
 	}

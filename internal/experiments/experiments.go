@@ -12,11 +12,11 @@ import (
 	"strings"
 
 	"commchar/internal/apps"
-	"commchar/internal/cli"
 	"commchar/internal/core"
 	"commchar/internal/mesh"
 	"commchar/internal/pipeline"
 	"commchar/internal/report"
+	"commchar/internal/resilience"
 	"commchar/internal/sim"
 	"commchar/internal/workload"
 )
@@ -444,7 +444,7 @@ func RunSteps(ctx context.Context, w io.Writer, steps []Step, stopOnFailure bool
 			return err
 		}
 		fmt.Fprintf(w, "\n================ %s ================\n", s.Name)
-		err := cli.Protect(func() error { return s.Run(w) })
+		err := resilience.Protect(func() error { return s.Run(w) })
 		if err != nil {
 			if ctx.Err() != nil {
 				// The step failed because the sweep was cancelled out

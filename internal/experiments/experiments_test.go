@@ -238,8 +238,19 @@ func TestParallelPoolSmoke(t *testing.T) {
 	}
 }
 
+// defaultEngine is an engine with default options: GOMAXPROCS workers,
+// no disk cache, no journal.
+func defaultEngine(t *testing.T) *pipeline.Engine {
+	t.Helper()
+	eng, err := pipeline.New(pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func TestRunnerCaches(t *testing.T) {
-	r := NewRunner(context.Background(), apps.ScaleSmall, pipeline.NewDefault())
+	r := NewRunner(context.Background(), apps.ScaleSmall, defaultEngine(t))
 	a, err := r.characterize("Nbody", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +275,7 @@ func TestRunnerCaches(t *testing.T) {
 // old Runner's cache key, which omitted the scale: two runners sharing one
 // engine at different scales must get different runs.
 func TestRunnersAtDifferentScalesDoNotCollide(t *testing.T) {
-	eng := pipeline.NewDefault()
+	eng := defaultEngine(t)
 	small := NewRunner(context.Background(), apps.ScaleSmall, eng)
 	full := NewRunner(context.Background(), apps.ScaleFull, eng)
 	a, err := small.characterize("Nbody", 4)
@@ -289,7 +300,7 @@ func TestRunnersAtDifferentScalesDoNotCollide(t *testing.T) {
 // TestRunnersWithDistinctConfigsDoNotCollide pins the same property for
 // machine-configuration overrides (the old key also omitted the barrier).
 func TestRunnersWithDistinctConfigsDoNotCollide(t *testing.T) {
-	eng := pipeline.NewDefault()
+	eng := defaultEngine(t)
 	r := NewRunner(context.Background(), apps.ScaleSmall, eng)
 	var sb strings.Builder
 	if err := r.AblationBarrier(&sb, 4); err != nil {
@@ -301,7 +312,7 @@ func TestRunnersWithDistinctConfigsDoNotCollide(t *testing.T) {
 }
 
 func TestAblationVirtualChannelsImproves(t *testing.T) {
-	r := NewRunner(context.Background(), apps.ScaleSmall, pipeline.NewDefault())
+	r := NewRunner(context.Background(), apps.ScaleSmall, defaultEngine(t))
 	var sb strings.Builder
 	if err := r.AblationVirtualChannels(&sb); err != nil {
 		t.Fatal(err)
@@ -378,7 +389,7 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 
 	// Phase 3: the resumed output is byte-identical to an uninterrupted run.
 	var reference strings.Builder
-	if err := NewRunner(context.Background(), apps.ScaleSmall, pipeline.NewDefault()).Table1(&reference, procs); err != nil {
+	if err := NewRunner(context.Background(), apps.ScaleSmall, defaultEngine(t)).Table1(&reference, procs); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.String() != reference.String() {

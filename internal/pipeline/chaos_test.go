@@ -208,13 +208,13 @@ func TestChaosCacheCorruptionMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Chaos: tear the middle spec's stored log mid-record.
-	logPath := filepath.Join(dir, arts[1].Key[:2], arts[1].Key, "log.csv")
-	data, err := os.ReadFile(logPath)
+	// Chaos: tear the middle spec's stored entry a third of the way in.
+	entry := filepath.Join(dir, arts[1].Key[:2], arts[1].Key+".zip")
+	data, err := os.ReadFile(entry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(logPath, data[:len(data)/3], 0o644); err != nil {
+	if err := os.WriteFile(entry, data[:len(data)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -358,7 +358,7 @@ func TestDiskCacheConcurrentSameKeyStores(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				errs[i] = d.store(key, art)
+				errs[i] = d.store(key, art.encode)
 			}(i)
 		}
 		wg.Wait()
@@ -370,8 +370,8 @@ func TestDiskCacheConcurrentSameKeyStores(t *testing.T) {
 		if _, ok := d.load(key, spec); !ok {
 			t.Fatalf("round %d: entry unreadable after concurrent stores", round)
 		}
-		// Reset for the next round so the rename-collision path keeps
-		// being exercised (not just the already-exists path).
+		// Reset for the next round so both the fresh-publish and the
+		// replace-existing rename keep being exercised.
 		if err := os.RemoveAll(d.path(key)); err != nil {
 			t.Fatal(err)
 		}

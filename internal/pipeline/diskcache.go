@@ -1,51 +1,20 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-
-	"commchar/internal/ccnuma"
-	"commchar/internal/core"
-	"commchar/internal/fault"
-	"commchar/internal/spasm"
-	"commchar/internal/trace"
 )
 
 // diskCache is the content-addressed on-disk artifact store. Each entry is
-// a directory named by the spec's canonical key holding
-//
-//	meta.json   the serialized characterization, machine stats, and
-//	            integrity counts
-//	log.csv     the network delivery log (trace.WriteDeliveries format)
-//	trace.csv   the application trace (static strategy only)
-//
-// The characterization is stored in full — distribution fits included, via
-// the family-tagged codec in internal/stats — so a warm load skips both
-// the simulate and the analyze stage. Only the bulky row data (the
-// delivery log and the application trace) lives outside the JSON, in the
-// CSV sidecars, and is rehydrated on load. A corrupt entry (unreadable
-// meta, truncated log, mismatched counts) reads as a miss and the run
-// falls back to simulation.
+// one file holding the artifact's serialization (see MarshalArtifact): the
+// same bytes the dist protocol and the shared store carry. A corrupt entry
+// (a damaged archive, a member that fails its checksum, mismatched
+// counts) reads as a miss, and the run falls back to simulation, whose
+// store then heals the entry.
 type diskCache struct {
 	dir string
-}
-
-// entryMeta is the JSON body of one cache entry.
-type entryMeta struct {
-	// C is the characterization with Log and Trace stripped; they are
-	// rehydrated from the CSV sidecars.
-	C *core.Characterization
-	// Messages is the delivery count; a salvaged (truncated) log that
-	// parses short is rejected against it.
-	Messages int
-	HasTrace bool
-
-	MemStats      *ccnuma.Stats   `json:",omitempty"`
-	Profiles      []spasm.Profile `json:",omitempty"`
-	Failures      []string        `json:",omitempty"`
-	FaultCounters fault.Counters
 }
 
 func newDiskCache(dir string) (*diskCache, error) {
@@ -55,144 +24,56 @@ func newDiskCache(dir string) (*diskCache, error) {
 	return &diskCache{dir: dir}, nil
 }
 
-// path returns the entry directory for a key, sharded by its first byte.
+// path returns the entry file for a key, <dir>/<key[:2]>/<key>.zip. The
+// suffix keeps it clear of an older layout's entry directory of the same
+// key, which then just reads as a miss.
 func (d *diskCache) path(key string) string {
-	return filepath.Join(d.dir, key[:2], key)
+	return filepath.Join(d.dir, key[:2], key+".zip")
 }
 
-// load reads an entry and rehydrates its characterization. Any
-// inconsistency — missing files, truncated or malformed CSV, counts that
-// do not match the metadata — reports a miss.
+// load reads and decodes an entry; any failure reports a miss.
 func (d *diskCache) load(key string, spec RunSpec) (*Artifact, bool) {
-	dir := d.path(key)
-	metaBytes, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	f, err := os.Open(d.path(key))
 	if err != nil {
 		return nil, false
 	}
-	var meta entryMeta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil || meta.C == nil {
-		return nil, false
-	}
-
-	lf, err := os.Open(filepath.Join(dir, "log.csv"))
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, false
 	}
-	log, err := trace.ReadDeliveries(lf)
-	lf.Close()
-	// A *trace.TruncatedError would salvage a prefix, but a partial log is
-	// not the run the characterization describes: reject and re-run.
-	if err != nil || len(log) != meta.Messages {
+	art, err := decodeArtifact(f, fi.Size(), spec, key)
+	if err != nil {
 		return nil, false
 	}
-
-	c := meta.C
-	c.Log = log
-	if meta.HasTrace {
-		tf, err := os.Open(filepath.Join(dir, "trace.csv"))
-		if err != nil {
-			return nil, false
-		}
-		tr, err := trace.ReadCSV(tf, c.Procs)
-		tf.Close()
-		if err != nil {
-			return nil, false
-		}
-		c.Trace = tr
-	}
-
-	return &Artifact{
-		Spec:          spec,
-		Key:           key,
-		C:             c,
-		MemStats:      meta.MemStats,
-		Profiles:      meta.Profiles,
-		Failures:      meta.Failures,
-		FaultCounters: meta.FaultCounters,
-		Source:        SourceDisk,
-	}, true
+	art.Source = SourceDisk
+	return art, true
 }
 
-// store writes an entry atomically: into a temp directory first, then one
-// rename. A concurrent writer of the same key wins harmlessly — the
-// loser's temp directory is discarded.
-func (d *diskCache) store(key string, art *Artifact) error {
-	tmp, err := os.MkdirTemp(d.dir, "tmp-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-
-	slim := *art.C
-	slim.Log, slim.Trace = nil, nil
-	meta := entryMeta{
-		C:             &slim,
-		Messages:      len(art.C.Log),
-		HasTrace:      art.C.Trace != nil,
-		MemStats:      art.MemStats,
-		Profiles:      art.Profiles,
-		Failures:      art.Failures,
-		FaultCounters: art.FaultCounters,
-	}
-	metaBytes, err := json.Marshal(meta)
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(tmp, "meta.json"), metaBytes, 0o644); err != nil {
-		return err
-	}
-
-	lf, err := os.Create(filepath.Join(tmp, "log.csv"))
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteDeliveries(lf, art.C.Log); err != nil {
-		lf.Close()
-		return err
-	}
-	if err := lf.Close(); err != nil {
-		return err
-	}
-
-	if art.C.Trace != nil {
-		tf, err := os.Create(filepath.Join(tmp, "trace.csv"))
-		if err != nil {
-			return err
-		}
-		if err := art.C.Trace.WriteCSV(tf); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-	}
-
+// store publishes an entry atomically: write fills a temp file, and one
+// rename puts it in place. A rename replaces a file atomically and every
+// writer of one key writes the same bytes, so concurrent stores of a key
+// need no coordination. There is no fsync: an entry a crash leaves
+// half-written fails its checksums and reads as a miss.
+func (d *diskCache) store(key string, write func(io.Writer) error) error {
 	final := d.path(key)
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return err
 	}
-	// Publishing can collide: two engines (or two processes) may finish the
-	// same key together, and rename-onto-a-nonempty-directory fails on
-	// every platform. Two writers of one key hold bit-identical artifacts,
-	// so whoever lands a readable entry wins; the loser only has to notice.
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if err := os.Rename(tmp, final); err == nil {
-			return nil
-		} else {
-			lastErr = err
-		}
-		if _, ok := d.load(key, art.Spec); ok {
-			// A concurrent writer published an intact entry; ours is
-			// redundant, not lost.
-			return nil
-		}
-		// The existing entry is corrupt (or a racer is mid-replace):
-		// clear it and retry the publish.
-		if err := os.RemoveAll(final); err != nil {
-			return err
-		}
+	tmp, err := os.CreateTemp(d.dir, "tmp-")
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("pipeline: cache store %s: %w", key[:12], lastErr)
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), final)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("pipeline: cache store %s: %w", key[:12], err)
+	}
+	return nil
 }

@@ -21,12 +21,12 @@ type Flags struct {
 	JournalPath string
 	Resume      bool
 
-	// Remote, when set before EngineObserved, routes cache-miss specs
+	// Remote, when set before Engine, routes cache-miss specs
 	// through a remote executor (see internal/dist). It has no flag of
 	// its own: the tools that support distribution construct the
 	// executor from their own flags (-workers) and inject it here.
 	Remote Executor
-	// Store, when set before EngineObserved, attaches a shared remote
+	// Store, when set before Engine, attaches a shared remote
 	// artifact cache (read-through after disk misses, asynchronous
 	// write-behind after fresh runs). Like Remote it has no flag of its
 	// own; the distributed tools construct and inject it.
@@ -51,14 +51,11 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Engine builds the engine the flags describe. The caller owns the
+// Engine builds the engine the flags describe, observed by ob: stages are
+// traced, counters exported, progress tracked. A nil observer
+// (observability flags all off) observes nothing. The caller owns the
 // engine's Close (which releases the journal).
-func (f *Flags) Engine() (*Engine, error) { return f.EngineObserved(nil) }
-
-// EngineObserved is Engine with an observer attached: stages are traced,
-// counters exported, progress tracked. A nil observer (observability
-// flags all off) is exactly Engine.
-func (f *Flags) EngineObserved(ob *obs.Observer) (*Engine, error) {
+func (f *Flags) Engine(ob *obs.Observer) (*Engine, error) {
 	onError, err := ParseOnError(f.OnError)
 	if err != nil {
 		return nil, cli.Usagef("-on-error: %v", err)

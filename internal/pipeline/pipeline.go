@@ -195,9 +195,17 @@ type call struct {
 	err  error
 }
 
-// newEngine builds the in-memory engine core. It cannot fail: every
-// fallible attachment (the disk cache) happens in New.
-func newEngine(opts Options) *Engine {
+// New builds an engine. It fails only if the cache directory cannot be
+// created.
+func New(opts Options) (*Engine, error) {
+	var disk *diskCache
+	if opts.CacheDir != "" {
+		d, err := newDiskCache(opts.CacheDir)
+		if err != nil {
+			return nil, err
+		}
+		disk = d
+	}
 	parallel := opts.Parallel
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -214,6 +222,7 @@ func newEngine(opts Options) *Engine {
 	e := &Engine{
 		parallel:    parallel,
 		salt:        salt,
+		disk:        disk,
 		metrics:     metrics,
 		sem:         make(chan struct{}, parallel),
 		onError:     opts.OnError,
@@ -243,7 +252,7 @@ func newEngine(opts Options) *Engine {
 		opts.Obs.HandleDebug("/topoz", topozHandler(metrics))
 	}
 	e.runStages = e.acquire
-	return e
+	return e, nil
 }
 
 // simProgressInterval spaces the live simulator progress reports: once per
@@ -267,25 +276,6 @@ func trackName(spec RunSpec, key string) string {
 	}
 	return spec.Label() + "#" + key
 }
-
-// New builds an engine. It fails only if the cache directory cannot be
-// created.
-func New(opts Options) (*Engine, error) {
-	e := newEngine(opts)
-	if opts.CacheDir != "" {
-		d, err := newDiskCache(opts.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		e.disk = d
-	}
-	return e, nil
-}
-
-// NewDefault builds an engine with default options (GOMAXPROCS workers, no
-// disk cache, no journal). It cannot fail: the only fallible option is the
-// cache directory, which the defaults do not use.
-func NewDefault() *Engine { return newEngine(Options{}) }
 
 // Metrics returns the engine's counters.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
@@ -556,7 +546,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (
 
 	if e.disk != nil {
 		ssp := e.obs.StartSpan("engine", track, "cache", "disk-store")
-		serr := e.disk.store(key, art)
+		serr := e.disk.store(key, art.encode)
 		ssp.End()
 		if serr != nil {
 			e.metrics.DiskStoreErrors.Add(1)

@@ -140,8 +140,12 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 		{App: "IS", Procs: 8, Width: 4},            // width without height
 		{App: "IS", Procs: 8, Width: 2, Height: 2}, // mesh too small
 	}
+	e, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, spec := range bad {
-		if _, err := NewDefault().Run(spec); err == nil {
+		if _, err := e.Run(spec); err == nil {
 			t.Fatalf("spec %d accepted: %+v", i, spec)
 		}
 	}
@@ -360,48 +364,62 @@ func TestDiskCacheRoundTripReal(t *testing.T) {
 }
 
 func TestDiskCacheCorruptionFallsBackToRun(t *testing.T) {
-	dir := t.TempDir()
-	spec := RunSpec{App: "IS", Procs: 4, Scale: apps.ScaleSmall}
-	e1, _ := stubEngine(t, Options{Parallel: 1, CacheDir: dir})
-	art, err := e1.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	damage := map[string]func(tb testing.TB, entry []byte) []byte{
+		// Cut mid-member: the archive's directory is gone.
+		"truncated": func(_ testing.TB, entry []byte) []byte { return entry[:len(entry)/2] },
+		// One digit of the delivery log changed in place: the log still
+		// parses, so only the member's CRC-32 can tell.
+		"log byte flipped": flipLogDigit,
 	}
+	for name, fn := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := RunSpec{App: "IS", Procs: 4, Scale: apps.ScaleSmall}
+			e1, _ := stubEngine(t, Options{Parallel: 1, CacheDir: dir})
+			art, err := e1.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			damageEntry(t, dir, art.Key, fn)
 
-	// Truncate the stored delivery log mid-record: loading must detect the
-	// damage (trace.TruncatedError / count mismatch) and report a miss.
-	logPath := filepath.Join(dir, art.Key[:2], art.Key, "log.csv")
-	data, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(logPath, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+			e2, calls2 := stubEngine(t, Options{Parallel: 1, CacheDir: dir})
+			again, err := e2.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Source != SourceRun {
+				t.Fatalf("corrupt entry served from %q", again.Source)
+			}
+			if *calls2 != 1 {
+				t.Fatalf("fallback executed %d runs", *calls2)
+			}
+			if e2.Metrics().DiskHits.Load() != 0 {
+				t.Fatal("corrupt entry counted as a disk hit")
+			}
 
-	e2, calls2 := stubEngine(t, Options{Parallel: 1, CacheDir: dir})
-	again, err := e2.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+			// The fallback run re-stores a good entry; a third engine hits it.
+			e3, calls3 := stubEngine(t, Options{Parallel: 1, CacheDir: dir})
+			healed, err := e3.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if healed.Source != SourceDisk || *calls3 != 0 {
+				t.Fatalf("repaired entry not served from disk (source=%q calls=%d)", healed.Source, *calls3)
+			}
+		})
 	}
-	if again.Source != SourceRun {
-		t.Fatalf("corrupt entry served from %q", again.Source)
-	}
-	if *calls2 != 1 {
-		t.Fatalf("fallback executed %d runs", *calls2)
-	}
-	if e2.Metrics().DiskHits.Load() != 0 {
-		t.Fatal("corrupt entry counted as a disk hit")
-	}
+}
 
-	// The fallback run re-stores a good entry; a third engine hits it.
-	e3, calls3 := stubEngine(t, Options{Parallel: 1, CacheDir: dir})
-	healed, err := e3.Run(spec)
+// damageEntry rewrites the cache entry of key through fn.
+func damageEntry(tb testing.TB, dir, key string, fn func(testing.TB, []byte) []byte) {
+	tb.Helper()
+	path := filepath.Join(dir, key[:2], key+".zip")
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if healed.Source != SourceDisk || *calls3 != 0 {
-		t.Fatalf("repaired entry not served from disk (source=%q calls=%d)", healed.Source, *calls3)
+	if err := os.WriteFile(path, fn(tb, data), 0o644); err != nil {
+		tb.Fatal(err)
 	}
 }
 
@@ -413,10 +431,11 @@ func TestDiskCacheMetaCorruptionFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metaPath := filepath.Join(dir, art.Key[:2], art.Key, "meta.json")
-	if err := os.WriteFile(metaPath, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	damageEntry(t, dir, art.Key, func(tb testing.TB, entry []byte) []byte {
+		ms := membersOf(tb, entry)
+		ms[0].data = []byte("{not json")
+		return zipOf(tb, ms)
+	})
 	e2, calls2 := stubEngine(t, Options{Parallel: 1, CacheDir: dir})
 	again, err := e2.Run(spec)
 	if err != nil {

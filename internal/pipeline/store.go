@@ -2,14 +2,16 @@ package pipeline
 
 import (
 	"context"
+	"io"
 )
 
 // A CacheStore is a shared, remote artifact cache: a content-addressed
-// blob store keyed by the spec's cache key, holding wire-codec
-// serializations (MarshalArtifact). Where the disk cache makes warm hits
-// per-process, a CacheStore makes them fleet-wide — one worker's finished
-// run becomes every worker's warm hit (see dist.HTTPStore, backed by the
-// coordinator's /v1/blob/{key} endpoint).
+// blob store keyed by the spec's cache key, holding artifact
+// serializations (MarshalArtifact), the same bytes as a disk cache
+// entry. Where the disk cache makes warm hits per-process, a CacheStore
+// makes them fleet-wide — one worker's finished run becomes every
+// worker's warm hit (see dist.HTTPStore, backed by the coordinator's
+// /v1/blob/{key} endpoint).
 //
 // The store is strictly best-effort. The engine reads through it after a
 // disk miss and writes behind it after a fresh run, but never depends on
@@ -32,10 +34,10 @@ type CacheStore interface {
 }
 
 // storeGet reads through the shared store after a disk miss: on a
-// verified hit the blob is decoded, persisted into the local disk cache
-// (so the next hit is local), and served as the artifact. Every failure
-// mode — miss, degraded store, undecodable blob — returns (nil, false)
-// and the caller falls back to executing the spec.
+// verified hit the blob is decoded, written as is into the local disk
+// cache (so the next hit is local), and served as the artifact. Every
+// failure mode — miss, degraded store, undecodable blob — returns
+// (nil, false) and the caller falls back to executing the spec.
 func (e *Engine) storeGet(ctx context.Context, spec RunSpec, key, track string) (*Artifact, bool) {
 	if e.store == nil {
 		return nil, false
@@ -65,7 +67,10 @@ func (e *Engine) storeGet(ctx context.Context, spec RunSpec, key, track string) 
 	e.obs.Instant("engine", track, "cache", "store-hit", nil)
 	e.obs.Emit("cache.hit", map[string]string{"spec": track, "level": "store"})
 	if e.disk != nil {
-		if serr := e.disk.store(key, art); serr != nil {
+		if serr := e.disk.store(key, func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		}); serr != nil {
 			e.metrics.DiskStoreErrors.Add(1)
 		}
 	}
