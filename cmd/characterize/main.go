@@ -4,8 +4,6 @@
 // communication characterization: inter-arrival fits per source, spatial
 // figures, and the message-length spectrum.
 //
-// Usage:
-//
 // Runs execute through the shared run pipeline: with -cache-dir, a
 // repeated characterization is served from the content-addressed on-disk
 // cache instead of re-simulating.
@@ -25,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -71,9 +67,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	sc := apps.ScaleFull
-	if *scale == "small" {
-		sc = apps.ScaleSmall
+	sc, err := apps.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
 
 	if *list {
@@ -103,46 +99,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// Client mode: serve a coordinator for the fleet and route the
 		// run's cache miss (if any) through it. The report is identical to
 		// a local run by the determinism invariant.
-		var store *dist.BlobStore
-		if *blobDir != "" {
-			store, err = dist.NewBlobStore(*blobDir)
-			if err != nil {
-				return err
-			}
-		}
-		coord = dist.NewCoordinator(dist.CoordinatorOptions{Obs: ob, Store: store})
-		ln, err := net.Listen("tcp", *distListen)
+		var shutdown func()
+		coord, _, shutdown, err = dist.ServeCoordinator(ctx, dist.CoordinatorOptions{Obs: ob}, dist.Fleet{
+			BlobDir: *blobDir, Listen: *distListen, Advertise: *distAdvertise,
+			Workers: *workers, Drain: 5 * time.Second,
+		})
 		if err != nil {
-			return fmt.Errorf("coordinator listener: %w", err)
+			return err
 		}
-		srv := &http.Server{Handler: coord.Handler()}
-		go srv.Serve(ln)
-		defer srv.Close()
-		coord.Start(ctx)
-		if ob != nil {
-			coord.Metrics().RegisterWith(ob.Registry)
-		}
-		ob.HandleDebug("/distz", coord.DebugHandler())
-		coordURL := *distAdvertise
-		if coordURL == "" {
-			coordURL = "http://" + ln.Addr().String()
-		}
-		for _, wu := range strings.Split(*workers, ",") {
-			if wu = strings.TrimSpace(wu); wu == "" {
-				continue
-			}
-			if err := dist.Attach(ctx, wu, coordURL); err != nil {
-				return err
-			}
-		}
+		defer shutdown()
 		pf.Remote = coord
-		// On the way out (server still up: defers run inside-out), dismiss
-		// the fleet so workers detach instead of waiting out their
-		// unreachable grace against a dead address.
-		defer func() {
-			coord.Finish()
-			coord.Drain(ctx, 5*time.Second)
-		}()
 	}
 	eng, err := pf.Engine(ob)
 	if err != nil {
@@ -188,14 +154,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "application trace (%d messages) written to %s\n", c.Trace.Messages(), *traceOut)
 	}
-	if coord != nil && coord.Degraded() {
+	if coord != nil {
 		// The report above is complete and correct; exit 3 flags the
 		// reduced fleet health (store fallbacks, rescued stragglers).
-		m := coord.Metrics()
-		return &dist.DegradedError{
-			StoreReports: m.DegradedReports.Load(),
-			Rescues:      m.Rescues.Load(),
-		}
+		return coord.DegradedError()
 	}
 	return nil
 }

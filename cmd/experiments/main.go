@@ -48,13 +48,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	sc := apps.ScaleFull
-	switch *scale {
-	case "full":
-	case "small":
-		sc = apps.ScaleSmall
-	default:
-		return cli.Usagef("unknown scale %q", *scale)
+	sc, err := apps.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
 
 	ob, err := of.Observer(stderr)

@@ -82,9 +82,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	var xs []float64
 	if *app != "" {
-		sc := apps.ScaleFull
-		if *scale == "small" {
-			sc = apps.ScaleSmall
+		sc, err := apps.ParseScale(*scale)
+		if err != nil {
+			return err
 		}
 		if _, err := apps.ByName(sc, *app); err != nil {
 			return cli.Usagef("%v", err)

@@ -129,13 +129,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *topology == "" {
 		w, h := *width, *height
 		if w == 0 || h == 0 {
-			w, h = *ranks, 1
-			if *ranks > 4 {
-				w = 4
-				h = (*ranks + 3) / 4
-			}
+			grid := mesh.DefaultGrid(*ranks)
+			w, h = grid[0], grid[1]
 		}
 		spec.Width, spec.Height = w, h
+		fabCycle = mesh.DefaultConfig(mesh.MeshTopology, w, h).CycleTime
 		if spec.VirtualChannels == 0 {
 			spec.VirtualChannels = 1
 		}
@@ -182,8 +180,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	m := workload.MeasureLog(c.Log, c.Elapsed, c.MeanUtilization)
 	if fab == nil {
 		fmt.Fprintf(stdout, "mesh          : %dx%d, %d VCs, %v flit cycle\n",
-			spec.Width, spec.Height, spec.VirtualChannels,
-			mesh.DefaultConfig(spec.Width, spec.Height).CycleTime)
+			spec.Width, spec.Height, spec.VirtualChannels, fabCycle)
 	} else {
 		fmt.Fprintf(stdout, "fabric        : %s, %d endpoints / %d nodes, %d VCs, %v flit cycle\n",
 			fab.Name(), fab.Endpoints(), fab.Nodes(), spec.VirtualChannels, fabCycle)

@@ -139,48 +139,23 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 	}
 
 	var coord *dist.Coordinator
+	var shutdown func()
 	if !cfg.local {
-		var store *dist.BlobStore
-		if cfg.blobDir != "" {
-			store, err = dist.NewBlobStore(cfg.blobDir)
-			if err != nil {
-				return err
-			}
-		}
-		coord = dist.NewCoordinator(dist.CoordinatorOptions{
+		var coordURL string
+		coord, coordURL, shutdown, err = dist.ServeCoordinator(ctx, dist.CoordinatorOptions{
 			Lease:           cfg.lease,
 			MaxAttempts:     cfg.maxAttempts,
 			Obs:             ob,
-			Store:           store,
 			SpeculateFactor: cfg.speculate,
+		}, dist.Fleet{
+			BlobDir: cfg.blobDir, Listen: cfg.listen, Advertise: cfg.advertise,
+			Workers: cfg.workers, Drain: cfg.lease,
 		})
-		addr := cfg.listen
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			return fmt.Errorf("coordinator listener: %w", err)
+			return err
 		}
-		srv := &http.Server{Handler: coord.Handler()}
-		go srv.Serve(ln)
-		defer srv.Close()
-		coord.Start(ctx)
-		if ob != nil {
-			coord.Metrics().RegisterWith(ob.Registry)
-		}
-		ob.HandleDebug("/distz", coord.DebugHandler())
-
-		coordURL := cfg.advertise
-		if coordURL == "" {
-			coordURL = "http://" + ln.Addr().String()
-		}
+		defer shutdown()
 		fmt.Fprintf(stderr, "coordinator listening on %s (%d specs)\n", coordURL, len(specs))
-		for _, wu := range splitList(cfg.workers) {
-			if err := dist.Attach(ctx, wu, coordURL); err != nil {
-				return err
-			}
-		}
 		cfg.pf.Remote = coord
 	}
 
@@ -204,20 +179,12 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 		report.Render(stdout, art.C)
 	}
 	if coord != nil {
-		// Dismiss the fleet before the lease API goes away: workers poll
-		// StatusDone and detach cleanly instead of waiting out their
-		// unreachable grace against a dead address.
-		coord.Finish()
-		coord.Drain(ctx, cfg.lease)
-		if runErr == nil && coord.Degraded() {
-			// Every report above is complete and correct, but the sweep ran
-			// at reduced fleet health (store fallbacks, rescued stragglers):
-			// exit 3 so operators notice without diffing metrics.
-			m := coord.Metrics()
-			runErr = &dist.DegradedError{
-				StoreReports: m.DegradedReports.Load(),
-				Rescues:      m.Rescues.Load(),
-			}
+		shutdown()
+		if runErr == nil {
+			// Every report above is complete and correct, but a sweep run
+			// at reduced fleet health (store fallbacks, rescued stragglers)
+			// exits 3 so operators notice without diffing metrics.
+			runErr = coord.DegradedError()
 		}
 	}
 	return runErr
@@ -319,9 +286,9 @@ func runWorker(ctx context.Context, cfg workerConfig, ob *obs.Observer, stdout, 
 // linear family), producing specs — and therefore cache keys — identical
 // to builds that predate those dimensions.
 func sweepSpecs(appsList, procsList, topoList, collList, scale string) ([]pipeline.RunSpec, error) {
-	sc := apps.ScaleFull
-	if scale == "small" {
-		sc = apps.ScaleSmall
+	sc, err := apps.ParseScale(scale)
+	if err != nil {
+		return nil, err
 	}
 	names := splitList(appsList)
 	if len(names) == 0 {

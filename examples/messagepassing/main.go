@@ -53,7 +53,7 @@ func main() {
 	// Step 3: dependency-aware replay through the mesh with SP2 costs.
 	fmt.Println("step 3: replay through the 2-D wormhole mesh with SP2 overheads")
 	s := sim.New()
-	net := mesh.New(s, core.MeshFor(*procs))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(*procs)...))
 	if err := trace.Replay(s, net, tr2, sp2.Default()); err != nil {
 		log.Fatal(err)
 	}

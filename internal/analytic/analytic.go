@@ -102,8 +102,8 @@ func Predict(w *Workload, cfg mesh.Config) (*Prediction, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Nodes() < w.Procs {
-		return nil, fmt.Errorf("analytic: %d processors on %d-node fabric", w.Procs, cfg.Nodes())
+	if ep := cfg.Fabric().Endpoints(); ep < w.Procs {
+		return nil, fmt.Errorf("analytic: %d processors on %d-node fabric", w.Procs, ep)
 	}
 	if len(w.Lengths) == 0 {
 		return nil, errors.New("analytic: no length spectrum")

@@ -16,7 +16,7 @@ var testLengths = []stats.LengthCount{{Bytes: 40, Count: 1}}
 func TestZeroLoadLatencyMatchesSimulator(t *testing.T) {
 	// At vanishing load the model's T0 must equal the simulator's
 	// uncontended latency for the same flow.
-	cfg := mesh.DefaultConfig(4, 4)
+	cfg := mesh.DefaultConfig(mesh.MeshTopology, 4, 4)
 	w := &Workload{Procs: 16, Lengths: testLengths,
 		Flows: []Flow{{Src: 0, Dst: 15, Rate: 1e-9}}}
 	pred, err := Predict(w, cfg)
@@ -38,7 +38,7 @@ func TestZeroLoadLatencyMatchesSimulator(t *testing.T) {
 }
 
 func TestContentionGrowsWithLoad(t *testing.T) {
-	cfg := mesh.DefaultConfig(4, 4)
+	cfg := mesh.DefaultConfig(mesh.MeshTopology, 4, 4)
 	base := Uniform(16, 1.0/20000, testLengths) // 1 msg / 20 µs / source
 	var prev float64
 	for _, f := range []float64{1, 4, 16, 40} {
@@ -54,7 +54,7 @@ func TestContentionGrowsWithLoad(t *testing.T) {
 }
 
 func TestSaturationDetected(t *testing.T) {
-	cfg := mesh.DefaultConfig(4, 4)
+	cfg := mesh.DefaultConfig(mesh.MeshTopology, 4, 4)
 	// Absurd load: every source sends every 100 ns.
 	w := Uniform(16, 1.0/100, testLengths)
 	pred, err := Predict(w, cfg)
@@ -69,7 +69,7 @@ func TestSaturationDetected(t *testing.T) {
 func TestPredictionTracksSimulatorUniform(t *testing.T) {
 	// Moderate uniform load: the analytic latency must agree with the
 	// simulator within modeling error (±35%).
-	cfg := mesh.DefaultConfig(4, 4)
+	cfg := mesh.DefaultConfig(mesh.MeshTopology, 4, 4)
 	const meanGap = 4000.0 // ns per source
 	aw := Uniform(16, 1/meanGap, testLengths)
 	pred, err := Predict(aw, cfg)
@@ -125,7 +125,7 @@ func TestFromCharacterization(t *testing.T) {
 	if got := w.AggregateRate(); math.Abs(got-want)/want > 0.01 {
 		t.Fatalf("aggregate rate %v, want %v", got, want)
 	}
-	if _, err := Predict(w, mesh.DefaultConfig(2, 2)); err != nil {
+	if _, err := Predict(w, mesh.DefaultConfig(mesh.MeshTopology, 2, 2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,11 +135,11 @@ func TestPredictErrors(t *testing.T) {
 		t.Fatal("nil characterization accepted")
 	}
 	w := Uniform(16, 1e-6, testLengths)
-	if _, err := Predict(w, mesh.DefaultConfig(2, 2)); err == nil {
+	if _, err := Predict(w, mesh.DefaultConfig(mesh.MeshTopology, 2, 2)); err == nil {
 		t.Fatal("16 processors on 4 nodes accepted")
 	}
 	w.Lengths = nil
-	if _, err := Predict(w, mesh.DefaultConfig(4, 4)); err == nil {
+	if _, err := Predict(w, mesh.DefaultConfig(mesh.MeshTopology, 4, 4)); err == nil {
 		t.Fatal("empty length spectrum accepted")
 	}
 }

@@ -69,7 +69,7 @@ func TestTraceReplaysAndRootIsFavorite(t *testing.T) {
 	}
 	// Replay through the mesh.
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, 2))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 2))
 	if err := trace.Replay(s, net, tr, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestTraceReplays(t *testing.T) {
 	}
 	tr := w.Trace()
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, 2))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 2))
 	if err := trace.Replay(s, net, tr, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"commchar/internal/apps/maxflow"
 	"commchar/internal/apps/mg"
 	"commchar/internal/apps/nbody"
+	"commchar/internal/cli"
 	"commchar/internal/core"
 	"commchar/internal/mp"
 	"commchar/internal/sp2"
@@ -31,6 +32,18 @@ const (
 	// ScaleFull is the benchmark tier used for the paper's experiments.
 	ScaleFull
 )
+
+// ParseScale parses a -scale flag value: "full" or "small". Anything else
+// is a usage error, so a typo never silently runs the full-size problem.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "full":
+		return ScaleFull, nil
+	case "small":
+		return ScaleSmall, nil
+	}
+	return ScaleFull, cli.Usagef("unknown scale %q (want full or small)", s)
+}
 
 // Workload is one application of the suite, ready to characterize.
 type Workload struct {

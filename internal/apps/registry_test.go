@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"commchar/internal/cli"
 	"commchar/internal/core"
 )
 
@@ -70,5 +71,19 @@ func TestEveryWorkloadCharacterizesSmall(t *testing.T) {
 				t.Fatalf("only %d active sources", active)
 			}
 		})
+	}
+}
+
+func TestParseScale(t *testing.T) {
+	for in, want := range map[string]Scale{"full": ScaleFull, "small": ScaleSmall} {
+		if got, err := ParseScale(in); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "smal", "Small", "full "} {
+		_, err := ParseScale(in)
+		if cli.ExitCode(err) != 2 {
+			t.Errorf("ParseScale(%q) = %v, want a usage error (exit 2)", in, err)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // rigAssoc builds a system with the given associativity.
 func rigAssoc(n, ways int) (*sim.Simulator, *mesh.Network, *System) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, (n+3)/4))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, (n+3)/4))
 	cfg := DefaultConfig(n)
 	cfg.Associativity = ways
 	sys := New(s, net, cfg)

@@ -239,8 +239,8 @@ func New(s *sim.Simulator, net *mesh.Network, cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if net.Config().Nodes() < cfg.Processors {
-		panic(fmt.Sprintf("ccnuma: %d processors on %d-node mesh", cfg.Processors, net.Config().Nodes()))
+	if ep := net.Topology().Endpoints(); ep < cfg.Processors {
+		panic(fmt.Sprintf("ccnuma: %d processors on %d-node mesh", cfg.Processors, ep))
 	}
 	sys := &System{
 		sim:   s,

@@ -15,7 +15,7 @@ func rig(n int) (*sim.Simulator, *mesh.Network, *System) {
 	if n <= 4 {
 		w, h = n, 1
 	}
-	net := mesh.New(s, mesh.DefaultConfig(w, h))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, w, h))
 	sys := New(s, net, DefaultConfig(n))
 	return s, net, sys
 }

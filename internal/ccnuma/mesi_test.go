@@ -10,7 +10,7 @@ import (
 
 func rigMESI(n int) (*sim.Simulator, *mesh.Network, *System) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, (n+3)/4))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, (n+3)/4))
 	cfg := DefaultConfig(n)
 	cfg.Protocol = MESI
 	sys := New(s, net, cfg)
@@ -42,7 +42,7 @@ func TestMESISilentUpgradeSavesTraffic(t *testing.T) {
 	// MESI none.
 	run := func(protocol Protocol) (int64, Stats) {
 		s := sim.New()
-		net := mesh.New(s, mesh.DefaultConfig(4, 1))
+		net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 1))
 		cfg := DefaultConfig(4)
 		cfg.Protocol = protocol
 		sys := New(s, net, cfg)
@@ -173,7 +173,7 @@ func TestMESIFewerMessagesOnPrivateWorkload(t *testing.T) {
 	// Mostly-private access pattern: MESI must beat MSI on total traffic.
 	run := func(protocol Protocol) int64 {
 		s := sim.New()
-		net := mesh.New(s, mesh.DefaultConfig(4, 2))
+		net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 2))
 		cfg := DefaultConfig(8)
 		cfg.Protocol = protocol
 		sys := New(s, net, cfg)

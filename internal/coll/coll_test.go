@@ -9,6 +9,7 @@ import (
 
 	"commchar/internal/coll"
 	"commchar/internal/core"
+	"commchar/internal/mesh"
 	"commchar/internal/mp"
 	"commchar/internal/sim"
 	"commchar/internal/sp2"
@@ -26,7 +27,7 @@ func runKernel(t testing.TB, procs int, alg mp.Algorithm, kernel func(r *mp.Rank
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := core.ReplayTraceContext(context.Background(), tr, core.MeshFor(procs), sp2.Default(), nil, sim.Watchdog{})
+	raw, err := core.ReplayTraceContext(context.Background(), tr, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...), sp2.Default(), nil, sim.Watchdog{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,14 +189,16 @@ func TestInterarrivalsHelper(t *testing.T) {
 	}
 }
 
+// TestMeshFor pins the standard mesh geometry (mesh.DefaultGrid) that
+// the default topology selector builds.
 func TestMeshFor(t *testing.T) {
-	if cfg := MeshFor(4); cfg.Width != 4 || cfg.Height != 1 {
-		t.Fatalf("MeshFor(4) = %dx%d", cfg.Width, cfg.Height)
+	if g := mesh.DefaultGrid(4); g[0] != 4 || g[1] != 1 {
+		t.Fatalf("DefaultGrid(4) = %dx%d", g[0], g[1])
 	}
-	if cfg := MeshFor(16); cfg.Width != 4 || cfg.Height != 4 {
-		t.Fatalf("MeshFor(16) = %dx%d", cfg.Width, cfg.Height)
+	if g := mesh.DefaultGrid(16); g[0] != 4 || g[1] != 4 {
+		t.Fatalf("DefaultGrid(16) = %dx%d", g[0], g[1])
 	}
-	if cfg := MeshFor(8); cfg.Nodes() < 8 {
-		t.Fatal("MeshFor(8) too small")
+	if cfg := mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(8)...); cfg.Fabric().Endpoints() < 8 {
+		t.Fatal("DefaultGrid(8) too small")
 	}
 }

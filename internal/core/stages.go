@@ -155,20 +155,9 @@ func CharacterizeMessagePassing(ctx context.Context, name string, procs int, cos
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
-	raw, err := ReplayTraceContext(ctx, tr, MeshFor(procs), cost, nil, sim.Watchdog{})
+	raw, err := ReplayTraceContext(ctx, tr, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...), cost, nil, sim.Watchdog{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
 	return raw.Characterize(name, StrategyStatic)
-}
-
-// MeshFor returns the reproduction's standard mesh geometry for n
-// processors: the smallest default mesh at most four columns wide.
-func MeshFor(n int) mesh.Config {
-	w, h := n, 1
-	if n > 4 {
-		w = 4
-		h = (n + 3) / 4
-	}
-	return mesh.DefaultConfig(w, h)
 }

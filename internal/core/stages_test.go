@@ -9,6 +9,7 @@ import (
 	"commchar/internal/apps"
 	"commchar/internal/core"
 	"commchar/internal/experiments"
+	"commchar/internal/mesh"
 	"commchar/internal/mp"
 	"commchar/internal/pipeline"
 	"commchar/internal/sim"
@@ -62,7 +63,7 @@ func TestReplayTraceContextCancellation(t *testing.T) {
 	tr := ringTrace(t, 4, 50)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := core.ReplayTraceContext(ctx, tr, core.MeshFor(4), nil, nil, sim.Watchdog{})
+	_, err := core.ReplayTraceContext(ctx, tr, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(4)...), nil, nil, sim.Watchdog{})
 	if err == nil {
 		t.Fatal("cancelled replay succeeded")
 	}
@@ -76,7 +77,7 @@ func TestReplayTraceContextCancellation(t *testing.T) {
 	}
 
 	// The same replay with a live context completes normally.
-	raw, err := core.ReplayTraceContext(context.Background(), tr, core.MeshFor(4), nil, nil, sim.Watchdog{})
+	raw, err := core.ReplayTraceContext(context.Background(), tr, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(4)...), nil, nil, sim.Watchdog{})
 	if err != nil {
 		t.Fatal(err)
 	}

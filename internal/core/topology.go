@@ -39,124 +39,94 @@ func TopologyNames() []string {
 	return names
 }
 
-// topologyBuilders maps a selector to the function that sizes that fabric
-// for n processors, given optional explicit dimensions (nil = derive the
-// smallest standard instance that fits n).
-var topologyBuilders = map[string]func(dims []int, procs int) (mesh.Config, error){
-	"mesh":      meshTopo,
-	"torus":     torusTopo(2),
-	"torus3d":   torusTopo(3),
-	"torus4d":   torusTopo(4),
-	"hypercube": hypercubeTopo,
-	"fattree":   fattreeTopo,
-	"dragonfly": dragonflyTopo,
+// topologyBuilders maps a selector to its fabric kind and the shape that
+// kind takes by default for n processors: the smallest standard instance
+// that fits n.
+var topologyBuilders = map[string]struct {
+	kind mesh.Kind
+	dims func(procs int) []int
+}{
+	"mesh":      {mesh.MeshTopology, mesh.DefaultGrid},
+	"torus":     {mesh.TorusTopology, cube(2)},
+	"torus3d":   {mesh.TorusTopology, cube(3)},
+	"torus4d":   {mesh.TorusTopology, cube(4)},
+	"hypercube": {mesh.HypercubeTopology, hypercubeDims},
+	"fattree":   {mesh.FatTreeTopology, fattreeDims},
+	"dragonfly": {mesh.DragonflyTopology, dragonflyDims},
 }
 
 // TopologyFor returns the reproduction's standard machine configuration
 // for the named fabric and processor count. The empty name selects the
-// default 2-D mesh and is byte-for-byte the historical MeshFor geometry.
-// dims, when non-nil, pins the fabric's shape instead of deriving it:
-// per-dimension sizes for mesh/torus*, [d] for a hypercube, [arity,
-// levels] for a fat tree, [routers, globals] for a dragonfly. The
-// returned config always has at least procs endpoints; a shape that
-// cannot hold procs is an error.
+// default 2-D mesh, mesh.DefaultGrid(procs). dims, when non-nil, pins the
+// fabric's shape instead of deriving it, in the per-kind convention of
+// mesh.Config. The returned config always has at least procs endpoints; a
+// shape that cannot hold procs is an error.
 func TopologyFor(name string, dims []int, procs int) (mesh.Config, error) {
 	if name == "" {
 		name = "mesh"
 	}
-	build, ok := topologyBuilders[name]
+	b, ok := topologyBuilders[name]
 	if !ok {
 		return mesh.Config{}, fmt.Errorf("core: unknown topology %q (have %s)",
 			name, strings.Join(TopologyNames(), ", "))
 	}
-	cfg, err := build(dims, procs)
-	if err != nil {
-		return mesh.Config{}, err
+	if dims == nil {
+		dims = b.dims(procs)
 	}
+	cfg := mesh.DefaultConfig(b.kind, dims...)
 	if err := cfg.Validate(); err != nil {
 		return mesh.Config{}, err
 	}
-	if cfg.Nodes() < procs {
+	if fab := cfg.Fabric(); fab.Endpoints() < procs {
 		return mesh.Config{}, fmt.Errorf("core: %s has %d endpoints, too small for %d processors",
-			cfg.Fabric().Name(), cfg.Nodes(), procs)
+			fab.Name(), fab.Endpoints(), procs)
 	}
 	return cfg, nil
 }
 
-func meshTopo(dims []int, procs int) (mesh.Config, error) {
-	if dims == nil {
-		return MeshFor(procs), nil
-	}
-	if len(dims) == 2 {
-		return mesh.DefaultConfig(dims[0], dims[1]), nil
-	}
-	return mesh.KAryConfig(mesh.MeshTopology, dims...), nil
-}
-
-// torusTopo sizes an n-dimensional torus: explicit dims (any rank), or
-// the smallest k^n cube with k >= 2 that holds procs.
-func torusTopo(n int) func(dims []int, procs int) (mesh.Config, error) {
-	return func(dims []int, procs int) (mesh.Config, error) {
-		if dims == nil {
-			k := 2
-			for pow(k, n) < procs {
-				k++
-			}
-			dims = make([]int, n)
-			for i := range dims {
-				dims[i] = k
-			}
+// cube sizes an n-dimensional torus: the smallest k^n with k >= 2 that
+// holds procs.
+func cube(n int) func(procs int) []int {
+	return func(procs int) []int {
+		k := 2
+		for pow(k, n) < procs {
+			k++
 		}
-		return mesh.KAryConfig(mesh.TorusTopology, dims...), nil
+		dims := make([]int, n)
+		for i := range dims {
+			dims[i] = k
+		}
+		return dims
 	}
 }
 
-func hypercubeTopo(dims []int, procs int) (mesh.Config, error) {
+// hypercubeDims is the smallest binary d-cube, d >= 1, that holds procs.
+func hypercubeDims(procs int) []int {
 	d := 1
-	if dims != nil {
-		if len(dims) != 1 {
-			return mesh.Config{}, fmt.Errorf("core: hypercube takes one dimension value, got %d", len(dims))
-		}
-		d = dims[0]
-	} else {
-		for 1<<d < procs {
-			d++
-		}
+	for 1<<d < procs {
+		d++
 	}
-	return mesh.HypercubeConfig(d), nil
+	return []int{d}
 }
 
-// fattreeTopo sizes a k-ary n-tree: explicit [arity, levels], or a 4-ary
-// tree just deep enough for procs.
-func fattreeTopo(dims []int, procs int) (mesh.Config, error) {
-	if dims != nil {
-		if len(dims) != 2 {
-			return mesh.Config{}, fmt.Errorf("core: fattree takes [arity, levels], got %d values", len(dims))
-		}
-		return mesh.FatTreeConfig(dims[0], dims[1]), nil
-	}
+// fattreeDims is a 4-ary tree just deep enough for procs.
+func fattreeDims(procs int) []int {
 	const arity = 4
 	levels := 1
 	for pow(arity, levels) < procs {
 		levels++
 	}
-	return mesh.FatTreeConfig(arity, levels), nil
+	return []int{arity, levels}
 }
 
-// dragonflyTopo sizes a balanced dragonfly: explicit [routers, globals],
-// or h=1 with the smallest group size a such that a*(a+1) >= procs.
-func dragonflyTopo(dims []int, procs int) (mesh.Config, error) {
-	if dims != nil {
-		if len(dims) != 2 {
-			return mesh.Config{}, fmt.Errorf("core: dragonfly takes [routers, globals], got %d values", len(dims))
-		}
-		return mesh.DragonflyConfig(dims[0], dims[1]), nil
-	}
+// dragonflyDims is h=1 with the smallest group size a such that
+// a*(a+1) >= procs.
+func dragonflyDims(procs int) []int {
 	a := 2
 	for a*(a+1) < procs {
 		a++
 	}
-	return mesh.DragonflyConfig(a, 1), nil
+	return []int{a, 1}
 }
 
 func pow(base, exp int) int {

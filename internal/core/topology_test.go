@@ -5,21 +5,22 @@ import (
 	"testing"
 
 	"commchar/internal/mesh"
+	"commchar/internal/sim"
 )
 
 // TestTopologyForDefaultIsLegacyMesh: the empty selector must reproduce
-// the historical MeshFor geometry exactly — callers that never heard of
-// topologies keep simulating the identical machine.
+// the historical standard mesh geometry exactly — callers that never
+// heard of topologies keep simulating the identical machine.
 func TestTopologyForDefaultIsLegacyMesh(t *testing.T) {
 	for _, procs := range []int{2, 4, 5, 16, 33} {
 		got, err := TopologyFor("", nil, procs)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
-		want := MeshFor(procs)
-		if got.Width != want.Width || got.Height != want.Height || got.Topology != want.Topology {
-			t.Errorf("procs=%d: TopologyFor = %dx%d %v, MeshFor = %dx%d %v",
-				procs, got.Width, got.Height, got.Topology, want.Width, want.Height, want.Topology)
+		want := mesh.DefaultGrid(procs)
+		if len(got.Dims) != 2 || got.Dims[0] != want[0] || got.Dims[1] != want[1] || got.Topology != mesh.MeshTopology {
+			t.Errorf("procs=%d: TopologyFor = %v %v, DefaultGrid = %v mesh",
+				procs, got.Dims, got.Topology, want)
 		}
 	}
 }
@@ -138,6 +139,92 @@ func TestParseDims(t *testing.T) {
 			t.Errorf("ParseDims(%q) accepted", in)
 		} else if !strings.Contains(err.Error(), "dimension") {
 			t.Errorf("ParseDims(%q) error %q lacks context", in, err)
+		}
+	}
+}
+
+// TestTopologyForFabricIdentity pins the machine every selector builds:
+// for each derived size and each explicit shape used above, the fabric's
+// name, endpoint and node counts, lane count, and flit cycle. An empty
+// name means TopologyFor must reject the request.
+func TestTopologyForFabricIdentity(t *testing.T) {
+	cases := []struct {
+		sel                   string
+		dims                  []int
+		procs                 int
+		name                  string
+		endpoints, nodes, vcs int
+		cycle                 sim.Duration
+	}{
+		{"dragonfly", nil, 2, "dragonfly a2h1", 6, 6, 2, 25},
+		{"dragonfly", nil, 4, "dragonfly a2h1", 6, 6, 2, 25},
+		{"dragonfly", nil, 8, "dragonfly a3h1", 12, 12, 2, 25},
+		{"dragonfly", nil, 16, "dragonfly a4h1", 20, 20, 2, 25},
+		{"dragonfly", nil, 64, "dragonfly a8h1", 72, 72, 2, 25},
+		{"fattree", nil, 2, "fattree4:1", 4, 5, 1, 25},
+		{"fattree", nil, 4, "fattree4:1", 4, 5, 1, 25},
+		{"fattree", nil, 8, "fattree4:2", 16, 24, 1, 25},
+		{"fattree", nil, 16, "fattree4:2", 16, 24, 1, 25},
+		{"fattree", nil, 64, "fattree4:3", 64, 112, 1, 25},
+		{"hypercube", nil, 2, "hypercube1d", 2, 2, 1, 25},
+		{"hypercube", nil, 4, "hypercube2d", 4, 4, 1, 25},
+		{"hypercube", nil, 8, "hypercube3d", 8, 8, 1, 25},
+		{"hypercube", nil, 16, "hypercube4d", 16, 16, 1, 25},
+		{"hypercube", nil, 64, "hypercube6d", 64, 64, 1, 25},
+		{"mesh", nil, 2, "mesh2x1", 2, 2, 1, 25},
+		{"mesh", nil, 4, "mesh4x1", 4, 4, 1, 25},
+		{"mesh", nil, 8, "mesh4x2", 8, 8, 1, 25},
+		{"mesh", nil, 16, "mesh4x4", 16, 16, 1, 25},
+		{"mesh", nil, 64, "mesh4x16", 64, 64, 1, 25},
+		{"torus", nil, 2, "torus2x2", 4, 4, 2, 25},
+		{"torus", nil, 4, "torus2x2", 4, 4, 2, 25},
+		{"torus", nil, 8, "torus3x3", 9, 9, 2, 25},
+		{"torus", nil, 16, "torus4x4", 16, 16, 2, 25},
+		{"torus", nil, 64, "torus8x8", 64, 64, 2, 25},
+		{"torus3d", nil, 2, "torus2x2x2", 8, 8, 2, 25},
+		{"torus3d", nil, 4, "torus2x2x2", 8, 8, 2, 25},
+		{"torus3d", nil, 8, "torus2x2x2", 8, 8, 2, 25},
+		{"torus3d", nil, 16, "torus3x3x3", 27, 27, 2, 25},
+		{"torus3d", nil, 64, "torus4x4x4", 64, 64, 2, 25},
+		{"torus4d", nil, 2, "torus2x2x2x2", 16, 16, 2, 25},
+		{"torus4d", nil, 4, "torus2x2x2x2", 16, 16, 2, 25},
+		{"torus4d", nil, 8, "torus2x2x2x2", 16, 16, 2, 25},
+		{"torus4d", nil, 16, "torus2x2x2x2", 16, 16, 2, 25},
+		{"torus4d", nil, 64, "torus3x3x3x3", 81, 81, 2, 25},
+		{"torus", []int{4, 4, 4}, 16, "torus4x4x4", 64, 64, 2, 25},
+		{"nosuch", nil, 16, "", 0, 0, 0, 0},
+		{"hypercube", []int{3}, 16, "", 0, 0, 0, 0},
+		{"hypercube", []int{2, 2}, 16, "", 0, 0, 0, 0},
+		{"fattree", []int{4}, 16, "", 0, 0, 0, 0},
+		{"dragonfly", []int{2}, 16, "", 0, 0, 0, 0},
+		{"torus", []int{1, 16}, 16, "", 0, 0, 0, 0},
+		{"mesh", []int{2, 2}, 16, "", 0, 0, 0, 0},
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		covered[c.sel] = true
+		cfg, err := TopologyFor(c.sel, c.dims, c.procs)
+		if c.name == "" {
+			if err == nil {
+				t.Errorf("TopologyFor(%q, %v, %d) accepted", c.sel, c.dims, c.procs)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("TopologyFor(%q, %v, %d): %v", c.sel, c.dims, c.procs, err)
+			continue
+		}
+		fab := cfg.Fabric()
+		if fab.Name() != c.name || fab.Endpoints() != c.endpoints || fab.Nodes() != c.nodes ||
+			cfg.VirtualChannels != c.vcs || cfg.CycleTime != c.cycle {
+			t.Errorf("TopologyFor(%q, %v, %d) = %s, %d endpoints / %d nodes, %d VCs, %v cycle; want %s, %d / %d, %d VCs, %v",
+				c.sel, c.dims, c.procs, fab.Name(), fab.Endpoints(), fab.Nodes(), cfg.VirtualChannels, cfg.CycleTime,
+				c.name, c.endpoints, c.nodes, c.vcs, c.cycle)
+		}
+	}
+	for _, sel := range TopologyNames() {
+		if !covered[sel] {
+			t.Errorf("selector %q has no pinned fabric", sel)
 		}
 	}
 }

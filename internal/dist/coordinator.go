@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -159,6 +161,91 @@ func (c *Coordinator) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.degraded
+}
+
+// DegradedError returns the *DegradedError a degraded sweep exits with
+// (see Degraded), or nil when the fleet stayed healthy.
+func (c *Coordinator) DegradedError() error {
+	if !c.Degraded() {
+		return nil
+	}
+	return &DegradedError{
+		StoreReports: c.metrics.DegradedReports.Load(),
+		Rescues:      c.metrics.Rescues.Load(),
+	}
+}
+
+// Fleet says where ServeCoordinator serves and which workers it attaches.
+type Fleet struct {
+	// BlobDir, when set, holds the shared artifact blob store the
+	// coordinator serves to its workers.
+	BlobDir string
+	// Listen is the lease API's address; "" means 127.0.0.1:0.
+	Listen string
+	// Advertise is the coordinator URL given to attached workers; ""
+	// means the bound Listen address.
+	Advertise string
+	// Workers lists the worker control URLs to attach, comma-separated.
+	Workers string
+	// Drain bounds how long shutdown waits for the fleet to detach.
+	Drain time.Duration
+}
+
+// ServeCoordinator builds a coordinator from opts (serving the blob store
+// in fleet.BlobDir, if set), serves its lease API, registers its metrics
+// and /distz page with opts.Obs, starts lease expiry, and attaches
+// fleet.Workers. It returns the coordinator, the URL advertised to the
+// workers, and the shutdown to call once the engine is done: it dismisses
+// the fleet (Finish, then Drain up to fleet.Drain) while the lease API is
+// still up, so workers detach instead of waiting out their unreachable
+// grace against a dead address, and then stops serving. Calls after the
+// first do nothing.
+func ServeCoordinator(ctx context.Context, opts CoordinatorOptions, fleet Fleet) (*Coordinator, string, func(), error) {
+	if fleet.BlobDir != "" {
+		store, err := NewBlobStore(fleet.BlobDir)
+		if err != nil {
+			return nil, "", nil, err
+		}
+		opts.Store = store
+	}
+	coord := NewCoordinator(opts)
+	addr := fleet.Listen
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", nil, fmt.Errorf("coordinator listener: %w", err)
+	}
+	srv := &http.Server{Handler: coord.Handler()}
+	go srv.Serve(ln)
+	coord.Start(ctx)
+	if opts.Obs != nil {
+		coord.Metrics().RegisterWith(opts.Obs.Registry)
+	}
+	opts.Obs.HandleDebug("/distz", coord.DebugHandler())
+	url := fleet.Advertise
+	if url == "" {
+		url = "http://" + ln.Addr().String()
+	}
+	for _, wu := range strings.Split(fleet.Workers, ",") {
+		if wu = strings.TrimSpace(wu); wu == "" {
+			continue
+		}
+		if err := Attach(ctx, wu, url); err != nil {
+			srv.Close()
+			return nil, "", nil, err
+		}
+	}
+	var once sync.Once
+	shutdown := func() {
+		once.Do(func() {
+			coord.Finish()
+			coord.Drain(ctx, fleet.Drain)
+			srv.Close()
+		})
+	}
+	return coord, url, shutdown, nil
 }
 
 // Start runs the lease-expiry sweep until ctx is cancelled. Leases are

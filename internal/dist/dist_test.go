@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -653,5 +654,49 @@ func TestEngineRemoteMatchesLocal(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.C, want.C) {
 		t.Fatal("characterizations differ between remote and local")
+	}
+}
+
+// TestServeCoordinatorAttachesAndDismisses: the one coordinator bootstrap
+// attaches the listed workers (skipping blanks), routes work to them, and
+// its shutdown dismisses the fleet before the lease API goes away.
+func TestServeCoordinatorAttachesAndDismisses(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runner := &fakeRunner{fn: func(ctx context.Context, spec pipeline.RunSpec) (*pipeline.Artifact, error) {
+		return testArtifact(spec.App), nil
+	}}
+	w, err := NewWorker(WorkerOptions{
+		Name: "w1", Runner: runner, PollInterval: 5 * time.Millisecond,
+		Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := httptest.NewServer(w.ControlHandler())
+	defer ws.Close()
+	go w.Run(ctx)
+
+	coord, url, shutdown, err := ServeCoordinator(ctx, CoordinatorOptions{Lease: time.Second},
+		Fleet{Workers: " ," + ws.URL + ",", Drain: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(url, "http://127.0.0.1:") {
+		t.Fatalf("advertised URL %q is not the bound loopback address", url)
+	}
+	art, err := coord.Execute(ctx, testSpec("IS"), testKey(70))
+	if err != nil || art.C.Name != "IS" {
+		t.Fatalf("remote run: art=%+v err=%v", art, err)
+	}
+	shutdown()
+	coord.mu.Lock()
+	dismissed := coord.dismissed["w1"]
+	coord.mu.Unlock()
+	if !dismissed {
+		t.Fatal("shutdown returned before the attached worker was dismissed")
+	}
+	if err := coord.DegradedError(); err != nil {
+		t.Fatalf("healthy fleet reports %v", err)
 	}
 }

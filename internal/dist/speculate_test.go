@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -132,6 +133,10 @@ func TestSpeculativeRescueBeforeExpiry(t *testing.T) {
 	if !coord.Degraded() {
 		t.Fatal("a rescued straggler must mark the sweep degraded")
 	}
+	var de *DegradedError
+	if err := coord.DegradedError(); !errors.As(err, &de) || de.Rescues != 1 {
+		t.Fatalf("DegradedError() = %v, want one rescue", err)
+	}
 	var sawRescue bool
 	for _, ev := range ob.Events.Recent() {
 		if ev.Name == "dist.speculation.rescued" {
@@ -175,7 +180,7 @@ func TestSpeculationDisabledByDefault(t *testing.T) {
 	if err := <-resCh; err != nil {
 		t.Fatal(err)
 	}
-	if coord.Degraded() {
+	if coord.Degraded() || coord.DegradedError() != nil {
 		t.Fatal("clean sweep marked degraded")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"commchar/internal/analytic"
-	"commchar/internal/core"
 	"commchar/internal/mesh"
 	"commchar/internal/report"
 	"commchar/internal/sim"
@@ -18,7 +17,7 @@ import (
 // the fitted 1D-FFT workload — demonstrating the paper's proposed use of
 // the characterization: realistic inputs for analytical ICN models.
 func (r *Runner) FigureAnalyticModel(w io.Writer, procs int) error {
-	cfg := core.MeshFor(procs)
+	cfg := mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...)
 	lengths := []stats.LengthCount{{Bytes: 8, Count: 3}, {Bytes: 40, Count: 2}}
 
 	simulate := func(g *workload.Generator, until sim.Duration, seed uint64) (workload.Metrics, error) {

@@ -283,7 +283,7 @@ func (r *Runner) AblationContention(w io.Writer, procs int) error {
 func (r *Runner) AblationVirtualChannels(w io.Writer) error {
 	run := func(vcs int) (workload.Metrics, error) {
 		s := sim.New()
-		cfg := mesh.DefaultConfig(4, 4)
+		cfg := mesh.DefaultConfig(mesh.MeshTopology, 4, 4)
 		cfg.VirtualChannels = vcs
 		net := mesh.New(s, cfg)
 		st := sim.NewStream(0x7C)

@@ -75,7 +75,7 @@ func (r *Runner) FigureLatencyLoad(w io.Writer, procs int) error {
 	const duration = 2 * sim.Millisecond
 	drive := func(g *workload.Generator, seed uint64) (workload.Metrics, error) {
 		s := sim.New()
-		net := mesh.New(s, core.MeshFor(procs))
+		net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...))
 		if err := g.Drive(s, net, sim.Time(duration), seed); err != nil {
 			return workload.Metrics{}, err
 		}
@@ -155,11 +155,11 @@ func (r *Runner) AblationTopology(w io.Writer) error {
 		label string
 		cfg   mesh.Config
 	}{
-		{"4x4 mesh", mesh.DefaultConfig(4, 4)},
-		{"4x4 torus (2 VCs)", mesh.KAryConfig(mesh.TorusTopology, 4, 4)},
-		{"4-cube", mesh.HypercubeConfig(4)},
-		{"fat tree 4:2", mesh.FatTreeConfig(4, 2)},
-		{"dragonfly a4h1 (2 VCs)", mesh.DragonflyConfig(4, 1)},
+		{"4x4 mesh", mesh.DefaultConfig(mesh.MeshTopology, 4, 4)},
+		{"4x4 torus (2 VCs)", mesh.DefaultConfig(mesh.TorusTopology, 4, 4)},
+		{"4-cube", mesh.DefaultConfig(mesh.HypercubeTopology, 4)},
+		{"fat tree 4:2", mesh.DefaultConfig(mesh.FatTreeTopology, 4, 2)},
+		{"dragonfly a4h1 (2 VCs)", mesh.DefaultConfig(mesh.DragonflyTopology, 4, 1)},
 	}
 	t := &report.Table{
 		Title:   "Ablation: topology under identical uniform traffic (16 nodes)",

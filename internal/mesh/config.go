@@ -19,30 +19,29 @@ import (
 	"commchar/internal/sim"
 )
 
-// Kind selects the fabric family built by Config.Fabric.
+// Kind selects the fabric family built by Config.Fabric; Config.Dims
+// sizes it.
 type Kind int
 
 const (
-	// MeshTopology is the paper's 2-D mesh: no wraparound links. With
-	// Dims set it generalizes to an n-dimensional mesh.
+	// MeshTopology is the paper's 2-D mesh: no wraparound links. More
+	// Dims generalize it to an n-dimensional mesh.
 	MeshTopology Kind = iota
 	// TorusTopology adds wraparound links in every dimension (a k-ary
 	// n-cube; the QCDSP machine is the 4-D member). Dimension-order
-	// routing on a torus requires VirtualChannels >= 2 to stay deadlock-
-	// free; the constructor enforces that.
+	// routing on a torus needs two dateline lanes to stay deadlock-free.
 	TorusTopology
 	// HypercubeTopology is a binary d-cube with e-cube (dimension-order)
 	// routing, the other wormhole fabric prominent in the paper's era
-	// (cf. [4], [23]). Set Config.Dimensions; Width/Height are ignored.
+	// (cf. [4], [23]).
 	HypercubeTopology
 	// FatTreeTopology is the k-ary n-tree indirect fabric: processors at
 	// the leaves, n levels of switches, deterministic up/down routing.
-	// Set Config.FatTreeArity and Config.FatTreeLevels.
 	FatTreeTopology
 	// DragonflyTopology is the balanced two-tier direct fabric: groups of
-	// DragonflyRouters routers joined by a complete graph, one endpoint
-	// per router, DragonflyGlobals global links per router. Requires
-	// VirtualChannels >= 2.
+	// routers joined by a complete graph, one endpoint per router, and a
+	// fixed number of global links per router. Its minimal routing needs
+	// two lanes.
 	DragonflyTopology
 )
 
@@ -63,8 +62,6 @@ func (t Kind) String() string {
 	}
 }
 
-// Config describes the network. The zero value is not usable; call
-// DefaultConfig and adjust.
 // RoutingAlgorithm selects how the head flit picks its path.
 type RoutingAlgorithm int
 
@@ -91,23 +88,26 @@ func (r RoutingAlgorithm) String() string {
 	}
 }
 
+// Config describes the network. The zero value is not usable; call
+// DefaultConfig and adjust.
+//
+// Topology and Dims are the only description of the fabric's shape. Dims
+// is read per kind:
+//
+//	mesh, torus  routers per grid dimension, lowest first ([W, H] is a
+//	             2-D grid W routers wide)
+//	hypercube    [d]: a binary d-cube of 2^d nodes
+//	fattree      [arity, levels]: a k-ary n-tree, k^n processors under
+//	             n levels of k^(n-1) switches
+//	dragonfly    [routers, globals]: a*h+1 groups of a routers, one
+//	             processor per router, h global links per router
+//
+// Every size and lane question derived from the shape (endpoint and node
+// counts, the deadlock-free lane floor) is answered by the built Fabric.
 type Config struct {
-	Width, Height int   // routers per dimension (2-D grid topologies)
-	Topology      Kind  // mesh (default), torus, hypercube, fattree, or dragonfly
-	Dims          []int // grid sizes per dimension (mesh/torus); overrides Width/Height when set
-	Dimensions    int   // cube dimensions (hypercube topology only)
-	Routing       RoutingAlgorithm
-
-	// FatTreeArity (k) and FatTreeLevels (n) size a k-ary n-tree: k^n
-	// processors under n switch levels. Fat-tree topology only.
-	FatTreeArity  int
-	FatTreeLevels int
-
-	// DragonflyRouters (a) and DragonflyGlobals (h) size a balanced
-	// dragonfly: a*h+1 groups of a routers, one processor per router.
-	// Dragonfly topology only.
-	DragonflyRouters int
-	DragonflyGlobals int
+	Topology Kind  // mesh (default), torus, hypercube, fattree, or dragonfly
+	Dims     []int // the fabric's shape, read per Topology (see above)
+	Routing  RoutingAlgorithm
 
 	FlitBytes   int          // bytes carried per flit
 	HeaderFlits int          // flits of routing/header overhead per message
@@ -137,13 +137,15 @@ type Config struct {
 	RetryCap sim.Duration
 }
 
-// DefaultConfig returns the configuration used throughout the reproduction:
-// a 40 MHz wormhole mesh with 8-byte flits and single-cycle routers.
-func DefaultConfig(width, height int) Config {
-	return Config{
-		Width:           width,
-		Height:          height,
-		Topology:        MeshTopology,
+// DefaultConfig returns the configuration used throughout the reproduction
+// for the given fabric: a 40 MHz wormhole network with 8-byte flits,
+// single-cycle routers, and the fewest virtual channels the fabric's
+// routing needs to stay deadlock-free (one on the paper's mesh). dims is
+// copied.
+func DefaultConfig(kind Kind, dims ...int) Config {
+	cfg := Config{
+		Topology:        kind,
+		Dims:            append([]int(nil), dims...),
 		FlitBytes:       8,
 		HeaderFlits:     1,
 		CycleTime:       25 * sim.Nanosecond, // 40 MHz
@@ -154,60 +156,19 @@ func DefaultConfig(width, height int) Config {
 		RetryBase:       200 * sim.Nanosecond,
 		RetryCap:        10 * sim.Microsecond,
 	}
-}
-
-// HypercubeConfig returns the standard configuration for a binary d-cube.
-func HypercubeConfig(dimensions int) Config {
-	cfg := DefaultConfig(1, 1)
-	cfg.Topology = HypercubeTopology
-	cfg.Dimensions = dimensions
-	return cfg
-}
-
-// KAryConfig returns the standard configuration for an n-dimensional grid
-// with the given per-dimension sizes: a mesh, or with wraparound a torus
-// (which gets the two dateline virtual channels it needs).
-func KAryConfig(kind Kind, dims ...int) Config {
-	cfg := DefaultConfig(1, 1)
-	cfg.Width, cfg.Height = 0, 0
-	cfg.Topology = kind
-	cfg.Dims = append([]int(nil), dims...)
-	if len(dims) == 2 {
-		cfg.Width, cfg.Height = dims[0], dims[1]
-	}
-	if kind == TorusTopology {
-		cfg.VirtualChannels = 2
+	if cfg.validateShape() == nil {
+		cfg.VirtualChannels = cfg.Fabric().MinVirtualChannels()
 	}
 	return cfg
 }
 
-// FatTreeConfig returns the standard configuration for a k-ary n-tree.
-func FatTreeConfig(arity, levels int) Config {
-	cfg := DefaultConfig(1, 1)
-	cfg.Topology = FatTreeTopology
-	cfg.FatTreeArity = arity
-	cfg.FatTreeLevels = levels
-	return cfg
-}
-
-// DragonflyConfig returns the standard configuration for a balanced
-// dragonfly with a routers per group and h global links per router,
-// including the two virtual channels its routing needs.
-func DragonflyConfig(routers, globals int) Config {
-	cfg := DefaultConfig(1, 1)
-	cfg.Topology = DragonflyTopology
-	cfg.DragonflyRouters = routers
-	cfg.DragonflyGlobals = globals
-	cfg.VirtualChannels = 2
-	return cfg
-}
-
-// gridDims returns the per-dimension sizes of a grid fabric.
-func (c Config) gridDims() []int {
-	if len(c.Dims) > 0 {
-		return c.Dims
+// DefaultGrid returns the reproduction's standard 2-D mesh shape for n
+// processors: n×1 up to four processors, else four wide and ⌈n/4⌉ high.
+func DefaultGrid(n int) []int {
+	if n <= 4 {
+		return []int{n, 1}
 	}
-	return []int{c.Width, c.Height}
+	return []int{4, (n + 3) / 4}
 }
 
 // Fabric builds the Topology described by the configuration. It panics on
@@ -215,51 +176,66 @@ func (c Config) gridDims() []int {
 func (c Config) Fabric() Topology {
 	switch c.Topology {
 	case HypercubeTopology:
-		return &hypercube{dimensions: c.Dimensions}
+		return &hypercube{dimensions: c.Dims[0]}
 	case FatTreeTopology:
-		return newFatTree(c.FatTreeArity, c.FatTreeLevels)
+		return newFatTree(c.Dims[0], c.Dims[1])
 	case DragonflyTopology:
-		return newDragonfly(c.DragonflyRouters, c.DragonflyGlobals)
+		return newDragonfly(c.Dims[0], c.Dims[1])
 	default:
-		return newKAryCube(c.gridDims(), c.Topology == TorusTopology)
+		return newKAryCube(c.Dims, c.Topology == TorusTopology)
 	}
+}
+
+// validateShape checks Dims against the per-kind convention documented on
+// Config, so that Fabric can build the topology.
+func (c Config) validateShape() error {
+	d := c.Dims
+	switch c.Topology {
+	case HypercubeTopology:
+		if len(d) != 1 {
+			return fmt.Errorf("mesh: hypercube takes one dimension value, got %d", len(d))
+		}
+		if d[0] < 1 || d[0] > 20 {
+			return fmt.Errorf("mesh: hypercube dimensions %d invalid", d[0])
+		}
+	case FatTreeTopology:
+		if len(d) != 2 {
+			return fmt.Errorf("mesh: fattree takes [arity, levels], got %d values", len(d))
+		}
+		if d[0] < 2 || d[1] < 1 {
+			return fmt.Errorf("mesh: fat tree k=%d n=%d invalid (need arity >= 2, levels >= 1)", d[0], d[1])
+		}
+		for i, leaves := 0, 1; i < d[1]; i++ {
+			if leaves *= d[0]; leaves > 1<<20 {
+				return fmt.Errorf("mesh: fat tree k=%d n=%d exceeds 2^20 endpoints", d[0], d[1])
+			}
+		}
+	case DragonflyTopology:
+		if len(d) != 2 {
+			return fmt.Errorf("mesh: dragonfly takes [routers, globals], got %d values", len(d))
+		}
+		if d[0] < 2 || d[1] < 1 {
+			return fmt.Errorf("mesh: dragonfly a=%d h=%d invalid (need routers >= 2, globals >= 1)", d[0], d[1])
+		}
+	case MeshTopology, TorusTopology:
+		if len(d) == 0 || len(d) > 8 {
+			return fmt.Errorf("mesh: %d grid dimensions invalid (want 1 to 8)", len(d))
+		}
+		for _, k := range d {
+			if k < 1 || (c.Topology == TorusTopology && k < 2) {
+				return fmt.Errorf("mesh: grid dimension %d invalid for %s", k, c.Topology)
+			}
+		}
+	default:
+		return fmt.Errorf("mesh: unknown topology %s", c.Topology)
+	}
+	return nil
 }
 
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
-	switch c.Topology {
-	case HypercubeTopology:
-		if c.Dimensions < 1 || c.Dimensions > 20 {
-			return fmt.Errorf("mesh: hypercube dimensions %d invalid", c.Dimensions)
-		}
-	case FatTreeTopology:
-		if c.FatTreeArity < 2 || c.FatTreeLevels < 1 {
-			return fmt.Errorf("mesh: fat tree k=%d n=%d invalid (need arity >= 2, levels >= 1)",
-				c.FatTreeArity, c.FatTreeLevels)
-		}
-		if c.Nodes() > 1<<20 {
-			return fmt.Errorf("mesh: fat tree k=%d n=%d exceeds 2^20 endpoints", c.FatTreeArity, c.FatTreeLevels)
-		}
-	case DragonflyTopology:
-		if c.DragonflyRouters < 2 || c.DragonflyGlobals < 1 {
-			return fmt.Errorf("mesh: dragonfly a=%d h=%d invalid (need routers >= 2, globals >= 1)",
-				c.DragonflyRouters, c.DragonflyGlobals)
-		}
-	case MeshTopology, TorusTopology:
-		if len(c.Dims) > 0 {
-			if len(c.Dims) > 8 {
-				return fmt.Errorf("mesh: %d grid dimensions invalid (max 8)", len(c.Dims))
-			}
-			for _, k := range c.Dims {
-				if k < 1 || (c.Topology == TorusTopology && k < 2) {
-					return fmt.Errorf("mesh: grid dimension %d invalid for %s", k, c.Topology)
-				}
-			}
-		} else if c.Width < 1 || c.Height < 1 {
-			return fmt.Errorf("mesh: dimensions %dx%d invalid", c.Width, c.Height)
-		}
-	default:
-		return fmt.Errorf("mesh: unknown topology %s", c.Topology)
+	if err := c.validateShape(); err != nil {
+		return err
 	}
 	switch {
 	case c.FlitBytes < 1:
@@ -276,41 +252,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mesh: max retries %d invalid", c.MaxRetries)
 	case c.RetryBase < 0 || c.RetryCap < 0:
 		return fmt.Errorf("mesh: negative retry backoff")
-	case c.Topology == TorusTopology && c.VirtualChannels < 2:
-		return fmt.Errorf("mesh: torus requires >= 2 virtual channels for deadlock freedom")
-	case c.Topology == DragonflyTopology && c.VirtualChannels < 2:
-		return fmt.Errorf("mesh: dragonfly requires >= 2 virtual channels for deadlock freedom")
-	case c.Routing == RoutingWestFirst && (c.Topology != MeshTopology || len(c.gridDims()) != 2):
+	case c.Routing == RoutingWestFirst && (c.Topology != MeshTopology || len(c.Dims) != 2):
 		return fmt.Errorf("mesh: west-first routing is defined for the 2-D mesh topology only")
 	}
-	return nil
-}
-
-// Nodes returns the number of attached processors (addressable endpoints).
-// Indirect fabrics have additional internal switch nodes beyond these; see
-// Topology.Nodes.
-func (c Config) Nodes() int {
-	switch c.Topology {
-	case HypercubeTopology:
-		return 1 << c.Dimensions
-	case FatTreeTopology:
-		n := 1
-		for i := 0; i < c.FatTreeLevels; i++ {
-			n *= c.FatTreeArity
-		}
-		return n
-	case DragonflyTopology:
-		return c.DragonflyRouters * (c.DragonflyRouters*c.DragonflyGlobals + 1)
-	default:
-		if len(c.Dims) > 0 {
-			n := 1
-			for _, k := range c.Dims {
-				n *= k
-			}
-			return n
-		}
-		return c.Width * c.Height
+	if lanes := c.Fabric().MinVirtualChannels(); c.VirtualChannels < lanes {
+		return fmt.Errorf("mesh: %s requires >= %d virtual channels for deadlock freedom", c.Topology, lanes)
 	}
+	return nil
 }
 
 // Flits returns the number of flits a message of the given byte length
@@ -321,14 +269,4 @@ func (c Config) Flits(bytes int) int {
 		payload = 1
 	}
 	return payload + c.HeaderFlits
-}
-
-// Coord converts a node index into (x, y) mesh coordinates (2-D grids).
-func (c Config) Coord(node int) (x, y int) {
-	return node % c.Width, node / c.Width
-}
-
-// NodeAt converts (x, y) mesh coordinates into a node index (2-D grids).
-func (c Config) NodeAt(x, y int) int {
-	return y*c.Width + x
 }

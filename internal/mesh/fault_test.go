@@ -15,7 +15,7 @@ import (
 func uniformRun(t *testing.T, spec string, seed uint64) []mesh.Delivery {
 	t.Helper()
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, 4))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
 	if spec != "" {
 		sched, err := fault.Parse(spec, seed)
 		if err != nil {
@@ -104,7 +104,7 @@ func TestTransientOutageRetries(t *testing.T) {
 
 func TestPermanentFailureReroutes(t *testing.T) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, 4))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
 	// Kill 0->1 (the only XY first hop of 0->3) permanently from t=0.
 	sched, err := fault.Parse("down:0<->1@0ns", 7)
 	if err != nil {
@@ -137,7 +137,7 @@ func TestPermanentFailureReroutes(t *testing.T) {
 
 func TestPartitionedReturnsStructuredError(t *testing.T) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(2, 1))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 2, 1))
 	// The only link between the two nodes is dead: the fabric is split.
 	sched, err := fault.Parse("down:0<->1@0ns", 7)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestPartitionedReturnsStructuredError(t *testing.T) {
 func TestRetryExhaustionFailsDeterministically(t *testing.T) {
 	run := func() []mesh.Delivery {
 		s := sim.New()
-		cfg := mesh.DefaultConfig(2, 2)
+		cfg := mesh.DefaultConfig(mesh.MeshTopology, 2, 2)
 		cfg.MaxRetries = 3
 		net := mesh.New(s, cfg)
 		sched, _ := fault.Parse("drop:1.0", 11)
@@ -200,7 +200,7 @@ func TestRetryExhaustionFailsDeterministically(t *testing.T) {
 func TestSlowLinkFlagsAndDelays(t *testing.T) {
 	oneShot := func(spec string) mesh.Delivery {
 		s := sim.New()
-		net := mesh.New(s, mesh.DefaultConfig(4, 1))
+		net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 1))
 		if spec != "" {
 			sched, _ := fault.Parse(spec, 3)
 			net.SetFaults(sched)
@@ -221,7 +221,7 @@ func TestSlowLinkFlagsAndDelays(t *testing.T) {
 
 func TestCorruptedDeliveryRetransmitted(t *testing.T) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(2, 2))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 2, 2))
 	// Each attempt is corrupted with p=0.5, so across 20 messages some
 	// deliveries arrive corrupted and are retransmitted to success.
 	sched, _ := fault.Parse("corrupt:0.5", 21)
@@ -258,7 +258,7 @@ func TestTorusWraparoundLinkFailureReroutes(t *testing.T) {
 	// (west from x=0 lands at x=3). Kill that link permanently: the worm
 	// must detour the long way around the row and still deliver.
 	s := sim.New()
-	net := mesh.New(s, mesh.KAryConfig(mesh.TorusTopology, 4, 4))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.TorusTopology, 4, 4))
 	sched, err := fault.Parse("down:0<->3@0ns", 11)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestTorusWraparoundLinkFailureReroutes(t *testing.T) {
 	}
 	// Determinism survives the fault: an identical run is bit-identical.
 	s2 := sim.New()
-	net2 := mesh.New(s2, mesh.KAryConfig(mesh.TorusTopology, 4, 4))
+	net2 := mesh.New(s2, mesh.DefaultConfig(mesh.TorusTopology, 4, 4))
 	sched2, _ := fault.Parse("down:0<->3@0ns", 11)
 	net2.SetFaults(sched2)
 	net2.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
@@ -294,5 +294,36 @@ func TestTorusWraparoundLinkFailureReroutes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(log, net2.Log()) {
 		t.Fatal("equal torus fault runs diverged")
+	}
+}
+
+// TestFatTreeLinkFailure: a permanent fault on a fat tree's switch-to-
+// switch link must detour through the other switches, and one that cuts
+// a leaf off must fail its messages as partitioned. Both detour searches
+// walk switch nodes beyond the endpoint ids, so they must not index out of
+// range. In the 4-ary 2-tree, leaves are 0..15, level-0 switches 16..19
+// and level-1 switches 20..23; 4->0 climbs 17->20 and descends 20->16.
+func TestFatTreeLinkFailure(t *testing.T) {
+	run := func(faults string) mesh.Delivery {
+		t.Helper()
+		s := sim.New()
+		net := mesh.New(s, mesh.DefaultConfig(mesh.FatTreeTopology, 4, 2))
+		sched, err := fault.Parse(faults, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.SetFaults(sched)
+		var got mesh.Delivery
+		net.Inject(mesh.Message{ID: 1, Src: 4, Dst: 0, Bytes: 32, Inject: 0}, func(d mesh.Delivery) { got = d })
+		if err := s.RunChecked(); err != nil {
+			t.Fatalf("%s: run: %v", faults, err)
+		}
+		return got
+	}
+	if d := run("down:16<->20@0ns"); d.Status != mesh.StatusDelivered || d.Faults&mesh.FaultRerouted == 0 {
+		t.Fatalf("switch link failure: want a rerouted delivery, got %+v", d)
+	}
+	if d := run("down:0<->16@0ns"); d.Status != mesh.StatusFailed || d.Faults&mesh.FaultPartitioned == 0 {
+		t.Fatalf("isolated leaf: want a partitioned failure, got %+v", d)
 	}
 }

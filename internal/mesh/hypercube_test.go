@@ -9,24 +9,24 @@ import (
 )
 
 func TestHypercubeConfig(t *testing.T) {
-	cfg := HypercubeConfig(4)
+	cfg := DefaultConfig(HypercubeTopology, 4)
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Nodes() != 16 {
-		t.Fatalf("nodes = %d", cfg.Nodes())
+	if cfg.Fabric().Endpoints() != 16 {
+		t.Fatalf("nodes = %d", cfg.Fabric().Endpoints())
 	}
-	if HypercubeConfig(0).Validate() == nil {
+	if DefaultConfig(HypercubeTopology, 0).Validate() == nil {
 		t.Fatal("0-cube accepted")
 	}
-	if HypercubeConfig(25).Validate() == nil {
+	if DefaultConfig(HypercubeTopology, 25).Validate() == nil {
 		t.Fatal("25-cube accepted")
 	}
 }
 
 func TestHypercubeHopsAreHammingDistance(t *testing.T) {
 	s := sim.New()
-	n := New(s, HypercubeConfig(4))
+	n := New(s, DefaultConfig(HypercubeTopology, 4))
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {
 			want := bits.OnesCount(uint(src ^ dst))
@@ -41,7 +41,7 @@ func TestHypercubeECubeOrder(t *testing.T) {
 	// e-cube corrects bits from LSB to MSB; the route must be contiguous
 	// and flip one new dimension per hop, in ascending order.
 	s := sim.New()
-	n := New(s, HypercubeConfig(4))
+	n := New(s, DefaultConfig(HypercubeTopology, 4))
 	path := n.route(0b0101, 0b1010) // differs in all four bits
 	if len(path) != 4 {
 		t.Fatalf("path length %d", len(path))
@@ -66,7 +66,7 @@ func TestHypercubeECubeOrder(t *testing.T) {
 
 func TestHypercubeUncontendedLatency(t *testing.T) {
 	s := sim.New()
-	cfg := HypercubeConfig(3)
+	cfg := DefaultConfig(HypercubeTopology, 3)
 	n := New(s, cfg)
 	var d Delivery
 	n.Inject(Message{ID: 1, Src: 0, Dst: 7, Bytes: 8, Inject: 0}, func(x Delivery) { d = x })
@@ -81,7 +81,7 @@ func TestHypercubeUncontendedLatency(t *testing.T) {
 func TestHypercubeConservationProperty(t *testing.T) {
 	prop := func(seed uint64) bool {
 		s := sim.New()
-		n := New(s, HypercubeConfig(4))
+		n := New(s, DefaultConfig(HypercubeTopology, 4))
 		st := sim.NewStream(seed)
 		const total = 300
 		for i := 0; i < total; i++ {
@@ -100,7 +100,7 @@ func TestHypercubeConservationProperty(t *testing.T) {
 
 func TestHypercubeDeadlockFreedomUnderLoad(t *testing.T) {
 	s := sim.New()
-	n := New(s, HypercubeConfig(4))
+	n := New(s, DefaultConfig(HypercubeTopology, 4))
 	id := int64(0)
 	// Adversarial: every node sends long messages to its complement.
 	for round := 0; round < 30; round++ {
@@ -117,7 +117,7 @@ func TestHypercubeDeadlockFreedomUnderLoad(t *testing.T) {
 
 func TestHypercubeLinkCount(t *testing.T) {
 	s := sim.New()
-	n := New(s, HypercubeConfig(4))
+	n := New(s, DefaultConfig(HypercubeTopology, 4))
 	n.Inject(Message{ID: 1, Src: 0, Dst: 15, Bytes: 8, Inject: 0}, nil)
 	s.Run()
 	// d·2^d directed links: 4·16 = 64.
@@ -130,9 +130,9 @@ func TestHypercubeMeanHopAdvantage(t *testing.T) {
 	// For 16 nodes, a 4-cube has lower mean distance than a 4x4 mesh:
 	// the topology comparison the ablations rely on.
 	s1 := sim.New()
-	cube := New(s1, HypercubeConfig(4))
+	cube := New(s1, DefaultConfig(HypercubeTopology, 4))
 	s2 := sim.New()
-	grid := New(s2, DefaultConfig(4, 4))
+	grid := New(s2, DefaultConfig(MeshTopology, 4, 4))
 	var cubeSum, gridSum int
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 16; dst++ {

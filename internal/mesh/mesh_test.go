@@ -15,21 +15,31 @@ func abs(a int) int {
 	return a
 }
 
+// coord converts a node index into (x, y) coordinates of a 2-D grid.
+func coord(cfg Config, node int) (x, y int) {
+	return node % cfg.Dims[0], node / cfg.Dims[0]
+}
+
+// nodeAt converts (x, y) coordinates of a 2-D grid into a node index.
+func nodeAt(cfg Config, x, y int) int {
+	return y*cfg.Dims[0] + x
+}
+
 func manhattan(cfg Config, src, dst int) int {
-	x1, y1 := cfg.Coord(src)
-	x2, y2 := cfg.Coord(dst)
+	x1, y1 := coord(cfg, src)
+	x2, y2 := coord(cfg, dst)
 	return abs(x1-x2) + abs(y1-y2)
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(4, 4).Validate(); err != nil {
+	if err := DefaultConfig(MeshTopology, 4, 4).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := DefaultConfig(0, 4)
+	bad := DefaultConfig(MeshTopology, 0, 4)
 	if bad.Validate() == nil {
 		t.Fatal("zero-width config accepted")
 	}
-	torus := DefaultConfig(4, 4)
+	torus := DefaultConfig(MeshTopology, 4, 4)
 	torus.Topology = TorusTopology
 	if torus.Validate() == nil {
 		t.Fatal("torus with one VC accepted")
@@ -41,7 +51,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestFlitCount(t *testing.T) {
-	cfg := DefaultConfig(4, 4) // 8-byte flits, 1 header flit
+	cfg := DefaultConfig(MeshTopology, 4, 4) // 8-byte flits, 1 header flit
 	cases := []struct{ bytes, want int }{
 		{1, 2}, {8, 2}, {9, 3}, {32, 5}, {40, 6},
 	}
@@ -54,10 +64,10 @@ func TestFlitCount(t *testing.T) {
 
 func TestRouteIsXYAndMinimal(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultConfig(4, 4)
+	cfg := DefaultConfig(MeshTopology, 4, 4)
 	n := New(s, cfg)
-	for src := 0; src < cfg.Nodes(); src++ {
-		for dst := 0; dst < cfg.Nodes(); dst++ {
+	for src := 0; src < cfg.Fabric().Endpoints(); src++ {
+		for dst := 0; dst < cfg.Fabric().Endpoints(); dst++ {
 			if src == dst {
 				if n.Hops(src, dst) != 0 {
 					t.Fatalf("Hops(%d,%d) != 0", src, dst)
@@ -75,8 +85,8 @@ func TestRouteIsXYAndMinimal(t *testing.T) {
 				if h.link.from != cur {
 					t.Fatalf("route %d->%d not contiguous", src, dst)
 				}
-				cx, _ := cfg.Coord(h.link.from)
-				nx, _ := cfg.Coord(h.link.to)
+				cx, _ := coord(cfg, h.link.from)
+				nx, _ := coord(cfg, h.link.to)
 				if cx != nx {
 					if seenY {
 						t.Fatalf("route %d->%d moves X after Y", src, dst)
@@ -95,7 +105,7 @@ func TestRouteIsXYAndMinimal(t *testing.T) {
 
 func TestRouteCacheReusesPath(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultConfig(4, 4)
+	cfg := DefaultConfig(MeshTopology, 4, 4)
 	n := New(s, cfg)
 	first := n.route(0, 15)
 	second := n.route(0, 15)
@@ -126,7 +136,7 @@ func TestMsgNameMatchesSprintf(t *testing.T) {
 
 func TestUncontendedLatency(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultConfig(4, 4)
+	cfg := DefaultConfig(MeshTopology, 4, 4)
 	n := New(s, cfg)
 	var got Delivery
 	m := Message{ID: 1, Src: 0, Dst: 15, Bytes: 8, Inject: 0}
@@ -149,7 +159,7 @@ func TestUncontendedLatency(t *testing.T) {
 
 func TestLocalDelivery(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultConfig(2, 2)
+	cfg := DefaultConfig(MeshTopology, 2, 2)
 	n := New(s, cfg)
 	var got Delivery
 	n.Inject(Message{ID: 1, Src: 3, Dst: 3, Bytes: 100, Inject: 10}, func(d Delivery) { got = d })
@@ -164,7 +174,7 @@ func TestLocalDelivery(t *testing.T) {
 
 func TestContentionSerializes(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultConfig(4, 1) // a line: 0-1-2-3
+	cfg := DefaultConfig(MeshTopology, 4, 1) // a line: 0-1-2-3
 	n := New(s, cfg)
 	var a, b Delivery
 	// Two long messages over the same path, injected simultaneously.
@@ -188,7 +198,7 @@ func TestContentionSerializes(t *testing.T) {
 func TestVirtualChannelsReduceBlocking(t *testing.T) {
 	run := func(vcs int) sim.Duration {
 		s := sim.New()
-		cfg := DefaultConfig(4, 1)
+		cfg := DefaultConfig(MeshTopology, 4, 1)
 		cfg.VirtualChannels = vcs
 		n := New(s, cfg)
 		// A long message 0->3 and a short one 1->2 that shares link 1->2.
@@ -210,7 +220,7 @@ func TestVirtualChannelsReduceBlocking(t *testing.T) {
 
 func TestTorusWraparound(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultConfig(4, 4)
+	cfg := DefaultConfig(MeshTopology, 4, 4)
 	cfg.Topology = TorusTopology
 	cfg.VirtualChannels = 2
 	n := New(s, cfg)
@@ -233,15 +243,15 @@ func TestTorusWraparound(t *testing.T) {
 func TestConservationProperty(t *testing.T) {
 	prop := func(seed uint64, count uint8) bool {
 		s := sim.New()
-		cfg := DefaultConfig(4, 4)
+		cfg := DefaultConfig(MeshTopology, 4, 4)
 		n := New(s, cfg)
 		st := sim.NewStream(seed)
 		total := int(count)%200 + 1
 		for i := 0; i < total; i++ {
 			m := Message{
 				ID:     int64(i),
-				Src:    st.IntN(cfg.Nodes()),
-				Dst:    st.IntN(cfg.Nodes()),
+				Src:    st.IntN(cfg.Fabric().Endpoints()),
+				Dst:    st.IntN(cfg.Fabric().Endpoints()),
 				Bytes:  1 + st.IntN(256),
 				Inject: sim.Time(st.IntN(10000)),
 			}
@@ -258,7 +268,7 @@ func TestConservationProperty(t *testing.T) {
 func TestLatencyAtLeastUncontendedProperty(t *testing.T) {
 	prop := func(seed uint64) bool {
 		s := sim.New()
-		cfg := DefaultConfig(4, 4)
+		cfg := DefaultConfig(MeshTopology, 4, 4)
 		n := New(s, cfg)
 		st := sim.NewStream(seed)
 		type expect struct {
@@ -269,8 +279,8 @@ func TestLatencyAtLeastUncontendedProperty(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			m := Message{
 				ID:     int64(i),
-				Src:    st.IntN(cfg.Nodes()),
-				Dst:    st.IntN(cfg.Nodes()),
+				Src:    st.IntN(cfg.Fabric().Endpoints()),
+				Dst:    st.IntN(cfg.Fabric().Endpoints()),
 				Bytes:  1 + st.IntN(128),
 				Inject: sim.Time(st.IntN(2000)),
 			}
@@ -305,12 +315,12 @@ func TestDeadlockFreedomUnderLoad(t *testing.T) {
 	// Saturate a small mesh with long messages in adversarial (cyclic)
 	// patterns; everything must still drain.
 	s := sim.New()
-	cfg := DefaultConfig(3, 3)
+	cfg := DefaultConfig(MeshTopology, 3, 3)
 	n := New(s, cfg)
 	id := int64(0)
 	for round := 0; round < 50; round++ {
-		for src := 0; src < cfg.Nodes(); src++ {
-			dst := (src + 1 + round%(cfg.Nodes()-1)) % cfg.Nodes()
+		for src := 0; src < cfg.Fabric().Endpoints(); src++ {
+			dst := (src + 1 + round%(cfg.Fabric().Endpoints()-1)) % cfg.Fabric().Endpoints()
 			id++
 			n.Inject(Message{ID: id, Src: src, Dst: dst, Bytes: 512, Inject: sim.Time(round * 10)}, nil)
 		}
@@ -326,7 +336,7 @@ func TestDeadlockFreedomUnderLoad(t *testing.T) {
 
 func TestTorusDeadlockFreedomUnderLoad(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultConfig(4, 4)
+	cfg := DefaultConfig(MeshTopology, 4, 4)
 	cfg.Topology = TorusTopology
 	cfg.VirtualChannels = 2
 	n := New(s, cfg)
@@ -347,7 +357,7 @@ func TestTorusDeadlockFreedomUnderLoad(t *testing.T) {
 
 func TestLinkStatsBounded(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultConfig(4, 4)
+	cfg := DefaultConfig(MeshTopology, 4, 4)
 	n := New(s, cfg)
 	st := sim.NewStream(5)
 	for i := 0; i < 300; i++ {
@@ -374,7 +384,7 @@ func TestLinkStatsBounded(t *testing.T) {
 
 func TestLogSortedByInjection(t *testing.T) {
 	s := sim.New()
-	n := New(s, DefaultConfig(4, 4))
+	n := New(s, DefaultConfig(MeshTopology, 4, 4))
 	n.Inject(Message{ID: 1, Src: 0, Dst: 15, Bytes: 64, Inject: 100}, nil)
 	n.Inject(Message{ID: 2, Src: 1, Dst: 2, Bytes: 8, Inject: 0}, nil)
 	s.Run()
@@ -386,7 +396,7 @@ func TestLogSortedByInjection(t *testing.T) {
 
 func TestWhenIdle(t *testing.T) {
 	s := sim.New()
-	n := New(s, DefaultConfig(2, 2))
+	n := New(s, DefaultConfig(MeshTopology, 2, 2))
 	calls := 0
 	n.WhenIdle(func() { calls++ }) // idle now: immediate
 	if calls != 1 {
@@ -402,7 +412,7 @@ func TestWhenIdle(t *testing.T) {
 
 func TestInjectValidation(t *testing.T) {
 	s := sim.New()
-	n := New(s, DefaultConfig(2, 2))
+	n := New(s, DefaultConfig(MeshTopology, 2, 2))
 	for _, m := range []Message{
 		{ID: 1, Src: -1, Dst: 0, Bytes: 8},
 		{ID: 2, Src: 0, Dst: 99, Bytes: 8},

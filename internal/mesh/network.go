@@ -492,8 +492,8 @@ func (n *Network) routeAvoiding(src, dst int, now sim.Time) []hop {
 	if src == dst {
 		return nil
 	}
-	prev := make([]*link, n.cfg.Nodes())
-	visited := make([]bool, n.cfg.Nodes())
+	prev := make([]*link, n.topo.Nodes())
+	visited := make([]bool, n.topo.Nodes())
 	visited[src] = true
 	frontier := []int{src}
 	for len(frontier) > 0 && !visited[dst] {

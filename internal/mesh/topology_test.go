@@ -3,6 +3,7 @@ package mesh
 import (
 	"math/bits"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -282,26 +283,81 @@ func TestFabricNamesStable(t *testing.T) {
 	}
 }
 
-// TestEndpointsArePrefix: endpoint ids precede switch ids, and the
-// arithmetic endpoint counts of Config.Nodes agree with the fabric.
+// TestEndpointsArePrefix: endpoint ids precede switch ids, and each
+// fabric has the endpoint count its shape's arithmetic gives.
 func TestEndpointsArePrefix(t *testing.T) {
-	cfgs := map[string]Config{
-		"mesh":      DefaultConfig(4, 4),
-		"torus":     KAryConfig(TorusTopology, 3, 3, 3),
-		"hypercube": HypercubeConfig(4),
-		"fattree":   FatTreeConfig(4, 2),
-		"dragonfly": DragonflyConfig(4, 1),
+	cfgs := map[string]struct {
+		cfg       Config
+		endpoints int
+	}{
+		"mesh":      {DefaultConfig(MeshTopology, 4, 4), 16},
+		"torus":     {DefaultConfig(TorusTopology, 3, 3, 3), 27},
+		"hypercube": {DefaultConfig(HypercubeTopology, 4), 16},
+		"fattree":   {DefaultConfig(FatTreeTopology, 4, 2), 16},
+		"dragonfly": {DefaultConfig(DragonflyTopology, 4, 1), 20},
 	}
-	for name, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
+	for name, c := range cfgs {
+		if err := c.cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		topo := cfg.Fabric()
-		if topo.Endpoints() != cfg.Nodes() {
-			t.Errorf("%s: fabric has %d endpoints, config says %d", name, topo.Endpoints(), cfg.Nodes())
+		topo := c.cfg.Fabric()
+		if topo.Endpoints() != c.endpoints {
+			t.Errorf("%s: fabric has %d endpoints, shape says %d", name, topo.Endpoints(), c.endpoints)
 		}
 		if topo.Endpoints() > topo.Nodes() {
 			t.Errorf("%s: %d endpoints exceed %d nodes", name, topo.Endpoints(), topo.Nodes())
+		}
+	}
+}
+
+// TestValidateShapePerKind: Validate reads Dims by the per-kind convention
+// documented on Config, rejecting a wrong count or an out-of-range value
+// before Fabric ever indexes it, and DefaultConfig takes each fabric's
+// lane floor.
+func TestValidateShapePerKind(t *testing.T) {
+	bad := []struct {
+		kind Kind
+		dims []int
+		want string
+	}{
+		{MeshTopology, nil, "grid dimensions"},
+		{MeshTopology, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}, "grid dimensions"},
+		{TorusTopology, []int{1, 4}, "grid dimension 1 invalid for torus"},
+		{HypercubeTopology, []int{2, 2}, "hypercube takes one dimension value"},
+		{HypercubeTopology, []int{21}, "hypercube dimensions 21 invalid"},
+		{FatTreeTopology, []int{4}, "fattree takes [arity, levels]"},
+		{FatTreeTopology, []int{1, 2}, "need arity >= 2"},
+		{FatTreeTopology, []int{1 << 30, 4}, "exceeds 2^20 endpoints"},
+		{DragonflyTopology, []int{4}, "dragonfly takes [routers, globals]"},
+		{DragonflyTopology, []int{1, 1}, "need routers >= 2"},
+		{Kind(99), []int{4}, "unknown topology"},
+	}
+	for _, c := range bad {
+		err := DefaultConfig(c.kind, c.dims...).Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v %v: error %v, want it to mention %q", c.kind, c.dims, err, c.want)
+		}
+	}
+	lanes := map[Kind][]int{
+		MeshTopology:      {4, 4},
+		TorusTopology:     {4, 4},
+		HypercubeTopology: {4},
+		FatTreeTopology:   {4, 2},
+		DragonflyTopology: {4, 1},
+	}
+	for kind, dims := range lanes {
+		cfg := DefaultConfig(kind, dims...)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%v %v: %v", kind, dims, err)
+		}
+		if floor := cfg.Fabric().MinVirtualChannels(); cfg.VirtualChannels != floor {
+			t.Errorf("%v: default %d lanes, fabric floor %d", kind, cfg.VirtualChannels, floor)
+		}
+		if floor := cfg.Fabric().MinVirtualChannels(); floor > 1 {
+			cfg.VirtualChannels = floor - 1
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "virtual channels for deadlock freedom") {
+				t.Errorf("%v below its lane floor: %v", kind, err)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func westFirstConfig(w, h int) Config {
-	cfg := DefaultConfig(w, h)
+	cfg := DefaultConfig(MeshTopology, w, h)
 	cfg.Routing = RoutingWestFirst
 	return cfg
 }
@@ -91,7 +91,7 @@ func TestWestFirstSpreadsLoadOffHotColumn(t *testing.T) {
 	// adaptive router must reduce blocking versus deterministic XY.
 	run := func(routing RoutingAlgorithm) sim.Duration {
 		s := sim.New()
-		cfg := DefaultConfig(4, 4)
+		cfg := DefaultConfig(MeshTopology, 4, 4)
 		cfg.Routing = routing
 		n := New(s, cfg)
 		id := int64(0)
@@ -100,7 +100,7 @@ func TestWestFirstSpreadsLoadOffHotColumn(t *testing.T) {
 			for y := 0; y < 4; y++ {
 				id++
 				n.Inject(Message{
-					ID: id, Src: cfg.NodeAt(0, y), Dst: cfg.NodeAt(3, (y+2)%4),
+					ID: id, Src: nodeAt(cfg, 0, y), Dst: nodeAt(cfg, 3, (y+2)%4),
 					Bytes: 256, Inject: sim.Time(round * 100),
 				}, nil)
 			}

@@ -213,7 +213,7 @@ func TestAlltoallAllreduceDeterministic(t *testing.T) {
 				traces = append(traces, tb.String())
 
 				s := sim.New()
-				net := mesh.New(s, mesh.DefaultConfig(4, (ranks+3)/4))
+				net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, (ranks+3)/4))
 				if err := trace.Replay(s, net, w.Trace(), nil); err != nil {
 					t.Fatal(err)
 				}

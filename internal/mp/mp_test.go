@@ -253,7 +253,7 @@ func TestTraceIsValidAndReplayable(t *testing.T) {
 	}
 	// The trace must replay to completion through the mesh.
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, 2))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 2))
 	if err := trace.Replay(s, net, tr, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -664,10 +664,10 @@ func (e *Engine) meshConfig(spec RunSpec) mesh.Config {
 	if err != nil {
 		// Unreachable after validate; keep the legacy geometry rather than
 		// panicking inside a worker.
-		cfg = core.MeshFor(spec.Procs)
+		cfg = mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(spec.Procs)...)
 	}
 	if spec.Width > 0 {
-		cfg = mesh.DefaultConfig(spec.Width, spec.Height)
+		cfg = mesh.DefaultConfig(mesh.MeshTopology, spec.Width, spec.Height)
 	}
 	if spec.CycleTime > 0 {
 		cfg.CycleTime = spec.CycleTime

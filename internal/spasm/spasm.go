@@ -41,17 +41,11 @@ type Config struct {
 }
 
 // DefaultConfig builds the reproduction's machine for n processors on the
-// smallest mesh at most 4 wide.
+// standard mesh, mesh.DefaultGrid(n).
 func DefaultConfig(n int) Config {
-	w := n
-	h := 1
-	if n > 4 {
-		w = 4
-		h = (n + 3) / 4
-	}
 	return Config{
 		Processors: n,
-		Mesh:       mesh.DefaultConfig(w, h),
+		Mesh:       mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(n)...),
 		Memory:     ccnuma.DefaultConfig(n),
 	}
 }
@@ -75,14 +69,14 @@ func New(cfg Config) *Machine {
 	if cfg.Processors < 1 {
 		panic(fmt.Sprintf("spasm: %d processors", cfg.Processors))
 	}
-	if cfg.Mesh.Nodes() < cfg.Processors {
-		panic(fmt.Sprintf("spasm: %d processors on %d-node mesh", cfg.Processors, cfg.Mesh.Nodes()))
-	}
 	if cfg.Memory.Processors != cfg.Processors {
 		panic("spasm: memory config processor count mismatch")
 	}
 	s := sim.New()
 	net := mesh.New(s, cfg.Mesh)
+	if ep := net.Topology().Endpoints(); ep < cfg.Processors {
+		panic(fmt.Sprintf("spasm: %d processors on %d-node mesh", cfg.Processors, ep))
+	}
 	m := &Machine{
 		Sim:   s,
 		Net:   net,

@@ -41,8 +41,8 @@ func Replay(s *sim.Simulator, net *mesh.Network, t *Trace, cost CostModel) error
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	if t.Ranks > net.Config().Nodes() {
-		return fmt.Errorf("trace: %d ranks exceed %d mesh nodes", t.Ranks, net.Config().Nodes())
+	if ep := net.Topology().Endpoints(); t.Ranks > ep {
+		return fmt.Errorf("trace: %d ranks exceed %d mesh nodes", t.Ranks, ep)
 	}
 	if cost == nil {
 		cost = ZeroCost{}

@@ -57,7 +57,7 @@ func TestMessagesCount(t *testing.T) {
 
 func TestReplayPingPong(t *testing.T) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(2, 1))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 2, 1))
 	if err := Replay(s, net, pingPong(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func (c fixedCost) RecvOverhead(int) sim.Duration { return c.recv }
 func TestReplayCostModelShiftsInjection(t *testing.T) {
 	run := func(cost CostModel) mesh.Delivery {
 		s := sim.New()
-		net := mesh.New(s, mesh.DefaultConfig(2, 1))
+		net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 2, 1))
 		tr := New(2)
 		tr.Add(0, Event{Op: OpSend, Peer: 1, Bytes: 64, Tag: 0})
 		tr.Add(1, Event{Op: OpRecv, Peer: 0, Tag: 0})
@@ -108,7 +108,7 @@ func TestReplayCostModelShiftsInjection(t *testing.T) {
 
 func TestReplayFIFOMatchingSameChannel(t *testing.T) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(2, 1))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 2, 1))
 	tr := New(2)
 	// Two sends on the same channel; receives must match FIFO and the
 	// replay must complete (no deadlock).
@@ -128,7 +128,7 @@ func TestReplayFIFOMatchingSameChannel(t *testing.T) {
 func TestReplayManyRanksAllToAll(t *testing.T) {
 	const n = 8
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, 2))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 2))
 	tr := New(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -158,7 +158,7 @@ func TestReplayManyRanksAllToAll(t *testing.T) {
 
 func TestReplayRejectsTooManyRanks(t *testing.T) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(2, 1))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 2, 1))
 	if err := Replay(s, net, New(5), nil); err == nil {
 		t.Fatal("5 ranks on 2 nodes accepted")
 	}
@@ -233,7 +233,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 
 func TestDeliveriesRoundTrip(t *testing.T) {
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(4, 2))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 2))
 	st := sim.NewStream(1)
 	for i := 0; i < 50; i++ {
 		net.Inject(mesh.Message{

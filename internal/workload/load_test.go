@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"commchar/internal/core"
 	"commchar/internal/mesh"
 	"commchar/internal/sim"
 	"commchar/internal/stats"
@@ -13,7 +12,7 @@ import (
 func driveFor(t *testing.T, g *Generator, until sim.Time, seed uint64) Metrics {
 	t.Helper()
 	s := sim.New()
-	net := mesh.New(s, core.MeshFor(g.Procs))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(g.Procs)...))
 	if err := g.Drive(s, net, until, seed); err != nil {
 		t.Fatal(err)
 	}

@@ -163,8 +163,8 @@ func MeanLength(lengths []stats.LengthCount) float64 {
 // Drive spawns one injector process per modeled source, generating traffic
 // until the given simulated time. The caller runs the simulator afterwards.
 func (g *Generator) Drive(s *sim.Simulator, net *mesh.Network, until sim.Time, seed uint64) error {
-	if net.Config().Nodes() < g.Procs {
-		return fmt.Errorf("workload: %d processors on %d-node mesh", g.Procs, net.Config().Nodes())
+	if ep := net.Topology().Endpoints(); ep < g.Procs {
+		return fmt.Errorf("workload: %d processors on %d-node mesh", g.Procs, ep)
 	}
 	for i := range g.Sources {
 		sm := g.Sources[i]
@@ -317,7 +317,7 @@ func Validate(c *core.Characterization, seed uint64) (*Validation, error) {
 		return nil, err
 	}
 	s := sim.New()
-	net := mesh.New(s, core.MeshFor(c.Procs))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(c.Procs)...))
 	if err := g.Drive(s, net, c.Elapsed, seed); err != nil {
 		return nil, err
 	}

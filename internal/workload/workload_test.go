@@ -75,7 +75,7 @@ func TestSyntheticReproducesRateAndSpatial(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New()
-	net := mesh.New(s, core.MeshFor(8))
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(8)...))
 	if err := g.Drive(s, net, c.Elapsed, 99); err != nil {
 		t.Fatal(err)
 	}
