@@ -1,10 +1,6 @@
 package mesh
 
-import (
-	"fmt"
-
-	"commchar/internal/sim"
-)
+import "commchar/internal/sim"
 
 // direction indexes the four outgoing physical links of a router.
 type direction int
@@ -21,14 +17,15 @@ const (
 const anyLane = -1
 
 // link is one directed physical channel between adjacent routers, carrying
-// Config.VirtualChannels lanes. Arbitration is a single FCFS queue; a
-// waiter may demand a specific lane (torus dateline classes) or any lane.
+// Config.VirtualChannels lanes. Arbitration is a single FCFS queue of
+// worms; a worm may demand a specific lane (torus dateline classes) or any
+// lane.
 type link struct {
 	id    int
 	from  int
 	to    int
 	lanes []laneState
-	queue []*linkWaiter
+	queue []*worm // waiting for a lane, in arrival order
 
 	// Statistics.
 	grants       int64
@@ -39,87 +36,51 @@ type link struct {
 type laneState struct {
 	busy      bool
 	busySince sim.Time
-	holder    *sim.Process // worm currently holding the lane (diagnostics)
 }
 
-type linkWaiter struct {
-	p       *sim.Process
-	lane    int // anyLane or a specific lane index
-	arrived sim.Time
-	granted int // lane granted, set by release path
-}
-
-// acquire obtains a lane on the link for process p, blocking FCFS.
-// It returns the lane index granted and the time spent waiting.
-func (l *link) acquire(p *sim.Process, lane int, now func() sim.Time) (int, sim.Duration) {
-	if got := l.tryGrant(p, lane, now()); got >= 0 {
-		return got, 0
-	}
-	w := &linkWaiter{p: p, lane: lane, arrived: now(), granted: -1}
-	l.queue = append(l.queue, w)
-	p.SuspendOn(l)
-	return w.granted, sim.Duration(now() - w.arrived)
-}
-
-// tryGrant grants a lane immediately if one matching the request is free.
-func (l *link) tryGrant(p *sim.Process, lane int, now sim.Time) int {
+// tryGrant grants a lane immediately if one matching the request (a lane
+// index, or anyLane) is free, returning it, or -1.
+func (l *link) tryGrant(lane int, now sim.Time) int {
 	if lane == anyLane {
 		for i := range l.lanes {
 			if !l.lanes[i].busy {
-				l.grantLane(p, i, now)
+				l.grantLane(i, now)
 				return i
 			}
 		}
 		return -1
 	}
 	if !l.lanes[lane].busy {
-		l.grantLane(p, lane, now)
+		l.grantLane(lane, now)
 		return lane
 	}
 	return -1
 }
 
-func (l *link) grantLane(p *sim.Process, i int, now sim.Time) {
+func (l *link) grantLane(i int, now sim.Time) {
 	l.lanes[i].busy = true
 	l.lanes[i].busySince = now
-	l.lanes[i].holder = p
 	l.grants++
 }
 
-// release frees lane i and hands it to the first compatible waiter. It may
-// be called from kernel context (scheduled drain events) or from a process.
+// release frees lane i and hands it to the first compatible queued worm,
+// which resumes at the current time (after same-time events already on
+// the calendar).
 func (l *link) release(i int, now sim.Time) {
 	if !l.lanes[i].busy {
 		panic("mesh: releasing idle lane")
 	}
 	l.busyLaneTime += sim.Duration(now - l.lanes[i].busySince)
 	l.lanes[i].busy = false
-	l.lanes[i].holder = nil
 	for qi, w := range l.queue {
-		if w.lane == anyLane || w.lane == i {
+		if w.next.lane == anyLane || w.next.lane == i {
 			l.queue = append(l.queue[:qi], l.queue[qi+1:]...)
-			l.grantLane(w.p, i, now)
+			l.grantLane(i, now)
 			w.granted = i
-			sim.WakerFor(w.p).Wake()
+			w.net.sim.Schedule(0, w.fire)
 			return
 		}
 	}
-}
-
-// ResourceName implements sim.Resource for deadlock diagnostics.
-func (l *link) ResourceName() string {
-	return fmt.Sprintf("link %d->%d", l.from, l.to)
-}
-
-// Holders implements sim.Resource: the worms currently holding lanes.
-func (l *link) Holders() []*sim.Process {
-	var out []*sim.Process
-	for _, lane := range l.lanes {
-		if lane.busy && lane.holder != nil {
-			out = append(out, lane.holder)
-		}
-	}
-	return out
 }
 
 // load is the adaptive router's congestion estimate for this link: busy

@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -123,14 +122,6 @@ func TestRouteCacheReusesPath(t *testing.T) {
 	}
 	if n.Hops(0, 15) != manhattan(cfg, 0, 15) {
 		t.Errorf("Hops(0,15) = %d, want %d", n.Hops(0, 15), manhattan(cfg, 0, 15))
-	}
-}
-
-func TestMsgNameMatchesSprintf(t *testing.T) {
-	for _, id := range []int64{0, 1, 7, 42, 1 << 40, -1, -9000} {
-		if got, want := msgName(id), fmt.Sprintf("msg%d", id); got != want {
-			t.Errorf("msgName(%d) = %q, want %q", id, got, want)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package mesh
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"commchar/internal/sim"
@@ -53,7 +52,8 @@ type Network struct {
 	links  [][]*link // indexed [node][port], ports as numbered by the topology
 	nextID int64
 
-	log       []Delivery
+	log       [][]Delivery // completion order, in chunks never copied once full
+	logLen    int
 	inFlight  int
 	onIdle    []func()
 	delivered int64
@@ -61,6 +61,7 @@ type Network struct {
 	faults   Injector          // nil on fault-free runs
 	failures []error           // ErrPartitioned / ErrExhausted, in give-up order
 	pending  map[int64]Message // injected but not yet completed, for diagnostics
+	free     *worm             // finished worms, reused by Inject
 
 	// routeCache memoizes the fault-free path per (src, dst): the fabric
 	// is immutable after New, so each pair is materialized exactly once
@@ -240,8 +241,9 @@ func (n *Network) Path(src, dst int) [][2]int {
 // kernel context) when the tail flit reaches the destination. Inject may be
 // called before the simulator runs or at any point during the run, as long
 // as m.Inject is not in the simulated past. Traffic generators call it once
-// per message inside the cycle loop, so it is a hot root: its only
-// allocations are the per-message worm process itself.
+// per message inside the cycle loop, so it is a hot root. The message
+// travels as a worm, a state machine on calendar callbacks, not as a
+// process: no goroutine is created per message.
 //
 //lint:hot
 func (n *Network) Inject(m Message, done func(Delivery)) {
@@ -257,219 +259,8 @@ func (n *Network) Inject(m Message, done func(Delivery)) {
 	}
 	n.inFlight++
 	n.pending[m.ID] = m
-	//lint:allow hotpath one worm process per injected message is the admission cost of the wormhole model, amortized across all its flits
-	n.sim.SpawnAt(m.Inject, msgName(m.ID), func(p *sim.Process) {
-		n.deliver(p, m, done)
-	})
-}
-
-// msgName renders the worm process name without fmt's reflection:
-// Inject is on the hot path, and fmt.Sprintf("msg%d", …) was its one
-// avoidable per-message allocation (the int64 boxed into fmt's variadic
-// any slot, plus the format machinery itself).
-func msgName(id int64) string {
-	return "msg" + strconv.FormatInt(id, 10)
-}
-
-// deliver is the wormhole worm: the process that walks the message's head
-// across the fabric, holding the channels the worm occupies and releasing
-// each channel once the tail has passed it. The head's next hop comes from
-// the configured router: a precomputed dimension-order path, or per-hop
-// west-first adaptive selection.
-//
-// With a fault injector installed, a killed worm (drop, transient outage,
-// corrupted delivery) is retransmitted from the source after capped
-// exponential backoff; a permanently-failed link triggers a deterministic
-// reroute around the fault, and an unreachable destination fails the
-// message with ErrPartitioned.
-func (n *Network) deliver(p *sim.Process, m Message, done func(Delivery)) {
-	cfg := n.cfg
-	if m.Src == m.Dst {
-		p.Hold(cfg.LocalDelay)
-		n.complete(m, Delivery{Message: m}, done)
-		return
-	}
-
-	var blocked sim.Duration
-	var flags FaultFlags
-	for attempt := 0; ; attempt++ {
-		// A cancelled run must not keep retransmitting: if the simulator
-		// is stepped past the cancellation point (a caller draining the
-		// calendar), the worm gives itself up instead of spinning through
-		// its backoff schedule.
-		if n.sim.Interrupted() != nil {
-			d := Delivery{Message: m, Blocked: blocked, Retries: attempt, Faults: flags,
-				Status: StatusFailed}
-			n.failures = append(n.failures, &ErrCancelled{
-				MsgID: m.ID, Src: m.Src, Dst: m.Dst, Retries: attempt, Time: p.Now(),
-			})
-			n.complete(m, d, done)
-			return
-		}
-		hops, outcome := n.attempt(p, m, attempt, &blocked, &flags)
-		d := Delivery{Message: m, Blocked: blocked, Hops: hops, Retries: attempt, Faults: flags}
-		switch outcome {
-		case wormDelivered:
-			n.complete(m, d, done)
-			return
-		case wormPartitioned:
-			d.Status = StatusFailed
-			n.failures = append(n.failures, &ErrPartitioned{
-				MsgID: m.ID, Src: m.Src, Dst: m.Dst, At: hops, Time: p.Now(),
-			})
-			d.Hops = 0
-			n.complete(m, d, done)
-			return
-		case wormKilled:
-			if attempt >= cfg.MaxRetries {
-				d.Status = StatusFailed
-				n.failures = append(n.failures, &ErrExhausted{
-					MsgID: m.ID, Src: m.Src, Dst: m.Dst, Retries: attempt, Time: p.Now(),
-				})
-				n.complete(m, d, done)
-				return
-			}
-			backoff := cfg.RetryBase << attempt
-			if cfg.RetryCap > 0 && backoff > cfg.RetryCap {
-				backoff = cfg.RetryCap
-			}
-			p.Hold(backoff)
-		}
-	}
-}
-
-// wormOutcome is the result of one traversal attempt.
-type wormOutcome int
-
-const (
-	wormDelivered   wormOutcome = iota // tail reached the destination
-	wormKilled                         // dropped/outage/corrupted: retransmit
-	wormPartitioned                    // no route exists: fail the message
-)
-
-// attempt walks the worm once from source to destination. It returns the
-// hop count and the outcome; for wormPartitioned the hop count is
-// repurposed as the node where the worm ran out of routes. blocked and
-// flags accumulate across attempts.
-func (n *Network) attempt(p *sim.Process, m Message, attempt int, blocked *sim.Duration, flags *FaultFlags) (int, wormOutcome) {
-	cfg := n.cfg
-	flits := cfg.Flits(m.Bytes)
-	baseHop := cfg.CycleTime * sim.Duration(1+cfg.RouterDelay)
-
-	// Route selection. Dimension-order paths are precomputed and, when a
-	// permanently-failed link blocks them, replaced by the deterministic
-	// BFS detour; west-first picks each hop adaptively.
-	var path []hop
-	pathIdx := 0
-	usePath := cfg.Routing != RoutingWestFirst
-	if usePath {
-		path = n.route(m.Src, m.Dst)
-		if n.faults != nil && n.pathBroken(path, p.Now()) {
-			path = n.routeAvoiding(m.Src, m.Dst, p.Now())
-			if path == nil {
-				*flags |= FaultPartitioned
-				return m.Src, wormPartitioned
-			}
-			*flags |= FaultRerouted
-		}
-	}
-
-	var acquired []hop // hops taken, in order
-	var held []int     // lane per acquired hop; -1 after release
-	releaseAll := func() {
-		for i, lane := range held {
-			if lane >= 0 {
-				acquired[i].link.release(lane, p.Now())
-				held[i] = -1
-			}
-		}
-	}
-
-	cur := m.Src
-	for cur != m.Dst {
-		var h hop
-		if usePath {
-			h = path[pathIdx]
-		} else {
-			h = hop{link: n.chooseWestFirst(cur, m.Dst), lane: anyLane}
-		}
-		hopTime := baseHop
-		if n.faults != nil {
-			f := n.faults.LinkFault(h.link.from, h.link.to, p.Now())
-			if f.Down {
-				if f.Permanent && usePath {
-					// Reroute around the failure from the current node,
-					// keeping the channels already acquired.
-					alt := n.routeAvoiding(cur, m.Dst, p.Now())
-					if alt == nil {
-						releaseAll()
-						*flags |= FaultPartitioned
-						return cur, wormPartitioned
-					}
-					*flags |= FaultRerouted
-					path, pathIdx = alt, 0
-					continue
-				}
-				// Transient outage (or adaptive routing, which cannot
-				// follow a detour path): kill the worm and retransmit.
-				releaseAll()
-				*flags |= FaultLinkDown
-				return len(acquired), wormKilled
-			}
-			if n.faults.Drop(m.ID, attempt, len(acquired), h.link.from, h.link.to, p.Now()) {
-				releaseAll()
-				*flags |= FaultDropped
-				return len(acquired), wormKilled
-			}
-			if f.SlowFactor > 1 {
-				*flags |= FaultSlowed
-				hopTime *= sim.Duration(f.SlowFactor)
-			}
-		}
-		lane, waited := h.link.acquire(p, h.lane, p.Now)
-		*blocked += waited
-		acquired = append(acquired, h)
-		held = append(held, lane)
-		p.Hold(hopTime) // head crosses the link
-		h.link.flits += int64(flits)
-		// With single-flit buffers the tail crosses link i when the head
-		// has crossed link i+flits-1; free that channel for other worms.
-		if back := len(acquired) - 1 - (flits - 1); back >= 0 {
-			acquired[back].link.release(held[back], p.Now())
-			held[back] = -1
-		}
-		if usePath {
-			pathIdx++
-		}
-		cur = h.link.to
-	}
-
-	// A corrupted-length delivery is detected at the destination after the
-	// worm has consumed the fabric; its channels are freed and the message
-	// is retransmitted.
-	if n.faults != nil && n.faults.Corrupt(m.ID, attempt, p.Now()) {
-		releaseAll()
-		*flags |= FaultCorrupted
-		return len(acquired), wormKilled
-	}
-
-	// Head is at the destination; the remaining flits stream in one per
-	// cycle, and trailing channels drain in pipeline order.
-	drain := sim.Duration(flits-1) * cfg.CycleTime
-	end := p.Now() + sim.Time(drain)
-	for i, lane := range held {
-		if lane < 0 {
-			continue
-		}
-		tailPass := end - sim.Time(len(acquired)-1-i)*sim.Time(cfg.CycleTime)
-		if tailPass < p.Now() {
-			tailPass = p.Now()
-		}
-		li, la := acquired[i].link, lane
-		n.sim.At(tailPass, func() { li.release(la, n.sim.Now()) })
-	}
-	p.Hold(drain)
-	return len(acquired), wormDelivered
+	//lint:allow hotpath the calendar event is the one allocation a message makes once the worm free list is warm
+	n.sim.At(m.Inject, n.newWorm(m, done).fire)
 }
 
 // pathBroken reports whether any link on the path is permanently down.
@@ -545,10 +336,26 @@ func (n *Network) chooseWestFirst(cur, dst int) *link {
 	return best
 }
 
-func (n *Network) complete(m Message, d Delivery, done func(Delivery)) {
+// Delivery log chunks start at minLogChunk entries and double with the log
+// up to maxLogChunk, so small runs stay small and a large log grows without
+// ever copying a recorded delivery.
+const (
+	minLogChunk = 256
+	maxLogChunk = 1 << 15
+)
+
+// complete records a finished message and runs its done callback and, if
+// the network fell idle, the WhenIdle callbacks.
+func (n *Network) complete(d Delivery, done func(Delivery)) {
+	m := d.Message
 	d.End = n.sim.Now()
 	d.Latency = sim.Duration(n.sim.Now() - m.Inject)
-	n.log = append(n.log, d)
+	if k := len(n.log); k == 0 || len(n.log[k-1]) == cap(n.log[k-1]) {
+		n.log = append(n.log, make([]Delivery, 0, min(max(n.logLen, minLogChunk), maxLogChunk)))
+	}
+	last := &n.log[len(n.log)-1]
+	*last = append(*last, d)
+	n.logLen++
 	if d.Status == StatusDelivered {
 		n.delivered++
 	}
@@ -585,8 +392,10 @@ func (n *Network) WhenIdle(fn func()) {
 // Log returns the deliveries recorded so far, sorted by injection time
 // (ties broken by message ID). The returned slice is a copy.
 func (n *Network) Log() []Delivery {
-	out := make([]Delivery, len(n.log))
-	copy(out, n.log)
+	out := make([]Delivery, 0, n.logLen)
+	for _, chunk := range n.log {
+		out = append(out, chunk...)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Inject != out[j].Inject {
 			return out[i].Inject < out[j].Inject
