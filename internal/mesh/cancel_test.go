@@ -1,0 +1,74 @@
+package mesh_test
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+
+	"commchar/internal/mesh"
+	"commchar/internal/sim"
+)
+
+// cancelHotSpot injects msgs messages from every other node to node 0 of
+// a 4x4 mesh and cancels the checked run once half of them are in flight.
+// It returns the run's error, the messages in flight at the cancellation,
+// and how many goroutines the process gained by then.
+func cancelHotSpot(t *testing.T, msgs int) (*sim.DeadlockError, int, int) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	s := sim.New()
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
+	for i := 0; i < msgs; i++ {
+		net.Inject(mesh.Message{ID: net.NextID(), Src: 1 + i%15, Dst: 0, Bytes: 256, Inject: sim.Time(i)}, nil)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.SetContext(ctx)
+	inFlight, grown := 0, 0
+	s.SetProgress(64, func(sim.Time, int64) {
+		if inFlight == 0 && net.InFlight() >= msgs/2 {
+			inFlight, grown = net.InFlight(), runtime.NumGoroutine()-base
+			cancel()
+		}
+	})
+	err := s.RunChecked()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want a cancellation DeadlockError", err)
+	}
+	if inFlight == 0 {
+		t.Fatal("run finished before half the messages were in flight")
+	}
+	return de, inFlight, grown
+}
+
+// TestCancelledRunDiagnosesNetwork cancels a checked run with a hot spot
+// in flight. Worms are not processes, so they appear in neither Blocked
+// nor Cycle; the network's own diagnostic must still name the pending
+// messages and the occupied links. And the number of goroutines must not
+// grow with the number of messages in flight.
+func TestCancelledRunDiagnosesNetwork(t *testing.T) {
+	small, smallInFlight, smallGrown := cancelHotSpot(t, 100)
+	large, largeInFlight, largeGrown := cancelHotSpot(t, 2000)
+
+	for _, de := range []*sim.DeadlockError{small, large} {
+		if len(de.Blocked) != 0 || len(de.Cycle) != 0 {
+			t.Errorf("worms listed as blocked processes: %v, cycle %v", de.Blocked, de.Cycle)
+		}
+		text := de.Error()
+		for _, want := range []string{"[mesh]", "pending msg ", "more pending messages", "lanes busy", "queued"} {
+			if !strings.Contains(text, want) {
+				t.Errorf("diagnostic lacks %q:\n%s", want, text)
+			}
+		}
+	}
+	if largeInFlight < 10*smallInFlight {
+		t.Fatalf("in flight at cancellation: %d and %d messages, want a tenfold spread", smallInFlight, largeInFlight)
+	}
+	if largeGrown > smallGrown+2 {
+		t.Errorf("goroutines grew by %d with %d messages in flight, by %d with %d",
+			largeGrown, largeInFlight, smallGrown, smallInFlight)
+	}
+}

@@ -13,6 +13,9 @@ type Process struct {
 	resume chan struct{}
 	yield  chan struct{}
 	ended  bool
+	// activateFn is p.activate, bound once so that every resume event
+	// the process schedules reuses it instead of allocating a closure.
+	activateFn func()
 
 	// Blocking bookkeeping for the watchdog's wait-for graph. A process is
 	// "suspended" between SuspendOn and the wake that resumes it; blockedOn
@@ -69,7 +72,8 @@ func (s *Simulator) SpawnAt(t Time, name string, body func(p *Process)) *Process
 		s.live--
 		p.yield <- struct{}{} // final hand-back to kernel
 	}()
-	s.At(t, func() { p.activate() })
+	p.activateFn = p.activate
+	s.At(t, p.activateFn)
 	return p
 }
 
@@ -99,7 +103,7 @@ func (p *Process) Hold(d Duration) {
 	if d == 0 {
 		return
 	}
-	p.sim.Schedule(d, func() { p.activate() })
+	p.sim.Schedule(d, p.activateFn)
 	p.block()
 }
 
@@ -130,5 +134,5 @@ func WakerFor(p *Process) Waker { return Waker{p: p} }
 // Wake schedules the suspended process to resume now (after same-time
 // events already on the calendar).
 func (w Waker) Wake() {
-	w.p.sim.Schedule(0, func() { w.p.activate() })
+	w.p.sim.Schedule(0, w.p.activateFn)
 }

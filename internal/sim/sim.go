@@ -3,6 +3,14 @@
 // time, an event calendar, coroutine-style processes, and facilities
 // (servers with FCFS queues and utilization statistics).
 //
+// The kernel offers two ways to model an active entity. A Process is a
+// goroutine: it suits long-lived actors with deep control flow (processors,
+// message-passing ranks, traffic generators), at the cost of two goroutine
+// handoffs per blocking call. A plain callback chain on At/Schedule suits
+// short-lived, numerous entities: the mesh network's worms, one per
+// message, are state machines whose every wait is one calendar callback,
+// so no goroutine exists per message.
+//
 // The kernel is strictly single-threaded from the simulation's point of
 // view: although processes run on goroutines, exactly one goroutine (either
 // the kernel or one process) executes at any instant, handed off through
