@@ -57,7 +57,9 @@ func main() {
 	if err := trace.Replay(s, net, tr2, sp2.Default()); err != nil {
 		log.Fatal(err)
 	}
-	s.Run()
+	if err := s.Run(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("        %d messages delivered in %.3f ms of simulated time\n\n",
 		net.Delivered(), float64(s.Now())/1e6)
 

@@ -295,7 +295,7 @@ func (s *System) entry(block uint64) *dirEntry {
 func (s *System) blockLock(block uint64) *sim.Facility {
 	f, ok := s.locks[block]
 	if !ok {
-		f = sim.NewFacility(s.sim, fmt.Sprintf("dir-block-%d", block))
+		f = sim.NewFacility(fmt.Sprintf("dir-block-%d", block))
 		s.locks[block] = f
 	}
 	return f

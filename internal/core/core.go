@@ -16,9 +16,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"commchar/internal/coll"
 	"commchar/internal/mesh"
@@ -95,6 +96,14 @@ type Characterization struct {
 	Coll *coll.Characterization `json:",omitempty"`
 }
 
+// deliveryOrder orders deliveries by injection time, then message ID.
+func deliveryOrder(a, b mesh.Delivery) int {
+	if c := cmp.Compare(a.Inject, b.Inject); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Message.ID, b.Message.ID)
+}
+
 // minSourceSamples is the fewest inter-arrival samples worth fitting.
 const minSourceSamples = 8
 
@@ -107,13 +116,15 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 	if procs < 2 {
 		return nil, fmt.Errorf("core: %d processors", procs)
 	}
-	sorted := append([]mesh.Delivery(nil), log...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Inject != sorted[j].Inject {
-			return sorted[i].Inject < sorted[j].Inject
-		}
-		return sorted[i].Message.ID < sorted[j].Message.ID
-	})
+	// Network.Log already returns (Inject, ID) order, so a simulated log
+	// is shared as it is; only a log in another order (one read from an
+	// arbitrary file) is cloned and sorted. The capped slice makes any
+	// later append to c.Log copy rather than write into the caller's array.
+	sorted := log[:len(log):len(log)]
+	if !slices.IsSortedFunc(log, deliveryOrder) {
+		sorted = slices.Clone(log)
+		slices.SortStableFunc(sorted, deliveryOrder)
+	}
 
 	c := &Characterization{
 		Name:            name,

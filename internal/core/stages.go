@@ -59,9 +59,6 @@ func AcquireSharedMemoryOnContext(ctx context.Context, m *spasm.Machine, run fun
 	if err := run(m); err != nil {
 		return nil, err
 	}
-	if err := m.Sim.Interrupted(); err != nil {
-		return nil, err
-	}
 	return &RawRun{
 		Procs:    m.Config().Processors,
 		Elapsed:  m.Sim.Now(),
@@ -118,7 +115,7 @@ func ReplayTraceObserved(ctx context.Context, tr *trace.Trace, cfg mesh.Config, 
 		return nil, err
 	}
 	s.SetWatchdog(wd)
-	if err := s.RunChecked(); err != nil {
+	if err := s.Run(); err != nil {
 		return nil, err
 	}
 	return &RawRun{

@@ -20,16 +20,6 @@ func (r *Runner) FigureAnalyticModel(w io.Writer, procs int) error {
 	cfg := mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...)
 	lengths := []stats.LengthCount{{Bytes: 8, Count: 3}, {Bytes: 40, Count: 2}}
 
-	simulate := func(g *workload.Generator, until sim.Duration, seed uint64) (workload.Metrics, error) {
-		s := sim.New()
-		net := mesh.New(s, cfg)
-		if err := g.Drive(s, net, sim.Time(until), seed); err != nil {
-			return workload.Metrics{}, err
-		}
-		s.Run()
-		return workload.MeasureLog(net.Log(), s.Now(), net.MeanUtilization()), nil
-	}
-
 	t := &report.Table{
 		Title:   fmt.Sprintf("Figure: analytic M/G/1 model vs simulation (%d processors)", procs),
 		Columns: []string{"Workload", "MaxRho", "Analytic(ns)", "Simulated(ns)", "RelErr"},
@@ -43,7 +33,7 @@ func (r *Runner) FigureAnalyticModel(w io.Writer, procs int) error {
 			return err
 		}
 		g := workload.UniformPoisson(procs, meanGap, lengths)
-		m, err := simulate(g, 4*sim.Millisecond, 5)
+		m, err := workload.Simulate(g, cfg, sim.Time(4*sim.Millisecond), 5)
 		if err != nil {
 			return err
 		}
@@ -72,13 +62,10 @@ func (r *Runner) FigureAnalyticModel(w io.Writer, procs int) error {
 	if err != nil {
 		return err
 	}
-	s := sim.New()
-	net := mesh.New(s, cfg)
-	if err := gen.Drive(s, net, c.Elapsed, 5); err != nil {
+	m, err := workload.Simulate(gen, cfg, c.Elapsed, 5)
+	if err != nil {
 		return err
 	}
-	s.Run()
-	m := workload.MeasureLog(net.Log(), s.Now(), net.MeanUtilization())
 	t.AddRow("1D-FFT (fitted model)",
 		fmt.Sprintf("%.3f", pred.MaxRho),
 		fmt.Sprintf("%.0f", pred.Latency),

@@ -308,7 +308,9 @@ func (r *Runner) AblationVirtualChannels(w io.Writer) error {
 				}, nil)
 			}
 		}
-		s.Run()
+		if err := s.Run(); err != nil {
+			return workload.Metrics{}, err
+		}
 		return workload.MeasureLog(net.Log(), s.Now(), net.MeanUtilization()), nil
 	}
 	t := &report.Table{

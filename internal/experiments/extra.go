@@ -72,16 +72,8 @@ func (r *Runner) FigureLatencyLoad(w io.Writer, procs int) error {
 	meanGap := c.Aggregate.Summary.Mean
 	uniGen := workload.UniformPoisson(procs, meanGap, c.Volume.Distinct)
 
-	const duration = 2 * sim.Millisecond
-	drive := func(g *workload.Generator, seed uint64) (workload.Metrics, error) {
-		s := sim.New()
-		net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...))
-		if err := g.Drive(s, net, sim.Time(duration), seed); err != nil {
-			return workload.Metrics{}, err
-		}
-		s.Run()
-		return workload.MeasureLog(net.Log(), s.Now(), net.MeanUtilization()), nil
-	}
+	const until = sim.Time(2 * sim.Millisecond)
+	cfg := mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...)
 
 	t := &report.Table{
 		Title: fmt.Sprintf("Figure: latency vs offered load, uniform assumption vs fitted 1D-FFT model (%d processors)",
@@ -89,11 +81,11 @@ func (r *Runner) FigureLatencyLoad(w io.Writer, procs int) error {
 		Columns: []string{"LoadFactor", "Workload", "Rate(msg/us)", "MeanLatency(ns)", "MeanBlocked(ns)", "Util"},
 	}
 	for _, f := range []float64{0.5, 1.0, 1.5, 2.0, 2.5} {
-		u, err := drive(uniGen.Scaled(f), 11)
+		u, err := workload.Simulate(uniGen.Scaled(f), cfg, until, 11)
 		if err != nil {
 			return err
 		}
-		a, err := drive(appGen.Scaled(f), 11)
+		a, err := workload.Simulate(appGen.Scaled(f), cfg, until, 11)
 		if err != nil {
 			return err
 		}
@@ -182,7 +174,9 @@ func (r *Runner) AblationTopology(w io.Writer) error {
 				}, nil)
 			}
 		}
-		s.Run()
+		if err := s.Run(); err != nil {
+			return err
+		}
 		m := workload.MeasureLog(net.Log(), s.Now(), net.MeanUtilization())
 		t.AddRow(tc.label,
 			fmt.Sprintf("%d", m.Messages),

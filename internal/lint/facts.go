@@ -15,7 +15,7 @@ import (
 // package-level object (a function, method, or type) and exports for
 // downstream packages. Facts are the cross-package half of the suite:
 // an intra-package analyzer stops at every import edge, but a fact
-// recorded in the unit's vetx file rides the build graph, so "SpawnAt
+// recorded in the unit's vetx file rides the build graph, so "Spawn
 // allocates" proven in internal/sim is visible when internal/mesh calls
 // it.
 //

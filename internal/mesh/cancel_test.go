@@ -33,7 +33,7 @@ func cancelHotSpot(t *testing.T, msgs int) (*sim.DeadlockError, int, int) {
 			cancel()
 		}
 	})
-	err := s.RunChecked()
+	err := s.Run()
 	var de *sim.DeadlockError
 	if !errors.As(err, &de) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want a cancellation DeadlockError", err)

@@ -36,7 +36,7 @@ func uniformRun(t *testing.T, spec string, seed uint64) []mesh.Delivery {
 		}
 	}
 	s.SetWatchdog(sim.Watchdog{MaxEvents: 5_000_000})
-	if err := s.RunChecked(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return net.Log()
@@ -112,7 +112,7 @@ func TestPermanentFailureReroutes(t *testing.T) {
 	}
 	net.SetFaults(sched)
 	net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
-	if err := s.RunChecked(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	log := net.Log()
@@ -146,7 +146,7 @@ func TestPartitionedReturnsStructuredError(t *testing.T) {
 	net.SetFaults(sched)
 	var got mesh.Delivery
 	net.Inject(mesh.Message{ID: 9, Src: 0, Dst: 1, Bytes: 16, Inject: 0}, func(d mesh.Delivery) { got = d })
-	if err := s.RunChecked(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if got.Status != mesh.StatusFailed || got.Faults&mesh.FaultPartitioned == 0 {
@@ -177,7 +177,7 @@ func TestRetryExhaustionFailsDeterministically(t *testing.T) {
 		sched, _ := fault.Parse("drop:1.0", 11)
 		net.SetFaults(sched)
 		net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 16, Inject: 0}, nil)
-		if err := s.RunChecked(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		if len(net.Failures()) != 1 {
@@ -230,7 +230,7 @@ func TestCorruptedDeliveryRetransmitted(t *testing.T) {
 		net.Inject(mesh.Message{ID: net.NextID(), Src: i % 4, Dst: (i + 1) % 4, Bytes: 32, Inject: sim.Time(i * 10_000)}, nil)
 	}
 	s.SetWatchdog(sim.Watchdog{MaxEvents: 1_000_000})
-	if err := s.RunChecked(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	var corrupted, recovered int
@@ -265,7 +265,7 @@ func TestTorusWraparoundLinkFailureReroutes(t *testing.T) {
 	}
 	net.SetFaults(sched)
 	net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
-	if err := s.RunChecked(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	log := net.Log()
@@ -289,7 +289,7 @@ func TestTorusWraparoundLinkFailureReroutes(t *testing.T) {
 	sched2, _ := fault.Parse("down:0<->3@0ns", 11)
 	net2.SetFaults(sched2)
 	net2.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
-	if err := s2.RunChecked(); err != nil {
+	if err := s2.Run(); err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
 	if !reflect.DeepEqual(log, net2.Log()) {
@@ -315,7 +315,7 @@ func TestFatTreeLinkFailure(t *testing.T) {
 		net.SetFaults(sched)
 		var got mesh.Delivery
 		net.Inject(mesh.Message{ID: 1, Src: 4, Dst: 0, Bytes: 32, Inject: 0}, func(d mesh.Delivery) { got = d })
-		if err := s.RunChecked(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("%s: run: %v", faults, err)
 		}
 		return got

@@ -177,7 +177,7 @@ func goldenRun(t *testing.T, cfg mesh.Config, spec func(mesh.Topology) string, c
 		}
 	} else {
 		s.SetWatchdog(sim.Watchdog{MaxEvents: 5_000_000})
-		if err := s.RunChecked(); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 	}

@@ -97,17 +97,11 @@ func (w *World) Run(kernel func(r *Rank)) (sim.Time, error) {
 		w.sim.Spawn(fmt.Sprintf("rank%d", r.id), func(p *sim.Process) {
 			r.p = p
 			kernel(r)
-			r.done = true
 		})
 	}
 	w.sim.SetWatchdog(w.cfg.Watchdog)
-	if err := w.sim.RunChecked(); err != nil {
+	if err := w.sim.Run(); err != nil {
 		return 0, fmt.Errorf("mp: %w", err)
-	}
-	for _, r := range w.ranks {
-		if !r.done {
-			return 0, fmt.Errorf("mp: rank %d deadlocked (blocked in communication at t=%d)", r.id, w.sim.Now())
-		}
 	}
 	return w.sim.Now(), nil
 }
@@ -120,7 +114,6 @@ type Rank struct {
 	world *World
 	p     *sim.Process
 	id    int
-	done  bool
 
 	arrived map[channel][]inMsg
 	waiting map[channel]sim.Waker
@@ -209,7 +202,7 @@ func (w recvWait) ResourceName() string {
 // Holders implements sim.Resource.
 func (w recvWait) Holders() []*sim.Process {
 	peer := w.rank.world.ranks[w.src]
-	if peer.p == nil || peer.done {
+	if peer.p == nil {
 		return nil
 	}
 	return []*sim.Process{peer.p}

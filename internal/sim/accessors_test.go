@@ -4,63 +4,30 @@ import "testing"
 
 func TestAccessors(t *testing.T) {
 	s := New()
-	if s.Pending() != 0 {
-		t.Fatal("fresh simulator has pending events")
-	}
-	e := s.Schedule(10, func() {})
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
-	if e.Time() != 10 {
-		t.Fatalf("event time = %d", e.Time())
-	}
-
-	f := NewFacility(s, "srv")
-	if f.Name() != "srv" || f.Busy() || f.QueueLen() != 0 {
+	f := NewFacility("srv")
+	if f.ResourceName() != "facility srv" || f.Holders() != nil {
 		t.Fatal("fresh facility state wrong")
 	}
-	if u := f.Utilization(); u != 0 {
-		t.Fatalf("utilization at t=0 = %v", u)
-	}
 
-	mb := NewMailbox(s)
-	mb.Put(1)
-	if mb.Len() != 1 {
-		t.Fatalf("mailbox len = %d", mb.Len())
-	}
-
-	var name string
+	var holders []*Process
 	p := s.Spawn("worker", func(p *Process) {
-		name = p.Name()
-		if p.Sim() != s {
-			t.Error("process simulator mismatch")
-		}
 		f.Reserve(p)
+		holders = f.Holders()
 		p.Hold(50)
 		f.Release(p)
 	})
-	_ = p
-	s.Run()
-	if name != "worker" {
-		t.Fatalf("process name = %q", name)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
-	// Facility was held 50 of 50 elapsed ticks.
-	if u := f.Utilization(); u != 1 {
-		t.Fatalf("utilization = %v", u)
+	if len(holders) != 1 || holders[0] != p {
+		t.Fatalf("holders while reserved = %v", holders)
 	}
-}
-
-func TestUtilizationWhileHeld(t *testing.T) {
-	s := New()
-	f := NewFacility(s, "f")
-	s.Spawn("p", func(p *Process) {
-		f.Reserve(p)
-		p.Hold(100)
-		// Never released: Utilization must count the open interval.
-	})
-	s.Run()
-	if u := f.Utilization(); u != 1 {
-		t.Fatalf("utilization with open hold = %v", u)
+	if f.Holders() != nil {
+		t.Fatal("released facility still has a holder")
+	}
+	// One spawn activation and one Hold resume.
+	if s.Now() != 50 || s.EventsFired() != 2 {
+		t.Fatalf("now = %d, events = %d", s.Now(), s.EventsFired())
 	}
 }
 

@@ -15,3 +15,22 @@ func BenchmarkProcessHold(b *testing.B) {
 	b.ResetTimer()
 	s.Run()
 }
+
+// BenchmarkScheduleStep times one calendar round trip, Schedule then
+// Step, against a standing calendar of 1024 pending events, so every op
+// sifts through a heap of realistic depth. allocs/op is the calendar's
+// per-event allocation, zero once the heap slice has grown.
+func BenchmarkScheduleStep(b *testing.B) {
+	s := New()
+	fn := func() {}
+	const pending = 1024
+	for i := 0; i < pending; i++ {
+		s.Schedule(Duration(i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(pending, fn)
+		s.Step()
+	}
+}

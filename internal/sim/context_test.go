@@ -21,7 +21,10 @@ func TestRunStopsOnCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s.SetContext(ctx)
-	s.Run() // must return instead of spinning forever
+	// Run must return instead of spinning forever.
+	if err := s.Run(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
 	if err := s.Interrupted(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Interrupted = %v, want context.Canceled", err)
 	}
@@ -34,7 +37,9 @@ func TestInterruptedNilOnCleanRun(t *testing.T) {
 	s := New()
 	s.SetContext(context.Background())
 	s.Spawn("worker", func(p *Process) { p.Hold(10) })
-	s.Run()
+	if err := s.Run(); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
 	if err := s.Interrupted(); err != nil {
 		t.Fatalf("clean run reports %v", err)
 	}
@@ -46,7 +51,7 @@ func TestRunCheckedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s.SetContext(ctx)
-	err := s.RunChecked()
+	err := s.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("expected *DeadlockError, got %v", err)
@@ -68,7 +73,7 @@ func TestDeadlockErrorBudgetClassification(t *testing.T) {
 	s := New()
 	livelock(s)
 	s.SetWatchdog(Watchdog{MaxEvents: 500})
-	err := s.RunChecked()
+	err := s.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("expected *DeadlockError, got %v", err)
@@ -79,11 +84,11 @@ func TestDeadlockErrorBudgetClassification(t *testing.T) {
 
 	// A structural deadlock is not a budget trip.
 	s2 := New()
-	a := NewFacility(s2, "A")
-	b := NewFacility(s2, "B")
+	a := NewFacility("A")
+	b := NewFacility("B")
 	s2.Spawn("p1", func(p *Process) { a.Reserve(p); p.Hold(10); b.Reserve(p) })
 	s2.Spawn("p2", func(p *Process) { b.Reserve(p); p.Hold(10); a.Reserve(p) })
-	err = s2.RunChecked()
+	err = s2.Run()
 	if !errors.As(err, &de) {
 		t.Fatalf("expected *DeadlockError, got %v", err)
 	}

@@ -25,26 +25,14 @@ type Process struct {
 }
 
 // Resource is anything a process can block on that the watchdog should be
-// able to describe: a facility, a link, a message channel. Holders returns
+// able to describe: a facility, a message channel. Holders returns
 // the processes that currently prevent the waiter from proceeding (the
 // wait-for graph edges); it may be empty when no specific process holds the
-// resource (e.g. an empty mailbox).
+// resource.
 type Resource interface {
 	ResourceName() string
 	Holders() []*Process
 }
-
-// Blocked reports whether the process is parked in Suspend/SuspendOn.
-func (p *Process) Blocked() bool { return p.suspended }
-
-// BlockedOn returns the resource the process is suspended on, or nil.
-func (p *Process) BlockedOn() Resource { return p.blockedOn }
-
-// Name returns the name given at Spawn time.
-func (p *Process) Name() string { return p.name }
-
-// Sim returns the owning simulator.
-func (p *Process) Sim() *Simulator { return p.sim }
 
 // Now returns the current simulated time.
 func (p *Process) Now() Time { return p.sim.now }
@@ -52,28 +40,21 @@ func (p *Process) Now() Time { return p.sim.now }
 // Spawn creates a process whose body starts executing at the current
 // simulated time (after currently scheduled same-time events).
 func (s *Simulator) Spawn(name string, body func(p *Process)) *Process {
-	return s.SpawnAt(s.now, name, body)
-}
-
-// SpawnAt creates a process whose body starts executing at time t.
-func (s *Simulator) SpawnAt(t Time, name string, body func(p *Process)) *Process {
 	p := &Process{
 		sim:    s,
 		name:   name,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 	}
-	s.live++
 	s.procs = append(s.procs, p)
 	go func() {
 		<-p.resume // wait for first activation
 		body(p)
 		p.ended = true
-		s.live--
 		p.yield <- struct{}{} // final hand-back to kernel
 	}()
 	p.activateFn = p.activate
-	s.At(t, p.activateFn)
+	s.Schedule(0, p.activateFn)
 	return p
 }
 

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic, process-oriented discrete-event
 // simulation kernel. It plays the role CSIM plays in the paper: simulated
 // time, an event calendar, coroutine-style processes, and facilities
-// (servers with FCFS queues and utilization statistics).
+// (plain single servers with FCFS queues).
 //
 // The kernel offers two ways to model an active entity. A Process is a
 // goroutine: it suits long-lived actors with deep control flow (processors,
@@ -11,6 +11,11 @@
 // message, are state machines whose every wait is one calendar callback,
 // so no goroutine exists per message.
 //
+// There is one way to drain the calendar: Run, which polls the context
+// installed with SetContext, enforces the Watchdog budgets, and reports a
+// run that ends with processes still blocked as a *DeadlockError naming
+// who waits on what. RunUntil and Step advance the clock piecemeal.
+//
 // The kernel is strictly single-threaded from the simulation's point of
 // view: although processes run on goroutines, exactly one goroutine (either
 // the kernel or one process) executes at any instant, handed off through
@@ -19,9 +24,9 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"time"
 )
 
 // Time is a point in simulated time. The kernel assigns no unit; by
@@ -39,60 +44,27 @@ const (
 	Second               = 1000 * Millisecond
 )
 
-// Event is a scheduled callback. It can be cancelled before it fires.
-type Event struct {
-	at        Time
-	seq       int64
-	fn        func()
-	index     int // heap index, -1 once removed
-	cancelled bool
+// event is one calendar entry: fn fires at time at. seq, the scheduling
+// order, breaks ties between equal times.
+type event struct {
+	at  Time
+	seq int64
+	fn  func()
 }
 
-// Time reports when the event is scheduled to fire.
-func (e *Event) Time() Time { return e.at }
-
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // Simulator owns the event calendar and the simulation clock.
 type Simulator struct {
-	now     Time
-	queue   eventHeap
+	now Time
+	// queue is the calendar: a binary min-heap of events under
+	// (at, seq), held by value so scheduling allocates nothing once the
+	// slice has grown to the run's peak.
+	queue   []event
 	seq     int64
 	running bool
-	// live counts spawned processes that have not terminated; it is
-	// bookkeeping only (Run drains the calendar regardless).
-	live int
 
 	// procs is the spawn-ordered registry of every process, live or ended,
 	// used by the watchdog to enumerate blocked processes deterministically.
@@ -102,8 +74,8 @@ type Simulator struct {
 	watchdog    Watchdog
 	diagnostics []diagnosticSource
 
-	// ctx, when set, makes the run loops cooperatively cancellable: Run and
-	// RunChecked poll it periodically and stop early once it is done.
+	// ctx, when set, makes Run cooperatively cancellable: it polls the
+	// context periodically and stops early once it is done.
 	ctx context.Context
 
 	// progress, when set, is called every progressEvery fired events — an
@@ -148,9 +120,8 @@ func New() *Simulator {
 	return &Simulator{}
 }
 
-// SetContext installs the cancellation context polled by the run loops. A
-// cancelled context stops Run (check Interrupted afterwards) and makes
-// RunChecked return a diagnostic error wrapping the context's error.
+// SetContext installs the cancellation context polled by Run. A cancelled
+// context makes Run return a *DeadlockError wrapping the context's error.
 func (s *Simulator) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // Interrupted reports whether the installed context has been cancelled,
@@ -169,28 +140,59 @@ func (s *Simulator) Interrupted() error {
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending reports the number of events (including cancelled ones not yet
-// reaped) remaining on the calendar.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
 // Schedule arranges for fn to run at Now()+d. A negative delay is an error
 // in the caller; the kernel panics to surface the bug immediately.
-func (s *Simulator) Schedule(d Duration, fn func()) *Event {
+func (s *Simulator) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	return s.At(s.now+Time(d), fn)
+	s.At(s.now+Time(d), fn)
 }
 
 // At arranges for fn to run at absolute time t, which must not be in the
 // simulated past.
-func (s *Simulator) At(t Time, fn func()) *Event {
+func (s *Simulator) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, s.now))
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
+	s.queue = append(s.queue, event{at: t, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.queue, e)
+	// Sift the new entry up to its place.
+	q := s.queue
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event of a non-empty calendar.
+func (s *Simulator) pop() event {
+	q := s.queue
+	n := len(q) - 1
+	e := q[0]
+	q[0] = q[n]
+	q[n] = event{} // drop the callback so the collector can reclaim it
+	q = q[:n]
+	s.queue = q
+	// Sift the moved entry down to its place.
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&q[i]) {
+			break
+		}
+		q[i], q[child] = q[child], q[i]
+		i = child
+	}
 	return e
 }
 
@@ -200,56 +202,86 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 // nothing it reaches may allocate.
 //
 //lint:hot
-//lint:allow ctxflow pops at most one event per iteration, bounded by the calendar; cancellation is Run's and RunChecked's job
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.cancelled {
-			continue
-		}
-		s.now = e.at
-		s.fired++
-		if s.progress != nil && s.fired%s.progressEvery == 0 {
-			s.progress(s.now, s.fired)
-		}
-		e.fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	e := s.pop()
+	s.now = e.at
+	s.fired++
+	if s.progress != nil && s.fired%s.progressEvery == 0 {
+		s.progress(s.now, s.fired)
+	}
+	e.fn()
+	return true
 }
 
-// Run fires events until the calendar is empty — or, when a context is
-// installed, until it is cancelled (poll Interrupted to distinguish the
-// two; cancellation leaves the remaining calendar untouched).
-func (s *Simulator) Run() {
+// Run fires events until the calendar is empty, under the installed
+// watchdog and with structural deadlock detection: if the calendar drains
+// while processes are still blocked, or a progress budget is exceeded, it
+// stops and returns a *DeadlockError describing who waits on what instead
+// of hanging or finishing silently. It polls the context installed with
+// SetContext; once that is cancelled it stops, leaving the rest of the
+// calendar untouched, and returns a *DeadlockError carrying the same
+// diagnostics with the context's error as its Cause (so
+// errors.Is(err, context.Canceled) holds).
+func (s *Simulator) Run() error {
 	if s.running {
 		panic("sim: Run re-entered")
 	}
 	s.running = true
 	defer func() { s.running = false }()
+
 	var done <-chan struct{}
 	if s.ctx != nil {
 		done = s.ctx.Done()
 	}
-	for i := 0; ; i++ {
-		// Cancellation checks are amortized across the cycle loop; one
-		// channel poll per 256 events is noise next to the event work.
+	wd := s.watchdog
+	var deadline time.Time
+	if wd.MaxWall > 0 {
+		//lint:allow determinism MaxWall is deliberately a host-wall-clock safety budget; a trip yields a transient DeadlockError (retried), never a changed characterization
+		deadline = time.Now().Add(wd.MaxWall)
+	}
+	startEvents := s.fired
+	for i := int64(0); ; i++ {
+		if wd.MaxEvents > 0 && s.fired-startEvents >= wd.MaxEvents {
+			return s.stallError(fmt.Sprintf("event budget of %d exceeded", wd.MaxEvents))
+		}
+		if wd.MaxSimTime > 0 && s.now > wd.MaxSimTime {
+			return s.stallError(fmt.Sprintf("simulated-time horizon %d exceeded", wd.MaxSimTime))
+		}
+		// Wall-clock and cancellation checks are amortized: time.Now and
+		// channel polls are cheap but not free.
+		//lint:allow determinism host-clock poll of the deliberate wall-clock budget above
+		if wd.MaxWall > 0 && i%1024 == 0 && time.Now().After(deadline) {
+			return s.stallError(fmt.Sprintf("wall-clock budget %v exceeded", wd.MaxWall))
+		}
 		if done != nil && i&255 == 0 {
 			select {
 			case <-done:
-				return
+				err := s.ctx.Err()
+				e := s.stallError(fmt.Sprintf("cancelled: %v", err))
+				e.Cause = err
+				return e
 			default:
 			}
 		}
 		if !s.Step() {
-			return
+			break
 		}
 	}
+	for _, p := range s.procs {
+		if !p.ended && p.suspended {
+			return s.stallError("deadlock: calendar drained with blocked processes")
+		}
+	}
+	return nil
 }
 
 // RunUntil fires events with time <= t, then sets the clock to t (if the
 // simulation had not already advanced past it).
-//lint:allow ctxflow drains only events at or before t, bounded by the calendar; cancellable runs go through RunChecked
+//
+//lint:allow ctxflow drains only events at or before t, bounded by the calendar; cancellable runs go through Run
 func (s *Simulator) RunUntil(t Time) {
 	for len(s.queue) > 0 {
 		// Peek without popping: queue[0] is the minimum.

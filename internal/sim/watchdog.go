@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Watchdog is the progress budget for a checked run. Any zero field is
+// Watchdog is the progress budget for Run. Any zero field is
 // unlimited. The budgets guard against runaway simulations (livelock,
 // retransmission storms); true communication deadlocks are detected
 // structurally when the calendar drains with processes still blocked.
@@ -19,11 +19,7 @@ type Watchdog struct {
 	MaxWall time.Duration
 }
 
-func (w Watchdog) enabled() bool {
-	return w.MaxEvents > 0 || w.MaxSimTime > 0 || w.MaxWall > 0
-}
-
-// SetWatchdog installs the progress budget consulted by RunChecked.
+// SetWatchdog installs the progress budget consulted by Run.
 func (s *Simulator) SetWatchdog(w Watchdog) { s.watchdog = w }
 
 // BlockedProcess describes one suspended process in a deadlock report:
@@ -34,7 +30,7 @@ type BlockedProcess struct {
 	Holders  []string
 }
 
-// DeadlockError is the diagnostic produced when a checked run cannot make
+// DeadlockError is the diagnostic produced when Run cannot make
 // progress: either a structural deadlock (calendar drained with blocked
 // processes) or a watchdog budget breach. It carries the wait-for graph
 // snapshot, the first cycle found in it (if any), and any dumps registered
@@ -49,7 +45,7 @@ type DeadlockError struct {
 	Diagnostics []string // named dumps from AddDiagnostic sources
 
 	// Cause, when non-nil, is the underlying trigger — a cancelled
-	// context's error for a run stopped by RunChecked — surfaced
+	// context's error for a run stopped by Run — surfaced
 	// through Unwrap so errors.Is(err, context.Canceled) works.
 	Cause error
 }
@@ -181,66 +177,4 @@ func (s *Simulator) stallError(reason string) *DeadlockError {
 		e.Diagnostics = append(e.Diagnostics, fmt.Sprintf("  [%s]\n%s", d.name, d.fn()))
 	}
 	return e
-}
-
-// RunChecked fires events until the calendar is empty, like Run, but under
-// the installed watchdog and with structural deadlock detection: if the
-// calendar drains while processes are still blocked, or a progress budget
-// is exceeded, it stops and returns a *DeadlockError describing who waits
-// on what instead of hanging or finishing silently. Like Run, it polls the
-// context installed with SetContext; once that is cancelled it stops and
-// returns a *DeadlockError carrying the same diagnostics with the
-// context's error as its Cause (so errors.Is(err, context.Canceled)
-// holds).
-func (s *Simulator) RunChecked() error {
-	if s.running {
-		panic("sim: Run re-entered")
-	}
-	s.running = true
-	defer func() { s.running = false }()
-
-	var done <-chan struct{}
-	if s.ctx != nil {
-		done = s.ctx.Done()
-	}
-	wd := s.watchdog
-	var deadline time.Time
-	if wd.MaxWall > 0 {
-		//lint:allow determinism MaxWall is deliberately a host-wall-clock safety budget; a trip yields a transient DeadlockError (retried), never a changed characterization
-		deadline = time.Now().Add(wd.MaxWall)
-	}
-	startEvents := s.fired
-	for i := int64(0); ; i++ {
-		if wd.MaxEvents > 0 && s.fired-startEvents >= wd.MaxEvents {
-			return s.stallError(fmt.Sprintf("event budget of %d exceeded", wd.MaxEvents))
-		}
-		if wd.MaxSimTime > 0 && s.now > wd.MaxSimTime {
-			return s.stallError(fmt.Sprintf("simulated-time horizon %d exceeded", wd.MaxSimTime))
-		}
-		// Wall-clock and cancellation checks are amortized: time.Now and
-		// channel polls are cheap but not free.
-		//lint:allow determinism host-clock poll of the deliberate wall-clock budget above
-		if wd.MaxWall > 0 && i%1024 == 0 && time.Now().After(deadline) {
-			return s.stallError(fmt.Sprintf("wall-clock budget %v exceeded", wd.MaxWall))
-		}
-		if done != nil && i&255 == 0 {
-			select {
-			case <-done:
-				err := s.ctx.Err()
-				e := s.stallError(fmt.Sprintf("cancelled: %v", err))
-				e.Cause = err
-				return e
-			default:
-			}
-		}
-		if !s.Step() {
-			break
-		}
-	}
-	for _, p := range s.procs {
-		if !p.ended && p.suspended {
-			return s.stallError("deadlock: calendar drained with blocked processes")
-		}
-	}
-	return nil
 }

@@ -15,7 +15,7 @@ func TestRunCheckedClean(t *testing.T) {
 		ran++
 	})
 	s.SetWatchdog(Watchdog{MaxEvents: 1000, MaxWall: time.Second})
-	if err := s.RunChecked(); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	if ran != 1 {
@@ -25,8 +25,8 @@ func TestRunCheckedClean(t *testing.T) {
 
 func TestRunCheckedDetectsFacilityCycle(t *testing.T) {
 	s := New()
-	a := NewFacility(s, "A")
-	b := NewFacility(s, "B")
+	a := NewFacility("A")
+	b := NewFacility("B")
 	// Classic two-lock deadlock: p1 holds A wants B, p2 holds B wants A.
 	s.Spawn("p1", func(p *Process) {
 		a.Reserve(p)
@@ -38,7 +38,7 @@ func TestRunCheckedDetectsFacilityCycle(t *testing.T) {
 		p.Hold(10)
 		a.Reserve(p)
 	})
-	err := s.RunChecked()
+	err := s.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("expected DeadlockError, got %v", err)
@@ -64,7 +64,7 @@ func TestRunCheckedEventBudget(t *testing.T) {
 	tick = func() { s.Schedule(1, tick) }
 	s.Schedule(0, tick)
 	s.SetWatchdog(Watchdog{MaxEvents: 500})
-	err := s.RunChecked()
+	err := s.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("expected DeadlockError, got %v", err)
@@ -83,7 +83,7 @@ func TestRunCheckedSimTimeHorizon(t *testing.T) {
 	tick = func() { s.Schedule(100, tick) }
 	s.Schedule(0, tick)
 	s.SetWatchdog(Watchdog{MaxSimTime: 10_000})
-	err := s.RunChecked()
+	err := s.Run()
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("expected DeadlockError, got %v", err)
@@ -97,7 +97,7 @@ func TestDiagnosticSourcesIncluded(t *testing.T) {
 	s := New()
 	s.AddDiagnostic("custom", func() string { return "  42 widgets in flight" })
 	s.Spawn("stuck", func(p *Process) { p.Suspend() })
-	err := s.RunChecked()
+	err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "42 widgets") {
 		t.Fatalf("diagnostic dump missing: %v", err)
 	}

@@ -124,8 +124,9 @@ func (a Array) Addr(i int) uint64 {
 func (a Array) Len() int { return a.n }
 
 // Run executes the SPMD kernel on every processor and returns the simulated
-// makespan. It fails if any processor is still blocked when the event
-// calendar drains (an application synchronization bug).
+// makespan. If any processor is still blocked when the event calendar
+// drains (an application synchronization bug), it fails with the kernel's
+// *sim.DeadlockError naming the blocked processors.
 func (m *Machine) Run(kernel func(e *Env)) (sim.Time, error) {
 	m.envs = make([]*Env, m.cfg.Processors)
 	for i := 0; i < m.cfg.Processors; i++ {
@@ -136,20 +137,11 @@ func (m *Machine) Run(kernel func(e *Env)) (sim.Time, error) {
 		m.Sim.Spawn(fmt.Sprintf("proc%d", i), func(p *sim.Process) {
 			env.p = p
 			kernel(env)
-			env.done = true
 			env.prof.End = p.Now()
 		})
 	}
-	m.Sim.Run()
-	// A cancelled run stops mid-flight with processors legitimately
-	// suspended; report the interruption, not a phantom deadlock.
-	if err := m.Sim.Interrupted(); err != nil {
+	if err := m.Sim.Run(); err != nil {
 		return 0, fmt.Errorf("spasm: %w", err)
-	}
-	for _, e := range m.envs {
-		if !e.done {
-			return 0, fmt.Errorf("spasm: processor %d blocked at t=%d (deadlock)", e.id, m.Sim.Now())
-		}
 	}
 	return m.Sim.Now(), nil
 }
@@ -182,7 +174,6 @@ type Env struct {
 	m    *Machine
 	p    *sim.Process
 	id   int
-	done bool
 	prof Profile
 }
 

@@ -1,6 +1,8 @@
 package spasm
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -179,8 +181,16 @@ func TestDeadlockDetected(t *testing.T) {
 		}
 		// proc 1 never enters the barrier
 	})
-	if err == nil {
-		t.Fatal("deadlock not reported")
+	// The kernel's run reports the deadlock: the blocked processor and the
+	// network's own diagnostic section.
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("deadlock reported as %v, want a *sim.DeadlockError", err)
+	}
+	for _, want := range []string{"blocked: proc0", "[mesh]"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("diagnostic lacks %q:\n%v", want, err)
+		}
 	}
 }
 

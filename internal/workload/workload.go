@@ -197,6 +197,21 @@ func (g *Generator) Drive(s *sim.Simulator, net *mesh.Network, until sim.Time, s
 	return nil
 }
 
+// Simulate drives g on a fresh network built from cfg until the given
+// simulated time, runs the simulator to completion, and measures the
+// delivery log.
+func Simulate(g *Generator, cfg mesh.Config, until sim.Time, seed uint64) (Metrics, error) {
+	s := sim.New()
+	net := mesh.New(s, cfg)
+	if err := g.Drive(s, net, until, seed); err != nil {
+		return Metrics{}, err
+	}
+	if err := s.Run(); err != nil {
+		return Metrics{}, err
+	}
+	return MeasureLog(net.Log(), s.Now(), net.MeanUtilization()), nil
+}
+
 // sampleDest draws a destination from the classified spatial model.
 func (sm *SourceModel) sampleDest(st *sim.Stream) int {
 	n := len(sm.DestWeights)
@@ -316,19 +331,17 @@ func Validate(c *core.Characterization, seed uint64) (*Validation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(c.Procs)...))
-	if err := g.Drive(s, net, c.Elapsed, seed); err != nil {
+	synth, err := Simulate(g, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(c.Procs)...), c.Elapsed, seed)
+	if err != nil {
 		return nil, err
 	}
-	s.Run()
-	if net.Delivered() == 0 {
+	if synth.Messages == 0 {
 		return nil, errors.New("workload: synthetic run produced no traffic")
 	}
 
 	v := &Validation{
 		Original:  MeasureLog(c.Log, c.Elapsed, c.MeanUtilization),
-		Synthetic: MeasureLog(net.Log(), s.Now(), net.MeanUtilization()),
+		Synthetic: synth,
 	}
 	v.LatencyErr = relErr(v.Synthetic.MeanLatencyNS, v.Original.MeanLatencyNS)
 	v.RateErr = relErr(v.Synthetic.MessageRate, v.Original.MessageRate)
