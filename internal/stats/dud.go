@@ -87,7 +87,8 @@ type FitResult struct {
 // least-squares step predicts a better point, and step halving guards the
 // descent. No derivatives of F are ever taken. Each point keeps its model
 // vector, so an iteration evaluates the model only at the points it
-// replaces, and every buffer is allocated once per call.
+// replaces, and only once per run of equal xs; every buffer is allocated
+// once per call.
 func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitResult, error) {
 	opt = opt.withDefaults()
 	if len(xs) != len(ys) {
@@ -123,13 +124,19 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 
 	// eval fills gv with the model at u and returns the RSS, or +Inf if a
 	// residual is NaN or infinite. It fills the whole vector either way,
-	// because the secants read every entry.
+	// because the secants read every entry. A run of equal xs, as ties in
+	// the sample give, shares one evaluation of the model.
 	eval := func(u, gv []float64) float64 {
 		for j := range th {
 			th[j] = m.Transforms[j].toNatural(u[j])
 		}
-		for i, x := range xs {
-			gv[i] = m.F(th, x)
+		for i := 0; i < n; {
+			x := xs[i]
+			f := m.F(th, x)
+			gv[i] = f
+			for i++; i < n && sameBits(xs[i], x); i++ {
+				gv[i] = f
+			}
 		}
 		var s float64
 		for i := range gv {
@@ -312,6 +319,14 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 		theta[j] = m.Transforms[j].toNatural(pts[p][j])
 	}
 	return FitResult{Theta: theta, RSS: vals[p], Iters: iters}, nil
+}
+
+// sameBits reports whether a and b are the same float64 bit pattern. Runs
+// of equal abscissae share one CDF evaluation only under this test: it
+// keeps −0 apart from +0, which a CDF may tell apart, and it always
+// matches a value to itself, NaN included, so a run is never empty.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b)
 }
 
 func sign(x float64) float64 {

@@ -393,7 +393,9 @@ func fuzzGaps(data []byte) []float64 {
 }
 
 // FuzzFitDUDMatchesReference fits one family from one multi-start seed to
-// a fuzzed sample with both fitters and requires identical results.
+// a fuzzed sample with both fitters and requires identical results. It
+// also requires the sample's R², KS and χ² scores to match their per-point
+// references.
 func FuzzFitDUDMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0}, uint8(0), uint8(0))
 	f.Add([]byte{9, 8, 1, 0, 200, 120, 3, 3, 3, 3, 3, 3, 0, 0, 7, 250, 40, 16, 2, 0}, uint8(4), uint8(1))
@@ -408,5 +410,6 @@ func FuzzFitDUDMatchesReference(f *testing.F) {
 			return
 		}
 		requireMatchesReference(t, gaps, int(family), int(start))
+		requireSameScores(t, gaps)
 	})
 }

@@ -177,3 +177,51 @@ func TestDUDImprovesOnInitialGuess(t *testing.T) {
 		t.Fatalf("RSS %v barely improved on initial %v", res.RSS, initRSS)
 	}
 }
+
+// TestFitDUDEvaluatesOncePerDistinctX requires FitDUD to call the model once
+// per run of equal xs, not once per point: every evaluation is one block
+// of calls at one parameter vector that walks the distinct xs in order.
+// Per-point evaluation would keep every fitted bit, so only the call
+// sequence shows it.
+func TestFitDUDEvaluatesOncePerDistinctX(t *testing.T) {
+	st := sim.NewStream(17)
+	sample := make([]float64, 300)
+	for i := range sample {
+		sample[i] = float64(100 * (1 + st.IntN(6)))
+	}
+	xs, ys := NewECDF(sample).Points(maxRegressionPoints)
+	distinct := distinctValues(xs)
+	if len(distinct) != 6 || len(xs) != maxRegressionPoints {
+		t.Fatalf("%d distinct values among %d points, want 6 among %d", len(distinct), len(xs), maxRegressionPoints)
+	}
+	type call struct{ shape, scale, x float64 }
+	var calls []call
+	m := Model{
+		Name: "weibull",
+		F: func(th []float64, x float64) float64 {
+			calls = append(calls, call{th[0], th[1], x})
+			return Weibull{Shape: th[0], Scale: th[1]}.CDF(x)
+		},
+		Transforms: []ParamTransform{TransformLog, TransformLog},
+	}
+	res, err := FitDUD(m, xs, ys, []float64{1, 300}, FitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls)%len(distinct) != 0 {
+		t.Fatalf("%d model calls is not a whole number of evaluations at %d distinct xs", len(calls), len(distinct))
+	}
+	evals := len(calls) / len(distinct)
+	if evals <= res.Iters {
+		t.Fatalf("%d evaluations over %d iterations, want more", evals, res.Iters)
+	}
+	for e := 0; e < evals; e++ {
+		block := calls[e*len(distinct) : (e+1)*len(distinct)]
+		for k, c := range block {
+			if c.x != distinct[k] || c.shape != block[0].shape || c.scale != block[0].scale {
+				t.Fatalf("evaluation %d, call %d: %+v; want x = %v at (%v, %v)",
+					e, k, c, distinct[k], block[0].shape, block[0].scale)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package stats
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,16 +124,40 @@ func BenchmarkFitDUD(b *testing.B) {
 	}
 }
 
+// quantize rounds each gap up to a whole multiple of unit, as simulated
+// gaps are whole nanoseconds, so the sample is full of ties.
+func quantize(sample []float64, unit float64) []float64 {
+	for i, x := range sample {
+		sample[i] = unit * math.Ceil(x/unit)
+	}
+	return sample
+}
+
 // BenchmarkFitInterarrival runs the whole per-source procedure: ECDF,
-// every family from three starts, and the KS and χ² scores.
+// every family from three starts, and the KS and χ² scores. The samples
+// are the continuous benchmarkSample, which has no ties; a quantized one
+// with a handful of distinct gaps, where DUD's regression points are
+// mostly ties; and a pooled one of 10^5 gaps with about 1% distinct, where
+// KS and χ² dominate.
 func BenchmarkFitInterarrival(b *testing.B) {
-	sample := benchmarkSample()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FitInterarrival(sample); err != nil {
-			b.Fatal(err)
-		}
+	samples := []struct {
+		name   string
+		sample []float64
+	}{
+		{"continuous", benchmarkSample()},
+		{"quantized", quantize(sampleFrom(HyperExp2{P: 0.7, Rate1: 3, Rate2: 0.3}, 5000, 42), 4)},
+		{"pooled", quantize(sampleFrom(HyperExp2{P: 0.7, Rate1: 0.03, Rate2: 0.003}, 100000, 43), 2)},
+	}
+	for _, s := range samples {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FitInterarrival(s.sample); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(distinctValues(s.sample))), "distinct")
+		})
 	}
 }
 

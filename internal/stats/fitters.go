@@ -12,11 +12,14 @@ import (
 // CandidateFit is one fitted distribution family with its goodness-of-fit
 // measures, as reported in the paper's tables.
 type CandidateFit struct {
-	Dist  Distribution
-	R2    float64 // regression R² against the empirical CDF
-	KS    float64 // Kolmogorov-Smirnov statistic
-	Chi   ChiSquareResult
-	Iters int // DUD iterations spent refining
+	Dist Distribution
+	R2   float64 // regression R² against the empirical CDF
+	KS   float64 // Kolmogorov-Smirnov statistic
+	Chi  ChiSquareResult
+	// Iters sums, in start order, the DUD iterations of each start run
+	// that improved on the best RSS of the runs before it; runs that
+	// failed or did not improve add nothing.
+	Iters int
 }
 
 // maxRegressionPoints bounds the ECDF points handed to DUD so fitting cost
@@ -328,22 +331,11 @@ func score(c candidate, runs []dudRun, xs, ys []float64, sorted []float64) *Cand
 	}
 	dist := c.build(theta)
 	yhat := make([]float64, len(xs))
-	bad := false
-	for i, x := range xs {
-		yhat[i] = dist.CDF(x)
-		if math.IsNaN(yhat[i]) {
-			bad = true
-			break
-		}
-	}
-	if bad {
+	if !fillCDF(yhat, xs, dist) {
 		// Fall back to the initial estimate if refinement went astray.
 		dist = c.build(c.init)
-		for i, x := range xs {
-			yhat[i] = dist.CDF(x)
-			if math.IsNaN(yhat[i]) {
-				return nil
-			}
+		if !fillCDF(yhat, xs, dist) {
+			return nil
 		}
 	}
 	r2 := RSquared(ys, yhat)
@@ -357,6 +349,23 @@ func score(c candidate, runs []dudRun, xs, ys []float64, sorted []float64) *Cand
 		Chi:   chiSquareSorted(sorted, dist, chiSquareBins, c.nparams),
 		Iters: iters,
 	}
+}
+
+// fillCDF sets yhat[i] to d's CDF at xs[i], evaluating it once per run of
+// equal xs, and reports false, leaving yhat partly filled, at the first
+// NaN.
+func fillCDF(yhat, xs []float64, d Distribution) bool {
+	for i := 0; i < len(xs); {
+		x := xs[i]
+		f := d.CDF(x)
+		if math.IsNaN(f) {
+			return false
+		}
+		for ; i < len(xs) && sameBits(xs[i], x); i++ {
+			yhat[i] = f
+		}
+	}
+	return true
 }
 
 // scaleParam perturbs a starting value for multi-start fitting in a way
