@@ -13,19 +13,13 @@
 //	go build -o repolint ./cmd/repolint
 //	go vet -vettool=$(pwd)/repolint ./...
 //
-// With -fix, diagnostics that carry a suggested fix are applied to the
-// source in place (non-overlapping edits, gofmt re-run); a second -fix
-// run is a no-op:
-//
-//	go run ./cmd/repolint -fix ./...
-//
-// Suppress a diagnostic by putting a justified allow comment on the
-// flagged line or the line above it:
+// It only reports: each diagnostic names its remedy, and the fix is
+// made by hand. Suppress a diagnostic by putting a justified allow
+// comment on the flagged line or the line above it:
 //
 //	//lint:allow determinism wall-clock watchdog budget is deliberately host-time
 //
-// Exit status: 0 clean (or all diagnostics fixed), 1 diagnostics or
-// failure, 2 usage.
+// Exit status: 0 clean, 1 diagnostics or failure, 2 usage.
 package main
 
 import (
@@ -43,24 +37,21 @@ func main() {
 }
 
 // run dispatches between the two faces of the tool: the vettool
-// protocol endpoints that `go vet` invokes (-V=full, -flags, an
-// optional -fix, and a <unit>.cfg path), and the human-facing
-// package-pattern mode that wraps `go vet -vettool=<self>`.
+// protocol endpoints that `go vet` invokes (-V=full, -flags and a
+// <unit>.cfg path), and the human-facing package-pattern mode that
+// wraps `go vet -vettool=<self>`.
 func run(args []string) int {
 	for _, a := range args {
 		if a == "-V=full" || a == "-flags" || strings.HasSuffix(a, ".cfg") {
 			return lint.VetMain(os.Stdout, os.Stderr, args)
 		}
 	}
-	fix := false
 	var patterns []string
 	for _, a := range args {
 		switch {
 		case a == "-h" || a == "-help" || a == "--help":
 			usage()
 			return 0
-		case a == "-fix" || a == "--fix":
-			fix = true
 		case strings.HasPrefix(a, "-"):
 			fmt.Fprintf(os.Stderr, "repolint: unknown flag %q\n", a)
 			usage()
@@ -78,11 +69,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "repolint: locating own binary: %v\n", err)
 		return 1
 	}
-	vetArgs := []string{"vet", "-vettool=" + exe}
-	if fix {
-		vetArgs = append(vetArgs, "-fix")
-	}
-	vet := exec.Command("go", append(vetArgs, patterns...)...)
+	vet := exec.Command("go", append([]string{"vet", "-vettool=" + exe}, patterns...)...)
 	vet.Stdout = os.Stdout
 	vet.Stderr = os.Stderr
 	if err := vet.Run(); err != nil {
@@ -97,15 +84,13 @@ func run(args []string) int {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: repolint [-fix] [packages]
+	fmt.Fprintf(os.Stderr, `usage: repolint [packages]
 
 Runs the repository invariant checkers (via go vet -vettool):
 `)
 	for _, a := range lint.Analyzers() {
 		fmt.Fprintf(os.Stderr, "\n  %-12s %s\n", a.Name, a.Doc)
 	}
-	fmt.Fprintf(os.Stderr, "\nWith -fix, diagnostics carrying a suggested fix are applied in\n"+
-		"place (non-overlapping edits, gofmt re-run); a second run is a no-op.\n\n"+
-		"Suppress with a justified comment on or above the flagged line:\n"+
+	fmt.Fprintf(os.Stderr, "\nSuppress with a justified comment on or above the flagged line:\n"+
 		"  //lint:allow <rule> <why this site is exempt>\n")
 }

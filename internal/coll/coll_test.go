@@ -309,7 +309,7 @@ func BenchmarkAnalyze(b *testing.B) {
 			r.Alltoall(512, chunks)
 		}
 	})
-	// Pin the workload shape BENCH_coll.json describes.
+	// Pin the workload shape: 96 instances, 8,640 messages.
 	if len(c.Coll.Instances) != 96 || c.Coll.Messages != 8640 {
 		b.Fatalf("bench workload drifted: %d instances, %d messages",
 			len(c.Coll.Instances), c.Coll.Messages)

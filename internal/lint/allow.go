@@ -21,7 +21,6 @@ const AllowRule = "allow"
 // first place.
 type allow struct {
 	pos    token.Pos
-	end    token.Pos
 	file   string
 	line   int
 	rule   string
@@ -45,7 +44,6 @@ func parseAllows(pkg *Package) []*allow {
 				posn := pkg.Fset.Position(c.Pos())
 				allows = append(allows, &allow{
 					pos:    c.Pos(),
-					end:    c.End(),
 					file:   posn.Filename,
 					line:   posn.Line,
 					rule:   rule,
@@ -107,14 +105,9 @@ func applyAllows(pkg *Package, analyzers []*Analyzer, diags []Diagnostic) []Diag
 		case !al.used && ran[al.rule]:
 			// Stale only when the named analyzer actually ran on this
 			// pass; a single-analyzer test run must not flag allows
-			// aimed at the other rules. The fix deletes the comment (and
-			// its whole line, when nothing else is on it).
+			// aimed at the other rules.
 			kept = append(kept, Diagnostic{Pos: al.pos, Rule: AllowRule,
-				Message: "stale //lint:allow " + al.rule + ": it suppresses no diagnostic on this or the next line",
-				Fixes: []SuggestedFix{{
-					Message: "delete the stale allow comment",
-					Edits:   []TextEdit{{Pos: al.pos, End: al.end, NewText: ""}},
-				}}})
+				Message: "stale //lint:allow " + al.rule + ": it suppresses no diagnostic on this or the next line"})
 		}
 	}
 	return kept

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
@@ -81,67 +80,12 @@ func checkErrorf(pass *Pass, call *ast.CallExpr) {
 		// (the err.Error() check above still covers the common evasion).
 		return
 	}
-	verbs := fmtVerbs(format)
-	lit, isLit := ast.Unparen(call.Args[0]).(*ast.BasicLit)
-	for i, arg := range call.Args[1:] {
-		if !implementsError(pass.TypesInfo.TypeOf(arg)) {
-			continue
+	for _, arg := range call.Args[1:] {
+		if implementsError(pass.TypesInfo.TypeOf(arg)) {
+			pass.Reportf(arg.Pos(), "error value formatted with %%v/%%s in fmt.Errorf; "+
+				"use %%w so errors.Is/As and resilience.Classify can still see the cause")
 		}
-		d := Diagnostic{Pos: arg.Pos(), Rule: pass.Analyzer.Name,
-			Message: "error value formatted with %v/%s in fmt.Errorf; " +
-				"use %w so errors.Is/As and resilience.Classify can still see the cause"}
-		// The rewrite is only safe when verbs map one-to-one onto the
-		// arguments (no *, no explicit indexes) and this argument's verb
-		// is a bare %v or %s.
-		if isLit && len(verbs) == len(call.Args)-1 && i < len(verbs) {
-			if v := verbs[i]; v.spec == "%v" || v.spec == "%s" {
-				fixed := format[:v.start] + "%w" + format[v.start+len(v.spec):]
-				d.Fixes = []SuggestedFix{{
-					Message: "wrap with %w instead of " + v.spec,
-					Edits:   []TextEdit{{Pos: lit.Pos(), End: lit.End(), NewText: strconv.Quote(fixed)}},
-				}}
-			}
-		}
-		pass.Report(d)
 	}
-}
-
-// fmtVerb is one conversion specification in a format string: spec is
-// the full "%…v" text and start its byte offset in the unquoted format.
-type fmtVerb struct {
-	start int
-	spec  string
-}
-
-// fmtVerbs scans format for conversion specs in argument order. It
-// returns nil when the mapping from verbs to arguments is not
-// one-to-one (a * width/precision or an explicit [n] index), so callers
-// must treat nil as "unknown".
-func fmtVerbs(format string) []fmtVerb {
-	var verbs []fmtVerb
-	for i := 0; i < len(format); {
-		if format[i] != '%' {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(format) && strings.ContainsRune("+-# 0.0123456789", rune(format[j])) {
-			j++
-		}
-		if j >= len(format) {
-			break
-		}
-		switch format[j] {
-		case '%':
-			i = j + 1
-			continue
-		case '*', '[':
-			return nil
-		}
-		verbs = append(verbs, fmtVerb{start: i, spec: format[i : j+1]})
-		i = j + 1
-	}
-	return verbs
 }
 
 // checkStringifiedArgs flags X.Error() calls used as arguments to the

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -126,38 +125,6 @@ func (s *FactStore) lookup(pkg, key string, factPtr Fact) bool {
 		}
 	}
 	return false
-}
-
-// An ExportedFact is one fact as seen by the fixture harness: where it
-// was exported and how it renders.
-type ExportedFact struct {
-	File   string
-	Line   int
-	Render string
-}
-
-// PackageFacts returns the facts exported for pkg in this run, in a
-// deterministic order. Facts decoded from vetx carry no positions and
-// render at line 0.
-func (s *FactStore) PackageFacts(pkg string) []ExportedFact {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []ExportedFact
-	for _, facts := range s.pkgs[pkg] {
-		for _, sf := range facts {
-			out = append(out, ExportedFact{File: sf.file, Line: sf.line, Render: sf.Render})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
-		}
-		return out[i].Render < out[j].Render
-	})
-	return out
 }
 
 // vetxSchema versions the vetx payload; a mismatch means a stale cache

@@ -196,12 +196,7 @@ func checkTimers(pass *Pass, fd *ast.FuncDecl) {
 		}
 		released, escapes := handleDisposition(info, fd.Body, obj, id, releaseMethods)
 		if !released && !escapes {
-			fix := SuggestedFix{
-				Message: "defer " + id.Name + ".Stop() after creating it",
-				Edits:   []TextEdit{{Pos: as.End(), End: as.End(), NewText: "\ndefer " + id.Name + ".Stop()"}},
-			}
-			pass.ReportFix(as.Pos(), fix,
-				"%s.%s never stops %s; the ticker/timer goroutine leaks (defer %s.Stop())",
+			pass.Reportf(as.Pos(), "%s.%s never stops %s; the ticker/timer goroutine leaks (defer %s.Stop())",
 				"time", fn.Name(), id.Name, id.Name)
 		}
 		return true
@@ -331,12 +326,7 @@ func checkHandles(pass *Pass, fd *ast.FuncDecl) {
 				}
 				released, escapes := handleDisposition(info, fd.Body, lobj, id, releaseMethods)
 				if !released && !escapes {
-					fix := SuggestedFix{
-						Message: "defer " + id.Name + "." + h.Release + "() after acquiring it",
-						Edits:   []TextEdit{{Pos: st.End(), End: st.End(), NewText: "\ndefer " + id.Name + "." + h.Release + "()"}},
-					}
-					pass.ReportFix(st.Pos(), fix,
-						"%s returned by %s is never released and never escapes; defer %s.%s()",
+					pass.Reportf(st.Pos(), "%s returned by %s is never released and never escapes; defer %s.%s()",
 						id.Name, qualifiedName(obj), id.Name, h.Release)
 				}
 			}

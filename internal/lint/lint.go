@@ -35,8 +35,8 @@
 // Analyzers export serialized per-object facts (AllocatesOnHotPath,
 // UncancellableLoop, Handle, AcquiresLocks, Blocking, NilSafe) into the
 // unit's vetx file, so a property proven in one package propagates to
-// its importers instead of stopping at the import edge. Diagnostics may
-// carry SuggestedFixes; `repolint -fix` applies them (see fix.go).
+// its importers instead of stopping at the import edge. The suite only
+// reports: each diagnostic names its remedy, and the fix is made by hand.
 //
 // The framework deliberately mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic, facts)
@@ -91,23 +91,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Rule: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// ReportFix reports a diagnostic that carries one suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	p.Report(Diagnostic{
-		Pos: pos, Rule: p.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-		Fixes:   []SuggestedFix{fix},
-	})
-}
-
-// A Diagnostic is one reported violation. Fixes, when present, are
-// alternative machine-applicable resolutions; `repolint -fix` applies
-// the first one.
+// A Diagnostic is one reported violation.
 type Diagnostic struct {
 	Pos     token.Pos
 	Rule    string
 	Message string
-	Fixes   []SuggestedFix
 }
 
 // Package is a loaded, type-checked package ready to lint.

@@ -7,7 +7,7 @@ import (
 
 // fixtureLoader is shared across the fixture tests: the loader memoizes
 // type-checked packages and the `go list -export` lookups behind them.
-var fixtureLoader = NewFixtureLoader(filepath.Join("testdata", "src"))
+var fixtureLoader = newFixtureLoader(filepath.Join("testdata", "src"))
 
 // TestAnalyzerFixtures runs each analyzer over its fixture tree and
 // matches the surviving diagnostics against the fixtures' `// want`
@@ -47,35 +47,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.path, func(t *testing.T) {
-			failures, err := CheckFixture(fixtureLoader, c.path, c.analyzers...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range failures {
-				t.Errorf("%s: %s: %s", f.pos, f.kind, f.text)
-			}
-		})
-	}
-}
-
-// TestSuggestedFixGoldens golden-tests the fix engine end to end: each
-// fixture under fixes/ is analyzed, every suggested fix applied, and
-// the result compared byte-for-byte against the .golden siblings. The
-// harness also re-analyzes the fixed output and fails if any
-// fix-bearing diagnostic remains (idempotence: a second `repolint
-// -fix` run must be a no-op).
-func TestSuggestedFixGoldens(t *testing.T) {
-	cases := []struct {
-		path      string
-		analyzers []*Analyzer
-	}{
-		{"fixes/internal/pipeline", []*Analyzer{ErrTaxonomyAnalyzer}},
-		{"fixes/internal/sweep", []*Analyzer{LeakCheckAnalyzer}},
-		{"fixes/internal/dist", []*Analyzer{ObsConvAnalyzer}},
-	}
-	for _, c := range cases {
-		t.Run(c.path, func(t *testing.T) {
-			failures, err := CheckFixtureFixes(fixtureLoader, c.path, c.analyzers...)
+			failures, err := checkFixture(fixtureLoader, c.path, c.analyzers...)
 			if err != nil {
 				t.Fatal(err)
 			}

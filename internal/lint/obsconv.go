@@ -6,7 +6,6 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -209,26 +208,9 @@ func checkMetricName(pass *Pass, call *ast.CallExpr) {
 	}
 	switch {
 	case !metricNameRE.MatchString(name):
-		fixed := fixMetricName(name, isCounter)
-		d := Diagnostic{Pos: nameArg.Pos(), Rule: pass.Analyzer.Name,
-			Message: "metric name " + strconv.Quote(name) + " violates the commchar_* snake_case convention"}
-		if lit, ok := ast.Unparen(nameArg).(*ast.BasicLit); ok && metricNameRE.MatchString(fixed) {
-			d.Fixes = []SuggestedFix{{
-				Message: "rename to " + strconv.Quote(fixed),
-				Edits:   []TextEdit{{Pos: lit.Pos(), End: lit.End(), NewText: strconv.Quote(fixed)}},
-			}}
-		}
-		pass.Report(d)
+		pass.Reportf(nameArg.Pos(), "metric name %q violates the commchar_* snake_case convention", name)
 	case isCounter && !strings.HasSuffix(name, "_total"):
-		d := Diagnostic{Pos: nameArg.Pos(), Rule: pass.Analyzer.Name,
-			Message: "counter " + strconv.Quote(name) + " must end in _total"}
-		if lit, ok := ast.Unparen(nameArg).(*ast.BasicLit); ok {
-			d.Fixes = []SuggestedFix{{
-				Message: "rename to " + strconv.Quote(name+"_total"),
-				Edits:   []TextEdit{{Pos: lit.Pos(), End: lit.End(), NewText: strconv.Quote(name + "_total")}},
-			}}
-		}
-		pass.Report(d)
+		pass.Reportf(nameArg.Pos(), "counter %q must end in _total", name)
 	}
 	// Vector registrations additionally take a label name, which must be
 	// constant: a dynamic label name is unbounded cardinality by
@@ -280,40 +262,6 @@ func constPrefixedConcat(info *types.Info, e ast.Expr) bool {
 	return known && metricPrefixRE.MatchString(prefix)
 }
 
-// fixMetricName mechanically converts name to the convention:
-// camelCase and dashes become snake_case, the commchar_ prefix is
-// prepended if missing, and counters gain _total.
-func fixMetricName(name string, counter bool) string {
-	var b strings.Builder
-	prevUnderscore := false
-	for _, r := range name {
-		switch {
-		case r >= 'A' && r <= 'Z':
-			if !prevUnderscore && b.Len() > 0 {
-				b.WriteByte('_')
-			}
-			b.WriteRune(r - 'A' + 'a')
-			prevUnderscore = false
-		case (r >= 'a' && r <= 'z') || (r >= '0' && r <= '9'):
-			b.WriteRune(r)
-			prevUnderscore = false
-		default:
-			if !prevUnderscore && b.Len() > 0 {
-				b.WriteByte('_')
-			}
-			prevUnderscore = true
-		}
-	}
-	fixed := strings.Trim(b.String(), "_")
-	if fixed != "commchar" && !strings.HasPrefix(fixed, "commchar_") {
-		fixed = "commchar_" + fixed
-	}
-	if counter && !strings.HasSuffix(fixed, "_total") {
-		fixed += "_total"
-	}
-	return fixed
-}
-
 // checkRedundantNilGuard flags `if x != nil { x.M(...) }` where x's
 // type carries the NilSafe fact: the guard re-implements what the
 // callee already guarantees, and readers learn to doubt the seam.
@@ -356,13 +304,6 @@ func checkRedundantNilGuard(pass *Pass, ifStmt *ast.IfStmt) {
 	if !ok || types.ExprString(ast.Unparen(sel.X)) != types.ExprString(guarded) {
 		return
 	}
-	fix := SuggestedFix{
-		Message: "drop the redundant nil guard",
-		Edits: []TextEdit{
-			{Pos: ifStmt.Pos(), End: ifStmt.Body.Lbrace + 1, NewText: ""},
-			{Pos: ifStmt.Body.Rbrace, End: ifStmt.Body.Rbrace + 1, NewText: ""},
-		},
-	}
-	pass.ReportFix(ifStmt.Pos(), fix, "redundant nil guard: *%s is nil-safe (fact NilSafe from %s); call %s.%s directly",
+	pass.Reportf(ifStmt.Pos(), "redundant nil guard: *%s is nil-safe (fact NilSafe from %s); call %s.%s directly",
 		named.Obj().Name(), named.Obj().Pkg().Path(), types.ExprString(guarded), sel.Sel.Name)
 }

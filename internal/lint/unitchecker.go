@@ -43,31 +43,23 @@ type vetConfig struct {
 // VetMain implements the vettool side of the `go vet -vettool`
 // protocol for one invocation:
 //
-//	repolint -V=full             print a version/fingerprint line (build cache key)
-//	repolint -flags              print the tool's flags as JSON
-//	repolint [-fix] <unit>.cfg   analyze one package unit, optionally applying fixes
+//	repolint -V=full      print a version/fingerprint line (build cache key)
+//	repolint -flags       print the tool's flags as JSON (it has none)
+//	repolint <unit>.cfg   analyze one package unit
 //
-// The -fix flag is declared via -flags, so `go vet -vettool=repolint
-// -fix ./...` forwards it to every unit invocation. VetMain returns the
-// process exit code: 0 clean (or every diagnostic fixed), 1 internal
-// error, 2 when diagnostics were reported (matching x/tools'
-// unitchecker).
+// VetMain returns the process exit code: 0 clean, 1 internal error, 2
+// when diagnostics were reported (matching x/tools' unitchecker).
 func VetMain(stdout, stderr io.Writer, args []string) int {
-	fix := false
 	for _, arg := range args {
 		switch {
 		case arg == "-V=full":
 			fmt.Fprintf(stdout, "repolint version %s\n", toolFingerprint())
 			return 0
 		case arg == "-flags":
-			fmt.Fprintln(stdout, `[{"Name":"fix","Bool":true,"Usage":"apply suggested fixes and re-run gofmt"}]`)
+			fmt.Fprintln(stdout, "[]")
 			return 0
-		case arg == "-fix" || arg == "-fix=true" || arg == "--fix":
-			fix = true
-		case arg == "-fix=false":
-			fix = false
 		case strings.HasSuffix(arg, ".cfg"):
-			return vetUnit(stderr, arg, fix)
+			return vetUnit(stderr, arg)
 		default:
 			fmt.Fprintf(stderr, "repolint: unexpected vettool argument %q\n", arg)
 			return 1
@@ -103,11 +95,9 @@ func factBearing(importPath string) bool {
 	return importPath == "commchar" || strings.HasPrefix(importPath, "commchar/")
 }
 
-// vetUnit analyzes the package unit described by the config file. When
-// fix is set, suggested fixes are applied to the unit's source files
-// in place (gofmt re-run included) and only unfixable diagnostics keep
-// the exit status at 2.
-func vetUnit(stderr io.Writer, cfgPath string, fix bool) int {
+// vetUnit analyzes the package unit described by the config file and
+// prints its diagnostics.
+func vetUnit(stderr io.Writer, cfgPath string) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "repolint: %v\n", err)
@@ -171,56 +161,10 @@ func vetUnit(stderr io.Writer, cfgPath string, fix bool) int {
 	if cfg.VetxOnly || len(diags) == 0 {
 		return 0
 	}
-	if fix {
-		return applyUnitFixes(stderr, pkg, cfg.ImportPath, diags)
-	}
 	for _, d := range diags {
 		fmt.Fprintf(stderr, "%s: %s: %s\n", pkg.Fset.Position(d.Pos), d.Rule, d.Message)
 	}
 	return 2
-}
-
-// applyUnitFixes rewrites the unit's source files with every suggested
-// fix, reports what was fixed and what remains, and returns 0 when
-// nothing unfixable remains.
-func applyUnitFixes(stderr io.Writer, pkg *Package, importPath string, diags []Diagnostic) int {
-	fixed, applied, err := ApplyFixes(pkg.Fset, diags, os.ReadFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "repolint: applying fixes in %s: %v\n", importPath, err)
-		return 1
-	}
-	files := make([]string, 0, len(fixed))
-	for f := range fixed {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, file := range files {
-		mode := os.FileMode(0o644)
-		if st, err := os.Stat(file); err == nil {
-			mode = st.Mode().Perm()
-		}
-		if err := os.WriteFile(file, fixed[file], mode); err != nil {
-			fmt.Fprintf(stderr, "repolint: writing fixes to %s: %v\n", file, err)
-			return 1
-		}
-	}
-	unfixed := 0
-	for _, d := range diags {
-		prefix := ""
-		if len(d.Fixes) > 0 {
-			prefix = "fixed: "
-		} else {
-			unfixed++
-		}
-		fmt.Fprintf(stderr, "%s: %s%s: %s\n", pkg.Fset.Position(d.Pos), prefix, d.Rule, d.Message)
-	}
-	if applied > 0 {
-		fmt.Fprintf(stderr, "repolint: applied %d fix edits in %s\n", applied, importPath)
-	}
-	if unfixed > 0 {
-		return 2
-	}
-	return 0
 }
 
 // loadUnit parses and type-checks the unit's non-test Go files,

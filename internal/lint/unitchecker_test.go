@@ -24,10 +24,10 @@ func TestVetMainProtocol(t *testing.T) {
 	if code := VetMain(&out, &errb, []string{"-flags"}); code != 0 {
 		t.Errorf("-flags exited %d: %s", code, errb.String())
 	}
-	// The declared flag set is how `go vet` learns to forward -fix to
-	// every unit invocation; it must stay valid JSON naming the flag.
-	if got := strings.TrimSpace(out.String()); !strings.Contains(got, `"Name":"fix"`) || !strings.HasPrefix(got, "[") {
-		t.Errorf("-flags printed %q, want a JSON flag list declaring fix", got)
+	// The declared flag set is what `go vet` forwards to every unit
+	// invocation; the tool declares none.
+	if got := strings.TrimSpace(out.String()); got != "[]" {
+		t.Errorf("-flags printed %q, want the empty JSON flag list []", got)
 	}
 
 	errb.Reset()
@@ -38,9 +38,14 @@ func TestVetMainProtocol(t *testing.T) {
 		t.Errorf("unexpected-argument stderr %q lacks an explanation", errb.String())
 	}
 
+	// repolint only reports, so -fix is rejected like any other
+	// unexpected argument, even ahead of a unit config.
 	errb.Reset()
-	if code := VetMain(&out, &errb, []string{"-fix"}); code != 1 {
-		t.Errorf("-fix without a unit config exited %d, want 1", code)
+	if code := VetMain(&out, &errb, []string{"-fix", "unit.cfg"}); code != 1 {
+		t.Errorf("-fix exited %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), `unexpected vettool argument "-fix"`) {
+		t.Errorf("-fix stderr %q does not reject the flag", errb.String())
 	}
 }
 

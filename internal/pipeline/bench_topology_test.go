@@ -12,8 +12,9 @@ import (
 // fabric, on the same IS workload at 16 processors. The empty topology is
 // the paper's default 2-D mesh and serves as the baseline; the deltas are
 // the price of richer fabrics (more nodes for the fat tree's switch
-// stages, wider radix for the dragonfly). Results are recorded in
-// BENCH_topology.json at the repo root.
+// stages, wider radix for the dragonfly). Run it with
+//
+//	go test -run '^$' -bench BenchmarkColdSweepTopology -benchmem ./internal/pipeline/
 func BenchmarkColdSweepTopology(b *testing.B) {
 	for _, topo := range []string{"", "torus", "torus3d", "hypercube", "fattree", "dragonfly"} {
 		name := topo
