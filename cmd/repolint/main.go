@@ -1,6 +1,6 @@
 // Repolint runs the repository's custom static-analysis suite
 // (internal/lint): determinism, ctxflow, errtaxonomy, exitcode,
-// hotpath, leakcheck, lockorder, and obsconv.
+// leakcheck, lockorder, and obsconv.
 //
 // It is a `go vet` vettool. Invoked with package patterns it re-execs
 // itself through the go command, so contributors and CI get identical

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
-	"strings"
 	"sync"
 )
 
@@ -14,9 +13,9 @@ import (
 // package-level object (a function, method, or type) and exports for
 // downstream packages. Facts are the cross-package half of the suite:
 // an intra-package analyzer stops at every import edge, but a fact
-// recorded in the unit's vetx file rides the build graph, so "Spawn
-// allocates" proven in internal/sim is visible when internal/mesh calls
-// it.
+// recorded in the unit's vetx file rides the build graph, so "Send
+// blocks" proven in one package is visible when another package calls
+// it under a lock.
 //
 // Fact implementations must be JSON-(un)marshalable pointer types.
 // AFact is a marker; String renders the fact for humans and for
@@ -31,7 +30,7 @@ type storedFact struct {
 	// Analyzer is the exporting analyzer's rule name.
 	Analyzer string `json:"analyzer"`
 	// Type is the Go type name of the Fact implementation
-	// (e.g. "AllocatesOnHotPath"); it keys decoding.
+	// (e.g. "AcquiresLocks"); it keys decoding.
 	Type string `json:"type"`
 	// Data is the fact's JSON payload.
 	Data json.RawMessage `json:"data"`
@@ -81,7 +80,7 @@ func objectKey(obj types.Object) string {
 }
 
 // factTypeName returns the unqualified type name of a Fact
-// implementation ("*lint.AllocatesOnHotPath" -> "AllocatesOnHotPath").
+// implementation ("*lint.AcquiresLocks" -> "AcquiresLocks").
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
 	for t.Kind() == reflect.Pointer {
@@ -218,13 +217,4 @@ func (p *Pass) declaresFactType(fact Fact) bool {
 		}
 	}
 	return false
-}
-
-// renderReasons joins up to max reasons for a diagnostic or fact
-// String, marking truncation, so messages stay short and stable.
-func renderReasons(reasons []string, max int) string {
-	if len(reasons) > max {
-		return strings.Join(reasons[:max], "; ") + "; …"
-	}
-	return strings.Join(reasons, "; ")
 }

@@ -1,4 +1,4 @@
-// Package lint is the repository's static-analysis suite: eight custom
+// Package lint is the repository's static-analysis suite: seven custom
 // analyzers that machine-check the invariants the reproduction's
 // correctness rests on, plus the plumbing to run them under
 // `go vet -vettool` (see cmd/repolint).
@@ -19,9 +19,6 @@
 //   - exitcode: the typed exit-code contract (0 ok / 1 fail / 2 usage /
 //     3 degraded / 130 cancelled) lives in internal/cli; nothing else
 //     may exit, log.Fatal, or panic across the pipeline boundary.
-//   - hotpath: functions annotated //lint:hot (the sim cycle loop, the
-//     mesh routing step) and everything they reach must not allocate:
-//     no make/new/append growth, no fmt.Sprintf, no interface boxing.
 //   - leakcheck: time.Ticker/Timer must be stopped, goroutines that
 //     loop must have a cancellation path, and constructor-returned
 //     handles (Close/Stop/Shutdown) must be released.
@@ -32,8 +29,8 @@
 //     metric names must be commchar_-prefixed snake_case with _total
 //     counters and no dynamic-name cardinality.
 //
-// Analyzers export serialized per-object facts (AllocatesOnHotPath,
-// UncancellableLoop, Handle, AcquiresLocks, Blocking, NilSafe) into the
+// Analyzers export serialized per-object facts (UncancellableLoop,
+// Handle, AcquiresLocks, Blocking, NilSafe) into the
 // unit's vetx file, so a property proven in one package propagates to
 // its importers instead of stopping at the import edge. The suite only
 // reports: each diagnostic names its remedy, and the fix is made by hand.
@@ -115,7 +112,6 @@ func Analyzers() []*Analyzer {
 		CtxflowAnalyzer,
 		ErrTaxonomyAnalyzer,
 		ExitCodeAnalyzer,
-		HotPathAnalyzer,
 		LeakCheckAnalyzer,
 		LockOrderAnalyzer,
 		ObsConvAnalyzer,
@@ -223,6 +219,14 @@ func isPkgFunc(obj types.Object, pkgPath, name string) bool {
 		return false
 	}
 	return name == "" || fn.Name() == name
+}
+
+// qualifiedName renders obj as pkg.F or pkg.T.M for diagnostics.
+func qualifiedName(obj *types.Func) string {
+	if obj.Pkg() == nil {
+		return objectKey(obj)
+	}
+	return obj.Pkg().Name() + "." + objectKey(obj)
 }
 
 // funcsIn yields every function or method declaration with a body.

@@ -36,8 +36,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"exitcode/internal/cli", []*Analyzer{ExitCodeAnalyzer}},
 		{"exitcode/cmd/tool", []*Analyzer{ExitCodeAnalyzer}},
 		{"allowfix/internal/pipeline", []*Analyzer{ErrTaxonomyAnalyzer}},
-		{"hotpath/internal/sim", []*Analyzer{HotPathAnalyzer}},
-		{"hotpath/internal/mesh", []*Analyzer{HotPathAnalyzer}},
 		{"leakcheck/internal/obs", []*Analyzer{LeakCheckAnalyzer}},
 		{"leakcheck/internal/dist", []*Analyzer{LeakCheckAnalyzer}},
 		{"lockorder/internal/store", []*Analyzer{LockOrderAnalyzer}},
@@ -92,7 +90,7 @@ func TestAnalyzerScoping(t *testing.T) {
 func TestSuiteOrderIsStable(t *testing.T) {
 	want := []string{
 		"determinism", "ctxflow", "errtaxonomy", "exitcode",
-		"hotpath", "leakcheck", "lockorder", "obsconv",
+		"leakcheck", "lockorder", "obsconv",
 	}
 	got := AnalyzerNames()
 	if len(got) != len(want) {

@@ -10,10 +10,10 @@ type hypercube struct {
 	dimensions int
 }
 
-func (t *hypercube) Name() string          { return fmt.Sprintf("hypercube%dd", t.dimensions) }
-func (t *hypercube) Nodes() int            { return 1 << t.dimensions }
-func (t *hypercube) Endpoints() int        { return 1 << t.dimensions }
-func (t *hypercube) Degree(node int) int   { return t.dimensions }
+func (t *hypercube) Name() string            { return fmt.Sprintf("hypercube%dd", t.dimensions) }
+func (t *hypercube) Nodes() int              { return 1 << t.dimensions }
+func (t *hypercube) Endpoints() int          { return 1 << t.dimensions }
+func (t *hypercube) Degree(node int) int     { return t.dimensions }
 func (t *hypercube) MinVirtualChannels() int { return 1 }
 
 func (t *hypercube) Neighbor(node, port int) int { return node ^ (1 << port) }

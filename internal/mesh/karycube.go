@@ -134,20 +134,19 @@ func (t *karyCube) Route(src, dst int) []Step {
 // mesh member: all westward hops are mandatory; afterwards the productive
 // directions (east, then north/south) are candidates and the engine picks
 // the least loaded. Config.Validate restricts west-first to 2-D meshes.
-func (t *karyCube) AdaptiveNext(cur, dst int) []int {
+func (t *karyCube) AdaptiveNext(buf []int, cur, dst int) []int {
 	cx, cy := t.coord(cur, 0), t.coord(cur, 1)
 	dx, dy := t.coord(dst, 0), t.coord(dst, 1)
 	if dx < cx {
-		return []int{int(dirWest)}
+		return append(buf, int(dirWest))
 	}
-	var candidates []int
 	if dx > cx {
-		candidates = append(candidates, int(dirEast))
+		buf = append(buf, int(dirEast))
 	}
 	if dy > cy {
-		candidates = append(candidates, int(dirNorth))
+		buf = append(buf, int(dirNorth))
 	} else if dy < cy {
-		candidates = append(candidates, int(dirSouth))
+		buf = append(buf, int(dirSouth))
 	}
-	return candidates
+	return buf
 }

@@ -419,21 +419,3 @@ func TestInjectValidation(t *testing.T) {
 		}()
 	}
 }
-
-// TestWarmWormAllocFree pins the per-message cost of a warm network: once
-// the worm free list, the calendar and the delivery log have grown, a
-// worm crossing a 4x4 mesh corner to corner allocates nothing.
-func TestWarmWormAllocFree(t *testing.T) {
-	s := sim.New()
-	n := New(s, DefaultConfig(MeshTopology, 4, 4))
-	send := func() {
-		n.Inject(Message{ID: n.NextID(), Src: 0, Dst: 15, Bytes: 64, Inject: s.Now()}, nil)
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send()
-	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
-		t.Fatalf("a warm worm allocates %v times per message, want 0", allocs)
-	}
-}

@@ -68,6 +68,14 @@ type Network struct {
 	// and the steady-state routing step stays allocation-free. Fault
 	// detours (routeAvoiding) are time-dependent and never cached.
 	routeCache map[[2]int][]hop
+
+	// Per-hop scratch, reused so that routing allocates nothing but the
+	// detour path a rerouted worm keeps: west-first's candidate ports,
+	// and routeAvoiding's breadth-first search state.
+	candidates [2]int
+	bfsPrev    []*link // link the search reached each node by
+	bfsSeen    []bool
+	bfsQueue   []int
 }
 
 // New builds the network on the given simulator. It panics on an invalid
@@ -174,13 +182,12 @@ func (n *Network) NextID() int64 {
 
 // route returns the topology's deterministic path from src to dst,
 // memoized per (src, dst). It is the per-message routing step of the
-// wormhole engine; everything it reaches must stay allocation-free in
-// the steady state, which the cache provides: each pair's path is
-// materialized once and returned by reference afterwards. Callers must
-// treat the returned slice as read-only (attempt and Path already do —
-// detours replace the slice, never elements).
-//
-//lint:hot
+// wormhole engine and must stay allocation-free in the steady state,
+// which the cache provides: each pair's path is materialized once and
+// returned by reference afterwards (TestWarmWormAllocFree pins this for
+// every fabric). Callers must treat the returned slice as read-only
+// (startAttempt and Path already do — detours replace the slice, never
+// elements).
 func (n *Network) route(src, dst int) []hop {
 	key := [2]int{src, dst}
 	if path, ok := n.routeCache[key]; ok {
@@ -197,7 +204,6 @@ func (n *Network) route(src, dst int) []hop {
 // lane increment).
 func (n *Network) computeRoute(src, dst int) []hop {
 	steps := n.topo.Route(src, dst)
-	//lint:allow hotpath each (src, dst) path is materialized once and cached by route; steady-state routing is allocation-free
 	path := make([]hop, len(steps))
 	cur := src
 	for i, s := range steps {
@@ -241,11 +247,11 @@ func (n *Network) Path(src, dst int) [][2]int {
 // kernel context) when the tail flit reaches the destination. Inject may be
 // called before the simulator runs or at any point during the run, as long
 // as m.Inject is not in the simulated past. Traffic generators call it once
-// per message inside the cycle loop, so it is a hot root. The message
-// travels as a worm, a state machine on calendar callbacks, not as a
-// process: no goroutine is created per message.
-//
-//lint:hot
+// per message inside the cycle loop. The message travels as a worm, a
+// state machine on calendar callbacks, not as a process: no goroutine is
+// created per message. On a warm network a message allocates nothing,
+// bar one detour path per reroute and one error per failure;
+// TestWarmWormAllocFree pins that for every fabric and fault class.
 func (n *Network) Inject(m Message, done func(Delivery)) {
 	if eps := n.topo.Endpoints(); m.Src < 0 || m.Src >= eps || m.Dst < 0 || m.Dst >= eps {
 		panic(fmt.Sprintf("mesh: message %d has endpoints %d->%d outside %d-node fabric",
@@ -259,7 +265,6 @@ func (n *Network) Inject(m Message, done func(Delivery)) {
 	}
 	n.inFlight++
 	n.pending[m.ID] = m
-	//lint:allow hotpath the calendar holds events by value; all that allocates is its slice growing to the run's peak, amortized to zero per message
 	n.sim.At(m.Inject, n.newWorm(m, done).fire)
 }
 
@@ -283,38 +288,41 @@ func (n *Network) routeAvoiding(src, dst int, now sim.Time) []hop {
 	if src == dst {
 		return nil
 	}
-	prev := make([]*link, n.topo.Nodes())
-	visited := make([]bool, n.topo.Nodes())
-	visited[src] = true
-	frontier := []int{src}
-	for len(frontier) > 0 && !visited[dst] {
-		var next []int
-		for _, node := range frontier {
-			for _, l := range n.links[node] {
-				if l == nil || visited[l.to] {
-					continue
-				}
-				f := n.faults.LinkFault(l.from, l.to, now)
-				if f.Down && f.Permanent {
-					continue
-				}
-				visited[l.to] = true
-				prev[l.to] = l
-				next = append(next, l.to)
-			}
-		}
-		frontier = next
+	if n.bfsPrev == nil {
+		n.bfsPrev = make([]*link, n.topo.Nodes())
+		n.bfsSeen = make([]bool, n.topo.Nodes())
 	}
-	if !visited[dst] {
+	prev, seen := n.bfsPrev, n.bfsSeen
+	clear(seen)
+	seen[src] = true
+	queue := append(n.bfsQueue[:0], src)
+	for head := 0; head < len(queue) && !seen[dst]; head++ {
+		for _, l := range n.links[queue[head]] {
+			if l == nil || seen[l.to] {
+				continue
+			}
+			f := n.faults.LinkFault(l.from, l.to, now)
+			if f.Down && f.Permanent {
+				continue
+			}
+			seen[l.to] = true
+			prev[l.to] = l
+			queue = append(queue, l.to)
+		}
+	}
+	n.bfsQueue = queue
+	if !seen[dst] {
 		return nil
 	}
-	var rev []hop
+	hops := 0
 	for at := dst; at != src; at = prev[at].from {
-		rev = append(rev, hop{link: prev[at], lane: anyLane})
+		hops++
 	}
-	path := make([]hop, len(rev))
-	for i, h := range rev {
-		path[len(rev)-1-i] = h
+	// The worm keeps the detour, so it is the one allocation here.
+	path := make([]hop, hops)
+	for at := dst; at != src; at = prev[at].from {
+		hops--
+		path[hops] = hop{link: prev[at], lane: anyLane}
 	}
 	return path
 }
@@ -326,7 +334,7 @@ func (n *Network) routeAvoiding(src, dst int, now sim.Time) []hop {
 // runs stay byte-identical.
 func (n *Network) chooseWestFirst(cur, dst int) *link {
 	ports := n.links[cur]
-	candidates := n.topo.(Adaptive).AdaptiveNext(cur, dst)
+	candidates := n.topo.(Adaptive).AdaptiveNext(n.candidates[:0], cur, dst)
 	best := ports[candidates[0]]
 	for _, p := range candidates[1:] {
 		if l := ports[p]; l.load() < best.load() {

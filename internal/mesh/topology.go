@@ -47,10 +47,12 @@ type Step struct {
 const LaneAny = anyLane
 
 // Adaptive is implemented by topologies that also offer per-hop adaptive
-// route selection. AdaptiveNext returns the candidate outgoing ports from
-// cur toward dst, in fixed preference order; the engine picks the least
-// loaded (ties resolved to the earliest candidate, keeping runs
-// deterministic). Mandatory hops return a single candidate.
+// route selection. AdaptiveNext appends to buf the candidate outgoing
+// ports from cur toward dst, in fixed preference order, and returns the
+// extended slice; the engine picks the least loaded (ties resolved to the
+// earliest candidate, keeping runs deterministic). Mandatory hops yield a
+// single candidate, and no hop yields more than two, so a buffer of
+// capacity two never grows.
 type Adaptive interface {
-	AdaptiveNext(cur, dst int) []int
+	AdaptiveNext(buf []int, cur, dst int) []int
 }

@@ -64,7 +64,6 @@ func (n *Network) newWorm(m Message, done func(Delivery)) *worm {
 	if w != nil {
 		n.free, w.nextFree = w.nextFree, nil
 	} else {
-		//lint:allow hotpath a worm is made only on a free-list miss; finish recycles every worm, so steady-state traffic reuses them
 		w = &worm{net: n}
 		w.fire, w.drainFn = w.run, w.releaseTail
 	}

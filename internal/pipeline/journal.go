@@ -53,6 +53,7 @@ func isKeyLine(s string) bool {
 // always writes one, so its absence means the write was cut) — is
 // truncated away. No journal contents can make resume fail; only a real
 // I/O error can.
+//
 //lint:allow ctxflow opening the journal is one bounded open+scan of a local file; the sweep ctx governs the replay work, not this setup step
 func OpenJournal(path string, resume bool) (*Journal, error) {
 	flags := os.O_RDWR | os.O_CREATE

@@ -40,12 +40,12 @@ func FuzzJournalRecovery(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(k0 + "\n"))
 	f.Add([]byte(k0 + "\n" + testKey(1) + "\n"))
-	f.Add([]byte(k0 + "\n" + testKey(1)[:17]))     // torn tail
-	f.Add([]byte(k0))                              // full key, no newline: torn
-	f.Add([]byte(k0 + "\r\n"))                     // CRLF record
-	f.Add([]byte(k0 + "\nnot a key\n" + k0 + "\n")) // damage mid-file
-	f.Add([]byte(strings.ToUpper(k0) + "\n"))      // wrong case
-	f.Add(bytes.Repeat([]byte{0xff}, 100_000))     // long binary garbage, no newline
+	f.Add([]byte(k0 + "\n" + testKey(1)[:17]))              // torn tail
+	f.Add([]byte(k0))                                       // full key, no newline: torn
+	f.Add([]byte(k0 + "\r\n"))                              // CRLF record
+	f.Add([]byte(k0 + "\nnot a key\n" + k0 + "\n"))         // damage mid-file
+	f.Add([]byte(strings.ToUpper(k0) + "\n"))               // wrong case
+	f.Add(bytes.Repeat([]byte{0xff}, 100_000))              // long binary garbage, no newline
 	f.Add(append(bytes.Repeat([]byte{'a'}, 100_000), '\n')) // over-long "line"
 	f.Add([]byte("\n\n\n"))
 

@@ -28,6 +28,7 @@ func (st *Stream) IntN(n int) int { return st.rng.IntN(n) }
 func (st *Stream) Perm(n int) []int { return st.rng.Perm(n) }
 
 // Exponential returns an exponential variate with the given mean.
+//
 //lint:allow ctxflow rejection loop over the seeded stream; terminates after finitely many draws with probability one
 func (st *Stream) Exponential(mean float64) float64 {
 	u := st.rng.Float64()

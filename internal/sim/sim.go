@@ -198,10 +198,8 @@ func (s *Simulator) pop() event {
 
 // Step fires the next event, advancing the clock. It returns false when the
 // calendar is empty. Step is the simulator's cycle loop — every event of
-// every characterization run funnels through it — so it is a hot root:
-// nothing it reaches may allocate.
-//
-//lint:hot
+// every characterization run funnels through it — so once the calendar
+// has grown it must not allocate; TestScheduleStepAllocFree pins that.
 func (s *Simulator) Step() bool {
 	if len(s.queue) == 0 {
 		return false
