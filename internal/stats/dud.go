@@ -89,6 +89,16 @@ type FitResult struct {
 // vector, so an iteration evaluates the model only at the points it
 // replaces, and only once per run of equal xs; every buffer is allocated
 // once per call.
+//
+// When the secant system is singular, DUD re-nudges the worst point off
+// the best and tries again. For p = 2, singularSecant proves from the
+// middle point's secant column alone that the system stays singular, and
+// that column depends only on the middle and best points. So once it
+// holds, every iteration re-nudges until a new point beats the middle one
+// and the simplex reorders. Such a cycle skips the secant algebra, and
+// each re-nudged point is evaluated only until its partial RSS passes the
+// middle point's: the result is the same, bit for bit, and so is Iters.
+// For p = 3 there is no such cheap proof, and every iteration solves.
 func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitResult, error) {
 	opt = opt.withDefaults()
 	if len(xs) != len(ys) {
@@ -123,28 +133,32 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 	cand := make([]float64, p)
 
 	// eval fills gv with the model at u and returns the RSS, or +Inf if a
-	// residual is NaN or infinite. It fills the whole vector either way,
-	// because the secants read every entry. A run of equal xs, as ties in
-	// the sample give, shares one evaluation of the model.
-	eval := func(u, gv []float64) float64 {
+	// residual is NaN or infinite. A run of equal xs, as ties in the
+	// sample give, shares one evaluation of the model. The sum accumulates
+	// in index order as gv fills, and eval returns it as soon as it
+	// exceeds bound, leaving the rest of gv stale: the point's RSS is then
+	// above bound whatever the remaining terms. A caller that passes +Inf
+	// gets the whole vector, NaN or not, because the secants read every
+	// entry.
+	eval := func(u, gv []float64, bound float64) float64 {
 		for j := range th {
 			th[j] = m.Transforms[j].toNatural(u[j])
 		}
+		var s float64
 		for i := 0; i < n; {
 			x := xs[i]
 			f := m.F(th, x)
-			gv[i] = f
-			for i++; i < n && sameBits(xs[i], x); i++ {
+			for ; i < n && sameBits(xs[i], x); i++ {
 				gv[i] = f
+				e := ys[i] - f
+				s += e * e
+			}
+			if s > bound {
+				return s
 			}
 		}
-		var s float64
-		for i := range gv {
-			e := ys[i] - gv[i]
-			if math.IsNaN(e) || math.IsInf(e, 0) {
-				return math.Inf(1)
-			}
-			s += e * e
+		if math.IsNaN(s) { // a NaN residual; an infinite one made s +Inf
+			return math.Inf(1)
 		}
 		return s
 	}
@@ -157,7 +171,7 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 			return FitResult{}, fmt.Errorf("stats: initial parameter %d (%v) not in the transform's domain", j, theta0[j])
 		}
 	}
-	vals[0] = eval(u0, g[0])
+	vals[0] = eval(u0, g[0], math.Inf(1))
 	for j := 0; j < p; j++ {
 		u := pts[j+1]
 		copy(u, u0)
@@ -166,7 +180,7 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 			step = 0.1
 		}
 		u[j] += step
-		vals[j+1] = eval(u, g[j+1])
+		vals[j+1] = eval(u, g[j+1], math.Inf(1))
 	}
 
 	// order sorts points so pts[0] is worst and pts[p] is best.
@@ -183,6 +197,29 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 	}
 	order()
 
+	// renudge answers a degenerate secant set: it moves the worst point
+	// off the best and re-sorts, and the next iteration tries again. In a
+	// cycle (singularSecant held, and no re-nudge since has reordered the
+	// simplex), the new point matters only if it beats the middle one, so
+	// its evaluation stops once it cannot. A point cut short stays worst,
+	// and the next re-nudge overwrites its stale vector before anything
+	// reads it; a point that beats the middle one reorders the simplex and
+	// ends the cycle.
+	cycle := false
+	renudge := func(iters int) {
+		best := pts[p]
+		for j := range pts[0] {
+			pts[0][j] = best[j] + (0.05+1e-3*float64(iters))*(1+math.Abs(best[j]))*sign(float64(j%2)*2-1)
+		}
+		bound := math.Inf(1)
+		if cycle {
+			bound = vals[1]
+		}
+		vals[0] = eval(pts[0], g[0], bound)
+		cycle = cycle && vals[0] >= vals[1]
+		order()
+	}
+
 	iters := 0
 	stall := 0
 	for ; iters < opt.MaxIter; iters++ {
@@ -191,6 +228,11 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 		gBest := g[p]
 		if math.IsInf(bestVal, 1) {
 			return FitResult{}, errors.New("stats: model not evaluable near initial estimate")
+		}
+
+		if cycle {
+			renudge(iters)
+			continue
 		}
 
 		// Secant approximation around the best point.
@@ -206,41 +248,14 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 		}
 
 		// Solve min_alpha || r - dG alpha || where r = y - g(best):
-		// normal equations (dG^T dG) alpha = dG^T r, with ridge fallback.
-		// Every sum accumulates in index order: another order would
-		// change the fitted bits.
+		// normal equations (dG^T dG) alpha = dG^T r.
 		for i, gb := range gBest[:n] {
 			r[i] = ys[i] - gb
 		}
-		for j := 0; j < p; j++ {
-			dj := dG[j][:n]
-			for k := 0; k <= j; k++ {
-				dk := dG[k][:n]
-				var s float64
-				for i, v := range dj {
-					s += v * dk[i]
-				}
-				ata[j][k] = s
-			}
-			var s float64
-			for i, v := range dj {
-				s += v * r[i]
-			}
-			atb[j] = s
-		}
-		for j := 0; j < p; j++ {
-			for k := j + 1; k < p; k++ {
-				ata[j][k] = ata[k][j]
-			}
-		}
+		normalEquations(dG, r, ata, atb)
 		if !solveLinear(ata, atb, lu, alpha) {
-			// Degenerate secant set: regularize by re-nudging the worst
-			// point off the best and retry next iteration.
-			for j := range pts[0] {
-				pts[0][j] = best[j] + (0.05+1e-3*float64(iters))*(1+math.Abs(best[j]))*sign(float64(j%2)*2-1)
-			}
-			vals[0] = eval(pts[0], g[0])
-			order()
+			cycle = singularSecant(ata)
+			renudge(iters)
 			continue
 		}
 
@@ -272,7 +287,7 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 				}
 				cand[k] = best[k] + move
 			}
-			cv := eval(cand, g[p+1])
+			cv := eval(cand, g[p+1], math.Inf(1))
 			if cv < vals[0] { // better than the worst: accept, with its vector
 				pts[0], cand = cand, pts[0]
 				g[0], g[p+1] = g[p+1], g[0]
@@ -293,7 +308,7 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 					d := pts[j][k] - best[k]
 					size += d * d
 				}
-				vals[j] = eval(pts[j], g[j])
+				vals[j] = eval(pts[j], g[j], math.Inf(1))
 			}
 			if size < 1e-24 {
 				break
@@ -346,6 +361,55 @@ func newMatrix(r, c int) [][]float64 {
 	return m
 }
 
+// normalEquations fills ata with dGᵀdG and atb with dGᵀr, where the rows
+// of dG are the secant columns. Only the lower triangle of ata is summed;
+// the upper one is its mirror. Every sum accumulates in index order:
+// another order would change the fitted bits.
+func normalEquations(dG [][]float64, r []float64, ata [][]float64, atb []float64) {
+	n := len(r)
+	for j := range atb {
+		dj := dG[j][:n]
+		for k := 0; k <= j; k++ {
+			dk := dG[k][:n]
+			var s float64
+			for i, v := range dj {
+				s += v * dk[i]
+			}
+			ata[j][k] = s
+		}
+		var s float64
+		for i, v := range dj {
+			s += v * r[i]
+		}
+		atb[j] = s
+	}
+	for j := range atb {
+		for k := j + 1; k < len(atb); k++ {
+			ata[j][k] = ata[k][j]
+		}
+	}
+}
+
+// pivotTol is the smallest pivot magnitude solveLinear accepts.
+const pivotTol = 1e-14
+
+// singularSecant reports whether solveLinear must reject ata, a 2×2
+// matrix built by normalEquations, whatever the first secant column and atb
+// hold, NaN and ±Inf included. That is so when a11, the second column's
+// Gram entry, is below pivotTol with a relative margin of 1e-9:
+//   - Without a row swap, the second pivot is a11 − a01²/a00, and
+//     Cauchy–Schwarz (a01² ≤ a00·a11, up to rounding of O(nε)) keeps it
+//     within a11·(1+O(nε)) of zero.
+//   - With a swap, |a01| > a00 and the same bound give |a01| <
+//     a11·(1+O(nε)), so the first pivot is already below pivotTol.
+//   - NaN or ±Inf in the first column ends in solveLinear's NaN check.
+//
+// FuzzSingularSecantStaysSingular checks the claim. There is no such
+// cheap test for p = 3.
+func singularSecant(ata [][]float64) bool {
+	return len(ata) == 2 && ata[1][1] < pivotTol*(1-1e-9)
+}
+
 // solveLinear solves A x = b for small dense systems by Gaussian elimination
 // with partial pivoting, eliminating in m, the caller's n×n scratch, and
 // leaving the solution in x; a and b are not modified. It reports false for
@@ -365,7 +429,7 @@ func solveLinear(a [][]float64, b []float64, m [][]float64, x []float64) bool {
 				piv = r
 			}
 		}
-		if math.Abs(m[piv][col]) < 1e-14 {
+		if math.Abs(m[piv][col]) < pivotTol {
 			return false
 		}
 		m[col], m[piv] = m[piv], m[col]

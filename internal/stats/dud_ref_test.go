@@ -326,7 +326,9 @@ func requireMatchesReference(t *testing.T, samples []float64, family, start int)
 
 // referenceSamples are the inputs of TestFitDUDMatchesReference: ties, a
 // point mass with one outlier, gaps near the bottom of the float64 range,
-// sizes from 8 to 10^5, and random positive samples of several shapes.
+// sizes from 8 to 10^5, and random positive samples of several shapes. The
+// two samples rounded up to 0.01, as simulated gaps are, send most of
+// their fits into singular re-nudge cycles that run to MaxIter.
 func referenceSamples() map[string][]float64 {
 	st := sim.NewStream(97)
 	ties := make([]float64, 300)
@@ -367,6 +369,8 @@ func referenceSamples() map[string][]float64 {
 		"random pareto":         sampleFrom(Lomax{Alpha: 2.2, Scale: 10}, 3000, 7),
 		"random gamma":          sampleFrom(Gamma{Shape: 0.4, Rate: 0.01}, 1500, 8),
 		"random narrow uniform": sampleFrom(Uniform{Lo: 50, Hi: 60}, 400, 9),
+		"n=2000 lomax, 0.01":    quantize(sampleFrom(Lomax{Alpha: 3, Scale: 6}, 2000, 10), 0.01),
+		"n=300 uniform, 0.01":   quantize(sampleFrom(Uniform{Lo: 1, Hi: 9}, 300, 11), 0.01),
 	}
 }
 

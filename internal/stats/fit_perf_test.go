@@ -103,23 +103,31 @@ func benchmarkSample() []float64 {
 }
 
 // BenchmarkFitDUD fits each candidate family from its moment or MLE seed
-// to 256 ECDF points and reports the DUD iterations each fit takes.
+// to 256 ECDF points and reports the DUD iterations and the model calls
+// each fit takes. Both are counts, so they compare exactly across hosts.
 func BenchmarkFitDUD(b *testing.B) {
 	sample := benchmarkSample()
 	xs, ys := NewECDF(sample).Points(maxRegressionPoints)
 	for _, c := range candidateModels(Summarize(sample), sample) {
 		b.Run(c.model.Name, func(b *testing.B) {
+			var calls int
+			m := c.model
+			m.F = func(theta []float64, x float64) float64 {
+				calls++
+				return c.model.F(theta, x)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var iters int
 			for i := 0; i < b.N; i++ {
-				res, err := FitDUD(c.model, xs, ys, c.init, FitOptions{})
+				res, err := FitDUD(m, xs, ys, c.init, FitOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				iters = res.Iters
 			}
 			b.ReportMetric(float64(iters), "iters/op")
+			b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
 		})
 	}
 }
