@@ -14,7 +14,7 @@ func TestAllowMetaDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(pkg, []*Analyzer{ErrTaxonomyAnalyzer})
+	diags, err := RunWithFacts(pkg, []*Analyzer{ErrTaxonomyAnalyzer}, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAllowSuppressesExactlyTheNamedRule(t *testing.T) {
 	}
 	// ctxflow now runs too: the fixture's `//lint:allow ctxflow` with no
 	// ctxflow diagnostic nearby must flip from ignored to stale.
-	diags, err := Run(pkg, []*Analyzer{ErrTaxonomyAnalyzer, CtxflowAnalyzer})
+	diags, err := RunWithFacts(pkg, []*Analyzer{ErrTaxonomyAnalyzer, CtxflowAnalyzer}, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}

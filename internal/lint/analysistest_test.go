@@ -74,38 +74,6 @@ func exportDataLookup() func(path string) (io.ReadCloser, error) {
 	}
 }
 
-// An exportedFact is one fact as seen by the fixture harness: where it
-// was exported and how it renders.
-type exportedFact struct {
-	File   string
-	Line   int
-	Render string
-}
-
-// packageFacts returns the facts exported for pkg in this run, in a
-// deterministic order. Facts decoded from vetx carry no positions and
-// render at line 0.
-func (s *FactStore) packageFacts(pkg string) []exportedFact {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []exportedFact
-	for _, facts := range s.pkgs[pkg] {
-		for _, sf := range facts {
-			out = append(out, exportedFact{File: sf.file, Line: sf.line, Render: sf.Render})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].Line != out[j].Line {
-			return out[i].Line < out[j].Line
-		}
-		return out[i].Render < out[j].Render
-	})
-	return out
-}
-
 // Load type-checks the fixture package at import path (a directory
 // beneath Root), memoizing the result.
 func (l *FixtureLoader) Load(path string) (*Package, error) {
@@ -169,7 +137,7 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 }
 
 // A wantExpectation is one `// want "regexp"` (diagnostic) or
-// `// want fact:"regexp"` (exported fact) assertion.
+// `// want fact:"regexp"` (recorded fact) assertion.
 type wantExpectation struct {
 	file string
 	line int
@@ -226,11 +194,12 @@ type failure struct {
 // matches the surviving diagnostics against the fixture's `// want`
 // comments. Every diagnostic must be wanted on its line (pattern
 // matched against "rule: message"), and every want must fire. Fact
-// assertions (`// want fact:"…"`) match against the facts exported for
-// this package, rendered as "objectKey: FactString" at the exporting
-// declaration's line; unasserted facts are not failures (fixtures opt
-// in to the facts they pin). Fixture-local imports are fact-analyzed
-// first, so cross-package facts flow exactly as under the unitchecker.
+// assertions (`// want fact:"…"`) match against the facts recorded for
+// this package's functions, rendered by factRenders at the line of the
+// function's name; unasserted facts are not failures (fixtures opt in
+// to the facts they pin). Fixture-local imports are fact-analyzed
+// first, so cross-package facts flow as under the unitchecker, which
+// TestVetToolCarriesFacts checks through real vetx files.
 // The returned failures are empty on success.
 func checkFixture(l *FixtureLoader, path string, analyzers ...*Analyzer) ([]failure, error) {
 	diags, store, pkg, err := runFixture(l, path, analyzers)
@@ -261,10 +230,17 @@ func checkFixture(l *FixtureLoader, path string, analyzers ...*Analyzer) ([]fail
 			})
 		}
 	}
-	for _, ef := range store.packageFacts(path) {
-		for _, w := range wants {
-			if w.fact && w.file == ef.File && w.line == ef.Line && w.re.MatchString(ef.Render) {
-				w.met = true
+	for _, fd := range funcsIn(pkg.Files) {
+		obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+		if !ok {
+			continue
+		}
+		posn := pkg.Fset.Position(obj.Pos())
+		for _, render := range factRenders(objectKey(obj), store.of(obj)) {
+			for _, w := range wants {
+				if w.fact && w.file == posn.Filename && w.line == posn.Line && w.re.MatchString(render) {
+					w.met = true
+				}
 			}
 		}
 	}
@@ -290,6 +266,19 @@ func checkFixture(l *FixtureLoader, path string, analyzers ...*Analyzer) ([]fail
 	return failures, nil
 }
 
+// factRenders renders a function's record as `// want fact:"…"`
+// assertions see it: "key: UncancellableLoop", "key: Blocking(op)".
+func factRenders(key string, f funcFacts) []string {
+	var out []string
+	if f.Loops {
+		out = append(out, key+": UncancellableLoop")
+	}
+	if f.Blocks != "" {
+		out = append(out, key+": Blocking("+f.Blocks+")")
+	}
+	return out
+}
+
 // runFixture loads the fixture at path, fact-analyzes its fixture-local
 // imports into a fresh store, and runs the analyzers over it.
 func runFixture(l *FixtureLoader, path string, analyzers []*Analyzer) ([]Diagnostic, *FactStore, *Package, error) {
@@ -313,7 +302,7 @@ func runFixture(l *FixtureLoader, path string, analyzers []*Analyzer) ([]Diagnos
 
 // ensureDepFacts runs the analyzers over every fixture-local import of
 // pkg, depth-first, discarding their diagnostics but keeping their
-// exported facts in store — the fixture-harness equivalent of the
+// recorded facts in store — the fixture-harness equivalent of the
 // unitchecker seeding a unit's store from its dependencies' vetx files.
 func ensureDepFacts(l *FixtureLoader, pkg *Package, analyzers []*Analyzer, store *FactStore, visited map[string]bool) error {
 	for _, imp := range pkg.Types.Imports() {

@@ -3,62 +3,42 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"go/token"
 	"go/types"
-	"reflect"
-	"sync"
 )
 
-// A Fact is a serializable property an analyzer proves about a
-// package-level object (a function, method, or type) and exports for
-// downstream packages. Facts are the cross-package half of the suite:
-// an intra-package analyzer stops at every import edge, but a fact
-// recorded in the unit's vetx file rides the build graph, so "Send
-// blocks" proven in one package is visible when another package calls
-// it under a lock.
-//
-// Fact implementations must be JSON-(un)marshalable pointer types.
-// AFact is a marker; String renders the fact for humans and for
-// `// want fact:"…"` fixture assertions.
-type Fact interface {
-	AFact()
-	String() string
+// funcFacts is what one package's analysis proves about one of its
+// functions from the function's body. An importing package cannot see
+// that body: export data gives it the callee's signature and the
+// methods of its types, not what the callee does. So the record rides
+// the build graph instead, in the unit's vetx file, and a property
+// proven in one package is visible when another package calls it.
+// Everything the analyzers need beyond these two properties they work
+// out from export data at the call site.
+type funcFacts struct {
+	// Loops reports that the function loops forever with no
+	// cancellation path (leakcheck): starting it with `go` in any
+	// package creates a goroutine that shutdown cannot reach.
+	Loops bool `json:"loops,omitempty"`
+	// Blocks says how the function can block indefinitely on external
+	// progress, a channel send or an HTTP round-trip, directly or
+	// transitively (lockorder); "" when it cannot. Calling it while
+	// holding a lock serializes every other user of that lock on the
+	// slow operation.
+	Blocks string `json:"blocks,omitempty"`
 }
 
-// storedFact is the serialized form of one exported fact.
-type storedFact struct {
-	// Analyzer is the exporting analyzer's rule name.
-	Analyzer string `json:"analyzer"`
-	// Type is the Go type name of the Fact implementation
-	// (e.g. "AcquiresLocks"); it keys decoding.
-	Type string `json:"type"`
-	// Data is the fact's JSON payload.
-	Data json.RawMessage `json:"data"`
-	// Render is the human-readable form ("key: String()"), kept in the
-	// vetx file so diagnostics can explain imported facts without
-	// decoding them.
-	Render string `json:"render"`
-
-	// file/line locate the exporting declaration; they are only
-	// meaningful for facts exported in the current run (fixture
-	// assertions), not for facts decoded from vetx.
-	file string
-	line int
-}
-
-// A FactStore holds facts keyed by package path and object. One store
-// spans a whole analysis run: the unitchecker seeds it with the facts
-// decoded from every dependency's vetx file, analyzers read through
-// Pass.ImportObjectFact and write through Pass.ExportObjectFact, and
-// the unit's own slice is re-encoded into its vetx output.
+// A FactStore holds funcFacts keyed by package path and objectKey. One
+// store spans a whole analysis run: the unitchecker seeds it with the
+// records decoded from every dependency's vetx file, the analyzers read
+// and add through Pass.facts, and the unit's own records are re-encoded
+// into its vetx output.
 type FactStore struct {
-	mu   sync.Mutex
-	pkgs map[string]map[string][]*storedFact // pkg path -> object key -> facts
+	pkgs map[string]map[string]funcFacts // pkg path -> object key -> record
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{pkgs: make(map[string]map[string][]*storedFact)}
+	return &FactStore{pkgs: make(map[string]map[string]funcFacts)}
 }
 
 // objectKey names obj within its package: "F" for a package-level
@@ -79,142 +59,47 @@ func objectKey(obj types.Object) string {
 	return obj.Name()
 }
 
-// factTypeName returns the unqualified type name of a Fact
-// implementation ("*lint.AcquiresLocks" -> "AcquiresLocks").
-func factTypeName(f Fact) string {
-	t := reflect.TypeOf(f)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
+// of returns what is recorded about fn, by this unit or by the
+// dependency that declared it; the zero record when nothing is.
+func (s *FactStore) of(fn *types.Func) funcFacts {
+	if fn.Pkg() == nil {
+		return funcFacts{}
 	}
-	return t.Name()
+	return s.pkgs[fn.Pkg().Path()][objectKey(fn)]
 }
 
-// export records fact for pkg/key. posn locates the exporting
-// declaration for fixture assertions.
-func (s *FactStore) export(analyzer, pkg, key string, fact Fact, posn token.Position) error {
-	data, err := json.Marshal(fact)
-	if err != nil {
-		return fmt.Errorf("marshaling %s fact for %s.%s: %w", factTypeName(fact), pkg, key, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// add merges f into fn's record: each analyzer sets its own field.
+func (s *FactStore) add(fn *types.Func, f funcFacts) {
+	pkg := fn.Pkg().Path()
 	if s.pkgs[pkg] == nil {
-		s.pkgs[pkg] = make(map[string][]*storedFact)
+		s.pkgs[pkg] = make(map[string]funcFacts)
 	}
-	s.pkgs[pkg][key] = append(s.pkgs[pkg][key], &storedFact{
-		Analyzer: analyzer,
-		Type:     factTypeName(fact),
-		Data:     data,
-		Render:   key + ": " + fact.String(),
-		file:     posn.Filename,
-		line:     posn.Line,
-	})
-	return nil
-}
-
-// lookup decodes the fact of factPtr's type recorded for pkg/key into
-// factPtr, reporting whether one was found.
-func (s *FactStore) lookup(pkg, key string, factPtr Fact) bool {
-	want := factTypeName(factPtr)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sf := range s.pkgs[pkg][key] {
-		if sf.Type == want && json.Unmarshal(sf.Data, factPtr) == nil {
-			return true
-		}
+	key := objectKey(fn)
+	rec := s.pkgs[pkg][key]
+	rec.Loops = rec.Loops || f.Loops
+	if f.Blocks != "" {
+		rec.Blocks = f.Blocks
 	}
-	return false
+	s.pkgs[pkg][key] = rec
 }
 
-// vetxSchema versions the vetx payload; a mismatch means a stale cache
-// entry from an older tool build, which go vet already prevents via the
-// -V=full fingerprint, so decoding treats it as empty rather than
-// failing.
-const vetxSchema = 1
-
-// vetxFile is the JSON layout of one package's facts in its vetx file.
-type vetxFile struct {
-	Schema int                      `json:"schema"`
-	Facts  map[string][]*storedFact `json:"facts,omitempty"`
+// encode serializes pkg's records for its vetx file. encoding/json
+// sorts map keys, so the bytes are deterministic.
+func (s *FactStore) encode(pkg string) ([]byte, error) {
+	return json.Marshal(s.pkgs[pkg])
 }
 
-// EncodePackage serializes pkg's facts for its vetx file. The encoding
-// is deterministic: object keys sort via encoding/json's map ordering
-// and fact order within a key follows export order, which is fixed by
-// the analyzer sequence and source order.
-func (s *FactStore) EncodePackage(pkg string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return json.Marshal(vetxFile{Schema: vetxSchema, Facts: s.pkgs[pkg]})
-}
-
-// DecodePackage merges the facts serialized in data (a dependency's
-// vetx file) into the store under pkg. Empty data — the vetx of a
-// factless or out-of-module package — decodes to nothing.
-func (s *FactStore) DecodePackage(pkg string, data []byte) error {
+// decode loads the records serialized in data (a dependency's vetx
+// file) under pkg. Empty data, the vetx of an out-of-module package,
+// decodes to nothing.
+func (s *FactStore) decode(pkg string, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	var vf vetxFile
-	if err := json.Unmarshal(data, &vf); err != nil {
+	var recs map[string]funcFacts
+	if err := json.Unmarshal(data, &recs); err != nil {
 		return fmt.Errorf("decoding facts for %s: %w", pkg, err)
 	}
-	if vf.Schema != vetxSchema {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pkgs[pkg] == nil {
-		s.pkgs[pkg] = make(map[string][]*storedFact)
-	}
-	for key, facts := range vf.Facts {
-		s.pkgs[pkg][key] = append(s.pkgs[pkg][key], facts...)
-	}
+	s.pkgs[pkg] = recs
 	return nil
-}
-
-// ExportObjectFact records fact about obj, which must belong to the
-// package under analysis. The fact becomes visible to
-// ImportObjectFact in this run and is serialized into the unit's vetx
-// file for downstream packages.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.facts == nil || obj == nil || obj.Pkg() == nil {
-		return
-	}
-	if obj.Pkg() != p.Pkg {
-		//lint:allow exitcode analyzer-API misuse is a bug in the lint suite itself; it must fail loudly in the suite's own tests, not flow into run results
-		panic(fmt.Sprintf("lint: %s exported a fact for %s, which is outside the package under analysis",
-			p.Analyzer.Name, obj.Name()))
-	}
-	if !p.declaresFactType(fact) {
-		//lint:allow exitcode an undeclared FactType is a bug in the analyzer's registration, caught by the suite's own tests
-		panic(fmt.Sprintf("lint: %s exported undeclared fact type %s (add it to FactTypes)",
-			p.Analyzer.Name, factTypeName(fact)))
-	}
-	if err := p.facts.export(p.Analyzer.Name, obj.Pkg().Path(), objectKey(obj), fact, p.Fset.Position(obj.Pos())); err != nil {
-		//lint:allow exitcode a fact type that fails json.Marshal is a bug in its declaration, caught by the suite's own tests
-		panic("lint: " + err.Error())
-	}
-}
-
-// ImportObjectFact copies the fact of factPtr's type recorded about obj
-// — by this unit or by the dependency that declared obj — into factPtr,
-// reporting whether one exists.
-func (p *Pass) ImportObjectFact(obj types.Object, factPtr Fact) bool {
-	if p.facts == nil || obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return p.facts.lookup(obj.Pkg().Path(), objectKey(obj), factPtr)
-}
-
-// declaresFactType reports whether the pass's analyzer declared fact's
-// type in FactTypes, catching exports of the wrong analyzer's facts.
-func (p *Pass) declaresFactType(fact Fact) bool {
-	want := factTypeName(fact)
-	for _, ft := range p.Analyzer.FactTypes {
-		if factTypeName(ft) == want {
-			return true
-		}
-	}
-	return false
 }

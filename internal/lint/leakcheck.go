@@ -7,28 +7,6 @@ import (
 	"strings"
 )
 
-// UncancellableLoop is the fact leakcheck exports for a function that
-// loops forever with no cancellation path (no context parameter, no
-// channel receive, no select): starting it with `go` in any package
-// creates a goroutine that shutdown cannot reach.
-type UncancellableLoop struct{}
-
-func (*UncancellableLoop) AFact() {}
-
-func (*UncancellableLoop) String() string { return "UncancellableLoop" }
-
-// Handle is the fact leakcheck exports for constructor-style functions
-// (New*/Start*/Open*) returning a type with a release method: callers
-// in any package must release the result or let it escape to an owner
-// that will.
-type Handle struct {
-	Release string `json:"release"`
-}
-
-func (*Handle) AFact() {}
-
-func (h *Handle) String() string { return "Handle(release with " + h.Release + ")" }
-
 // LeakCheckAnalyzer guards goroutine and resource lifecycles: every
 // sweep worker, coordinator, and observer this repo starts must be
 // stoppable, because the fault-injection tests kill and restart them
@@ -39,8 +17,7 @@ var LeakCheckAnalyzer = &Analyzer{
 	Name: "leakcheck",
 	Doc: "requires Stop on tickers/timers, a cancellation path in looping " +
 		"goroutines, and release of constructor-returned handles",
-	FactTypes: []Fact{(*UncancellableLoop)(nil), (*Handle)(nil)},
-	Run:       runLeakCheck,
+	Run: runLeakCheck,
 }
 
 // releaseMethods are the recognized handle-release method names, in
@@ -51,15 +28,16 @@ func runLeakCheck(pass *Pass) error {
 	fns := funcsIn(pass.Files)
 	byObj := make(map[*types.Func]*ast.FuncDecl)
 	for _, fd := range fns {
-		if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-			byObj[obj] = fd
+		obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+		if !ok {
+			continue
 		}
-	}
-
-	// Facts first, diagnostics second, so same-package consumers see
-	// the package's own constructors and loops.
-	for _, fd := range fns {
-		exportLeakFacts(pass, fd)
+		byObj[obj] = fd
+		// Record the package's endless loops for its importers; go
+		// statements within the package read the declarations instead.
+		if !signatureTakesContext(obj.Type().(*types.Signature)) && loopsWithoutCancel(pass.TypesInfo, fd.Body) {
+			pass.facts.add(obj, funcFacts{Loops: true})
+		}
 	}
 	if !isInternal(pass.Pkg.Path()) && pass.Pkg.Name() != "main" {
 		return nil
@@ -70,28 +48,6 @@ func runLeakCheck(pass *Pass) error {
 		checkHandles(pass, fd)
 	}
 	return nil
-}
-
-// exportLeakFacts records fn's UncancellableLoop and Handle facts.
-func exportLeakFacts(pass *Pass, fd *ast.FuncDecl) {
-	obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return
-	}
-	sig := obj.Type().(*types.Signature)
-	if !signatureTakesContext(sig) && loopsWithoutCancel(pass.TypesInfo, fd.Body) {
-		pass.ExportObjectFact(obj, &UncancellableLoop{})
-	}
-	name := fd.Name.Name
-	if strings.HasPrefix(name, "New") || strings.HasPrefix(name, "Start") || strings.HasPrefix(name, "Open") {
-		results := sig.Results()
-		for i := 0; i < results.Len(); i++ {
-			if m := releaseMethodOf(pass.Pkg, results.At(i).Type()); m != "" {
-				pass.ExportObjectFact(obj, &Handle{Release: m})
-				break
-			}
-		}
-	}
 }
 
 // releaseMethodOf returns the release method name of t when t is (a
@@ -260,13 +216,10 @@ func checkGoroutines(pass *Pass, fd *ast.FuncDecl, byObj map[*types.Func]*ast.Fu
 					pass.Reportf(g.Pos(), "go %s starts a loop with no cancellation path; "+
 						"plumb a context or done channel so shutdown can reach it", obj.Name())
 				}
-			} else if obj.Pkg() != nil && obj.Pkg() != pass.Pkg {
-				var fact UncancellableLoop
-				if pass.ImportObjectFact(obj, &fact) {
-					pass.Reportf(g.Pos(), "go %s starts a loop with no cancellation path "+
-						"(proven in %s); plumb a context or done channel so shutdown can reach it",
-						qualifiedName(obj), obj.Pkg().Path())
-				}
+			} else if obj.Pkg() != pass.Pkg && pass.facts.of(obj).Loops {
+				pass.Reportf(g.Pos(), "go %s starts a loop with no cancellation path "+
+					"(proven in %s); plumb a context or done channel so shutdown can reach it",
+					qualifiedName(obj), obj.Pkg().Path())
 			}
 		}
 		return true
@@ -285,8 +238,8 @@ func goCallPassesContext(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// checkHandles flags discarded or never-released results of
-// Handle-fact constructors, local or imported.
+// checkHandles flags discarded or never-released results of handle
+// constructors, local or imported.
 func checkHandles(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -296,9 +249,9 @@ func checkHandles(pass *Pass, fd *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			if obj, h := handleCallee(pass, call); obj != nil {
+			if obj, release := handleCallee(pass, call); obj != nil {
 				pass.Reportf(call.Pos(), "result of %s is a handle but is discarded; release it with %s",
-					qualifiedName(obj), h.Release)
+					qualifiedName(obj), release)
 			}
 		case *ast.AssignStmt:
 			if len(st.Rhs) != 1 {
@@ -308,7 +261,7 @@ func checkHandles(pass *Pass, fd *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			obj, h := handleCallee(pass, call)
+			obj, release := handleCallee(pass, call)
 			if obj == nil {
 				return true
 			}
@@ -321,13 +274,13 @@ func checkHandles(pass *Pass, fd *ast.FuncDecl) {
 				if lobj == nil {
 					lobj = info.Uses[id]
 				}
-				if lobj == nil || !typeHasMethod(lobj.Type(), h.Release) {
+				if lobj == nil || !typeHasMethod(lobj.Type(), release) {
 					continue
 				}
 				released, escapes := handleDisposition(info, fd.Body, lobj, id, releaseMethods)
 				if !released && !escapes {
 					pass.Reportf(st.Pos(), "%s returned by %s is never released and never escapes; defer %s.%s()",
-						id.Name, qualifiedName(obj), id.Name, h.Release)
+						id.Name, qualifiedName(obj), id.Name, release)
 				}
 			}
 		}
@@ -335,17 +288,28 @@ func checkHandles(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// handleCallee resolves call's callee and its Handle fact, if any.
-func handleCallee(pass *Pass, call *ast.CallExpr) (*types.Func, *Handle) {
+// handleCallee resolves call's callee and, when it is a handle
+// constructor, the method that releases what it returns. A handle
+// constructor is a New*, Start* or Open* function of an internal package
+// (or of the package under analysis) with a result of a type declared
+// beside it that has a Close, Stop or Shutdown method. Export data
+// carries all of that, so no fact is needed.
+func handleCallee(pass *Pass, call *ast.CallExpr) (*types.Func, string) {
 	obj, _ := callee(pass.TypesInfo, call).(*types.Func)
-	if obj == nil {
-		return nil, nil
+	if obj == nil || obj.Pkg() == nil || (!isInternal(obj.Pkg().Path()) && obj.Pkg() != pass.Pkg) {
+		return nil, ""
 	}
-	var h Handle
-	if !pass.ImportObjectFact(obj, &h) {
-		return nil, nil
+	name := obj.Name()
+	if !strings.HasPrefix(name, "New") && !strings.HasPrefix(name, "Start") && !strings.HasPrefix(name, "Open") {
+		return nil, ""
 	}
-	return obj, &h
+	results := obj.Type().(*types.Signature).Results()
+	for i := 0; i < results.Len(); i++ {
+		if m := releaseMethodOf(obj.Pkg(), results.At(i).Type()); m != "" {
+			return obj, m
+		}
+	}
+	return nil, ""
 }
 
 // typeHasMethod reports whether t (or *t) has a method named name.

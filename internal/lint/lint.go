@@ -29,14 +29,17 @@
 //     metric names must be commchar_-prefixed snake_case with _total
 //     counters and no dynamic-name cardinality.
 //
-// Analyzers export serialized per-object facts (UncancellableLoop,
-// Handle, AcquiresLocks, Blocking, NilSafe) into the
-// unit's vetx file, so a property proven in one package propagates to
-// its importers instead of stopping at the import edge. The suite only
-// reports: each diagnostic names its remedy, and the fix is made by hand.
+// Two properties only a function's body can prove cross the import
+// edge as facts in the unit's vetx file: that the function loops with
+// no cancellation path (leakcheck), and how it blocks (lockorder).
+// Everything else an analyzer needs about another package it works out
+// from export data: a handle constructor from its name and its result
+// type's release method, a nil-safe obs type from its package. The
+// suite only reports: each diagnostic names its remedy, and the fix is
+// made by hand.
 //
 // The framework deliberately mirrors the shape of
-// golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic, facts)
+// golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic)
 // but is built on the standard library only, so the module keeps a zero
 // third-party dependency footprint. Swapping an analyzer onto x/tools
 // later is a mechanical change.
@@ -60,9 +63,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant.
 	Doc string
-	// FactTypes declares the Fact implementations this analyzer may
-	// export; exporting an undeclared type is a programming error.
-	FactTypes []Fact
 	// Run inspects pass and reports diagnostics via pass.Report.
 	Run func(pass *Pass) error
 }
@@ -78,8 +78,8 @@ type Pass struct {
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 
-	// facts backs ExportObjectFact/ImportObjectFact; nil disables the
-	// facts protocol (facts silently vanish, imports find nothing).
+	// facts holds the per-function records of this package and of its
+	// dependencies; analyzers read and add to it directly.
 	facts *FactStore
 }
 
@@ -103,9 +103,9 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Analyzers returns the full suite in a fixed order. The fact-exporting
-// analyzers run after the factless four, and within one package each
-// analyzer sees the facts exported by the analyzers before it.
+// Analyzers returns the full suite in a fixed order. leakcheck and
+// lockorder each record and read only their own field of a function's
+// facts, so no analyzer depends on another having run first.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
@@ -127,20 +127,12 @@ func AnalyzerNames() []string {
 	return names
 }
 
-// Run runs the given analyzers over pkg, applies //lint:allow
+// RunWithFacts runs the given analyzers over pkg, applies //lint:allow
 // suppression, and returns the surviving diagnostics (including
 // diagnostics about the allow comments themselves) sorted by position.
-// Facts are kept in a throwaway store: use RunWithFacts to thread facts
-// across packages.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunWithFacts(pkg, analyzers, NewFactStore())
-}
-
-// RunWithFacts is Run with an externally owned fact store: the caller
-// seeds it with the facts of pkg's dependencies (decoded from their
-// vetx files, or computed by analyzing the dependencies first), and
-// after the call it additionally holds the facts the analyzers exported
-// for pkg itself.
+// The caller seeds store with the facts of pkg's dependencies (decoded
+// from their vetx files, or recorded by analyzing the dependencies
+// first); after the call it also holds the facts recorded for pkg.
 func RunWithFacts(pkg *Package, analyzers []*Analyzer, store *FactStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {

@@ -40,8 +40,11 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"leakcheck/internal/dist", []*Analyzer{LeakCheckAnalyzer}},
 		{"lockorder/internal/store", []*Analyzer{LockOrderAnalyzer}},
 		{"lockorder/internal/dist", []*Analyzer{LockOrderAnalyzer}},
+		{"lockorder/internal/relay", []*Analyzer{LockOrderAnalyzer}},
 		{"obsconv/internal/obs", []*Analyzer{ObsConvAnalyzer}},
 		{"obsconv/internal/dist", []*Analyzer{ObsConvAnalyzer}},
+		{"obsconv/internal/trace", []*Analyzer{ObsConvAnalyzer}},
+		{"obsconv/internal/pipeline", []*Analyzer{ObsConvAnalyzer}},
 	}
 	for _, c := range cases {
 		t.Run(c.path, func(t *testing.T) {
@@ -69,10 +72,10 @@ func TestAnalyzerScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(pkg, []*Analyzer{
+	diags, err := RunWithFacts(pkg, []*Analyzer{
 		ErrTaxonomyAnalyzer, CtxflowAnalyzer, ExitCodeAnalyzer,
 		LeakCheckAnalyzer, LockOrderAnalyzer, ObsConvAnalyzer,
-	})
+	}, NewFactStore())
 	if err != nil {
 		t.Fatal(err)
 	}

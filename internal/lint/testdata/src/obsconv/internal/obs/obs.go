@@ -1,10 +1,10 @@
 // Package obs is the obsconv declaring-side fixture: nil-receiver
-// safety of exported pointer-receiver methods, with NilSafe facts for
-// the types that uphold it.
+// safety of exported pointer-receiver methods, which makes its exported
+// types nil-safe in every importing package.
 package obs
 
 // Observer fans events out to sinks; nil observers are no-ops.
-type Observer struct{ events int } // want fact:"Observer: NilSafe"
+type Observer struct{ events int }
 
 // Emit counts one event.
 func (o *Observer) Emit() {
@@ -15,7 +15,7 @@ func (o *Observer) Emit() {
 }
 
 // Registry registers metrics.
-type Registry struct{ names []string } // want fact:"Registry: NilSafe"
+type Registry struct{ names []string }
 
 // register funnels every exported registration through one guard.
 func (r *Registry) register(name string) {

@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -87,10 +86,10 @@ func toolFingerprint() string {
 	return "lint-unknown"
 }
 
-// factBearing reports whether the unit at importPath participates in
-// the facts protocol. Only this module's packages export facts; the
-// standard library and (hypothetical) external deps write empty vetx
-// files and are never parsed, keeping `go vet ./...` fast.
+// factBearing reports whether the unit at importPath records facts.
+// Only this module's packages do; the standard library and
+// (hypothetical) external deps write empty vetx files and are never
+// parsed, keeping `go vet ./...` fast.
 func factBearing(importPath string) bool {
 	return importPath == "commchar" || strings.HasPrefix(importPath, "commchar/")
 }
@@ -110,8 +109,8 @@ func vetUnit(stderr io.Writer, cfgPath string) int {
 	}
 
 	// Dependency units arrive with VetxOnly set: they exist only so
-	// fact-exporting analyzers can run. Out-of-module dependencies
-	// export no facts, so the standard library is skipped wholesale;
+	// their facts can be recorded. Out-of-module dependencies record
+	// none, so the standard library is skipped wholesale;
 	// module-local dependencies are analyzed facts-only, their
 	// diagnostics discarded (the diagnostic-bearing invocation is the
 	// one whose unit names the package directly).
@@ -131,19 +130,16 @@ func vetUnit(stderr io.Writer, cfgPath string) int {
 	}
 
 	// Seed the fact store from the module-local dependencies' vetx
-	// files, in sorted order for determinism. A missing or undecodable
-	// vetx only costs facts, never the run.
+	// files. Each decodes into its own package's slot, so the order
+	// does not matter. A missing or undecodable vetx only costs facts,
+	// never the run.
 	store := NewFactStore()
-	depPaths := make([]string, 0, len(cfg.PackageVetx))
-	for p := range cfg.PackageVetx {
-		if factBearing(p) {
-			depPaths = append(depPaths, p)
+	for p, vetx := range cfg.PackageVetx {
+		if !factBearing(p) {
+			continue
 		}
-	}
-	sort.Strings(depPaths)
-	for _, p := range depPaths {
-		if data, err := os.ReadFile(cfg.PackageVetx[p]); err == nil {
-			_ = store.DecodePackage(p, data)
+		if data, err := os.ReadFile(vetx); err == nil {
+			_ = store.decode(p, data)
 		}
 	}
 
@@ -152,7 +148,7 @@ func vetUnit(stderr io.Writer, cfgPath string) int {
 		fmt.Fprintf(stderr, "repolint: %v\n", err)
 		return 1
 	}
-	vetx, err := store.EncodePackage(cfg.ImportPath)
+	vetx, err := store.encode(cfg.ImportPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "repolint: %v\n", err)
 		return 1
