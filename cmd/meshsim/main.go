@@ -108,9 +108,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	// The default 2-D mesh path keeps its exact historical spec (explicit
-	// Width/Height, VCs defaulting to 1) so cache keys and journals from
-	// older builds stay valid. Any other fabric rides the spec's
-	// Topology/Dims fields and lets the pipeline size it.
+	// Width/Height, VCs defaulting to 1) so cache keys from older builds
+	// stay valid. Any other fabric rides the spec's Topology/Dims fields
+	// and lets the pipeline size it.
 	spec := pipeline.RunSpec{
 		Trace:           tr,
 		Procs:           *ranks,

@@ -4,10 +4,10 @@
 // In -coordinator mode it enqueues a characterization sweep (apps ×
 // processor counts × interconnect topologies), serves the lease API to
 // workers, renders each
-// run's report on stdout in spec order, and exits. The engine's cache,
-// journal, and -resume semantics apply to distributed runs unchanged,
-// so a coordinator killed mid-sweep restarts with -resume and only the
-// unfinished specs go back to the fleet. With -local the same sweep
+// run's report on stdout in spec order, and exits. The engine's disk
+// cache applies to distributed runs unchanged, so a coordinator killed
+// mid-sweep restarts with the same -cache-dir and only the specs it had
+// not finished go back to the fleet. With -local the same sweep
 // runs in-process instead — the reference output a distributed run must
 // match byte for byte.
 //
@@ -19,7 +19,7 @@
 // Usage:
 //
 //	sweepd -coordinator -listen 127.0.0.1:7701 -apps IS,MG -procs 4,16 -scale small \
-//	       -cache-dir .cache/coord -journal sweep.journal [-resume]
+//	       -cache-dir .cache/coord
 //	sweepd -worker -join http://127.0.0.1:7701 -cache-dir .cache/w1
 //	sweepd -worker -listen 127.0.0.1:7801 -cache-dir .cache/w1   (wait for /v1/attach)
 //	sweepd -coordinator -local ...                               (reference run, no fleet)
@@ -270,8 +270,8 @@ func runWorker(ctx context.Context, cfg workerConfig, ob *obs.Observer, stdout, 
 	}
 	if cfg.join != "" {
 		// Serve this one coordinator until its sweep completes. A
-		// coordinator restarting around its journal answers again within
-		// the unreachable grace, so the poll survives it.
+		// restarted coordinator answers again within the unreachable
+		// grace, so the poll survives it.
 		return w.Poll(ctx, cfg.join)
 	}
 	// Serve attach requests until interrupted (exit 130, the

@@ -13,7 +13,7 @@
 //	3    degraded success — a sweep under -on-error=continue completed
 //	     with partial results; some specs failed, the rest are valid
 //	130  cancelled — the run was interrupted (128 + SIGINT), after
-//	     draining workers and flushing the cache and journal
+//	     draining workers and flushing the cache
 package cli
 
 import (
@@ -95,9 +95,8 @@ func ExitCode(err error) int {
 // context, runs the tool under the panic recovery boundary, reports the
 // error, and exits with the conventional status. The first SIGINT or
 // SIGTERM cancels the context — the tool drains its workers, flushes its
-// cache and journal, and returns context.Canceled (exit 130); a second
-// signal reverts to the default handler and kills the process
-// immediately. A *resilience.PanicError additionally dumps the captured
+// cache, and returns context.Canceled (exit 130); a second signal
+// reverts to the default handler and kills the process immediately. A *resilience.PanicError additionally dumps the captured
 // stack.
 func Main(name string, run func(ctx context.Context, args []string, stdout, stderr io.Writer) error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

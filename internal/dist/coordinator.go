@@ -269,8 +269,8 @@ func (c *Coordinator) Start(ctx context.Context) {
 
 // Execute implements pipeline.Executor: it enqueues spec for the worker
 // fleet and blocks until a worker delivers the artifact, the spec fails
-// permanently, or ctx is cancelled. The engine's caching, journalling,
-// and retry semantics wrap this call unchanged.
+// permanently, or ctx is cancelled. The engine's caching and retry
+// semantics wrap this call unchanged.
 func (c *Coordinator) Execute(ctx context.Context, spec pipeline.RunSpec, key string) (*pipeline.Artifact, error) {
 	specJSON, err := json.Marshal(spec)
 	if err != nil {

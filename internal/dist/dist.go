@@ -17,10 +17,10 @@
 //
 // The coordinator side plugs into the run engine as a pipeline.Executor,
 // which is what makes the distribution transparent: the engine's
-// content-addressed cache, write-ahead journal (-resume works across
-// coordinator restarts), singleflight dedup, retry policy, and failure
-// taxonomy all apply to remote runs exactly as to local ones, and a
-// distributed sweep's output is byte-identical to a local sequential run.
+// content-addressed cache (a restarted coordinator resumes from it),
+// singleflight dedup, retry policy, and failure taxonomy all apply to
+// remote runs exactly as to local ones, and a distributed sweep's output
+// is byte-identical to a local sequential run.
 //
 // Worker RPCs go through the internal/resilience retry machinery with the
 // taxonomy extended to the network: a refused, reset, or timed-out

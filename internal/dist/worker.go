@@ -134,7 +134,7 @@ func (w *Worker) Poll(ctx context.Context, coordinatorURL string) error {
 			}
 			// Transient and already retried by the client's policy: the
 			// coordinator is unreachable. Keep knocking until the grace
-			// period runs out — it may be restarting around its journal.
+			// period runs out — it may be restarting.
 			if unreachableSince.IsZero() {
 				unreachableSince = w.clock.Now()
 				w.ob.Emit("dist.coordinator.unreachable", map[string]string{"worker": w.name, "coordinator": coordinatorURL})

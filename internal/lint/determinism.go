@@ -50,7 +50,7 @@ var wallClockFuncs = map[string]bool{
 }
 
 // DeterminismAnalyzer enforces the PR 2 guarantee that a sweep's output
-// is byte-identical at -parallel=1 and -parallel=N, cold or resumed:
+// is byte-identical at -parallel=1 and -parallel=N, cold or warm:
 //
 //   - a `range` over a map whose body appends to an outer slice must be
 //     followed by a sort of that slice in the same function; a map

@@ -30,7 +30,7 @@ var boundaryPackages = []string{
 //
 //   - os.Exit and log.Fatal* are forbidden outside internal/cli and the
 //     main function of a main package: they exit with an untyped status
-//     and skip deferred journal/cache cleanup;
+//     and skip deferred cleanup;
 //   - panic is additionally forbidden in the boundary packages (and in
 //     main packages outside func main), where failures must be error
 //     values for resilience.Classify.

@@ -8,7 +8,7 @@ import (
 	"os"
 )
 
-// Bad: an untyped exit skips deferred journal/cache cleanup.
+// Bad: an untyped exit skips deferred cleanup.
 func bail() {
 	os.Exit(3) // want "exitcode: os.Exit bypasses the typed exit-code contract"
 }

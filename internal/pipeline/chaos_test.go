@@ -236,19 +236,14 @@ func TestChaosCacheCorruptionMidSweep(t *testing.T) {
 	}
 }
 
-// TestChaosInterruptedSweepResumesWithZeroReruns is the journal acceptance
-// test at the engine level: a sweep cancelled partway through, resumed
-// with the journal and the disk cache, re-executes only the unfinished
-// specs and reproduces identical artifacts.
+// TestChaosInterruptedSweepResumesWithZeroReruns is the resume acceptance
+// test at the engine level: a sweep cancelled partway through and rerun on
+// a fresh engine over the same disk cache re-executes only the specs that
+// had not finished and reproduces identical artifacts.
 func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 	dir := t.TempDir()
-	journalPath := filepath.Join(t.TempDir(), "sweep.journal")
 	names := []string{"IS", "Nbody", "Cholesky", "Maxflow", "1D-FFT", "MG"}
 
-	j1, err := OpenJournal(journalPath, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Slow specs take ~200ms each (polling ctx like a real simulator's
 	// cycle loop), so the single-worker sweep is mid-flight long enough
 	// for the interrupt to land, whatever order the pool picks.
@@ -266,50 +261,41 @@ func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 	for _, n := range names[2:] {
 		behavior[n] = slow
 	}
-	e1 := chaosEngine(t, Options{Parallel: 1, CacheDir: dir, Journal: j1,
+	e1 := chaosEngine(t, Options{Parallel: 1, CacheDir: dir,
 		Retry: resilience.Policy{MaxAttempts: 1}}, behavior)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		// "SIGINT" once the first two specs are journaled.
-		for j1.Len() < 2 {
+		// "SIGINT" once the first two specs are in the cache.
+		for cacheEntries(dir) < 2 {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
 	}()
-	_, err = e1.RunAll(ctx, chaosSpecs(names...)...)
+	_, err := e1.RunAll(ctx, chaosSpecs(names...)...)
 	if err == nil {
 		t.Fatal("interrupted sweep reported success")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep error is not context.Canceled: %v", err)
 	}
-	doneAtInterrupt := j1.Len()
+	e1.Close()
+	doneAtInterrupt := cacheEntries(dir)
 	if doneAtInterrupt >= len(names) {
-		t.Fatalf("interrupt landed too late: %d specs already journaled", doneAtInterrupt)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("interrupt landed too late: %d specs already cached", doneAtInterrupt)
 	}
 
-	// Resume: a fresh engine, journal in resume mode, same cache.
-	j2, err := OpenJournal(journalPath, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Len() != doneAtInterrupt {
-		t.Fatalf("journal lost records: %d vs %d", j2.Len(), doneAtInterrupt)
-	}
-	e2 := chaosEngine(t, Options{Parallel: 1, CacheDir: dir, Journal: j2}, nil)
+	// Resume: a fresh engine over the same cache.
+	e2 := chaosEngine(t, Options{Parallel: 1, CacheDir: dir}, nil)
 	arts, err := e2.RunAll(context.Background(), chaosSpecs(names...)...)
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
 	defer e2.Close()
 
-	if got := e2.Metrics().Resumed.Load(); got != int64(doneAtInterrupt) {
-		t.Fatalf("Resumed = %d, want %d", got, doneAtInterrupt)
+	if got := e2.Metrics().DiskHits.Load(); got != int64(doneAtInterrupt) {
+		t.Fatalf("DiskHits = %d, want %d", got, doneAtInterrupt)
 	}
 	if got := e2.Metrics().Runs.Load(); got != int64(len(names)-doneAtInterrupt) {
 		t.Fatalf("resumed sweep executed %d runs, want %d (zero repeats)",
@@ -332,6 +318,12 @@ func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 			t.Fatalf("spec %d differs from the uninterrupted run", i)
 		}
 	}
+}
+
+// cacheEntries counts the finished entries in a disk cache directory.
+func cacheEntries(dir string) int {
+	entries, _ := filepath.Glob(filepath.Join(dir, "*", "*.zip"))
+	return len(entries)
 }
 
 // TestDiskCacheConcurrentSameKeyStores is the cache-hardening check: two

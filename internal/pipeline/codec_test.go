@@ -4,6 +4,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -141,10 +142,8 @@ func flipLogDigit(tb testing.TB, data []byte) []byte {
 // contract: UnmarshalArtifact never panics and never returns a partial
 // decode — every truncated, corrupt, or version-skewed payload is an
 // error, and every accepted payload decodes to an artifact that
-// re-marshals and round-trips stably. This is the codec-side mirror of
-// FuzzJournalRecovery: the journal guards the coordinator's resume path,
-// this guards the cache, the worker→coordinator and the blob-store
-// transfer paths.
+// re-marshals and round-trips stably. It guards the cache, the
+// worker→coordinator and the blob-store transfer paths.
 func FuzzUnmarshalArtifact(f *testing.F) {
 	valid, err := MarshalArtifact(wireFuzzArtifact())
 	if err != nil {
@@ -185,7 +184,7 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 	f.Add(zipOf(f, append(membersOf(f, valid), member{"extra", []byte("x")})))
 
 	spec := RunSpec{App: "FZ", Procs: 2, Scale: apps.ScaleSmall}
-	key := testKey(0)
+	key := fmt.Sprintf("%064x", 0xabc0)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		art, err := UnmarshalArtifact(data, spec, key)
 		if err != nil {

@@ -39,12 +39,10 @@ type Metrics struct {
 	StoreErrors    atomic.Int64 // store fetches that failed or decoded inconsistently
 	StorePutErrors atomic.Int64 // best-effort store uploads that failed
 
-	Retries       atomic.Int64 // extra stage executions after transient failures
-	Panics        atomic.Int64 // worker panics contained by the recovery boundary
-	Cancelled     atomic.Int64 // runs stopped by cancellation or a deadline
-	SpecFailures  atomic.Int64 // specs that produced no artifact
-	Resumed       atomic.Int64 // journaled specs recognized as already complete
-	JournalErrors atomic.Int64 // best-effort journal appends that failed
+	Retries      atomic.Int64 // extra stage executions after transient failures
+	Panics       atomic.Int64 // worker panics contained by the recovery boundary
+	Cancelled    atomic.Int64 // runs stopped by cancellation or a deadline
+	SpecFailures atomic.Int64 // specs that produced no artifact
 
 	// Per-topology accounting, keyed by the interconnect family that a run
 	// actually simulated on ("mesh", "torus", "hypercube", "fattree",
@@ -78,9 +76,9 @@ func (m *Metrics) Summary() *report.Table {
 	t.AddRow("acquire wall (ms)", ms(m.AcquireNS.Load()))
 	t.AddRow("replay wall (ms)", ms(m.ReplayNS.Load()))
 	t.AddRow("analyze wall (ms)", ms(m.AnalyzeNS.Load()))
-	// Resilience counters appear only when something went wrong (or was
-	// resumed), so the summary of a clean run is unchanged from older
-	// versions and byte-stable across cold and warm cache states.
+	// Resilience counters appear only when something went wrong, so the
+	// summary of a clean run is unchanged from older versions and
+	// byte-stable across cold and warm cache states.
 	if n := m.RemoteRuns.Load(); n > 0 {
 		t.AddRow("remote runs", fmt.Sprintf("%d", n))
 		t.AddRow("remote wall (ms)", ms(m.RemoteNS.Load()))
@@ -111,12 +109,6 @@ func (m *Metrics) Summary() *report.Table {
 	}
 	if n := m.SpecFailures.Load(); n > 0 {
 		t.AddRow("failed specs", fmt.Sprintf("%d", n))
-	}
-	if n := m.Resumed.Load(); n > 0 {
-		t.AddRow("resumed specs", fmt.Sprintf("%d", n))
-	}
-	if n := m.JournalErrors.Load(); n > 0 {
-		t.AddRow("journal errors", fmt.Sprintf("%d", n))
 	}
 	// Collective rows appear only when an executed run carried collective
 	// traffic, keeping pre-collectives summaries byte-stable.
@@ -169,8 +161,6 @@ func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter("panics_total", "worker panics contained by the recovery boundary", &m.Panics)
 	counter("cancelled_total", "runs stopped by cancellation or a deadline", &m.Cancelled)
 	counter("spec_failures_total", "specs that produced no artifact", &m.SpecFailures)
-	counter("resumed_total", "journaled specs recognized as already complete", &m.Resumed)
-	counter("journal_errors_total", "best-effort journal appends that failed", &m.JournalErrors)
 	r.CounterVec("commchar_mesh_runs_total",
 		"simulations executed per interconnect topology", "topology", &m.topoRuns)
 	r.CounterVec("commchar_mesh_messages_total",

@@ -95,8 +95,6 @@ func TestMetricsGoldenEveryRow(t *testing.T) {
 	m.Panics.Add(10)
 	m.Cancelled.Add(11)
 	m.SpecFailures.Add(12)
-	m.Resumed.Add(13)
-	m.JournalErrors.Add(14)
 
 	var summary bytes.Buffer
 	m.Render(&summary)

@@ -18,9 +18,9 @@
 // the simulator's cycle loop, bounded by an optional per-spec deadline,
 // isolated from worker panics (a crash costs one spec, reported as a
 // typed *SpecError, never the sweep), and retried with exponential
-// backoff when the failure is classified transient. A write-ahead journal
-// records each completed spec's cache key so an interrupted sweep resumes
-// without repeating finished work.
+// backoff when the failure is classified transient. Every finished spec
+// lands in the disk cache the moment it completes, so an interrupted sweep
+// rerun over the same cache directory repeats no finished work.
 //
 // Every run owns its simulator, machine, RNG streams, and log; parallel
 // execution is therefore bit-for-bit identical to sequential execution (a
@@ -73,7 +73,7 @@ const (
 // An Executor runs one spec somewhere other than this process's stages —
 // typically a fleet of worker processes behind a coordinator (see
 // internal/dist). The engine still owns everything around the execution:
-// cache lookup and store, journal append, singleflight dedup, the retry
+// cache lookup and store, singleflight dedup, the retry
 // policy, and the worker-pool bound all apply to remote runs exactly as
 // they do to local ones. Execute must return an artifact whose contents
 // are byte-identical to what the local stages would have produced for the
@@ -129,13 +129,9 @@ type Options struct {
 	// SpecTimeout is the per-run deadline applied to every spec that
 	// does not set its own; 0 means unlimited.
 	SpecTimeout time.Duration
-	// Journal, when non-nil, receives each completed spec's cache key
-	// (see OpenJournal); resumed keys served from the disk cache count
-	// as resumed work in the metrics.
-	Journal *Journal
 	// Remote, when non-nil, executes cache-miss specs through a remote
 	// executor (a distributed worker fleet) instead of the local stages.
-	// Caching, journaling, dedup, and the retry policy are unchanged.
+	// Caching, dedup, and the retry policy are unchanged.
 	Remote Executor
 	// Store, when non-nil, is a shared remote artifact cache consulted
 	// after a local disk miss (read-through) and fed after every fresh
@@ -162,7 +158,6 @@ type Engine struct {
 	onError     OnError
 	retry       resilience.Policy
 	specTimeout time.Duration
-	journal     *Journal
 	remote      Executor
 	store       CacheStore
 	storeWG     sync.WaitGroup // in-flight write-behind uploads (drained by Close)
@@ -228,7 +223,6 @@ func New(opts Options) (*Engine, error) {
 		onError:     opts.OnError,
 		retry:       retry,
 		specTimeout: opts.SpecTimeout,
-		journal:     opts.Journal,
 		remote:      opts.Remote,
 		store:       opts.Store,
 		obs:         opts.Obs,
@@ -280,19 +274,9 @@ func trackName(spec RunSpec, key string) string {
 // Metrics returns the engine's counters.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
 
-// Journal returns the engine's sweep journal, or nil.
-func (e *Engine) Journal() *Journal { return e.journal }
-
-// Close drains the in-flight store write-behinds and releases the
-// engine's journal, flushing its final record. An engine without a store
-// or journal needs no Close; calling it is then a no-op.
-func (e *Engine) Close() error {
-	e.storeWG.Wait()
-	if e.journal != nil {
-		return e.journal.Close()
-	}
-	return nil
-}
+// Close drains the in-flight store write-behinds. An engine without a
+// store needs no Close; calling it is then a no-op.
+func (e *Engine) Close() { e.storeWG.Wait() }
 
 // Run characterizes one spec, serving it from cache when possible and
 // joining an identical in-flight run instead of duplicating it.
@@ -353,18 +337,6 @@ func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (*Artifact, error
 		e.mem[key] = art
 	}
 	e.mu.Unlock()
-
-	if runErr == nil && e.journal != nil {
-		// The journal append is write-ahead with respect to the *next*
-		// crash, not this run: the artifact is already on disk, so a
-		// failed append only costs a re-check on resume.
-		if jerr := e.journal.Append(key); jerr != nil {
-			e.metrics.JournalErrors.Add(1)
-			e.obs.Emit("journal.append.error", map[string]string{"spec": track, "err": jerr.Error()})
-		} else {
-			e.obs.Emit("journal.append", map[string]string{"spec": track, "key": key})
-		}
-	}
 
 	if runErr == nil {
 		e.obs.SpecDone(track, string(art.Source))
@@ -478,10 +450,6 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (
 			e.metrics.DiskHits.Add(1)
 			e.obs.Instant("engine", track, "cache", "disk-hit", nil)
 			e.obs.Emit("cache.hit", map[string]string{"spec": track, "level": "disk"})
-			if e.journal != nil && e.journal.Done(key) {
-				e.metrics.Resumed.Add(1)
-				e.obs.Emit("journal.resumed", map[string]string{"spec": track})
-			}
 			return art, nil
 		}
 	}
@@ -636,7 +604,7 @@ func (e *Engine) runOnce(ctx context.Context, spec RunSpec, key, track string) (
 // runRemote delegates one execution to the remote executor. The returned
 // artifact is re-labelled with this engine's spec and key (the worker may
 // use a different salt locally) and marked SourceRemote; the caller's
-// cache store and journal append then treat it like any local run.
+// cache store then treats it like any local run.
 func (e *Engine) runRemote(ctx context.Context, spec RunSpec, key, track string) (*Artifact, error) {
 	e.obs.SpecStage(track, obs.StageRemote)
 	sp := e.obs.StartSpan("engine", track, "stage", "remote").SetArg("key", key)

@@ -58,15 +58,15 @@ type RunSpec struct {
 	// mesh/torus*, [d] for a hypercube, [arity, levels] for a fat tree,
 	// [routers, globals] for a dragonfly. The zero values select the
 	// historical 2-D mesh and render nothing into the spec string, so
-	// existing cache keys and journals stay valid.
+	// existing cache keys stay valid.
 	Topology string
 	Dims     []int
 
 	// Collectives selects the collective algorithm family of the static
 	// strategy's native execution by name (see mp.AlgorithmNames):
 	// "linear" (the default when empty) or "binomial". The zero value
-	// renders nothing into the spec string, so existing cache keys and
-	// journals stay valid.
+	// renders nothing into the spec string, so existing cache keys stay
+	// valid.
 	Collectives string
 
 	// Fault injection: a deterministic schedule (see internal/fault) and

@@ -11,7 +11,7 @@ import (
 
 // TestSpecStringLegacyGolden pins the exact canonical bytes of a spec that
 // predates the topology generalization. This string is hashed into every
-// cache key and journal entry, so any drift silently invalidates every
+// cache key, so any drift silently invalidates every
 // on-disk artifact: the golden value is a compatibility contract, not a
 // snapshot to regenerate.
 func TestSpecStringLegacyGolden(t *testing.T) {

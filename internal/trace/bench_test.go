@@ -1,0 +1,43 @@
+package trace_test
+
+import (
+	"testing"
+
+	"commchar/internal/apps"
+	"commchar/internal/core"
+	"commchar/internal/mesh"
+	"commchar/internal/mp"
+	"commchar/internal/sim"
+	"commchar/internal/trace"
+)
+
+// BenchmarkReplay times one trace.Replay of the 16-rank small-scale 3D-FFT
+// trace through a 4x4 mesh with no software overhead, simulator run
+// included. The trace is built once, outside the timer, so one op is the
+// log stage of a static-strategy spec and nothing else.
+func BenchmarkReplay(b *testing.B) {
+	const ranks = 16
+	tr, err := core.AcquireMessagePassingWith(ranks, mp.AlgLinear, func(w *mp.World) error {
+		return apps.RunMessagePassingOn(w, apps.ScaleSmall, "3D-FFT", ranks)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(ranks)...)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sim.New()
+		net := mesh.New(s, cfg)
+		if err := trace.Replay(s, net, tr, trace.ZeroCost{}); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if net.Delivered() != int64(tr.Messages()) {
+			b.Fatalf("delivered %d of %d messages", net.Delivered(), tr.Messages())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Messages()), "ns/msg")
+}
