@@ -228,6 +228,8 @@ type System struct {
 	caches []*cache
 	dir    map[uint64]*dirEntry
 	locks  map[uint64]*sim.Facility // per-block transaction serialization
+	// waiters holds each requesting process's reusable completion state.
+	waiters map[*sim.Process]*waiter
 
 	nextAlloc uint64
 	stats     Stats
@@ -243,11 +245,12 @@ func New(s *sim.Simulator, net *mesh.Network, cfg Config) *System {
 		panic(fmt.Sprintf("ccnuma: %d processors on %d-node mesh", cfg.Processors, ep))
 	}
 	sys := &System{
-		sim:   s,
-		net:   net,
-		cfg:   cfg,
-		dir:   map[uint64]*dirEntry{},
-		locks: map[uint64]*sim.Facility{},
+		sim:     s,
+		net:     net,
+		cfg:     cfg,
+		dir:     map[uint64]*dirEntry{},
+		locks:   map[uint64]*sim.Facility{},
+		waiters: map[*sim.Process]*waiter{},
 		// Leave address 0 unused so a zero address is always a bug.
 		nextAlloc: uint64(cfg.LineBytes),
 	}
@@ -313,17 +316,39 @@ func (s *System) send(p *sim.Process, src, dst, bytes int) {
 		p.Hold(s.net.Config().LocalDelay)
 		return
 	}
-	done := false
-	w := sim.WakerFor(p)
+	w := s.waiterFor(p)
+	w.done = false
 	s.net.Inject(mesh.Message{
 		ID: s.net.NextID(), Src: src, Dst: dst, Bytes: bytes, Inject: p.Now(),
-	}, func(mesh.Delivery) {
-		done = true
-		w.Wake()
-	})
-	for !done {
+	}, w.deliveredFn)
+	for !w.done {
 		p.Suspend()
 	}
+}
+
+// waiter is a process's completion state for its outstanding protocol
+// message. send blocks the process until the tail arrives, so a process
+// has at most one message outstanding, and its delivery callback is bound
+// once rather than allocated per message.
+type waiter struct {
+	done        bool
+	wake        sim.Waker
+	deliveredFn func(mesh.Delivery)
+}
+
+func (w *waiter) delivered(mesh.Delivery) {
+	w.done = true
+	w.wake.Wake()
+}
+
+func (s *System) waiterFor(p *sim.Process) *waiter {
+	w, ok := s.waiters[p]
+	if !ok {
+		w = &waiter{wake: sim.WakerFor(p)}
+		w.deliveredFn = w.delivered
+		s.waiters[p] = w
+	}
+	return w
 }
 
 // Read performs a shared-memory load by processor proc at addr, advancing

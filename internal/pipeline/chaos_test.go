@@ -12,7 +12,10 @@ import (
 	"time"
 
 	"commchar/internal/apps"
+	"commchar/internal/core"
 	"commchar/internal/resilience"
+	"commchar/internal/sim"
+	"commchar/internal/spasm"
 )
 
 // chaosEngine returns an engine whose stage behavior is programmable per
@@ -96,6 +99,56 @@ func TestChaosWorkerPanicLosesOnlyThatSpec(t *testing.T) {
 		if !reflect.DeepEqual(arts[i].C, arts2[i].C) {
 			t.Fatalf("survivor %d not deterministic under chaos", i)
 		}
+	}
+}
+
+// TestChaosProcessPanicLosesOnlyThatSpec: a panic inside one simulated
+// processor of a real execution-driven run fails that spec with a
+// *resilience.PanicError naming the process, and the sweep's other specs
+// finish.
+func TestChaosProcessPanicLosesOnlyThatSpec(t *testing.T) {
+	e := chaosEngine(t, Options{Parallel: 2, Retry: resilience.Policy{MaxAttempts: 1}},
+		map[string]func(ctx context.Context, spec RunSpec) (*stageResult, error){
+			"Maxflow": func(ctx context.Context, spec RunSpec) (*stageResult, error) {
+				m := spasm.NewDefault(spec.Procs)
+				raw, err := core.AcquireSharedMemoryOnContext(ctx, m, func(m *spasm.Machine) error {
+					_, err := m.Run(func(env *spasm.Env) {
+						env.Compute(100)
+						if env.ID() == 2 {
+							panic("chaos: processor crash")
+						}
+						env.Compute(100)
+					})
+					return err
+				})
+				if err != nil {
+					return nil, err
+				}
+				return &stageResult{raw: raw}, nil
+			},
+		})
+	arts, err := e.RunAll(context.Background(), chaosSpecs("IS", "Maxflow", "Nbody")...)
+	var de *DegradedError
+	if !errors.As(err, &de) || de.Failed != 1 || de.Total != 3 {
+		t.Fatalf("want one of three specs lost, got %v", err)
+	}
+	var pe *resilience.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("process panic not reported as *resilience.PanicError: %v", err)
+	}
+	if pp, ok := pe.Value.(*sim.ProcessPanic); !ok || pp.Process != "proc2" || pp.Value != "chaos: processor crash" {
+		t.Fatalf("panic value = %#v, want proc2's panic", pe.Value)
+	}
+	if arts[1] != nil {
+		t.Fatal("failed spec produced an artifact")
+	}
+	for _, i := range []int{0, 2} {
+		if arts[i] == nil {
+			t.Fatalf("spec %d did not finish", i)
+		}
+	}
+	if e.Metrics().Panics.Load() != 1 {
+		t.Fatalf("panics = %d, want 1", e.Metrics().Panics.Load())
 	}
 }
 

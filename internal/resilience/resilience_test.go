@@ -37,6 +37,30 @@ func TestProtectConvertsPanics(t *testing.T) {
 	}
 }
 
+// TestProtectRecoversProcessPanic: a panic inside a simulated process's
+// body reaches Protect around the kernel's Run as a *PanicError, instead
+// of crashing the program from the process's own stack.
+func TestProtectRecoversProcessPanic(t *testing.T) {
+	s := sim.New()
+	s.Spawn("ok", func(p *sim.Process) { p.Hold(10) })
+	s.Spawn("bad", func(p *sim.Process) {
+		p.Hold(1)
+		panic("boom")
+	})
+	err := Protect(s.Run)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("got %v, want *PanicError", err)
+	}
+	pp, ok := pe.Value.(*sim.ProcessPanic)
+	if !ok || pp.Process != "bad" || pp.Value != "boom" {
+		t.Fatalf("panic value = %#v, want the process's panic", pe.Value)
+	}
+	if Classify(err) != Permanent {
+		t.Fatalf("a process panic classified %v, want Permanent", Classify(err))
+	}
+}
+
 func TestClassify(t *testing.T) {
 	budgetTrip := &sim.DeadlockError{Reason: "watchdog: event budget exceeded"}
 	deadlock := &sim.DeadlockError{Reason: "deadlock: no runnable process"}

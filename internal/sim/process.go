@@ -1,18 +1,32 @@
+// iter.Pull needs Go 1.23. This constraint raises the language version of
+// this file alone: the module's go line stays at 1.22, because the
+// benchmark module (commbench), whose own go line is 1.22, may not depend
+// on a module that declares a newer one.
+
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
 // Process is a coroutine that lives in simulated time, in the style of a
-// CSIM process. A process runs on its own goroutine but control is handed
-// off explicitly: whenever the process blocks (Hold, Suspend, or a
-// synchronization primitive), the kernel resumes; whenever the kernel fires
-// a resume event, the process continues. Exactly one party runs at a time.
+// CSIM process. Its body runs as an iter.Pull coroutine, so control is
+// handed off by a direct coroutine switch: whenever the process blocks
+// (Hold, Suspend, or a synchronization primitive), the kernel resumes;
+// whenever the kernel fires a resume event, the process continues. Exactly
+// one party runs at a time.
 type Process struct {
-	sim    *Simulator
-	name   string
-	resume chan struct{}
-	yield  chan struct{}
-	ended  bool
+	sim  *Simulator
+	name string
+	// next runs the body until it next blocks or ends; yield, called by
+	// the body, switches back to the kernel's next call.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	ended bool
 	// activateFn is p.activate, bound once so that every resume event
 	// the process schedules reuses it instead of allocating a closure.
 	activateFn func()
@@ -40,39 +54,51 @@ func (p *Process) Now() Time { return p.sim.now }
 // Spawn creates a process whose body starts executing at the current
 // simulated time (after currently scheduled same-time events).
 func (s *Simulator) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{
-		sim:    s,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Process{sim: s, name: name}
 	s.procs = append(s.procs, p)
-	go func() {
-		<-p.resume // wait for first activation
+	// A panic in body comes back out of the kernel's next call, so it
+	// unwinds through Run like any kernel panic, carrying the body's
+	// stack, which that unwinding would otherwise lose.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			p.ended = true
+			if r := recover(); r != nil {
+				panic(&ProcessPanic{Process: name, Value: r, Stack: debug.Stack()})
+			}
+		}()
 		body(p)
-		p.ended = true
-		p.yield <- struct{}{} // final hand-back to kernel
-	}()
+	})
 	p.activateFn = p.activate
 	s.Schedule(0, p.activateFn)
 	return p
 }
 
-// activate transfers control to the process and blocks until it yields.
-// Must only be called from kernel context (inside an event callback).
+// ProcessPanic is the value a panicking process body re-panics with out of
+// the kernel: which process failed, its panic value, and its own stack.
+type ProcessPanic struct {
+	Process string
+	Value   any
+	Stack   []byte
+}
+
+func (e *ProcessPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v", e.Process, e.Value)
+}
+
+// activate transfers control to the process and returns when it blocks or
+// ends. Must only be called from kernel context (inside an event callback).
 func (p *Process) activate() {
 	if p.ended {
 		panic(fmt.Sprintf("sim: activating ended process %q", p.name))
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 }
 
-// block yields control back to the kernel and waits to be activated again.
-// Must only be called from the process's own goroutine.
+// block yields control back to the kernel and returns when the process is
+// activated again. Must only be called from the process's own body.
 func (p *Process) block() {
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 }
 
 // Hold advances the process's local view of time by d: the process sleeps

@@ -4,9 +4,10 @@
 // (plain single servers with FCFS queues).
 //
 // The kernel offers two ways to model an active entity. A Process is a
-// goroutine: it suits long-lived actors with deep control flow (processors,
-// message-passing ranks, traffic generators), at the cost of two goroutine
-// handoffs per blocking call. A plain callback chain on At/Schedule suits
+// coroutine (an iter.Pull coroutine, as a CSIM process is): it suits
+// long-lived actors with deep control flow (processors, message-passing
+// ranks, traffic generators), at the cost of two coroutine switches per
+// blocking call. A plain callback chain on At/Schedule suits
 // short-lived, numerous entities: the mesh network's worms, one per
 // message, are state machines whose every wait is one calendar callback,
 // so no goroutine exists per message.
@@ -17,10 +18,12 @@
 // who waits on what. RunUntil and Step advance the clock piecemeal.
 //
 // The kernel is strictly single-threaded from the simulation's point of
-// view: although processes run on goroutines, exactly one goroutine (either
-// the kernel or one process) executes at any instant, handed off through
-// channel rendezvous. Events at equal times fire in scheduling order, so
-// every run with the same inputs is bit-for-bit reproducible.
+// view: exactly one party (either the kernel or one process) executes at
+// any instant, and control passes between them by a direct coroutine
+// switch, without the goroutine scheduler. A panic in a process body
+// comes out of the kernel's Run as a *ProcessPanic. Events at equal times
+// fire in scheduling order, so every run with the same inputs is
+// bit-for-bit reproducible.
 package sim
 
 import (

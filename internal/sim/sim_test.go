@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +50,55 @@ func TestScheduleStepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Schedule+Step allocates %v times per event, want 0", allocs)
+	}
+}
+
+// TestProcessHoldAllocFree pins the coroutine handoff: once the calendar
+// has grown, a Hold, with its resume event and both switches, allocates
+// nothing.
+func TestProcessHoldAllocFree(t *testing.T) {
+	s := New()
+	stop := false
+	s.Spawn("holder", func(p *Process) {
+		for !stop {
+			p.Hold(1)
+		}
+	})
+	s.Step() // first activation: the body runs to its first Hold
+	allocs := testing.AllocsPerRun(1000, func() { s.Step() })
+	if allocs != 0 {
+		t.Fatalf("Process.Hold allocates %v times per call, want 0", allocs)
+	}
+	stop = true
+	s.Run()
+}
+
+// TestProcessPanicUnwindsThroughRun: a panicking process body does not
+// crash the program; the panic comes out of Run, on the kernel's side,
+// naming the process and carrying the body's own stack.
+func TestProcessPanicUnwindsThroughRun(t *testing.T) {
+	s := New()
+	s.Spawn("bad", func(p *Process) {
+		p.Hold(5)
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		s.Run()
+	}()
+	pp, ok := got.(*ProcessPanic)
+	if !ok {
+		t.Fatalf("recovered %v (%T), want *ProcessPanic", got, got)
+	}
+	if pp.Process != "bad" || pp.Value != "boom" {
+		t.Fatalf("ProcessPanic = {%q, %v}, want {bad, boom}", pp.Process, pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "TestProcessPanicUnwindsThroughRun") {
+		t.Fatalf("stack does not reach the body:\n%s", pp.Stack)
+	}
+	if s.Now() != 5 {
+		t.Fatalf("clock = %d, want 5", s.Now())
 	}
 }
 

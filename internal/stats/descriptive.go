@@ -28,6 +28,16 @@ type Summary struct {
 // Summarize computes descriptive statistics. It returns a zero Summary for
 // an empty sample.
 func Summarize(xs []float64) Summary {
+	s := moments(xs)
+	if s.N > 0 {
+		s.Median = Percentile(xs, 0.5)
+	}
+	return s
+}
+
+// moments is Summarize without the median, the one statistic that needs a
+// sort. Its sums run in the sample's own order.
+func moments(xs []float64) Summary {
 	n := len(xs)
 	if n == 0 {
 		return Summary{}
@@ -60,7 +70,7 @@ func Summarize(xs []float64) Summary {
 	}
 	return Summary{
 		N: n, Mean: mean, Variance: variance, StdDev: sd, CV: cv,
-		Min: min, Max: max, Median: Percentile(xs, 0.5),
+		Min: min, Max: max,
 	}
 }
 

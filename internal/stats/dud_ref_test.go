@@ -306,8 +306,9 @@ func requireMatchesReference(t *testing.T, samples []float64, family, start int)
 	if !(sum.Mean > 0) {
 		return
 	}
-	xs, ys := NewECDF(samples).Points(maxRegressionPoints)
-	cands := candidateModels(sum, samples)
+	ecdf := NewECDF(samples)
+	xs, ys := ecdf.Points(maxRegressionPoints)
+	cands := candidateModels(sum, samples, ecdf.xs)
 	for i, c := range cands {
 		if family >= 0 && i != family%len(cands) {
 			continue

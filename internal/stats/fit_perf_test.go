@@ -107,8 +107,9 @@ func benchmarkSample() []float64 {
 // each fit takes. Both are counts, so they compare exactly across hosts.
 func BenchmarkFitDUD(b *testing.B) {
 	sample := benchmarkSample()
-	xs, ys := NewECDF(sample).Points(maxRegressionPoints)
-	for _, c := range candidateModels(Summarize(sample), sample) {
+	ecdf := NewECDF(sample)
+	xs, ys := ecdf.Points(maxRegressionPoints)
+	for _, c := range candidateModels(Summarize(sample), sample, ecdf.xs) {
 		b.Run(c.model.Name, func(b *testing.B) {
 			var calls int
 			m := c.model

@@ -38,7 +38,10 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 	if len(samples) < 8 {
 		return nil, errors.New("stats: too few samples to characterize")
 	}
-	sum := Summarize(samples)
+	// One sort serves the ECDF, the median and Weibull's seed.
+	ecdf := NewECDF(samples)
+	sum := moments(samples)
+	sum.Median = percentileSorted(ecdf.xs, 0.5)
 	if sum.Mean <= 0 {
 		return nil, errors.New("stats: non-positive mean; inter-arrival samples must be positive")
 	}
@@ -53,13 +56,12 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 		}}, nil
 	}
 
-	ecdf := NewECDF(samples)
 	xs, ys := ecdf.Points(maxRegressionPoints)
 
 	// Every family is fitted from every start in parallel, then scored in
 	// parallel. Each result has its own slot and is read in candidate
 	// order, so the outcome does not depend on how the workers ran.
-	cands := candidateModels(sum, samples)
+	cands := candidateModels(sum, samples, ecdf.xs)
 	runs := make([]dudRun, len(cands)*len(multiStarts))
 	parallelFor(len(runs), func(t int) {
 		c := cands[t/len(multiStarts)]
@@ -113,7 +115,9 @@ type candidate struct {
 	nparams int
 }
 
-func candidateModels(sum Summary, samples []float64) []candidate {
+// candidateModels builds every family's model and seed for a sample, its
+// summary and a sorted copy of it.
+func candidateModels(sum Summary, samples, sorted []float64) []candidate {
 	mean := sum.Mean
 	cv := sum.CV
 
@@ -138,7 +142,7 @@ func candidateModels(sum Summary, samples []float64) []candidate {
 				},
 				Transforms: []ParamTransform{TransformLog, TransformLog},
 			},
-			init:    weibullInit(samples, mean),
+			init:    weibullInit(sorted, mean),
 			build:   func(th []float64) Distribution { return Weibull{Shape: th[0], Scale: th[1]} },
 			nparams: 2,
 		},
@@ -415,18 +419,13 @@ func erlangStages(cv float64) int {
 }
 
 // weibullInit estimates (shape, scale) by linear regression on the
-// linearized CDF: ln(-ln(1-F)) = k·ln x - k·ln λ.
-func weibullInit(samples []float64, mean float64) []float64 {
-	xs := make([]float64, 0, len(samples))
-	for _, x := range samples {
-		if x > 0 {
-			xs = append(xs, x)
-		}
-	}
+// linearized CDF: ln(-ln(1-F)) = k·ln x - k·ln λ, over the positive
+// values of sorted, a sorted sample (they are its suffix).
+func weibullInit(sorted []float64, mean float64) []float64 {
+	xs := sorted[sort.Search(len(sorted), func(i int) bool { return sorted[i] > 0 }):]
 	if len(xs) < 8 {
 		return []float64{1, mean}
 	}
-	sort.Float64s(xs)
 	n := float64(len(xs))
 	var sx, sy, sxx, sxy float64
 	var m int
@@ -467,7 +466,7 @@ func lognormalInit(samples []float64) (mu, sigma float64, ok bool) {
 	if len(logs) < 8 {
 		return 0, 0, false
 	}
-	s := Summarize(logs)
+	s := moments(logs)
 	if s.StdDev <= 0 {
 		return 0, 0, false
 	}

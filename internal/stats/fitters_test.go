@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"commchar/internal/sim"
@@ -172,6 +174,45 @@ func TestSortFitsBreaksR2Ties(t *testing.T) {
 		for i, f := range fits {
 			if f.Dist.Name() != want[i] {
 				t.Fatalf("perm %d: position %d is %s, want %s", p, i, f.Dist.Name(), want[i])
+			}
+		}
+	}
+}
+
+// TestWeibullInitFromSortedSample: seeding Weibull from the positive
+// suffix of the ECDF's sorted copy gives, bit for bit, the seed of the
+// former route, which filtered the positives and sorted them again.
+func TestWeibullInitFromSortedSample(t *testing.T) {
+	former := func(samples []float64, mean float64) []float64 {
+		var pos []float64
+		for _, x := range samples {
+			if x > 0 {
+				pos = append(pos, x)
+			}
+		}
+		sort.Float64s(pos)
+		return weibullInit(pos, mean)
+	}
+	st := sim.NewStream(9)
+	for n := 8; n < 400; n += 37 {
+		samples := make([]float64, n)
+		for i := range samples {
+			switch st.IntN(10) {
+			case 0:
+				samples[i] = 0
+			case 1:
+				samples[i] = -st.Float64()
+			case 2:
+				samples[i] = math.NaN()
+			default:
+				samples[i] = math.Ceil(st.Float64()*1e4) / 100
+			}
+		}
+		sorted := NewECDF(samples).xs
+		got, want := weibullInit(sorted, 3), former(samples, 3)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("n=%d: seed %v, want %v", n, got, want)
 			}
 		}
 	}

@@ -96,7 +96,7 @@ func requireSameScores(t *testing.T, samples []float64) {
 		Normal{Mu: sorted[len(sorted)/2], Sigma: 0},
 		Uniform{Lo: math.Inf(-1), Hi: math.Inf(1)}, // NaN everywhere finite
 	}
-	for _, c := range candidateModels(Summarize(samples), samples) {
+	for _, c := range candidateModels(Summarize(samples), samples, sorted) {
 		dists = append(dists, c.build(c.init))
 	}
 	yhat := make([]float64, len(xs))

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -177,37 +178,39 @@ const (
 	legacyFields   = 9
 )
 
+// deliveryHeader is the delivery log's first line.
+const deliveryHeader = "id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops,retries,faults,status\n"
+
 // WriteDeliveries serializes a network log as CSV with header
 // id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops,retries,faults,status.
 // The last three columns flag faulted traffic: retransmission count, the
-// mesh.FaultFlags bitmask, and 0 (delivered) or 1 (failed).
+// mesh.FaultFlags bitmask, and 0 (delivered) or 1 (failed). Every field
+// is an integer, which CSV never quotes, so each row is formatted into
+// one reused buffer rather than through encoding/csv.
 func WriteDeliveries(w io.Writer, log []mesh.Delivery) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"id", "src", "dst", "bytes", "inject_ns", "end_ns",
-		"latency_ns", "blocked_ns", "hops", "retries", "faults", "status"}); err != nil {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(deliveryHeader); err != nil {
 		return err
 	}
-	for _, d := range log {
-		row := []string{
-			strconv.FormatInt(d.Message.ID, 10),
-			strconv.Itoa(d.Src),
-			strconv.Itoa(d.Dst),
-			strconv.Itoa(d.Bytes),
-			strconv.FormatInt(int64(d.Inject), 10),
-			strconv.FormatInt(int64(d.End), 10),
-			strconv.FormatInt(int64(d.Latency), 10),
-			strconv.FormatInt(int64(d.Blocked), 10),
-			strconv.Itoa(d.Hops),
-			strconv.Itoa(d.Retries),
-			strconv.Itoa(int(d.Faults)),
-			strconv.Itoa(int(d.Status)),
+	row := make([]byte, 0, 256)
+	for i := range log {
+		d := &log[i]
+		fields := [deliveryFields]int64{
+			d.ID, int64(d.Src), int64(d.Dst), int64(d.Bytes),
+			int64(d.Inject), int64(d.End), int64(d.Latency), int64(d.Blocked),
+			int64(d.Hops), int64(d.Retries), int64(d.Faults), int64(d.Status),
 		}
-		if err := cw.Write(row); err != nil {
+		row = row[:0]
+		for _, v := range fields {
+			row = strconv.AppendInt(row, v, 10)
+			row = append(row, ',')
+		}
+		row[len(row)-1] = '\n'
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
 // ReadDeliveries parses a network log written by WriteDeliveries,
@@ -235,7 +238,7 @@ func ReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
 		if len(row) != deliveryFields && len(row) != legacyFields {
 			return out, rr.truncatedIfLast(len(row), "9 or 12")
 		}
-		ints := make([]int64, deliveryFields)
+		var ints [deliveryFields]int64
 		for j, f := range row {
 			v, err := strconv.ParseInt(f, 10, 64)
 			if err != nil {

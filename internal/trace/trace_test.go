@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +155,35 @@ func TestReplayManyRanksAllToAll(t *testing.T) {
 	}
 	if net.InFlight() != 0 {
 		t.Fatal("messages still in flight")
+	}
+}
+
+// TestReplayDeadlockDiagnostic pins the watchdog's report of a replay
+// deadlock: both ranks receive before they send, so each waits on the
+// other, and the report names the cycle, each rank's awaited message and
+// its holder.
+func TestReplayDeadlockDiagnostic(t *testing.T) {
+	s := sim.New()
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 2, 1))
+	tr := New(2)
+	tr.Add(0, Event{Op: OpRecv, Peer: 1, Tag: 1})
+	tr.Add(0, Event{Op: OpSend, Peer: 1, Bytes: 8, Tag: 0})
+	tr.Add(1, Event{Op: OpRecv, Peer: 0, Tag: 0, Compute: 30})
+	tr.Add(1, Event{Op: OpSend, Peer: 0, Bytes: 8, Tag: 1})
+	if err := Replay(s, net, tr, nil); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Run()
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("Run = %v, want a *sim.DeadlockError", err)
+	}
+	want := "sim: deadlock: calendar drained with blocked processes at t=30 after 3 events (0 pending)\n" +
+		"  wait-for cycle: replay-rank0 -> replay-rank1 -> replay-rank0\n" +
+		"  blocked: replay-rank0 waits on message from rank 1 (tag 1) held by replay-rank1\n" +
+		"  blocked: replay-rank1 waits on message from rank 0 (tag 0) held by replay-rank0"
+	if got := err.Error(); !strings.HasPrefix(got, want) {
+		t.Fatalf("diagnostic:\n%s\nwant prefix:\n%s", got, want)
 	}
 }
 
