@@ -73,7 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	advertise := fs.String("advertise", "", "coordinator URL advertised to attached workers (default: the bound -listen address)")
 	local := fs.Bool("local", false, "run the sweep in-process instead of distributing: the reference a distributed run must match")
 	blobDir := fs.String("blob-dir", "", "serve a shared artifact blob store from this directory (coordinator mode); workers read through it and the coordinator feeds it from completions")
-	speculate := fs.Float64("speculate-factor", 0, "hedge a straggler onto an idle worker once its stage exceeds this factor times the median stage time (coordinator mode; 0 disables)")
+	speculate := fs.Float64("speculate-factor", 0, "hedge a straggler onto an idle worker once its lease has run longer than this factor times the median completed-lease time (coordinator mode; 0 disables)")
 	name := fs.String("name", "", "worker name reported in leases and lost-worker events (default: host-pid)")
 	join := fs.String("join", "", "coordinator URL to poll until its sweep completes (worker mode)")
 	netChaos := fs.String("net-chaos", "", "inject seeded network faults into this worker's coordinator and store clients, e.g. 'drop:0.2;delay:0.5:10ms' (see internal/fault)")

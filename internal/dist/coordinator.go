@@ -35,25 +35,47 @@ type item struct {
 	key      string
 	label    string
 
-	state      string
-	worker     string    // lease holder while leased
-	deadline   time.Time // lease expiry while leased
-	leaseStart time.Time // when the current holder's lease was granted
-	stage      string    // last heartbeat-reported pipeline stage
-	stageStart time.Time // when the current stage began (grant, or last stage change)
-	attempts   int       // leases granted for this item
-
+	state    string
+	attempts int // leases granted for this item
+	// primary is the holder's lease while leased; once the item is done
+	// or failed, primary.worker names the worker that settled it.
+	primary lease
 	// Speculative re-lease (straggler hedging) state. hedgePending marks
-	// the item flagged for hedging and re-queued; the hedge fields hold
-	// the second, concurrent lease once an idle worker picks it up.
-	hedgePending  bool
-	hedgeWorker   string
-	hedgeDeadline time.Time
-	hedgeStart    time.Time
+	// the item flagged for hedging and re-queued; hedge is the second,
+	// concurrent lease once an idle worker picks it up.
+	hedgePending bool
+	hedge        *lease
 
 	done chan struct{} // closed exactly once on done or failed
 	art  *pipeline.Artifact
 	err  error
+}
+
+// lease is one worker's time-bounded hold on an item: the primary, or a
+// speculative hedge racing it.
+type lease struct {
+	worker   string
+	deadline time.Time // expiry, pushed out by each heartbeat
+	start    time.Time // grant time: a completion's duration sample starts here
+}
+
+// expired reports whether l, nil for an absent hedge, is past its deadline.
+func (l *lease) expired(now time.Time) bool {
+	return l != nil && !now.Before(l.deadline)
+}
+
+// leaseOf returns worker's lease on a leased item, the primary or the
+// hedge, or nil when worker holds none (or it is nil or not leased).
+func (it *item) leaseOf(worker string) *lease {
+	switch {
+	case it == nil || it.state != stateLeased:
+		return nil
+	case worker == it.primary.worker:
+		return &it.primary
+	case it.hedge != nil && worker == it.hedge.worker:
+		return it.hedge
+	}
+	return nil
 }
 
 // CoordinatorOptions configures a Coordinator. The zero value works.
@@ -76,9 +98,9 @@ type CoordinatorOptions struct {
 	// write-behind.
 	Store *BlobStore
 	// SpeculateFactor enables speculative re-lease of stragglers: a
-	// leased spec whose current stage has run longer than SpeculateFactor
-	// times the running median stage duration is hedged onto an idle
-	// worker (first finish wins; completions are idempotent). 0 (the
+	// leased spec whose lease has run longer than SpeculateFactor times
+	// the running median of completed lease durations is hedged onto an
+	// idle worker (first finish wins; completions are idempotent). 0 (the
 	// default) disables hedging — duplicate simulation work is only worth
 	// it when the operator says so.
 	SpeculateFactor float64
@@ -111,7 +133,7 @@ type Coordinator struct {
 	queue     []uint64 // FIFO of item ids; entries may be stale (lazy skip)
 	finished  bool
 	degraded  bool            // store fallback reported, or a straggler rescued
-	durations []time.Duration // completed stage durations (speculation median)
+	durations []time.Duration // completed lease durations (speculation median)
 	lost      map[string]bool // workers currently presumed lost
 	seen      map[string]bool // workers that have ever polled for a lease
 	dismissed map[string]bool // workers answered StatusDone since Finish
@@ -319,9 +341,34 @@ func (c *Coordinator) abandon(it *item, err error) {
 	if it.state == stateDone || it.state == stateFailed {
 		return
 	}
+	c.giveUp(it, err)
+}
+
+// giveUp fails it for the sweep with err. Callers hold mu.
+func (c *Coordinator) giveUp(it *item, err error) {
 	it.state = stateFailed
 	it.err = err
 	close(it.done)
+}
+
+// requeue returns it to the queue for a fresh primary lease. Callers
+// hold mu.
+func (c *Coordinator) requeue(it *item) {
+	it.state = statePending
+	it.primary = lease{}
+	it.hedgePending = false
+	c.queue = append(c.queue, it.id)
+	c.metrics.Requeues.Add(1)
+}
+
+// promote makes the live hedge the sole holder once the primary lease
+// has ended, instead of re-enqueueing work that is already running on
+// another worker. Callers hold mu.
+func (c *Coordinator) promote(it *item) {
+	c.emit("dist.hedge.promoted", map[string]string{
+		"spec": it.label, "key": it.key, "worker": it.hedge.worker,
+	})
+	it.primary, it.hedge = *it.hedge, nil
 }
 
 // expire re-enqueues every leased item whose deadline has passed, then
@@ -335,52 +382,30 @@ func (c *Coordinator) expire(now time.Time) {
 	// decide which expired spec re-runs first.
 	var expiredIDs []uint64
 	for id, it := range c.items {
-		if it.state != stateLeased {
-			continue
-		}
-		if !now.Before(it.deadline) || (it.hedgeWorker != "" && !now.Before(it.hedgeDeadline)) {
+		if it.state == stateLeased && (it.primary.expired(now) || it.hedge.expired(now)) {
 			expiredIDs = append(expiredIDs, id)
 		}
 	}
 	slices.Sort(expiredIDs)
 	for _, id := range expiredIDs {
 		it := c.items[id]
-		primaryExpired := !now.Before(it.deadline)
-		hedgeExpired := it.hedgeWorker != "" && !now.Before(it.hedgeDeadline)
-
-		if hedgeExpired {
-			c.expireLease(it, it.hedgeWorker, "hedge")
-			it.hedgeWorker, it.hedgeDeadline, it.hedgeStart = "", time.Time{}, time.Time{}
+		if it.hedge.expired(now) {
+			c.expireLease(it, it.hedge.worker, "hedge")
+			it.hedge = nil
 		}
-		if !primaryExpired {
+		if !it.primary.expired(now) {
 			continue // only the hedge died; the primary lease stands
 		}
-		c.expireLease(it, it.worker, "primary")
-		if it.hedgeWorker != "" {
-			// The primary expired under a live hedge: promote the hedge to
-			// sole holder instead of re-enqueueing — the work is already
-			// running on a healthy worker.
-			c.emit("dist.hedge.promoted", map[string]string{
-				"spec": it.label, "key": it.key, "worker": it.hedgeWorker,
-			})
-			it.worker, it.deadline, it.leaseStart = it.hedgeWorker, it.hedgeDeadline, it.hedgeStart
-			it.stageStart = it.hedgeStart
-			it.hedgeWorker, it.hedgeDeadline, it.hedgeStart = "", time.Time{}, time.Time{}
-			continue
+		c.expireLease(it, it.primary.worker, "primary")
+		switch {
+		case it.hedge != nil:
+			c.promote(it)
+		case it.attempts >= c.maxAttempts:
+			c.giveUp(it, fmt.Errorf("dist: spec %s: lease expired on attempt %d/%d (last worker %s)",
+				it.label, it.attempts, c.maxAttempts, it.primary.worker))
+		default:
+			c.requeue(it)
 		}
-		if it.attempts >= c.maxAttempts {
-			it.state = stateFailed
-			it.err = fmt.Errorf("dist: spec %s: lease expired on attempt %d/%d (last worker %s)",
-				it.label, it.attempts, c.maxAttempts, it.worker)
-			close(it.done)
-			continue
-		}
-		it.state = statePending
-		it.worker, it.stage = "", ""
-		it.leaseStart, it.stageStart = time.Time{}, time.Time{}
-		it.hedgePending = false
-		c.queue = append(c.queue, it.id)
-		c.metrics.Requeues.Add(1)
 	}
 	c.speculate(now)
 }
@@ -401,10 +426,10 @@ func (c *Coordinator) expireLease(it *item, worker, role string) {
 }
 
 // speculate flags stragglers for hedging: any singly-leased item whose
-// current stage has outlived the speculation threshold is re-queued so
-// an idle worker can race the (possibly hung) holder. The running median
-// of completed stage durations is the yardstick — with no completions
-// yet there is no yardstick, and lease expiry remains the only backstop.
+// lease has outlived the speculation threshold is re-queued so an idle
+// worker can race the (possibly hung) holder. The running median of
+// completed lease durations is the yardstick — with no completions yet
+// there is no yardstick, and lease expiry remains the only backstop.
 // Callers hold mu.
 func (c *Coordinator) speculate(now time.Time) {
 	if c.speculateFactor <= 0 || len(c.durations) == 0 {
@@ -417,13 +442,9 @@ func (c *Coordinator) speculate(now time.Time) {
 	}
 	var ids []uint64
 	for id, it := range c.items {
-		if it.state != stateLeased || it.hedgePending || it.hedgeWorker != "" {
-			continue
+		if it.state == stateLeased && !it.hedgePending && it.hedge == nil && now.Sub(it.primary.start) > threshold {
+			ids = append(ids, id)
 		}
-		if it.stageStart.IsZero() || now.Sub(it.stageStart) <= threshold {
-			continue
-		}
-		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
@@ -432,14 +453,13 @@ func (c *Coordinator) speculate(now time.Time) {
 		c.queue = append(c.queue, id)
 		c.metrics.Speculations.Add(1)
 		c.emit("dist.speculate", map[string]string{
-			"spec": it.label, "key": it.key, "worker": it.worker,
-			"stage": it.stage, "stage_age": now.Sub(it.stageStart).String(),
-			"threshold": threshold.String(),
+			"spec": it.label, "key": it.key, "worker": it.primary.worker,
+			"lease_age": now.Sub(it.primary.start).String(), "threshold": threshold.String(),
 		})
 	}
 }
 
-// medianDuration returns the running median of completed stage
+// medianDuration returns the running median of completed lease
 // durations. Callers hold mu and have checked len(durations) > 0.
 func (c *Coordinator) medianDuration() time.Duration {
 	sorted := slices.Clone(c.durations)
@@ -483,9 +503,7 @@ func (c *Coordinator) grant(worker string) LeaseResponse {
 		switch {
 		case it.state == statePending:
 			it.state = stateLeased
-			it.worker = worker
-			it.deadline = now.Add(c.lease)
-			it.leaseStart, it.stageStart = now, now
+			it.primary = lease{worker: worker, deadline: now.Add(c.lease), start: now}
 			it.attempts++
 			c.metrics.LeasesGranted.Add(1)
 			c.emit("dist.lease.granted", map[string]string{
@@ -493,19 +511,17 @@ func (c *Coordinator) grant(worker string) LeaseResponse {
 				"attempt": strconv.Itoa(it.attempts),
 			})
 		case it.state == stateLeased && it.hedgePending:
-			if worker == "" || worker == it.worker {
+			if worker == "" || worker == it.primary.worker {
 				c.queue = append(c.queue, id) // keep the hedge for another poller
 				continue
 			}
 			it.hedgePending = false
-			it.hedgeWorker = worker
-			it.hedgeDeadline = now.Add(c.lease)
-			it.hedgeStart = now
+			it.hedge = &lease{worker: worker, deadline: now.Add(c.lease), start: now}
 			it.attempts++
 			c.metrics.LeasesGranted.Add(1)
 			c.emit("dist.lease.hedged", map[string]string{
 				"spec": it.label, "key": it.key, "worker": worker,
-				"holder": it.worker, "attempt": strconv.Itoa(it.attempts),
+				"holder": it.primary.worker, "attempt": strconv.Itoa(it.attempts),
 			})
 		default:
 			continue // stale queue entry: done, failed, or abandoned
@@ -556,33 +572,17 @@ func (c *Coordinator) Drain(ctx context.Context, timeout time.Duration) {
 
 // heartbeat extends worker's lease on item id — the primary or the
 // hedge, whichever the worker holds; Abandon reports that the lease is
-// no longer held. A stage change reported by the primary holder closes
-// out the previous stage's duration for the speculation median and
-// restarts the straggler stopwatch.
+// no longer held.
 func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	now := c.clock.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touch(req.Worker)
-	it := c.items[req.ID]
-	if it == nil || it.state != stateLeased {
+	l := c.items[req.ID].leaseOf(req.Worker)
+	if l == nil {
 		return HeartbeatResponse{Abandon: true}
 	}
-	switch req.Worker {
-	case it.worker:
-		it.deadline = now.Add(c.lease)
-		if req.Stage != "" && req.Stage != it.stage {
-			if it.stage != "" && !it.stageStart.IsZero() {
-				c.durations = append(c.durations, now.Sub(it.stageStart))
-			}
-			it.stage = req.Stage
-			it.stageStart = now
-		}
-	case it.hedgeWorker:
-		it.hedgeDeadline = now.Add(c.lease)
-	default:
-		return HeartbeatResponse{Abandon: true}
-	}
+	l.deadline = now.Add(c.lease)
 	c.metrics.Heartbeats.Add(1)
 	return HeartbeatResponse{}
 }
@@ -625,27 +625,26 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 		c.metrics.Duplicates.Add(1)
 		return CompleteResponse{Duplicate: true}, nil
 	}
-	// A hedged straggler whose hedge delivered first was rescued: the
-	// sweep stays correct (first finish wins, artifacts are
-	// content-addressed) but the original holder was hung — a degraded
-	// outcome worth an exit code.
-	if it.hedgeWorker != "" && req.Worker == it.hedgeWorker {
-		c.metrics.Rescues.Add(1)
-		c.degraded = true
-		c.emit("dist.speculation.rescued", map[string]string{
-			"spec": label, "key": key, "hedge": req.Worker, "holder": it.worker,
-		})
-		if !it.hedgeStart.IsZero() {
-			c.durations = append(c.durations, now.Sub(it.hedgeStart))
+	// A delivery from a live lease adds its duration to the speculation
+	// median; a late one from an expired holder adds none. A hedged
+	// straggler whose hedge delivered first was rescued: the sweep stays
+	// correct (first finish wins, artifacts are content-addressed) but
+	// the original holder was hung — a degraded outcome worth an exit
+	// code.
+	if l := it.leaseOf(req.Worker); l != nil {
+		if l == it.hedge {
+			c.metrics.Rescues.Add(1)
+			c.degraded = true
+			c.emit("dist.speculation.rescued", map[string]string{
+				"spec": label, "key": key, "hedge": req.Worker, "holder": it.primary.worker,
+			})
 		}
-	} else if req.Worker == it.worker && !it.stageStart.IsZero() {
-		c.durations = append(c.durations, now.Sub(it.stageStart))
+		c.durations = append(c.durations, now.Sub(l.start))
 	}
 	it.state = stateDone
 	it.art = art
-	it.worker = req.Worker
-	it.hedgePending = false
-	it.hedgeWorker, it.hedgeDeadline, it.hedgeStart = "", time.Time{}, time.Time{}
+	it.primary = lease{worker: req.Worker}
+	it.hedgePending, it.hedge = false, nil
 	close(it.done)
 	c.metrics.Completions.Add(1)
 	c.emit("dist.completed", map[string]string{"spec": label, "key": key, "worker": req.Worker})
@@ -684,31 +683,20 @@ func (c *Coordinator) fail(req FailRequest) FailResponse {
 	defer c.mu.Unlock()
 	c.touch(req.Worker)
 	it := c.items[req.ID]
-	if it == nil || it.state != stateLeased {
+	switch l := it.leaseOf(req.Worker); {
+	case l == nil:
 		return FailResponse{Acked: true}
-	}
-	if req.Worker == it.hedgeWorker && it.hedgeWorker != "" {
+	case l == it.hedge:
 		// The hedge failed; the primary lease stands. Hedge failures are
 		// advisory — the primary may yet deliver — so drop the hedge and
 		// move on.
 		c.emit("dist.hedge.failed", map[string]string{
 			"spec": it.label, "worker": req.Worker, "error": req.Error,
 		})
-		it.hedgeWorker, it.hedgeDeadline, it.hedgeStart = "", time.Time{}, time.Time{}
+		it.hedge = nil
 		return FailResponse{Acked: true}
-	}
-	if it.worker != req.Worker {
-		return FailResponse{Acked: true}
-	}
-	if it.hedgeWorker != "" {
-		// The primary failed under a live hedge: promote the hedge rather
-		// than requeueing work that is already running elsewhere.
-		c.emit("dist.hedge.promoted", map[string]string{
-			"spec": it.label, "key": it.key, "worker": it.hedgeWorker,
-		})
-		it.worker, it.deadline, it.leaseStart = it.hedgeWorker, it.hedgeDeadline, it.hedgeStart
-		it.stageStart = it.hedgeStart
-		it.hedgeWorker, it.hedgeDeadline, it.hedgeStart = "", time.Time{}, time.Time{}
+	case it.hedge != nil:
+		c.promote(it)
 		return FailResponse{Acked: true}
 	}
 	c.emit("dist.failed", map[string]string{
@@ -716,18 +704,11 @@ func (c *Coordinator) fail(req FailRequest) FailResponse {
 		"transient": strconv.FormatBool(req.Transient),
 	})
 	if req.Transient && it.attempts < c.maxAttempts {
-		it.state = statePending
-		it.worker, it.stage = "", ""
-		it.leaseStart, it.stageStart = time.Time{}, time.Time{}
-		it.hedgePending = false
-		c.queue = append(c.queue, it.id)
-		c.metrics.Requeues.Add(1)
+		c.requeue(it)
 		return FailResponse{Acked: true}
 	}
-	it.state = stateFailed
-	it.err = fmt.Errorf("dist: spec %s failed on worker %s (attempt %d/%d): %s",
-		it.label, req.Worker, it.attempts, c.maxAttempts, req.Error)
-	close(it.done)
+	c.giveUp(it, fmt.Errorf("dist: spec %s failed on worker %s (attempt %d/%d): %s",
+		it.label, req.Worker, it.attempts, c.maxAttempts, req.Error))
 	c.metrics.RemoteFailures.Add(1)
 	return FailResponse{}
 }
@@ -740,11 +721,11 @@ func (c *Coordinator) State() State {
 	for _, it := range c.items {
 		is := ItemState{
 			ID: it.id, Spec: it.label, Key: it.key, State: it.state,
-			Worker: it.worker, Stage: it.stage, Attempts: it.attempts,
+			Worker: it.primary.worker, Attempts: it.attempts,
 		}
 		switch {
-		case it.hedgeWorker != "":
-			is.Hedge = it.hedgeWorker
+		case it.hedge != nil:
+			is.Hedge = it.hedge.worker
 		case it.hedgePending:
 			is.Hedge = "pending"
 		}

@@ -7,9 +7,9 @@
 // whose lease expires — because the worker crashed, hung past its
 // heartbeats, or lost the network — is re-enqueued, so no failure mode of
 // a worker can strand work. Workers poll for leases, send heartbeats that
-// extend their lease and report per-spec progress, and send the
-// completed artifact back in the pipeline's artifact format
-// (pipeline.MarshalArtifact, the disk cache entry's bytes). Duplicate
+// extend their lease, and send the completed artifact back in the
+// pipeline's artifact format (pipeline.MarshalArtifact, the disk cache
+// entry's bytes). Duplicate
 // completions from lease-expiry races are idempotent: artifacts are
 // content-addressed by the spec's cache key and bit-identical by the
 // determinism invariant, so whichever completion lands first wins and the

@@ -125,7 +125,7 @@ func TestLeaseLifecycleOverHTTP(t *testing.T) {
 	}
 
 	var hb HeartbeatResponse
-	postJSON(t, srv.URL+"/v1/heartbeat", HeartbeatRequest{V: ProtoVersion, Worker: "w1", ID: lease.ID, Stage: "replay"}, &hb)
+	postJSON(t, srv.URL+"/v1/heartbeat", HeartbeatRequest{V: ProtoVersion, Worker: "w1", ID: lease.ID}, &hb)
 	if hb.Abandon {
 		t.Fatal("live lease told to abandon")
 	}

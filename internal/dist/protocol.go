@@ -55,13 +55,11 @@ type LeaseResponse struct {
 	Store bool `json:"store,omitempty"`
 }
 
-// HeartbeatRequest extends a lease and reports the spec's current
-// pipeline stage.
+// HeartbeatRequest extends the sender's lease on item ID.
 type HeartbeatRequest struct {
 	V      int    `json:"v"`
 	Worker string `json:"worker"`
 	ID     uint64 `json:"id"`
-	Stage  string `json:"stage,omitempty"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat. Abandon is set when the
@@ -143,7 +141,6 @@ type ItemState struct {
 	Key      string `json:"key"`
 	State    string `json:"state"` // pending | leased | done | failed
 	Worker   string `json:"worker,omitempty"`
-	Stage    string `json:"stage,omitempty"`
 	Attempts int    `json:"attempts"`
 	// Hedge is the speculative re-lease holder while a straggler is
 	// hedged (or "pending" while the hedge waits for an idle worker).
