@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"runtime/debug"
@@ -23,9 +24,11 @@ type Process struct {
 	sim  *Simulator
 	name string
 	// next runs the body until it next blocks or ends; yield, called by
-	// the body, switches back to the kernel's next call.
+	// the body, switches back to the kernel's next call. stop unwinds a
+	// body that is blocked, so its coroutine ends (see Simulator.release).
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
+	stop  func()
 	ended bool
 	// activateFn is p.activate, bound once so that every resume event
 	// the process schedules reuses it instead of allocating a closure.
@@ -58,12 +61,13 @@ func (s *Simulator) Spawn(name string, body func(p *Process)) *Process {
 	s.procs = append(s.procs, p)
 	// A panic in body comes back out of the kernel's next call, so it
 	// unwinds through Run like any kernel panic, carrying the body's
-	// stack, which that unwinding would otherwise lose.
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+	// stack, which that unwinding would otherwise lose. A body unwound by
+	// stop just ends.
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
 			p.ended = true
-			if r := recover(); r != nil {
+			if r := recover(); r != nil && r != errStopped {
 				panic(&ProcessPanic{Process: name, Value: r, Stack: debug.Stack()})
 			}
 		}()
@@ -86,6 +90,24 @@ func (e *ProcessPanic) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", e.Process, e.Value)
 }
 
+// errStopped is the panic value that unwinds a body whose process was
+// stopped while blocked; Spawn's wrapper recovers it.
+var errStopped = errors.New("sim: process stopped")
+
+// release stops every process that has not ended: each blocked body
+// unwinds from the call it is blocked in, running its deferred calls, and
+// its coroutine exits. Nothing can resume these processes once Run has
+// given up on the simulation, and a parked coroutine would otherwise keep
+// the whole simulation reachable for the life of the program.
+func (s *Simulator) release() {
+	for _, p := range s.procs {
+		if !p.ended {
+			p.stop()
+			p.ended = true // a process never activated has no body to unwind
+		}
+	}
+}
+
 // activate transfers control to the process and returns when it blocks or
 // ends. Must only be called from kernel context (inside an event callback).
 func (p *Process) activate() {
@@ -96,9 +118,12 @@ func (p *Process) activate() {
 }
 
 // block yields control back to the kernel and returns when the process is
-// activated again. Must only be called from the process's own body.
+// activated again, or unwinds the body if the process was stopped instead.
+// Must only be called from the process's own body.
 func (p *Process) block() {
-	p.yield(struct{}{})
+	if !p.yield(struct{}{}) {
+		panic(errStopped)
+	}
 }
 
 // Hold advances the process's local view of time by d: the process sleeps
