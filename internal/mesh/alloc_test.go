@@ -113,3 +113,30 @@ func checkOutcomes(t *testing.T, log []mesh.Delivery, hits mesh.FaultFlags, perM
 		t.Errorf("no message met any of %v", hits)
 	}
 }
+
+// TestComputeRouteAllocatesOnce pins the cold routing step: once the
+// network's route scratch has grown, materializing a (src, dst) path
+// allocates only the path the route cache keeps, on every fabric of the
+// engine digest table.
+func TestComputeRouteAllocatesOnce(t *testing.T) {
+	for _, fab := range goldenFabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			n := mesh.New(sim.New(), fab.cfg())
+			eps := n.Topology().Endpoints()
+			route := func() {
+				for src := range eps {
+					for dst := range eps {
+						if src != dst {
+							n.ComputeRouteLen(src, dst)
+						}
+					}
+				}
+			}
+			route() // grow the scratch to the longest route
+			pairs := eps * (eps - 1)
+			if allocs := testing.AllocsPerRun(10, route); allocs != float64(pairs) {
+				t.Fatalf("%v allocations for %d routes, want one per route", allocs, pairs)
+			}
+		})
+	}
+}

@@ -63,17 +63,16 @@ func (t *dragonfly) intraPort(from, to int) int {
 	return to
 }
 
-func (t *dragonfly) Route(src, dst int) []Step {
+func (t *dragonfly) Route(path []Step, src, dst int) []Step {
 	sg, si := src/t.routers, src%t.routers
 	dg, di := dst/t.routers, dst%t.routers
 	if sg == dg {
-		return []Step{{Port: t.intraPort(si, di), Lane: 0}}
+		return append(path, Step{Port: t.intraPort(si, di), Lane: 0})
 	}
 	// The unique global channel from sg to dg, and the routers it joins.
 	j := (dg - sg - 1 + t.groups) % t.groups
 	exit := j / t.globals
 	entry := (t.groups - 2 - j) / t.globals
-	var path []Step
 	if si != exit {
 		path = append(path, Step{Port: t.intraPort(si, exit), Lane: 0})
 	}

@@ -95,7 +95,7 @@ func (t *fatTree) Neighbor(node, port int) int {
 	}
 }
 
-func (t *fatTree) Route(src, dst int) []Step {
+func (t *fatTree) Route(path []Step, src, dst int) []Step {
 	// Nearest-common-ancestor level: the highest differing digit.
 	nca := 0
 	for i := 0; i < t.levels; i++ {
@@ -103,7 +103,7 @@ func (t *fatTree) Route(src, dst int) []Step {
 			nca = i
 		}
 	}
-	path := []Step{{Port: 0, Lane: LaneAny}} // leaf -> level-0 switch
+	path = append(path, Step{Port: 0, Lane: LaneAny}) // leaf -> level-0 switch
 	for l := 0; l < nca; l++ {
 		path = append(path, Step{Port: t.arity + t.digit(dst, l+1), Lane: LaneAny})
 	}

@@ -18,8 +18,7 @@ func (t *hypercube) MinVirtualChannels() int { return 1 }
 
 func (t *hypercube) Neighbor(node, port int) int { return node ^ (1 << port) }
 
-func (t *hypercube) Route(src, dst int) []Step {
-	var path []Step
+func (t *hypercube) Route(path []Step, src, dst int) []Step {
 	cur := src
 	for d := 0; d < t.dimensions; d++ {
 		if (cur^dst)&(1<<d) != 0 {

@@ -86,8 +86,7 @@ func (t *karyCube) MinVirtualChannels() int {
 // around (ties to the +direction) and switches from lane 0 to lane 1 after
 // crossing that dimension's dateline, the classic deadlock-avoidance
 // discipline; on a mesh any lane works.
-func (t *karyCube) Route(src, dst int) []Step {
-	var path []Step
+func (t *karyCube) Route(path []Step, src, dst int) []Step {
 	cur := src
 	for d := range t.dims {
 		c, target, size := t.coord(cur, d), t.coord(dst, d), t.dims[d]

@@ -71,7 +71,9 @@ type Network struct {
 
 	// Per-hop scratch, reused so that routing allocates nothing but the
 	// detour path a rerouted worm keeps: west-first's candidate ports,
-	// and routeAvoiding's breadth-first search state.
+	// and routeAvoiding's breadth-first search state. steps is the
+	// topology route computeRoute turns into the cached path.
+	steps      []Step
 	candidates [2]int
 	bfsPrev    []*link // link the search reached each node by
 	bfsSeen    []bool
@@ -201,12 +203,13 @@ func (n *Network) route(src, dst int) []hop {
 // computeRoute materializes the topology's deterministic path from src
 // to dst: links to traverse, with the topology's lane discipline
 // attached (torus datelines, fat-tree up/down, dragonfly minimal-path
-// lane increment).
+// lane increment). The returned path is its one allocation
+// (TestComputeRouteAllocatesOnce).
 func (n *Network) computeRoute(src, dst int) []hop {
-	steps := n.topo.Route(src, dst)
-	path := make([]hop, len(steps))
+	n.steps = n.topo.Route(n.steps[:0], src, dst)
+	path := make([]hop, len(n.steps))
 	cur := src
-	for i, s := range steps {
+	for i, s := range n.steps {
 		l := n.links[cur][s.Port]
 		if l == nil {
 			panic(fmt.Sprintf("mesh: no port %d link at node %d", s.Port, cur))

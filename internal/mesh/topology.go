@@ -27,9 +27,10 @@ type Topology interface {
 	// Neighbor is the node reached by the given outgoing port, or -1 when
 	// the port is unwired.
 	Neighbor(node, port int) int
-	// Route returns the deterministic path from one endpoint to another as
-	// a sequence of (port, lane) steps. src != dst; both are endpoints.
-	Route(src, dst int) []Step
+	// Route appends to buf the deterministic path from one endpoint to
+	// another as a sequence of (port, lane) steps, and returns the
+	// extended slice. src != dst; both are endpoints.
+	Route(buf []Step, src, dst int) []Step
 	// MinVirtualChannels is the smallest lane count per link under which
 	// Route's lane discipline is deadlock-free (1 when any lane works).
 	MinVirtualChannels() int

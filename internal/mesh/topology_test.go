@@ -56,8 +56,8 @@ func TestRouteDeterministicAndWellFormed(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					path := topo.Route(src, dst)
-					if again := topo.Route(src, dst); !reflect.DeepEqual(path, again) {
+					path := topo.Route(nil, src, dst)
+					if again := topo.Route(nil, src, dst); !reflect.DeepEqual(path, again) {
 						t.Fatalf("route %d->%d differs between calls", src, dst)
 					}
 					if len(path) == 0 {
@@ -119,7 +119,7 @@ func TestRouteMinimality(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					got := len(topo.Route(src, dst))
+					got := len(topo.Route(nil, src, dst))
 					if direct {
 						if got > 3 {
 							t.Fatalf("dragonfly route %d->%d takes %d hops, max 3", src, dst, got)
@@ -145,7 +145,7 @@ func TestHypercubeRoutesAreHamming(t *testing.T) {
 				continue
 			}
 			want := bits.OnesCount(uint(src ^ dst))
-			if got := len(topo.Route(src, dst)); got != want {
+			if got := len(topo.Route(nil, src, dst)); got != want {
 				t.Fatalf("route %d->%d takes %d hops, Hamming distance is %d", src, dst, got, want)
 			}
 		}
@@ -214,7 +214,7 @@ func TestChannelDependencyAcyclic(t *testing.T) {
 						continue
 					}
 					cur, prev := src, -1
-					for _, s := range topo.Route(src, dst) {
+					for _, s := range topo.Route(nil, src, dst) {
 						next := topo.Neighbor(cur, s.Port)
 						lane := s.Lane
 						if lane == LaneAny {
