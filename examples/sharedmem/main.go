@@ -15,6 +15,7 @@ import (
 
 	"commchar/internal/apps"
 	"commchar/internal/core"
+	"commchar/internal/pipeline"
 	"commchar/internal/report"
 )
 
@@ -22,14 +23,19 @@ func main() {
 	procs := flag.Int("procs", 16, "processors")
 	flag.Parse()
 
+	eng, err := pipeline.New(pipeline.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer eng.Close()
 	var cs []*core.Characterization
 	for _, w := range apps.SharedMemory(apps.ScaleSmall) {
 		fmt.Printf("running %s on %d processors...\n", w.Name, *procs)
-		c, err := w.Characterize(context.Background(), *procs)
+		art, err := eng.RunContext(context.Background(), pipeline.RunSpec{App: w.Name, Procs: *procs, Scale: apps.ScaleSmall})
 		if err != nil {
 			log.Fatalf("%s: %v", w.Name, err)
 		}
-		cs = append(cs, c)
+		cs = append(cs, art.C)
 	}
 	fmt.Println()
 	report.TemporalTable("Inter-arrival time fits (dynamic strategy)", cs).Render(os.Stdout)

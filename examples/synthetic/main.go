@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"commchar/internal/apps"
+	"commchar/internal/pipeline"
 	"commchar/internal/workload"
 )
 
@@ -21,15 +22,17 @@ func main() {
 	procs := flag.Int("procs", 16, "processors")
 	flag.Parse()
 
-	w, err := apps.ByName(apps.ScaleSmall, "IS")
+	eng, err := pipeline.New(pipeline.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer eng.Close()
 	fmt.Printf("characterizing IS on %d processors...\n", *procs)
-	c, err := w.Characterize(context.Background(), *procs)
+	art, err := eng.RunContext(context.Background(), pipeline.RunSpec{App: "IS", Procs: *procs, Scale: apps.ScaleSmall})
 	if err != nil {
 		log.Fatal(err)
 	}
+	c := art.C
 	best := c.BestAggregate()
 	fmt.Printf("fitted aggregate inter-arrival model: %s (R²=%.4f)\n", best.Dist, best.R2)
 	pattern, n := c.DominantSpatial()

@@ -194,12 +194,3 @@ func (w *Workload) Scale(factor float64) *Workload {
 	}
 	return out
 }
-
-// AggregateRate returns the total message rate (messages/ns).
-func (w *Workload) AggregateRate() float64 {
-	var sum float64
-	for _, f := range w.Flows {
-		sum += f.Rate
-	}
-	return sum
-}

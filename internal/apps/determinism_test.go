@@ -1,11 +1,6 @@
 package apps
 
-import (
-	"context"
-	"testing"
-
-	"commchar/internal/core"
-)
+import "testing"
 
 // TestRunsAreBitIdentical backs the README's reproducibility claim: the
 // simulation kernel is deterministic, so two characterizations of the same
@@ -15,14 +10,7 @@ func TestRunsAreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *core.Characterization {
-		c, err := w.Characterize(context.Background(), 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	a, b := run(), run()
+	a, b := characterize(t, w, 8), characterize(t, w, 8)
 	if a.Messages != b.Messages || a.Elapsed != b.Elapsed {
 		t.Fatalf("runs differ: %d/%d msgs, %d/%d ns", a.Messages, b.Messages, a.Elapsed, b.Elapsed)
 	}

@@ -1,12 +1,14 @@
-// Package apps assembles the paper's application suite — five shared-memory
+// Package apps assembles the paper's application suite: five shared-memory
 // applications characterized by the dynamic (execution-driven) strategy and
 // two message-passing applications characterized by the static
-// (trace-driven) strategy — behind one uniform Workload interface that the
-// experiment harness drives.
+// (trace-driven) strategy. Suite lists them as Workload records (name,
+// strategy, description); RunSharedMemoryOn and RunMessagePassingOn execute
+// one by name on a caller-built machine or world. Characterizing an
+// application is pipeline.Engine's job: the harness and every command drive
+// the engine, whose acquire stage calls into this package.
 package apps
 
 import (
-	"context"
 	"fmt"
 
 	"commchar/internal/apps/cholesky"
@@ -19,7 +21,6 @@ import (
 	"commchar/internal/cli"
 	"commchar/internal/core"
 	"commchar/internal/mp"
-	"commchar/internal/sp2"
 	"commchar/internal/spasm"
 )
 
@@ -45,15 +46,13 @@ func ParseScale(s string) (Scale, error) {
 	return ScaleFull, cli.Usagef("unknown scale %q (want full or small)", s)
 }
 
-// Workload is one application of the suite, ready to characterize.
+// Workload describes one application of the suite. The record is the same
+// at every scale; the scale takes effect when RunSharedMemoryOn or
+// RunMessagePassingOn executes the application.
 type Workload struct {
 	Name        string
 	Strategy    core.Strategy
 	Description string
-	// Characterize runs the application on procs processors and returns
-	// its communication characterization; cancelling ctx stops the
-	// simulation.
-	Characterize func(ctx context.Context, procs int) (*core.Characterization, error)
 }
 
 // smSizes holds the shared-memory problem sizes per scale tier.
@@ -150,16 +149,7 @@ func RunMessagePassingOn(w *mp.World, scale Scale, name string, procs int) error
 // SharedMemory returns the five shared-memory applications at the scale.
 func SharedMemory(scale Scale) []Workload {
 	mk := func(name, desc string) Workload {
-		return Workload{
-			Name:        name,
-			Strategy:    core.StrategyDynamic,
-			Description: desc,
-			Characterize: func(ctx context.Context, procs int) (*core.Characterization, error) {
-				return core.CharacterizeSharedMemory(ctx, name, procs, func(m *spasm.Machine) error {
-					return RunSharedMemoryOn(m, scale, name)
-				})
-			},
-		}
+		return Workload{Name: name, Strategy: core.StrategyDynamic, Description: desc}
 	}
 	return []Workload{
 		mk("1D-FFT", "1-D complex FFT; local butterflies around a transpose phase [8]"),
@@ -174,16 +164,7 @@ func SharedMemory(scale Scale) []Workload {
 // scale.
 func MessagePassing(scale Scale) []Workload {
 	mk := func(name, desc string) Workload {
-		return Workload{
-			Name:        name,
-			Strategy:    core.StrategyStatic,
-			Description: desc,
-			Characterize: func(ctx context.Context, procs int) (*core.Characterization, error) {
-				return core.CharacterizeMessagePassing(ctx, name, procs, sp2.Default(), func(w *mp.World) error {
-					return RunMessagePassingOn(w, scale, name, procs)
-				})
-			},
-		}
+		return Workload{Name: name, Strategy: core.StrategyStatic, Description: desc}
 	}
 	return []Workload{
 		mk("3D-FFT", "NAS FT kernel: 3-D FFT with all-to-all transpose [15]"),

@@ -6,7 +6,42 @@ import (
 
 	"commchar/internal/cli"
 	"commchar/internal/core"
+	"commchar/internal/mesh"
+	"commchar/internal/mp"
+	"commchar/internal/sim"
+	"commchar/internal/sp2"
+	"commchar/internal/spasm"
 )
+
+// characterize runs a suite application on the standard machine through
+// the core stages that the engine's acquire, log and analyze stages call.
+func characterize(t *testing.T, w Workload, procs int) *core.Characterization {
+	t.Helper()
+	ctx := context.Background()
+	var raw *core.RawRun
+	var err error
+	if w.Strategy == core.StrategyDynamic {
+		raw, err = core.AcquireSharedMemoryOnContext(ctx, spasm.NewDefault(procs), func(m *spasm.Machine) error {
+			return RunSharedMemoryOn(m, ScaleSmall, w.Name)
+		})
+	} else {
+		tr, aerr := core.AcquireMessagePassingWith(procs, mp.AlgLinear, func(world *mp.World) error {
+			return RunMessagePassingOn(world, ScaleSmall, w.Name, procs)
+		})
+		if aerr != nil {
+			t.Fatal(aerr)
+		}
+		raw, err = core.ReplayTraceContext(ctx, tr, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...), sp2.Default(), nil, sim.Watchdog{})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := raw.Characterize(w.Name, w.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func TestSuiteComposition(t *testing.T) {
 	suite := Suite(ScaleSmall)
@@ -21,7 +56,7 @@ func TestSuiteComposition(t *testing.T) {
 		case core.StrategyStatic:
 			stat++
 		}
-		if w.Name == "" || w.Description == "" || w.Characterize == nil {
+		if w.Name == "" || w.Description == "" {
 			t.Fatalf("incomplete workload %+v", w)
 		}
 	}
@@ -44,10 +79,7 @@ func TestEveryWorkloadCharacterizesSmall(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			procs := 8
-			c, err := w.Characterize(context.Background(), procs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := characterize(t, w, procs)
 			if c.Messages == 0 {
 				t.Fatal("no messages")
 			}

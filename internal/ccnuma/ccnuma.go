@@ -260,9 +260,6 @@ func New(s *sim.Simulator, net *mesh.Network, cfg Config) *System {
 	return sys
 }
 
-// Config returns the memory-system configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // Stats returns a snapshot of the counters.
 func (s *System) Stats() Stats { return s.stats }
 

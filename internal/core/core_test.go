@@ -151,7 +151,7 @@ func TestCharacterizeSharedMemoryEndToEnd(t *testing.T) {
 }
 
 func TestCharacterizeMessagePassingEndToEnd(t *testing.T) {
-	c, err := CharacterizeMessagePassing(context.Background(), "toy-mp", 4, nil, func(w *mp.World) error {
+	tr, err := AcquireMessagePassingWith(4, mp.AlgLinear, func(w *mp.World) error {
 		_, err := w.Run(func(r *mp.Rank) {
 			for i := 0; i < 30; i++ {
 				r.Compute(sim.Duration(1000 * (r.ID() + 1)))
@@ -162,6 +162,14 @@ func TestCharacterizeMessagePassingEndToEnd(t *testing.T) {
 		})
 		return err
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := ReplayTraceContext(context.Background(), tr, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(4)...), nil, nil, sim.Watchdog{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := raw.Characterize("toy-mp", StrategyStatic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"commchar/internal/sim"
-)
+import "commchar/internal/sim"
 
 // RateWindows is the number of equal time windows used for the
 // message-generation-rate series.
@@ -130,16 +126,4 @@ func (c *Characterization) AnalyzeReceivers() ReceiverProfile {
 		p.FavoriteShare = float64(p.Counts[p.Favorite]) / float64(total)
 	}
 	return p
-}
-
-// Summary returns a one-line digest of the characterization.
-func (c *Characterization) Summary() string {
-	best := c.BestAggregate()
-	fit := "no fit"
-	if best != nil {
-		fit = fmt.Sprintf("%s R²=%.4f", best.Dist, best.R2)
-	}
-	pattern, n := c.DominantSpatial()
-	return fmt.Sprintf("%s: %d msgs over %.3f ms; temporal %s; spatial %s (%d/%d sources); mean %.1f B",
-		c.Name, c.Messages, float64(c.Elapsed)/1e6, fit, pattern, n, c.Procs, c.Volume.Mean)
 }

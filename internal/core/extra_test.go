@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"commchar/internal/mesh"
@@ -113,18 +112,6 @@ func TestAnalyzeReceivers(t *testing.T) {
 	}
 	if math.Abs(rp.FavoriteShare-2.0/3.0) > 1e-9 {
 		t.Fatalf("favorite share = %v", rp.FavoriteShare)
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	log, elapsed := burstyLog(4)
-	c, err := Analyze("bursty", StrategyDynamic, log, 4, elapsed, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := c.Summary()
-	if !strings.Contains(s, "bursty") || !strings.Contains(s, "msgs") {
-		t.Fatalf("summary = %q", s)
 	}
 }
 

@@ -130,31 +130,16 @@ func ReplayTraceObserved(ctx context.Context, tr *trace.Trace, cfg mesh.Config, 
 	}, nil
 }
 
-// CharacterizeSharedMemory runs a shared-memory application under the
-// dynamic strategy end to end: build the machine, execute the kernel
-// (acquire, cancellable through ctx), characterize the network log
-// (analyze).
+// CharacterizeSharedMemory runs a caller-written shared-memory kernel
+// under the dynamic strategy end to end: build the default machine,
+// execute the kernel (acquire, cancellable through ctx), characterize the
+// network log (analyze). It is the entry point for custom kernels; the
+// suite's applications are characterized by pipeline.Engine, which runs
+// the same stages on a machine built from its RunSpec.
 func CharacterizeSharedMemory(ctx context.Context, name string, procs int, run func(m *spasm.Machine) error) (*Characterization, error) {
 	raw, err := AcquireSharedMemoryOnContext(ctx, spasm.NewDefault(procs), run)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, err)
 	}
 	return raw.Characterize(name, StrategyDynamic)
-}
-
-// CharacterizeMessagePassing runs a message-passing application under the
-// static strategy end to end: execute natively on the SP2-like machine to
-// obtain the application-level trace (acquire), replay the trace through
-// the mesh with the given software-overhead model (log, cancellable
-// through ctx), and characterize the resulting network log (analyze).
-func CharacterizeMessagePassing(ctx context.Context, name string, procs int, cost trace.CostModel, run func(w *mp.World) error) (*Characterization, error) {
-	tr, err := AcquireMessagePassingWith(procs, mp.AlgLinear, run)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	raw, err := ReplayTraceContext(ctx, tr, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(procs)...), cost, nil, sim.Watchdog{})
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, err)
-	}
-	return raw.Characterize(name, StrategyStatic)
 }

@@ -103,13 +103,13 @@ func TestAcquireSharedMemoryOnContextCancellation(t *testing.T) {
 // to a whole sweep: a pre-cancelled context must surface as
 // context.Canceled.
 func TestEntryPointsHonourCancelledContext(t *testing.T) {
-	workload := func(name string) func(ctx context.Context) error {
+	engineRun := func(app string) func(ctx context.Context) error {
 		return func(ctx context.Context) error {
-			w, err := apps.ByName(apps.ScaleSmall, name)
+			eng, err := pipeline.New(pipeline.Options{})
 			if err != nil {
 				return err
 			}
-			_, err = w.Characterize(ctx, 4)
+			_, err = eng.RunContext(ctx, pipeline.RunSpec{App: app, Procs: 4, Scale: apps.ScaleSmall})
 			return err
 		}
 	}
@@ -121,12 +121,8 @@ func TestEntryPointsHonourCancelledContext(t *testing.T) {
 			_, err := core.CharacterizeSharedMemory(ctx, "toy", 4, busyKernel)
 			return err
 		}},
-		{"core.CharacterizeMessagePassing", func(ctx context.Context) error {
-			_, err := core.CharacterizeMessagePassing(ctx, "toy-mp", 4, nil, ringProgram)
-			return err
-		}},
-		{"apps.Workload.Characterize/dynamic", workload("IS")},
-		{"apps.Workload.Characterize/static", workload("3D-FFT")},
+		{"pipeline.Engine.RunContext/dynamic", engineRun("IS")},
+		{"pipeline.Engine.RunContext/static", engineRun("3D-FFT")},
 		{"pipeline.Engine.RunAll", func(ctx context.Context) error {
 			eng, err := pipeline.New(pipeline.Options{})
 			if err != nil {

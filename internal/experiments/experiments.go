@@ -41,9 +41,6 @@ func NewRunner(ctx context.Context, scale apps.Scale, eng *pipeline.Engine) *Run
 	return &Runner{Scale: scale, eng: eng, ctx: ctx}
 }
 
-// Engine exposes the runner's engine (for metrics summaries).
-func (r *Runner) Engine() *pipeline.Engine { return r.eng }
-
 // spec builds the standard-machine spec for a suite application.
 func (r *Runner) spec(name string, procs int) pipeline.RunSpec {
 	return pipeline.RunSpec{App: name, Procs: procs, Scale: r.Scale}
@@ -464,10 +461,4 @@ func RunSteps(ctx context.Context, w io.Writer, steps []Step, stopOnFailure bool
 		return &SweepError{Failed: failed, Total: len(steps)}
 	}
 	return nil
-}
-
-// All regenerates every table, figure, and ablation in order, continuing
-// past individual failures.
-func (r *Runner) All(w io.Writer, procs int) error {
-	return RunSteps(r.ctx, w, r.Steps(procs), false)
 }

@@ -37,7 +37,7 @@ func sweepObserved(t *testing.T, parallel int, ob *obs.Observer) string {
 	}
 	r := NewRunner(context.Background(), apps.ScaleSmall, eng)
 	var sb strings.Builder
-	if err := r.All(&sb, 8); err != nil {
+	if err := RunSteps(context.Background(), &sb, r.Steps(8), false); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
@@ -79,7 +79,7 @@ func sweepDistributed(t *testing.T) string {
 	}
 	r := NewRunner(context.Background(), apps.ScaleSmall, front)
 	var sb strings.Builder
-	if err := r.All(&sb, 8); err != nil {
+	if err := RunSteps(context.Background(), &sb, r.Steps(8), false); err != nil {
 		t.Fatal(err)
 	}
 	coord.Finish()

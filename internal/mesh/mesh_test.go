@@ -385,22 +385,6 @@ func TestLogSortedByInjection(t *testing.T) {
 	}
 }
 
-func TestWhenIdle(t *testing.T) {
-	s := sim.New()
-	n := New(s, DefaultConfig(MeshTopology, 2, 2))
-	calls := 0
-	n.WhenIdle(func() { calls++ }) // idle now: immediate
-	if calls != 1 {
-		t.Fatal("immediate idle callback not invoked")
-	}
-	n.Inject(Message{ID: 1, Src: 0, Dst: 3, Bytes: 8, Inject: 0}, nil)
-	n.WhenIdle(func() { calls++ })
-	s.Run()
-	if calls != 2 {
-		t.Fatalf("idle callbacks = %d, want 2", calls)
-	}
-}
-
 func TestInjectValidation(t *testing.T) {
 	s := sim.New()
 	n := New(s, DefaultConfig(MeshTopology, 2, 2))

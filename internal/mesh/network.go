@@ -55,7 +55,6 @@ type Network struct {
 	log       [][]Delivery // completion order, in chunks never copied once full
 	logLen    int
 	inFlight  int
-	onIdle    []func()
 	delivered int64
 
 	faults   Injector          // nil on fault-free runs
@@ -355,8 +354,7 @@ const (
 	maxLogChunk = 1 << 15
 )
 
-// complete records a finished message and runs its done callback and, if
-// the network fell idle, the WhenIdle callbacks.
+// complete records a finished message and runs its done callback.
 func (n *Network) complete(d Delivery, done func(Delivery)) {
 	m := d.Message
 	d.End = n.sim.Now()
@@ -375,13 +373,6 @@ func (n *Network) complete(d Delivery, done func(Delivery)) {
 	if done != nil {
 		done(d)
 	}
-	if n.inFlight == 0 {
-		cbs := n.onIdle
-		n.onIdle = nil
-		for _, cb := range cbs {
-			cb()
-		}
-	}
 }
 
 // InFlight reports the number of injected but undelivered messages.
@@ -389,16 +380,6 @@ func (n *Network) InFlight() int { return n.inFlight }
 
 // Delivered reports the number of completed messages.
 func (n *Network) Delivered() int64 { return n.delivered }
-
-// WhenIdle registers a callback invoked when the last in-flight message
-// completes. If the network is already idle the callback runs immediately.
-func (n *Network) WhenIdle(fn func()) {
-	if n.inFlight == 0 {
-		fn()
-		return
-	}
-	n.onIdle = append(n.onIdle, fn)
-}
 
 // Log returns the deliveries recorded so far, sorted by injection time
 // (ties broken by message ID). The returned slice is a copy.

@@ -48,37 +48,6 @@ func (req *Request) Wait() (int, any) {
 	return req.bytes, req.payload
 }
 
-// WaitAll completes a set of requests in order and returns the received
-// payloads (nil entries for sends).
-func WaitAll(reqs ...*Request) []any {
-	out := make([]any, len(reqs))
-	for i, req := range reqs {
-		_, out[i] = req.Wait()
-	}
-	return out
-}
-
-// Test reports whether a matching message has already arrived for a
-// receive request (always true for send requests). It does not complete
-// the request and takes no simulated time.
-func (req *Request) Test() bool {
-	if !req.isRecv {
-		return true
-	}
-	ch := channel{src: req.src, tag: req.tag}
-	return len(req.rank.arrived[ch]) > 0
-}
-
-// Exchange is the shift pattern every stencil code needs: send sbytes of
-// sdata to dst while receiving from src on the same tag, without deadlock
-// regardless of ordering, and return the received payload.
-func (r *Rank) Exchange(dst, src, tag, sbytes int, sdata any) (int, any) {
-	sreq := r.Isend(dst, tag, sbytes, sdata)
-	rreq := r.Irecv(src, tag)
-	sreq.Wait()
-	return rreq.Wait()
-}
-
 // traceEventCount is a test hook: the number of events traced for a rank.
 func (r *Rank) traceEventCount() int {
 	return len(r.world.tr.Events[r.id])

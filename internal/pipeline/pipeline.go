@@ -34,6 +34,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"commchar/internal/apps"
@@ -546,14 +547,9 @@ func (e *Engine) runOnce(ctx context.Context, spec RunSpec, key, track string) (
 	if res.raw.Trace == nil {
 		strategy = core.StrategyDynamic
 	}
-	e.obs.SpecStage(track, obs.StageAnalyze)
-	asp := e.obs.StartSpan("engine", track, "stage", "analyze")
-	start := e.clock.Now()
+	_, stop := e.stage(track, obs.StageAnalyze, &e.metrics.AnalyzeNS, e.histAnalyze)
 	c, err := res.raw.Characterize(spec.Label(), strategy)
-	analyze := e.clock.Now().Sub(start)
-	asp.End()
-	e.metrics.AnalyzeNS.Add(int64(analyze))
-	e.histAnalyze.Observe(analyze.Seconds())
+	stop()
 	if err != nil {
 		return nil, err
 	}
@@ -601,18 +597,33 @@ func (e *Engine) runOnce(ctx context.Context, spec RunSpec, key, track string) (
 	}, nil
 }
 
+// stage starts the stopwatch of one engine stage: it moves the spec's
+// progress row to the stage, opens the stage's span and reads the clock.
+// The returned stop reads the clock again, ends the span, and adds the
+// elapsed wall time to ns and to hist (nil: no histogram). Both clock
+// reads fall inside the span, the order the fake-clock goldens pin. The
+// span is returned for callers that annotate it.
+func (e *Engine) stage(track, name string, ns *atomic.Int64, hist *obs.Histogram) (*obs.Span, func()) {
+	e.obs.SpecStage(track, name)
+	sp := e.obs.StartSpan("engine", track, "stage", name)
+	start := e.clock.Now()
+	return sp, func() {
+		d := e.clock.Now().Sub(start)
+		sp.End()
+		ns.Add(int64(d))
+		hist.Observe(d.Seconds())
+	}
+}
+
 // runRemote delegates one execution to the remote executor. The returned
 // artifact is re-labelled with this engine's spec and key (the worker may
 // use a different salt locally) and marked SourceRemote; the caller's
 // cache store then treats it like any local run.
 func (e *Engine) runRemote(ctx context.Context, spec RunSpec, key, track string) (*Artifact, error) {
-	e.obs.SpecStage(track, obs.StageRemote)
-	sp := e.obs.StartSpan("engine", track, "stage", "remote").SetArg("key", key)
-	start := e.clock.Now()
+	sp, stop := e.stage(track, obs.StageRemote, &e.metrics.RemoteNS, nil)
+	sp.SetArg("key", key)
 	art, err := e.remote.Execute(ctx, spec, key)
-	remote := e.clock.Now().Sub(start)
-	sp.End()
-	e.metrics.RemoteNS.Add(int64(remote))
+	stop()
 	if err != nil {
 		return nil, err
 	}
@@ -694,16 +705,11 @@ func (e *Engine) acquireDynamic(ctx context.Context, spec RunSpec, track string)
 	if e.obs != nil {
 		m.Sim.SetProgress(simProgressInterval, e.simProgress)
 	}
-	e.obs.SpecStage(track, obs.StageAcquire)
-	sp := e.obs.StartSpan("engine", track, "stage", "acquire")
-	start := e.clock.Now()
+	_, stop := e.stage(track, obs.StageAcquire, &e.metrics.AcquireNS, e.histAcquire)
 	raw, err := core.AcquireSharedMemoryOnContext(ctx, m, func(m *spasm.Machine) error {
 		return apps.RunSharedMemoryOn(m, spec.Scale, spec.App)
 	})
-	acquire := e.clock.Now().Sub(start)
-	sp.End()
-	e.metrics.AcquireNS.Add(int64(acquire))
-	e.histAcquire.Observe(acquire.Seconds())
+	stop()
 	if err != nil {
 		return nil, err
 	}
@@ -722,20 +728,15 @@ func (e *Engine) acquireDynamic(ctx context.Context, spec RunSpec, track string)
 // code, not a simulation); the replay — where the simulated time goes —
 // is.
 func (e *Engine) acquireStatic(ctx context.Context, spec RunSpec, track string) (*stageResult, error) {
-	e.obs.SpecStage(track, obs.StageAcquire)
-	sp := e.obs.StartSpan("engine", track, "stage", "acquire")
-	start := e.clock.Now()
 	alg, err := mp.ParseAlgorithm(spec.Collectives)
 	if err != nil {
 		return nil, err // unreachable after validate
 	}
+	_, stop := e.stage(track, obs.StageAcquire, &e.metrics.AcquireNS, e.histAcquire)
 	tr, err := core.AcquireMessagePassingWith(spec.Procs, alg, func(w *mp.World) error {
 		return apps.RunMessagePassingOn(w, spec.Scale, spec.App, spec.Procs)
 	})
-	acquire := e.clock.Now().Sub(start)
-	sp.End()
-	e.metrics.AcquireNS.Add(int64(acquire))
-	e.histAcquire.Observe(acquire.Seconds())
+	stop()
 	if err != nil {
 		return nil, err
 	}
@@ -768,14 +769,9 @@ func (e *Engine) replay(ctx context.Context, spec RunSpec, track string, tr *tra
 	if e.obs != nil {
 		hook, every = e.simProgress, simProgressInterval
 	}
-	e.obs.SpecStage(track, obs.StageReplay)
-	sp := e.obs.StartSpan("engine", track, "stage", "replay")
-	start := e.clock.Now()
+	_, stop := e.stage(track, obs.StageReplay, &e.metrics.ReplayNS, e.histReplay)
 	raw, err := core.ReplayTraceObserved(ctx, tr, e.meshConfig(spec), cost, inj, spec.Watchdog, every, hook)
-	replay := e.clock.Now().Sub(start)
-	sp.End()
-	e.metrics.ReplayNS.Add(int64(replay))
-	e.histReplay.Observe(replay.Seconds())
+	stop()
 	if err != nil {
 		return nil, err
 	}

@@ -24,9 +24,6 @@ func (st *Stream) Float64() float64 { return st.rng.Float64() }
 // IntN returns a uniform integer in [0, n).
 func (st *Stream) IntN(n int) int { return st.rng.IntN(n) }
 
-// Perm returns a random permutation of [0, n).
-func (st *Stream) Perm(n int) []int { return st.rng.Perm(n) }
-
 // Exponential returns an exponential variate with the given mean.
 //
 //lint:allow ctxflow rejection loop over the seeded stream; terminates after finitely many draws with probability one

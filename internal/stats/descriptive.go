@@ -9,7 +9,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -150,65 +149,4 @@ func (e *ECDF) Points(max int) (xs, ys []float64) {
 		ys = append(ys, (float64(i)+0.5)/float64(n))
 	}
 	return xs, ys
-}
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	Total  int
-}
-
-// NewHistogram bins the sample into the given number of equal-width bins
-// spanning [min, max]. Values exactly at max land in the last bin.
-func NewHistogram(xs []float64, bins int) *Histogram {
-	if bins < 1 {
-		panic(fmt.Sprintf("stats: %d bins", bins))
-	}
-	h := &Histogram{Counts: make([]int, bins)}
-	if len(xs) == 0 {
-		return h
-	}
-	h.Lo, h.Hi = xs[0], xs[0]
-	for _, x := range xs {
-		if x < h.Lo {
-			h.Lo = x
-		}
-		if x > h.Hi {
-			h.Hi = x
-		}
-	}
-	width := h.Hi - h.Lo
-	for _, x := range xs {
-		var b int
-		if width > 0 {
-			pos := float64(bins) * (x - h.Lo) / width
-			if !math.IsNaN(pos) {
-				b = int(pos)
-			}
-		}
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		h.Counts[b]++
-		h.Total++
-	}
-	return h
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}
-
-// Fraction returns the fraction of the sample in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
 }

@@ -122,49 +122,3 @@ func TestECDFPoints(t *testing.T) {
 		t.Fatalf("plotting positions out of (0,1): %v", ys)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if h.Total != 10 {
-		t.Fatalf("total = %d", h.Total)
-	}
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Fatalf("bin %d count = %d, want 2 (%v)", i, c, h.Counts)
-		}
-	}
-	if !almostEqual(h.Fraction(0), 0.2, 1e-12) {
-		t.Fatalf("fraction = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramSingleValue(t *testing.T) {
-	h := NewHistogram([]float64{5, 5, 5}, 4)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("histogram lost values: %v", h.Counts)
-	}
-}
-
-func TestHistogramConservesMassProperty(t *testing.T) {
-	prop := func(raw []float64) bool {
-		clean := raw[:0:0]
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, x)
-			}
-		}
-		h := NewHistogram(clean, 7)
-		total := 0
-		for _, c := range h.Counts {
-			total += c
-		}
-		return total == len(clean)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

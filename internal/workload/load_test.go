@@ -63,13 +63,3 @@ func TestLatencyGrowsWithLoad(t *testing.T) {
 		prev = m.MeanLatencyNS
 	}
 }
-
-func TestMeanLength(t *testing.T) {
-	ls := []stats.LengthCount{{Bytes: 8, Count: 3}, {Bytes: 40, Count: 1}}
-	if got := MeanLength(ls); math.Abs(got-16) > 1e-12 {
-		t.Fatalf("mean length = %v, want 16", got)
-	}
-	if MeanLength(nil) != 0 {
-		t.Fatal("empty spectrum mean should be 0")
-	}
-}

@@ -147,19 +147,6 @@ func UniformPoisson(procs int, meanGapNS float64, lengths []stats.LengthCount) *
 	return g
 }
 
-// MeanLength returns the count-weighted mean of a length spectrum.
-func MeanLength(lengths []stats.LengthCount) float64 {
-	var bytes, count int
-	for _, lc := range lengths {
-		bytes += lc.Bytes * lc.Count
-		count += lc.Count
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(bytes) / float64(count)
-}
-
 // Drive spawns one injector process per modeled source, generating traffic
 // until the given simulated time. The caller runs the simulator afterwards.
 func (g *Generator) Drive(s *sim.Simulator, net *mesh.Network, until sim.Time, seed uint64) error {
