@@ -55,7 +55,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	workers := fs.String("workers", "", "comma-separated sweepd worker control URLs: run remotely on this fleet")
 	distListen := fs.String("dist-listen", "127.0.0.1:0", "address to serve the coordinator lease API on (with -workers)")
 	distAdvertise := fs.String("dist-advertise", "", "coordinator URL advertised to the workers (default: the bound -dist-listen address)")
-	blobDir := fs.String("blob-dir", "", "serve a shared artifact blob store from this directory to the fleet (with -workers)")
+	blobDir := fs.String("blob-dir", "", "shared artifact blob store directory (with -workers): specs found there are served without a lease, and every accepted completion is added")
 	pf := pipeline.AddFlags(fs)
 	of := obs.AddFlags(fs)
 	cf := cli.AddCommonFlags(fs)
@@ -114,7 +114,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer eng.Close()
 	if cf.Metrics {
 		defer eng.Metrics().Render(stderr)
 	}

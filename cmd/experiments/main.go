@@ -62,7 +62,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer eng.Close()
 	if cf.Metrics {
 		// The summary goes to stderr so stdout stays byte-identical across
 		// -parallel settings and cache states (cold vs warm).

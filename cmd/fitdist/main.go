@@ -98,7 +98,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer eng.Close()
 		if cf.Metrics {
 			defer eng.Metrics().Render(stderr)
 		}

@@ -27,8 +27,9 @@
 //	sweepd -worker -join ... -net-chaos 'drop:0.2;delay:0.5:5ms' -net-chaos-seed 7   (chaos)
 //
 // A sweep that completes with every report but degraded fleet health —
-// workers fell back from the shared store, or a straggler was rescued by
-// a speculative re-lease — exits 3 (dist.DegradedError), not 0.
+// a shared-store blob could not be used and its spec was leased instead,
+// or a straggler was rescued by a speculative re-lease — exits 3
+// (dist.DegradedError), not 0.
 package main
 
 import (
@@ -72,11 +73,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	workers := fs.String("workers", "", "comma-separated worker control URLs to attach at startup (coordinator mode)")
 	advertise := fs.String("advertise", "", "coordinator URL advertised to attached workers (default: the bound -listen address)")
 	local := fs.Bool("local", false, "run the sweep in-process instead of distributing: the reference a distributed run must match")
-	blobDir := fs.String("blob-dir", "", "serve a shared artifact blob store from this directory (coordinator mode); workers read through it and the coordinator feeds it from completions")
+	blobDir := fs.String("blob-dir", "", "shared artifact blob store directory (coordinator mode): specs found there are served without a lease, and every accepted completion is added")
 	speculate := fs.Float64("speculate-factor", 0, "hedge a straggler onto an idle worker once its lease has run longer than this factor times the median completed-lease time (coordinator mode; 0 disables)")
 	name := fs.String("name", "", "worker name reported in leases and lost-worker events (default: host-pid)")
 	join := fs.String("join", "", "coordinator URL to poll until its sweep completes (worker mode)")
-	netChaos := fs.String("net-chaos", "", "inject seeded network faults into this worker's coordinator and store clients, e.g. 'drop:0.2;delay:0.5:10ms' (see internal/fault)")
+	netChaos := fs.String("net-chaos", "", "inject seeded network faults into this worker's coordinator client, e.g. 'drop:0.2;delay:0.5:10ms' (see internal/fault)")
 	netChaosSeed := fs.Uint64("net-chaos-seed", 1, "seed for the -net-chaos schedule")
 	pf := pipeline.AddFlags(fs)
 	of := obs.AddFlags(fs)
@@ -163,7 +164,6 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 	if err != nil {
 		return err
 	}
-	defer eng.Close()
 	if cfg.cf.Metrics {
 		defer eng.Metrics().Render(stderr)
 	}
@@ -182,7 +182,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 		shutdown()
 		if runErr == nil {
 			// Every report above is complete and correct, but a sweep run
-			// at reduced fleet health (store fallbacks, rescued stragglers)
+			// at reduced fleet health (unusable blobs, rescued stragglers)
 			// exits 3 so operators notice without diffing metrics.
 			runErr = coord.DegradedError()
 		}
@@ -214,46 +214,26 @@ func runWorker(ctx context.Context, cfg workerConfig, ob *obs.Observer, stdout, 
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 
-	// Each chaos-injected client owns its RoundTripper (its own request
-	// ordinal stream); the store client's seed is decorrelated so the two
-	// schedules fault independently.
-	var rpcChaos, storeChaos http.RoundTripper
+	var rpcChaos http.RoundTripper
 	if cfg.netChaos != "" {
 		sched, err := fault.ParseNet(cfg.netChaos, cfg.netChaosSeed)
 		if err != nil {
 			return cli.Usagef("-net-chaos: %v", err)
 		}
-		storeSched, err := fault.ParseNet(cfg.netChaos, cfg.netChaosSeed+1)
-		if err != nil {
-			return cli.Usagef("-net-chaos: %v", err)
-		}
 		rpcChaos = fault.NewRoundTripper(sched, nil)
-		storeChaos = fault.NewRoundTripper(storeSched, nil)
 		fmt.Fprintf(stderr, "worker %s: net chaos %q (seed %d)\n", name, cfg.netChaos, cfg.netChaosSeed)
 	}
-
-	// The shared-store client is created detached; it activates when a
-	// coordinator advertises its blob store in a lease. Until then every
-	// Get is a miss and every Put a no-op.
-	dm := &dist.Metrics{}
-	if ob != nil {
-		dm.RegisterWith(ob.Registry)
-	}
-	store := dist.NewHTTPStore(dist.HTTPStoreOptions{Obs: ob, Metrics: dm, Transport: storeChaos})
-	cfg.pf.Store = store
 
 	eng, err := cfg.pf.Engine(ob)
 	if err != nil {
 		return err
 	}
-	defer eng.Close()
 	if cfg.cf.Metrics {
 		defer eng.Metrics().Render(stderr)
 	}
 
 	w, err := dist.NewWorker(dist.WorkerOptions{
-		Name: name, Runner: eng, Obs: ob,
-		Store: store, Transport: rpcChaos,
+		Name: name, Runner: eng, Obs: ob, Transport: rpcChaos,
 	})
 	if err != nil {
 		return err

@@ -27,7 +27,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
 	var cs []*core.Characterization
 	for _, w := range apps.SharedMemory(apps.ScaleSmall) {
 		fmt.Printf("running %s on %d processors...\n", w.Name, *procs)

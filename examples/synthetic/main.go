@@ -26,7 +26,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eng.Close()
 	fmt.Printf("characterizing IS on %d processors...\n", *procs)
 	art, err := eng.RunContext(context.Background(), pipeline.RunSpec{App: "IS", Procs: *procs, Scale: apps.ScaleSmall})
 	if err != nil {

@@ -92,10 +92,9 @@ type CoordinatorOptions struct {
 	// Metrics receives the commchar_dist_* counters; nil allocates a
 	// private set.
 	Metrics *Metrics
-	// Store, when non-nil, is the shared blob store the coordinator
-	// serves to its fleet: Handler mounts GET/PUT /v1/blob/{key} on it,
-	// leases advertise it, and every accepted completion is fed into it
-	// write-behind.
+	// Store, when non-nil, is the shared blob store: Execute serves a
+	// spec found there without a lease, and every accepted completion is
+	// fed into it.
 	Store *BlobStore
 	// SpeculateFactor enables speculative re-lease of stragglers: a
 	// leased spec whose lease has run longer than SpeculateFactor times
@@ -132,7 +131,7 @@ type Coordinator struct {
 	items     map[uint64]*item
 	queue     []uint64 // FIFO of item ids; entries may be stale (lazy skip)
 	finished  bool
-	degraded  bool            // store fallback reported, or a straggler rescued
+	degraded  bool            // an unusable blob was leased, or a straggler rescued
 	durations []time.Duration // completed lease durations (speculation median)
 	lost      map[string]bool // workers currently presumed lost
 	seen      map[string]bool // workers that have ever polled for a lease
@@ -174,11 +173,12 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 // debug server's registry).
 func (c *Coordinator) Metrics() *Metrics { return c.metrics }
 
-// Degraded reports whether the sweep completed degraded: some worker
-// fell back from the shared store, or a straggler had to be rescued by a
-// speculative re-lease. The results are still complete and correct —
-// degradation is an availability finding, surfaced as exit code 3 so
-// operators notice without diffing metrics.
+// Degraded reports whether the sweep completed degraded: a blob in the
+// shared store could not be read or decoded and its spec was leased
+// instead, or a straggler had to be rescued by a speculative re-lease.
+// The results are still complete and correct — degradation is an
+// availability finding, surfaced as exit code 3 so operators notice
+// without diffing metrics.
 func (c *Coordinator) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -192,15 +192,15 @@ func (c *Coordinator) DegradedError() error {
 		return nil
 	}
 	return &DegradedError{
-		StoreReports: c.metrics.DegradedReports.Load(),
-		Rescues:      c.metrics.Rescues.Load(),
+		StoreFallbacks: c.metrics.StoreDegraded.Load(),
+		Rescues:        c.metrics.Rescues.Load(),
 	}
 }
 
 // Fleet says where ServeCoordinator serves and which workers it attaches.
 type Fleet struct {
-	// BlobDir, when set, holds the shared artifact blob store the
-	// coordinator serves to its workers.
+	// BlobDir, when set, holds the shared artifact blob store that
+	// serves finished specs without a lease.
 	BlobDir string
 	// Listen is the lease API's address; "" means 127.0.0.1:0.
 	Listen string
@@ -213,10 +213,10 @@ type Fleet struct {
 	Drain time.Duration
 }
 
-// ServeCoordinator builds a coordinator from opts (serving the blob store
-// in fleet.BlobDir, if set), serves its lease API, registers its metrics
-// and /distz page with opts.Obs, starts lease expiry, and attaches
-// fleet.Workers. It returns the coordinator, the URL advertised to the
+// ServeCoordinator builds a coordinator from opts (reading and feeding
+// the blob store in fleet.BlobDir, if set), serves its lease API,
+// registers its metrics and /distz page with opts.Obs, starts lease
+// expiry, and attaches fleet.Workers. It returns the coordinator, the URL advertised to the
 // workers, and the shutdown to call once the engine is done: it dismisses
 // the fleet (Finish, then Drain up to fleet.Drain) while the lease API is
 // still up, so workers detach instead of waiting out their unreachable
@@ -289,11 +289,15 @@ func (c *Coordinator) Start(ctx context.Context) {
 	}()
 }
 
-// Execute implements pipeline.Executor: it enqueues spec for the worker
-// fleet and blocks until a worker delivers the artifact, the spec fails
-// permanently, or ctx is cancelled. The engine's caching and retry
+// Execute implements pipeline.Executor: it serves spec from the shared
+// store when a usable blob is there, and otherwise enqueues it for the
+// worker fleet and blocks until a worker delivers the artifact, the spec
+// fails permanently, or ctx is cancelled. The engine's caching and retry
 // semantics wrap this call unchanged.
 func (c *Coordinator) Execute(ctx context.Context, spec pipeline.RunSpec, key string) (*pipeline.Artifact, error) {
+	if art := c.storeHit(spec, key); art != nil {
+		return art, nil
+	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encoding spec for transport: %w", err)
@@ -322,6 +326,33 @@ func (c *Coordinator) Execute(ctx context.Context, spec pipeline.RunSpec, key st
 		c.abandon(it, ctx.Err())
 		return nil, ctx.Err()
 	}
+}
+
+// storeHit returns the artifact for key from the shared store, or nil
+// on a miss. A blob that cannot be read or decoded degrades the sweep
+// and reads as a miss, so its spec is leased and the completion
+// overwrites it.
+func (c *Coordinator) storeHit(spec pipeline.RunSpec, key string) *pipeline.Artifact {
+	if c.store == nil {
+		return nil
+	}
+	data, ok, err := c.store.Get(key)
+	if ok {
+		var art *pipeline.Artifact
+		if art, err = pipeline.UnmarshalArtifact(data, spec, key); err == nil {
+			c.metrics.StoreFetches.Add(1)
+			c.emit("dist.store.hit", map[string]string{"spec": spec.Label(), "key": key})
+			return art
+		}
+	}
+	if err != nil {
+		c.metrics.StoreDegraded.Add(1)
+		c.mu.Lock()
+		c.degraded = true
+		c.mu.Unlock()
+		c.emit("dist.store.degraded", map[string]string{"spec": spec.Label(), "key": key, "err": err.Error()})
+	}
+	return nil
 }
 
 // Finish marks the sweep complete: subsequent lease requests answer
@@ -532,7 +563,6 @@ func (c *Coordinator) grant(worker string) LeaseResponse {
 			Spec:    it.specJSON,
 			Key:     it.key,
 			LeaseMS: c.lease.Milliseconds(),
-			Store:   c.store != nil,
 		}
 	}
 	if c.finished {
@@ -594,7 +624,6 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) HeartbeatResponse {
 // lands first wins, the rest are duplicates.
 func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	c.mu.Lock()
-	c.noteStoreDegraded(req)
 	it := c.items[req.ID]
 	if it == nil || it.state == stateDone || it.state == stateFailed {
 		c.mu.Unlock()
@@ -650,9 +679,9 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	c.emit("dist.completed", map[string]string{"spec": label, "key": key, "worker": req.Worker})
 	c.mu.Unlock()
 
-	// Feed the accepted artifact into the shared store write-behind: the
-	// worker already has its answer, and the next worker to need this key
-	// gets a warm fleet-wide hit. Best-effort by design.
+	// Feed the accepted artifact into the shared store, after Execute
+	// has its answer: the next sweep that needs this key is served
+	// without a lease. Best-effort by design.
 	if c.store != nil {
 		if err := c.store.Put(key, req.Artifact); err != nil {
 			c.emit("dist.store.feed.error", map[string]string{"key": key, "err": err.Error()})
@@ -661,17 +690,6 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 		}
 	}
 	return CompleteResponse{}, nil
-}
-
-// noteStoreDegraded records a worker's store-degradation report: the
-// sweep will finish, but not at full fleet health. Callers hold mu.
-func (c *Coordinator) noteStoreDegraded(req CompleteRequest) {
-	if !req.StoreDegraded {
-		return
-	}
-	c.metrics.DegradedReports.Add(1)
-	c.degraded = true
-	c.emit("dist.store.degraded.reported", map[string]string{"worker": req.Worker})
 }
 
 // fail records a worker-side failure for item id. A transient failure
@@ -806,12 +824,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.State())
 	})
-	if c.store != nil {
-		// The shared blob store rides on the coordinator's own listener:
-		// workers derive its URL from the coordinator URL they already
-		// have, no extra discovery.
-		mux.Handle("/v1/blob/", c.store.Handler())
-	}
 	return mux
 }
 

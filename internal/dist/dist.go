@@ -20,7 +20,10 @@
 // content-addressed cache (a restarted coordinator resumes from it),
 // singleflight dedup, retry policy, and failure taxonomy all apply to
 // remote runs exactly as to local ones, and a distributed sweep's output
-// is byte-identical to a local sequential run.
+// is byte-identical to a local sequential run. With a shared blob store
+// (Fleet.BlobDir) the coordinator also checks the store before it
+// enqueues a spec and serves a finished artifact without a lease; only
+// the coordinator reads or writes the store, and workers never see it.
 //
 // Worker RPCs go through the internal/resilience retry machinery with the
 // taxonomy extended to the network: a refused, reset, or timed-out
@@ -57,26 +60,35 @@ import (
 // serialization (base64 bytes) in place of embedded JSON. Either side of
 // a v3/v4 skew would reject every completion of the other as
 // undecodable and re-lease the work forever; the skew must be fatal.
+//
+// Still version 4: LeaseResponse.Store and CompleteRequest.StoreDegraded
+// were removed when the shared store moved behind the coordinator. Both
+// were omitempty, so either side of the skew stays correct: an older
+// worker is never offered a store and reports no degradation, a newer
+// worker ignores an older coordinator's store offer, and an older
+// coordinator reads a newer worker's completions as not degraded, which
+// is true of a worker without a store client.
 const ProtoVersion = 4
 
 // DegradedError reports a sweep that completed — every artifact was
 // produced and the output is byte-identical to a local run — but not at
-// full fleet health: workers fell back from the shared store, or a
-// straggler had to be rescued by a speculative re-lease. It implements
-// the Degraded marker the CLI harness maps to exit code 3, so operators
-// notice availability findings without diffing metrics.
+// full fleet health: blobs in the shared store could not be used and
+// their specs were leased instead, or a straggler had to be rescued by a
+// speculative re-lease. It implements the Degraded marker the CLI
+// harness maps to exit code 3, so operators notice availability findings
+// without diffing metrics.
 type DegradedError struct {
-	// StoreReports counts completions whose worker reported falling back
-	// from the shared store.
-	StoreReports int64
+	// StoreFallbacks counts blobs that could not be read or decoded, so
+	// their specs were leased instead.
+	StoreFallbacks int64
 	// Rescues counts hedged stragglers whose speculative re-lease
 	// finished first.
 	Rescues int64
 }
 
 func (e *DegradedError) Error() string {
-	return fmt.Sprintf("dist: sweep completed degraded (%d store fallbacks reported, %d stragglers rescued)",
-		e.StoreReports, e.Rescues)
+	return fmt.Sprintf("dist: sweep completed degraded (%d store fallbacks, %d stragglers rescued)",
+		e.StoreFallbacks, e.Rescues)
 }
 
 // Degraded marks the sweep as degraded-but-complete (see cli.ExitCode).
@@ -108,13 +120,10 @@ type Metrics struct {
 	RejectedWrites atomic.Int64 // artifact uploads that failed to decode
 	RemoteFailures atomic.Int64 // specs failed permanently by a worker
 
-	// Shared-store counters. StoreBlobs is coordinator-side (write-behind
-	// from completions); the rest are client-side (HTTPStore).
-	StoreBlobs      atomic.Int64 // blobs fed into the coordinator's store
-	StoreFetches    atomic.Int64 // verified blob fetches served to this client
-	StoreUploads    atomic.Int64 // blob uploads accepted from this client
-	StoreDegraded   atomic.Int64 // store operations degraded to the local cache
-	DegradedReports atomic.Int64 // completions whose worker reported store degradation
+	// Shared-store counters.
+	StoreBlobs    atomic.Int64 // blobs fed into the store from completions
+	StoreFetches  atomic.Int64 // specs served from the store without a lease
+	StoreDegraded atomic.Int64 // blobs that could not be read or decoded, leased instead
 
 	// Speculative re-lease counters.
 	Speculations atomic.Int64 // hedge leases granted against suspected stragglers
@@ -138,10 +147,8 @@ func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter("rejected_writes_total", "artifact uploads that failed to decode", &m.RejectedWrites)
 	counter("remote_failures_total", "specs failed permanently by a worker", &m.RemoteFailures)
 	counter("store_blobs_total", "blobs fed into the coordinator's shared store", &m.StoreBlobs)
-	counter("store_fetches_total", "verified blob fetches served from the shared store", &m.StoreFetches)
-	counter("store_uploads_total", "blob uploads accepted by the shared store", &m.StoreUploads)
-	counter("store_degraded_total", "store operations degraded to the local cache", &m.StoreDegraded)
-	counter("degraded_reports_total", "completions whose worker reported store degradation", &m.DegradedReports)
+	counter("store_fetches_total", "specs served from the shared store without a lease", &m.StoreFetches)
+	counter("store_degraded_total", "shared-store blobs that could not be read or decoded and were leased instead", &m.StoreDegraded)
 	counter("speculations_total", "hedge leases granted against suspected stragglers", &m.Speculations)
 	counter("rescues_total", "hedged specs whose hedge finished first", &m.Rescues)
 }

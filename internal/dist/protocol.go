@@ -49,10 +49,6 @@ type LeaseResponse struct {
 	// LeaseMS is the lease duration in milliseconds: the worker must
 	// complete or heartbeat within it or the work is re-enqueued.
 	LeaseMS int64 `json:"lease_ms,omitempty"`
-	// Store reports that the coordinator serves the shared blob store
-	// (GET/PUT /v1/blob/{key} on its own base URL); the worker should
-	// point its HTTPStore there.
-	Store bool `json:"store,omitempty"`
 }
 
 // HeartbeatRequest extends the sender's lease on item ID.
@@ -80,10 +76,6 @@ type CompleteRequest struct {
 	// a zip archive, base64 in the JSON body, byte for byte the blob the
 	// coordinator feeds into its shared store.
 	Artifact []byte `json:"artifact"`
-	// StoreDegraded reports that this worker fell back from the shared
-	// store at least once: the sweep completed, but degraded. The
-	// coordinator surfaces it through Degraded (exit code 3).
-	StoreDegraded bool `json:"store_degraded,omitempty"`
 }
 
 // CompleteResponse acknowledges an artifact. Duplicate reports that the

@@ -3,284 +3,229 @@ package dist
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"net/http"
 	"net/http/httptest"
-	"sync"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"commchar/internal/apps"
+	"commchar/internal/cli"
 	"commchar/internal/obs"
 	"commchar/internal/pipeline"
 	"commchar/internal/resilience"
 )
 
-// TestBlobStoreRoundTripOverHTTP: an HTTPStore Put lands in the blob
-// directory and a Get returns the verified bytes, with the client-side
-// counters advancing and no degradation.
-func TestBlobStoreRoundTripOverHTTP(t *testing.T) {
-	bs, err := NewBlobStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(bs.Handler())
-	defer srv.Close()
-
-	m := &Metrics{}
-	hs := NewHTTPStore(HTTPStoreOptions{Base: srv.URL, Metrics: m})
-	key := testKey(70)
-	blob := marshalArtifact(t, testArtifact("IS"))
-
-	// A miss on an empty store is healthy, not degraded.
-	if _, ok, err := hs.Get(context.Background(), key); ok || err != nil {
-		t.Fatalf("empty-store get: ok=%t err=%v", ok, err)
-	}
-	if hs.Degraded() {
-		t.Fatal("healthy miss marked the store degraded")
-	}
-
-	if err := hs.Put(context.Background(), key, blob); err != nil {
-		t.Fatal(err)
-	}
-	if bs.Len() != 1 {
-		t.Fatalf("blob store holds %d blobs, want 1", bs.Len())
-	}
-	got, ok, err := hs.Get(context.Background(), key)
-	if err != nil || !ok || !bytes.Equal(got, blob) {
-		t.Fatalf("get: ok=%t err=%v len=%d want=%d", ok, err, len(got), len(blob))
-	}
-	if m.StoreUploads.Load() != 1 || m.StoreFetches.Load() != 1 {
-		t.Fatalf("uploads=%d fetches=%d", m.StoreUploads.Load(), m.StoreFetches.Load())
-	}
-	if hs.Degraded() || m.StoreDegraded.Load() != 0 {
-		t.Fatal("clean round trip degraded the store")
+// storeSpecs are real, small specs: one dynamic-strategy run and one
+// static run, whose blob also carries the trace member.
+func storeSpecs() []pipeline.RunSpec {
+	return []pipeline.RunSpec{
+		{App: "IS", Procs: 4, Scale: apps.ScaleSmall},
+		{App: "3D-FFT", Procs: 4, Scale: apps.ScaleSmall},
 	}
 }
 
-// TestBlobStoreRejectsBadKeysAndDamagedUploads: path-escaping keys are
-// rejected on both verbs, and an upload whose hash header disagrees with
-// its body is refused before it can poison readers.
-func TestBlobStoreRejectsBadKeysAndDamagedUploads(t *testing.T) {
-	bs, err := NewBlobStore(t.TempDir())
+// localBlobs runs specs in process, the -local reference, and returns
+// each artifact's serialization.
+func localBlobs(t *testing.T, specs []pipeline.RunSpec) [][]byte {
+	t.Helper()
+	eng, err := pipeline.New(pipeline.Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(bs.Handler())
-	defer srv.Close()
+	arts, err := eng.RunAll(context.Background(), specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := make([][]byte, len(arts))
+	for i, a := range arts {
+		blobs[i] = marshalArtifact(t, a)
+	}
+	return blobs
+}
 
-	for _, key := range []string{"..%2f..%2fetc", "short", testKey(0)[:63] + "G"} {
-		resp, err := http.Get(srv.URL + "/v1/blob/" + key)
+// storeSweep runs specs through an engine whose executor is a fresh
+// coordinator over blobDir. With withWorker a worker running the real
+// pipeline is attached; without one, any spec that needs a lease fails
+// the sweep at the deadline instead of hanging the test.
+func storeSweep(t *testing.T, blobDir string, withWorker bool, specs []pipeline.RunSpec) (*Coordinator, *obs.Observer, [][]byte) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	fleet := Fleet{BlobDir: blobDir, Drain: 5 * time.Second}
+	if withWorker {
+		workerEngine, err := pipeline.New(pipeline.Options{Parallel: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusNotFound &&
-			resp.StatusCode != http.StatusMovedPermanently {
-			t.Fatalf("key %q: status %d", key, resp.StatusCode)
+		w, err := NewWorker(WorkerOptions{
+			Name: "w1", Runner: workerEngine, PollInterval: 5 * time.Millisecond,
+			Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		ws := httptest.NewServer(w.ControlHandler())
+		defer ws.Close()
+		go w.Run(ctx)
+		fleet.Workers = ws.URL
 	}
-
-	// Damaged upload: hash header from different bytes.
-	key := testKey(71)
-	wrong := sha256.Sum256([]byte("other bytes entirely"))
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/blob/"+key, bytes.NewReader([]byte("blob body")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(blobHashHeader, hex.EncodeToString(wrong[:]))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("damaged upload accepted: status %d", resp.StatusCode)
-	}
-	if bs.Len() != 0 {
-		t.Fatal("damaged upload reached the blob directory")
-	}
-}
-
-// TestHTTPStoreDegradesOnDeadEndpoint: an unreachable store degrades to
-// misses — never errors — and after the breaker's threshold the circuit
-// opens, so further operations do not even touch the network.
-func TestHTTPStoreDegradesOnDeadEndpoint(t *testing.T) {
-	// Bind-then-close gives a dead address that refuses connections.
-	srv := httptest.NewServer(http.NotFoundHandler())
-	deadURL := srv.URL
-	srv.Close()
-
 	ob := obs.NewObserver(nil)
-	m := &Metrics{}
-	hs := NewHTTPStore(HTTPStoreOptions{
-		Base: deadURL, Obs: ob, Metrics: m,
-		Breaker: resilience.BreakerOptions{Threshold: 2, Cooldown: time.Hour},
-	})
-	for i := 0; i < 5; i++ {
-		if _, ok, err := hs.Get(context.Background(), testKey(72)); ok || err != nil {
-			t.Fatalf("get %d: ok=%t err=%v, want degraded miss", i, ok, err)
-		}
-	}
-	if !hs.Degraded() {
-		t.Fatal("dead endpoint did not set the sticky degraded flag")
-	}
-	if got := m.StoreDegraded.Load(); got != 5 {
-		t.Fatalf("store degraded counter = %d, want 5", got)
-	}
-	if hs.Breaker().State() != resilience.BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", hs.Breaker().State())
-	}
-	// Puts behind the open circuit degrade without touching the network.
-	if err := hs.Put(context.Background(), testKey(72), []byte("x")); err != nil {
-		t.Fatalf("degraded put returned an error: %v", err)
-	}
-	var sawDegraded bool
-	for _, ev := range ob.Events.Recent() {
-		if ev.Name == "dist.store.degraded" {
-			sawDegraded = true
-		}
-	}
-	if !sawDegraded {
-		t.Fatal("dist.store.degraded event not recorded")
-	}
-}
-
-// TestHTTPStoreRejectsCorruptBlob: a body that fails SHA-256
-// verification is a degraded miss, not a poisoned hit.
-func TestHTTPStoreRejectsCorruptBlob(t *testing.T) {
-	good := []byte("the blob the hash was computed over")
-	sum := sha256.Sum256(good)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(blobHashHeader, hex.EncodeToString(sum[:]))
-		w.Write([]byte("corrupted in transit"))
-	}))
-	defer srv.Close()
-
-	m := &Metrics{}
-	hs := NewHTTPStore(HTTPStoreOptions{Base: srv.URL, Metrics: m})
-	if _, ok, err := hs.Get(context.Background(), testKey(73)); ok || err != nil {
-		t.Fatalf("corrupt blob: ok=%t err=%v, want degraded miss", ok, err)
-	}
-	if !hs.Degraded() || m.StoreDegraded.Load() != 1 || m.StoreFetches.Load() != 0 {
-		t.Fatalf("degraded=%t counter=%d fetches=%d",
-			hs.Degraded(), m.StoreDegraded.Load(), m.StoreFetches.Load())
-	}
-}
-
-// TestWorkerAttachesStoreAndCoordinatorFeedsIt: end to end — the lease
-// advertises the coordinator's store, the worker attaches its HTTPStore
-// to the coordinator URL, and the accepted completion is fed write-behind
-// into the blob directory, where a fresh client can fetch it verified.
-func TestWorkerAttachesStoreAndCoordinatorFeedsIt(t *testing.T) {
-	bs, err := NewBlobStore(t.TempDir())
+	coord, _, shutdown, err := ServeCoordinator(ctx, CoordinatorOptions{Lease: 5 * time.Second, Obs: ob}, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(CoordinatorOptions{Lease: time.Second, Store: bs})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	coord.Start(ctx)
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	runner := &fakeRunner{fn: func(ctx context.Context, spec pipeline.RunSpec) (*pipeline.Artifact, error) {
-		return testArtifact(spec.App), nil
-	}}
-	hs := NewHTTPStore(HTTPStoreOptions{Metrics: coord.Metrics()})
-	w, err := NewWorker(WorkerOptions{
-		Name: "w1", Runner: runner, Store: hs, PollInterval: 5 * time.Millisecond,
-		Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-	})
+	defer shutdown()
+	front, err := pipeline.New(pipeline.Options{Parallel: len(specs), Remote: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go w.Poll(ctx, srv.URL)
-
-	key := testKey(74)
-	if _, err := coord.Execute(context.Background(), testSpec("IS"), key); err != nil {
+	arts, err := front.RunAll(ctx, specs...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	coord.Finish()
+	shutdown()
+	blobs := make([][]byte, len(arts))
+	for i, a := range arts {
+		blobs[i] = marshalArtifact(t, a)
+	}
+	return coord, ob, blobs
+}
 
-	if hs.Base() != srv.URL {
-		t.Fatalf("worker store base %q, want %q (attached from the lease)", hs.Base(), srv.URL)
+// countEvents counts the flight-recorder events named name.
+func countEvents(ob *obs.Observer, name string) int {
+	n := 0
+	for _, ev := range ob.Events.Recent() {
+		if ev.Name == name {
+			n++
+		}
 	}
-	// The feed is write-behind: Execute returns once the completion is
-	// accepted, and the blob lands after that. Wait for it, up to a bound.
-	for deadline := time.Now().Add(5 * time.Second); coord.Metrics().StoreBlobs.Load() == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
+	return n
+}
+
+// TestCoordinatorServesStoreHitWithoutLease: the blobs one sweep feeds
+// into the store serve a second coordinator over the same directory,
+// which has no worker at all. It grants no lease, counts one store fetch
+// per spec, and its artifacts are byte-identical to the local run's.
+func TestCoordinatorServesStoreHitWithoutLease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation; skipped in -short")
 	}
-	if coord.Metrics().StoreBlobs.Load() != 1 || bs.Len() != 1 {
-		t.Fatalf("write-behind feed: blobs metric=%d, stored=%d",
-			coord.Metrics().StoreBlobs.Load(), bs.Len())
+	specs := storeSpecs()
+	want := localBlobs(t, specs)
+	dir := t.TempDir()
+
+	cold, _, _ := storeSweep(t, dir, true, specs)
+	if got := cold.Metrics().StoreBlobs.Load(); got != int64(len(specs)) {
+		t.Fatalf("cold sweep fed %d blobs, want %d", got, len(specs))
 	}
-	fresh := NewHTTPStore(HTTPStoreOptions{Base: srv.URL, Metrics: &Metrics{}})
-	data, ok, err := fresh.Get(context.Background(), key)
-	if err != nil || !ok {
-		t.Fatalf("fed blob not fetchable: ok=%t err=%v", ok, err)
+	for i, spec := range specs {
+		key, err := spec.Key(pipeline.DefaultSalt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed, err := os.ReadFile(filepath.Join(dir, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fed, want[i]) {
+			t.Fatalf("%s: fed blob differs from the local artifact", spec.Label())
+		}
 	}
-	if art, err := pipeline.UnmarshalArtifact(data, testSpec("IS"), key); err != nil || art.C.Name != "IS" {
-		t.Fatalf("fed blob does not decode: %v", err)
+
+	warm, ob, got := storeSweep(t, dir, false, specs)
+	m := warm.Metrics()
+	if n := m.LeasesGranted.Load(); n != 0 {
+		t.Fatalf("warm sweep granted %d leases, want 0", n)
 	}
-	if coord.Degraded() {
-		t.Fatal("healthy store run marked degraded")
+	if n := m.Enqueued.Load(); n != 0 {
+		t.Fatalf("warm sweep enqueued %d specs, want 0", n)
+	}
+	if n := m.StoreFetches.Load(); n != int64(len(specs)) {
+		t.Fatalf("store fetches = %d, want %d", n, len(specs))
+	}
+	if n := countEvents(ob, "dist.store.hit"); n != len(specs) {
+		t.Fatalf("%d dist.store.hit events, want %d", n, len(specs))
+	}
+	for i := range specs {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: store hit differs from the local artifact", specs[i].Label())
+		}
+	}
+	if err := warm.DegradedError(); err != nil {
+		t.Fatalf("clean store hits report %v", err)
 	}
 }
 
-// TestDegradedReportSurfacesThroughCoordinator: a completion carrying
-// StoreDegraded marks the sweep degraded — even when it arrives as a
-// duplicate — and is counted and flight-recorded.
-func TestDegradedReportSurfacesThroughCoordinator(t *testing.T) {
-	ob := obs.NewObserver(nil)
-	coord := NewCoordinator(CoordinatorOptions{Lease: time.Second, Obs: ob})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+// TestCorruptBlobFallsBackToLeaseAndDegrades: a truncated blob and one
+// that cannot be read at all are each leased and run instead of served.
+// The artifacts stay byte-identical to the local run's, the completion
+// overwrites the truncated blob with the good bytes, and the sweep exits
+// degraded.
+func TestCorruptBlobFallsBackToLeaseAndDegrades(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation; skipped in -short")
+	}
+	specs := storeSpecs()
+	want := localBlobs(t, specs)
+	dir := t.TempDir()
+	keys := make([]string, len(specs))
+	for i, spec := range specs {
+		key, err := spec.Key(pipeline.DefaultSalt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = key
+	}
+	// The first blob is cut short; the second is a directory, which no
+	// read can return.
+	if err := os.WriteFile(filepath.Join(dir, keys[0]), want[0][:len(want[0])/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, keys[1]), 0o755); err != nil {
+		t.Fatal(err)
+	}
 
-	key := testKey(75)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var execErr error
-	go func() {
-		defer wg.Done()
-		_, execErr = coord.Execute(context.Background(), testSpec("IS"), key)
-	}()
-	var lease LeaseResponse
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		postJSON(t, srv.URL+"/v1/lease", LeaseRequest{V: ProtoVersion, Worker: "w1"}, &lease)
-		if lease.Status == StatusLease {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no lease granted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if lease.Store {
-		t.Fatal("lease advertises a store the coordinator does not serve")
-	}
-	var comp CompleteResponse
-	postJSON(t, srv.URL+"/v1/complete", CompleteRequest{
-		V: ProtoVersion, Worker: "w1", ID: lease.ID, Key: key,
-		Artifact: marshalArtifact(t, testArtifact("IS")), StoreDegraded: true,
-	}, &comp)
-	wg.Wait()
-	if execErr != nil {
-		t.Fatal(execErr)
-	}
-	if !coord.Degraded() {
-		t.Fatal("worker's degradation report did not mark the sweep degraded")
-	}
-	if coord.Metrics().DegradedReports.Load() != 1 {
-		t.Fatalf("degraded reports = %d", coord.Metrics().DegradedReports.Load())
-	}
-	var saw bool
-	for _, ev := range ob.Events.Recent() {
-		if ev.Name == "dist.store.degraded.reported" {
-			saw = true
+	coord, ob, got := storeSweep(t, dir, true, specs)
+	for i := range specs {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: leased artifact differs from the local artifact", specs[i].Label())
 		}
 	}
-	if !saw {
-		t.Fatal("dist.store.degraded.reported event not recorded")
+	m := coord.Metrics()
+	if m.StoreDegraded.Load() != 2 || m.StoreFetches.Load() != 0 || m.LeasesGranted.Load() != 2 {
+		t.Fatalf("store degraded=%d fetches=%d leases=%d, want 2/0/2",
+			m.StoreDegraded.Load(), m.StoreFetches.Load(), m.LeasesGranted.Load())
+	}
+	if n := countEvents(ob, "dist.store.degraded"); n != 2 {
+		t.Fatalf("%d dist.store.degraded events, want 2", n)
+	}
+	healed, err := os.ReadFile(filepath.Join(dir, keys[0]))
+	if err != nil || !bytes.Equal(healed, want[0]) {
+		t.Fatalf("truncated blob not overwritten by the completion (err %v)", err)
+	}
+	if code := cli.ExitCode(coord.DegradedError()); code != 3 {
+		t.Fatalf("exit code %d, want 3 (%v)", code, coord.DegradedError())
+	}
+}
+
+// TestBlobStoreRejectsBadKeys: a key without the cache key's shape
+// names no file, on either verb.
+func TestBlobStoreRejectsBadKeys(t *testing.T) {
+	dir := t.TempDir()
+	bs, err := NewBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"../../etc/passwd", "short", testKey(0)[:63] + "G", ""} {
+		if err := bs.Put(key, []byte("x")); err == nil {
+			t.Fatalf("Put(%q) accepted", key)
+		}
+		if _, ok, err := bs.Get(key); err == nil || ok {
+			t.Fatalf("Get(%q): ok=%t err=%v, want an error", key, ok, err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("bad keys wrote %d entries (err %v)", len(entries), err)
 	}
 }

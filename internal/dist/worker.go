@@ -42,11 +42,6 @@ type WorkerOptions struct {
 	// 2m. (A coordinator mid-restart answers within the grace; one whose
 	// process is gone for good should not pin a worker forever.)
 	UnreachableGrace time.Duration
-	// Store, when non-nil, is the worker's shared-store client: when a
-	// coordinator advertises its blob store (LeaseResponse.Store), the
-	// worker points the client there and reports the client's sticky
-	// degradation flag on every completion.
-	Store *HTTPStore
 	// Transport overrides the RPC client's HTTP transport (fault
 	// injection for the chaos matrix).
 	Transport http.RoundTripper
@@ -65,7 +60,6 @@ type Worker struct {
 	runner           Runner
 	ob               *obs.Observer
 	client           *client
-	store            *HTTPStore
 	clock            obs.Clock
 	pollInterval     time.Duration
 	unreachableGrace time.Duration
@@ -98,18 +92,11 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		runner:           opts.Runner,
 		ob:               opts.Obs,
 		client:           cl,
-		store:            opts.Store,
 		clock:            opts.Clock,
 		pollInterval:     opts.PollInterval,
 		unreachableGrace: opts.UnreachableGrace,
 		attach:           make(chan string, 4),
 	}, nil
-}
-
-// storeDegraded reports the store client's sticky degradation flag (false
-// without a store).
-func (w *Worker) storeDegraded() bool {
-	return w.store != nil && w.store.Degraded()
 }
 
 // Poll serves one coordinator until its sweep is done, ctx is
@@ -157,12 +144,6 @@ func (w *Worker) Poll(ctx context.Context, coordinatorURL string) error {
 				return ctx.Err()
 			}
 		case StatusLease:
-			if w.store != nil && lease.Store && w.store.Base() == "" {
-				// The coordinator serves a shared blob store on its own
-				// base URL; point the engine's store client there.
-				w.store.SetBase(coordinatorURL)
-				w.ob.Emit("dist.store.attached", map[string]string{"worker": w.name, "store": coordinatorURL})
-			}
 			w.serve(ctx, coordinatorURL, lease)
 		default:
 			return fmt.Errorf("dist: worker %s: coordinator answered unknown lease status %q", w.name, lease.Status)
@@ -270,7 +251,7 @@ func (w *Worker) deliver(ctx context.Context, coordinatorURL string, lease Lease
 	}
 	req := CompleteRequest{
 		V: ProtoVersion, Worker: w.name, ID: lease.ID, Key: lease.Key,
-		Artifact: data, StoreDegraded: w.storeDegraded(),
+		Artifact: data,
 	}
 	var resp CompleteResponse
 	if err := w.client.post(ctx, coordinatorURL+"/v1/complete", req, &resp); err != nil {

@@ -97,7 +97,6 @@ func sweepTopologyMatrix(t *testing.T, parallel int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	var specs []pipeline.RunSpec
 	for _, topo := range []string{"", "torus3d", "fattree"} {
 		specs = append(specs, pipeline.RunSpec{App: "IS", Procs: 16, Scale: apps.ScaleSmall, Topology: topo})
@@ -350,7 +349,6 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 	}()
 	var interrupted strings.Builder
 	err = NewRunner(ctx, apps.ScaleSmall, eng1).Table1(&interrupted, procs)
-	eng1.Close()
 	interruptedAt := cached()
 	if interruptedAt >= total {
 		// The sweep outran the interrupt; the resume below still must
@@ -369,7 +367,6 @@ func TestInterruptedSweepResumesByteIdentical(t *testing.T) {
 	if err := NewRunner(context.Background(), apps.ScaleSmall, eng2).Table1(&resumed, procs); err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
-	defer eng2.Close()
 	if got := eng2.Metrics().Runs.Load(); got != int64(total-interruptedAt) {
 		t.Fatalf("resume repeated simulations: %d runs executed, want %d", got, total-interruptedAt)
 	}

@@ -35,7 +35,6 @@ func BenchmarkColdSweepTopology(b *testing.B) {
 				if len(arts) != 1 || arts[0].C == nil || arts[0].C.Messages == 0 {
 					b.Fatalf("topology %q: empty artifact", topo)
 				}
-				eng.Close()
 			}
 		})
 	}

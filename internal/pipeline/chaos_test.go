@@ -333,7 +333,6 @@ func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep error is not context.Canceled: %v", err)
 	}
-	e1.Close()
 	doneAtInterrupt := cacheEntries(dir)
 	if doneAtInterrupt >= len(names) {
 		t.Fatalf("interrupt landed too late: %d specs already cached", doneAtInterrupt)
@@ -345,7 +344,6 @@ func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed sweep failed: %v", err)
 	}
-	defer e2.Close()
 
 	if got := e2.Metrics().DiskHits.Load(); got != int64(doneAtInterrupt) {
 		t.Fatalf("DiskHits = %d, want %d", got, doneAtInterrupt)

@@ -25,11 +25,6 @@ type Flags struct {
 	// its own: the tools that support distribution construct the
 	// executor from their own flags (-workers) and inject it here.
 	Remote Executor
-	// Store, when set before Engine, attaches a shared remote
-	// artifact cache (read-through after disk misses, asynchronous
-	// write-behind after fresh runs). Like Remote it has no flag of its
-	// own; the distributed tools construct and inject it.
-	Store CacheStore
 }
 
 // AddFlags registers the pipeline flags on a flag set.
@@ -48,8 +43,7 @@ func AddFlags(fs *flag.FlagSet) *Flags {
 
 // Engine builds the engine the flags describe, observed by ob: stages are
 // traced, counters exported, progress tracked. A nil observer
-// (observability flags all off) observes nothing. The caller owns the
-// engine's Close (which drains the store write-behinds).
+// (observability flags all off) observes nothing.
 func (f *Flags) Engine(ob *obs.Observer) (*Engine, error) {
 	onError, err := ParseOnError(f.OnError)
 	if err != nil {
@@ -61,7 +55,6 @@ func (f *Flags) Engine(ob *obs.Observer) (*Engine, error) {
 		OnError:     onError,
 		SpecTimeout: f.SpecTimeout,
 		Remote:      f.Remote,
-		Store:       f.Store,
 		Obs:         ob,
 	})
 }

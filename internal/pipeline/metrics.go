@@ -34,11 +34,6 @@ type Metrics struct {
 	RemoteRuns atomic.Int64 // specs executed through the remote executor
 	RemoteNS   atomic.Int64 // wall time waiting on remote executions
 
-	StoreHits      atomic.Int64 // artifacts served from the shared remote store
-	StorePuts      atomic.Int64 // artifacts uploaded to the shared remote store
-	StoreErrors    atomic.Int64 // store fetches that failed or decoded inconsistently
-	StorePutErrors atomic.Int64 // best-effort store uploads that failed
-
 	Retries      atomic.Int64 // extra stage executions after transient failures
 	Panics       atomic.Int64 // worker panics contained by the recovery boundary
 	Cancelled    atomic.Int64 // runs stopped by cancellation or a deadline
@@ -82,18 +77,6 @@ func (m *Metrics) Summary() *report.Table {
 	if n := m.RemoteRuns.Load(); n > 0 {
 		t.AddRow("remote runs", fmt.Sprintf("%d", n))
 		t.AddRow("remote wall (ms)", ms(m.RemoteNS.Load()))
-	}
-	if n := m.StoreHits.Load(); n > 0 {
-		t.AddRow("cache hits (store)", fmt.Sprintf("%d", n))
-	}
-	if n := m.StorePuts.Load(); n > 0 {
-		t.AddRow("store uploads", fmt.Sprintf("%d", n))
-	}
-	if n := m.StoreErrors.Load(); n > 0 {
-		t.AddRow("store errors", fmt.Sprintf("%d", n))
-	}
-	if n := m.StorePutErrors.Load(); n > 0 {
-		t.AddRow("store upload errors", fmt.Sprintf("%d", n))
 	}
 	if n := m.DiskStoreErrors.Load(); n > 0 {
 		t.AddRow("disk store errors", fmt.Sprintf("%d", n))
@@ -152,10 +135,6 @@ func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter("analyze_ns_total", "wall time spent in the analyze stage", &m.AnalyzeNS)
 	counter("remote_runs_total", "specs executed through the remote executor", &m.RemoteRuns)
 	counter("remote_ns_total", "wall time spent waiting on remote executions", &m.RemoteNS)
-	counter("cache_hits_store_total", "artifacts served from the shared remote store", &m.StoreHits)
-	counter("store_puts_total", "artifacts uploaded to the shared remote store", &m.StorePuts)
-	counter("store_errors_total", "store fetches that failed or decoded inconsistently", &m.StoreErrors)
-	counter("store_put_errors_total", "best-effort store uploads that failed", &m.StorePutErrors)
 	counter("disk_store_errors_total", "best-effort cache writes that failed", &m.DiskStoreErrors)
 	counter("retries_total", "extra stage executions after transient failures", &m.Retries)
 	counter("panics_total", "worker panics contained by the recovery boundary", &m.Panics)

@@ -86,10 +86,6 @@ func TestMetricsGoldenEveryRow(t *testing.T) {
 	m := e.Metrics()
 	m.RemoteRuns.Add(2)
 	m.RemoteNS.Add(3_250_000)
-	m.StoreHits.Add(4)
-	m.StorePuts.Add(5)
-	m.StoreErrors.Add(6)
-	m.StorePutErrors.Add(7)
 	m.DiskStoreErrors.Add(8)
 	m.Retries.Add(9)
 	m.Panics.Add(10)

@@ -65,10 +65,6 @@ const (
 	// SourceRemote is an artifact executed by a remote worker (see the
 	// Options.Remote executor and internal/dist).
 	SourceRemote Source = "remote"
-	// SourceStore is an artifact fetched from the shared remote cache
-	// (the Options.Store CacheStore) — executed earlier by some other
-	// process in the fleet.
-	SourceStore Source = "store"
 )
 
 // An Executor runs one spec somewhere other than this process's stages —
@@ -134,11 +130,6 @@ type Options struct {
 	// executor (a distributed worker fleet) instead of the local stages.
 	// Caching, dedup, and the retry policy are unchanged.
 	Remote Executor
-	// Store, when non-nil, is a shared remote artifact cache consulted
-	// after a local disk miss (read-through) and fed after every fresh
-	// run (asynchronous write-behind). Strictly best-effort: a degraded
-	// store costs counters and flight events, never a failed spec.
-	Store CacheStore
 	// Obs, when non-nil, observes the engine: every stage is traced as a
 	// span, the metrics counters are exported through the observer's
 	// registry, per-spec progress is tracked, and completed runs
@@ -160,8 +151,6 @@ type Engine struct {
 	retry       resilience.Policy
 	specTimeout time.Duration
 	remote      Executor
-	store       CacheStore
-	storeWG     sync.WaitGroup // in-flight write-behind uploads (drained by Close)
 
 	// obs observes the engine (nil: no observation); clock is the
 	// engine's only wall-clock source — obs.System() untraced, a fake in
@@ -225,7 +214,6 @@ func New(opts Options) (*Engine, error) {
 		retry:       retry,
 		specTimeout: opts.SpecTimeout,
 		remote:      opts.Remote,
-		store:       opts.Store,
 		obs:         opts.Obs,
 		clock:       opts.Obs.ClockOrSystem(),
 		mem:         map[string]*Artifact{},
@@ -274,10 +262,6 @@ func trackName(spec RunSpec, key string) string {
 
 // Metrics returns the engine's counters.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
-
-// Close drains the in-flight store write-behinds. An engine without a
-// store needs no Close; calling it is then a no-op.
-func (e *Engine) Close() { e.storeWG.Wait() }
 
 // Run characterizes one spec, serving it from cache when possible and
 // joining an identical in-flight run instead of duplicating it.
@@ -454,9 +438,6 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (
 			return art, nil
 		}
 	}
-	if art, ok := e.storeGet(ctx, spec, key, track); ok {
-		return art, nil
-	}
 
 	e.obs.SpecStage(track, obs.StageQueued)
 	qsp := e.obs.StartSpan("engine", track, "queue", "queued")
@@ -521,12 +502,6 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (
 			e.metrics.DiskStoreErrors.Add(1)
 			e.obs.Emit("cache.store.error", map[string]string{"spec": track, "err": serr.Error()})
 		}
-	}
-	if art.Source == SourceRun {
-		// Freshly executed here: share it with the fleet. Remote
-		// artifacts are already fed into the store by the coordinator at
-		// completion time, so re-uploading them would be a wasted PUT.
-		e.storePut(spec, key, track, art)
 	}
 	return art, nil
 }
