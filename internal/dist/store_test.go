@@ -3,9 +3,12 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,5 +230,277 @@ func TestBlobStoreRejectsBadKeys(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Fatalf("bad keys wrote %d entries (err %v)", len(entries), err)
+	}
+}
+
+// leaseOverHTTP polls /v1/lease as worker until a lease is granted, up
+// to a bound, and returns it.
+func leaseOverHTTP(t *testing.T, url, worker string) LeaseResponse {
+	t.Helper()
+	var lease LeaseResponse
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		postJSON(t, url+"/v1/lease", LeaseRequest{V: ProtoVersion, Worker: worker}, &lease)
+		if lease.Status == StatusLease {
+			return lease
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no lease granted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// leasedExecute runs Execute for spec and key on coord while a raw-HTTP
+// worker leases the spec from srvURL and completes it with blob. It
+// returns what Execute returned.
+func leasedExecute(t *testing.T, coord *Coordinator, srvURL string, spec pipeline.RunSpec, key string, blob []byte) *pipeline.Artifact {
+	t.Helper()
+	var (
+		wg      sync.WaitGroup
+		art     *pipeline.Artifact
+		execErr error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		art, execErr = coord.Execute(context.Background(), spec, key)
+	}()
+	lease := leaseOverHTTP(t, srvURL, "w1")
+	var comp CompleteResponse
+	postJSON(t, srvURL+"/v1/complete", CompleteRequest{
+		V: ProtoVersion, Worker: "w1", ID: lease.ID, Key: key, Artifact: blob,
+	}, &comp)
+	wg.Wait()
+	if execErr != nil {
+		t.Fatal(execErr)
+	}
+	if comp.Duplicate {
+		t.Fatal("the only completion was counted a duplicate")
+	}
+	return art
+}
+
+// hitExecute runs Execute for a spec the store must serve. A miss would
+// block on a lease nobody takes, so the call is bounded.
+func hitExecute(t *testing.T, coord *Coordinator, spec pipeline.RunSpec, key string) *pipeline.Artifact {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	art, err := coord.Execute(ctx, spec, key)
+	if err != nil {
+		t.Fatalf("store hit expected, Execute failed: %v", err)
+	}
+	return art
+}
+
+// TestBlobStoreRoundTripOverHTTP: a blob travels into the store over
+// HTTP — the completion a worker posts to /v1/complete is fed into the
+// blob directory byte for byte — and back out as a hit: a fresh
+// coordinator over the same directory answers Execute with the same
+// artifact and grants no lease. The miss on the empty store is healthy,
+// not degraded.
+func TestBlobStoreRoundTripOverHTTP(t *testing.T) {
+	dir := t.TempDir()
+	bs, err := NewBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := NewCoordinator(CoordinatorOptions{Lease: time.Second, Store: bs})
+	srv := httptest.NewServer(cold.Handler())
+	defer srv.Close()
+
+	key := testKey(70)
+	blob := marshalArtifact(t, testArtifact("IS"))
+	if art := leasedExecute(t, cold, srv.URL, testSpec("IS"), key, blob); art.C.Name != "IS" {
+		t.Fatalf("leased artifact is %q", art.C.Name)
+	}
+	m := cold.Metrics()
+	if m.LeasesGranted.Load() != 1 || m.StoreFetches.Load() != 0 {
+		t.Fatalf("empty store: leases=%d fetches=%d, want 1/0", m.LeasesGranted.Load(), m.StoreFetches.Load())
+	}
+	if cold.Degraded() || m.StoreDegraded.Load() != 0 {
+		t.Fatal("healthy miss marked the store degraded")
+	}
+	if m.StoreBlobs.Load() != 1 || bs.Len() != 1 {
+		t.Fatalf("feed: blobs metric=%d, stored=%d, want 1/1", m.StoreBlobs.Load(), bs.Len())
+	}
+	if fed, ok, err := bs.Get(key); err != nil || !ok || !bytes.Equal(fed, blob) {
+		t.Fatalf("fed blob: ok=%t err=%v equal=%t", ok, err, bytes.Equal(fed, blob))
+	}
+
+	bs2, err := NewBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewCoordinator(CoordinatorOptions{Lease: time.Second, Store: bs2})
+	art := hitExecute(t, warm, testSpec("IS"), key)
+	if got := marshalArtifact(t, art); !bytes.Equal(got, blob) {
+		t.Fatal("store hit does not reproduce the completed artifact")
+	}
+	wm := warm.Metrics()
+	if wm.LeasesGranted.Load() != 0 || wm.Enqueued.Load() != 0 || wm.StoreFetches.Load() != 1 {
+		t.Fatalf("warm: leases=%d enqueued=%d fetches=%d, want 0/0/1",
+			wm.LeasesGranted.Load(), wm.Enqueued.Load(), wm.StoreFetches.Load())
+	}
+	if warm.Degraded() {
+		t.Fatal("clean store hit marked the sweep degraded")
+	}
+}
+
+// TestHTTPStoreRejectsCorruptBlob: the coordinator is the store's only
+// reader and serves the fleet over HTTP. A blob damaged in place — one
+// byte flipped, the length unchanged — is a degraded miss, not a poisoned
+// hit: the spec is leased over HTTP, the good completion replaces the
+// blob, and the sweep is degraded.
+func TestHTTPStoreRejectsCorruptBlob(t *testing.T) {
+	dir := t.TempDir()
+	bs, err := NewBlobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(73)
+	good := marshalArtifact(t, testArtifact("IS"))
+	bad := append([]byte(nil), good...)
+	bad[len(bad)/2] ^= 0x01
+	if _, err := pipeline.UnmarshalArtifact(bad, testSpec("IS"), key); err == nil {
+		t.Fatal("the damaged blob still decodes; the test damages nothing")
+	}
+	if err := bs.Put(key, bad); err != nil {
+		t.Fatal(err)
+	}
+
+	ob := obs.NewObserver(nil)
+	coord := NewCoordinator(CoordinatorOptions{Lease: time.Second, Store: bs, Obs: ob})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	art := leasedExecute(t, coord, srv.URL, testSpec("IS"), key, good)
+	if got := marshalArtifact(t, art); !bytes.Equal(got, good) {
+		t.Fatal("Execute returned something other than the leased artifact")
+	}
+	m := coord.Metrics()
+	if !coord.Degraded() || m.StoreDegraded.Load() != 1 || m.StoreFetches.Load() != 0 || m.LeasesGranted.Load() != 1 {
+		t.Fatalf("degraded=%t counter=%d fetches=%d leases=%d, want true/1/0/1",
+			coord.Degraded(), m.StoreDegraded.Load(), m.StoreFetches.Load(), m.LeasesGranted.Load())
+	}
+	if n := countEvents(ob, "dist.store.degraded"); n != 1 {
+		t.Fatalf("%d dist.store.degraded events, want 1", n)
+	}
+	if healed, ok, err := bs.Get(key); err != nil || !ok || !bytes.Equal(healed, good) {
+		t.Fatalf("damaged blob not replaced by the completion (ok=%t err=%v)", ok, err)
+	}
+}
+
+// TestWorkerAttachesStoreAndCoordinatorFeedsIt: end to end with a
+// polling worker. The worker attaches no store of its own, yet its
+// accepted completion feeds the coordinator's blob directory, and a
+// repeat of the spec is then served from the store without reaching the
+// worker again.
+func TestWorkerAttachesStoreAndCoordinatorFeedsIt(t *testing.T) {
+	bs, err := NewBlobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := NewCoordinator(CoordinatorOptions{Lease: time.Second, Store: bs})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord.Start(ctx)
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	runner := &fakeRunner{fn: func(ctx context.Context, spec pipeline.RunSpec) (*pipeline.Artifact, error) {
+		return testArtifact(spec.App), nil
+	}}
+	w, err := NewWorker(WorkerOptions{
+		Name: "w1", Runner: runner, PollInterval: 5 * time.Millisecond,
+		Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Poll(ctx, srv.URL)
+
+	key := testKey(74)
+	if _, err := coord.Execute(ctx, testSpec("IS"), key); err != nil {
+		t.Fatal(err)
+	}
+	// The feed follows the completion's acceptance, which is what
+	// Execute waits for. Wait for it, up to a bound.
+	for deadline := time.Now().Add(5 * time.Second); coord.Metrics().StoreBlobs.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if coord.Metrics().StoreBlobs.Load() != 1 || bs.Len() != 1 {
+		t.Fatalf("feed: blobs metric=%d, stored=%d", coord.Metrics().StoreBlobs.Load(), bs.Len())
+	}
+	data, ok, err := bs.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("fed blob not readable: ok=%t err=%v", ok, err)
+	}
+	if art, err := pipeline.UnmarshalArtifact(data, testSpec("IS"), key); err != nil || art.C.Name != "IS" {
+		t.Fatalf("fed blob does not decode: %v", err)
+	}
+
+	if art := hitExecute(t, coord, testSpec("IS"), key); art.C.Name != "IS" {
+		t.Fatalf("repeat served %q", art.C.Name)
+	}
+	coord.Finish()
+	runner.mu.Lock()
+	runs := runner.runs["IS"]
+	runner.mu.Unlock()
+	m := coord.Metrics()
+	if runs != 1 || m.LeasesGranted.Load() != 1 || m.StoreFetches.Load() != 1 {
+		t.Fatalf("runs=%d leases=%d fetches=%d, want 1/1/1", runs, m.LeasesGranted.Load(), m.StoreFetches.Load())
+	}
+	if coord.Degraded() {
+		t.Fatal("healthy store run marked degraded")
+	}
+}
+
+// TestDegradedReportSurfacesThroughCoordinator: the coordinator's own
+// store degradation surfaces through every report it makes — Degraded,
+// DegradedError with its fallback count and exit code 3, the exported
+// counter and the flight recorder — and stays set after the completion
+// heals the blob and a repeat of the spec is served from it cleanly.
+func TestDegradedReportSurfacesThroughCoordinator(t *testing.T) {
+	bs, err := NewBlobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey(75)
+	if err := bs.Put(key, []byte("not an artifact")); err != nil {
+		t.Fatal(err)
+	}
+	ob := obs.NewObserver(nil)
+	coord := NewCoordinator(CoordinatorOptions{Lease: time.Second, Store: bs, Obs: ob})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+
+	leasedExecute(t, coord, srv.URL, testSpec("IS"), key, marshalArtifact(t, testArtifact("IS")))
+	hitExecute(t, coord, testSpec("IS"), key)
+	coord.Finish()
+
+	if !coord.Degraded() {
+		t.Fatal("an unusable blob did not mark the sweep degraded")
+	}
+	var de *DegradedError
+	if err := coord.DegradedError(); !errors.As(err, &de) || de.StoreFallbacks != 1 || de.Rescues != 0 {
+		t.Fatalf("DegradedError = %#v, want 1 store fallback, 0 rescues", err)
+	}
+	if code := cli.ExitCode(coord.DegradedError()); code != 3 {
+		t.Fatalf("exit code %d, want 3", code)
+	}
+	if m := coord.Metrics(); m.StoreDegraded.Load() != 1 || m.StoreFetches.Load() != 1 {
+		t.Fatalf("store degraded=%d fetches=%d, want 1/1", m.StoreDegraded.Load(), m.StoreFetches.Load())
+	}
+	r := obs.NewRegistry()
+	coord.Metrics().RegisterWith(r)
+	var prom bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\ncommchar_dist_store_degraded_total 1\n") {
+		t.Fatal("the degraded counter is not exported as 1")
+	}
+	if n := countEvents(ob, "dist.store.degraded"); n != 1 {
+		t.Fatalf("%d dist.store.degraded events, want 1", n)
 	}
 }

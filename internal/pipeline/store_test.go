@@ -1,108 +1,91 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
-	"errors"
-	"reflect"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"commchar/internal/apps"
 )
 
-// fakeStore is an in-memory CacheStore with scriptable failure modes.
-type fakeStore struct {
-	mu      sync.Mutex
-	blobs   map[string][]byte
-	gets    int
-	puts    int
-	getErr  error
-	putErr  error
-	corrupt bool
+// The engine's own artifact store is its disk cache. A store shared by a
+// fleet sits behind the Remote executor: the dist coordinator serves its
+// hits there. These tests pin the engine's side of that arrangement.
+
+// storeExecutor is a Remote executor that serves every spec from an
+// in-memory blob map, as a coordinator serves hits from its store, and
+// counts its calls.
+type storeExecutor struct {
+	mu    sync.Mutex
+	blobs map[string][]byte
+	calls int
 }
 
-func newFakeStore() *fakeStore { return &fakeStore{blobs: map[string][]byte{}} }
-
-func (s *fakeStore) Get(ctx context.Context, key string) ([]byte, bool, error) {
+func (s *storeExecutor) Execute(ctx context.Context, spec RunSpec, key string) (*Artifact, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gets++
-	if s.getErr != nil {
-		return nil, false, s.getErr
-	}
+	s.calls++
 	data, ok := s.blobs[key]
 	if !ok {
-		return nil, false, nil
+		return nil, fmt.Errorf("no blob for %s", key)
 	}
-	if s.corrupt {
-		return []byte(`{"Meta":{}}`), true, nil
-	}
-	return data, true, nil
-}
-
-func (s *fakeStore) Put(ctx context.Context, key string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.puts++
-	if s.putErr != nil {
-		return s.putErr
-	}
-	s.blobs[key] = append([]byte(nil), data...)
-	return nil
+	return UnmarshalArtifact(data, spec, key)
 }
 
 func storeSpec() RunSpec { return RunSpec{App: "IS", Procs: 4, Scale: apps.ScaleSmall} }
 
-// TestStoreWriteBehindThenReadThrough proves the fleet-sharing round trip:
-// one engine's fresh run is uploaded write-behind, and a second engine
-// with a cold local cache serves the same spec from the store — zero
-// simulations — with a byte-identical artifact, persisted into its own
-// disk cache for next time.
-func TestStoreWriteBehindThenReadThrough(t *testing.T) {
-	store := newFakeStore()
+// mustMarshal serializes an artifact, failing the test on error.
+func mustMarshal(t *testing.T, a *Artifact) []byte {
+	t.Helper()
+	data, err := MarshalArtifact(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
 
-	e1, calls1 := stubEngine(t, Options{CacheDir: t.TempDir(), Store: store})
+// TestStoreWriteBehindThenReadThrough proves the fleet-sharing round trip
+// on the engine's side: an engine with a cold local cache whose remote
+// executor serves a stored blob runs no simulation and returns the
+// blob's artifact byte for byte, stores it behind into its own disk
+// cache, and a later engine on that cache with no remote reads it
+// through from disk.
+func TestStoreWriteBehindThenReadThrough(t *testing.T) {
+	e1, calls1 := stubEngine(t, Options{})
 	ref, err := e1.Run(storeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1.Close() // drains the write-behind
 	if *calls1 != 1 {
 		t.Fatalf("first engine executed %d runs, want 1", *calls1)
 	}
-	if got := e1.Metrics().StorePuts.Load(); got != 1 {
-		t.Fatalf("store puts = %d, want 1", got)
-	}
-	if len(store.blobs) != 1 {
-		t.Fatalf("store holds %d blobs, want 1", len(store.blobs))
-	}
+	blob := mustMarshal(t, ref)
+	store := &storeExecutor{blobs: map[string][]byte{ref.Key: blob}}
 
-	cache2 := t.TempDir()
-	e2, calls2 := stubEngine(t, Options{CacheDir: cache2, Store: store})
+	cache := t.TempDir()
+	e2, calls2 := stubEngine(t, Options{CacheDir: cache, Remote: store})
 	art, err := e2.Run(storeSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *calls2 != 0 {
-		t.Fatalf("second engine executed %d runs, want 0 (store hit)", *calls2)
+	if *calls2 != 0 || store.calls != 1 {
+		t.Fatalf("second engine: local runs=%d remote calls=%d, want 0/1", *calls2, store.calls)
 	}
-	if art.Source != SourceStore {
-		t.Fatalf("source = %q, want %q", art.Source, SourceStore)
+	if art.Source != SourceRemote || e2.Metrics().RemoteRuns.Load() != 1 {
+		t.Fatalf("source=%q remote runs=%d, want %q/1", art.Source, e2.Metrics().RemoteRuns.Load(), SourceRemote)
 	}
-	if got := e2.Metrics().StoreHits.Load(); got != 1 {
-		t.Fatalf("store hits = %d, want 1", got)
+	if !bytes.Equal(mustMarshal(t, art), blob) {
+		t.Fatal("the served artifact differs from the stored blob")
 	}
-	want := *ref
-	want.Source = SourceStore
-	got := *art
-	if !reflect.DeepEqual(got.C, want.C) || !reflect.DeepEqual(got.MemStats, want.MemStats) ||
-		!reflect.DeepEqual(got.Profiles, want.Profiles) || got.FaultCounters != want.FaultCounters {
-		t.Fatal("store round trip did not reproduce the artifact")
+	if e2.Metrics().DiskStoreErrors.Load() != 0 {
+		t.Fatal("storing the served artifact failed")
 	}
 
-	// The store hit was persisted locally: a third engine on the same
-	// cache dir but with no store serves it from disk.
-	e3, calls3 := stubEngine(t, Options{CacheDir: cache2})
+	e3, calls3 := stubEngine(t, Options{CacheDir: cache})
 	a3, err := e3.Run(storeSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -110,56 +93,72 @@ func TestStoreWriteBehindThenReadThrough(t *testing.T) {
 	if *calls3 != 0 || a3.Source != SourceDisk {
 		t.Fatalf("third engine: calls=%d source=%q, want 0/disk", *calls3, a3.Source)
 	}
+	if !bytes.Equal(mustMarshal(t, a3), blob) {
+		t.Fatal("the disk entry differs from the stored blob")
+	}
 }
 
-// TestStoreDegradationFallsBackToRun proves graceful degradation: a store
-// that errors on every operation costs counters, never the sweep.
+// TestStoreDegradationFallsBackToRun proves graceful degradation: a disk
+// cache that fails every operation — its directory replaced by a plain
+// file — costs a counter and an event, never the run.
 func TestStoreDegradationFallsBackToRun(t *testing.T) {
-	store := newFakeStore()
-	store.getErr = errors.New("store unreachable")
-	store.putErr = errors.New("store unreachable")
+	cache := filepath.Join(t.TempDir(), "cache")
+	e, calls := stubEngine(t, Options{CacheDir: cache})
+	if err := os.RemoveAll(cache); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cache, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	e, calls := stubEngine(t, Options{CacheDir: t.TempDir(), Store: store})
 	art, err := e.Run(storeSpec())
 	if err != nil {
-		t.Fatalf("degraded store failed the run: %v", err)
+		t.Fatalf("a failing disk cache failed the run: %v", err)
 	}
-	e.Close()
 	if *calls != 1 || art.Source != SourceRun {
 		t.Fatalf("calls=%d source=%q, want 1/run", *calls, art.Source)
 	}
-	if got := e.Metrics().StoreErrors.Load(); got != 1 {
-		t.Fatalf("store errors = %d, want 1", got)
-	}
-	if got := e.Metrics().StorePutErrors.Load(); got != 1 {
-		t.Fatalf("store put errors = %d, want 1", got)
-	}
-	if got := e.Metrics().StoreHits.Load(); got != 0 {
-		t.Fatalf("store hits = %d, want 0", got)
+	m := e.Metrics()
+	if m.DiskStoreErrors.Load() != 1 || m.DiskHits.Load() != 0 {
+		t.Fatalf("disk store errors=%d hits=%d, want 1/0", m.DiskStoreErrors.Load(), m.DiskHits.Load())
 	}
 }
 
 // TestStoreCorruptBlobFallsBackToRun proves a blob that decodes
-// inconsistently is treated as a miss, not trusted and not fatal.
+// inconsistently is treated as a miss, not trusted and not fatal: a
+// well-formed entry of another machine size, filed under this spec's
+// key, is run over, and the run's store heals the entry.
 func TestStoreCorruptBlobFallsBackToRun(t *testing.T) {
-	store := newFakeStore()
-
-	seed, _ := stubEngine(t, Options{Store: store})
-	if _, err := seed.Run(storeSpec()); err != nil {
+	dir := t.TempDir()
+	seed, _ := stubEngine(t, Options{CacheDir: dir})
+	other := storeSpec()
+	other.Procs = 8
+	wrong, err := seed.Run(other)
+	if err != nil {
 		t.Fatal(err)
 	}
-	seed.Close()
-	store.corrupt = true
-
-	e, calls := stubEngine(t, Options{Store: store})
-	art, err := e.Run(storeSpec())
+	key, err := storeSpec().Key(DefaultSalt)
 	if err != nil {
-		t.Fatalf("corrupt store blob failed the run: %v", err)
+		t.Fatal(err)
 	}
-	if *calls != 1 || art.Source != SourceRun {
-		t.Fatalf("calls=%d source=%q, want 1/run", *calls, art.Source)
+	if err := os.MkdirAll(filepath.Dir(seed.disk.path(key)), 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if got := e.Metrics().StoreErrors.Load(); got != 1 {
-		t.Fatalf("store errors = %d, want 1", got)
+	if err := os.WriteFile(seed.disk.path(key), mustMarshal(t, wrong), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, want := range []Source{SourceRun, SourceDisk} { // miss, then healed
+		e, calls := stubEngine(t, Options{CacheDir: dir})
+		art, err := e.Run(storeSpec())
+		if err != nil {
+			t.Fatalf("an inconsistent entry failed the run: %v", err)
+		}
+		if art.Key != key || art.Source != want || art.C.Procs != 4 {
+			t.Fatalf("key=%s source=%q procs=%d, want %s/%q/4", art.Key, art.Source, art.C.Procs, key, want)
+		}
+		if want == SourceRun && *calls != 1 {
+			t.Fatalf("calls=%d, want 1", *calls)
+		}
 	}
 }
