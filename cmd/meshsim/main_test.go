@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"commchar/internal/cli"
@@ -86,6 +88,29 @@ func TestFaultRunDeterministic(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(reportA), []byte("faulted msgs")) {
 		t.Errorf("report missing fault summary:\n%s", reportA)
+	}
+}
+
+// TestEventBudgetFailsOnce: a tripped watchdog budget fails the run
+// after one replay. A replay is a pure function of its inputs, so a
+// rerun would trip the same budget: the error names no attempts and the
+// metrics summary counts one failed spec and no retries.
+func TestEventBudgetFailsOnce(t *testing.T) {
+	tracePath := writeRingTrace(t, 25)
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{
+		"-trace", tracePath, "-ranks", "4", "-max-events", "50", "-metrics",
+	}, &stdout, &stderr)
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) || !strings.HasPrefix(de.Reason, "event budget") {
+		t.Fatalf("run = %v, want a tripped event budget", err)
+	}
+	if strings.Contains(err.Error(), "attempts") {
+		t.Errorf("error counts attempts: %v", err)
+	}
+	summary := stderr.String()
+	if !regexp.MustCompile(`(?m)^ *failed specs +1 *$`).MatchString(summary) || strings.Contains(summary, "retries") {
+		t.Errorf("summary should show one failed spec and no retries:\n%s", summary)
 	}
 }
 

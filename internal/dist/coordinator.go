@@ -84,8 +84,8 @@ type CoordinatorOptions struct {
 	// before the work is re-enqueued. Default 15s.
 	Lease time.Duration
 	// MaxAttempts bounds how many leases one spec may consume (initial
-	// grant plus re-grants after expiry or transient worker failure)
-	// before the coordinator fails it permanently. Default 5.
+	// grant plus re-grants after expiry) before the coordinator fails it
+	// permanently. Default 5.
 	MaxAttempts int
 	// Obs receives lease-lifecycle events and spans; nil is a no-op.
 	Obs *obs.Observer
@@ -135,7 +135,7 @@ type Coordinator struct {
 	durations []time.Duration // completed lease durations (speculation median)
 	lost      map[string]bool // workers currently presumed lost
 	seen      map[string]bool // workers that have ever polled for a lease
-	dismissed map[string]bool // workers answered StatusDone since Finish
+	detached  map[string]bool // workers that said goodbye after StatusDone
 }
 
 // NewCoordinator builds a coordinator. Call Start to run lease expiry,
@@ -165,7 +165,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		items:           map[uint64]*item{},
 		lost:            map[string]bool{},
 		seen:            map[string]bool{},
-		dismissed:       map[string]bool{},
+		detached:        map[string]bool{},
 	}
 }
 
@@ -292,8 +292,10 @@ func (c *Coordinator) Start(ctx context.Context) {
 // Execute implements pipeline.Executor: it serves spec from the shared
 // store when a usable blob is there, and otherwise enqueues it for the
 // worker fleet and blocks until a worker delivers the artifact, the spec
-// fails permanently, or ctx is cancelled. The engine's caching and retry
-// semantics wrap this call unchanged.
+// fails, or ctx is cancelled. The engine's caching and deadline
+// semantics wrap this call unchanged. Every error it returns is
+// permanent: a worker's failure report fails the spec, and only an
+// expired lease is re-leased.
 func (c *Coordinator) Execute(ctx context.Context, spec pipeline.RunSpec, key string) (*pipeline.Artifact, error) {
 	if art := c.storeHit(spec, key); art != nil {
 		return art, nil
@@ -566,27 +568,32 @@ func (c *Coordinator) grant(worker string) LeaseResponse {
 		}
 	}
 	if c.finished {
-		if worker != "" {
-			c.dismissed[worker] = true
-		}
 		return LeaseResponse{Status: StatusDone}
 	}
 	return LeaseResponse{Status: StatusWait}
 }
 
+// detach records that worker has seen StatusDone and is leaving.
+func (c *Coordinator) detach(req DetachRequest) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.detached[req.Worker] = true
+}
+
 // Drain blocks until every worker that ever polled this coordinator has
-// been dismissed with StatusDone or declared lost, so the coordinator
-// process can exit without stranding its fleet in the unreachable-grace
-// backstop. Call it after Finish, with the lease API still being served.
-// The wait is bounded by ctx and timeout: a worker that died while idle
-// never polls again and must not pin the coordinator on its way out.
+// detached or been declared lost, so the coordinator process can exit
+// without stranding its fleet in the unreachable-grace backstop. A
+// StatusDone answer can be lost, so only the detach counts. Call it
+// after Finish, with the lease API still being served. The wait is
+// bounded by ctx and timeout: a worker that died while idle (or is too
+// old to detach) must not pin the coordinator on its way out.
 func (c *Coordinator) Drain(ctx context.Context, timeout time.Duration) {
 	deadline := c.clock.Now().Add(timeout)
 	for {
 		c.mu.Lock()
 		waiting := 0
 		for w := range c.seen {
-			if !c.dismissed[w] && !c.lost[w] {
+			if !c.detached[w] && !c.lost[w] {
 				waiting++
 			}
 		}
@@ -692,9 +699,8 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	return CompleteResponse{}, nil
 }
 
-// fail records a worker-side failure for item id. A transient failure
-// within the attempt budget re-enqueues the spec; anything else fails it
-// for the sweep. Stale reports (expired lease, already finished) are
+// fail records a worker-side failure for item id and fails the spec for
+// the sweep. Stale reports (expired lease, already finished) are
 // acknowledged and dropped.
 func (c *Coordinator) fail(req FailRequest) FailResponse {
 	c.mu.Lock()
@@ -719,12 +725,7 @@ func (c *Coordinator) fail(req FailRequest) FailResponse {
 	}
 	c.emit("dist.failed", map[string]string{
 		"spec": it.label, "worker": req.Worker, "error": req.Error,
-		"transient": strconv.FormatBool(req.Transient),
 	})
-	if req.Transient && it.attempts < c.maxAttempts {
-		c.requeue(it)
-		return FailResponse{Acked: true}
-	}
 	c.giveUp(it, fmt.Errorf("dist: spec %s failed on worker %s (attempt %d/%d): %s",
 		it.label, req.Worker, it.attempts, c.maxAttempts, req.Error))
 	c.metrics.RemoteFailures.Add(1)
@@ -821,6 +822,14 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		writeJSON(w, c.fail(req))
 	})
+	mux.HandleFunc("POST /v1/detach", func(w http.ResponseWriter, r *http.Request) {
+		var req DetachRequest
+		if !decodeRequest(w, r, &req) {
+			return
+		}
+		c.detach(req)
+		writeJSON(w, struct{}{})
+	})
 	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, c.State())
 	})
@@ -840,3 +849,4 @@ func (r LeaseRequest) version() int     { return r.V }
 func (r HeartbeatRequest) version() int { return r.V }
 func (r CompleteRequest) version() int  { return r.V }
 func (r FailRequest) version() int      { return r.V }
+func (r DetachRequest) version() int    { return r.V }

@@ -18,18 +18,22 @@
 // The coordinator side plugs into the run engine as a pipeline.Executor,
 // which is what makes the distribution transparent: the engine's
 // content-addressed cache (a restarted coordinator resumes from it),
-// singleflight dedup, retry policy, and failure taxonomy all apply to
-// remote runs exactly as to local ones, and a distributed sweep's output
-// is byte-identical to a local sequential run. With a shared blob store
+// singleflight dedup and per-spec deadline apply to remote runs exactly
+// as to local ones, and a distributed sweep's output is byte-identical
+// to a local sequential run. A spec that fails on a worker fails for the
+// sweep: the run is a pure function of its spec, so only a lost worker
+// (an expired lease) earns a re-lease. With a shared blob store
 // (Fleet.BlobDir) the coordinator also checks the store before it
 // enqueues a spec and serves a finished artifact without a lease; only
 // the coordinator reads or writes the store, and workers never see it.
 //
-// Worker RPCs go through the internal/resilience retry machinery with the
-// taxonomy extended to the network: a refused, reset, or timed-out
-// connection is transient (the coordinator may be restarting); a protocol
-// version mismatch is a *ProtocolError and permanent. A lost worker is an
-// event, not a failure: the coordinator emits flight-recorder events and
+// Worker RPCs go through the internal/resilience retry machinery: a
+// refused, reset, or timed-out connection is transient (the coordinator
+// may be restarting); a protocol version mismatch is a *ProtocolError and
+// permanent. A worker dismissed with StatusDone detaches, and the
+// coordinator serves until every worker it has seen has detached, so a
+// lost dismissal is retried, not stranded. A lost worker is an event,
+// not a failure: the coordinator emits flight-recorder events and
 // commchar_dist_* metrics and moves the work elsewhere.
 package dist
 
@@ -68,6 +72,12 @@ import (
 // worker ignores an older coordinator's store offer, and an older
 // coordinator reads a newer worker's completions as not degraded, which
 // is true of a worker without a store client.
+//
+// Still version 4: the omitempty FailRequest.Transient was removed (an
+// older worker's transient report now fails its spec, as every run
+// failure does) and POST /v1/detach was added (an older worker never
+// detaches, so the coordinator waits out its drain bound; a newer worker
+// ignores an older coordinator's 404).
 const ProtoVersion = 4
 
 // DegradedError reports a sweep that completed — every artifact was
@@ -114,7 +124,7 @@ type Metrics struct {
 	Heartbeats     atomic.Int64 // heartbeats accepted (lease extensions)
 	LeaseExpiries  atomic.Int64 // leases that expired without completion
 	WorkersLost    atomic.Int64 // lease expiries attributed to a lost worker
-	Requeues       atomic.Int64 // specs re-enqueued (expiry or transient failure)
+	Requeues       atomic.Int64 // specs re-enqueued after a lease expiry
 	Completions    atomic.Int64 // artifacts accepted from workers
 	Duplicates     atomic.Int64 // duplicate completions acknowledged idempotently
 	RejectedWrites atomic.Int64 // artifact uploads that failed to decode
@@ -141,7 +151,7 @@ func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter("heartbeats_total", "heartbeats accepted as lease extensions", &m.Heartbeats)
 	counter("lease_expiries_total", "leases that expired without completion", &m.LeaseExpiries)
 	counter("workers_lost_total", "lease expiries attributed to a lost worker", &m.WorkersLost)
-	counter("requeues_total", "specs re-enqueued after expiry or transient failure", &m.Requeues)
+	counter("requeues_total", "specs re-enqueued after a lease expiry", &m.Requeues)
 	counter("completions_total", "artifacts accepted from workers", &m.Completions)
 	counter("duplicates_total", "duplicate completions acknowledged idempotently", &m.Duplicates)
 	counter("rejected_writes_total", "artifact uploads that failed to decode", &m.RejectedWrites)

@@ -17,6 +17,7 @@ import (
 
 	"commchar/internal/apps"
 	"commchar/internal/core"
+	"commchar/internal/fault"
 	"commchar/internal/mesh"
 	"commchar/internal/obs"
 	"commchar/internal/pipeline"
@@ -558,46 +559,6 @@ func TestWorkerReportsPermanentFailure(t *testing.T) {
 	coord.Finish()
 }
 
-// TestTransientWorkerFailureRequeues: a transient failure is retried on
-// another lease grant rather than failing the sweep.
-func TestTransientWorkerFailureRequeues(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{Lease: time.Second, MaxAttempts: 3})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	coord.Start(ctx)
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
-	var calls atomic.Int64
-	runner := &fakeRunner{fn: func(ctx context.Context, spec pipeline.RunSpec) (*pipeline.Artifact, error) {
-		if calls.Add(1) == 1 {
-			return nil, resilience.MarkTransient(errors.New("cache flake"))
-		}
-		return testArtifact(spec.App), nil
-	}}
-	w, err := NewWorker(WorkerOptions{Name: "w1", Runner: runner, PollInterval: 5 * time.Millisecond,
-		Retry: resilience.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go w.Poll(ctx, srv.URL)
-
-	art, execErr := coord.Execute(context.Background(), testSpec("LU"), testKey(40))
-	if execErr != nil {
-		t.Fatalf("transient failure was not retried: %v", execErr)
-	}
-	if art == nil || art.C.Name != "LU" {
-		t.Fatalf("artifact = %+v", art)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("runner called %d times, want 2", calls.Load())
-	}
-	if coord.Metrics().Requeues.Load() != 1 {
-		t.Fatalf("requeues = %d", coord.Metrics().Requeues.Load())
-	}
-	coord.Finish()
-}
-
 // TestEngineRemoteMatchesLocal runs one real spec both locally and
 // through a coordinator/worker pair wired into a real engine, and
 // requires the wire-serialized artifacts to be byte-identical — the
@@ -691,12 +652,59 @@ func TestServeCoordinatorAttachesAndDismisses(t *testing.T) {
 	}
 	shutdown()
 	coord.mu.Lock()
-	dismissed := coord.dismissed["w1"]
+	detached := coord.detached["w1"]
 	coord.mu.Unlock()
-	if !dismissed {
-		t.Fatal("shutdown returned before the attached worker was dismissed")
+	if !detached {
+		t.Fatal("shutdown returned before the attached worker detached")
 	}
 	if err := coord.DegradedError(); err != nil {
 		t.Fatalf("healthy fleet reports %v", err)
+	}
+}
+
+// TestLostDismissalReplyStillDetaches: a reset delivers the worker's
+// first lease poll to a finished coordinator but loses the StatusDone
+// answer. Shutdown must keep the lease API up until the worker's retry
+// is dismissed again and detaches, so Poll ends cleanly instead of
+// knocking on a closed listener until its unreachable grace runs out.
+func TestLostDismissalReplyStillDetaches(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord, url, shutdown, err := ServeCoordinator(ctx, CoordinatorOptions{Lease: time.Second},
+		Fleet{Drain: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.Finish()
+	sched, err := fault.ParseNet("reset:1@0-1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerOptions{
+		Name: "w1", Runner: &fakeRunner{}, PollInterval: 5 * time.Millisecond,
+		Retry:            resilience.Policy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond},
+		UnreachableGrace: 200 * time.Millisecond,
+		Transport:        fault.NewRoundTripper(sched, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	polled := make(chan error, 1)
+	go func() { polled <- w.Poll(ctx, url) }()
+	// Shut down the moment the coordinator has answered the first poll:
+	// that answer is being lost, and the client's retry is 50-100ms away.
+	for seen := false; !seen; time.Sleep(time.Millisecond) {
+		coord.mu.Lock()
+		seen = coord.seen["w1"]
+		coord.mu.Unlock()
+	}
+	shutdown()
+	select {
+	case err := <-polled:
+		if err != nil {
+			t.Fatalf("Poll = %v, want a clean dismissal", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Poll did not return")
 	}
 }

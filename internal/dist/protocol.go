@@ -2,13 +2,14 @@ package dist
 
 import "encoding/json"
 
-// The wire protocol is four worker→coordinator POSTs plus a state
+// The wire protocol is five worker→coordinator POSTs plus a state
 // snapshot, all JSON over HTTP:
 //
 //	POST /v1/lease      LeaseRequest     → LeaseResponse
 //	POST /v1/heartbeat  HeartbeatRequest → HeartbeatResponse
 //	POST /v1/complete   CompleteRequest  → CompleteResponse
 //	POST /v1/fail       FailRequest      → FailResponse
+//	POST /v1/detach     DetachRequest    → {}
 //	GET  /v1/state      —                → State
 //
 // Every request carries V (ProtoVersion); a mismatch is answered with
@@ -85,21 +86,28 @@ type CompleteResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 }
 
-// FailRequest reports that a leased spec failed on the worker.
+// FailRequest reports that a leased spec failed on the worker. The
+// failure is final: a run is a pure function of its spec, so the spec
+// fails for the whole sweep.
 type FailRequest struct {
 	V      int    `json:"v"`
 	Worker string `json:"worker"`
 	ID     uint64 `json:"id"`
 	Error  string `json:"error"`
-	// Transient carries the worker-side resilience classification: a
-	// transient failure is re-enqueued (up to the attempt budget), a
-	// permanent one fails the spec for the whole sweep.
-	Transient bool `json:"transient,omitempty"`
 }
 
 // FailResponse acknowledges a failure report.
 type FailResponse struct {
 	Acked bool `json:"acked"`
+}
+
+// DetachRequest says goodbye: the worker was answered StatusDone and
+// will not poll again. The coordinator keeps serving until every worker
+// it has seen detaches (or its drain bound runs out), so a worker whose
+// StatusDone answer was lost can poll again and still be dismissed.
+type DetachRequest struct {
+	V      int    `json:"v"`
+	Worker string `json:"worker"`
 }
 
 // AttachRequest (POST /v1/attach on a worker's control server) points a

@@ -289,9 +289,10 @@ func TestHeartbeatAfterCompletionAbandons(t *testing.T) {
 }
 
 // TestDoubleDismissalOfDrainedWorker: a worker that polls StatusDone
-// twice after Finish is dismissed idempotently, and Drain returns
-// immediately once every seen worker is dismissed — even on a frozen
-// clock, where only the empty wait set can end the loop.
+// twice after Finish is dismissed idempotently, its detach counts once
+// however often it arrives, and Drain returns immediately once every
+// seen worker has detached — even on a frozen clock, where only the
+// empty wait set can end the loop.
 func TestDoubleDismissalOfDrainedWorker(t *testing.T) {
 	coord, _, _ := specCoordinator(t, 0, time.Minute)
 
@@ -306,11 +307,13 @@ func TestDoubleDismissalOfDrainedWorker(t *testing.T) {
 	if l := coord.grant("w1"); l.Status != StatusDone {
 		t.Fatalf("second post-finish poll status %q", l.Status)
 	}
+	coord.detach(DetachRequest{V: ProtoVersion, Worker: "w1"})
+	coord.detach(DetachRequest{V: ProtoVersion, Worker: "w1"})
 	coord.mu.Lock()
-	dismissed := len(coord.dismissed)
+	detached := len(coord.detached)
 	coord.mu.Unlock()
-	if dismissed != 1 {
-		t.Fatalf("dismissed set has %d entries, want 1", dismissed)
+	if detached != 1 {
+		t.Fatalf("detached set has %d entries, want 1", detached)
 	}
 
 	done := make(chan struct{})
@@ -321,7 +324,7 @@ func TestDoubleDismissalOfDrainedWorker(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Drain did not return with every worker dismissed")
+		t.Fatal("Drain did not return with every worker detached")
 	}
 }
 

@@ -78,10 +78,10 @@ func heartbeat(worker string, id uint64, wantAbandon bool) leaseStep {
 	}
 }
 
-func fail(worker string, id uint64, transient, wantAcked bool) leaseStep {
+func fail(worker string, id uint64, wantAcked bool) leaseStep {
 	return func(r *leaseRig) {
 		r.t.Helper()
-		resp := r.coord.fail(FailRequest{V: ProtoVersion, Worker: worker, ID: id, Error: "boom", Transient: transient})
+		resp := r.coord.fail(FailRequest{V: ProtoVersion, Worker: worker, ID: id, Error: "boom"})
 		if resp.Acked != wantAcked {
 			r.t.Fatalf("fail(%s, %d).Acked = %v, want %v", worker, id, resp.Acked, wantAcked)
 		}
@@ -269,7 +269,7 @@ func TestLeaseTransitions(t *testing.T) {
 		{
 			name: "primary fails under a live hedge", factor: 2, lease: time.Hour,
 			steps: hedged(
-				advance(time.Minute), fail("stall", 2, true, true),
+				advance(time.Minute), fail("stall", 2, true),
 				events("dist.hedge.promoted worker=wB"),
 				state(2, "leased worker=wB attempts=2"),
 				heartbeat("stall", 2, true),
@@ -288,7 +288,7 @@ func TestLeaseTransitions(t *testing.T) {
 		{
 			name: "hedge fails", factor: 2, lease: time.Hour,
 			steps: hedged(
-				fail("wB", 2, false, true),
+				fail("wB", 2, true),
 				events("dist.hedge.failed worker=wB"),
 				state(2, "leased worker=stall attempts=2"),
 				counters(map[string]int64{"Requeues": 0, "RemoteFailures": 0}),
@@ -372,40 +372,14 @@ func TestLeaseTransitions(t *testing.T) {
 			),
 		},
 		{
-			name: "transient failure requeues", lease: time.Hour,
-			steps: []leaseStep{
-				submit(), grant("wA", 1), fail("wA", 1, true, true),
-				events("dist.lease.granted worker=wA", "dist.failed worker=wA"),
-				state(1, "pending attempts=1"),
-				counters(map[string]int64{"Requeues": 1, "RemoteFailures": 0}),
-				grant("wB", 1),
-				events("dist.lease.granted worker=wB"),
-				state(1, "leased worker=wB attempts=2"),
-			},
-		},
-		{
 			name: "permanent failure", lease: time.Hour,
 			steps: []leaseStep{
-				submit(), grant("wA", 1), fail("wA", 1, false, false),
+				submit(), grant("wA", 1), fail("wA", 1, false),
 				events("dist.lease.granted worker=wA", "dist.failed worker=wA"),
 				state(1, `failed worker=wA attempts=1 err="dist: spec IS failed on worker wA (attempt 1/5): boom"`),
 				result(1, "dist: spec IS failed on worker wA (attempt 1/5): boom"),
 				counters(map[string]int64{"Requeues": 0, "RemoteFailures": 1}),
 				heartbeat("wA", 1, true),
-			},
-		},
-		{
-			name: "transient failure out of attempts", lease: time.Hour, maxAttempts: 2,
-			steps: []leaseStep{
-				submit(), grant("wA", 1), fail("wA", 1, true, true),
-				grant("wB", 1), fail("wB", 1, true, false),
-				events(
-					"dist.lease.granted worker=wA", "dist.failed worker=wA",
-					"dist.lease.granted worker=wB", "dist.failed worker=wB",
-				),
-				state(1, `failed worker=wB attempts=2 err="dist: spec IS failed on worker wB (attempt 2/2): boom"`),
-				result(1, "dist: spec IS failed on worker wB (attempt 2/2): boom"),
-				counters(map[string]int64{"Requeues": 1, "RemoteFailures": 1}),
 			},
 		},
 		{
@@ -436,8 +410,8 @@ func TestLeaseTransitions(t *testing.T) {
 			steps: []leaseStep{
 				submit(), grant("wA", 1),
 				events("dist.lease.granted worker=wA"),
-				heartbeat("wZ", 1, true), fail("wZ", 1, false, true),
-				heartbeat("wZ", 99, true), fail("wZ", 99, false, true),
+				heartbeat("wZ", 1, true), fail("wZ", 1, true),
+				heartbeat("wZ", 99, true), fail("wZ", 99, true),
 				events(),
 				state(1, "leased worker=wA attempts=1"),
 				counters(map[string]int64{"Heartbeats": 0, "Requeues": 0, "RemoteFailures": 0}),

@@ -14,7 +14,7 @@ import (
 
 // A Runner executes one RunSpec to an artifact. *pipeline.Engine
 // satisfies it, which gives a worker the full local pipeline — disk
-// cache, retries, panic isolation — under each lease; tests substitute
+// cache, panic isolation — under each lease; tests substitute
 // fakes to script crashes and hangs.
 type Runner interface {
 	RunContext(ctx context.Context, spec pipeline.RunSpec) (*pipeline.Artifact, error)
@@ -52,7 +52,7 @@ type WorkerOptions struct {
 
 // A Worker executes leased specs from a coordinator: poll for a lease,
 // run the spec through the Runner, heartbeat while it runs, report the
-// artifact (or the classified failure) back. A worker holds no sweep
+// artifact (or the failure) back. A worker holds no sweep
 // state — killing one loses nothing but its in-flight lease, which the
 // coordinator re-enqueues on expiry.
 type Worker struct {
@@ -137,6 +137,10 @@ func (w *Worker) Poll(ctx context.Context, coordinatorURL string) error {
 		unreachableSince = time.Time{}
 		switch lease.Status {
 		case StatusDone:
+			// Best effort, so the error is dropped: a coordinator that never
+			// hears the goodbye waits out its drain bound, and an older one
+			// answers 404.
+			_ = w.client.post(ctx, coordinatorURL+"/v1/detach", DetachRequest{V: ProtoVersion, Worker: w.name}, nil)
 			w.ob.Emit("dist.worker.detach", map[string]string{"worker": w.name, "coordinator": coordinatorURL})
 			return nil
 		case StatusWait:
@@ -152,17 +156,17 @@ func (w *Worker) Poll(ctx context.Context, coordinatorURL string) error {
 }
 
 // serve executes one lease end to end: run the spec with heartbeats,
-// then report the artifact or the classified failure. Errors inside a
+// then report the artifact or the failure. Errors inside a
 // lease never abort the polling loop — they are reported to the
 // coordinator (or swallowed when the lease was already abandoned) and
 // the worker moves on.
 func (w *Worker) serve(ctx context.Context, coordinatorURL string, lease LeaseResponse) {
 	var spec pipeline.RunSpec
 	if err := json.Unmarshal(lease.Spec, &spec); err != nil {
-		// An undecodable spec is permanent by definition; report it so the
-		// coordinator fails the item instead of waiting out the lease.
+		// Report an undecodable spec so the coordinator fails the item
+		// instead of waiting out the lease.
 		w.reportFailure(ctx, coordinatorURL, lease.ID,
-			fmt.Errorf("dist: worker %s: decoding leased spec: %w", w.name, err), false)
+			fmt.Errorf("dist: worker %s: decoding leased spec: %w", w.name, err))
 		return
 	}
 	label := spec.Label()
@@ -197,8 +201,7 @@ func (w *Worker) serve(ctx context.Context, coordinatorURL string, lease LeaseRe
 		if ctx.Err() != nil {
 			return // the worker itself is shutting down; the lease will expire
 		}
-		transient := resilience.Classify(err) == resilience.Transient
-		w.reportFailure(ctx, coordinatorURL, lease.ID, err, transient)
+		w.reportFailure(ctx, coordinatorURL, lease.ID, err)
 		return
 	}
 	w.deliver(ctx, coordinatorURL, lease, art)
@@ -246,7 +249,7 @@ func (w *Worker) deliver(ctx context.Context, coordinatorURL string, lease Lease
 	data, err := pipeline.MarshalArtifact(art)
 	if err != nil {
 		w.reportFailure(ctx, coordinatorURL, lease.ID,
-			fmt.Errorf("dist: worker %s: encoding artifact: %w", w.name, err), false)
+			fmt.Errorf("dist: worker %s: encoding artifact: %w", w.name, err))
 		return
 	}
 	req := CompleteRequest{
@@ -265,10 +268,10 @@ func (w *Worker) deliver(ctx context.Context, coordinatorURL string, lease Lease
 	w.ob.Emit(name, map[string]string{"worker": w.name, "key": lease.Key})
 }
 
-// reportFailure posts a classified failure for the lease; if even the
-// report cannot be delivered, the lease expiry carries the news.
-func (w *Worker) reportFailure(ctx context.Context, coordinatorURL string, id uint64, runErr error, transient bool) {
-	req := FailRequest{V: ProtoVersion, Worker: w.name, ID: id, Error: runErr.Error(), Transient: transient}
+// reportFailure posts the lease's failure; if even the report cannot be
+// delivered, the lease expiry carries the news.
+func (w *Worker) reportFailure(ctx context.Context, coordinatorURL string, id uint64, runErr error) {
+	req := FailRequest{V: ProtoVersion, Worker: w.name, ID: id, Error: runErr.Error()}
 	var resp FailResponse
 	if err := w.client.post(ctx, coordinatorURL+"/v1/fail", req, &resp); err != nil {
 		w.ob.Emit("dist.fail.undelivered", map[string]string{"worker": w.name, "error": err.Error()})

@@ -12,7 +12,8 @@ import (
 // errors.Is/errors.As to decide retry-vs-permanent and degraded-vs-fail
 // semantics, and the chaos tests assert on wrapped sentinel types. An
 // opaque wrap (%v, %s, err.Error()) severs the chain and silently turns
-// a transient disk-cache flake into a permanent failure.
+// a transient network error into a permanent failure, or hides a
+// cancellation from its exit code.
 var taxonomyPackages = []string{
 	"internal/pipeline",
 	"internal/core",
@@ -22,9 +23,9 @@ var taxonomyPackages = []string{
 	// as surely (retry.Do's "last attempt: %v" was the live instance).
 	"internal/resilience",
 	"internal/experiments",
-	// The distributed layer ships errors across a process boundary and
-	// re-classifies them on the far side (FailRequest.Transient comes
-	// from Classify); a stringified wrap on either side breaks failover.
+	// The distributed layer classifies its RPC errors to decide whether
+	// to retry or keep knocking on a restarting coordinator; a
+	// stringified wrap there breaks failover.
 	"internal/dist",
 }
 

@@ -15,7 +15,7 @@ type LogEvent struct {
 	// T is the wall instant the event was emitted (from the log's Clock).
 	T time.Time `json:"t"`
 	// Name identifies the event, dot-scoped: "spec.done", "cache.hit",
-	// "retry".
+	// "spec.failed".
 	Name string `json:"event"`
 	// Fields carry the event's annotations (encoding/json renders map
 	// keys sorted, keeping exports deterministic).

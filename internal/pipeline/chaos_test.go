@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func chaosSpecs(names ...string) []RunSpec {
 // deterministic across repeated sweeps.
 func TestChaosWorkerPanicLosesOnlyThatSpec(t *testing.T) {
 	sweepOnce := func() ([]*Artifact, error, *Metrics) {
-		e := chaosEngine(t, Options{Parallel: 4, Retry: resilience.Policy{MaxAttempts: 1}},
+		e := chaosEngine(t, Options{Parallel: 4},
 			map[string]func(ctx context.Context, spec RunSpec) (*stageResult, error){
 				"Cholesky": func(ctx context.Context, spec RunSpec) (*stageResult, error) {
 					panic("chaos: worker crash")
@@ -107,7 +108,7 @@ func TestChaosWorkerPanicLosesOnlyThatSpec(t *testing.T) {
 // *resilience.PanicError naming the process, and the sweep's other specs
 // finish.
 func TestChaosProcessPanicLosesOnlyThatSpec(t *testing.T) {
-	e := chaosEngine(t, Options{Parallel: 2, Retry: resilience.Policy{MaxAttempts: 1}},
+	e := chaosEngine(t, Options{Parallel: 2},
 		map[string]func(ctx context.Context, spec RunSpec) (*stageResult, error){
 			"Maxflow": func(ctx context.Context, spec RunSpec) (*stageResult, error) {
 				m := spasm.NewDefault(spec.Procs)
@@ -156,7 +157,7 @@ func TestChaosProcessPanicLosesOnlyThatSpec(t *testing.T) {
 // deadline; the failure unwraps to context.DeadlineExceeded and the other
 // specs complete untouched.
 func TestChaosSlowStageHitsDeadline(t *testing.T) {
-	e := chaosEngine(t, Options{Parallel: 4, Retry: resilience.Policy{MaxAttempts: 1}},
+	e := chaosEngine(t, Options{Parallel: 4},
 		map[string]func(ctx context.Context, spec RunSpec) (*stageResult, error){
 			"Nbody": func(ctx context.Context, spec RunSpec) (*stageResult, error) {
 				<-ctx.Done() // a hung simulation: only the deadline frees it
@@ -186,33 +187,29 @@ func TestChaosSlowStageHitsDeadline(t *testing.T) {
 	}
 }
 
-// TestChaosTransientFailureIsRetried: a stage that fails once with a
-// transient error succeeds on retry and the sweep sees no failure at all.
-func TestChaosTransientFailureIsRetried(t *testing.T) {
-	var mu sync.Mutex
-	failures := 1
-	e := chaosEngine(t, Options{Parallel: 2,
-		Retry: resilience.Policy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond, Multiplier: 2}},
+// TestEngineRunsFailedSpecOnce: a run is a pure function of its spec,
+// so the engine never reruns a failed one — not even a failure marked
+// transient. The stage is called once and the spec is lost as a
+// *SpecError; the sibling is unaffected.
+func TestEngineRunsFailedSpecOnce(t *testing.T) {
+	var calls atomic.Int64
+	e := chaosEngine(t, Options{Parallel: 2},
 		map[string]func(ctx context.Context, spec RunSpec) (*stageResult, error){
 			"IS": func(ctx context.Context, spec RunSpec) (*stageResult, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				if failures > 0 {
-					failures--
-					return nil, resilience.MarkTransient(errors.New("chaos: flaky disk"))
-				}
-				return &stageResult{raw: syntheticRaw(spec.Procs)}, nil
+				calls.Add(1)
+				return nil, resilience.MarkTransient(errors.New("chaos: flaky"))
 			},
 		})
 	arts, err := e.RunAll(context.Background(), chaosSpecs("IS", "Nbody")...)
-	if err != nil {
-		t.Fatalf("transient failure leaked: %v", err)
+	var se *SpecError
+	if !errors.As(err, &se) || se.Spec.App != "IS" {
+		t.Fatalf("err = %v, want a *SpecError for IS", err)
 	}
-	if arts[0] == nil || arts[1] == nil {
-		t.Fatal("missing artifacts")
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("failing stage called %d times, want 1", n)
 	}
-	if got := e.Metrics().Retries.Load(); got != 1 {
-		t.Fatalf("Retries = %d, want 1", got)
+	if arts[0] != nil || arts[1] == nil {
+		t.Fatalf("artifacts = %v, want only Nbody's", arts)
 	}
 }
 
@@ -221,7 +218,7 @@ func TestChaosTransientFailureIsRetried(t *testing.T) {
 // not the collateral cancellations, and not context.Canceled.
 func TestChaosFailFastCancelsSiblings(t *testing.T) {
 	started := make(chan struct{})
-	e := chaosEngine(t, Options{Parallel: 4, OnError: OnErrorFail, Retry: resilience.Policy{MaxAttempts: 1}},
+	e := chaosEngine(t, Options{Parallel: 4, OnError: OnErrorFail},
 		map[string]func(ctx context.Context, spec RunSpec) (*stageResult, error){
 			"IS": func(ctx context.Context, spec RunSpec) (*stageResult, error) {
 				<-started // wait until the slow sibling is running
@@ -314,8 +311,7 @@ func TestChaosInterruptedSweepResumesWithZeroReruns(t *testing.T) {
 	for _, n := range names[2:] {
 		behavior[n] = slow
 	}
-	e1 := chaosEngine(t, Options{Parallel: 1, CacheDir: dir,
-		Retry: resilience.Policy{MaxAttempts: 1}}, behavior)
+	e1 := chaosEngine(t, Options{Parallel: 1, CacheDir: dir}, behavior)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -6,21 +6,16 @@ import (
 )
 
 // SpecError is the typed per-spec failure: one run of the sweep that did
-// not produce an artifact, after panic recovery and retries. Under the
+// not produce an artifact, after panic recovery. Under the
 // continue policy it is what the sweep reports for the lost spec while
 // every other spec's artifact survives.
 type SpecError struct {
 	Spec RunSpec
 	Key  string
-	// Attempts is how many times the stages ran before giving up.
-	Attempts int
-	Err      error
+	Err  error
 }
 
 func (e *SpecError) Error() string {
-	if e.Attempts > 1 {
-		return fmt.Sprintf("pipeline: %s: after %d attempts: %v", e.Spec.Label(), e.Attempts, e.Err)
-	}
 	return fmt.Sprintf("pipeline: %s: %v", e.Spec.Label(), e.Err)
 }
 

@@ -34,7 +34,6 @@ type Metrics struct {
 	RemoteRuns atomic.Int64 // specs executed through the remote executor
 	RemoteNS   atomic.Int64 // wall time waiting on remote executions
 
-	Retries      atomic.Int64 // extra stage executions after transient failures
 	Panics       atomic.Int64 // worker panics contained by the recovery boundary
 	Cancelled    atomic.Int64 // runs stopped by cancellation or a deadline
 	SpecFailures atomic.Int64 // specs that produced no artifact
@@ -80,9 +79,6 @@ func (m *Metrics) Summary() *report.Table {
 	}
 	if n := m.DiskStoreErrors.Load(); n > 0 {
 		t.AddRow("disk store errors", fmt.Sprintf("%d", n))
-	}
-	if n := m.Retries.Load(); n > 0 {
-		t.AddRow("retries", fmt.Sprintf("%d", n))
 	}
 	if n := m.Panics.Load(); n > 0 {
 		t.AddRow("worker panics", fmt.Sprintf("%d", n))
@@ -136,7 +132,6 @@ func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter("remote_runs_total", "specs executed through the remote executor", &m.RemoteRuns)
 	counter("remote_ns_total", "wall time spent waiting on remote executions", &m.RemoteNS)
 	counter("disk_store_errors_total", "best-effort cache writes that failed", &m.DiskStoreErrors)
-	counter("retries_total", "extra stage executions after transient failures", &m.Retries)
 	counter("panics_total", "worker panics contained by the recovery boundary", &m.Panics)
 	counter("cancelled_total", "runs stopped by cancellation or a deadline", &m.Cancelled)
 	counter("spec_failures_total", "specs that produced no artifact", &m.SpecFailures)

@@ -87,7 +87,6 @@ func TestMetricsGoldenEveryRow(t *testing.T) {
 	m.RemoteRuns.Add(2)
 	m.RemoteNS.Add(3_250_000)
 	m.DiskStoreErrors.Add(8)
-	m.Retries.Add(9)
 	m.Panics.Add(10)
 	m.Cancelled.Add(11)
 	m.SpecFailures.Add(12)

@@ -59,8 +59,8 @@ func TestEngineInstrumentation(t *testing.T) {
 	if simSlices == 0 {
 		t.Error("no simulated-time message slices in the trace")
 	}
-	if run := byName["run IS"]; run.Args["attempts"] != "1" {
-		t.Errorf("run span attempts = %q, want 1", run.Args["attempts"])
+	if run := byName["run IS"]; len(run.Args["key"]) != 64 {
+		t.Errorf("run span key = %q, want the spec's cache key", run.Args["key"])
 	}
 
 	done, failed, total := ob.Progress.Counts()

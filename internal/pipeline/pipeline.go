@@ -16,11 +16,12 @@
 // On top of the stages sits a resilience layer (see internal/resilience):
 // every run is cooperatively cancellable through a context threaded into
 // the simulator's cycle loop, bounded by an optional per-spec deadline,
-// isolated from worker panics (a crash costs one spec, reported as a
-// typed *SpecError, never the sweep), and retried with exponential
-// backoff when the failure is classified transient. Every finished spec
-// lands in the disk cache the moment it completes, so an interrupted sweep
-// rerun over the same cache directory repeats no finished work.
+// and isolated from worker panics (a crash costs one spec, reported as a
+// typed *SpecError, never the sweep). A failed run is not retried: every
+// run is a pure function of its spec, so a rerun would fail the same way.
+// Every finished spec lands in the disk cache the moment it completes, so
+// an interrupted sweep rerun over the same cache directory repeats no
+// finished work.
 //
 // Every run owns its simulator, machine, RNG streams, and log; parallel
 // execution is therefore bit-for-bit identical to sequential execution (a
@@ -32,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,11 +70,12 @@ const (
 // An Executor runs one spec somewhere other than this process's stages —
 // typically a fleet of worker processes behind a coordinator (see
 // internal/dist). The engine still owns everything around the execution:
-// cache lookup and store, singleflight dedup, the retry
-// policy, and the worker-pool bound all apply to remote runs exactly as
-// they do to local ones. Execute must return an artifact whose contents
-// are byte-identical to what the local stages would have produced for the
-// same spec (the determinism invariant makes this checkable).
+// cache lookup and store, singleflight dedup, panic containment, the
+// per-spec deadline and the worker-pool bound all apply to remote runs
+// exactly as they do to local ones. Execute must return an artifact
+// whose contents are byte-identical to what the local stages would have
+// produced for the same spec (the determinism invariant makes this
+// checkable).
 type Executor interface {
 	Execute(ctx context.Context, spec RunSpec, key string) (*Artifact, error)
 }
@@ -119,16 +120,12 @@ type Options struct {
 	// OnError is the sweep failure policy of RunAll; the zero value is
 	// OnErrorContinue (one lost spec does not cancel its siblings).
 	OnError OnError
-	// Retry is the transient-failure retry schedule; the zero value
-	// means resilience.DefaultPolicy(). Use Policy{MaxAttempts: 1} to
-	// disable retries.
-	Retry resilience.Policy
 	// SpecTimeout is the per-run deadline applied to every spec that
 	// does not set its own; 0 means unlimited.
 	SpecTimeout time.Duration
 	// Remote, when non-nil, executes cache-miss specs through a remote
 	// executor (a distributed worker fleet) instead of the local stages.
-	// Caching, dedup, and the retry policy are unchanged.
+	// Caching and dedup are unchanged.
 	Remote Executor
 	// Obs, when non-nil, observes the engine: every stage is traced as a
 	// span, the metrics counters are exported through the observer's
@@ -148,7 +145,6 @@ type Engine struct {
 	metrics     *Metrics
 	sem         chan struct{}
 	onError     OnError
-	retry       resilience.Policy
 	specTimeout time.Duration
 	remote      Executor
 
@@ -200,10 +196,6 @@ func New(opts Options) (*Engine, error) {
 		salt = DefaultSalt
 	}
 	metrics := &Metrics{}
-	retry := opts.Retry
-	if retry == (resilience.Policy{}) {
-		retry = resilience.DefaultPolicy()
-	}
 	e := &Engine{
 		parallel:    parallel,
 		salt:        salt,
@@ -211,7 +203,6 @@ func New(opts Options) (*Engine, error) {
 		metrics:     metrics,
 		sem:         make(chan struct{}, parallel),
 		onError:     opts.OnError,
-		retry:       retry,
 		specTimeout: opts.SpecTimeout,
 		remote:      opts.Remote,
 		obs:         opts.Obs,
@@ -275,7 +266,7 @@ func (e *Engine) Run(spec RunSpec) (*Artifact, error) {
 // simulator's cycle loop, so a hung or livelocked run is killable, and a
 // per-spec deadline (spec.Timeout, or the engine's SpecTimeout) bounds
 // the run. A failure — panic, deadline, cancellation, or a simulation
-// error that survived the retry policy — is reported as a *SpecError.
+// error — is reported as a *SpecError.
 func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (*Artifact, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -408,24 +399,10 @@ func (e *Engine) RunAll(ctx context.Context, specs ...RunSpec) ([]*Artifact, err
 	return arts, joined
 }
 
-// jitterSeed derives the deterministic retry-jitter seed from the spec's
-// cache key, so concurrent retriers decorrelate while any one spec's
-// backoff schedule reproduces exactly.
-func jitterSeed(key string) uint64 {
-	if len(key) < 16 {
-		return 0
-	}
-	s, err := strconv.ParseUint(key[:16], 16, 64)
-	if err != nil {
-		return 0
-	}
-	return s
-}
-
 // execute produces the artifact for a spec the caches cannot serve,
 // applying the resilience layer: worker-slot acquisition and the stages
-// are cancellable, the run is bounded by the per-spec deadline, panics
-// are contained, and transient failures retry with backoff.
+// are cancellable, the run is bounded by the per-spec deadline, and
+// panics are contained. The stages run once.
 func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (*Artifact, error) {
 	if e.disk != nil {
 		lsp := e.obs.StartSpan("engine", track, "cache", "disk-lookup")
@@ -465,22 +442,11 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (
 
 	rsp := e.obs.StartSpan("engine", track, "run", "run "+spec.Label()).SetArg("key", key)
 	var art *Artifact
-	attempts, err := e.retry.Do(runCtx, jitterSeed(key), func() error {
-		return resilience.Protect(func() error {
-			a, rerr := e.runOnce(runCtx, spec, key, track)
-			if rerr != nil {
-				return rerr
-			}
-			art = a
-			return nil
-		})
+	err := resilience.Protect(func() (rerr error) {
+		art, rerr = e.runOnce(runCtx, spec, key, track)
+		return rerr
 	})
-	rsp.SetArg("attempts", strconv.Itoa(attempts)).End()
-	if attempts > 1 {
-		e.metrics.Retries.Add(int64(attempts - 1))
-		e.obs.Emit("retry", map[string]string{"spec": track, "attempts": strconv.Itoa(attempts)})
-		e.obs.Instant("engine", track, "run", "retried", map[string]string{"attempts": strconv.Itoa(attempts)})
-	}
+	rsp.End()
 	if err != nil {
 		var pe *resilience.PanicError
 		if errors.As(err, &pe) {
@@ -491,7 +457,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (
 		}
 		e.metrics.SpecFailures.Add(1)
 		e.obs.Emit("spec.failed", map[string]string{"spec": track, "err": err.Error()})
-		return nil, &SpecError{Spec: spec, Key: key, Attempts: attempts, Err: err}
+		return nil, &SpecError{Spec: spec, Key: key, Err: err}
 	}
 
 	if e.disk != nil {

@@ -2,12 +2,11 @@
 // pipeline: a panic-recovery boundary, a retryable-error taxonomy, and a
 // deterministic retry policy with exponential backoff and jitter.
 //
-// The taxonomy splits failures into two classes. Transient failures —
-// disk-cache I/O errors, truncated trace reads that salvaged a prefix,
-// watchdog budget trips on a fault-livelocked run — are worth retrying.
-// Permanent failures — structural deadlocks, panics, validation errors,
-// cancellation — are not: the same inputs will fail the same way, or the
-// caller asked us to stop.
+// The taxonomy splits failures into two classes. Transient failures — a
+// refused, reset or timed-out connection — are worth retrying, and the
+// distributed sweep's RPC client does. Everything else is Permanent: a
+// run is a pure function of its spec, so a simulation error reproduces,
+// and a panic, a protocol rejection or a cancellation must not be fought.
 package resilience
 
 import (
@@ -16,12 +15,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"runtime/debug"
 	"syscall"
-
-	"commchar/internal/sim"
-	"commchar/internal/trace"
 )
 
 // PanicError is a panic converted into an error at a recovery boundary. It
@@ -55,8 +50,8 @@ const (
 	// Permanent failures reproduce deterministically (or must not be
 	// retried at all, like cancellation); retrying wastes work.
 	Permanent Class = iota
-	// Transient failures come from the environment — filesystem flake,
-	// a truncated read, a tripped progress budget — and may clear.
+	// Transient failures come from the network — a worker restarting,
+	// a coordinator rebinding — and may clear.
 	Transient
 )
 
@@ -88,8 +83,6 @@ func MarkTransient(err error) error {
 //     to stop; retrying would fight the context);
 //   - panics are Permanent (a bug reproduces deterministically);
 //   - errors wrapped by MarkTransient are Transient;
-//   - filesystem errors (*os.PathError, *os.LinkError, *os.SyscallError)
-//     are Transient — the disk-cache I/O flake taxonomy;
 //   - network errors are Transient: a refused or reset connection, a
 //     dial or read timeout (*net.OpError, net.Error with Timeout, the
 //     ECONNREFUSED/ECONNRESET/EPIPE sentinels), a closed connection
@@ -97,12 +90,7 @@ func MarkTransient(err error) error {
 //     from the environment — a worker restarting, a coordinator
 //     rebinding — and clear on retry. A protocol-level rejection (for
 //     example dist's version mismatch) is a plain error and therefore
-//     Permanent: the same request will be rejected the same way;
-//   - a *trace.TruncatedError is Transient: the writer may still be
-//     flushing, or the next read of the entry may be whole;
-//   - a *sim.DeadlockError is Transient only when a watchdog budget
-//     tripped (a livelocked run may clear under a raised budget or a
-//     different schedule); a structural deadlock is Permanent.
+//     Permanent: the same request will be rejected the same way.
 //
 // Everything else is Permanent.
 func Classify(err error) Class {
@@ -120,14 +108,6 @@ func Classify(err error) Class {
 	if errors.As(err, &tm) {
 		return Transient
 	}
-	var (
-		pathErr *os.PathError
-		linkErr *os.LinkError
-		sysErr  *os.SyscallError
-	)
-	if errors.As(err, &pathErr) || errors.As(err, &linkErr) || errors.As(err, &sysErr) {
-		return Transient
-	}
 	var opErr *net.OpError
 	if errors.As(err, &opErr) {
 		return Transient
@@ -139,14 +119,6 @@ func Classify(err error) Class {
 	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET) ||
 		errors.Is(err, syscall.EPIPE) {
-		return Transient
-	}
-	var te *trace.TruncatedError
-	if errors.As(err, &te) {
-		return Transient
-	}
-	var de *sim.DeadlockError
-	if errors.As(err, &de) && de.BudgetExceeded() {
 		return Transient
 	}
 	return Permanent

@@ -78,9 +78,11 @@ func TestClassify(t *testing.T) {
 		{"panic", Protect(func() error { panic("x") }), Permanent},
 		{"marked", MarkTransient(errors.New("flaky")), Transient},
 		{"wrapped-marked", fmt.Errorf("outer: %w", MarkTransient(errors.New("flaky"))), Transient},
-		{"path-error", &os.PathError{Op: "open", Path: "x", Err: errors.New("io")}, Transient},
-		{"truncated", &trace.TruncatedError{Line: 3}, Transient},
-		{"watchdog-budget", budgetTrip, Transient},
+		// A run is a pure function of its spec: no simulation or trace
+		// error clears on a rerun, and nothing retries file I/O.
+		{"path-error", &os.PathError{Op: "open", Path: "x", Err: errors.New("io")}, Permanent},
+		{"truncated", &trace.TruncatedError{Line: 3}, Permanent},
+		{"watchdog-budget", budgetTrip, Permanent},
 		{"structural-deadlock", deadlock, Permanent},
 		{"cancelled-deadlock", cancelled, Permanent},
 		// The network taxonomy (internal/dist RPCs).
@@ -224,20 +226,20 @@ func TestDoRetriesTransientOnly(t *testing.T) {
 // TestDoInterruptedKeepsLastAttemptInspectable pins the errtaxonomy
 // contract on the "retry interrupted" wrap: both the cancellation and
 // the last attempt's error must stay reachable by errors.Is/As. The
-// repolint errtaxonomy analyzer found the previous form stringifying
-// the last attempt with %v, which made the underlying *os.PathError
-// invisible to callers triaging an interrupted sweep.
+// repolint errtaxonomy analyzer found an earlier form stringifying the
+// last attempt with %v, which hid its cause from callers triaging an
+// interrupted sweep.
 func TestDoInterruptedKeepsLastAttemptInspectable(t *testing.T) {
 	p := Policy{MaxAttempts: 3, BaseDelay: time.Hour, MaxDelay: time.Hour, Multiplier: 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	pathErr := &os.PathError{Op: "open", Path: "cache/artifact", Err: os.ErrNotExist}
+	dialErr := &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
 	attempts, err := p.Do(ctx, 1, func() error {
 		// Cancel after the attempt: Do then enters its backoff sleep and
 		// must return immediately with the interruption wrap.
 		cancel()
-		return pathErr
+		return dialErr
 	})
 	if attempts != 1 {
 		t.Fatalf("attempts = %d, want 1", attempts)
@@ -245,8 +247,8 @@ func TestDoInterruptedKeepsLastAttemptInspectable(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled reachable", err)
 	}
-	var pe *os.PathError
-	if !errors.As(err, &pe) || !errors.Is(err, os.ErrNotExist) {
+	var oe *net.OpError
+	if !errors.As(err, &oe) || !errors.Is(err, syscall.ECONNREFUSED) {
 		t.Fatalf("last attempt's cause not wrapped: %v", err)
 	}
 	// The interrupted wrap must still classify as Permanent: the

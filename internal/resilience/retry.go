@@ -20,7 +20,7 @@ type Policy struct {
 	Multiplier float64
 }
 
-// DefaultPolicy is the pipeline's standard schedule: three attempts with
+// DefaultPolicy is the RPC client's standard schedule: three attempts with
 // 5ms base backoff doubling to a 250ms cap.
 func DefaultPolicy() Policy {
 	return Policy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond, Multiplier: 2}

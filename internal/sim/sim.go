@@ -252,7 +252,7 @@ func (s *Simulator) Run() error {
 	wd := s.watchdog
 	var deadline time.Time
 	if wd.MaxWall > 0 {
-		//lint:allow determinism MaxWall is deliberately a host-wall-clock safety budget; a trip yields a transient DeadlockError (retried), never a changed characterization
+		//lint:allow determinism MaxWall is deliberately a host-wall-clock safety budget; a trip fails the run with a DeadlockError, never a changed characterization
 		deadline = time.Now().Add(wd.MaxWall)
 	}
 	startEvents := s.fired

@@ -54,14 +54,6 @@ type DeadlockError struct {
 // errors package; it returns nil for watchdog and structural stops.
 func (e *DeadlockError) Unwrap() error { return e.Cause }
 
-// BudgetExceeded reports whether a watchdog progress budget tripped, as
-// opposed to a structural deadlock or a cancellation. Budget trips are
-// the retryable kind: a livelocked run may clear under a different
-// schedule or a raised budget, whereas a structural deadlock reproduces.
-func (e *DeadlockError) BudgetExceeded() bool {
-	return e.Cause == nil && !strings.HasPrefix(e.Reason, "deadlock")
-}
-
 func (e *DeadlockError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim: %s at t=%d after %d events (%d pending)", e.Reason, e.Now, e.Events, e.Pending)
