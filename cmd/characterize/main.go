@@ -14,7 +14,8 @@
 //	characterize -app IS -topology fattree [-dims 4,2]   (fabric other than the 2-D mesh)
 //	characterize -app 3D-FFT -app-trace-out t.csv   (static strategy: export the app trace)
 //	characterize -app IS -trace-out run.trace.json -debug-addr :8080   (observability)
-//	characterize -app IS -workers http://w1:7801,http://w2:7802   (run on a sweepd fleet)
+//	characterize -app IS -dist-listen 127.0.0.1:7821   (run on a sweepd fleet)
+//	sweepd -worker -join http://127.0.0.1:7821           (each worker of that fleet)
 //	characterize -list
 package main
 
@@ -52,10 +53,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	topology := fs.String("topology", "", "interconnect fabric: "+strings.Join(core.TopologyNames(), ", ")+" (default: the paper's 2-D mesh)")
 	collectives := fs.String("collectives", "", "collective algorithm family: "+strings.Join(mp.AlgorithmNames(), ", ")+" (default: linear)")
 	dimsFlag := fs.String("dims", "", "fabric dimensions, e.g. 4,4,4 (topology-specific; default: derived from -procs)")
-	workers := fs.String("workers", "", "comma-separated sweepd worker control URLs: run remotely on this fleet")
-	distListen := fs.String("dist-listen", "127.0.0.1:0", "address to serve the coordinator lease API on (with -workers)")
-	distAdvertise := fs.String("dist-advertise", "", "coordinator URL advertised to the workers (default: the bound -dist-listen address)")
-	blobDir := fs.String("blob-dir", "", "shared artifact blob store directory (with -workers): specs found there are served without a lease, and every accepted completion is added")
+	distListen := fs.String("dist-listen", "", "serve a coordinator lease API on this address and run remotely on the sweepd workers that -join it")
+	blobDir := fs.String("blob-dir", "", "shared artifact blob store directory (with -dist-listen): specs found there are served without a lease, and every accepted completion is added")
 	pf := pipeline.AddFlags(fs)
 	of := obs.AddFlags(fs)
 	cf := cli.AddCommonFlags(fs)
@@ -95,19 +94,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	defer ob.Close()
 	var coord *dist.Coordinator
-	if *workers != "" {
+	if *distListen != "" {
 		// Client mode: serve a coordinator for the fleet and route the
-		// run's cache miss (if any) through it. The report is identical to
-		// a local run by the determinism invariant.
+		// run's cache miss (if any) through it to the workers that join.
+		// The report is identical to a local run by the determinism
+		// invariant.
+		var coordURL string
 		var shutdown func()
-		coord, _, shutdown, err = dist.ServeCoordinator(ctx, dist.CoordinatorOptions{Obs: ob}, dist.Fleet{
-			BlobDir: *blobDir, Listen: *distListen, Advertise: *distAdvertise,
-			Workers: *workers, Drain: 5 * time.Second,
+		coord, coordURL, shutdown, err = dist.ServeCoordinator(ctx, dist.CoordinatorOptions{Obs: ob}, dist.Fleet{
+			BlobDir: *blobDir, Listen: *distListen, Drain: 5 * time.Second,
 		})
 		if err != nil {
 			return err
 		}
 		defer shutdown()
+		fmt.Fprintf(stderr, "coordinator listening on %s\n", coordURL)
 		pf.Remote = coord
 	}
 	eng, err := pf.Engine(ob)

@@ -11,17 +11,17 @@
 // runs in-process instead — the reference output a distributed run must
 // match byte for byte.
 //
-// In -worker mode it executes leased specs through its own pipeline
-// engine (own cache directory, own parallelism) and streams artifacts
-// back. A worker is stateless: killing one costs only its in-flight
-// lease, which the coordinator re-enqueues on expiry.
+// In -worker mode it joins the coordinator at -join, executes leased
+// specs through its own pipeline engine (own cache directory, own
+// parallelism) and streams artifacts back until the coordinator
+// dismisses it, then exits 0. A worker is stateless: killing one costs
+// only its in-flight lease, which the coordinator re-enqueues on expiry.
 //
 // Usage:
 //
 //	sweepd -coordinator -listen 127.0.0.1:7701 -apps IS,MG -procs 4,16 -scale small \
 //	       -cache-dir .cache/coord
 //	sweepd -worker -join http://127.0.0.1:7701 -cache-dir .cache/w1
-//	sweepd -worker -listen 127.0.0.1:7801 -cache-dir .cache/w1   (wait for /v1/attach)
 //	sweepd -coordinator -local ...                               (reference run, no fleet)
 //	sweepd -coordinator -blob-dir .cache/blobs -speculate-factor 3 ...   (shared store + hedging)
 //	sweepd -worker -join ... -net-chaos 'drop:0.2;delay:0.5:5ms' -net-chaos-seed 7   (chaos)
@@ -37,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"strconv"
@@ -62,7 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	coordinator := fs.Bool("coordinator", false, "run the sweep coordinator")
 	worker := fs.Bool("worker", false, "run a sweep worker")
-	listen := fs.String("listen", "", "address to serve the role's HTTP API on (coordinator: lease API; worker: control API)")
+	listen := fs.String("listen", "", "address to serve the coordinator's lease API on (coordinator mode; default 127.0.0.1:0)")
 	appsFlag := fs.String("apps", "", "comma-separated application names to sweep (default: the whole suite)")
 	procsFlag := fs.String("procs", "16", "comma-separated processor counts to sweep")
 	topoFlag := fs.String("topologies", "", "comma-separated interconnect fabrics to sweep: "+strings.Join(core.TopologyNames(), ", ")+" (default: the paper's 2-D mesh)")
@@ -70,13 +69,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	scale := fs.String("scale", "full", "problem scale: full or small")
 	lease := fs.Duration("lease", 15*time.Second, "lease duration before unfinished work is re-enqueued")
 	maxAttempts := fs.Int("max-attempts", 5, "lease grants per spec before the coordinator fails it permanently")
-	workers := fs.String("workers", "", "comma-separated worker control URLs to attach at startup (coordinator mode)")
-	advertise := fs.String("advertise", "", "coordinator URL advertised to attached workers (default: the bound -listen address)")
 	local := fs.Bool("local", false, "run the sweep in-process instead of distributing: the reference a distributed run must match")
 	blobDir := fs.String("blob-dir", "", "shared artifact blob store directory (coordinator mode): specs found there are served without a lease, and every accepted completion is added")
 	speculate := fs.Float64("speculate-factor", 0, "hedge a straggler onto an idle worker once its lease has run longer than this factor times the median completed-lease time (coordinator mode; 0 disables)")
 	name := fs.String("name", "", "worker name reported in leases and lost-worker events (default: host-pid)")
-	join := fs.String("join", "", "coordinator URL to poll until its sweep completes (worker mode)")
+	join := fs.String("join", "", "coordinator URL to poll until its sweep completes (worker mode; required)")
 	netChaos := fs.String("net-chaos", "", "inject seeded network faults into this worker's coordinator client, e.g. 'drop:0.2;delay:0.5:10ms' (see internal/fault)")
 	netChaosSeed := fs.Uint64("net-chaos-seed", 1, "seed for the -net-chaos schedule")
 	pf := pipeline.AddFlags(fs)
@@ -101,16 +98,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	if *worker {
 		return runWorker(ctx, workerConfig{
-			listen: *listen, name: *name, join: *join,
-			lease: *lease, netChaos: *netChaos, netChaosSeed: *netChaosSeed,
+			name: *name, join: *join,
+			netChaos: *netChaos, netChaosSeed: *netChaosSeed,
 			pf: pf, cf: cf,
 		}, ob, stdout, stderr)
 	}
 	return runCoordinator(ctx, coordinatorConfig{
 		listen: *listen, apps: *appsFlag, procs: *procsFlag,
 		topologies: *topoFlag, collectives: *collFlag, scale: *scale,
-		lease: *lease, maxAttempts: *maxAttempts, workers: *workers,
-		advertise: *advertise, local: *local,
+		lease: *lease, maxAttempts: *maxAttempts, local: *local,
 		blobDir: *blobDir, speculate: *speculate, pf: pf, cf: cf,
 	}, ob, stdout, stderr)
 }
@@ -124,8 +120,6 @@ type coordinatorConfig struct {
 	scale       string
 	lease       time.Duration
 	maxAttempts int
-	workers     string
-	advertise   string
 	local       bool
 	blobDir     string
 	speculate   float64
@@ -149,8 +143,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 			Obs:             ob,
 			SpeculateFactor: cfg.speculate,
 		}, dist.Fleet{
-			BlobDir: cfg.blobDir, Listen: cfg.listen, Advertise: cfg.advertise,
-			Workers: cfg.workers, Drain: cfg.lease,
+			BlobDir: cfg.blobDir, Listen: cfg.listen, Drain: cfg.lease,
 		})
 		if err != nil {
 			return err
@@ -191,10 +184,8 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 }
 
 type workerConfig struct {
-	listen       string
 	name         string
 	join         string
-	lease        time.Duration
 	netChaos     string
 	netChaosSeed uint64
 	pf           *pipeline.Flags
@@ -202,8 +193,8 @@ type workerConfig struct {
 }
 
 func runWorker(ctx context.Context, cfg workerConfig, ob *obs.Observer, stdout, stderr io.Writer) error {
-	if cfg.join == "" && cfg.listen == "" {
-		return cli.Usagef("worker mode needs -join (poll a coordinator) or -listen (wait for /v1/attach)")
+	if cfg.join == "" {
+		return cli.Usagef("worker mode needs -join (the coordinator URL to poll)")
 	}
 	name := cfg.name
 	if name == "" {
@@ -238,25 +229,10 @@ func runWorker(ctx context.Context, cfg workerConfig, ob *obs.Observer, stdout, 
 	if err != nil {
 		return err
 	}
-	if cfg.listen != "" {
-		ln, err := net.Listen("tcp", cfg.listen)
-		if err != nil {
-			return fmt.Errorf("worker listener: %w", err)
-		}
-		srv := &http.Server{Handler: w.ControlHandler()}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Fprintf(stderr, "worker %s control API on http://%s\n", name, ln.Addr().String())
-	}
-	if cfg.join != "" {
-		// Serve this one coordinator until its sweep completes. A
-		// restarted coordinator answers again within the unreachable
-		// grace, so the poll survives it.
-		return w.Poll(ctx, cfg.join)
-	}
-	// Serve attach requests until interrupted (exit 130, the
-	// interrupted-run convention).
-	return w.Run(ctx)
+	// Serve this one coordinator until its sweep completes. A restarted
+	// coordinator answers again within the unreachable grace, so the
+	// poll survives it.
+	return w.Poll(ctx, cfg.join)
 }
 
 // sweepSpecs expands the -apps/-procs/-topologies/-collectives/-scale

@@ -2,11 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"commchar/internal/mesh"
+	"commchar/internal/sim"
 )
 
 // Metamorphic oracles for Analyze: transformations of the input log whose
@@ -60,6 +62,49 @@ func TestAnalyzeInvariantUnderTimeShift(t *testing.T) {
 	} {
 		if b, g := jsonOf(t, part.base), jsonOf(t, part.got); b != g {
 			t.Errorf("%s changed under a time shift of %d ns:\nbase    %s\nshifted %s", part.name, shift, b, g)
+		}
+	}
+}
+
+// TestAnalyzeEquivariantUnderTimeScale multiplies every Inject and End by
+// k. Every inter-arrival gap scales by k, so for each source and for the
+// aggregate the best fit must stay the same family with k times the mean
+// and the same R². Only the best fit is compared: the fits below it are
+// near-ties whose order the rescaled DUD starts may swap.
+func TestAnalyzeEquivariantUnderTimeScale(t *testing.T) {
+	log := syntheticLog(metamorphicProcs, 300, 10000, 1)
+	base := analyzeForOracle(t, log)
+	for _, k := range []int64{2, 3, 1024} {
+		scaled := slices.Clone(log)
+		for i := range scaled {
+			scaled[i].Inject *= sim.Time(k)
+			scaled[i].End *= sim.Time(k)
+		}
+		got := analyzeForOracle(t, scaled)
+		type pair struct {
+			name      string
+			base, got *SourceTemporal
+		}
+		pairs := []pair{{"aggregate", &base.Aggregate, &got.Aggregate}}
+		for s := range base.PerSource {
+			pairs = append(pairs, pair{fmt.Sprintf("source %d", s), &base.PerSource[s], &got.PerSource[s]})
+		}
+		for _, src := range pairs {
+			bf, gf := src.base.Best(), src.got.Best()
+			if bf == nil || gf == nil {
+				t.Fatalf("k=%d %s: no best fit (base %v, scaled %v)", k, src.name, bf, gf)
+			}
+			if bf.Dist.Name() != gf.Dist.Name() {
+				t.Errorf("k=%d %s: best family %s, want %s", k, src.name, gf.Dist.Name(), bf.Dist.Name())
+				continue
+			}
+			want := float64(k) * bf.Dist.Mean()
+			if rel := math.Abs(gf.Dist.Mean()-want) / want; rel > 1e-6 {
+				t.Errorf("k=%d %s: best mean %v, want %v (relative error %.2g)", k, src.name, gf.Dist.Mean(), want, rel)
+			}
+			if d := math.Abs(gf.R2 - bf.R2); d > 1e-9 {
+				t.Errorf("k=%d %s: best R² %v, want %v (|ΔR²| %.2g)", k, src.name, gf.R2, bf.R2, d)
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -197,31 +196,27 @@ func (c *Coordinator) DegradedError() error {
 	}
 }
 
-// Fleet says where ServeCoordinator serves and which workers it attaches.
+// Fleet says where ServeCoordinator serves. Workers find it themselves:
+// each one polls the returned URL (sweepd -worker -join).
 type Fleet struct {
 	// BlobDir, when set, holds the shared artifact blob store that
 	// serves finished specs without a lease.
 	BlobDir string
 	// Listen is the lease API's address; "" means 127.0.0.1:0.
 	Listen string
-	// Advertise is the coordinator URL given to attached workers; ""
-	// means the bound Listen address.
-	Advertise string
-	// Workers lists the worker control URLs to attach, comma-separated.
-	Workers string
 	// Drain bounds how long shutdown waits for the fleet to detach.
 	Drain time.Duration
 }
 
 // ServeCoordinator builds a coordinator from opts (reading and feeding
 // the blob store in fleet.BlobDir, if set), serves its lease API,
-// registers its metrics and /distz page with opts.Obs, starts lease
-// expiry, and attaches fleet.Workers. It returns the coordinator, the URL advertised to the
-// workers, and the shutdown to call once the engine is done: it dismisses
-// the fleet (Finish, then Drain up to fleet.Drain) while the lease API is
-// still up, so workers detach instead of waiting out their unreachable
-// grace against a dead address, and then stops serving. Calls after the
-// first do nothing.
+// registers its metrics and /distz page with opts.Obs, and starts lease
+// expiry. It returns the coordinator, the bound listener's URL for the
+// workers to join, and the shutdown to call once the engine is done: it
+// dismisses the fleet (Finish, then Drain up to fleet.Drain) while the
+// lease API is still up, so workers detach instead of waiting out their
+// unreachable grace against a dead address, and then stops serving.
+// Calls after the first do nothing.
 func ServeCoordinator(ctx context.Context, opts CoordinatorOptions, fleet Fleet) (*Coordinator, string, func(), error) {
 	if fleet.BlobDir != "" {
 		store, err := NewBlobStore(fleet.BlobDir)
@@ -246,19 +241,7 @@ func ServeCoordinator(ctx context.Context, opts CoordinatorOptions, fleet Fleet)
 		coord.Metrics().RegisterWith(opts.Obs.Registry)
 	}
 	opts.Obs.HandleDebug("/distz", coord.DebugHandler())
-	url := fleet.Advertise
-	if url == "" {
-		url = "http://" + ln.Addr().String()
-	}
-	for _, wu := range strings.Split(fleet.Workers, ",") {
-		if wu = strings.TrimSpace(wu); wu == "" {
-			continue
-		}
-		if err := Attach(ctx, wu, url); err != nil {
-			srv.Close()
-			return nil, "", nil, err
-		}
-	}
+	url := "http://" + ln.Addr().String()
 	var once sync.Once
 	shutdown := func() {
 		once.Do(func() {

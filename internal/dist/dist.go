@@ -78,6 +78,13 @@ import (
 // failure does) and POST /v1/detach was added (an older worker never
 // detaches, so the coordinator waits out its drain bound; a newer worker
 // ignores an older coordinator's 404).
+//
+// Still version 4: the push path, in which a coordinator attached a
+// worker through the worker's own control server, was removed; a worker
+// now reaches a coordinator only by joining (polling) it. Attach lived
+// on the worker's server, not in the lease protocol, so no lease message
+// changed: an older coordinator started with -workers fails at startup
+// with a connection error, and a newer one never attaches.
 const ProtoVersion = 4
 
 // DegradedError reports a sweep that completed — every artifact was

@@ -618,10 +618,11 @@ func TestEngineRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestServeCoordinatorAttachesAndDismisses: the one coordinator bootstrap
-// attaches the listed workers (skipping blanks), routes work to them, and
-// its shutdown dismisses the fleet before the lease API goes away.
-func TestServeCoordinatorAttachesAndDismisses(t *testing.T) {
+// TestServeCoordinatorDismissesJoinedWorker: the one coordinator
+// bootstrap serves its lease API on the bound loopback address, a worker
+// that joins it runs the work, and its shutdown dismisses the worker
+// before the lease API goes away, so Poll ends cleanly.
+func TestServeCoordinatorDismissesJoinedWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	runner := &fakeRunner{fn: func(ctx context.Context, spec pipeline.RunSpec) (*pipeline.Artifact, error) {
@@ -634,18 +635,17 @@ func TestServeCoordinatorAttachesAndDismisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := httptest.NewServer(w.ControlHandler())
-	defer ws.Close()
-	go w.Run(ctx)
 
 	coord, url, shutdown, err := ServeCoordinator(ctx, CoordinatorOptions{Lease: time.Second},
-		Fleet{Workers: " ," + ws.URL + ",", Drain: 5 * time.Second})
+		Fleet{Drain: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(url, "http://127.0.0.1:") {
-		t.Fatalf("advertised URL %q is not the bound loopback address", url)
+		t.Fatalf("coordinator URL %q is not the bound loopback address", url)
 	}
+	polled := make(chan error, 1)
+	go func() { polled <- w.Poll(ctx, url) }()
 	art, err := coord.Execute(ctx, testSpec("IS"), testKey(70))
 	if err != nil || art.C.Name != "IS" {
 		t.Fatalf("remote run: art=%+v err=%v", art, err)
@@ -655,7 +655,10 @@ func TestServeCoordinatorAttachesAndDismisses(t *testing.T) {
 	detached := coord.detached["w1"]
 	coord.mu.Unlock()
 	if !detached {
-		t.Fatal("shutdown returned before the attached worker detached")
+		t.Fatal("shutdown returned before the joined worker detached")
+	}
+	if err := <-polled; err != nil {
+		t.Fatalf("Poll = %v, want a clean dismissal", err)
 	}
 	if err := coord.DegradedError(); err != nil {
 		t.Fatalf("healthy fleet reports %v", err)

@@ -110,19 +110,6 @@ type DetachRequest struct {
 	Worker string `json:"worker"`
 }
 
-// AttachRequest (POST /v1/attach on a worker's control server) points a
-// long-running worker at a coordinator; the worker polls it until the
-// sweep reports done.
-type AttachRequest struct {
-	V           int    `json:"v"`
-	Coordinator string `json:"coordinator"`
-}
-
-// AttachResponse acknowledges an attach.
-type AttachResponse struct {
-	Acked bool `json:"acked"`
-}
-
 // errorResponse is the body of every non-2xx coordinator answer.
 type errorResponse struct {
 	Error string `json:"error"`

@@ -49,13 +49,19 @@ func localBlobs(t *testing.T, specs []pipeline.RunSpec) [][]byte {
 
 // storeSweep runs specs through an engine whose executor is a fresh
 // coordinator over blobDir. With withWorker a worker running the real
-// pipeline is attached; without one, any spec that needs a lease fails
+// pipeline joins it; without one, any spec that needs a lease fails
 // the sweep at the deadline instead of hanging the test.
 func storeSweep(t *testing.T, blobDir string, withWorker bool, specs []pipeline.RunSpec) (*Coordinator, *obs.Observer, [][]byte) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	fleet := Fleet{BlobDir: blobDir, Drain: 5 * time.Second}
+	ob := obs.NewObserver(nil)
+	coord, url, shutdown, err := ServeCoordinator(ctx, CoordinatorOptions{Lease: 5 * time.Second, Obs: ob},
+		Fleet{BlobDir: blobDir, Drain: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
 	if withWorker {
 		workerEngine, err := pipeline.New(pipeline.Options{Parallel: 1})
 		if err != nil {
@@ -68,17 +74,8 @@ func storeSweep(t *testing.T, blobDir string, withWorker bool, specs []pipeline.
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := httptest.NewServer(w.ControlHandler())
-		defer ws.Close()
-		go w.Run(ctx)
-		fleet.Workers = ws.URL
+		go w.Poll(ctx, url)
 	}
-	ob := obs.NewObserver(nil)
-	coord, _, shutdown, err := ServeCoordinator(ctx, CoordinatorOptions{Lease: 5 * time.Second, Obs: ob}, fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
 	front, err := pipeline.New(pipeline.Options{Parallel: len(specs), Remote: coord})
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,6 @@ type Worker struct {
 	clock            obs.Clock
 	pollInterval     time.Duration
 	unreachableGrace time.Duration
-	attach           chan string
 }
 
 // NewWorker builds a worker from opts.
@@ -95,7 +94,6 @@ func NewWorker(opts WorkerOptions) (*Worker, error) {
 		clock:            opts.Clock,
 		pollInterval:     opts.PollInterval,
 		unreachableGrace: opts.UnreachableGrace,
-		attach:           make(chan string, 4),
 	}, nil
 }
 
@@ -277,67 +275,6 @@ func (w *Worker) reportFailure(ctx context.Context, coordinatorURL string, id ui
 		w.ob.Emit("dist.fail.undelivered", map[string]string{"worker": w.name, "error": err.Error()})
 	}
 }
-
-// Run is the long-lived worker loop: it waits for attach requests
-// (delivered through ControlHandler) and serves each coordinator until
-// its sweep completes, then goes back to waiting. It returns when ctx
-// is cancelled.
-func (w *Worker) Run(ctx context.Context) error {
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case coordinatorURL := <-w.attach:
-			if err := w.Poll(ctx, coordinatorURL); err != nil && ctx.Err() == nil {
-				w.ob.Emit("dist.poll.ended", map[string]string{"worker": w.name, "error": err.Error()})
-			}
-		}
-	}
-}
-
-// ControlHandler returns the worker's own HTTP surface: POST /v1/attach
-// points the worker at a coordinator, /healthz answers liveness.
-func (w *Worker) ControlHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/attach", func(rw http.ResponseWriter, r *http.Request) {
-		var req AttachRequest
-		if !decodeRequest(rw, r, &req) {
-			return
-		}
-		if req.Coordinator == "" {
-			writeError(rw, http.StatusBadRequest, "", "attach needs a coordinator URL")
-			return
-		}
-		select {
-		case w.attach <- req.Coordinator:
-			writeJSON(rw, AttachResponse{Acked: true})
-		default:
-			writeError(rw, http.StatusServiceUnavailable, "", "attach queue full")
-		}
-	})
-	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
-		rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(rw, "ok")
-	})
-	return mux
-}
-
-// Attach points the worker listening at workerURL to a coordinator: the
-// client side of the worker's POST /v1/attach control endpoint. Transport
-// failures are retried on the default schedule (the worker may still be
-// binding its listener).
-func Attach(ctx context.Context, workerURL, coordinatorURL string) error {
-	c := newClient(resilience.Policy{}, 0)
-	var resp AttachResponse
-	req := AttachRequest{V: ProtoVersion, Coordinator: coordinatorURL}
-	if err := c.post(ctx, workerURL+"/v1/attach", req, &resp); err != nil {
-		return fmt.Errorf("dist: attaching worker %s: %w", workerURL, err)
-	}
-	return nil
-}
-
-// version accessor for AttachRequest (see decodeRequest).
-func (r AttachRequest) version() int { return r.V }
 
 // sleepCtx waits d or until ctx is cancelled, reporting whether the full
 // wait elapsed.

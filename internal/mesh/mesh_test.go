@@ -256,49 +256,64 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
+// TestLatencyAtLeastUncontendedProperty is the latency-floor oracle on
+// every fabric: on a fault-free run no delivery beats its route's
+// contention-free latency, hops·hopTime + (flits−1)·cycle over the hops
+// it actually took, and one that is slower must record blocking. The
+// hops it took must be its route's.
 func TestLatencyAtLeastUncontendedProperty(t *testing.T) {
-	prop := func(seed uint64) bool {
-		s := sim.New()
-		cfg := DefaultConfig(MeshTopology, 4, 4)
-		n := New(s, cfg)
-		st := sim.NewStream(seed)
-		type expect struct {
-			hops  int
-			flits int
-		}
-		expects := map[int64]expect{}
-		for i := 0; i < 100; i++ {
-			m := Message{
-				ID:     int64(i),
-				Src:    st.IntN(cfg.Fabric().Endpoints()),
-				Dst:    st.IntN(cfg.Fabric().Endpoints()),
-				Bytes:  1 + st.IntN(128),
-				Inject: sim.Time(st.IntN(2000)),
+	for _, fab := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mesh", DefaultConfig(MeshTopology, 4, 4)},
+		{"torus2d", DefaultConfig(TorusTopology, 4, 4)},
+		{"torus4d", DefaultConfig(TorusTopology, 3, 3, 3, 3)},
+		{"hypercube", DefaultConfig(HypercubeTopology, 4)},
+		{"fattree", DefaultConfig(FatTreeTopology, 4, 2)},
+		{"dragonfly", DefaultConfig(DragonflyTopology, 4, 1)},
+	} {
+		cfg := fab.cfg
+		t.Run(fab.name, func(t *testing.T) {
+			hopTime := cfg.CycleTime * sim.Duration(1+cfg.RouterDelay)
+			prop := func(seed uint64) bool {
+				s := sim.New()
+				n := New(s, cfg)
+				st := sim.NewStream(seed)
+				for i := 0; i < 100; i++ {
+					n.Inject(Message{
+						ID:     int64(i),
+						Src:    st.IntN(cfg.Fabric().Endpoints()),
+						Dst:    st.IntN(cfg.Fabric().Endpoints()),
+						Bytes:  1 + st.IntN(128),
+						Inject: sim.Time(st.IntN(2000)),
+					}, nil)
+				}
+				s.Run()
+				for _, d := range n.Log() {
+					if d.Hops != n.Hops(d.Src, d.Dst) {
+						t.Logf("%d->%d took %d hops, route has %d", d.Src, d.Dst, d.Hops, n.Hops(d.Src, d.Dst))
+						return false
+					}
+					floor := cfg.LocalDelay
+					if d.Src != d.Dst {
+						floor = sim.Duration(d.Hops)*hopTime + sim.Duration(cfg.Flits(d.Bytes)-1)*cfg.CycleTime
+					}
+					if d.Latency < floor {
+						t.Logf("%d->%d: latency %d below its floor %d", d.Src, d.Dst, d.Latency, floor)
+						return false
+					}
+					if d.Latency != floor && d.Blocked == 0 {
+						t.Logf("%d->%d: latency %d above its floor %d with no blocking", d.Src, d.Dst, d.Latency, floor)
+						return false // slower than physics with no recorded contention
+					}
+				}
+				return true
 			}
-			expects[m.ID] = expect{hops: manhattan(cfg, m.Src, m.Dst), flits: cfg.Flits(m.Bytes)}
-			n.Inject(m, nil)
-		}
-		s.Run()
-		hopTime := cfg.CycleTime * sim.Duration(1+cfg.RouterDelay)
-		for _, d := range n.Log() {
-			e := expects[d.Message.ID]
-			var min sim.Duration
-			if d.Src == d.Dst {
-				min = cfg.LocalDelay
-			} else {
-				min = sim.Duration(e.hops)*hopTime + sim.Duration(e.flits-1)*cfg.CycleTime
+			if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+				t.Fatal(err)
 			}
-			if d.Latency < min {
-				return false
-			}
-			if d.Latency != min && d.Blocked == 0 {
-				return false // slower than physics with no recorded contention
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

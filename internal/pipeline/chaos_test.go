@@ -157,7 +157,7 @@ func TestChaosProcessPanicLosesOnlyThatSpec(t *testing.T) {
 // deadline; the failure unwraps to context.DeadlineExceeded and the other
 // specs complete untouched.
 func TestChaosSlowStageHitsDeadline(t *testing.T) {
-	e := chaosEngine(t, Options{Parallel: 4},
+	e := chaosEngine(t, Options{Parallel: 4, SpecTimeout: 50 * time.Millisecond},
 		map[string]func(ctx context.Context, spec RunSpec) (*stageResult, error){
 			"Nbody": func(ctx context.Context, spec RunSpec) (*stageResult, error) {
 				<-ctx.Done() // a hung simulation: only the deadline frees it
@@ -165,7 +165,6 @@ func TestChaosSlowStageHitsDeadline(t *testing.T) {
 			},
 		})
 	specs := chaosSpecs("IS", "Nbody")
-	specs[1].Timeout = 50 * time.Millisecond
 	arts, err := e.RunAll(context.Background(), specs...)
 	var de *DegradedError
 	if !errors.As(err, &de) {

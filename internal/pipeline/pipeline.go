@@ -120,8 +120,8 @@ type Options struct {
 	// OnError is the sweep failure policy of RunAll; the zero value is
 	// OnErrorContinue (one lost spec does not cancel its siblings).
 	OnError OnError
-	// SpecTimeout is the per-run deadline applied to every spec that
-	// does not set its own; 0 means unlimited.
+	// SpecTimeout is the per-run deadline applied to every spec; 0
+	// means unlimited.
 	SpecTimeout time.Duration
 	// Remote, when non-nil, executes cache-miss specs through a remote
 	// executor (a distributed worker fleet) instead of the local stages.
@@ -263,9 +263,8 @@ func (e *Engine) Run(spec RunSpec) (*Artifact, error) {
 
 // RunContext is Run under cooperative cancellation: the context is
 // threaded through the acquire, log, and analyze stages down into the
-// simulator's cycle loop, so a hung or livelocked run is killable, and a
-// per-spec deadline (spec.Timeout, or the engine's SpecTimeout) bounds
-// the run. A failure — panic, deadline, cancellation, or a simulation
+// simulator's cycle loop, so a hung or livelocked run is killable, and
+// the engine's per-spec deadline (SpecTimeout) bounds the run. A failure — panic, deadline, cancellation, or a simulation
 // error — is reported as a *SpecError.
 func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (*Artifact, error) {
 	if err := spec.validate(); err != nil {
@@ -430,13 +429,9 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (
 	defer func() { <-e.sem }()
 
 	runCtx := ctx
-	timeout := spec.Timeout
-	if timeout <= 0 {
-		timeout = e.specTimeout
-	}
-	if timeout > 0 {
+	if e.specTimeout > 0 {
 		var cancelTimeout context.CancelFunc
-		runCtx, cancelTimeout = context.WithTimeout(ctx, timeout)
+		runCtx, cancelTimeout = context.WithTimeout(ctx, e.specTimeout)
 		defer cancelTimeout()
 	}
 

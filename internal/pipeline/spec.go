@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"commchar/internal/apps"
 	"commchar/internal/ccnuma"
@@ -83,14 +82,9 @@ type RunSpec struct {
 
 	// Watchdog bounds the run (trace replay only). It is not part of the
 	// cache key: a tripped watchdog fails the run, and failed runs are
-	// never cached.
+	// never cached. The engine's Options.SpecTimeout bounds its wall
+	// time the same way.
 	Watchdog sim.Watchdog
-
-	// Timeout bounds the run's wall time, overriding the engine's
-	// SpecTimeout; 0 defers to the engine. Like Watchdog it is not part
-	// of the cache key: a timed-out run fails, and failed runs are never
-	// cached.
-	Timeout time.Duration
 }
 
 // Label returns the run's display name.
