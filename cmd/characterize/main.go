@@ -54,7 +54,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	collectives := fs.String("collectives", "", "collective algorithm family: "+strings.Join(mp.AlgorithmNames(), ", ")+" (default: linear)")
 	dimsFlag := fs.String("dims", "", "fabric dimensions, e.g. 4,4,4 (topology-specific; default: derived from -procs)")
 	distListen := fs.String("dist-listen", "", "serve a coordinator lease API on this address and run remotely on the sweepd workers that -join it")
-	blobDir := fs.String("blob-dir", "", "shared artifact blob store directory (with -dist-listen): specs found there are served without a lease, and every accepted completion is added")
 	pf := pipeline.AddFlags(fs)
 	of := obs.AddFlags(fs)
 	cf := cli.AddCommonFlags(fs)
@@ -101,9 +100,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// invariant.
 		var coordURL string
 		var shutdown func()
-		coord, coordURL, shutdown, err = dist.ServeCoordinator(ctx, dist.CoordinatorOptions{Obs: ob}, dist.Fleet{
-			BlobDir: *blobDir, Listen: *distListen, Drain: 5 * time.Second,
-		})
+		coord, coordURL, shutdown, err = dist.ServeCoordinator(ctx, dist.CoordinatorOptions{Obs: ob},
+			dist.Fleet{Listen: *distListen, Drain: 5 * time.Second})
 		if err != nil {
 			return err
 		}
@@ -156,7 +154,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if coord != nil {
 		// The report above is complete and correct; exit 3 flags the
-		// reduced fleet health (store fallbacks, rescued stragglers).
+		// reduced fleet health (rescued stragglers).
 		return coord.DegradedError()
 	}
 	return nil

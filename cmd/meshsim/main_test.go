@@ -127,6 +127,10 @@ func TestUsageErrors(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("bad -faults: expected UsageError, got %v", err)
 	}
+	err = run(context.Background(), []string{"-trace", writeRingTrace(t, 1), "-ranks", "4", "-width", "1", "-height", "2"}, &out, &out)
+	if code := cli.ExitCode(err); code != cli.ExitUsage {
+		t.Fatalf("1x2 mesh for 4 ranks: exit code %d, want %d (%v)", code, cli.ExitUsage, err)
+	}
 }
 
 // TestTopologyFlagEndToEnd replays the same trace on every fabric through

@@ -7,7 +7,9 @@
 // run's report on stdout in spec order, and exits. The engine's disk
 // cache applies to distributed runs unchanged, so a coordinator killed
 // mid-sweep restarts with the same -cache-dir and only the specs it had
-// not finished go back to the fleet. With -local the same sweep
+// not finished go back to the fleet. That cache is the fleet's shared
+// artifact store: a spec any earlier sweep finished there is served
+// without a lease. With -local the same sweep
 // runs in-process instead — the reference output a distributed run must
 // match byte for byte.
 //
@@ -23,13 +25,13 @@
 //	       -cache-dir .cache/coord
 //	sweepd -worker -join http://127.0.0.1:7701 -cache-dir .cache/w1
 //	sweepd -coordinator -local ...                               (reference run, no fleet)
-//	sweepd -coordinator -blob-dir .cache/blobs -speculate-factor 3 ...   (shared store + hedging)
+//	sweepd -coordinator -speculate-factor 3 ...                  (hedge stragglers)
 //	sweepd -worker -join ... -net-chaos 'drop:0.2;delay:0.5:5ms' -net-chaos-seed 7   (chaos)
 //
 // A sweep that completes with every report but degraded fleet health —
-// a shared-store blob could not be used and its spec was leased instead,
-// or a straggler was rescued by a speculative re-lease — exits 3
-// (dist.DegradedError), not 0.
+// a straggler was rescued by a speculative re-lease — exits 3
+// (dist.DegradedError), not 0. A damaged -cache-dir entry is not
+// degradation: it is counted, rerun and healed, as in every tool.
 package main
 
 import (
@@ -70,7 +72,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	lease := fs.Duration("lease", 15*time.Second, "lease duration before unfinished work is re-enqueued")
 	maxAttempts := fs.Int("max-attempts", 5, "lease grants per spec before the coordinator fails it permanently")
 	local := fs.Bool("local", false, "run the sweep in-process instead of distributing: the reference a distributed run must match")
-	blobDir := fs.String("blob-dir", "", "shared artifact blob store directory (coordinator mode): specs found there are served without a lease, and every accepted completion is added")
 	speculate := fs.Float64("speculate-factor", 0, "hedge a straggler onto an idle worker once its lease has run longer than this factor times the median completed-lease time (coordinator mode; 0 disables)")
 	name := fs.String("name", "", "worker name reported in leases and lost-worker events (default: host-pid)")
 	join := fs.String("join", "", "coordinator URL to poll until its sweep completes (worker mode; required)")
@@ -107,7 +108,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		listen: *listen, apps: *appsFlag, procs: *procsFlag,
 		topologies: *topoFlag, collectives: *collFlag, scale: *scale,
 		lease: *lease, maxAttempts: *maxAttempts, local: *local,
-		blobDir: *blobDir, speculate: *speculate, pf: pf, cf: cf,
+		speculate: *speculate, pf: pf, cf: cf,
 	}, ob, stdout, stderr)
 }
 
@@ -121,7 +122,6 @@ type coordinatorConfig struct {
 	lease       time.Duration
 	maxAttempts int
 	local       bool
-	blobDir     string
 	speculate   float64
 	pf          *pipeline.Flags
 	cf          *cli.CommonFlags
@@ -142,9 +142,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 			MaxAttempts:     cfg.maxAttempts,
 			Obs:             ob,
 			SpeculateFactor: cfg.speculate,
-		}, dist.Fleet{
-			BlobDir: cfg.blobDir, Listen: cfg.listen, Drain: cfg.lease,
-		})
+		}, dist.Fleet{Listen: cfg.listen, Drain: cfg.lease})
 		if err != nil {
 			return err
 		}
@@ -175,8 +173,8 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 		shutdown()
 		if runErr == nil {
 			// Every report above is complete and correct, but a sweep run
-			// at reduced fleet health (unusable blobs, rescued stragglers)
-			// exits 3 so operators notice without diffing metrics.
+			// at reduced fleet health (rescued stragglers) exits 3 so
+			// operators notice without diffing metrics.
 			runErr = coord.DegradedError()
 		}
 	}
@@ -260,8 +258,8 @@ func sweepSpecs(appsList, procsList, topoList, collList, scale string) ([]pipeli
 	var procs []int
 	for _, p := range splitList(procsList) {
 		v, err := strconv.Atoi(p)
-		if err != nil || v <= 0 {
-			return nil, cli.Usagef("-procs: %q is not a positive processor count", p)
+		if err != nil || v < 2 {
+			return nil, cli.Usagef("-procs: %q is not a processor count (need at least 2)", p)
 		}
 		procs = append(procs, v)
 	}

@@ -11,7 +11,9 @@
 //	1    runtime failure — the tool produced no usable result
 //	2    usage mistake (bad flag value, missing argument)
 //	3    degraded success — a sweep under -on-error=continue completed
-//	     with partial results; some specs failed, the rest are valid
+//	     with partial results (some specs failed, the rest are valid),
+//	     or a distributed sweep completed at reduced fleet health (a
+//	     straggler was rescued by its hedge)
 //	130  cancelled — the run was interrupted (128 + SIGINT), after
 //	     draining workers and flushing the cache
 package cli

@@ -91,10 +91,6 @@ type CoordinatorOptions struct {
 	// Metrics receives the commchar_dist_* counters; nil allocates a
 	// private set.
 	Metrics *Metrics
-	// Store, when non-nil, is the shared blob store: Execute serves a
-	// spec found there without a lease, and every accepted completion is
-	// fed into it.
-	Store *BlobStore
 	// SpeculateFactor enables speculative re-lease of stragglers: a
 	// leased spec whose lease has run longer than SpeculateFactor times
 	// the running median of completed lease durations is hedged onto an
@@ -121,7 +117,6 @@ type Coordinator struct {
 	maxAttempts     int
 	ob              *obs.Observer
 	metrics         *Metrics
-	store           *BlobStore
 	speculateFactor float64
 	clock           obs.Clock
 
@@ -130,7 +125,7 @@ type Coordinator struct {
 	items     map[uint64]*item
 	queue     []uint64 // FIFO of item ids; entries may be stale (lazy skip)
 	finished  bool
-	degraded  bool            // an unusable blob was leased, or a straggler rescued
+	degraded  bool            // a straggler was rescued by its hedge
 	durations []time.Duration // completed lease durations (speculation median)
 	lost      map[string]bool // workers currently presumed lost
 	seen      map[string]bool // workers that have ever polled for a lease
@@ -158,7 +153,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		maxAttempts:     opts.MaxAttempts,
 		ob:              opts.Obs,
 		metrics:         opts.Metrics,
-		store:           opts.Store,
 		speculateFactor: opts.SpeculateFactor,
 		clock:           opts.Clock,
 		items:           map[uint64]*item{},
@@ -172,12 +166,10 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 // debug server's registry).
 func (c *Coordinator) Metrics() *Metrics { return c.metrics }
 
-// Degraded reports whether the sweep completed degraded: a blob in the
-// shared store could not be read or decoded and its spec was leased
-// instead, or a straggler had to be rescued by a speculative re-lease.
-// The results are still complete and correct — degradation is an
-// availability finding, surfaced as exit code 3 so operators notice
-// without diffing metrics.
+// Degraded reports whether the sweep completed degraded: a straggler had
+// to be rescued by a speculative re-lease. The results are still
+// complete and correct — degradation is an availability finding,
+// surfaced as exit code 3 so operators notice without diffing metrics.
 func (c *Coordinator) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -190,26 +182,19 @@ func (c *Coordinator) DegradedError() error {
 	if !c.Degraded() {
 		return nil
 	}
-	return &DegradedError{
-		StoreFallbacks: c.metrics.StoreDegraded.Load(),
-		Rescues:        c.metrics.Rescues.Load(),
-	}
+	return &DegradedError{Rescues: c.metrics.Rescues.Load()}
 }
 
 // Fleet says where ServeCoordinator serves. Workers find it themselves:
 // each one polls the returned URL (sweepd -worker -join).
 type Fleet struct {
-	// BlobDir, when set, holds the shared artifact blob store that
-	// serves finished specs without a lease.
-	BlobDir string
 	// Listen is the lease API's address; "" means 127.0.0.1:0.
 	Listen string
 	// Drain bounds how long shutdown waits for the fleet to detach.
 	Drain time.Duration
 }
 
-// ServeCoordinator builds a coordinator from opts (reading and feeding
-// the blob store in fleet.BlobDir, if set), serves its lease API,
+// ServeCoordinator builds a coordinator from opts, serves its lease API,
 // registers its metrics and /distz page with opts.Obs, and starts lease
 // expiry. It returns the coordinator, the bound listener's URL for the
 // workers to join, and the shutdown to call once the engine is done: it
@@ -218,13 +203,6 @@ type Fleet struct {
 // unreachable grace against a dead address, and then stops serving.
 // Calls after the first do nothing.
 func ServeCoordinator(ctx context.Context, opts CoordinatorOptions, fleet Fleet) (*Coordinator, string, func(), error) {
-	if fleet.BlobDir != "" {
-		store, err := NewBlobStore(fleet.BlobDir)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		opts.Store = store
-	}
 	coord := NewCoordinator(opts)
 	addr := fleet.Listen
 	if addr == "" {
@@ -272,17 +250,13 @@ func (c *Coordinator) Start(ctx context.Context) {
 	}()
 }
 
-// Execute implements pipeline.Executor: it serves spec from the shared
-// store when a usable blob is there, and otherwise enqueues it for the
-// worker fleet and blocks until a worker delivers the artifact, the spec
+// Execute implements pipeline.Executor: it enqueues spec for the worker
+// fleet and blocks until a worker delivers the artifact, the spec
 // fails, or ctx is cancelled. The engine's caching and deadline
 // semantics wrap this call unchanged. Every error it returns is
 // permanent: a worker's failure report fails the spec, and only an
 // expired lease is re-leased.
 func (c *Coordinator) Execute(ctx context.Context, spec pipeline.RunSpec, key string) (*pipeline.Artifact, error) {
-	if art := c.storeHit(spec, key); art != nil {
-		return art, nil
-	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encoding spec for transport: %w", err)
@@ -311,33 +285,6 @@ func (c *Coordinator) Execute(ctx context.Context, spec pipeline.RunSpec, key st
 		c.abandon(it, ctx.Err())
 		return nil, ctx.Err()
 	}
-}
-
-// storeHit returns the artifact for key from the shared store, or nil
-// on a miss. A blob that cannot be read or decoded degrades the sweep
-// and reads as a miss, so its spec is leased and the completion
-// overwrites it.
-func (c *Coordinator) storeHit(spec pipeline.RunSpec, key string) *pipeline.Artifact {
-	if c.store == nil {
-		return nil
-	}
-	data, ok, err := c.store.Get(key)
-	if ok {
-		var art *pipeline.Artifact
-		if art, err = pipeline.UnmarshalArtifact(data, spec, key); err == nil {
-			c.metrics.StoreFetches.Add(1)
-			c.emit("dist.store.hit", map[string]string{"spec": spec.Label(), "key": key})
-			return art
-		}
-	}
-	if err != nil {
-		c.metrics.StoreDegraded.Add(1)
-		c.mu.Lock()
-		c.degraded = true
-		c.mu.Unlock()
-		c.emit("dist.store.degraded", map[string]string{"spec": spec.Label(), "key": key, "err": err.Error()})
-	}
-	return nil
 }
 
 // Finish marks the sweep complete: subsequent lease requests answer
@@ -668,17 +615,6 @@ func (c *Coordinator) complete(req CompleteRequest) (CompleteResponse, error) {
 	c.metrics.Completions.Add(1)
 	c.emit("dist.completed", map[string]string{"spec": label, "key": key, "worker": req.Worker})
 	c.mu.Unlock()
-
-	// Feed the accepted artifact into the shared store, after Execute
-	// has its answer: the next sweep that needs this key is served
-	// without a lease. Best-effort by design.
-	if c.store != nil {
-		if err := c.store.Put(key, req.Artifact); err != nil {
-			c.emit("dist.store.feed.error", map[string]string{"key": key, "err": err.Error()})
-		} else {
-			c.metrics.StoreBlobs.Add(1)
-		}
-	}
 	return CompleteResponse{}, nil
 }
 

@@ -22,10 +22,10 @@
 // as to local ones, and a distributed sweep's output is byte-identical
 // to a local sequential run. A spec that fails on a worker fails for the
 // sweep: the run is a pure function of its spec, so only a lost worker
-// (an expired lease) earns a re-lease. With a shared blob store
-// (Fleet.BlobDir) the coordinator also checks the store before it
-// enqueues a spec and serves a finished artifact without a lease; only
-// the coordinator reads or writes the store, and workers never see it.
+// (an expired lease) earns a re-lease. The coordinator's own disk cache
+// is the fleet's shared artifact store: the engine serves a finished
+// spec from it without calling Execute, and stores every remote artifact
+// there, so workers never see it.
 //
 // Worker RPCs go through the internal/resilience retry machinery: a
 // refused, reset, or timed-out connection is transient (the coordinator
@@ -71,7 +71,9 @@ import (
 // worker is never offered a store and reports no degradation, a newer
 // worker ignores an older coordinator's store offer, and an older
 // coordinator reads a newer worker's completions as not degraded, which
-// is true of a worker without a store client.
+// is true of a worker without a store client. The coordinator's blob
+// store itself was later folded into its disk cache; it was never on
+// the wire.
 //
 // Still version 4: the omitempty FailRequest.Transient was removed (an
 // older worker's transient report now fails its spec, as every run
@@ -89,23 +91,18 @@ const ProtoVersion = 4
 
 // DegradedError reports a sweep that completed — every artifact was
 // produced and the output is byte-identical to a local run — but not at
-// full fleet health: blobs in the shared store could not be used and
-// their specs were leased instead, or a straggler had to be rescued by a
-// speculative re-lease. It implements the Degraded marker the CLI
+// full fleet health: a straggler had to be rescued by a speculative
+// re-lease. It implements the Degraded marker the CLI
 // harness maps to exit code 3, so operators notice availability findings
 // without diffing metrics.
 type DegradedError struct {
-	// StoreFallbacks counts blobs that could not be read or decoded, so
-	// their specs were leased instead.
-	StoreFallbacks int64
 	// Rescues counts hedged stragglers whose speculative re-lease
 	// finished first.
 	Rescues int64
 }
 
 func (e *DegradedError) Error() string {
-	return fmt.Sprintf("dist: sweep completed degraded (%d store fallbacks, %d stragglers rescued)",
-		e.StoreFallbacks, e.Rescues)
+	return fmt.Sprintf("dist: sweep completed degraded (%d stragglers rescued)", e.Rescues)
 }
 
 // Degraded marks the sweep as degraded-but-complete (see cli.ExitCode).
@@ -137,11 +134,6 @@ type Metrics struct {
 	RejectedWrites atomic.Int64 // artifact uploads that failed to decode
 	RemoteFailures atomic.Int64 // specs failed permanently by a worker
 
-	// Shared-store counters.
-	StoreBlobs    atomic.Int64 // blobs fed into the store from completions
-	StoreFetches  atomic.Int64 // specs served from the store without a lease
-	StoreDegraded atomic.Int64 // blobs that could not be read or decoded, leased instead
-
 	// Speculative re-lease counters.
 	Speculations atomic.Int64 // hedge leases granted against suspected stragglers
 	Rescues      atomic.Int64 // hedged specs whose hedge finished first
@@ -163,9 +155,6 @@ func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter("duplicates_total", "duplicate completions acknowledged idempotently", &m.Duplicates)
 	counter("rejected_writes_total", "artifact uploads that failed to decode", &m.RejectedWrites)
 	counter("remote_failures_total", "specs failed permanently by a worker", &m.RemoteFailures)
-	counter("store_blobs_total", "blobs fed into the coordinator's shared store", &m.StoreBlobs)
-	counter("store_fetches_total", "specs served from the shared store without a lease", &m.StoreFetches)
-	counter("store_degraded_total", "shared-store blobs that could not be read or decoded and were leased instead", &m.StoreDegraded)
 	counter("speculations_total", "hedge leases granted against suspected stragglers", &m.Speculations)
 	counter("rescues_total", "hedged specs whose hedge finished first", &m.Rescues)
 }

@@ -16,7 +16,7 @@ import "encoding/json"
 // HTTP 400 and an errorResponse whose Code is "version-mismatch", which
 // the client surfaces as a permanent *ProtocolError. Since version 4 a
 // completion carries the artifact as opaque bytes (base64 in the JSON):
-// the zip archive that is also the disk cache entry and the store blob.
+// the zip archive that is also the disk cache entry.
 
 // Lease statuses returned by /v1/lease.
 const (
@@ -74,8 +74,8 @@ type CompleteRequest struct {
 	ID     uint64 `json:"id"`
 	Key    string `json:"key"`
 	// Artifact is the artifact's serialization (pipeline.MarshalArtifact):
-	// a zip archive, base64 in the JSON body, byte for byte the blob the
-	// coordinator feeds into its shared store.
+	// a zip archive, base64 in the JSON body, byte for byte the entry the
+	// coordinator's engine stores in its disk cache.
 	Artifact []byte `json:"artifact"`
 }
 

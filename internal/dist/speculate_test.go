@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"commchar/internal/cli"
 	"commchar/internal/obs"
 	"commchar/internal/pipeline"
 )
@@ -389,5 +392,71 @@ func TestHedgeWinnerAndOriginalInSameExpirySweep(t *testing.T) {
 	st := coord.State()
 	if st.Done != 2 || st.Pending+st.Leased+st.Failed != 0 {
 		t.Fatalf("state = %+v", st)
+	}
+}
+
+// TestDegradedReportSurfacesThroughCoordinator: a rescued straggler, the
+// one cause of a degraded sweep, surfaces through every report the
+// coordinator makes — Degraded, DegradedError with its rescue count and
+// exit code 3, the exported counter and the flight recorder — and stays
+// set after a later spec completes cleanly.
+func TestDegradedReportSurfacesThroughCoordinator(t *testing.T) {
+	coord, clock, ob := specCoordinator(t, 2, time.Hour)
+	// run enqueues item id, leases it to holder, lets the clock move, and
+	// has finisher deliver it.
+	run := func(id uint64, holder, finisher string, meanwhile func()) {
+		t.Helper()
+		key := testKey(80 + int(id))
+		res := enqueue(t, coord, testSpec("IS"), key)
+		if l := coord.grant(holder); l.Status != StatusLease || l.ID != id {
+			t.Fatalf("grant(%s) = %+v, want item %d", holder, l, id)
+		}
+		meanwhile()
+		if _, err := coord.complete(CompleteRequest{
+			V: ProtoVersion, Worker: finisher, ID: id, Key: key,
+			Artifact: marshalArtifact(t, testArtifact("IS")),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-res; err != nil {
+			t.Fatal(err)
+		}
+	}
+	minute := func() { clock.Advance(time.Minute) }
+	// A 1-minute completion seeds the median. The next holder stalls past
+	// twice that, and the hedge granted against it finishes first. A
+	// third spec then completes cleanly.
+	run(1, "wA", "wA", minute)
+	run(2, "stall", "wB", func() {
+		clock.Advance(3 * time.Minute)
+		coord.expire(clock.Now())
+		if l := coord.grant("wB"); l.Status != StatusLease || l.ID != 2 {
+			t.Fatalf("hedge grant = %+v, want item 2", l)
+		}
+	})
+	run(3, "wA", "wA", minute)
+	coord.Finish()
+
+	if !coord.Degraded() {
+		t.Fatal("a rescued straggler did not mark the sweep degraded")
+	}
+	var de *DegradedError
+	if err := coord.DegradedError(); !errors.As(err, &de) || de.Rescues != 1 {
+		t.Fatalf("DegradedError = %#v, want 1 rescue", err)
+	}
+	if code := cli.ExitCode(coord.DegradedError()); code != cli.ExitDegraded {
+		t.Fatalf("exit code %d, want %d", code, cli.ExitDegraded)
+	}
+	r := obs.NewRegistry()
+	coord.Metrics().RegisterWith(r)
+	var prom bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\ncommchar_dist_rescues_total 1\n") {
+		t.Fatal("the rescue counter is not exported as 1")
+	}
+	if n := countEvents(ob, "dist.speculation.rescued"); n != 1 {
+		t.Fatalf("%d dist.speculation.rescued events, want 1", n)
 	}
 }

@@ -21,8 +21,8 @@ import (
 // regardless of goroutine interleaving. A RoundTripper applies the
 // schedule to an http.Client, which is how the distributed sweep's chaos
 // matrix injects drops, delays, connection resets, truncated bodies, and
-// 5xx bursts between workers, coordinator, and blob store without
-// touching a real network.
+// 5xx bursts between workers and coordinator without touching a real
+// network.
 //
 // Net schedules are written as compact specs, e.g.
 //

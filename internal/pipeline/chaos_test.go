@@ -405,8 +405,8 @@ func TestDiskCacheConcurrentSameKeyStores(t *testing.T) {
 				t.Fatalf("round %d: writer %d failed: %v", round, i, err)
 			}
 		}
-		if _, ok := d.load(key, spec); !ok {
-			t.Fatalf("round %d: entry unreadable after concurrent stores", round)
+		if got, err := d.load(key, spec); got == nil || err != nil {
+			t.Fatalf("round %d: entry unreadable after concurrent stores (err %v)", round, err)
 		}
 		// Reset for the next round so both the fresh-publish and the
 		// replace-existing rename keep being exercised.

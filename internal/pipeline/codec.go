@@ -23,12 +23,12 @@ import (
 //	log.csv     the network delivery log (trace.WriteDeliveries format)
 //	trace.csv   the application trace (static strategy only)
 //
-// The same bytes are the disk cache entry, the worker→coordinator
-// completion (see internal/dist) and the shared-store blob. The
-// characterization is stored in full — distribution fits included, via
-// the family-tagged codec in internal/stats — so a load skips both the
-// simulate and the analyze stage; only the bulky row data lives outside
-// the JSON. A decoded artifact is byte-identical to the original, which
+// The same bytes are the disk cache entry and the worker→coordinator
+// completion (see internal/dist). The characterization is stored in
+// full — distribution fits included, via the family-tagged codec in
+// internal/stats — so a load skips both the simulate and the analyze
+// stage; only the bulky row data lives outside the JSON. A decoded
+// artifact is byte-identical to the original, which
 // keeps warm and distributed sweeps byte-identical to a cold local one.
 // The encoder writes a fixed member order and no timestamps, so
 // re-encoding a decoded artifact reproduces its bytes.

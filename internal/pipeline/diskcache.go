@@ -1,18 +1,21 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 // diskCache is the content-addressed on-disk artifact store. Each entry is
 // one file holding the artifact's serialization (see MarshalArtifact): the
-// same bytes the dist protocol and the shared store carry. A corrupt entry
-// (a damaged archive, a member that fails its checksum, mismatched
-// counts) reads as a miss, and the run falls back to simulation, whose
-// store then heals the entry.
+// same bytes the dist protocol carries, so a coordinator's cache is its
+// fleet's shared store. An unusable entry (unreadable, a damaged archive,
+// a member that fails its checksum, mismatched counts) reads as a miss,
+// and the run falls back to simulation, whose store then heals the entry.
 type diskCache struct {
 	dir string
 }
@@ -31,23 +34,34 @@ func (d *diskCache) path(key string) string {
 	return filepath.Join(d.dir, key[:2], key+".zip")
 }
 
-// load reads and decodes an entry; any failure reports a miss.
-func (d *diskCache) load(key string, spec RunSpec) (*Artifact, bool) {
+// load reads and decodes an entry. An absent entry returns (nil, nil).
+// One that is present but cannot be read or decoded returns its error
+// and is removed, so the run's store can replace it (a rename cannot
+// replace a directory). Either is a miss.
+func (d *diskCache) load(key string, spec RunSpec) (art *Artifact, err error) {
 	f, err := os.Open(d.path(key))
+	if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
+		return nil, nil
+	}
+	defer func() {
+		if err != nil {
+			os.RemoveAll(d.path(key))
+		}
+	}()
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	art, err := decodeArtifact(f, fi.Size(), spec, key)
+	art, err = decodeArtifact(f, fi.Size(), spec, key)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	art.Source = SourceDisk
-	return art, true
+	return art, nil
 }
 
 // store publishes an entry atomically: write fills a temp file, and one

@@ -22,8 +22,9 @@ type Flags struct {
 
 	// Remote, when set before Engine, routes cache-miss specs
 	// through a remote executor (see internal/dist). It has no flag of
-	// its own: the tools that support distribution construct the
-	// executor from their own flags (-workers) and inject it here.
+	// its own: sweepd -coordinator and characterize -dist-listen serve a
+	// dist.Coordinator and inject it here, and CacheDir is then the
+	// fleet's shared artifact store.
 	Remote Executor
 }
 

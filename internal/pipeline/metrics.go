@@ -30,6 +30,7 @@ type Metrics struct {
 	AnalyzeNS atomic.Int64 // wall time in the analyze stage (fitting)
 
 	DiskStoreErrors atomic.Int64 // best-effort cache writes that failed
+	DiskCorrupt     atomic.Int64 // cache entries present but unreadable or undecodable
 
 	RemoteRuns atomic.Int64 // specs executed through the remote executor
 	RemoteNS   atomic.Int64 // wall time waiting on remote executions
@@ -79,6 +80,9 @@ func (m *Metrics) Summary() *report.Table {
 	}
 	if n := m.DiskStoreErrors.Load(); n > 0 {
 		t.AddRow("disk store errors", fmt.Sprintf("%d", n))
+	}
+	if n := m.DiskCorrupt.Load(); n > 0 {
+		t.AddRow("corrupt cache entries", fmt.Sprintf("%d", n))
 	}
 	if n := m.Panics.Load(); n > 0 {
 		t.AddRow("worker panics", fmt.Sprintf("%d", n))
@@ -132,6 +136,7 @@ func (m *Metrics) RegisterWith(r *obs.Registry) {
 	counter("remote_runs_total", "specs executed through the remote executor", &m.RemoteRuns)
 	counter("remote_ns_total", "wall time spent waiting on remote executions", &m.RemoteNS)
 	counter("disk_store_errors_total", "best-effort cache writes that failed", &m.DiskStoreErrors)
+	counter("cache_corrupt_total", "cache entries present but unreadable or undecodable, rerun as misses", &m.DiskCorrupt)
 	counter("panics_total", "worker panics contained by the recovery boundary", &m.Panics)
 	counter("cancelled_total", "runs stopped by cancellation or a deadline", &m.Cancelled)
 	counter("spec_failures_total", "specs that produced no artifact", &m.SpecFailures)

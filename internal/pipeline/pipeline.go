@@ -405,9 +405,13 @@ func (e *Engine) RunAll(ctx context.Context, specs ...RunSpec) ([]*Artifact, err
 func (e *Engine) execute(ctx context.Context, spec RunSpec, key, track string) (*Artifact, error) {
 	if e.disk != nil {
 		lsp := e.obs.StartSpan("engine", track, "cache", "disk-lookup")
-		art, ok := e.disk.load(key, spec)
+		art, err := e.disk.load(key, spec)
 		lsp.End()
-		if ok {
+		if err != nil {
+			e.metrics.DiskCorrupt.Add(1)
+			e.obs.Emit("cache.corrupt", map[string]string{"spec": track, "err": err.Error()})
+		}
+		if art != nil {
 			e.metrics.DiskHits.Add(1)
 			e.obs.Instant("engine", track, "cache", "disk-hit", nil)
 			e.obs.Emit("cache.hit", map[string]string{"spec": track, "level": "disk"})

@@ -12,6 +12,7 @@ import (
 
 	"commchar/internal/apps"
 	"commchar/internal/ccnuma"
+	"commchar/internal/cli"
 	"commchar/internal/core"
 	"commchar/internal/fault"
 	"commchar/internal/mesh"
@@ -134,19 +135,26 @@ func TestKeyIgnoresWatchdog(t *testing.T) {
 }
 
 func TestValidateRejectsMalformedSpecs(t *testing.T) {
-	bad := []RunSpec{
-		{Procs: 8},                                 // neither App nor Trace
-		{App: "IS", Procs: 1},                      // too few processors
-		{App: "IS", Procs: 8, Width: 4},            // width without height
-		{App: "IS", Procs: 8, Width: 2, Height: 2}, // mesh too small
+	bad := []struct {
+		spec  RunSpec
+		usage bool // a machine shape a user typed: exit 2
+	}{
+		{RunSpec{Procs: 8}, false},                                // neither App nor Trace
+		{RunSpec{App: "IS", Procs: 1}, true},                      // too few processors
+		{RunSpec{App: "IS", Procs: 8, Width: 4}, true},            // width without height
+		{RunSpec{App: "IS", Procs: 8, Width: 2, Height: 2}, true}, // mesh too small
 	}
 	e, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, spec := range bad {
-		if _, err := e.Run(spec); err == nil {
-			t.Fatalf("spec %d accepted: %+v", i, spec)
+	for i, b := range bad {
+		_, err := e.Run(b.spec)
+		if err == nil {
+			t.Fatalf("spec %d accepted: %+v", i, b.spec)
+		}
+		if b.usage && cli.ExitCode(err) != cli.ExitUsage {
+			t.Fatalf("spec %d: exit code %d, want %d (%v)", i, cli.ExitCode(err), cli.ExitUsage, err)
 		}
 	}
 }
@@ -380,6 +388,9 @@ func TestDiskCacheCorruptionFallsBackToRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if n := e1.Metrics().DiskCorrupt.Load(); n != 0 {
+				t.Fatalf("a cold miss counted %d corrupt entries, want 0", n)
+			}
 			damageEntry(t, dir, art.Key, fn)
 
 			e2, calls2 := stubEngine(t, Options{Parallel: 1, CacheDir: dir})
@@ -395,6 +406,9 @@ func TestDiskCacheCorruptionFallsBackToRun(t *testing.T) {
 			}
 			if e2.Metrics().DiskHits.Load() != 0 {
 				t.Fatal("corrupt entry counted as a disk hit")
+			}
+			if n := e2.Metrics().DiskCorrupt.Load(); n != 1 {
+				t.Fatalf("damaged entry counted %d corrupt entries, want 1", n)
 			}
 
 			// The fallback run re-stores a good entry; a third engine hits it.

@@ -108,13 +108,13 @@ func (s RunSpec) validate() error {
 		return fmt.Errorf("pipeline: spec needs exactly one of App or Trace")
 	}
 	if s.Procs < 2 {
-		return fmt.Errorf("pipeline: %d processors (need at least 2)", s.Procs)
+		return cli.Usagef("pipeline: %d processors (need at least 2)", s.Procs)
 	}
 	if (s.Width > 0) != (s.Height > 0) {
-		return fmt.Errorf("pipeline: mesh override needs both Width and Height")
+		return cli.Usagef("pipeline: mesh override needs both Width and Height")
 	}
 	if s.Width > 0 && s.Width*s.Height < s.Procs {
-		return fmt.Errorf("pipeline: %dx%d mesh too small for %d processors", s.Width, s.Height, s.Procs)
+		return cli.Usagef("pipeline: %dx%d mesh too small for %d processors", s.Width, s.Height, s.Procs)
 	}
 	if s.Topology != "" || s.Dims != nil {
 		if s.Width > 0 && s.Topology != "mesh" {

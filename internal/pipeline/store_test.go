@@ -12,13 +12,14 @@ import (
 	"commchar/internal/apps"
 )
 
-// The engine's own artifact store is its disk cache. A store shared by a
-// fleet sits behind the Remote executor: the dist coordinator serves its
-// hits there. These tests pin the engine's side of that arrangement.
+// The engine's one artifact store is its disk cache, and a fleet shares
+// its coordinator's: that engine serves a finished spec from its cache
+// before it calls the Remote executor, and stores every remote artifact
+// there. These tests pin that arrangement from the engine's side.
 
 // storeExecutor is a Remote executor that serves every spec from an
-// in-memory blob map, as a coordinator serves hits from its store, and
-// counts its calls.
+// in-memory blob map, as a fleet returns finished artifacts, and counts
+// its calls.
 type storeExecutor struct {
 	mu    sync.Mutex
 	blobs map[string][]byte
@@ -119,8 +120,9 @@ func TestStoreDegradationFallsBackToRun(t *testing.T) {
 		t.Fatalf("calls=%d source=%q, want 1/run", *calls, art.Source)
 	}
 	m := e.Metrics()
-	if m.DiskStoreErrors.Load() != 1 || m.DiskHits.Load() != 0 {
-		t.Fatalf("disk store errors=%d hits=%d, want 1/0", m.DiskStoreErrors.Load(), m.DiskHits.Load())
+	if m.DiskStoreErrors.Load() != 1 || m.DiskHits.Load() != 0 || m.DiskCorrupt.Load() != 0 {
+		t.Fatalf("disk store errors=%d hits=%d corrupt=%d, want 1/0/0",
+			m.DiskStoreErrors.Load(), m.DiskHits.Load(), m.DiskCorrupt.Load())
 	}
 }
 
