@@ -125,11 +125,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	sum := stats.Summarize(xs)
+	sum, fits, err := stats.SummarizeFit(xs)
 	fmt.Fprintf(stdout, "n=%d mean=%.6g sd=%.6g cv=%.4g min=%.6g median=%.6g max=%.6g\n\n",
 		sum.N, sum.Mean, sum.StdDev, sum.CV, sum.Min, sum.Median, sum.Max)
-
-	fits, err := stats.FitInterarrival(xs)
 	if err != nil {
 		return err
 	}

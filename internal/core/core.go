@@ -109,6 +109,9 @@ const minSourceSamples = 8
 
 // Analyze characterizes a network log. procs is the machine size; elapsed
 // the simulated run time; meanUtil the network's mean link utilization.
+// The pooled inter-arrival sample is allocated once, at its final size,
+// and each source's sample is a sub-slice of it; stats.SummarizeFit sorts
+// each sample once for its Summary and its fits.
 func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, elapsed sim.Time, meanUtil float64) (*Characterization, error) {
 	if len(log) == 0 {
 		return nil, errors.New("core: empty network log")
@@ -136,8 +139,10 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 		Log:             sorted,
 	}
 
-	// Per-source event streams.
-	bySource := make([][]sim.Time, procs)
+	// First pass: validate the endpoints and count each source's
+	// deliveries, so that every sample below is allocated once, at its
+	// final size.
+	perSource := make([]int, procs)
 	counts := make([][]int, procs)
 	for i := range counts {
 		counts[i] = make([]int, procs)
@@ -149,7 +154,7 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 			return nil, fmt.Errorf("core: delivery %d endpoints %d->%d outside %d processors",
 				d.Message.ID, d.Src, d.Dst, procs)
 		}
-		bySource[d.Src] = append(bySource[d.Src], d.Inject)
+		perSource[d.Src]++
 		counts[d.Src][d.Dst]++
 		lengths = append(lengths, d.Bytes)
 		c.TotalBytes += int64(d.Bytes)
@@ -163,26 +168,19 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 	c.MeanHops = hopSum / n
 
 	// Temporal: per-source inter-arrival fits plus the pooled aggregate.
-	var pooled []float64
-	for src := 0; src < procs; src++ {
-		gaps := interarrivals(bySource[src])
-		pooled = append(pooled, gaps...)
-		st := SourceTemporal{Src: src, Samples: len(gaps), Summary: stats.Summarize(gaps)}
-		if len(gaps) >= minSourceSamples {
-			if fits, err := stats.FitInterarrival(gaps); err == nil {
-				st.Fits = fits
-			}
-		}
-		c.PerSource = append(c.PerSource, st)
+	pooled, off := sourceGaps(sorted, perSource)
+	c.PerSource = make([]SourceTemporal, procs)
+	for src := range c.PerSource {
+		gaps := pooled[off[src]:off[src+1]:off[src+1]]
+		// A source too sparse, or too degenerate, to fit keeps no fits.
+		sum, fits, _ := stats.SummarizeFit(gaps)
+		c.PerSource[src] = SourceTemporal{Src: src, Samples: len(gaps), Summary: sum, Fits: fits}
 	}
-	c.Aggregate = SourceTemporal{Src: -1, Samples: len(pooled), Summary: stats.Summarize(pooled)}
-	if len(pooled) >= minSourceSamples {
-		fits, err := stats.FitInterarrival(pooled)
-		if err != nil {
-			return nil, fmt.Errorf("core: aggregate fit: %w", err)
-		}
-		c.Aggregate.Fits = fits
+	sum, fits, err := stats.SummarizeFit(pooled)
+	if err != nil && len(pooled) >= minSourceSamples {
+		return nil, fmt.Errorf("core: aggregate fit: %w", err)
 	}
+	c.Aggregate = SourceTemporal{Src: -1, Samples: len(pooled), Summary: sum, Fits: fits}
 
 	// Spatial and volume.
 	c.Spatial = stats.AggregateSpatial(counts)
@@ -190,18 +188,29 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 	return c, nil
 }
 
-// interarrivals returns successive positive gaps between injection times.
-// Zero gaps (same-cycle injections) are kept: they are genuine bursts, and
-// the fitting layer handles point masses.
-func interarrivals(times []sim.Time) []float64 {
-	if len(times) < 2 {
-		return nil
+// sourceGaps lays out every source's inter-arrival gaps in one pooled
+// sample, source after source, each source's in log order: source s's gaps
+// are pooled[off[s]:off[s+1]]. perSource holds each source's delivery
+// count in log, so the sample is allocated once, at its final size. Zero
+// gaps (same-cycle injections) are kept: they are genuine bursts, and the
+// fitting layer handles point masses.
+func sourceGaps(log []mesh.Delivery, perSource []int) (pooled []float64, off []int) {
+	off = make([]int, len(perSource)+1)
+	for s, k := range perSource {
+		off[s+1] = off[s] + max(k-1, 0)
 	}
-	out := make([]float64, 0, len(times)-1)
-	for i := 1; i < len(times); i++ {
-		out = append(out, float64(times[i]-times[i-1]))
+	pooled = make([]float64, off[len(perSource)])
+	at := slices.Clone(off[:len(perSource)]) // where each source's next gap goes
+	last := make([]sim.Time, len(perSource))
+	seen := make([]bool, len(perSource))
+	for _, d := range log {
+		if seen[d.Src] {
+			pooled[at[d.Src]] = float64(d.Inject - last[d.Src])
+			at[d.Src]++
+		}
+		last[d.Src], seen[d.Src] = d.Inject, true
 	}
-	return out
+	return pooled, off
 }
 
 // BestAggregate returns the aggregate winning fit, or nil.
@@ -236,13 +245,10 @@ func (c *Characterization) DominantSpatial() (stats.SpatialPattern, int) {
 // the log: the raw data behind the aggregate temporal fit, in source-major
 // order.
 func (c *Characterization) AggregateGaps() []float64 {
-	times := make([][]sim.Time, c.Procs)
+	perSource := make([]int, c.Procs)
 	for _, d := range c.Log {
-		times[d.Src] = append(times[d.Src], d.Inject)
+		perSource[d.Src]++
 	}
-	var out []float64
-	for _, ts := range times {
-		out = append(out, interarrivals(ts)...)
-	}
-	return out
+	pooled, _ := sourceGaps(c.Log, perSource)
+	return pooled
 }

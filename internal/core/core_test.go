@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"testing"
 
 	"commchar/internal/mesh"
@@ -181,20 +183,57 @@ func TestCharacterizeMessagePassingEndToEnd(t *testing.T) {
 	}
 }
 
+// TestInterarrivalsHelper pins sourceGaps' layout: each source's gaps in
+// log order, source after source, and none for a source with one event.
 func TestInterarrivalsHelper(t *testing.T) {
-	got := interarrivals([]sim.Time{10, 30, 35, 100})
-	want := []float64{20, 5, 65}
-	if len(got) != len(want) {
-		t.Fatalf("gaps = %v", got)
+	var log []mesh.Delivery
+	for _, e := range []struct {
+		src int
+		at  sim.Time
+	}{{0, 10}, {2, 7}, {0, 30}, {0, 35}, {2, 9}, {0, 100}, {1, 5}} {
+		log = append(log, mesh.Delivery{Message: mesh.Message{Src: e.src, Inject: e.at}})
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("gaps = %v, want %v", got, want)
+	pooled, off := sourceGaps(log, []int{4, 1, 2})
+	if want := []float64{20, 5, 65, 2}; !slices.Equal(pooled, want) {
+		t.Fatalf("pooled gaps = %v, want %v", pooled, want)
+	}
+	if want := []int{0, 3, 3, 4}; !slices.Equal(off, want) {
+		t.Fatalf("offsets = %v, want %v", off, want)
+	}
+}
+
+// TestAnalyzeBytesPerDelivery bounds what Analyze allocates per delivery:
+// the slope of its bytes between n and 4n deliveries per source, so the
+// fixed cost of the fits (their ECDF points and DUD state) cancels out.
+// Each sample built once at its final size and sorted once costs about 48
+// bytes a delivery (the pooled gaps, the lengths, and a sorted copy and
+// the logs of every gap, per source and pooled); growing buffers by
+// append and sorting each sample twice cost about 190.
+func TestAnalyzeBytesPerDelivery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits four 16-source logs")
+	}
+	const procs, n = 16, 2000
+	allocated := func(perSource int) uint64 {
+		// In (Inject, ID) order, as Network.Log returns it, so Analyze
+		// shares the log rather than cloning it.
+		log := syntheticLog(procs, perSource, 1000, 5)
+		slices.SortFunc(log, deliveryOrder)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Analyze("bytes", StrategyDynamic, log, procs, 1, 0); err != nil {
+			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	if interarrivals([]sim.Time{5}) != nil {
-		t.Fatal("single event should yield no gaps")
+	small, large := allocated(n), allocated(4*n)
+	slope := (float64(large) - float64(small)) / float64(3*n*procs)
+	if slope > 64 {
+		t.Fatalf("Analyze allocates %.1f bytes per delivery (%d bytes at %d deliveries per source, %d at %d), want at most 64",
+			slope, small, n, large, 4*n)
 	}
+	t.Logf("%.1f bytes per delivery", slope)
 }
 
 // TestMeshFor pins the standard mesh geometry (mesh.DefaultGrid) that

@@ -40,18 +40,15 @@ func (r *Runner) Table6(w io.Writer, procs int) error {
 				gaps = append(gaps, starts[i]-starts[i-1])
 			}
 			fitName, r2 := "-", "-"
-			var meanGap, cv float64
-			if sum := stats.Summarize(gaps); sum.N > 0 {
-				meanGap, cv = sum.Mean, sum.CV
-			}
-			if fits, err := stats.FitInterarrival(gaps); err == nil {
+			sum, fits, err := stats.SummarizeFit(gaps)
+			if err == nil {
 				fitName = fits[0].Dist.Name()
 				r2 = fmt.Sprintf("%.4f", fits[0].R2)
 			}
 			t.AddRow(c.Name, fmt.Sprintf("%d bursts", len(bursts)),
 				fmt.Sprintf("%d", msgs), "-",
-				fmt.Sprintf("%.2f", meanGap/1000),
-				fmt.Sprintf("%.2f", cv),
+				fmt.Sprintf("%.2f", sum.Mean/1000),
+				fmt.Sprintf("%.2f", sum.CV),
 				fitName+" (burst cadence)", r2)
 			continue
 		}

@@ -3,6 +3,7 @@ package mesh_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,14 +15,18 @@ import (
 // cancelHotSpot injects msgs messages from every other node to node 0 of
 // a 4x4 mesh and cancels the checked run once half of them are in flight.
 // It returns the run's error, the messages in flight at the cancellation,
-// and how many goroutines the process gained by then.
-func cancelHotSpot(t *testing.T, msgs int) (*sim.DeadlockError, int, int) {
+// how many goroutines the process gained by then, and the pending-message
+// lines the network's diagnostic must hold: the undelivered messages in
+// ascending ID order, at most 20 of them, then a count of the rest.
+func cancelHotSpot(t *testing.T, msgs int) (*sim.DeadlockError, int, int, string) {
 	t.Helper()
 	base := runtime.NumGoroutine()
 	s := sim.New()
 	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
+	delivered := make([]bool, msgs)
 	for i := 0; i < msgs; i++ {
-		net.Inject(mesh.Message{ID: net.NextID(), Src: 1 + i%15, Dst: 0, Bytes: 256, Inject: sim.Time(i)}, nil)
+		net.Inject(mesh.Message{ID: net.NextID(), Src: 1 + i%15, Dst: 0, Bytes: 256, Inject: sim.Time(i)},
+			func(d mesh.Delivery) { delivered[d.ID-1] = true })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -41,7 +46,21 @@ func cancelHotSpot(t *testing.T, msgs int) (*sim.DeadlockError, int, int) {
 	if inFlight == 0 {
 		t.Fatal("run finished before half the messages were in flight")
 	}
-	return de, inFlight, grown
+	var lines strings.Builder
+	listed, pending := 0, 0
+	for i, done := range delivered {
+		if done {
+			continue
+		}
+		if pending++; listed < 20 {
+			listed++
+			fmt.Fprintf(&lines, "\n  pending msg %d: %d->0, 256 bytes, injected t=%d", i+1, 1+i%15, i)
+		}
+	}
+	if pending > listed {
+		fmt.Fprintf(&lines, "\n  ... %d more pending messages\n", pending-listed)
+	}
+	return de, inFlight, grown, lines.String()
 }
 
 // TestCancelledRunDiagnosesNetwork cancels a checked run with a hot spot
@@ -50,15 +69,15 @@ func cancelHotSpot(t *testing.T, msgs int) (*sim.DeadlockError, int, int) {
 // messages and the occupied links. And the number of goroutines must not
 // grow with the number of messages in flight.
 func TestCancelledRunDiagnosesNetwork(t *testing.T) {
-	small, smallInFlight, smallGrown := cancelHotSpot(t, 100)
-	large, largeInFlight, largeGrown := cancelHotSpot(t, 2000)
+	small, smallInFlight, smallGrown, smallLines := cancelHotSpot(t, 100)
+	large, largeInFlight, largeGrown, largeLines := cancelHotSpot(t, 2000)
 
-	for _, de := range []*sim.DeadlockError{small, large} {
+	for i, de := range []*sim.DeadlockError{small, large} {
 		if len(de.Blocked) != 0 || len(de.Cycle) != 0 {
 			t.Errorf("worms listed as blocked processes: %v, cycle %v", de.Blocked, de.Cycle)
 		}
 		text := de.Error()
-		for _, want := range []string{"[mesh]", "pending msg ", "more pending messages", "lanes busy", "queued"} {
+		for _, want := range []string{"[mesh]", []string{smallLines, largeLines}[i], "lanes busy", "queued"} {
 			if !strings.Contains(text, want) {
 				t.Errorf("diagnostic lacks %q:\n%s", want, text)
 			}

@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -57,10 +59,10 @@ type Network struct {
 	inFlight  int
 	delivered int64
 
-	faults   Injector          // nil on fault-free runs
-	failures []error           // ErrPartitioned / ErrExhausted, in give-up order
-	pending  map[int64]Message // injected but not yet completed, for diagnostics
-	free     *worm             // finished worms, reused by Inject
+	faults   Injector // nil on fault-free runs
+	failures []error  // ErrPartitioned / ErrExhausted, in give-up order
+	live     *worm    // injected but not yet completed, for diagnostics
+	free     *worm    // finished worms, reused by Inject
 
 	// routeCache memoizes the fault-free path per (src, dst): the fabric
 	// is immutable after New, so each pair is materialized exactly once
@@ -86,8 +88,7 @@ func New(s *sim.Simulator, cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Network{sim: s, cfg: cfg, topo: cfg.Fabric(), pending: map[int64]Message{},
-		routeCache: map[[2]int][]hop{}}
+	n := &Network{sim: s, cfg: cfg, topo: cfg.Fabric(), routeCache: map[[2]int][]hop{}}
 	s.AddDiagnostic("mesh", n.diagnostic)
 	n.links = make([][]*link, n.topo.Nodes())
 	id := 0
@@ -135,18 +136,21 @@ func (n *Network) diagnostic() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  in-flight: %d messages, delivered: %d, failed: %d",
 		n.inFlight, n.delivered, len(n.failures))
-	ids := make([]int64, 0, len(n.pending))
-	for id := range n.pending {
-		ids = append(ids, id)
+	var pending []Message
+	for w := n.live; w != nil; w = w.nextLive {
+		pending = append(pending, w.m)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// By ID; IDs a caller assigned may repeat, so the other fields break ties.
+	slices.SortFunc(pending, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Inject, b.Inject),
+			cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Bytes, b.Bytes))
+	})
 	const maxLines = 20
-	for i, id := range ids {
+	for i, m := range pending {
 		if i == maxLines {
-			fmt.Fprintf(&b, "\n  ... %d more pending messages", len(ids)-maxLines)
+			fmt.Fprintf(&b, "\n  ... %d more pending messages", len(pending)-maxLines)
 			break
 		}
-		m := n.pending[id]
 		fmt.Fprintf(&b, "\n  pending msg %d: %d->%d, %d bytes, injected t=%d", m.ID, m.Src, m.Dst, m.Bytes, m.Inject)
 	}
 	lines := 0
@@ -266,8 +270,13 @@ func (n *Network) Inject(m Message, done func(Delivery)) {
 		panic(fmt.Sprintf("mesh: message %d injected at %d, before now %d", m.ID, m.Inject, n.sim.Now()))
 	}
 	n.inFlight++
-	n.pending[m.ID] = m
-	n.sim.At(m.Inject, n.newWorm(m, done).fire)
+	w := n.newWorm(m, done)
+	w.nextLive = n.live
+	if n.live != nil {
+		n.live.prevLive = w
+	}
+	n.live = w
+	n.sim.At(m.Inject, w.fire)
 }
 
 // pathBroken reports whether any link on the path is permanently down.
@@ -369,7 +378,6 @@ func (n *Network) complete(d Delivery, done func(Delivery)) {
 		n.delivered++
 	}
 	n.inFlight--
-	delete(n.pending, m.ID)
 	if done != nil {
 		done(d)
 	}

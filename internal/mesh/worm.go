@@ -44,6 +44,9 @@ type worm struct {
 	drained  int      // first acquired index the tail drain has not passed
 
 	nextFree *worm // Network's free list
+
+	// Network's list of live worms, those injected but not yet finished.
+	prevLive, nextLive *worm
 }
 
 // wormState names what a worm does when its pending callback fires.
@@ -309,6 +312,14 @@ func (w *worm) finish(hops int, err error) {
 	if err != nil {
 		d.Status = StatusFailed
 		n.failures = append(n.failures, err)
+	}
+	if w.prevLive != nil {
+		w.prevLive.nextLive = w.nextLive
+	} else {
+		n.live = w.nextLive
+	}
+	if w.nextLive != nil {
+		w.nextLive.prevLive = w.prevLive
 	}
 	n.complete(d, w.done)
 	*w = worm{net: n, fire: w.fire, drainFn: w.drainFn, acquired: w.acquired[:0], held: w.held[:0],

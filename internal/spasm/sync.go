@@ -63,7 +63,7 @@ func (e *Env) Barrier() {
 		// Release everyone.
 		for dst := 1; dst < n; dst++ {
 			dst := dst
-			m.send(e.p.Now(), 0, dst, func() {
+			m.send(e.p.Now(), 0, dst, func(mesh.Delivery) {
 				b.pendingRelease[dst]++
 				if w, ok := b.releaseWaiting[dst]; ok {
 					delete(b.releaseWaiting, dst)
@@ -75,7 +75,7 @@ func (e *Env) Barrier() {
 	}
 
 	// Arrive at processor 0.
-	m.send(e.p.Now(), e.id, 0, func() {
+	m.send(e.p.Now(), e.id, 0, func(mesh.Delivery) {
 		b.arrived++
 		if b.waiting0 != nil {
 			w := *b.waiting0
@@ -116,7 +116,7 @@ func (e *Env) treeBarrier() {
 		b.childArrived[id]--
 	}
 	if id != 0 {
-		m.send(e.p.Now(), id, parent, func() {
+		m.send(e.p.Now(), id, parent, func(mesh.Delivery) {
 			b.childArrived[parent]++
 			if w, ok := b.arriveWaiting[parent]; ok {
 				delete(b.arriveWaiting, parent)
@@ -133,7 +133,7 @@ func (e *Env) treeBarrier() {
 	// Relay the release to the children.
 	for _, c := range children {
 		c := c
-		m.send(e.p.Now(), id, c, func() {
+		m.send(e.p.Now(), id, c, func(mesh.Delivery) {
 			b.pendingRelease[c]++
 			if w, ok := b.releaseWaiting[c]; ok {
 				delete(b.releaseWaiting, c)
@@ -184,12 +184,12 @@ func (e *Env) Lock(id int) {
 	l := m.lock(id)
 
 	// Request travels to the lock's home.
-	m.send(e.p.Now(), e.id, home, func() {
+	m.send(e.p.Now(), e.id, home, func(mesh.Delivery) {
 		if !l.held {
 			l.held = true
 			l.holder = e.id
 			// Grant travels back.
-			m.send(m.Sim.Now(), home, e.id, func() {
+			m.send(m.Sim.Now(), home, e.id, func(mesh.Delivery) {
 				l.pending[e.id]++
 				if w, ok := l.waiting[e.id]; ok {
 					delete(l.waiting, e.id)
@@ -218,15 +218,17 @@ func (e *Env) Unlock(id int) {
 		panic(fmt.Sprintf("spasm: processor %d unlocks lock %d held by %d", e.id, id, l.holder))
 	}
 	l.holder = -1 // logically released; home processes the message on arrival
-	m.send(e.p.Now(), e.id, home, func() {
+	m.send(e.p.Now(), e.id, home, func(mesh.Delivery) {
 		if len(l.queue) == 0 {
 			l.held = false
 			return
 		}
 		next := l.queue[0]
-		l.queue = l.queue[1:]
+		// Shift rather than reslice, so the queue's array is reused and
+		// the next append does not reallocate it.
+		l.queue = l.queue[:copy(l.queue, l.queue[1:])]
 		l.holder = next.proc
-		m.send(m.Sim.Now(), home, next.proc, func() {
+		m.send(m.Sim.Now(), home, next.proc, func(mesh.Delivery) {
 			l.pending[next.proc]++
 			if w, ok := l.waiting[next.proc]; ok {
 				delete(l.waiting, next.proc)
@@ -237,14 +239,16 @@ func (e *Env) Unlock(id int) {
 }
 
 // send injects a synchronization control message and invokes then on
-// delivery. Same-node messages skip the fabric but still pay the local
-// interface delay.
-func (m *Machine) send(at sim.Time, src, dst int, then func()) {
+// delivery; then is the network's own delivery callback, so a remote
+// message allocates no wrapper. Same-node messages skip the fabric but
+// still pay the local interface delay, and their then sees a zero
+// Delivery.
+func (m *Machine) send(at sim.Time, src, dst int, then func(mesh.Delivery)) {
 	if src == dst {
-		m.Sim.At(at+sim.Time(m.cfg.Mesh.LocalDelay), then)
+		m.Sim.At(at+sim.Time(m.cfg.Mesh.LocalDelay), func() { then(mesh.Delivery{}) })
 		return
 	}
 	m.Net.Inject(mesh.Message{
 		ID: m.Net.NextID(), Src: src, Dst: dst, Bytes: syncBytes, Inject: at,
-	}, func(mesh.Delivery) { then() })
+	}, then)
 }

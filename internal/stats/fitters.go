@@ -33,23 +33,32 @@ const chiSquareBins = 20
 // regression on the empirical CDF (method-of-moments or MLE starting
 // values, DUD refinement) and returns the candidates sorted best-first by
 // R². This is the paper's Section 3 procedure with SAS replaced by the
-// stats package.
+// stats package. A caller that also needs the sample's Summary calls
+// SummarizeFit, which sorts the sample once for both.
 func FitInterarrival(samples []float64) ([]CandidateFit, error) {
+	_, fits, err := SummarizeFit(samples)
+	return fits, err
+}
+
+// SummarizeFit returns Summarize(samples) together with
+// FitInterarrival(samples)'s fits and error, from one sorted copy of the
+// sample: the copy serves the median, the ECDF and Weibull's seed. The
+// Summary is returned even when the fit fails.
+func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
 	if len(samples) < 8 {
-		return nil, errors.New("stats: too few samples to characterize")
+		return Summarize(samples), nil, errors.New("stats: too few samples to characterize")
 	}
-	// One sort serves the ECDF, the median and Weibull's seed.
 	ecdf := NewECDF(samples)
 	sum := moments(samples)
 	sum.Median = percentileSorted(ecdf.xs, 0.5)
 	if sum.Mean <= 0 {
-		return nil, errors.New("stats: non-positive mean; inter-arrival samples must be positive")
+		return sum, nil, errors.New("stats: non-positive mean; inter-arrival samples must be positive")
 	}
 
 	// Degenerate sample: a point mass. Continuous families cannot beat
 	// it, and regression on a single x is ill-posed.
 	if sum.StdDev <= 1e-12*math.Abs(sum.Mean) {
-		return []CandidateFit{{
+		return sum, []CandidateFit{{
 			Dist: Deterministic{Value: sum.Mean},
 			R2:   1, KS: 0,
 			Chi: ChiSquareResult{Statistic: 0, DF: 1, PValue: 1},
@@ -72,17 +81,17 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 	parallelFor(len(cands), func(i int) {
 		fits[i] = score(cands[i], runs[i*len(multiStarts):(i+1)*len(multiStarts)], xs, ys, ecdf.xs)
 	})
-	var out []CandidateFit
+	out := make([]CandidateFit, 0, len(fits))
 	for _, fit := range fits {
 		if fit != nil {
 			out = append(out, *fit)
 		}
 	}
 	if len(out) == 0 {
-		return nil, errors.New("stats: no candidate family could be fitted")
+		return sum, nil, errors.New("stats: no candidate family could be fitted")
 	}
 	sortFits(out)
-	return out, nil
+	return sum, out, nil
 }
 
 // sortFits ranks candidate fits best-first under a total order: R²
@@ -455,20 +464,33 @@ func weibullInit(sorted []float64, mean float64) []float64 {
 	return []float64{shape, scale}
 }
 
-// lognormalInit is the MLE on the positive subsample.
+// lognormalInit is the MLE on the positive subsample. It makes two passes
+// that each take the logs again rather than allocate a slice of them; the
+// sums run in the sample's order, as moments would run them over that
+// slice, so the estimate is the same bit for bit.
 func lognormalInit(samples []float64) (mu, sigma float64, ok bool) {
-	var logs []float64
+	n := 0
+	var sum float64
 	for _, x := range samples {
 		if x > 0 {
-			logs = append(logs, math.Log(x))
+			n++
+			sum += math.Log(x)
 		}
 	}
-	if len(logs) < 8 {
+	if n < 8 {
 		return 0, 0, false
 	}
-	s := moments(logs)
-	if s.StdDev <= 0 {
+	mu = sum / float64(n)
+	var ss float64
+	for _, x := range samples {
+		if x > 0 {
+			d := math.Log(x) - mu
+			ss += d * d
+		}
+	}
+	sigma = math.Sqrt(ss / float64(n-1))
+	if sigma <= 0 {
 		return 0, 0, false
 	}
-	return s.Mean, s.StdDev, true
+	return mu, sigma, true
 }

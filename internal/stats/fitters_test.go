@@ -217,3 +217,76 @@ func TestWeibullInitFromSortedSample(t *testing.T) {
 		}
 	}
 }
+
+// TestSummarizeFitMatchesSummarize requires SummarizeFit's one sort to
+// give Summarize's Summary bit for bit, FitInterarrival's fits, and the
+// same error texts, on the reference samples and on the samples each
+// early return serves: too few, a point mass and a non-positive mean.
+func TestSummarizeFitMatchesSummarize(t *testing.T) {
+	samples := referenceSamples()
+	samples["n=0"] = nil
+	samples["n=7"] = []float64{3, 1, 4, 1, 5, 9, 2}
+	samples["point mass"] = []float64{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
+	samples["non-positive mean"] = []float64{-3, 1, -4, 1, -5, 9, -2, 0, -6}
+	wantErr := map[string]string{
+		"n=0":               "stats: too few samples to characterize",
+		"n=7":               "stats: too few samples to characterize",
+		"non-positive mean": "stats: non-positive mean; inter-arrival samples must be positive",
+	}
+	bits := func(s Summary) [8]uint64 {
+		return [8]uint64{uint64(s.N), math.Float64bits(s.Mean), math.Float64bits(s.Variance),
+			math.Float64bits(s.StdDev), math.Float64bits(s.CV), math.Float64bits(s.Min),
+			math.Float64bits(s.Max), math.Float64bits(s.Median)}
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for name, xs := range samples {
+		t.Run(name, func(t *testing.T) {
+			sum, fits, err := SummarizeFit(xs)
+			if got, want := bits(sum), bits(Summarize(xs)); got != want {
+				t.Errorf("Summary = %+v, Summarize gives %+v", sum, Summarize(xs))
+			}
+			if errText(err) != wantErr[name] {
+				t.Errorf("error %q, want %q", errText(err), wantErr[name])
+			}
+			refFits, refErr := FitInterarrival(xs)
+			if errText(refErr) != errText(err) {
+				t.Errorf("error %q, FitInterarrival's %q", errText(err), errText(refErr))
+			}
+			if fitsDigest(t, fits) != fitsDigest(t, refFits) {
+				t.Error("fits differ from FitInterarrival's")
+			}
+			if name == "point mass" && (len(fits) != 1 || fits[0].Dist != (Deterministic{Value: 7})) {
+				t.Errorf("point mass fits %v, want one Deterministic{7}", fits)
+			}
+		})
+	}
+}
+
+// TestLognormalInitMatchesMoments requires the two-pass lognormal seed to
+// equal, bit for bit, moments over the slice of the positive samples'
+// logs that it does not allocate.
+func TestLognormalInitMatchesMoments(t *testing.T) {
+	samples := referenceSamples()
+	samples["seven positive"] = []float64{-1, 0, 2, 3, 5, 7, 11, 13, 17}
+	for name, xs := range samples {
+		var logs []float64
+		for _, x := range xs {
+			if x > 0 {
+				logs = append(logs, math.Log(x))
+			}
+		}
+		mu, sigma, ok := lognormalInit(xs)
+		want := moments(logs)
+		wantOK := len(logs) >= 8 && want.StdDev > 0
+		if ok != wantOK || ok && (math.Float64bits(mu) != math.Float64bits(want.Mean) ||
+			math.Float64bits(sigma) != math.Float64bits(want.StdDev)) {
+			t.Errorf("%s: lognormalInit = %v, %v, %v; moments of the logs give %v, %v, %v",
+				name, mu, sigma, ok, want.Mean, want.StdDev, wantOK)
+		}
+	}
+}
