@@ -73,7 +73,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 		t.Fatal("different seeds produced identical delivery logs")
 	}
 
-	log, err := trace.ReadDeliveries(bytes.NewReader(a))
+	log, err := trace.ReadDeliveries(bytes.NewReader(a), 0)
 	if err != nil {
 		t.Fatalf("reading log back: %v", err)
 	}

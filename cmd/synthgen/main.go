@@ -100,7 +100,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		log, err := trace.ReadDeliveries(f)
+		log, err := trace.ReadDeliveries(f, 0)
 		f.Close()
 		if err != nil {
 			return err

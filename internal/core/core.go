@@ -139,15 +139,15 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 		Log:             sorted,
 	}
 
-	// First pass: validate the endpoints and count each source's
-	// deliveries, so that every sample below is allocated once, at its
-	// final size.
+	// First pass: validate the endpoints, count each source's deliveries,
+	// so that every sample below is allocated once, at its final size,
+	// and count each message length.
 	perSource := make([]int, procs)
 	counts := make([][]int, procs)
 	for i := range counts {
 		counts[i] = make([]int, procs)
 	}
-	lengths := make([]int, 0, len(sorted))
+	byLen := map[int]int{}
 	var latSum, blkSum, hopSum float64
 	for _, d := range sorted {
 		if d.Src < 0 || d.Src >= procs || d.Dst < 0 || d.Dst >= procs {
@@ -156,7 +156,7 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 		}
 		perSource[d.Src]++
 		counts[d.Src][d.Dst]++
-		lengths = append(lengths, d.Bytes)
+		byLen[d.Bytes]++
 		c.TotalBytes += int64(d.Bytes)
 		latSum += float64(d.Latency)
 		blkSum += float64(d.Blocked)
@@ -184,7 +184,7 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 
 	// Spatial and volume.
 	c.Spatial = stats.AggregateSpatial(counts)
-	c.Volume = stats.AnalyzeLengths(lengths)
+	c.Volume = stats.AnalyzeLengthCounts(byLen)
 	return c, nil
 }
 

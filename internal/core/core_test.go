@@ -205,10 +205,11 @@ func TestInterarrivalsHelper(t *testing.T) {
 // TestAnalyzeBytesPerDelivery bounds what Analyze allocates per delivery:
 // the slope of its bytes between n and 4n deliveries per source, so the
 // fixed cost of the fits (their ECDF points and DUD state) cancels out.
-// Each sample built once at its final size and sorted once costs about 48
-// bytes a delivery (the pooled gaps, the lengths, and a sorted copy and
-// the logs of every gap, per source and pooled); growing buffers by
-// append and sorting each sample twice cost about 190.
+// Each sample built once at its final size and sorted once, with message
+// lengths counted rather than collected, costs about 24 bytes a delivery
+// (the pooled gaps, and a sorted copy and the logs of every gap, per
+// source and pooled); growing buffers by append and sorting each sample
+// twice cost about 190.
 func TestAnalyzeBytesPerDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fits four 16-source logs")

@@ -169,8 +169,12 @@ func decodeArtifact(r io.ReaderAt, size int64, spec RunSpec, key string) (_ *Art
 		return nil, fmt.Errorf("metadata says trace %t, archive disagrees", meta.HasTrace)
 	}
 
+	// The log is allocated once, at the size the metadata records, but
+	// never at more rows than the archive has bytes for: lying metadata
+	// cannot force a large allocation.
+	hint := min(meta.Messages, int(size/trace.MinDeliveryRow))
 	if err := readMember(members[1], func(r io.Reader) (err error) {
-		c.Log, err = trace.ReadDeliveries(r)
+		c.Log, err = trace.ReadDeliveries(r, hint)
 		return err
 	}); err != nil {
 		return nil, err

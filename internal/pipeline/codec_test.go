@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"commchar/internal/apps"
@@ -176,6 +178,7 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 	// a trace promised but not shipped, a machine size other than the
 	// spec's (which once panicked the trace reader).
 	f.Add(editMeta(f, valid, func(m *entryMeta) { m.Messages++ }))
+	f.Add(editMeta(f, valid, func(m *entryMeta) { m.Messages = 1 << 40 })) // must not size the log
 	f.Add(edit(traceMember, drop))
 	f.Add(editMeta(f, valid, func(m *entryMeta) { m.C.Procs = -4 }))
 	f.Add(edit(metaMember, func([]byte) []byte { return []byte("{not json") }))
@@ -215,6 +218,33 @@ func FuzzUnmarshalArtifact(f *testing.F) {
 			t.Fatal("decode → marshal → decode is not a fixed point")
 		}
 	})
+}
+
+// TestLyingMessageCountAllocatesLittle: metadata that claims 1<<40
+// deliveries over a small archive is rejected for the count mismatch, and
+// the decode allocates at most 32 times the archive's size. The log is
+// sized from the metadata, so without the cap on that size the lie alone
+// would ask for 96 TiB. With it, decoding this archive costs about 17
+// times its size in fixed overhead (zip directory, JSON, read buffer),
+// and the capped log under 6 times more: a 96-byte mesh.Delivery per
+// trace.MinDeliveryRow bytes.
+func TestLyingMessageCountAllocatesLittle(t *testing.T) {
+	valid, err := MarshalArtifact(wireFuzzArtifact())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := editMeta(t, valid, func(m *entryMeta) { m.Messages = 1 << 40 })
+	spec := RunSpec{App: "FZ", Procs: 2, Scale: apps.ScaleSmall}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = UnmarshalArtifact(blob, spec, fmt.Sprintf("%064x", 0xabc0))
+	runtime.ReadMemStats(&after)
+	if want := fmt.Sprintf("2 deliveries, metadata says %d", 1<<40); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got error %v, want one containing %q", err, want)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 32*uint64(len(blob)); got > limit {
+		t.Fatalf("decode allocated %d bytes for a %d-byte archive, want at most %d", got, len(blob), limit)
+	}
 }
 
 // TestDiskEntryIsWireBlob pins the one-format contract: a cold run's disk
@@ -345,7 +375,7 @@ func TestFlippedLogDigitStillParses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, err := trace.ReadDeliveries(raw)
+		log, err := trace.ReadDeliveries(raw, 0)
 		if err != nil || len(log) != len(wireFuzzArtifact().C.Log) {
 			t.Fatalf("flipped log: %d deliveries, err %v", len(log), err)
 		}

@@ -193,19 +193,28 @@ type LengthProfile struct {
 
 // AnalyzeLengths builds the volume profile from raw message lengths.
 func AnalyzeLengths(lengths []int) LengthProfile {
-	p := LengthProfile{Total: len(lengths)}
-	if len(lengths) == 0 {
-		return p
-	}
 	byLen := map[int]int{}
 	for _, l := range lengths {
 		byLen[l]++
-		p.Bytes += int64(l)
 	}
-	p.Mean = float64(p.Bytes) / float64(p.Total)
+	return AnalyzeLengthCounts(byLen)
+}
+
+// AnalyzeLengthCounts builds the volume profile from each distinct
+// message length's count, so that a caller already passing over the
+// messages counts them there rather than collecting every length.
+func AnalyzeLengthCounts(byLen map[int]int) LengthProfile {
+	var p LengthProfile
+	if len(byLen) == 0 {
+		return p
+	}
+	p.Distinct = make([]LengthCount, 0, len(byLen))
 	for l, c := range byLen {
+		p.Total += c
+		p.Bytes += int64(l) * int64(c)
 		p.Distinct = append(p.Distinct, LengthCount{Bytes: l, Count: c})
 	}
+	p.Mean = float64(p.Bytes) / float64(p.Total)
 	sort.SliceStable(p.Distinct, func(i, j int) bool {
 		if p.Distinct[i].Count != p.Distinct[j].Count {
 			return p.Distinct[i].Count > p.Distinct[j].Count

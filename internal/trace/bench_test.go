@@ -1,6 +1,8 @@
 package trace_test
 
 import (
+	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"commchar/internal/apps"
@@ -40,4 +42,27 @@ func BenchmarkReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Messages()), "ns/msg")
+}
+
+// BenchmarkReadDeliveries times one ReadDeliveries of a 100k-row random
+// log, with the row count as its capacity hint, the way a warm cache load
+// reads a log. SetBytes makes its MB/s the log's parse rate.
+func BenchmarkReadDeliveries(b *testing.B) {
+	const rows = 100_000
+	var buf bytes.Buffer
+	if err := trace.WriteDeliveries(&buf, trace.RandomLog(rand.New(rand.NewPCG(1, 2)), rows)); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	r := bytes.NewReader(data)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(data)
+		log, err := trace.ReadDeliveries(r, rows)
+		if err != nil || len(log) != rows {
+			b.Fatalf("read %d of %d deliveries: %v", len(log), rows, err)
+		}
+	}
 }

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"commchar/internal/mesh"
@@ -213,36 +215,72 @@ func WriteDeliveries(w io.Writer, log []mesh.Delivery) error {
 	return bw.Flush()
 }
 
-// ReadDeliveries parses a network log written by WriteDeliveries,
-// streaming record by record. Legacy 9-column logs (without the fault
-// columns) are accepted, reading as clean traffic. On a truncated final
-// record it returns the cleanly parsed prefix together with a
-// *TruncatedError carrying the line number and bytes consumed.
-func ReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
-	rr := newRecordReader(r)
-	if _, err := rr.next(); err != nil { // header
-		if err == io.EOF {
-			return nil, fmt.Errorf("trace: empty delivery log")
-		}
-		return nil, err
-	}
+// MinDeliveryRow is the length in bytes of the shortest row that
+// ReadDeliveries accepts: a legacy 9-column row of one-digit fields with
+// no line end. A log of n bytes therefore holds at most n/MinDeliveryRow
+// rows, which bounds any capacity hint taken from untrusted metadata.
+const MinDeliveryRow = 2*legacyFields - 1
+
+// ReadDeliveries parses a network log written by WriteDeliveries in one
+// streaming pass. hint is the expected row count: the result is allocated
+// once at that capacity, and grows by append only past it (hint <= 0
+// means unknown). Every field must be a base-10 int64.
+//
+// The first non-blank line is the header and is skipped whatever it
+// holds; an input without one is an error. Blank lines are skipped, and
+// a "\r\n" line end, or a lone "\r" at the end of the input, reads as a
+// plain line end. Legacy 9-column logs (without the fault columns) are
+// accepted, reading as clean traffic. A log is never quoted: a '"'
+// anywhere, header included, makes its record malformed.
+//
+// A malformed record (a quote, or a field count other than 9 or 12)
+// that is the last record of the input is a truncation: the reader
+// returns the cleanly parsed prefix together with a *TruncatedError
+// carrying the record's number and the bytes consumed before it. The
+// same fault followed by another record, or a field that does not parse,
+// is a hard error naming the row (records are counted from 1, header
+// included) and, for a field, its 0-based column.
+func ReadDeliveries(r io.Reader, hint int) ([]mesh.Delivery, error) {
+	lr := lineReader{br: bufio.NewReader(r)}
 	var out []mesh.Delivery
+	if hint > 0 {
+		out = make([]mesh.Delivery, 0, hint)
+	}
 	for {
-		row, err := rr.next()
+		line, err := lr.next()
 		if err == io.EOF {
+			if lr.record == 0 {
+				return nil, fmt.Errorf("trace: empty delivery log")
+			}
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		if len(row) != deliveryFields && len(row) != legacyFields {
-			return out, rr.truncatedIfLast(len(row), "9 or 12")
+		if bytes.IndexByte(line, '"') >= 0 {
+			return out, lr.truncatedIfLast("has a quote")
+		}
+		if lr.record == 1 {
+			continue // the header
+		}
+		fields := bytes.Count(line, []byte{','}) + 1
+		if fields != deliveryFields && fields != legacyFields {
+			return out, lr.truncatedIfLast(fmt.Sprintf("has %d fields, want 9 or 12", fields))
 		}
 		var ints [deliveryFields]int64
-		for j, f := range row {
-			v, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return out, fmt.Errorf("trace: delivery row %d field %d: %w", rr.record, j, err)
+		for j := range fields {
+			f := line
+			if i := bytes.IndexByte(line, ','); i >= 0 {
+				f, line = line[:i], line[i+1:]
+			}
+			v, ok := parseInt(f)
+			if !ok {
+				// strconv gives the verdict on everything else, so a bad
+				// field's error and its wrapped *strconv.NumError stay
+				// those of strconv.ParseInt.
+				if v, err = strconv.ParseInt(string(f), 10, 64); err != nil {
+					return out, fmt.Errorf("trace: delivery row %d field %d: %w", lr.record, j, err)
+				}
 			}
 			ints[j] = v
 		}
@@ -260,4 +298,97 @@ func ReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
 			Status:  mesh.DeliveryStatus(ints[11]),
 		})
 	}
+}
+
+// parseInt parses the common form of a base-10 int64: an optional '-'
+// and 1 to 19 digits, in range. ok is false for anything else (a '+',
+// an empty field, more digits, any other byte, overflow), which the
+// caller hands to strconv.ParseInt.
+func parseInt(b []byte) (v int64, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	if len(b) == 0 || len(b) > 19 { // 19 digits cannot overflow a uint64
+		return 0, false
+	}
+	var u uint64
+	for _, c := range b {
+		c -= '0'
+		if c > 9 {
+			return 0, false
+		}
+		u = u*10 + uint64(c)
+	}
+	if neg {
+		if u > 1<<63 {
+			return 0, false
+		}
+		return -int64(u), true // u == 1<<63 wraps to math.MinInt64
+	}
+	if u > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(u), true
+}
+
+// lineReader splits a delivery log into records the way encoding/csv
+// does for unquoted input: one record per line, blank lines skipped. It
+// numbers the records and tracks the input offsets around the last one.
+type lineReader struct {
+	br       *bufio.Reader
+	long     []byte // a line longer than br's buffer, reassembled
+	record   int    // records read so far (including the header)
+	consumed int64  // input bytes read, blank lines included
+	offset   int64  // input offset after the last record
+	prev     int64  // input offset after the record before it
+}
+
+// next returns the following record without its line end; it stays
+// valid until the next call. A read error other than io.EOF is returned
+// as a *TruncatedError at the record it interrupted.
+func (lr *lineReader) next() ([]byte, error) {
+	for {
+		line, err := lr.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			lr.long = append(lr.long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = lr.br.ReadSlice('\n')
+				lr.long = append(lr.long, line...)
+			}
+			line = lr.long
+		}
+		lr.consumed += int64(len(line))
+		if len(line) > 0 && err == io.EOF {
+			err = nil // an unterminated last line
+		}
+		if err != nil {
+			if err == io.EOF {
+				return nil, io.EOF
+			}
+			return nil, &TruncatedError{Line: lr.record + 1, Offset: lr.offset, Err: err}
+		}
+		// Only the last line can lack its '\n', so stripping an optional
+		// '\n' and then one optional '\r' handles "\r\n" and a final
+		// "\r" alike.
+		line = bytes.TrimSuffix(line, []byte{'\n'})
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if len(line) == 0 {
+			continue
+		}
+		lr.record++
+		lr.prev, lr.offset = lr.offset, lr.consumed
+		return line, nil
+	}
+}
+
+// truncatedIfLast classifies the malformed record just read: if it is
+// the last record of the input it is a truncation (salvageable),
+// otherwise a hard format error. defect completes "record ...".
+func (lr *lineReader) truncatedIfLast(defect string) error {
+	line, offset := lr.record, lr.prev
+	if _, err := lr.next(); err == io.EOF {
+		return &TruncatedError{Line: line, Offset: offset, Err: errors.New("final record " + defect)}
+	}
+	return fmt.Errorf("trace: row %d %s", line, defect)
 }

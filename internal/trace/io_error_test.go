@@ -76,7 +76,7 @@ func TestReadDeliveriesErrorPaths(t *testing.T) {
 		{"bad field", "id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops\n1,2,3,4,5,6,7,8,x\n"},
 	}
 	for _, c := range cases {
-		if _, err := ReadDeliveries(strings.NewReader(c.csv)); err == nil {
+		if _, err := ReadDeliveries(strings.NewReader(c.csv), 0); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -148,7 +148,7 @@ func TestReadDeliveriesTruncatedFinalRecord(t *testing.T) {
 	good := "1,0,3,64,0,900,900,0,3,0,0,0\n2,1,2,32,10,800,790,0,2,1,1,0\n"
 	in := header + good + "3,2,1,16"
 
-	log, err := ReadDeliveries(strings.NewReader(in))
+	log, err := ReadDeliveries(strings.NewReader(in), 0)
 	var te *TruncatedError
 	if !errors.As(err, &te) {
 		t.Fatalf("expected TruncatedError, got %v", err)
@@ -170,7 +170,7 @@ func TestReadDeliveriesTruncatedFinalRecord(t *testing.T) {
 func TestReadDeliveriesLegacyNineColumns(t *testing.T) {
 	in := "id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops\n" +
 		"7,0,3,64,0,900,900,40,3\n"
-	log, err := ReadDeliveries(strings.NewReader(in))
+	log, err := ReadDeliveries(strings.NewReader(in), 0)
 	if err != nil {
 		t.Fatalf("legacy log rejected: %v", err)
 	}

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -37,18 +40,56 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzReadDeliveries does the same for the delivery-log reader: no panics,
-// and accepted logs (current 12-column or legacy 9-column) round-trip
-// through WriteDeliveries unchanged.
+// FuzzReadDeliveries checks the delivery-log reader against
+// referenceReadDeliveries, the encoding/csv reader it replaced: on any
+// input without a '"' both return the same deliveries, the same error
+// text and the same error types, with or without a capacity hint; any
+// input with a '"' is an error. Accepted logs (current 12-column or
+// legacy 9-column) round-trip through WriteDeliveries unchanged.
 func FuzzReadDeliveries(f *testing.F) {
-	f.Add("id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops,retries,faults,status\n" +
-		"1,0,3,64,0,900,900,0,3,0,0,0\n")
+	const header = "id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops,retries,faults,status\n"
+	const row = "1,0,3,64,0,900,900,0,3,0,0,0\n"
+	f.Add(header + row)
 	f.Add("id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops\n1,0,3,64,0,900,900,0,3\n")
-	f.Add("id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops,retries,faults,status\n1,0,3\n")
+	f.Add(header + "1,0,3\n")
 	f.Add("\"broken")
 	f.Add("")
+	f.Add("\r")
+	f.Add(header + row + "\r")
+	f.Add("id,src\r\n1,0,3,64,0,900,900,0,3,0,0,0\r\n2,0,3,64,0,900,900,0,3,0,0,0\r\n")
+	f.Add(header + "\n" + row + "\n\r\n" + row + "\n")
+	f.Add(header + "+5,0,3,64,0,900,900,0,3,0,0,0\n")
+	f.Add(header + "9223372036854775808,0,3,64,0,900,900,0,3,0,0,0\n")
+	f.Add(header + "-9223372036854775808,9223372036854775807,3,64,0,900,900,0,3,0,0,0\n")
+	f.Add(header + "1,0,,64,0,900,900,0,3,0,0,0\n")
+	f.Add(header + row + "7,0,3,64,0,900,900,40,3\n" + row)
+	f.Add(header + "1,0,3,64\n" + row)
+	f.Add(header + row + "1,0,3,64")
+	f.Add(header + row + "1,0,\"3\",64,0,900,900,0,3,0,0,0\n")
 	f.Fuzz(func(t *testing.T, data string) {
-		log, err := ReadDeliveries(strings.NewReader(data))
+		log, err := ReadDeliveries(strings.NewReader(data), 0)
+		if strings.Contains(data, `"`) {
+			if err == nil {
+				t.Fatal("accepted a log with a quote")
+			}
+			return
+		}
+		want, wantErr := referenceReadDeliveries(strings.NewReader(data))
+		if errText(err) != errText(wantErr) {
+			t.Fatalf("error %q, reference %q", errText(err), errText(wantErr))
+		}
+		var te, wantTE *TruncatedError
+		var ne, wantNE *strconv.NumError
+		if errors.As(err, &te) != errors.As(wantErr, &wantTE) || errors.As(err, &ne) != errors.As(wantErr, &wantNE) {
+			t.Fatalf("error types differ: %T, reference %T", err, wantErr)
+		}
+		if !slices.Equal(log, want) {
+			t.Fatalf("deliveries differ from the reference:\n%v\nvs\n%v", log, want)
+		}
+		hinted, hintErr := ReadDeliveries(strings.NewReader(data), len(data)/MinDeliveryRow)
+		if errText(hintErr) != errText(err) || !slices.Equal(hinted, log) {
+			t.Fatalf("a capacity hint changed the result: %v, %v", hintErr, err)
+		}
 		if err != nil {
 			return
 		}
@@ -56,15 +97,20 @@ func FuzzReadDeliveries(f *testing.F) {
 		if err := WriteDeliveries(&buf, log); err != nil {
 			t.Fatalf("write-back of accepted log failed: %v", err)
 		}
-		again, err := ReadDeliveries(&buf)
+		again, err := ReadDeliveries(&buf, len(log))
 		if err != nil {
 			t.Fatalf("re-read of written log failed: %v", err)
 		}
-		if len(log) == 0 && len(again) == 0 {
-			return
-		}
-		if !reflect.DeepEqual(log, again) {
+		if !slices.Equal(log, again) {
 			t.Fatalf("round trip diverged:\n%v\nvs\n%v", log, again)
 		}
 	})
+}
+
+// errText is err's message, or "" for no error.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -278,7 +278,7 @@ func TestDeliveriesRoundTrip(t *testing.T) {
 	if err := WriteDeliveries(&buf, log); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadDeliveries(&buf)
+	back, err := ReadDeliveries(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
