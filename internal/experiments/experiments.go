@@ -283,6 +283,7 @@ func (r *Runner) AblationVirtualChannels(w io.Writer) error {
 		cfg := mesh.DefaultConfig(mesh.MeshTopology, 4, 4)
 		cfg.VirtualChannels = vcs
 		net := mesh.New(s, cfg)
+		net.DiscardLog()
 		st := sim.NewStream(0x7C)
 		// 30% hot-spot to node 0, remainder uniform, bursty arrivals.
 		for src := 1; src < 16; src++ {
@@ -308,7 +309,7 @@ func (r *Runner) AblationVirtualChannels(w io.Writer) error {
 		if err := s.Run(); err != nil {
 			return workload.Metrics{}, err
 		}
-		return workload.MeasureLog(net.Log(), s.Now(), net.MeanUtilization()), nil
+		return workload.MeasureTotals(net.Totals(), s.Now(), net.MeanUtilization()), nil
 	}
 	t := &report.Table{
 		Title:   "Ablation: virtual channels under 30% hot-spot traffic (16 nodes)",

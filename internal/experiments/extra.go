@@ -160,6 +160,7 @@ func (r *Runner) AblationTopology(w io.Writer) error {
 	for _, tc := range configs {
 		s := sim.New()
 		net := mesh.New(s, tc.cfg)
+		net.DiscardLog()
 		st := sim.NewStream(0x70B0)
 		for src := 0; src < nodes; src++ {
 			tm := sim.Time(0)
@@ -177,7 +178,7 @@ func (r *Runner) AblationTopology(w io.Writer) error {
 		if err := s.Run(); err != nil {
 			return err
 		}
-		m := workload.MeasureLog(net.Log(), s.Now(), net.MeanUtilization())
+		m := workload.MeasureTotals(net.Totals(), s.Now(), net.MeanUtilization())
 		t.AddRow(tc.label,
 			fmt.Sprintf("%d", m.Messages),
 			fmt.Sprintf("%.2f", m.MeanHops),

@@ -19,7 +19,7 @@ func BenchmarkWormPerHop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Inject(mesh.Message{ID: int64(i), Src: 0, Dst: 63, Bytes: 64, Inject: s.Now()}, nil)
-		s.Run()
+		mesh.MustRun(b, s)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
 }
@@ -36,7 +36,7 @@ func BenchmarkWormHotSpot(b *testing.B) {
 		for src := 1; src < 16; src++ {
 			net.Inject(mesh.Message{ID: net.NextID(), Src: src, Dst: 0, Bytes: 64, Inject: s.Now()}, nil)
 		}
-		s.Run()
+		mesh.MustRun(b, s)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*15), "ns/msg")
 }

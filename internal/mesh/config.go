@@ -1,6 +1,7 @@
 // Package mesh implements the common network substrate of the paper: a
 // wormhole-routed fabric with deterministic routing, per-link FCFS
-// arbitration, optional virtual channels, and a complete network log. The
+// arbitration, optional virtual channels, and a network log of every
+// message (or, for a caller that only measures, running totals). The
 // wiring and routing live behind the Topology interface — 2-D mesh (the
 // paper's machine), k-ary n-cube torus, binary hypercube, k-ary n-tree fat
 // tree, and dragonfly — while the wormhole engine in Network is shared.

@@ -206,7 +206,7 @@ func TestSlowLinkFlagsAndDelays(t *testing.T) {
 			net.SetFaults(sched)
 		}
 		net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 64, Inject: 0}, nil)
-		s.Run()
+		mesh.MustRun(t, s)
 		return net.Log()[0]
 	}
 	clean := oneShot("")

@@ -70,7 +70,7 @@ func TestHypercubeUncontendedLatency(t *testing.T) {
 	n := New(s, cfg)
 	var d Delivery
 	n.Inject(Message{ID: 1, Src: 0, Dst: 7, Bytes: 8, Inject: 0}, func(x Delivery) { d = x })
-	s.Run()
+	mustRun(t, s)
 	hopTime := cfg.CycleTime * sim.Duration(1+cfg.RouterDelay)
 	want := 3*hopTime + sim.Duration(cfg.Flits(8)-1)*cfg.CycleTime
 	if d.Latency != want {
@@ -90,7 +90,7 @@ func TestHypercubeConservationProperty(t *testing.T) {
 				Bytes: 1 + st.IntN(256), Inject: sim.Time(st.IntN(5000)),
 			}, nil)
 		}
-		s.Run()
+		mustRun(t, s)
 		return n.Delivered() == total && n.InFlight() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
@@ -109,7 +109,7 @@ func TestHypercubeDeadlockFreedomUnderLoad(t *testing.T) {
 			n.Inject(Message{ID: id, Src: src, Dst: src ^ 15, Bytes: 512, Inject: sim.Time(round * 50)}, nil)
 		}
 	}
-	s.Run()
+	mustRun(t, s)
 	if n.InFlight() != 0 {
 		t.Fatalf("%d messages stuck", n.InFlight())
 	}
@@ -119,7 +119,7 @@ func TestHypercubeLinkCount(t *testing.T) {
 	s := sim.New()
 	n := New(s, DefaultConfig(HypercubeTopology, 4))
 	n.Inject(Message{ID: 1, Src: 0, Dst: 15, Bytes: 8, Inject: 0}, nil)
-	s.Run()
+	mustRun(t, s)
 	// d·2^d directed links: 4·16 = 64.
 	if got := len(n.LinkStats()); got != 64 {
 		t.Fatalf("links = %d, want 64", got)

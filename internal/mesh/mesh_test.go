@@ -7,6 +7,15 @@ import (
 	"commchar/internal/sim"
 )
 
+// mustRun runs the simulator to completion and fails the test if the run
+// ends in error (a deadlock or a tripped watchdog budget).
+func mustRun(tb testing.TB, s *sim.Simulator) {
+	tb.Helper()
+	if err := s.Run(); err != nil {
+		tb.Fatalf("run: %v", err)
+	}
+}
+
 func abs(a int) int {
 	if a < 0 {
 		return -a
@@ -132,7 +141,7 @@ func TestUncontendedLatency(t *testing.T) {
 	var got Delivery
 	m := Message{ID: 1, Src: 0, Dst: 15, Bytes: 8, Inject: 0}
 	n.Inject(m, func(d Delivery) { got = d })
-	s.Run()
+	mustRun(t, s)
 	hops := manhattan(cfg, 0, 15) // 6
 	flits := cfg.Flits(8)         // 2
 	hopTime := cfg.CycleTime * sim.Duration(1+cfg.RouterDelay)
@@ -154,7 +163,7 @@ func TestLocalDelivery(t *testing.T) {
 	n := New(s, cfg)
 	var got Delivery
 	n.Inject(Message{ID: 1, Src: 3, Dst: 3, Bytes: 100, Inject: 10}, func(d Delivery) { got = d })
-	s.Run()
+	mustRun(t, s)
 	if got.Latency != cfg.LocalDelay {
 		t.Fatalf("local latency = %d, want %d", got.Latency, cfg.LocalDelay)
 	}
@@ -171,7 +180,7 @@ func TestContentionSerializes(t *testing.T) {
 	// Two long messages over the same path, injected simultaneously.
 	n.Inject(Message{ID: 1, Src: 0, Dst: 3, Bytes: 256, Inject: 0}, func(d Delivery) { a = d })
 	n.Inject(Message{ID: 2, Src: 0, Dst: 3, Bytes: 256, Inject: 0}, func(d Delivery) { b = d })
-	s.Run()
+	mustRun(t, s)
 	if a.Blocked != 0 {
 		t.Fatalf("first message blocked %d", a.Blocked)
 	}
@@ -196,7 +205,7 @@ func TestVirtualChannelsReduceBlocking(t *testing.T) {
 		var short Delivery
 		n.Inject(Message{ID: 1, Src: 0, Dst: 3, Bytes: 1024, Inject: 0}, nil)
 		n.Inject(Message{ID: 2, Src: 1, Dst: 2, Bytes: 8, Inject: 100}, func(d Delivery) { short = d })
-		s.Run()
+		mustRun(t, s)
 		return short.Blocked
 	}
 	b1 := run(1)
@@ -225,7 +234,7 @@ func TestTorusWraparound(t *testing.T) {
 	}
 	var d Delivery
 	n.Inject(Message{ID: 1, Src: 0, Dst: 15, Bytes: 8, Inject: 0}, func(x Delivery) { d = x })
-	s.Run()
+	mustRun(t, s)
 	if d.Hops != 2 {
 		t.Fatalf("delivered hops = %d", d.Hops)
 	}
@@ -248,7 +257,7 @@ func TestConservationProperty(t *testing.T) {
 			}
 			n.Inject(m, nil)
 		}
-		s.Run()
+		mustRun(t, s)
 		return n.Delivered() == int64(total) && n.InFlight() == 0 && len(n.Log()) == total
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
@@ -289,7 +298,7 @@ func TestLatencyAtLeastUncontendedProperty(t *testing.T) {
 						Inject: sim.Time(st.IntN(2000)),
 					}, nil)
 				}
-				s.Run()
+				mustRun(t, s)
 				for _, d := range n.Log() {
 					if d.Hops != n.Hops(d.Src, d.Dst) {
 						t.Logf("%d->%d took %d hops, route has %d", d.Src, d.Dst, d.Hops, n.Hops(d.Src, d.Dst))
@@ -331,7 +340,7 @@ func TestDeadlockFreedomUnderLoad(t *testing.T) {
 			n.Inject(Message{ID: id, Src: src, Dst: dst, Bytes: 512, Inject: sim.Time(round * 10)}, nil)
 		}
 	}
-	s.Run()
+	mustRun(t, s)
 	if n.InFlight() != 0 {
 		t.Fatalf("%d messages stuck in flight", n.InFlight())
 	}
@@ -355,7 +364,7 @@ func TestTorusDeadlockFreedomUnderLoad(t *testing.T) {
 			Bytes: 64 + st.IntN(512), Inject: sim.Time(st.IntN(5000)),
 		}, nil)
 	}
-	s.Run()
+	mustRun(t, s)
 	if n.InFlight() != 0 {
 		t.Fatalf("%d messages stuck on torus", n.InFlight())
 	}
@@ -372,7 +381,7 @@ func TestLinkStatsBounded(t *testing.T) {
 			Bytes: 1 + st.IntN(128), Inject: sim.Time(st.IntN(3000)),
 		}, nil)
 	}
-	s.Run()
+	mustRun(t, s)
 	stats := n.LinkStats()
 	// 4x4 mesh: 2*(3*4)*2 = 48 directed links.
 	if len(stats) != 48 {
@@ -393,7 +402,7 @@ func TestLogSortedByInjection(t *testing.T) {
 	n := New(s, DefaultConfig(MeshTopology, 4, 4))
 	n.Inject(Message{ID: 1, Src: 0, Dst: 15, Bytes: 64, Inject: 100}, nil)
 	n.Inject(Message{ID: 2, Src: 1, Dst: 2, Bytes: 8, Inject: 0}, nil)
-	s.Run()
+	mustRun(t, s)
 	log := n.Log()
 	if log[0].Message.ID != 2 || log[1].Message.ID != 1 {
 		t.Fatalf("log not injection-ordered: %+v", log)

@@ -37,6 +37,30 @@ type Delivery struct {
 	Status  DeliveryStatus // delivered, or failed (partitioned/exhausted)
 }
 
+// Totals is a running summary of completed messages: how many the
+// network delivered and gave up on, and the sums over delivered messages
+// of latency, blocked time and hops. The sums are integers, so they are
+// exact and do not depend on the order messages complete in.
+type Totals struct {
+	Delivered int64
+	Failed    int64
+	Latency   int64 // ns
+	Blocked   int64 // ns
+	Hops      int64
+}
+
+// Add counts one completed message.
+func (t *Totals) Add(d Delivery) {
+	if d.Status != StatusDelivered {
+		t.Failed++
+		return
+	}
+	t.Delivered++
+	t.Latency += int64(d.Latency)
+	t.Blocked += int64(d.Blocked)
+	t.Hops += int64(d.Hops)
+}
+
 // hop is one step of a precomputed route: which link, and on which lane
 // class (torus dateline discipline) the worm must travel.
 type hop struct {
@@ -45,8 +69,9 @@ type hop struct {
 }
 
 // Network is the topology-agnostic wormhole engine: it owns the links,
-// lane arbitration, fault handling, and the delivery log, and delegates
-// wiring and path selection to the configured Topology.
+// lane arbitration, fault handling, the delivery log and the running
+// totals, and delegates wiring and path selection to the configured
+// Topology. A network keeps the log unless DiscardLog is called.
 type Network struct {
 	sim    *sim.Simulator
 	cfg    Config
@@ -54,10 +79,11 @@ type Network struct {
 	links  [][]*link // indexed [node][port], ports as numbered by the topology
 	nextID int64
 
-	log       [][]Delivery // completion order, in chunks never copied once full
-	logLen    int
-	inFlight  int
-	delivered int64
+	log      [][]Delivery // completion order, in chunks never copied once full
+	logLen   int
+	noLog    bool // DiscardLog was called: complete stores nothing
+	totals   Totals
+	inFlight int
 
 	faults   Injector // nil on fault-free runs
 	failures []error  // ErrPartitioned / ErrExhausted, in give-up order
@@ -135,7 +161,7 @@ func (n *Network) Failures() []error {
 func (n *Network) diagnostic() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  in-flight: %d messages, delivered: %d, failed: %d",
-		n.inFlight, n.delivered, len(n.failures))
+		n.inFlight, n.totals.Delivered, len(n.failures))
 	var pending []Message
 	for w := n.live; w != nil; w = w.nextLive {
 		pending = append(pending, w.m)
@@ -365,17 +391,16 @@ const (
 
 // complete records a finished message and runs its done callback.
 func (n *Network) complete(d Delivery, done func(Delivery)) {
-	m := d.Message
 	d.End = n.sim.Now()
-	d.Latency = sim.Duration(n.sim.Now() - m.Inject)
-	if k := len(n.log); k == 0 || len(n.log[k-1]) == cap(n.log[k-1]) {
-		n.log = append(n.log, make([]Delivery, 0, min(max(n.logLen, minLogChunk), maxLogChunk)))
-	}
-	last := &n.log[len(n.log)-1]
-	*last = append(*last, d)
-	n.logLen++
-	if d.Status == StatusDelivered {
-		n.delivered++
+	d.Latency = sim.Duration(d.End - d.Inject)
+	n.totals.Add(d)
+	if !n.noLog {
+		if k := len(n.log); k == 0 || len(n.log[k-1]) == cap(n.log[k-1]) {
+			n.log = append(n.log, make([]Delivery, 0, min(max(n.logLen, minLogChunk), maxLogChunk)))
+		}
+		last := &n.log[len(n.log)-1]
+		*last = append(*last, d)
+		n.logLen++
 	}
 	n.inFlight--
 	if done != nil {
@@ -387,11 +412,30 @@ func (n *Network) complete(d Delivery, done func(Delivery)) {
 func (n *Network) InFlight() int { return n.inFlight }
 
 // Delivered reports the number of completed messages.
-func (n *Network) Delivered() int64 { return n.delivered }
+func (n *Network) Delivered() int64 { return n.totals.Delivered }
+
+// Totals returns the running totals of the messages completed so far.
+// They are kept whether or not the network keeps its log.
+func (n *Network) Totals() Totals { return n.totals }
+
+// DiscardLog tells the network that nobody will read its delivery log,
+// so it stores no delivery and its memory does not grow with the number
+// of messages; Totals still counts every one. It must be called before
+// the first Inject, and Log panics afterwards.
+func (n *Network) DiscardLog() {
+	if n.inFlight > 0 || n.totals.Delivered+n.totals.Failed > 0 {
+		panic("mesh: DiscardLog called after the first Inject")
+	}
+	n.noLog = true
+}
 
 // Log returns the deliveries recorded so far, sorted by injection time
-// (ties broken by message ID). The returned slice is a copy.
+// (ties broken by message ID). The returned slice is a copy. It panics on
+// a network told to keep no log (DiscardLog).
 func (n *Network) Log() []Delivery {
+	if n.noLog {
+		panic("mesh: Log called on a network that keeps no delivery log (DiscardLog)")
+	}
 	out := make([]Delivery, 0, n.logLen)
 	for _, chunk := range n.log {
 		out = append(out, chunk...)

@@ -42,7 +42,7 @@ func TestWestFirstPathsAreMinimal(t *testing.T) {
 			})
 		}
 	}
-	s.Run()
+	mustRun(t, s)
 }
 
 func TestWestFirstConservationProperty(t *testing.T) {
@@ -57,7 +57,7 @@ func TestWestFirstConservationProperty(t *testing.T) {
 				Bytes: 1 + st.IntN(256), Inject: sim.Time(st.IntN(4000)),
 			}, nil)
 		}
-		s.Run()
+		mustRun(t, s)
 		return n.Delivered() == total && n.InFlight() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
@@ -80,7 +80,7 @@ func TestWestFirstDeadlockFreedomUnderSaturation(t *testing.T) {
 			}, nil)
 		}
 	}
-	s.Run()
+	mustRun(t, s)
 	if n.InFlight() != 0 {
 		t.Fatalf("%d messages stuck", n.InFlight())
 	}
@@ -105,7 +105,7 @@ func TestWestFirstSpreadsLoadOffHotColumn(t *testing.T) {
 				}, nil)
 			}
 		}
-		s.Run()
+		mustRun(t, s)
 		var blocked sim.Duration
 		for _, d := range n.Log() {
 			blocked += d.Blocked

@@ -11,13 +11,11 @@ import (
 
 func driveFor(t *testing.T, g *Generator, until sim.Time, seed uint64) Metrics {
 	t.Helper()
-	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(g.Procs)...))
-	if err := g.Drive(s, net, until, seed); err != nil {
+	m, err := Simulate(g, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(g.Procs)...), until, seed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
-	return MeasureLog(net.Log(), s.Now(), net.MeanUtilization())
+	return m
 }
 
 func TestUniformPoissonRate(t *testing.T) {

@@ -185,18 +185,20 @@ func (g *Generator) Drive(s *sim.Simulator, net *mesh.Network, until sim.Time, s
 }
 
 // Simulate drives g on a fresh network built from cfg until the given
-// simulated time, runs the simulator to completion, and measures the
-// delivery log.
+// simulated time, runs the simulator to completion, and measures the run
+// from the network's running totals. The network keeps no delivery log,
+// so memory does not grow with the number of messages.
 func Simulate(g *Generator, cfg mesh.Config, until sim.Time, seed uint64) (Metrics, error) {
 	s := sim.New()
 	net := mesh.New(s, cfg)
+	net.DiscardLog()
 	if err := g.Drive(s, net, until, seed); err != nil {
 		return Metrics{}, err
 	}
 	if err := s.Run(); err != nil {
 		return Metrics{}, err
 	}
-	return MeasureLog(net.Log(), s.Now(), net.MeanUtilization()), nil
+	return MeasureTotals(net.Totals(), s.Now(), net.MeanUtilization()), nil
 }
 
 // sampleDest draws a destination from the classified spatial model.
@@ -271,29 +273,32 @@ type Metrics struct {
 	Failed          int     // messages the network gave up on
 }
 
-// MeasureLog computes metrics from a delivery log. Messages the network
+// MeasureLog computes metrics from a delivery log by totalling it the way
+// a network totals its deliveries as they complete (mesh.Totals.Add), so
+// it agrees bit for bit with MeasureTotals over the same run.
+func MeasureLog(log []mesh.Delivery, elapsed sim.Time, meanUtil float64) Metrics {
+	var t mesh.Totals
+	for _, d := range log {
+		t.Add(d)
+	}
+	return MeasureTotals(t, elapsed, meanUtil)
+}
+
+// MeasureTotals computes metrics from a run's totals. Messages the network
 // gave up on (fault injection) are counted in Failed and excluded from the
 // means: a failed message's "latency" is its give-up time, not a transit
-// time, and would pollute the characterization.
-func MeasureLog(log []mesh.Delivery, elapsed sim.Time, meanUtil float64) Metrics {
-	m := Metrics{MeanUtilization: meanUtil}
-	for _, d := range log {
-		if d.Status != mesh.StatusDelivered {
-			m.Failed++
-			continue
-		}
-		m.Messages++
-		m.MeanLatencyNS += float64(d.Latency)
-		m.MeanBlockedNS += float64(d.Blocked)
-		m.MeanHops += float64(d.Hops)
-	}
+// time, and would pollute the characterization. Each mean divides an
+// exact integer sum once, which is what summing the values as floats gives
+// as long as every partial sum stays below 2^53.
+func MeasureTotals(t mesh.Totals, elapsed sim.Time, meanUtil float64) Metrics {
+	m := Metrics{Messages: int(t.Delivered), Failed: int(t.Failed), MeanUtilization: meanUtil}
 	if m.Messages == 0 {
 		return m
 	}
 	n := float64(m.Messages)
-	m.MeanLatencyNS /= n
-	m.MeanBlockedNS /= n
-	m.MeanHops /= n
+	m.MeanLatencyNS = float64(t.Latency) / n
+	m.MeanBlockedNS = float64(t.Blocked) / n
+	m.MeanHops = float64(t.Hops) / n
 	if elapsed > 0 {
 		m.MessageRate = n / (float64(elapsed) / 1000)
 	}

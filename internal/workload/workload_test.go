@@ -79,7 +79,7 @@ func TestSyntheticReproducesRateAndSpatial(t *testing.T) {
 	if err := g.Drive(s, net, c.Elapsed, 99); err != nil {
 		t.Fatal(err)
 	}
-	s.Run()
+	mustRun(t, s)
 	log := net.Log()
 	// Message rate within 10%.
 	origRate := float64(c.Messages) / float64(c.Elapsed)
