@@ -16,7 +16,10 @@
 //	meshsim -trace app.csv -ranks 16 [-width 4 -height 4] [-sp2] [-vcs 1]
 //	        [-topology torus3d] [-dims 4,4,4]
 //	        [-faults "drop:0.01;down:1<->2@1ms-2ms"] [-fault-seed 1]
-//	        [-max-events N] [-max-sim-ms MS] [-max-wall D] [-out deliveries.csv]
+//	        [-max-events N] [-max-sim-ms MS] [-spec-timeout D] [-out deliveries.csv]
+//
+// -max-events and -max-sim-ms are deterministic watchdog budgets;
+// -spec-timeout is the one wall-clock budget of the replay.
 package main
 
 import (
@@ -57,7 +60,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	faultSeed := fs.Uint64("fault-seed", 1, "seed of the fault schedule (same seed => identical run)")
 	maxEvents := fs.Int64("max-events", 0, "watchdog: abort after this many simulation events (0 = unlimited)")
 	maxSimMS := fs.Float64("max-sim-ms", 0, "watchdog: abort past this simulated time in ms (0 = unlimited)")
-	maxWall := fs.Duration("max-wall", 0, "watchdog: abort after this much wall-clock time (0 = unlimited)")
 	out := fs.String("out", "", "write the delivery log (CSV) to this file")
 	pf := pipeline.AddFlags(fs)
 	of := obs.AddFlags(fs)
@@ -98,7 +100,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	f.Close()
 	if err != nil {
 		var te *trace.TruncatedError
-		if errors.As(err, &te) {
+		if errors.As(err, &te) && tr != nil { // a truncated header leaves no prefix
 			// Salvageable: replay the clean prefix, but say so.
 			fmt.Fprintf(stderr, "meshsim: warning: %v; replaying the %d-event prefix\n",
 				err, tr.TotalEvents())
@@ -121,7 +123,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Watchdog: sim.Watchdog{
 			MaxEvents:  *maxEvents,
 			MaxSimTime: sim.Time(*maxSimMS * 1e6),
-			MaxWall:    *maxWall,
 		},
 	}
 	var fab mesh.Topology

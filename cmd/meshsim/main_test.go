@@ -27,7 +27,13 @@ func writeRingTrace(t *testing.T, rounds int) string {
 			tr.Add(rank, trace.Event{Op: trace.OpRecv, Peer: (rank + 3) % 4, Tag: i})
 		}
 	}
-	path := filepath.Join(t.TempDir(), "ring.csv")
+	return writeTrace(t, tr)
+}
+
+// writeTrace writes tr as a trace CSV and returns its path.
+func writeTrace(t *testing.T, tr *trace.Trace) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.csv")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +136,63 @@ func TestUsageErrors(t *testing.T) {
 	err = run(context.Background(), []string{"-trace", writeRingTrace(t, 1), "-ranks", "4", "-width", "1", "-height", "2"}, &out, &out)
 	if code := cli.ExitCode(err); code != cli.ExitUsage {
 		t.Fatalf("1x2 mesh for 4 ranks: exit code %d, want %d (%v)", code, cli.ExitUsage, err)
+	}
+}
+
+// TestMaxWallIsGone: -spec-timeout is the one wall-clock budget, so the
+// retired -max-wall is an unknown flag.
+func TestMaxWallIsGone(t *testing.T) {
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-trace", writeRingTrace(t, 1), "-ranks", "4", "-max-wall", "1s"}, &out, &out)
+	if code := cli.ExitCode(err); code != cli.ExitUsage {
+		t.Fatalf("-max-wall: exit code %d, want %d (%v)", code, cli.ExitUsage, err)
+	}
+}
+
+// TestSpecTimeoutStopsReplay: a -spec-timeout trip stops a replay inside
+// the simulator and fails it (exit 1) with the simulator's diagnostics,
+// the mesh's in-flight dump included, and the deadline as its cause. The
+// ring replays for several times the deadline, so the trip lands in the
+// simulation with no sleep. It sends every round on one tag: a tag per
+// round would make the trace's balance check, which runs before the
+// simulation, cost as much as the deadline.
+func TestSpecTimeoutStopsReplay(t *testing.T) {
+	const rounds = 100_000
+	tr := trace.New(4)
+	for rank := 0; rank < 4; rank++ {
+		for range rounds {
+			tr.Add(rank, trace.Event{Op: trace.OpSend, Peer: (rank + 1) % 4, Bytes: 64, Compute: sim.Duration(500 * (rank + 1))})
+			tr.Add(rank, trace.Event{Op: trace.OpRecv, Peer: (rank + 3) % 4})
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{
+		"-trace", writeTrace(t, tr), "-ranks", "4", "-width", "2", "-height", "2", "-spec-timeout", "200ms",
+	}, &stdout, &stderr)
+	if code := cli.ExitCode(err); code != cli.ExitFailure {
+		t.Fatalf("exit code %d, want %d (%v)", code, cli.ExitFailure, err)
+	}
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) || de.Cause != context.DeadlineExceeded {
+		t.Fatalf("run = %v, want a *sim.DeadlockError caused by the deadline", err)
+	}
+	if !strings.Contains(err.Error(), "[mesh]\n  in-flight:") {
+		t.Errorf("error lacks the mesh's in-flight dump: %v", err)
+	}
+}
+
+// TestTruncatedHeaderFails: a trace cut off inside its header has no
+// prefix to replay, so it fails as a plain runtime error.
+func TestTruncatedHeaderFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cut.csv")
+	if err := os.WriteFile(path, []byte(`"rank`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-trace", path, "-ranks", "4"}, &out, &out)
+	var te *trace.TruncatedError
+	if !errors.As(err, &te) || cli.ExitCode(err) != cli.ExitFailure {
+		t.Fatalf("run = %v, want a *trace.TruncatedError exiting %d", err, cli.ExitFailure)
 	}
 }
 

@@ -17,7 +17,7 @@
 // made by hand. Suppress a diagnostic by putting a justified allow
 // comment on the flagged line or the line above it:
 //
-//	//lint:allow determinism wall-clock watchdog budget is deliberately host-time
+//	//lint:allow determinism the one sanctioned wall-clock read; all other packages inject obs.Clock
 //
 // Exit status: 0 clean, 1 diagnostics or failure, 2 usage.
 package main

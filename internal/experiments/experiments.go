@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (as reconstructed in DESIGN.md), plus the ablations.
-// The same entry points back both the `experiments` command and the
-// benchmark harness in bench_test.go, so "go test -bench" reproduces the
-// paper end to end.
+// Runner.Steps backs the `experiments` command, so "go run
+// ./cmd/experiments" reproduces the paper end to end and "-only <key>"
+// reproduces one step.
 package experiments
 
 import (

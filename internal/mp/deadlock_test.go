@@ -15,7 +15,7 @@ import (
 // instead of hanging go test.
 func TestWatchdogDetectsMismatchedSendRecv(t *testing.T) {
 	cfg := DefaultConfig(2)
-	cfg.Watchdog = sim.Watchdog{MaxEvents: 100_000, MaxWall: 5 * time.Second}
+	cfg.Watchdog = sim.Watchdog{MaxEvents: 100_000}
 	w := NewWorld(cfg)
 
 	start := time.Now()
@@ -99,7 +99,7 @@ func TestCleanRunUnaffectedByWatchdog(t *testing.T) {
 		return makespan
 	}
 	plain := run(sim.Watchdog{})
-	budgeted := run(sim.Watchdog{MaxEvents: 1_000_000, MaxWall: time.Minute})
+	budgeted := run(sim.Watchdog{MaxEvents: 1_000_000})
 	if plain != budgeted {
 		t.Fatalf("watchdog changed the makespan: %d vs %d", plain, budgeted)
 	}

@@ -28,7 +28,7 @@ type Config struct {
 	// Collectives selects the collective algorithm family; the zero
 	// value is the historical linear family.
 	Collectives Algorithm
-	// Watchdog bounds the run (events, simulated time, wall clock); the
+	// Watchdog bounds the run (events, simulated time); the
 	// zero value relies on structural deadlock detection alone, which
 	// already terminates any blocked-rank deadlock.
 	Watchdog sim.Watchdog

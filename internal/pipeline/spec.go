@@ -80,10 +80,11 @@ type RunSpec struct {
 	// UseSP2 charges IBM SP2 software overheads during trace replay.
 	UseSP2 bool
 
-	// Watchdog bounds the run (trace replay only). It is not part of the
-	// cache key: a tripped watchdog fails the run, and failed runs are
-	// never cached. The engine's Options.SpecTimeout bounds its wall
-	// time the same way.
+	// Watchdog bounds the run's events and simulated time (trace replay
+	// only). It is not part of the cache key: a tripped watchdog fails
+	// the run, and failed runs are never cached. The engine's
+	// Options.SpecTimeout is the run's one wall-clock budget and fails
+	// it the same way.
 	Watchdog sim.Watchdog
 }
 

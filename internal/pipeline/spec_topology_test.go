@@ -7,6 +7,7 @@ import (
 
 	"commchar/internal/apps"
 	"commchar/internal/cli"
+	"commchar/internal/trace"
 )
 
 // TestSpecStringLegacyGolden pins the exact canonical bytes of a spec that
@@ -108,5 +109,27 @@ func TestValidateFailsFastOnTopologyInvalidSpecs(t *testing.T) {
 		if err := spec.validate(); err != nil {
 			t.Errorf("%+v rejected: %v", spec, err)
 		}
+	}
+}
+
+// TestTraceSpecKeyGolden pins the cache key of a trace spec shaped as
+// meshsim builds one for the default mesh. Key hashes the trace's
+// WriteCSV bytes, so if that format moved every cached replay would be
+// orphaned: like the legacy spec string, the value is a compatibility
+// contract, not a snapshot to regenerate.
+func TestTraceSpecKeyGolden(t *testing.T) {
+	tr := trace.New(4)
+	for r := range 4 {
+		tr.Add(r, trace.Event{Op: trace.OpSend, Peer: (r + 1) % 4, Bytes: 64 << r, Tag: -1048578, Compute: 1500})
+		tr.Add(r, trace.Event{Op: trace.OpRecv, Peer: (r + 3) % 4, Tag: -1048578, Compute: -7})
+	}
+	spec := RunSpec{Trace: tr, Procs: 4, Width: 2, Height: 2, VirtualChannels: 1, Faults: "drop:0.01", FaultSeed: 7}
+	const want = "72c52c56f126e6d8a2ffc200943010146293ee82dc7fcd949a8c905c306511f5"
+	got, err := spec.Key("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("trace spec key drifted:\n got %s\nwant %s", got, want)
 	}
 }

@@ -69,6 +69,34 @@ func TestRunCheckedCancellation(t *testing.T) {
 	}
 }
 
+// TestRunReportsCancellationWhenCalendarDrains: a context that ends
+// between two of Run's polls may let the calendar drain first, as the
+// mesh gives up every worm it starts once the run is interrupted. Run
+// must still report the cancellation, not a deadlock or a clean finish.
+func TestRunReportsCancellationWhenCalendarDrains(t *testing.T) {
+	for name, spawn := range map[string]func(s *Simulator){
+		"deadlocked": func(s *Simulator) {
+			a, b := NewFacility("A"), NewFacility("B")
+			s.Spawn("p1", func(p *Process) { a.Reserve(p); p.Hold(10); b.Reserve(p) })
+			s.Spawn("p2", func(p *Process) { b.Reserve(p); p.Hold(10); a.Reserve(p) })
+		},
+		"finished": func(s *Simulator) {
+			s.Spawn("worker", func(p *Process) { p.Hold(10) })
+		},
+	} {
+		s := New()
+		ctx, cancel := context.WithCancel(context.Background())
+		s.SetContext(ctx)
+		s.Schedule(5, cancel)
+		spawn(s)
+		err := s.Run()
+		var de *DeadlockError
+		if !errors.As(err, &de) || !errors.Is(err, context.Canceled) || !strings.HasPrefix(de.Reason, "cancelled") {
+			t.Errorf("%s: Run = %v, want a cancellation", name, err)
+		}
+	}
+}
+
 func TestDeadlockErrorBudgetClassification(t *testing.T) {
 	s := New()
 	livelock(s)

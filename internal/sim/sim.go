@@ -32,7 +32,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"time"
 )
 
 // Time is a point in simulated time. The kernel assigns no unit; by
@@ -228,7 +227,8 @@ func (s *Simulator) Step() bool {
 // SetContext; once that is cancelled it stops, leaving the rest of the
 // calendar untouched, and returns a *DeadlockError carrying the same
 // diagnostics with the context's error as its Cause (so
-// errors.Is(err, context.Canceled) holds).
+// errors.Is(err, context.Canceled) holds). A run whose context has ended
+// by the time the calendar drains is reported the same way.
 //
 // Run releases every process that has not ended when it returns, once its
 // error is built, or when a panic (a *ProcessPanic included) unwinds
@@ -250,11 +250,6 @@ func (s *Simulator) Run() error {
 		done = s.ctx.Done()
 	}
 	wd := s.watchdog
-	var deadline time.Time
-	if wd.MaxWall > 0 {
-		//lint:allow determinism MaxWall is deliberately a host-wall-clock safety budget; a trip fails the run with a DeadlockError, never a changed characterization
-		deadline = time.Now().Add(wd.MaxWall)
-	}
 	startEvents := s.fired
 	for i := int64(0); ; i++ {
 		if wd.MaxEvents > 0 && s.fired-startEvents >= wd.MaxEvents {
@@ -263,19 +258,12 @@ func (s *Simulator) Run() error {
 		if wd.MaxSimTime > 0 && s.now > wd.MaxSimTime {
 			return s.stallError(fmt.Sprintf("simulated-time horizon %d exceeded", wd.MaxSimTime))
 		}
-		// Wall-clock and cancellation checks are amortized: time.Now and
-		// channel polls are cheap but not free.
-		//lint:allow determinism host-clock poll of the deliberate wall-clock budget above
-		if wd.MaxWall > 0 && i%1024 == 0 && time.Now().After(deadline) {
-			return s.stallError(fmt.Sprintf("wall-clock budget %v exceeded", wd.MaxWall))
-		}
+		// The cancellation check is amortized: a channel poll is cheap
+		// but not free.
 		if done != nil && i&255 == 0 {
 			select {
 			case <-done:
-				err := s.ctx.Err()
-				e := s.stallError(fmt.Sprintf("cancelled: %v", err))
-				e.Cause = err
-				return e
+				return s.cancelled()
 			default:
 			}
 		}
@@ -283,12 +271,28 @@ func (s *Simulator) Run() error {
 			break
 		}
 	}
+	// Once the context has ended, the mesh gives up every worm it starts
+	// (mesh.ErrCancelled), which can drain the calendar before the next
+	// poll: such a run was cancelled, whether or not it looks deadlocked
+	// or finished.
+	if s.ctx != nil && s.ctx.Err() != nil {
+		return s.cancelled()
+	}
 	for _, p := range s.procs {
 		if !p.ended && p.suspended {
 			return s.stallError("deadlock: calendar drained with blocked processes")
 		}
 	}
 	return nil
+}
+
+// cancelled is Run's error once its context has ended: the usual
+// diagnostics, with the context's error as the Cause.
+func (s *Simulator) cancelled() *DeadlockError {
+	err := s.ctx.Err()
+	e := s.stallError(fmt.Sprintf("cancelled: %v", err))
+	e.Cause = err
+	return e
 }
 
 // RunUntil fires events with time <= t, then sets the clock to t (if the

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Watchdog is the progress budget for Run. Any zero field is
@@ -15,8 +14,6 @@ type Watchdog struct {
 	MaxEvents int64
 	// MaxSimTime aborts the run once the clock passes this horizon.
 	MaxSimTime Time
-	// MaxWall aborts the run after this much real (wall-clock) time.
-	MaxWall time.Duration
 }
 
 // SetWatchdog installs the progress budget consulted by Run.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRunCheckedClean(t *testing.T) {
@@ -14,7 +13,7 @@ func TestRunCheckedClean(t *testing.T) {
 		p.Hold(10)
 		ran++
 	})
-	s.SetWatchdog(Watchdog{MaxEvents: 1000, MaxWall: time.Second})
+	s.SetWatchdog(Watchdog{MaxEvents: 1000})
 	if err := s.Run(); err != nil {
 		t.Fatalf("clean run: %v", err)
 	}

@@ -191,15 +191,6 @@ type LengthProfile struct {
 	Bimodal  bool          // exactly two distinct sizes (control + data)
 }
 
-// AnalyzeLengths builds the volume profile from raw message lengths.
-func AnalyzeLengths(lengths []int) LengthProfile {
-	byLen := map[int]int{}
-	for _, l := range lengths {
-		byLen[l]++
-	}
-	return AnalyzeLengthCounts(byLen)
-}
-
 // AnalyzeLengthCounts builds the volume profile from each distinct
 // message length's count, so that a caller already passing over the
 // messages counts them there rather than collecting every length.

@@ -128,8 +128,7 @@ func TestSpatialFractionsSumToOneProperty(t *testing.T) {
 }
 
 func TestAnalyzeLengthsBimodal(t *testing.T) {
-	lengths := []int{8, 8, 8, 40, 40, 8}
-	p := AnalyzeLengths(lengths)
+	p := AnalyzeLengthCounts(map[int]int{8: 4, 40: 2})
 	if !p.Bimodal {
 		t.Fatal("two sizes not flagged bimodal")
 	}
@@ -142,7 +141,7 @@ func TestAnalyzeLengthsBimodal(t *testing.T) {
 }
 
 func TestAnalyzeLengthsEmpty(t *testing.T) {
-	p := AnalyzeLengths(nil)
+	p := AnalyzeLengthCounts(nil)
 	if p.Total != 0 || p.Bimodal {
 		t.Fatalf("empty profile = %+v", p)
 	}

@@ -66,3 +66,29 @@ func BenchmarkReadDeliveries(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReadCSV times one ReadCSV of a 100k-event random trace, the
+// way meshsim reads its -trace input and a warm cache load reads a
+// static artifact's trace. SetBytes makes its MB/s the parse rate.
+func BenchmarkReadCSV(b *testing.B) {
+	const ranks, events = 16, 100_000
+	var buf bytes.Buffer
+	if err := trace.RandomTrace(rand.New(rand.NewPCG(1, 2)), ranks, events).WriteCSV(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	r := bytes.NewReader(data)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(data)
+		tr, err := trace.ReadCSV(r, ranks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := tr.TotalEvents(); n != events {
+			b.Fatalf("read %d of %d events", n, events)
+		}
+	}
+}

@@ -1,4 +1,8 @@
 package trace
 
-// RandomLog exposes randomLog to the external benchmarks.
-var RandomLog = randomLog
+// RandomLog and RandomTrace expose randomLog and randomTrace to the
+// external benchmarks.
+var (
+	RandomLog   = randomLog
+	RandomTrace = randomTrace
+)

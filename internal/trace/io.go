@@ -3,11 +3,11 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 
 	"commchar/internal/mesh"
@@ -31,94 +31,56 @@ func (e *TruncatedError) Error() string {
 
 func (e *TruncatedError) Unwrap() error { return e.Err }
 
-// recordReader streams CSV records one at a time, tracking the line number
-// and the byte offset of the last cleanly consumed record.
-type recordReader struct {
-	cr     *csv.Reader
-	record int   // records read so far (including the header)
-	offset int64 // input offset after the last good record
-	prev   int64 // input offset before the last good record
-}
-
-func newRecordReader(r io.Reader) *recordReader {
-	cr := csv.NewReader(r)
-	// Field counts are validated by the caller (legacy logs have fewer
-	// columns), not by the csv layer.
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true
-	return &recordReader{cr: cr}
-}
-
-// next returns the following record. On a structural CSV error (bare
-// quote, unterminated field, ...) it returns a *TruncatedError.
-func (rr *recordReader) next() ([]string, error) {
-	row, err := rr.cr.Read()
-	if err == io.EOF {
-		return nil, io.EOF
-	}
-	if err != nil {
-		line := rr.record + 1
-		var pe *csv.ParseError
-		if errors.As(err, &pe) {
-			line = pe.Line
-		}
-		return nil, &TruncatedError{Line: line, Offset: rr.offset, Err: err}
-	}
-	rr.record++
-	rr.prev = rr.offset
-	rr.offset = rr.cr.InputOffset()
-	return row, nil
-}
-
-// truncatedIfLast classifies a bad-length record: if it is the last record
-// of the input it is a truncation (salvageable), otherwise a hard format
-// error.
-func (rr *recordReader) truncatedIfLast(got int, want string) error {
-	// The offending record was structurally valid CSV, so next() already
-	// advanced past it; the salvageable prefix ends before it.
-	line, offset := rr.record, rr.prev
-	_, err := rr.cr.Read()
-	if err == io.EOF {
-		return &TruncatedError{Line: line, Offset: offset,
-			Err: fmt.Errorf("final record has %d fields, want %s", got, want)}
-	}
-	return fmt.Errorf("trace: row %d has %d fields, want %s", line, got, want)
-}
+// traceFields is the trace CSV's column count, and traceHeader its first
+// line.
+const (
+	traceFields = 6
+	traceHeader = "rank,op,peer,bytes,tag,compute_ns\n"
+)
 
 // WriteCSV serializes the trace as CSV with header
 // rank,op,peer,bytes,tag,compute_ns — one row per event, in program order.
+// No field ever needs CSV quoting (integers and an op name), so each row
+// is formatted into one reused buffer, as WriteDeliveries does.
 func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"rank", "op", "peer", "bytes", "tag", "compute_ns"}); err != nil {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(traceHeader); err != nil {
 		return err
 	}
+	row := make([]byte, 0, 128)
 	for rank, seq := range t.Events {
 		for _, e := range seq {
-			row := []string{
-				strconv.Itoa(rank),
-				e.Op.String(),
-				strconv.Itoa(e.Peer),
-				strconv.Itoa(e.Bytes),
-				strconv.Itoa(e.Tag),
-				strconv.FormatInt(int64(e.Compute), 10),
+			row = strconv.AppendInt(row[:0], int64(rank), 10)
+			row = append(row, ',')
+			row = append(row, e.Op.String()...)
+			for _, v := range [...]int64{int64(e.Peer), int64(e.Bytes), int64(e.Tag), int64(e.Compute)} {
+				row = append(row, ',')
+				row = strconv.AppendInt(row, v, 10)
 			}
-			if err := cw.Write(row); err != nil {
+			row = append(row, '\n')
+			if _, err := bw.Write(row); err != nil {
 				return err
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
 }
 
 // ReadCSV parses a trace written by WriteCSV, streaming record by record;
 // it never buffers the whole file. ranks is the machine size; rows may
-// appear in any rank order but must be in program order per rank. On a
-// truncated final record it returns the cleanly parsed prefix together
-// with a *TruncatedError carrying the line number and bytes consumed.
+// appear in any rank order but must be in program order per rank.
+//
+// The records are split as ReadDeliveries splits them: the first
+// non-blank line is the header, blank lines are skipped, and a trace is
+// never quoted, so a '"' anywhere, header included, makes its record
+// malformed. A malformed final record (a quote, or a field count other
+// than 6) is a truncation: ReadCSV returns the cleanly parsed prefix
+// together with a *TruncatedError carrying the line number and bytes
+// consumed. The same fault mid-file, or a field that does not parse, is
+// a hard error naming the row.
 func ReadCSV(r io.Reader, ranks int) (*Trace, error) {
-	rr := newRecordReader(r)
-	if _, err := rr.next(); err != nil { // header
+	lr := lineReader{br: bufio.NewReader(r)}
+	if err := lr.header(); err != nil {
 		if err == io.EOF {
 			return nil, fmt.Errorf("trace: empty file")
 		}
@@ -126,18 +88,15 @@ func ReadCSV(r io.Reader, ranks int) (*Trace, error) {
 	}
 	t := New(ranks)
 	for {
-		row, err := rr.next()
+		row, err := lr.row(traceFields)
 		if err == io.EOF {
 			return t, nil
 		}
 		if err != nil {
 			return t, err
 		}
-		rowNo := rr.record
-		if len(row) != 6 {
-			return t, rr.truncatedIfLast(len(row), "6")
-		}
-		rank, err := strconv.Atoi(row[0])
+		rowNo := lr.record
+		rank, err := atoi(row[0])
 		if err != nil {
 			return t, fmt.Errorf("trace: row %d bad rank %q: %w", rowNo, row[0], err)
 		}
@@ -145,7 +104,7 @@ func ReadCSV(r io.Reader, ranks int) (*Trace, error) {
 			return t, fmt.Errorf("trace: row %d rank %d outside %d ranks", rowNo, rank, ranks)
 		}
 		var op Op
-		switch row[1] {
+		switch string(row[1]) {
 		case "send":
 			op = OpSend
 		case "recv":
@@ -153,19 +112,19 @@ func ReadCSV(r io.Reader, ranks int) (*Trace, error) {
 		default:
 			return t, fmt.Errorf("trace: row %d bad op %q", rowNo, row[1])
 		}
-		peer, err := strconv.Atoi(row[2])
+		peer, err := atoi(row[2])
 		if err != nil {
 			return t, fmt.Errorf("trace: row %d bad peer %q: %w", rowNo, row[2], err)
 		}
-		bytes, err := strconv.Atoi(row[3])
+		bytes, err := atoi(row[3])
 		if err != nil {
 			return t, fmt.Errorf("trace: row %d bad bytes %q: %w", rowNo, row[3], err)
 		}
-		tag, err := strconv.Atoi(row[4])
+		tag, err := atoi(row[4])
 		if err != nil {
 			return t, fmt.Errorf("trace: row %d bad tag %q: %w", rowNo, row[4], err)
 		}
-		compute, err := strconv.ParseInt(row[5], 10, 64)
+		compute, err := parseInt64(row[5])
 		if err != nil {
 			return t, fmt.Errorf("trace: row %d bad compute %q: %w", rowNo, row[5], err)
 		}
@@ -188,7 +147,7 @@ const deliveryHeader = "id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,
 // The last three columns flag faulted traffic: retransmission count, the
 // mesh.FaultFlags bitmask, and 0 (delivered) or 1 (failed). Every field
 // is an integer, which CSV never quotes, so each row is formatted into
-// one reused buffer rather than through encoding/csv.
+// one reused buffer.
 func WriteDeliveries(w io.Writer, log []mesh.Delivery) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(deliveryHeader); err != nil {
@@ -242,47 +201,29 @@ const MinDeliveryRow = 2*legacyFields - 1
 // included) and, for a field, its 0-based column.
 func ReadDeliveries(r io.Reader, hint int) ([]mesh.Delivery, error) {
 	lr := lineReader{br: bufio.NewReader(r)}
+	if err := lr.header(); err != nil {
+		if err == io.EOF {
+			return nil, fmt.Errorf("trace: empty delivery log")
+		}
+		return nil, err
+	}
 	var out []mesh.Delivery
 	if hint > 0 {
 		out = make([]mesh.Delivery, 0, hint)
 	}
 	for {
-		line, err := lr.next()
+		row, err := lr.row(legacyFields, deliveryFields)
 		if err == io.EOF {
-			if lr.record == 0 {
-				return nil, fmt.Errorf("trace: empty delivery log")
-			}
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		if bytes.IndexByte(line, '"') >= 0 {
-			return out, lr.truncatedIfLast("has a quote")
-		}
-		if lr.record == 1 {
-			continue // the header
-		}
-		fields := bytes.Count(line, []byte{','}) + 1
-		if fields != deliveryFields && fields != legacyFields {
-			return out, lr.truncatedIfLast(fmt.Sprintf("has %d fields, want 9 or 12", fields))
-		}
 		var ints [deliveryFields]int64
-		for j := range fields {
-			f := line
-			if i := bytes.IndexByte(line, ','); i >= 0 {
-				f, line = line[:i], line[i+1:]
+		for j, f := range row {
+			if ints[j], err = parseInt64(f); err != nil {
+				return out, fmt.Errorf("trace: delivery row %d field %d: %w", lr.record, j, err)
 			}
-			v, ok := parseInt(f)
-			if !ok {
-				// strconv gives the verdict on everything else, so a bad
-				// field's error and its wrapped *strconv.NumError stay
-				// those of strconv.ParseInt.
-				if v, err = strconv.ParseInt(string(f), 10, 64); err != nil {
-					return out, fmt.Errorf("trace: delivery row %d field %d: %w", lr.record, j, err)
-				}
-			}
-			ints[j] = v
 		}
 		out = append(out, mesh.Delivery{
 			Message: mesh.Message{
@@ -300,10 +241,28 @@ func ReadDeliveries(r io.Reader, hint int) ([]mesh.Delivery, error) {
 	}
 }
 
+// parseInt64 parses a base-10 int64 field. parseInt takes the common
+// form; strconv gives the verdict on everything else, so a bad field's
+// error and its wrapped *strconv.NumError stay those of strconv.ParseInt.
+func parseInt64(f []byte) (int64, error) {
+	if v, ok := parseInt(f); ok {
+		return v, nil
+	}
+	return strconv.ParseInt(string(f), 10, 64)
+}
+
+// atoi is parseInt64 for an int field, with strconv.Atoi's verdict.
+func atoi(f []byte) (int, error) {
+	if v, ok := parseInt(f); ok && int64(int(v)) == v {
+		return int(v), nil
+	}
+	return strconv.Atoi(string(f))
+}
+
 // parseInt parses the common form of a base-10 int64: an optional '-'
 // and 1 to 19 digits, in range. ok is false for anything else (a '+',
 // an empty field, more digits, any other byte, overflow), which the
-// caller hands to strconv.ParseInt.
+// caller hands to strconv.
 func parseInt(b []byte) (v int64, ok bool) {
 	neg := len(b) > 0 && b[0] == '-'
 	if neg {
@@ -332,16 +291,18 @@ func parseInt(b []byte) (v int64, ok bool) {
 	return int64(u), true
 }
 
-// lineReader splits a delivery log into records the way encoding/csv
-// does for unquoted input: one record per line, blank lines skipped. It
-// numbers the records and tracks the input offsets around the last one.
+// lineReader splits a trace or a delivery log into records the way
+// encoding/csv does for unquoted input: one record per line, blank lines
+// skipped. It numbers the records and tracks the input offsets around
+// the last one.
 type lineReader struct {
 	br       *bufio.Reader
-	long     []byte // a line longer than br's buffer, reassembled
-	record   int    // records read so far (including the header)
-	consumed int64  // input bytes read, blank lines included
-	offset   int64  // input offset after the last record
-	prev     int64  // input offset after the record before it
+	long     []byte                 // a line longer than br's buffer, reassembled
+	fields   [deliveryFields][]byte // the last record's fields, as row cut them
+	record   int                    // records read so far (including the header)
+	consumed int64                  // input bytes read, blank lines included
+	offset   int64                  // input offset after the last record
+	prev     int64                  // input offset after the record before it
 }
 
 // next returns the following record without its line end; it stays
@@ -391,4 +352,43 @@ func (lr *lineReader) truncatedIfLast(defect string) error {
 		return &TruncatedError{Line: line, Offset: offset, Err: errors.New("final record " + defect)}
 	}
 	return fmt.Errorf("trace: row %d %s", line, defect)
+}
+
+// header reads the first record, which is skipped whatever it holds
+// unless it has a quote. It returns io.EOF for an input with no record.
+func (lr *lineReader) header() error {
+	line, err := lr.next()
+	if err == nil && bytes.IndexByte(line, '"') >= 0 {
+		err = lr.truncatedIfLast("has a quote")
+	}
+	return err
+}
+
+// row returns the next record cut at its commas; the fields stay valid
+// until the next call. A record with a quote, or whose field count is
+// not one of counts (none above deliveryFields), is malformed and
+// classified by truncatedIfLast.
+func (lr *lineReader) row(counts ...int) ([][]byte, error) {
+	line, err := lr.next()
+	if err != nil {
+		return nil, err
+	}
+	if bytes.IndexByte(line, '"') >= 0 {
+		return nil, lr.truncatedIfLast("has a quote")
+	}
+	n := bytes.Count(line, []byte{','}) + 1
+	if !slices.Contains(counts, n) {
+		want := strconv.Itoa(counts[0])
+		for _, c := range counts[1:] {
+			want += " or " + strconv.Itoa(c)
+		}
+		return nil, lr.truncatedIfLast(fmt.Sprintf("has %d fields, want %s", n, want))
+	}
+	row := lr.fields[:n]
+	for j := range n - 1 {
+		i := bytes.IndexByte(line, ',')
+		row[j], line = line[:i], line[i+1:]
+	}
+	row[n-1] = line
+	return row, nil
 }

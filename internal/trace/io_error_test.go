@@ -116,6 +116,38 @@ func TestReadCSVUnterminatedQuoteIsTruncation(t *testing.T) {
 	}
 }
 
+// TestReadCSVQuoteIsAnError pins the quote rule: no writer ever quotes
+// a trace field, so a '"' anywhere, header included, is a hard error
+// mid-file and a truncation in the final record.
+func TestReadCSVQuoteIsAnError(t *testing.T) {
+	const header, row = "rank,op,peer,bytes,tag,compute_ns\n", "0,send,1,8,0,100\n"
+	cases := []struct {
+		name, in  string
+		truncated bool
+		events    int // salvaged on truncation
+		want      string
+	}{
+		{"quoted header", `"rank",op,peer,bytes,tag,compute_ns` + "\n" + row, false, 0, "trace: row 1 has a quote"},
+		{"quoted header only", `"rank",op,peer,bytes,tag,compute_ns` + "\n", true, 0, "final record has a quote"},
+		{"quoted field mid-file", header + row + `0,"send",1,8,0,100` + "\n" + row, false, 0, "trace: row 3 has a quote"},
+		{"quoted field last", header + row + `0,"send",1,8,0,100` + "\n", true, 1, "final record has a quote"},
+	}
+	for _, c := range cases {
+		tr, err := ReadCSV(strings.NewReader(c.in), 2)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+			continue
+		}
+		var te *TruncatedError
+		if errors.As(err, &te) != c.truncated {
+			t.Errorf("%s: truncation %v, want %v: %v", c.name, !c.truncated, c.truncated, err)
+		}
+		if c.truncated && c.events > 0 && tr.TotalEvents() != c.events {
+			t.Errorf("%s: salvaged %d events, want %d", c.name, tr.TotalEvents(), c.events)
+		}
+	}
+}
+
 func TestReadCSVMidFileBadRowsAreHardErrors(t *testing.T) {
 	cases := []struct {
 		name string

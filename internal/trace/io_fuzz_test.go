@@ -10,19 +10,52 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV checks the trace reader never panics on arbitrary input, and
-// that any input it accepts round-trips: write the parsed trace back out
-// and re-reading must reproduce it exactly.
+// FuzzReadCSV checks the trace reader against referenceReadCSV, the
+// encoding/csv reader it replaced: on any input without a '"' both
+// return the same events, the same error text and the same error types;
+// any input with a '"' is an error. Accepted traces round-trip: write
+// the parsed trace back out and re-reading must reproduce it exactly.
 func FuzzReadCSV(f *testing.F) {
-	f.Add("rank,op,peer,bytes,tag,compute_ns\n0,send,1,8,0,100\n1,recv,0,8,0,50\n")
-	f.Add("rank,op,peer,bytes,tag,compute_ns\n")
-	f.Add("rank,op,peer,bytes,tag,compute_ns\n0,send,1,8")
-	f.Add("rank,op,peer,bytes,tag,compute_ns\n0,send,1,8,0,100,extra,extra\n")
+	const header = "rank,op,peer,bytes,tag,compute_ns\n"
+	const row = "0,send,1,8,0,100\n"
+	f.Add(header + row + "1,recv,0,8,0,50\n")
+	f.Add(header)
+	f.Add(header + "0,send,1,8")
+	f.Add(header + "0,send,1,8,0,100,extra,extra\n")
 	f.Add("\"unterminated")
 	f.Add("")
+	f.Add("rank,op\r\n0,send,1,8,0,100\r\n1,recv,0,8,0,50\r\n")
+	f.Add(header + "\n" + row + "\n\r\n" + row + "\n")
+	f.Add(header + row + "\r")
+	f.Add(header + "+5,send,1,8,0,100\n")
+	f.Add(header + "0,send,1,8,0,9223372036854775808\n")
+	f.Add(header + "0,send,1,8,9223372036854775807,-9223372036854775808\n")
+	f.Add(header + "0,send,,8,0,100\n")
+	f.Add(header + row + "0,\"send\",1,8,0,100\n" + row)
+	f.Add(header + "0,send,1\n" + row)
+	f.Add(header + "0,send,1,8,0,100,7\n" + row)
+	f.Add(header + row + "0,send,1,8,0,100,7")
 	f.Fuzz(func(t *testing.T, data string) {
 		const ranks = 4
 		tr, err := ReadCSV(strings.NewReader(data), ranks)
+		if strings.Contains(data, `"`) {
+			if err == nil {
+				t.Fatal("accepted a trace with a quote")
+			}
+			return
+		}
+		want, wantErr := referenceReadCSV(strings.NewReader(data), ranks)
+		if errText(err) != errText(wantErr) {
+			t.Fatalf("error %q, reference %q", errText(err), errText(wantErr))
+		}
+		var te, wantTE *TruncatedError
+		var ne, wantNE *strconv.NumError
+		if errors.As(err, &te) != errors.As(wantErr, &wantTE) || errors.As(err, &ne) != errors.As(wantErr, &wantNE) {
+			t.Fatalf("error types differ: %T, reference %T", err, wantErr)
+		}
+		if !reflect.DeepEqual(tr, want) {
+			t.Fatalf("trace differs from the reference:\n%v\nvs\n%v", tr, want)
+		}
 		if err != nil {
 			return
 		}

@@ -3,10 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"runtime/debug"
 	"strconv"
 	"testing"
@@ -14,6 +16,149 @@ import (
 	"commchar/internal/mesh"
 	"commchar/internal/sim"
 )
+
+// recordReader streams CSV records one at a time, tracking the line number
+// and the byte offset of the last cleanly consumed record.
+type recordReader struct {
+	cr     *csv.Reader
+	record int   // records read so far (including the header)
+	offset int64 // input offset after the last good record
+	prev   int64 // input offset before the last good record
+}
+
+func newRecordReader(r io.Reader) *recordReader {
+	cr := csv.NewReader(r)
+	// Field counts are validated by the caller (legacy logs have fewer
+	// columns), not by the csv layer.
+	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true
+	return &recordReader{cr: cr}
+}
+
+// next returns the following record. On a structural CSV error (bare
+// quote, unterminated field, ...) it returns a *TruncatedError.
+func (rr *recordReader) next() ([]string, error) {
+	row, err := rr.cr.Read()
+	if err == io.EOF {
+		return nil, io.EOF
+	}
+	if err != nil {
+		line := rr.record + 1
+		var pe *csv.ParseError
+		if errors.As(err, &pe) {
+			line = pe.Line
+		}
+		return nil, &TruncatedError{Line: line, Offset: rr.offset, Err: err}
+	}
+	rr.record++
+	rr.prev = rr.offset
+	rr.offset = rr.cr.InputOffset()
+	return row, nil
+}
+
+// truncatedIfLast classifies a bad-length record: if it is the last record
+// of the input it is a truncation (salvageable), otherwise a hard format
+// error.
+func (rr *recordReader) truncatedIfLast(got int, want string) error {
+	// The offending record was structurally valid CSV, so next() already
+	// advanced past it; the salvageable prefix ends before it.
+	line, offset := rr.record, rr.prev
+	_, err := rr.cr.Read()
+	if err == io.EOF {
+		return &TruncatedError{Line: line, Offset: offset,
+			Err: fmt.Errorf("final record has %d fields, want %s", got, want)}
+	}
+	return fmt.Errorf("trace: row %d has %d fields, want %s", line, got, want)
+}
+
+// referenceWriteCSV is the encoding/csv trace writer that WriteCSV
+// replaced, kept verbatim as the byte-level reference: a trace's bytes are
+// stored in cache entries and hashed into every trace spec's cache key,
+// so the format must not move.
+func referenceWriteCSV(t *Trace, w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"rank", "op", "peer", "bytes", "tag", "compute_ns"}); err != nil {
+		return err
+	}
+	for rank, seq := range t.Events {
+		for _, e := range seq {
+			row := []string{
+				strconv.Itoa(rank),
+				e.Op.String(),
+				strconv.Itoa(e.Peer),
+				strconv.Itoa(e.Bytes),
+				strconv.Itoa(e.Tag),
+				strconv.FormatInt(int64(e.Compute), 10),
+			}
+			if err := cw.Write(row); err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// referenceReadCSV is the encoding/csv trace reader that ReadCSV
+// replaced, kept verbatim as the differential oracle: on any input
+// without a '"', both must return the same events and the same error
+// text.
+func referenceReadCSV(r io.Reader, ranks int) (*Trace, error) {
+	rr := newRecordReader(r)
+	if _, err := rr.next(); err != nil { // header
+		if err == io.EOF {
+			return nil, fmt.Errorf("trace: empty file")
+		}
+		return nil, err
+	}
+	t := New(ranks)
+	for {
+		row, err := rr.next()
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return t, err
+		}
+		rowNo := rr.record
+		if len(row) != 6 {
+			return t, rr.truncatedIfLast(len(row), "6")
+		}
+		rank, err := strconv.Atoi(row[0])
+		if err != nil {
+			return t, fmt.Errorf("trace: row %d bad rank %q: %w", rowNo, row[0], err)
+		}
+		if rank < 0 || rank >= ranks {
+			return t, fmt.Errorf("trace: row %d rank %d outside %d ranks", rowNo, rank, ranks)
+		}
+		var op Op
+		switch row[1] {
+		case "send":
+			op = OpSend
+		case "recv":
+			op = OpRecv
+		default:
+			return t, fmt.Errorf("trace: row %d bad op %q", rowNo, row[1])
+		}
+		peer, err := strconv.Atoi(row[2])
+		if err != nil {
+			return t, fmt.Errorf("trace: row %d bad peer %q: %w", rowNo, row[2], err)
+		}
+		bytes, err := strconv.Atoi(row[3])
+		if err != nil {
+			return t, fmt.Errorf("trace: row %d bad bytes %q: %w", rowNo, row[3], err)
+		}
+		tag, err := strconv.Atoi(row[4])
+		if err != nil {
+			return t, fmt.Errorf("trace: row %d bad tag %q: %w", rowNo, row[4], err)
+		}
+		compute, err := strconv.ParseInt(row[5], 10, 64)
+		if err != nil {
+			return t, fmt.Errorf("trace: row %d bad compute %q: %w", rowNo, row[5], err)
+		}
+		t.Add(rank, Event{Op: op, Peer: peer, Bytes: bytes, Tag: tag, Compute: sim.Duration(compute)})
+	}
+}
 
 // referenceWriteDeliveries is the encoding/csv delivery-log writer that
 // WriteDeliveries replaced, kept verbatim as the byte-level reference: the
@@ -95,16 +240,19 @@ func referenceReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
 	}
 }
 
+// randomValue is usually below typical, and one time in twenty an
+// extreme int64.
+func randomValue(rng *rand.Rand, typical int64) int64 {
+	if rng.IntN(20) == 0 {
+		return [...]int64{0, -1, math.MaxInt64, math.MinInt64}[rng.IntN(4)]
+	}
+	return rng.Int64N(typical)
+}
+
 // randomLog builds n deliveries with faulted, retried and failed traffic
 // mixed in, and extreme values in every column now and then.
 func randomLog(rng *rand.Rand, n int) []mesh.Delivery {
-	extreme := []int64{0, -1, math.MaxInt64, math.MinInt64}
-	val := func(typical int64) int64 {
-		if rng.IntN(20) == 0 {
-			return extreme[rng.IntN(len(extreme))]
-		}
-		return rng.Int64N(typical)
-	}
+	val := func(typical int64) int64 { return randomValue(rng, typical) }
 	log := make([]mesh.Delivery, n)
 	for i := range log {
 		d := &log[i]
@@ -184,5 +332,53 @@ func TestDeliveryCodecAllocations(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if a := testing.AllocsPerRun(5, read); a > 3 {
 		t.Fatalf("ReadDeliveries allocates %v times for %d rows, want at most 3", a, rows)
+	}
+}
+
+// randomTrace builds a ranks-rank trace of n events appended in random
+// rank order, with extreme values in every integer column now and then.
+func randomTrace(rng *rand.Rand, ranks, n int) *Trace {
+	t := New(ranks)
+	for range n {
+		op := OpSend
+		if rng.IntN(2) == 0 {
+			op = OpRecv
+		}
+		t.Add(rng.IntN(ranks), Event{
+			Op:      op,
+			Peer:    int(randomValue(rng, int64(ranks))),
+			Bytes:   int(randomValue(rng, 1<<16)),
+			Tag:     int(randomValue(rng, 1<<21) - 1<<20),
+			Compute: sim.Duration(randomValue(rng, 1<<30)),
+		})
+	}
+	return t
+}
+
+// TestWriteCSVMatchesCSVReference pins WriteCSV's bytes to the
+// encoding/csv writer's on random traces, the empty trace included, and
+// checks that ReadCSV reads each one back.
+func TestWriteCSVMatchesCSVReference(t *testing.T) {
+	const ranks = 16
+	rng := rand.New(rand.NewPCG(5, 13))
+	for _, n := range []int{0, 1, 2, 50, 3000} {
+		tr := randomTrace(rng, ranks, n)
+		var got, want bytes.Buffer
+		if err := tr.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := referenceWriteCSV(tr, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d events: WriteCSV differs from the encoding/csv writer", n)
+		}
+		back, err := ReadCSV(&got, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Events, tr.Events) {
+			t.Fatalf("%d events: read back %v, wrote %v", n, back.Events, tr.Events)
+		}
 	}
 }
