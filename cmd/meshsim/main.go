@@ -75,6 +75,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *traceFile == "" {
 		return cli.Usagef("-trace required")
 	}
+	if *ranks < 1 {
+		return cli.Usagef("-ranks must be at least 1, got %d", *ranks)
+	}
 	dims, err := core.ParseDims(*dimsFlag)
 	if err != nil {
 		return cli.Usagef("-dims: %v", err)

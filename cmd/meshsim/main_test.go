@@ -139,6 +139,20 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
+// TestBadRanksIsUsageError: a rank count below one is a usage error (exit
+// 2), not a panic in building the trace.
+func TestBadRanksIsUsageError(t *testing.T) {
+	path := writeRingTrace(t, 1)
+	for _, ranks := range []string{"-1", "0"} {
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-trace", path, "-ranks", ranks}, &out, &out)
+		var ue *cli.UsageError
+		if !errors.As(err, &ue) || cli.ExitCode(err) != cli.ExitUsage {
+			t.Errorf("-ranks %s: run = %v (exit %d), want a usage error (exit %d)", ranks, err, cli.ExitCode(err), cli.ExitUsage)
+		}
+	}
+}
+
 // TestMaxWallIsGone: -spec-timeout is the one wall-clock budget, so the
 // retired -max-wall is an unknown flag.
 func TestMaxWallIsGone(t *testing.T) {

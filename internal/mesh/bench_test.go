@@ -1,6 +1,7 @@
 package mesh_test
 
 import (
+	"sync"
 	"testing"
 
 	"commchar/internal/mesh"
@@ -39,4 +40,61 @@ func BenchmarkWormHotSpot(b *testing.B) {
 		mesh.MustRun(b, s)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*15), "ns/msg")
+}
+
+// networkLogRun is a seeded 200k-message run on a 4x4 mesh, every message
+// injected at the current time with an ID from NextID, as the engine's
+// injectors do: its deliveries in completion order, and each one's
+// injection slot.
+var networkLogRun = sync.OnceValues(func() ([]int, []mesh.Delivery) {
+	const messages = 200_000
+	s := sim.New()
+	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
+	st := sim.NewStream(0x106)
+	ds := make([]mesh.Delivery, 0, messages)
+	done := func(d mesh.Delivery) { ds = append(ds, d) }
+	at := sim.Time(0)
+	for range messages {
+		at += sim.Time(st.Exponential(40)) + 1
+		s.At(at, func() {
+			net.Inject(mesh.Message{ID: net.NextID(), Src: st.IntN(16), Dst: st.IntN(16), Bytes: 8 + st.IntN(256), Inject: s.Now()}, done)
+		})
+	}
+	if err := s.Run(); err != nil {
+		panic(err)
+	}
+	slots := make([]int, len(ds))
+	for i, d := range ds {
+		slots[i] = int(d.ID - 1)
+	}
+	return slots, ds
+})
+
+// BenchmarkNetworkLog records a 200k-message run's deliveries and rebuilds
+// its sorted log, the way the network does (compact) and the way it did
+// before its compact records (reference: Delivery values in chunks, one
+// copy, one sort). One op is one whole log; B/op is what keeping the log
+// costs a run.
+func BenchmarkNetworkLog(b *testing.B) {
+	slots, ds := networkLogRun()
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			var c deliveryChunks
+			for _, d := range ds {
+				c.add(d)
+			}
+			if len(c.referenceLog()) != len(ds) {
+				b.Fatal("short log")
+			}
+		}
+	})
+	b.Run("compact", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if len(mesh.LogOf(slots, ds)) != len(ds) {
+				b.Fatal("short log")
+			}
+		}
+	})
 }

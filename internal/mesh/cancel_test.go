@@ -91,3 +91,43 @@ func TestCancelledRunDiagnosesNetwork(t *testing.T) {
 			largeGrown, largeInFlight, smallGrown, smallInFlight)
 	}
 }
+
+// TestCancelledDumpNamesInterruptedMessages cancels a run from a calendar
+// callback at a fixed simulated time. From then on each worm that starts
+// an attempt gives itself up, so the calendar drains before Run polls the
+// context and the live list is empty by the time the run reports its
+// cancellation. The mesh's dump must still name the messages that were in
+// flight when the first worm saw the cancellation, the same way each run.
+func TestCancelledDumpNamesInterruptedMessages(t *testing.T) {
+	dump := func() string {
+		s := sim.New()
+		net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
+		for i := range 40 {
+			net.Inject(mesh.Message{ID: net.NextID(), Src: 1 + i%15, Dst: 0, Bytes: 256, Inject: sim.Time(100 * i)}, nil)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s.SetContext(ctx)
+		s.At(1050, cancel)
+		err := s.Run()
+		var de *sim.DeadlockError
+		if !errors.As(err, &de) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run returned %v, want a cancellation DeadlockError", err)
+		}
+		return de.Error()
+	}
+	text := dump()
+	for _, want := range []string{
+		"in-flight: 0 messages, delivered: 11, failed: 29",
+		"in flight at cancellation (t=1100): 39 messages\n  interrupted msg 2: 2->0, 256 bytes, injected t=100\n",
+		"\n  interrupted msg 12: 12->0, 256 bytes, injected t=1100\n",
+		"\n  ... 19 more interrupted messages",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("diagnostic lacks %q:\n%s", want, text)
+		}
+	}
+	if again := dump(); again != text {
+		t.Errorf("equal runs dumped differently:\n%s\n---\n%s", text, again)
+	}
+}

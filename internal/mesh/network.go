@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -71,7 +72,14 @@ type hop struct {
 // Network is the topology-agnostic wormhole engine: it owns the links,
 // lane arbitration, fault handling, the delivery log and the running
 // totals, and delegates wiring and path selection to the configured
-// Topology. A network keeps the log unless DiscardLog is called.
+// Topology.
+//
+// A network keeps the log unless DiscardLog is called. While a run goes,
+// the log is not kept as Delivery values: each completed message is one
+// compact record of varint deltas (logCodec; 13 to 17 bytes on the runs
+// measured, against a Delivery's 96) in byte chunks that are never
+// copied, and each record names its message's slot, the order Inject was
+// called in. Log rebuilds the one full []Delivery from those records.
 type Network struct {
 	sim    *sim.Simulator
 	cfg    Config
@@ -79,9 +87,11 @@ type Network struct {
 	links  [][]*link // indexed [node][port], ports as numbered by the topology
 	nextID int64
 
-	log      [][]Delivery // completion order, in chunks never copied once full
-	logLen   int
-	noLog    bool // DiscardLog was called: complete stores nothing
+	log      [][]byte // records in completion order, in chunks never copied
+	logLen   int      // records in log
+	logEnc   logCodec // the delta state after the last record
+	slots    int      // injections so far: the next worm's slot
+	noLog    bool     // DiscardLog was called: complete stores nothing
 	totals   Totals
 	inFlight int
 
@@ -89,6 +99,14 @@ type Network struct {
 	failures []error  // ErrPartitioned / ErrExhausted, in give-up order
 	live     *worm    // injected but not yet completed, for diagnostics
 	free     *worm    // finished worms, reused by Inject
+
+	// interrupted is the live list as the first worm to see the run's
+	// context ended found it (that worm included, so it is never empty
+	// once taken), for diagnostics: the worms then drain as failures, so
+	// by the time the run reports its cancellation the live list may be
+	// empty. interruptedAt is when that worm saw it.
+	interrupted   []Message
+	interruptedAt sim.Time
 
 	// routeCache memoizes the fault-free path per (src, dst): the fabric
 	// is immutable after New, so each pair is materialized exactly once
@@ -156,28 +174,53 @@ func (n *Network) Failures() []error {
 	return out
 }
 
+// liveMessages returns the messages of the live worms.
+func (n *Network) liveMessages() []Message {
+	var msgs []Message
+	for w := n.live; w != nil; w = w.nextLive {
+		msgs = append(msgs, w.m)
+	}
+	return msgs
+}
+
+// noteInterrupt snapshots the live list the first time a worm sees the
+// run's context ended.
+func (n *Network) noteInterrupt() {
+	if n.interrupted == nil {
+		n.interrupted, n.interruptedAt = n.liveMessages(), n.sim.Now()
+	}
+}
+
+// maxDiagnosticLines bounds each list in the network's diagnostic.
+const maxDiagnosticLines = 20
+
+// writeMessages sorts msgs by ID and lists them, one line each labelled
+// what; IDs a caller assigned may repeat, so the other fields break ties.
+func writeMessages(b *strings.Builder, what string, msgs []Message) {
+	slices.SortFunc(msgs, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Inject, b.Inject),
+			cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Bytes, b.Bytes))
+	})
+	for i, m := range msgs {
+		if i == maxDiagnosticLines {
+			fmt.Fprintf(b, "\n  ... %d more %s messages", len(msgs)-maxDiagnosticLines, what)
+			break
+		}
+		fmt.Fprintf(b, "\n  %s msg %d: %d->%d, %d bytes, injected t=%d", what, m.ID, m.Src, m.Dst, m.Bytes, m.Inject)
+	}
+}
+
 // diagnostic dumps the network state for watchdog/deadlock reports:
-// in-flight messages and occupied or contended links.
+// in-flight messages, those in flight when a worm first saw the run
+// cancelled, and occupied or contended links.
 func (n *Network) diagnostic() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  in-flight: %d messages, delivered: %d, failed: %d",
 		n.inFlight, n.totals.Delivered, len(n.failures))
-	var pending []Message
-	for w := n.live; w != nil; w = w.nextLive {
-		pending = append(pending, w.m)
-	}
-	// By ID; IDs a caller assigned may repeat, so the other fields break ties.
-	slices.SortFunc(pending, func(a, b Message) int {
-		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Inject, b.Inject),
-			cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Bytes, b.Bytes))
-	})
-	const maxLines = 20
-	for i, m := range pending {
-		if i == maxLines {
-			fmt.Fprintf(&b, "\n  ... %d more pending messages", len(pending)-maxLines)
-			break
-		}
-		fmt.Fprintf(&b, "\n  pending msg %d: %d->%d, %d bytes, injected t=%d", m.ID, m.Src, m.Dst, m.Bytes, m.Inject)
+	writeMessages(&b, "pending", n.liveMessages())
+	if n.interrupted != nil {
+		fmt.Fprintf(&b, "\n  in flight at cancellation (t=%d): %d messages", n.interruptedAt, len(n.interrupted))
+		writeMessages(&b, "interrupted", n.interrupted)
 	}
 	lines := 0
 	for _, ports := range n.links {
@@ -194,7 +237,7 @@ func (n *Network) diagnostic() string {
 			if busy == 0 && len(l.queue) == 0 {
 				continue
 			}
-			if lines == maxLines {
+			if lines == maxDiagnosticLines {
 				fmt.Fprintf(&b, "\n  ... more occupied links elided")
 				return b.String()
 			}
@@ -297,6 +340,8 @@ func (n *Network) Inject(m Message, done func(Delivery)) {
 	}
 	n.inFlight++
 	w := n.newWorm(m, done)
+	w.slot = n.slots
+	n.slots++
 	w.nextLive = n.live
 	if n.live != nil {
 		n.live.prevLive = w
@@ -381,31 +426,134 @@ func (n *Network) chooseWestFirst(cur, dst int) *link {
 	return best
 }
 
-// Delivery log chunks start at minLogChunk entries and double with the log
-// up to maxLogChunk, so small runs stay small and a large log grows without
-// ever copying a recorded delivery.
+// Delivery log chunks start at minLogChunk bytes and double with the log
+// up to maxLogChunk. A record never straddles two chunks, so a chunk with
+// less than maxRecordLen bytes free is closed, and a large log grows
+// without copying a record.
 const (
-	minLogChunk = 256
-	maxLogChunk = 1 << 15
+	minLogChunk  = 4 << 10
+	maxLogChunk  = 256 << 10
+	maxRecordLen = 10 * binary.MaxVarintLen64
 )
 
-// complete records a finished message and runs its done callback.
-func (n *Network) complete(d Delivery, done func(Delivery)) {
+// complete records a finished message, injected in the given slot, and
+// runs its done callback.
+func (n *Network) complete(d Delivery, slot int, done func(Delivery)) {
 	d.End = n.sim.Now()
 	d.Latency = sim.Duration(d.End - d.Inject)
 	n.totals.Add(d)
 	if !n.noLog {
-		if k := len(n.log); k == 0 || len(n.log[k-1]) == cap(n.log[k-1]) {
-			n.log = append(n.log, make([]Delivery, 0, min(max(n.logLen, minLogChunk), maxLogChunk)))
-		}
-		last := &n.log[len(n.log)-1]
-		*last = append(*last, d)
-		n.logLen++
+		n.record(slot, &d)
 	}
 	n.inFlight--
 	if done != nil {
 		done(d)
 	}
+}
+
+// record appends d's log record.
+func (n *Network) record(slot int, d *Delivery) {
+	k := len(n.log)
+	if k == 0 || cap(n.log[k-1])-len(n.log[k-1]) < maxRecordLen {
+		size := minLogChunk
+		if k > 0 {
+			size = min(2*cap(n.log[k-1]), maxLogChunk)
+		}
+		n.log = append(n.log, make([]byte, 0, size))
+		k++
+	}
+	n.log[k-1] = n.logEnc.put(n.log[k-1], slot, d)
+	n.logLen++
+}
+
+// logCodec is the delta state of the delivery log's records: the slot,
+// ID offset and injection time of the last record written or read. A
+// record is ten varints:
+//
+//	slot - the last record's slot                 zigzag
+//	(ID - slot) - the last record's (ID - slot)   zigzag
+//	Src, Dst, Bytes                               uvarint
+//	Inject - the last record's Inject             zigzag
+//	End - Inject, Blocked, Hops                   uvarint
+//	Retries<<7 | Faults<<1 | Status               uvarint
+//
+// Differences wrap as int64 arithmetic does, and a negative field takes
+// ten bytes as a uvarint, so every value round-trips. Latency is not
+// stored: complete always sets it to End - Inject. On the engine's paths
+// IDs follow slots and messages complete near injection order, so most
+// fields take one byte.
+type logCodec struct {
+	slot   int
+	idOff  int64
+	inject sim.Time
+}
+
+// put appends d's record, for the given slot, to buf.
+func (c *logCodec) put(buf []byte, slot int, d *Delivery) []byte {
+	if d.Retries < 0 || d.Retries >= 1<<57 || uint64(d.Faults) >= 1<<6 || uint64(d.Status) > 1 {
+		panic(fmt.Sprintf("mesh: message %d has retries %d, faults %d, status %d", d.ID, d.Retries, d.Faults, d.Status))
+	}
+	idOff := d.ID - int64(slot)
+	buf = binary.AppendUvarint(buf, zigzag(int64(slot-c.slot)))
+	buf = binary.AppendUvarint(buf, zigzag(idOff-c.idOff))
+	buf = binary.AppendUvarint(buf, uint64(d.Src))
+	buf = binary.AppendUvarint(buf, uint64(d.Dst))
+	buf = binary.AppendUvarint(buf, uint64(d.Bytes))
+	buf = binary.AppendUvarint(buf, zigzag(int64(d.Inject-c.inject)))
+	buf = binary.AppendUvarint(buf, uint64(d.End-d.Inject))
+	buf = binary.AppendUvarint(buf, uint64(d.Blocked))
+	buf = binary.AppendUvarint(buf, uint64(d.Hops))
+	buf = binary.AppendUvarint(buf, uint64(d.Retries)<<7|uint64(d.Faults)<<1|uint64(d.Status))
+	c.slot, c.idOff, c.inject = slot, idOff, d.Inject
+	return buf
+}
+
+// nextSlot reads the slot of the record at the head of buf; get then
+// reads the rest of that record into d.
+func (c *logCodec) nextSlot(buf []byte) (int, []byte) {
+	u, buf := uvarint(buf)
+	c.slot += int(unzigzag(u))
+	return c.slot, buf
+}
+
+// get reads the rest of the record whose slot nextSlot just read into d,
+// and returns what follows it.
+func (c *logCodec) get(buf []byte, d *Delivery) []byte {
+	var u uint64
+	u, buf = uvarint(buf)
+	c.idOff += unzigzag(u)
+	d.ID = int64(c.slot) + c.idOff
+	u, buf = uvarint(buf)
+	d.Src = int(u)
+	u, buf = uvarint(buf)
+	d.Dst = int(u)
+	u, buf = uvarint(buf)
+	d.Bytes = int(u)
+	u, buf = uvarint(buf)
+	c.inject += sim.Time(unzigzag(u))
+	d.Inject = c.inject
+	u, buf = uvarint(buf)
+	d.Latency = sim.Duration(u)
+	d.End = d.Inject + sim.Time(d.Latency)
+	u, buf = uvarint(buf)
+	d.Blocked = sim.Duration(u)
+	u, buf = uvarint(buf)
+	d.Hops = int(u)
+	u, buf = uvarint(buf)
+	d.Retries, d.Faults, d.Status = int(u>>7), FaultFlags(u>>1&(1<<6-1)), DeliveryStatus(u&1)
+	return buf
+}
+
+func zigzag(x int64) uint64   { return uint64(x<<1) ^ uint64(x>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// uvarint reads one uvarint from the head of buf, a log record's field.
+func uvarint(buf []byte) (uint64, []byte) {
+	if b := buf[0]; b < 0x80 {
+		return uint64(b), buf[1:]
+	}
+	u, k := binary.Uvarint(buf)
+	return u, buf[k:]
 }
 
 // InFlight reports the number of injected but undelivered messages.
@@ -429,24 +577,48 @@ func (n *Network) DiscardLog() {
 	n.noLog = true
 }
 
-// Log returns the deliveries recorded so far, sorted by injection time
-// (ties broken by message ID). The returned slice is a copy. It panics on
-// a network told to keep no log (DiscardLog).
+// Log returns the deliveries completed so far, sorted by injection time,
+// ties broken by message ID; deliveries whose (Inject, ID) keys are equal,
+// which only IDs a caller assigned can give, stay in the order they were
+// injected in. The returned slice is the caller's: Log builds it at its
+// final length and decodes each record straight into its slot's place.
+// When every message is injected at the simulator's current time with
+// an ID from NextID, as the engine's injectors do, injection order is the
+// sorted order and nothing is sorted; otherwise Log sorts the slice once.
+// It panics on a network told to keep no log (DiscardLog).
 func (n *Network) Log() []Delivery {
 	if n.noLog {
 		panic("mesh: Log called on a network that keeps no delivery log (DiscardLog)")
 	}
-	out := make([]Delivery, 0, n.logLen)
-	for _, chunk := range n.log {
-		out = append(out, chunk...)
+	out := make([]Delivery, n.logLen)
+	// A live worm holds a slot but has no record yet, so a record's place
+	// is its slot less the live slots below it.
+	var live []int
+	for w := n.live; w != nil; w = w.nextLive {
+		live = append(live, w.slot)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Inject != out[j].Inject {
-			return out[i].Inject < out[j].Inject
+	slices.Sort(live)
+	var dec logCodec
+	for _, chunk := range n.log {
+		for len(chunk) > 0 {
+			var slot int
+			slot, chunk = dec.nextSlot(chunk)
+			below, _ := slices.BinarySearch(live, slot)
+			chunk = dec.get(chunk, &out[slot-below])
 		}
-		return out[i].Message.ID < out[j].Message.ID
-	})
+	}
+	for i := 1; i < len(out); i++ {
+		if logBefore(&out[i], &out[i-1]) {
+			sort.SliceStable(out, func(i, j int) bool { return logBefore(&out[i], &out[j]) })
+			break
+		}
+	}
 	return out
+}
+
+// logBefore is Log's order: by injection time, then message ID.
+func logBefore(a, b *Delivery) bool {
+	return a.Inject < b.Inject || a.Inject == b.Inject && a.ID < b.ID
 }
 
 // LinkStats returns utilization records for every physical link, ordered by

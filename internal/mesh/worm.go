@@ -22,6 +22,7 @@ type worm struct {
 	net     *Network
 	m       Message
 	done    func(Delivery)
+	slot    int // injection order, the place of its record in Network.Log
 	flits   int
 	fire    func() // w.run, bound once per worm
 	drainFn func() // w.releaseTail, bound once per worm
@@ -119,6 +120,7 @@ func (w *worm) startAttempt() {
 	// calendar), the worm gives itself up instead of spinning through its
 	// backoff schedule.
 	if n.sim.Interrupted() != nil {
+		n.noteInterrupt()
 		w.finish(0, &ErrCancelled{MsgID: w.m.ID, Src: w.m.Src, Dst: w.m.Dst, Retries: w.attempt, Time: now})
 		return
 	}
@@ -321,7 +323,7 @@ func (w *worm) finish(hops int, err error) {
 	if w.nextLive != nil {
 		w.nextLive.prevLive = w.prevLive
 	}
-	n.complete(d, w.done)
+	n.complete(d, w.slot, w.done)
 	*w = worm{net: n, fire: w.fire, drainFn: w.drainFn, acquired: w.acquired[:0], held: w.held[:0],
 		nextFree: n.free}
 	n.free = w

@@ -8,6 +8,7 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 
 	"commchar/internal/sim"
@@ -114,10 +115,18 @@ func (t *Trace) Validate() error {
 			}
 		}
 	}
+	// Of several unbalanced channels, name the smallest (src, dst, tag), so
+	// the error does not depend on the map's iteration order.
+	var first channel
+	unbalanced := 0
 	for ch, b := range balance {
-		if b != 0 {
-			return fmt.Errorf("trace: channel %d->%d tag %d unbalanced by %d", ch.src, ch.dst, ch.tag, b)
+		if b != 0 && (unbalanced == 0 ||
+			cmp.Or(cmp.Compare(ch.src, first.src), cmp.Compare(ch.dst, first.dst), cmp.Compare(ch.tag, first.tag)) < 0) {
+			first, unbalanced = ch, b
 		}
+	}
+	if unbalanced != 0 {
+		return fmt.Errorf("trace: channel %d->%d tag %d unbalanced by %d", first.src, first.dst, first.tag, unbalanced)
 	}
 	return nil
 }

@@ -34,6 +34,24 @@ func TestValidateRejectsUnbalanced(t *testing.T) {
 	}
 }
 
+// TestValidateNamesSmallestUnbalancedChannel: of several unbalanced
+// channels, Validate names the smallest (src, dst, tag), every time.
+func TestValidateNamesSmallestUnbalancedChannel(t *testing.T) {
+	tr := New(4)
+	for rank := 3; rank >= 0; rank-- {
+		for tag := 5; tag >= 0; tag-- {
+			tr.Add(rank, Event{Op: OpSend, Peer: (rank + 1) % 4, Bytes: 8, Tag: tag})
+		}
+	}
+	tr.Add(1, Event{Op: OpRecv, Peer: 0, Tag: 0}) // balances 0->1 tag 0
+	const want = "trace: channel 0->1 tag 1 unbalanced by 1"
+	for range 50 {
+		if err := tr.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("Validate = %v, want %q", err, want)
+		}
+	}
+}
+
 func TestValidateRejectsBadPeer(t *testing.T) {
 	tr := New(2)
 	tr.Add(0, Event{Op: OpSend, Peer: 5, Bytes: 8})
