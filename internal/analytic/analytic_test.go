@@ -26,11 +26,11 @@ func TestZeroLoadLatencyMatchesSimulator(t *testing.T) {
 	s := sim.New()
 	net := mesh.New(s, cfg)
 	var d mesh.Delivery
-	net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 15, Bytes: 40, Inject: 0},
+	net.Inject(mesh.Message{Src: 0, Dst: 15, Bytes: 40, Inject: 0},
 		func(x mesh.Delivery) { d = x })
 	s.Run()
-	if math.Abs(pred.T0-float64(d.Latency)) > 1 {
-		t.Fatalf("analytic T0 = %v, simulator = %v", pred.T0, d.Latency)
+	if math.Abs(pred.T0-float64(d.Latency())) > 1 {
+		t.Fatalf("analytic T0 = %v, simulator = %v", pred.T0, d.Latency())
 	}
 	if pred.Contention > 1 {
 		t.Fatalf("contention at vanishing load = %v", pred.Contention)
@@ -108,7 +108,7 @@ func TestFromCharacterization(t *testing.T) {
 			id++
 			log = append(log, mesh.Delivery{
 				Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: 40, Inject: tm},
-				End:     tm + 300, Latency: 300, Hops: 2,
+				End:     tm + 300, Hops: 2,
 			})
 		}
 	}

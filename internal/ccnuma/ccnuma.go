@@ -316,7 +316,7 @@ func (s *System) send(p *sim.Process, src, dst, bytes int) {
 	w := s.waiterFor(p)
 	w.done = false
 	s.net.Inject(mesh.Message{
-		ID: s.net.NextID(), Src: src, Dst: dst, Bytes: bytes, Inject: p.Now(),
+		Src: src, Dst: dst, Bytes: bytes, Inject: p.Now(),
 	}, w.deliveredFn)
 	for !w.done {
 		p.Suspend()
@@ -600,12 +600,12 @@ func (s *System) invalidateAll(p *sim.Process, home int, block uint64, targets [
 			continue
 		}
 		s.net.Inject(mesh.Message{
-			ID: s.net.NextID(), Src: home, Dst: t, Bytes: ctl, Inject: p.Now(),
+			Src: home, Dst: t, Bytes: ctl, Inject: p.Now(),
 		}, func(d mesh.Delivery) {
 			s.setState(t, block, Invalid)
 			// Ack back to home.
 			s.net.Inject(mesh.Message{
-				ID: s.net.NextID(), Src: t, Dst: home, Bytes: ctl, Inject: d.End,
+				Src: t, Dst: home, Bytes: ctl, Inject: d.End,
 			}, func(mesh.Delivery) {
 				remaining--
 				if remaining == 0 {

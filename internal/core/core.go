@@ -139,7 +139,7 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 		Log:             sorted,
 	}
 
-	// First pass: validate the endpoints, count each source's deliveries,
+	// First pass: validate the endpoints and lengths, count each source's deliveries,
 	// so that every sample below is allocated once, at its final size,
 	// and count each message length.
 	perSource := make([]int, procs)
@@ -154,11 +154,14 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 			return nil, fmt.Errorf("core: delivery %d endpoints %d->%d outside %d processors",
 				d.Message.ID, d.Src, d.Dst, procs)
 		}
+		if d.Bytes < 1 {
+			return nil, fmt.Errorf("core: delivery %d has length %d", d.Message.ID, d.Bytes)
+		}
 		perSource[d.Src]++
 		counts[d.Src][d.Dst]++
 		byLen[d.Bytes]++
 		c.TotalBytes += int64(d.Bytes)
-		latSum += float64(d.Latency)
+		latSum += float64(d.Latency())
 		blkSum += float64(d.Blocked)
 		hopSum += float64(d.Hops)
 	}

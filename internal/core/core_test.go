@@ -35,7 +35,7 @@ func syntheticLog(procs, perSource int, meanGapNS float64, seed uint64) []mesh.D
 			id++
 			log = append(log, mesh.Delivery{
 				Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: bytes, Inject: t},
-				End:     t + 500, Latency: 500, Blocked: 0, Hops: 3,
+				End:     t + 500, Blocked: 0, Hops: 3,
 			})
 		}
 	}
@@ -118,9 +118,20 @@ func TestAnalyzeRejectsEmptyAndBadLogs(t *testing.T) {
 	if _, err := Analyze("x", StrategyDynamic, nil, 4, 0, 0); err == nil {
 		t.Fatal("empty log accepted")
 	}
-	bad := []mesh.Delivery{{Message: mesh.Message{ID: 1, Src: 9, Dst: 0, Bytes: 8}}}
-	if _, err := Analyze("x", StrategyDynamic, bad, 4, 0, 0); err == nil {
-		t.Fatal("out-of-range source accepted")
+	for _, c := range []struct {
+		m    mesh.Message
+		want string
+	}{
+		{mesh.Message{ID: 1, Src: 9, Dst: 0, Bytes: 8}, "core: delivery 1 endpoints 9->0 outside 4 processors"},
+		// A delivery shorter than a byte could not have crossed the
+		// network, and traffic regenerated from it would inject one.
+		{mesh.Message{ID: 2, Src: 0, Dst: 1, Bytes: 0}, "core: delivery 2 has length 0"},
+		{mesh.Message{ID: 3, Src: 0, Dst: 1, Bytes: -8}, "core: delivery 3 has length -8"},
+	} {
+		bad := append(syntheticLog(4, 20, 1000, 3), mesh.Delivery{Message: c.m})
+		if _, err := Analyze("x", StrategyDynamic, bad, 4, 0, 0); err == nil || err.Error() != c.want {
+			t.Errorf("error %v, want %q", err, c.want)
+		}
 	}
 }
 

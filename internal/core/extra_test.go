@@ -17,7 +17,7 @@ func burstyLog(procs int) ([]mesh.Delivery, sim.Time) {
 		id++
 		log = append(log, mesh.Delivery{
 			Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: 8, Inject: t},
-			End:     t + 100, Latency: 100, Hops: hops,
+			End:     t + 100, Hops: hops,
 		})
 	}
 	// Phase 1: t in [0, 1000), heavy.
@@ -99,7 +99,7 @@ func TestAnalyzeReceivers(t *testing.T) {
 		}
 		log = append(log, mesh.Delivery{
 			Message: mesh.Message{ID: int64(i + 1), Src: 0, Dst: dst, Bytes: 8, Inject: sim.Time(i * 10)},
-			End:     sim.Time(i*10 + 50), Latency: 50, Hops: 1,
+			End:     sim.Time(i*10 + 50), Hops: 1,
 		})
 	}
 	c, err := Analyze("recv", StrategyDynamic, log, 4, 1000, 0)

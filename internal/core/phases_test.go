@@ -22,7 +22,7 @@ func twoPhaseLog(procs int) ([]mesh.Delivery, sim.Time) {
 		}
 		log = append(log, mesh.Delivery{
 			Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: bytes, Inject: t},
-			End:     t + 200, Latency: 200, Hops: 2,
+			End:     t + 200, Hops: 2,
 		})
 	}
 	t := sim.Time(0)
@@ -77,7 +77,7 @@ func TestSplitPhasesSmoothTrafficIsOnePhase(t *testing.T) {
 		tm += sim.Time(st.Exponential(500)) + 1
 		log = append(log, mesh.Delivery{
 			Message: mesh.Message{ID: int64(i + 1), Src: i % 4, Dst: (i + 1) % 4, Bytes: 8, Inject: tm},
-			End:     tm + 100, Latency: 100, Hops: 1,
+			End:     tm + 100, Hops: 1,
 		})
 	}
 	c, err := Analyze("smooth", StrategyDynamic, log, 4, tm+100, 0)
@@ -127,7 +127,7 @@ func TestBurstsRawSegmentation(t *testing.T) {
 func TestSplitPhasesTinyLog(t *testing.T) {
 	log := []mesh.Delivery{{
 		Message: mesh.Message{ID: 1, Src: 0, Dst: 1, Bytes: 8, Inject: 10},
-		End:     20, Latency: 10, Hops: 1,
+		End:     20, Hops: 1,
 	}}
 	c, err := Analyze("tiny", StrategyDynamic, log, 2, 100, 0)
 	if err != nil {

@@ -301,7 +301,7 @@ func (r *Runner) AblationVirtualChannels(w io.Writer) error {
 					continue
 				}
 				net.Inject(mesh.Message{
-					ID: net.NextID(), Src: src, Dst: dst,
+					Src: src, Dst: dst,
 					Bytes: 40, Inject: t,
 				}, nil)
 			}

@@ -171,7 +171,7 @@ func (r *Runner) AblationTopology(w io.Writer) error {
 					dst++
 				}
 				net.Inject(mesh.Message{
-					ID: net.NextID(), Src: src, Dst: dst, Bytes: 40, Inject: tm,
+					Src: src, Dst: dst, Bytes: 40, Inject: tm,
 				}, nil)
 			}
 		}

@@ -77,7 +77,7 @@ func TestWarmWormAllocFree(t *testing.T) {
 					}
 					send := func() {
 						for range burst {
-							n.Inject(mesh.Message{ID: n.NextID(), Src: src, Dst: dst, Bytes: 64, Inject: s.Now()}, nil)
+							n.Inject(mesh.Message{Src: src, Dst: dst, Bytes: 64, Inject: s.Now()}, nil)
 						}
 						if err := s.Run(); err != nil {
 							t.Fatal(err)

@@ -19,7 +19,7 @@ func BenchmarkWormPerHop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Inject(mesh.Message{ID: int64(i), Src: 0, Dst: 63, Bytes: 64, Inject: s.Now()}, nil)
+		net.Inject(mesh.Message{Src: 0, Dst: 63, Bytes: 64, Inject: s.Now()}, nil)
 		mesh.MustRun(b, s)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hops), "ns/hop")
@@ -35,7 +35,7 @@ func BenchmarkWormHotSpot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for src := 1; src < 16; src++ {
-			net.Inject(mesh.Message{ID: net.NextID(), Src: src, Dst: 0, Bytes: 64, Inject: s.Now()}, nil)
+			net.Inject(mesh.Message{Src: src, Dst: 0, Bytes: 64, Inject: s.Now()}, nil)
 		}
 		mesh.MustRun(b, s)
 	}
@@ -43,10 +43,9 @@ func BenchmarkWormHotSpot(b *testing.B) {
 }
 
 // networkLogRun is a seeded 200k-message run on a 4x4 mesh, every message
-// injected at the current time with an ID from NextID, as the engine's
-// injectors do: its deliveries in completion order, and each one's
-// injection slot.
-var networkLogRun = sync.OnceValues(func() ([]int, []mesh.Delivery) {
+// injected at the current time, as the engine's injectors do: its
+// deliveries in completion order.
+var networkLogRun = sync.OnceValue(func() []mesh.Delivery {
 	const messages = 200_000
 	s := sim.New()
 	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
@@ -57,17 +56,13 @@ var networkLogRun = sync.OnceValues(func() ([]int, []mesh.Delivery) {
 	for range messages {
 		at += sim.Time(st.Exponential(40)) + 1
 		s.At(at, func() {
-			net.Inject(mesh.Message{ID: net.NextID(), Src: st.IntN(16), Dst: st.IntN(16), Bytes: 8 + st.IntN(256), Inject: s.Now()}, done)
+			net.Inject(mesh.Message{Src: st.IntN(16), Dst: st.IntN(16), Bytes: 8 + st.IntN(256), Inject: s.Now()}, done)
 		})
 	}
 	if err := s.Run(); err != nil {
 		panic(err)
 	}
-	slots := make([]int, len(ds))
-	for i, d := range ds {
-		slots[i] = int(d.ID - 1)
-	}
-	return slots, ds
+	return ds
 })
 
 // BenchmarkNetworkLog records a 200k-message run's deliveries and rebuilds
@@ -76,7 +71,7 @@ var networkLogRun = sync.OnceValues(func() ([]int, []mesh.Delivery) {
 // copy, one sort). One op is one whole log; B/op is what keeping the log
 // costs a run.
 func BenchmarkNetworkLog(b *testing.B) {
-	slots, ds := networkLogRun()
+	ds := networkLogRun()
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
@@ -92,7 +87,7 @@ func BenchmarkNetworkLog(b *testing.B) {
 	b.Run("compact", func(b *testing.B) {
 		b.ReportAllocs()
 		for range b.N {
-			if len(mesh.LogOf(slots, ds)) != len(ds) {
+			if len(mesh.LogOf(ds)) != len(ds) {
 				b.Fatal("short log")
 			}
 		}

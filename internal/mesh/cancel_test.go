@@ -25,7 +25,7 @@ func cancelHotSpot(t *testing.T, msgs int) (*sim.DeadlockError, int, int, string
 	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
 	delivered := make([]bool, msgs)
 	for i := 0; i < msgs; i++ {
-		net.Inject(mesh.Message{ID: net.NextID(), Src: 1 + i%15, Dst: 0, Bytes: 256, Inject: sim.Time(i)},
+		net.Inject(mesh.Message{Src: 1 + i%15, Dst: 0, Bytes: 256, Inject: sim.Time(i)},
 			func(d mesh.Delivery) { delivered[d.ID-1] = true })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -103,7 +103,7 @@ func TestCancelledDumpNamesInterruptedMessages(t *testing.T) {
 		s := sim.New()
 		net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
 		for i := range 40 {
-			net.Inject(mesh.Message{ID: net.NextID(), Src: 1 + i%15, Dst: 0, Bytes: 256, Inject: sim.Time(100 * i)}, nil)
+			net.Inject(mesh.Message{Src: 1 + i%15, Dst: 0, Bytes: 256, Inject: sim.Time(100 * i)}, nil)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()

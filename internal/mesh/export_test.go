@@ -7,13 +7,13 @@ func (n *Network) ComputeRouteLen(src, dst int) int { return len(n.computeRoute(
 // MustRun is mustRun for the external tests.
 var MustRun = mustRun
 
-// LogOf records ds as completed deliveries, in the order given and with
-// ds[i] injected in slot slots[i], on a network that has run nothing,
-// and returns its Log. slots must be a permutation of 0..len(ds)-1.
-func LogOf(slots []int, ds []Delivery) []Delivery {
+// LogOf records ds as completed deliveries, in the order given, on a
+// network that has run nothing, and returns its Log. Their IDs must be a
+// permutation of 1..len(ds), as Inject would have numbered them.
+func LogOf(ds []Delivery) []Delivery {
 	n := &Network{}
 	for i := range ds {
-		n.record(slots[i], &ds[i])
+		n.record(&ds[i])
 	}
 	return n.Log()
 }

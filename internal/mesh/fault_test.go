@@ -32,7 +32,7 @@ func uniformRun(t *testing.T, spec string, seed uint64) []mesh.Delivery {
 			if dst == src {
 				dst = (dst + 1) % 16
 			}
-			net.Inject(mesh.Message{ID: net.NextID(), Src: src, Dst: dst, Bytes: 64, Inject: at}, nil)
+			net.Inject(mesh.Message{Src: src, Dst: dst, Bytes: 64, Inject: at}, nil)
 		}
 	}
 	s.SetWatchdog(sim.Watchdog{MaxEvents: 5_000_000})
@@ -111,7 +111,7 @@ func TestPermanentFailureReroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.SetFaults(sched)
-	net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
+	net.Inject(mesh.Message{Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
 	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestPartitionedReturnsStructuredError(t *testing.T) {
 	}
 	net.SetFaults(sched)
 	var got mesh.Delivery
-	net.Inject(mesh.Message{ID: 9, Src: 0, Dst: 1, Bytes: 16, Inject: 0}, func(d mesh.Delivery) { got = d })
+	net.Inject(mesh.Message{Src: 0, Dst: 1, Bytes: 16, Inject: 0}, func(d mesh.Delivery) { got = d })
 	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestPartitionedReturnsStructuredError(t *testing.T) {
 	if !errors.As(fails[0], &pe) {
 		t.Fatalf("not ErrPartitioned: %v", fails[0])
 	}
-	if pe.MsgID != 9 || pe.Src != 0 || pe.Dst != 1 {
+	if pe.MsgID != 1 || pe.Src != 0 || pe.Dst != 1 {
 		t.Fatalf("wrong context: %+v", pe)
 	}
 	if net.InFlight() != 0 {
@@ -176,7 +176,7 @@ func TestRetryExhaustionFailsDeterministically(t *testing.T) {
 		net := mesh.New(s, cfg)
 		sched, _ := fault.Parse("drop:1.0", 11)
 		net.SetFaults(sched)
-		net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 16, Inject: 0}, nil)
+		net.Inject(mesh.Message{Src: 0, Dst: 3, Bytes: 16, Inject: 0}, nil)
 		if err := s.Run(); err != nil {
 			t.Fatalf("run: %v", err)
 		}
@@ -205,7 +205,7 @@ func TestSlowLinkFlagsAndDelays(t *testing.T) {
 			sched, _ := fault.Parse(spec, 3)
 			net.SetFaults(sched)
 		}
-		net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 64, Inject: 0}, nil)
+		net.Inject(mesh.Message{Src: 0, Dst: 3, Bytes: 64, Inject: 0}, nil)
 		mesh.MustRun(t, s)
 		return net.Log()[0]
 	}
@@ -214,8 +214,8 @@ func TestSlowLinkFlagsAndDelays(t *testing.T) {
 	if slowed.Faults&mesh.FaultSlowed == 0 {
 		t.Fatalf("not flagged slowed: %v", slowed.Faults)
 	}
-	if slowed.Latency <= clean.Latency {
-		t.Fatalf("slow link did not add latency: %d vs %d", slowed.Latency, clean.Latency)
+	if slowed.Latency() <= clean.Latency() {
+		t.Fatalf("slow link did not add latency: %d vs %d", slowed.Latency(), clean.Latency())
 	}
 }
 
@@ -227,7 +227,7 @@ func TestCorruptedDeliveryRetransmitted(t *testing.T) {
 	sched, _ := fault.Parse("corrupt:0.5", 21)
 	net.SetFaults(sched)
 	for i := 0; i < 20; i++ {
-		net.Inject(mesh.Message{ID: net.NextID(), Src: i % 4, Dst: (i + 1) % 4, Bytes: 32, Inject: sim.Time(i * 10_000)}, nil)
+		net.Inject(mesh.Message{Src: i % 4, Dst: (i + 1) % 4, Bytes: 32, Inject: sim.Time(i * 10_000)}, nil)
 	}
 	s.SetWatchdog(sim.Watchdog{MaxEvents: 1_000_000})
 	if err := s.Run(); err != nil {
@@ -264,7 +264,7 @@ func TestTorusWraparoundLinkFailureReroutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.SetFaults(sched)
-	net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
+	net.Inject(mesh.Message{Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
 	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestTorusWraparoundLinkFailureReroutes(t *testing.T) {
 	net2 := mesh.New(s2, mesh.DefaultConfig(mesh.TorusTopology, 4, 4))
 	sched2, _ := fault.Parse("down:0<->3@0ns", 11)
 	net2.SetFaults(sched2)
-	net2.Inject(mesh.Message{ID: 1, Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
+	net2.Inject(mesh.Message{Src: 0, Dst: 3, Bytes: 32, Inject: 0}, nil)
 	if err := s2.Run(); err != nil {
 		t.Fatalf("rerun: %v", err)
 	}
@@ -314,7 +314,7 @@ func TestFatTreeLinkFailure(t *testing.T) {
 		}
 		net.SetFaults(sched)
 		var got mesh.Delivery
-		net.Inject(mesh.Message{ID: 1, Src: 4, Dst: 0, Bytes: 32, Inject: 0}, func(d mesh.Delivery) { got = d })
+		net.Inject(mesh.Message{Src: 4, Dst: 0, Bytes: 32, Inject: 0}, func(d mesh.Delivery) { got = d })
 		if err := s.Run(); err != nil {
 			t.Fatalf("%s: run: %v", faults, err)
 		}

@@ -69,12 +69,12 @@ func TestHypercubeUncontendedLatency(t *testing.T) {
 	cfg := DefaultConfig(HypercubeTopology, 3)
 	n := New(s, cfg)
 	var d Delivery
-	n.Inject(Message{ID: 1, Src: 0, Dst: 7, Bytes: 8, Inject: 0}, func(x Delivery) { d = x })
+	n.Inject(Message{Src: 0, Dst: 7, Bytes: 8, Inject: 0}, func(x Delivery) { d = x })
 	mustRun(t, s)
 	hopTime := cfg.CycleTime * sim.Duration(1+cfg.RouterDelay)
 	want := 3*hopTime + sim.Duration(cfg.Flits(8)-1)*cfg.CycleTime
-	if d.Latency != want {
-		t.Fatalf("latency = %d, want %d", d.Latency, want)
+	if d.Latency() != want {
+		t.Fatalf("latency = %d, want %d", d.Latency(), want)
 	}
 }
 
@@ -101,12 +101,10 @@ func TestHypercubeConservationProperty(t *testing.T) {
 func TestHypercubeDeadlockFreedomUnderLoad(t *testing.T) {
 	s := sim.New()
 	n := New(s, DefaultConfig(HypercubeTopology, 4))
-	id := int64(0)
 	// Adversarial: every node sends long messages to its complement.
 	for round := 0; round < 30; round++ {
 		for src := 0; src < 16; src++ {
-			id++
-			n.Inject(Message{ID: id, Src: src, Dst: src ^ 15, Bytes: 512, Inject: sim.Time(round * 50)}, nil)
+			n.Inject(Message{Src: src, Dst: src ^ 15, Bytes: 512, Inject: sim.Time(round * 50)}, nil)
 		}
 	}
 	mustRun(t, s)
@@ -118,7 +116,7 @@ func TestHypercubeDeadlockFreedomUnderLoad(t *testing.T) {
 func TestHypercubeLinkCount(t *testing.T) {
 	s := sim.New()
 	n := New(s, DefaultConfig(HypercubeTopology, 4))
-	n.Inject(Message{ID: 1, Src: 0, Dst: 15, Bytes: 8, Inject: 0}, nil)
+	n.Inject(Message{Src: 0, Dst: 15, Bytes: 8, Inject: 0}, nil)
 	mustRun(t, s)
 	// d·2^d directed links: 4·16 = 64.
 	if got := len(n.LinkStats()); got != 64 {

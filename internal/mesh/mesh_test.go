@@ -139,15 +139,15 @@ func TestUncontendedLatency(t *testing.T) {
 	cfg := DefaultConfig(MeshTopology, 4, 4)
 	n := New(s, cfg)
 	var got Delivery
-	m := Message{ID: 1, Src: 0, Dst: 15, Bytes: 8, Inject: 0}
+	m := Message{Src: 0, Dst: 15, Bytes: 8, Inject: 0}
 	n.Inject(m, func(d Delivery) { got = d })
 	mustRun(t, s)
 	hops := manhattan(cfg, 0, 15) // 6
 	flits := cfg.Flits(8)         // 2
 	hopTime := cfg.CycleTime * sim.Duration(1+cfg.RouterDelay)
 	want := sim.Duration(hops)*hopTime + sim.Duration(flits-1)*cfg.CycleTime
-	if got.Latency != want {
-		t.Fatalf("latency = %d, want %d", got.Latency, want)
+	if got.Latency() != want {
+		t.Fatalf("latency = %d, want %d", got.Latency(), want)
 	}
 	if got.Blocked != 0 {
 		t.Fatalf("blocked = %d, want 0 on idle network", got.Blocked)
@@ -162,10 +162,10 @@ func TestLocalDelivery(t *testing.T) {
 	cfg := DefaultConfig(MeshTopology, 2, 2)
 	n := New(s, cfg)
 	var got Delivery
-	n.Inject(Message{ID: 1, Src: 3, Dst: 3, Bytes: 100, Inject: 10}, func(d Delivery) { got = d })
+	n.Inject(Message{Src: 3, Dst: 3, Bytes: 100, Inject: 10}, func(d Delivery) { got = d })
 	mustRun(t, s)
-	if got.Latency != cfg.LocalDelay {
-		t.Fatalf("local latency = %d, want %d", got.Latency, cfg.LocalDelay)
+	if got.Latency() != cfg.LocalDelay {
+		t.Fatalf("local latency = %d, want %d", got.Latency(), cfg.LocalDelay)
 	}
 	if got.Hops != 0 {
 		t.Fatalf("local hops = %d", got.Hops)
@@ -178,8 +178,8 @@ func TestContentionSerializes(t *testing.T) {
 	n := New(s, cfg)
 	var a, b Delivery
 	// Two long messages over the same path, injected simultaneously.
-	n.Inject(Message{ID: 1, Src: 0, Dst: 3, Bytes: 256, Inject: 0}, func(d Delivery) { a = d })
-	n.Inject(Message{ID: 2, Src: 0, Dst: 3, Bytes: 256, Inject: 0}, func(d Delivery) { b = d })
+	n.Inject(Message{Src: 0, Dst: 3, Bytes: 256, Inject: 0}, func(d Delivery) { a = d })
+	n.Inject(Message{Src: 0, Dst: 3, Bytes: 256, Inject: 0}, func(d Delivery) { b = d })
 	mustRun(t, s)
 	if a.Blocked != 0 {
 		t.Fatalf("first message blocked %d", a.Blocked)
@@ -190,7 +190,7 @@ func TestContentionSerializes(t *testing.T) {
 	if b.End <= a.End {
 		t.Fatalf("second message finished at %d, first at %d", b.End, a.End)
 	}
-	if b.Latency <= a.Latency {
+	if b.Latency() <= a.Latency() {
 		t.Fatal("contended message not slower")
 	}
 }
@@ -203,8 +203,8 @@ func TestVirtualChannelsReduceBlocking(t *testing.T) {
 		n := New(s, cfg)
 		// A long message 0->3 and a short one 1->2 that shares link 1->2.
 		var short Delivery
-		n.Inject(Message{ID: 1, Src: 0, Dst: 3, Bytes: 1024, Inject: 0}, nil)
-		n.Inject(Message{ID: 2, Src: 1, Dst: 2, Bytes: 8, Inject: 100}, func(d Delivery) { short = d })
+		n.Inject(Message{Src: 0, Dst: 3, Bytes: 1024, Inject: 0}, nil)
+		n.Inject(Message{Src: 1, Dst: 2, Bytes: 8, Inject: 100}, func(d Delivery) { short = d })
 		mustRun(t, s)
 		return short.Blocked
 	}
@@ -233,7 +233,7 @@ func TestTorusWraparound(t *testing.T) {
 		t.Fatalf("torus hops 0->15 = %d, want 2", h)
 	}
 	var d Delivery
-	n.Inject(Message{ID: 1, Src: 0, Dst: 15, Bytes: 8, Inject: 0}, func(x Delivery) { d = x })
+	n.Inject(Message{Src: 0, Dst: 15, Bytes: 8, Inject: 0}, func(x Delivery) { d = x })
 	mustRun(t, s)
 	if d.Hops != 2 {
 		t.Fatalf("delivered hops = %d", d.Hops)
@@ -249,7 +249,6 @@ func TestConservationProperty(t *testing.T) {
 		total := int(count)%200 + 1
 		for i := 0; i < total; i++ {
 			m := Message{
-				ID:     int64(i),
 				Src:    st.IntN(cfg.Fabric().Endpoints()),
 				Dst:    st.IntN(cfg.Fabric().Endpoints()),
 				Bytes:  1 + st.IntN(256),
@@ -291,7 +290,6 @@ func TestLatencyAtLeastUncontendedProperty(t *testing.T) {
 				st := sim.NewStream(seed)
 				for i := 0; i < 100; i++ {
 					n.Inject(Message{
-						ID:     int64(i),
 						Src:    st.IntN(cfg.Fabric().Endpoints()),
 						Dst:    st.IntN(cfg.Fabric().Endpoints()),
 						Bytes:  1 + st.IntN(128),
@@ -308,12 +306,12 @@ func TestLatencyAtLeastUncontendedProperty(t *testing.T) {
 					if d.Src != d.Dst {
 						floor = sim.Duration(d.Hops)*hopTime + sim.Duration(cfg.Flits(d.Bytes)-1)*cfg.CycleTime
 					}
-					if d.Latency < floor {
-						t.Logf("%d->%d: latency %d below its floor %d", d.Src, d.Dst, d.Latency, floor)
+					if d.Latency() < floor {
+						t.Logf("%d->%d: latency %d below its floor %d", d.Src, d.Dst, d.Latency(), floor)
 						return false
 					}
-					if d.Latency != floor && d.Blocked == 0 {
-						t.Logf("%d->%d: latency %d above its floor %d with no blocking", d.Src, d.Dst, d.Latency, floor)
+					if d.Latency() != floor && d.Blocked == 0 {
+						t.Logf("%d->%d: latency %d above its floor %d with no blocking", d.Src, d.Dst, d.Latency(), floor)
 						return false // slower than physics with no recorded contention
 					}
 				}
@@ -332,20 +330,18 @@ func TestDeadlockFreedomUnderLoad(t *testing.T) {
 	s := sim.New()
 	cfg := DefaultConfig(MeshTopology, 3, 3)
 	n := New(s, cfg)
-	id := int64(0)
 	for round := 0; round < 50; round++ {
 		for src := 0; src < cfg.Fabric().Endpoints(); src++ {
 			dst := (src + 1 + round%(cfg.Fabric().Endpoints()-1)) % cfg.Fabric().Endpoints()
-			id++
-			n.Inject(Message{ID: id, Src: src, Dst: dst, Bytes: 512, Inject: sim.Time(round * 10)}, nil)
+			n.Inject(Message{Src: src, Dst: dst, Bytes: 512, Inject: sim.Time(round * 10)}, nil)
 		}
 	}
 	mustRun(t, s)
 	if n.InFlight() != 0 {
 		t.Fatalf("%d messages stuck in flight", n.InFlight())
 	}
-	if n.Delivered() != id {
-		t.Fatalf("delivered %d of %d", n.Delivered(), id)
+	if want := int64(50 * cfg.Fabric().Endpoints()); n.Delivered() != want {
+		t.Fatalf("delivered %d of %d", n.Delivered(), want)
 	}
 }
 
@@ -355,12 +351,10 @@ func TestTorusDeadlockFreedomUnderLoad(t *testing.T) {
 	cfg.Topology = TorusTopology
 	cfg.VirtualChannels = 2
 	n := New(s, cfg)
-	id := int64(0)
 	st := sim.NewStream(99)
 	for i := 0; i < 600; i++ {
-		id++
 		n.Inject(Message{
-			ID: id, Src: st.IntN(16), Dst: st.IntN(16),
+			Src: st.IntN(16), Dst: st.IntN(16),
 			Bytes: 64 + st.IntN(512), Inject: sim.Time(st.IntN(5000)),
 		}, nil)
 	}
@@ -400,8 +394,8 @@ func TestLinkStatsBounded(t *testing.T) {
 func TestLogSortedByInjection(t *testing.T) {
 	s := sim.New()
 	n := New(s, DefaultConfig(MeshTopology, 4, 4))
-	n.Inject(Message{ID: 1, Src: 0, Dst: 15, Bytes: 64, Inject: 100}, nil)
-	n.Inject(Message{ID: 2, Src: 1, Dst: 2, Bytes: 8, Inject: 0}, nil)
+	n.Inject(Message{Src: 0, Dst: 15, Bytes: 64, Inject: 100}, nil)
+	n.Inject(Message{Src: 1, Dst: 2, Bytes: 8, Inject: 0}, nil)
 	mustRun(t, s)
 	log := n.Log()
 	if log[0].Message.ID != 2 || log[1].Message.ID != 1 {
@@ -413,9 +407,9 @@ func TestInjectValidation(t *testing.T) {
 	s := sim.New()
 	n := New(s, DefaultConfig(MeshTopology, 2, 2))
 	for _, m := range []Message{
-		{ID: 1, Src: -1, Dst: 0, Bytes: 8},
-		{ID: 2, Src: 0, Dst: 99, Bytes: 8},
-		{ID: 3, Src: 0, Dst: 1, Bytes: 0},
+		{Src: -1, Dst: 0, Bytes: 8},
+		{Src: 0, Dst: 99, Bytes: 8},
+		{Src: 0, Dst: 1, Bytes: 0},
 	} {
 		func() {
 			defer func() {

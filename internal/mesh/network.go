@@ -14,6 +14,8 @@ import (
 // Message is the unit of network traffic: the paper's
 // (source, destination, length, injection time) record.
 type Message struct {
+	// ID numbers the message in injection order: Network.Inject sets it
+	// to the message's injection slot + 1, whatever the caller put there.
 	ID    int64
 	Src   int
 	Dst   int
@@ -24,11 +26,11 @@ type Message struct {
 }
 
 // Delivery is the network log record produced for every message, from which
-// all three communication attributes are characterized.
+// all three communication attributes are characterized. It stores only
+// what it cannot derive: the latency is a method.
 type Delivery struct {
 	Message
 	End     sim.Time     // tail flit delivered at the destination (or give-up time)
-	Latency sim.Duration // End - Inject
 	Blocked sim.Duration // time the head spent waiting on busy channels
 	Hops    int          // physical links traversed
 
@@ -37,6 +39,9 @@ type Delivery struct {
 	Faults  FaultFlags     // fault classes encountered
 	Status  DeliveryStatus // delivered, or failed (partitioned/exhausted)
 }
+
+// Latency is the time from injection to End, as int64 arithmetic gives it.
+func (d Delivery) Latency() sim.Duration { return sim.Duration(d.End - d.Inject) }
 
 // Totals is a running summary of completed messages: how many the
 // network delivered and gave up on, and the sums over delivered messages
@@ -57,7 +62,7 @@ func (t *Totals) Add(d Delivery) {
 		return
 	}
 	t.Delivered++
-	t.Latency += int64(d.Latency)
+	t.Latency += int64(d.Latency())
 	t.Blocked += int64(d.Blocked)
 	t.Hops += int64(d.Hops)
 }
@@ -76,16 +81,15 @@ type hop struct {
 //
 // A network keeps the log unless DiscardLog is called. While a run goes,
 // the log is not kept as Delivery values: each completed message is one
-// compact record of varint deltas (logCodec; 13 to 17 bytes on the runs
-// measured, against a Delivery's 96) in byte chunks that are never
+// compact record of varint deltas (logCodec; 12 to 18 bytes on the runs
+// measured, against a Delivery's 88) in byte chunks that are never
 // copied, and each record names its message's slot, the order Inject was
 // called in. Log rebuilds the one full []Delivery from those records.
 type Network struct {
-	sim    *sim.Simulator
-	cfg    Config
-	topo   Topology
-	links  [][]*link // indexed [node][port], ports as numbered by the topology
-	nextID int64
+	sim   *sim.Simulator
+	cfg   Config
+	topo  Topology
+	links [][]*link // indexed [node][port], ports as numbered by the topology
 
 	log      [][]byte // records in completion order, in chunks never copied
 	logLen   int      // records in log
@@ -195,12 +199,9 @@ func (n *Network) noteInterrupt() {
 const maxDiagnosticLines = 20
 
 // writeMessages sorts msgs by ID and lists them, one line each labelled
-// what; IDs a caller assigned may repeat, so the other fields break ties.
+// what.
 func writeMessages(b *strings.Builder, what string, msgs []Message) {
-	slices.SortFunc(msgs, func(a, b Message) int {
-		return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Inject, b.Inject),
-			cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Bytes, b.Bytes))
-	})
+	slices.SortFunc(msgs, func(a, b Message) int { return cmp.Compare(a.ID, b.ID) })
 	for i, m := range msgs {
 		if i == maxDiagnosticLines {
 			fmt.Fprintf(b, "\n  ... %d more %s messages", len(msgs)-maxDiagnosticLines, what)
@@ -246,12 +247,6 @@ func (n *Network) diagnostic() string {
 		}
 	}
 	return b.String()
-}
-
-// NextID allocates a fresh message ID. Callers may also assign their own.
-func (n *Network) NextID() int64 {
-	n.nextID++
-	return n.nextID
 }
 
 // route returns the topology's deterministic path from src to dst,
@@ -318,16 +313,19 @@ func (n *Network) Path(src, dst int) [][2]int {
 	return out
 }
 
-// Inject hands a message to the network. done, if non-nil, is invoked (in
-// kernel context) when the tail flit reaches the destination. Inject may be
-// called before the simulator runs or at any point during the run, as long
-// as m.Inject is not in the simulated past. Traffic generators call it once
-// per message inside the cycle loop. The message travels as a worm, a
-// state machine on calendar callbacks, not as a process: no goroutine is
-// created per message. On a warm network a message allocates nothing,
-// bar one detour path per reroute and one error per failure;
-// TestWarmWormAllocFree pins that for every fabric and fault class.
+// Inject hands a message to the network and numbers it: m.ID becomes its
+// injection slot + 1, so the first message injected is 1. done, if
+// non-nil, is invoked (in kernel context) when the tail flit reaches the
+// destination. Inject may be called before the simulator runs or at any
+// point during the run, as long as m.Inject is not in the simulated past.
+// Traffic generators call it once per message inside the cycle loop. The
+// message travels as a worm, a state machine on calendar callbacks, not as
+// a process: no goroutine is created per message. On a warm network a
+// message allocates nothing, bar one detour path per reroute and one
+// error per failure; TestWarmWormAllocFree pins that for every fabric and
+// fault class.
 func (n *Network) Inject(m Message, done func(Delivery)) {
+	m.ID = int64(n.slots) + 1
 	if eps := n.topo.Endpoints(); m.Src < 0 || m.Src >= eps || m.Dst < 0 || m.Dst >= eps {
 		panic(fmt.Sprintf("mesh: message %d has endpoints %d->%d outside %d-node fabric",
 			m.ID, m.Src, m.Dst, eps))
@@ -339,9 +337,8 @@ func (n *Network) Inject(m Message, done func(Delivery)) {
 		panic(fmt.Sprintf("mesh: message %d injected at %d, before now %d", m.ID, m.Inject, n.sim.Now()))
 	}
 	n.inFlight++
-	w := n.newWorm(m, done)
-	w.slot = n.slots
 	n.slots++
+	w := n.newWorm(m, done)
 	w.nextLive = n.live
 	if n.live != nil {
 		n.live.prevLive = w
@@ -433,17 +430,15 @@ func (n *Network) chooseWestFirst(cur, dst int) *link {
 const (
 	minLogChunk  = 4 << 10
 	maxLogChunk  = 256 << 10
-	maxRecordLen = 10 * binary.MaxVarintLen64
+	maxRecordLen = 9 * binary.MaxVarintLen64
 )
 
-// complete records a finished message, injected in the given slot, and
-// runs its done callback.
-func (n *Network) complete(d Delivery, slot int, done func(Delivery)) {
+// complete records a finished message and runs its done callback.
+func (n *Network) complete(d Delivery, done func(Delivery)) {
 	d.End = n.sim.Now()
-	d.Latency = sim.Duration(d.End - d.Inject)
 	n.totals.Add(d)
 	if !n.noLog {
-		n.record(slot, &d)
+		n.record(&d)
 	}
 	n.inFlight--
 	if done != nil {
@@ -452,7 +447,7 @@ func (n *Network) complete(d Delivery, slot int, done func(Delivery)) {
 }
 
 // record appends d's log record.
-func (n *Network) record(slot int, d *Delivery) {
+func (n *Network) record(d *Delivery) {
 	k := len(n.log)
 	if k == 0 || cap(n.log[k-1])-len(n.log[k-1]) < maxRecordLen {
 		size := minLogChunk
@@ -462,40 +457,36 @@ func (n *Network) record(slot int, d *Delivery) {
 		n.log = append(n.log, make([]byte, 0, size))
 		k++
 	}
-	n.log[k-1] = n.logEnc.put(n.log[k-1], slot, d)
+	n.log[k-1] = n.logEnc.put(n.log[k-1], d)
 	n.logLen++
 }
 
-// logCodec is the delta state of the delivery log's records: the slot,
-// ID offset and injection time of the last record written or read. A
-// record is ten varints:
+// logCodec is the delta state of the delivery log's records: the slot
+// and injection time of the last record written or read. A message's slot
+// is its ID - 1 (Inject numbers every message), so a record stores the
+// slot and not the ID. A record is nine varints:
 //
 //	slot - the last record's slot                 zigzag
-//	(ID - slot) - the last record's (ID - slot)   zigzag
 //	Src, Dst, Bytes                               uvarint
 //	Inject - the last record's Inject             zigzag
 //	End - Inject, Blocked, Hops                   uvarint
 //	Retries<<7 | Faults<<1 | Status               uvarint
 //
 // Differences wrap as int64 arithmetic does, and a negative field takes
-// ten bytes as a uvarint, so every value round-trips. Latency is not
-// stored: complete always sets it to End - Inject. On the engine's paths
-// IDs follow slots and messages complete near injection order, so most
-// fields take one byte.
+// ten bytes as a uvarint, so every value round-trips. Messages complete
+// near injection order, so most fields take one byte.
 type logCodec struct {
 	slot   int
-	idOff  int64
 	inject sim.Time
 }
 
-// put appends d's record, for the given slot, to buf.
-func (c *logCodec) put(buf []byte, slot int, d *Delivery) []byte {
+// put appends d's record to buf.
+func (c *logCodec) put(buf []byte, d *Delivery) []byte {
 	if d.Retries < 0 || d.Retries >= 1<<57 || uint64(d.Faults) >= 1<<6 || uint64(d.Status) > 1 {
 		panic(fmt.Sprintf("mesh: message %d has retries %d, faults %d, status %d", d.ID, d.Retries, d.Faults, d.Status))
 	}
-	idOff := d.ID - int64(slot)
+	slot := int(d.ID - 1)
 	buf = binary.AppendUvarint(buf, zigzag(int64(slot-c.slot)))
-	buf = binary.AppendUvarint(buf, zigzag(idOff-c.idOff))
 	buf = binary.AppendUvarint(buf, uint64(d.Src))
 	buf = binary.AppendUvarint(buf, uint64(d.Dst))
 	buf = binary.AppendUvarint(buf, uint64(d.Bytes))
@@ -504,7 +495,7 @@ func (c *logCodec) put(buf []byte, slot int, d *Delivery) []byte {
 	buf = binary.AppendUvarint(buf, uint64(d.Blocked))
 	buf = binary.AppendUvarint(buf, uint64(d.Hops))
 	buf = binary.AppendUvarint(buf, uint64(d.Retries)<<7|uint64(d.Faults)<<1|uint64(d.Status))
-	c.slot, c.idOff, c.inject = slot, idOff, d.Inject
+	c.slot, c.inject = slot, d.Inject
 	return buf
 }
 
@@ -519,11 +510,8 @@ func (c *logCodec) nextSlot(buf []byte) (int, []byte) {
 // get reads the rest of the record whose slot nextSlot just read into d,
 // and returns what follows it.
 func (c *logCodec) get(buf []byte, d *Delivery) []byte {
-	var u uint64
-	u, buf = uvarint(buf)
-	c.idOff += unzigzag(u)
-	d.ID = int64(c.slot) + c.idOff
-	u, buf = uvarint(buf)
+	d.ID = int64(c.slot) + 1
+	u, buf := uvarint(buf)
 	d.Src = int(u)
 	u, buf = uvarint(buf)
 	d.Dst = int(u)
@@ -533,8 +521,7 @@ func (c *logCodec) get(buf []byte, d *Delivery) []byte {
 	c.inject += sim.Time(unzigzag(u))
 	d.Inject = c.inject
 	u, buf = uvarint(buf)
-	d.Latency = sim.Duration(u)
-	d.End = d.Inject + sim.Time(d.Latency)
+	d.End = d.Inject + sim.Time(u)
 	u, buf = uvarint(buf)
 	d.Blocked = sim.Duration(u)
 	u, buf = uvarint(buf)
@@ -578,13 +565,11 @@ func (n *Network) DiscardLog() {
 }
 
 // Log returns the deliveries completed so far, sorted by injection time,
-// ties broken by message ID; deliveries whose (Inject, ID) keys are equal,
-// which only IDs a caller assigned can give, stay in the order they were
-// injected in. The returned slice is the caller's: Log builds it at its
-// final length and decodes each record straight into its slot's place.
-// When every message is injected at the simulator's current time with
-// an ID from NextID, as the engine's injectors do, injection order is the
-// sorted order and nothing is sorted; otherwise Log sorts the slice once.
+// ties broken by message ID. The returned slice is the caller's: Log
+// builds it at its final length and decodes each record straight into its
+// slot's place. When every message is injected at the simulator's current
+// time, injection order is the sorted order and nothing is sorted;
+// otherwise Log sorts the slice once.
 // It panics on a network told to keep no log (DiscardLog).
 func (n *Network) Log() []Delivery {
 	if n.noLog {
@@ -595,7 +580,7 @@ func (n *Network) Log() []Delivery {
 	// is its slot less the live slots below it.
 	var live []int
 	for w := n.live; w != nil; w = w.nextLive {
-		live = append(live, w.slot)
+		live = append(live, int(w.m.ID-1))
 	}
 	slices.Sort(live)
 	var dec logCodec
@@ -609,7 +594,7 @@ func (n *Network) Log() []Delivery {
 	}
 	for i := 1; i < len(out); i++ {
 		if logBefore(&out[i], &out[i-1]) {
-			sort.SliceStable(out, func(i, j int) bool { return logBefore(&out[i], &out[j]) })
+			sort.Slice(out, func(i, j int) bool { return logBefore(&out[i], &out[j]) })
 			break
 		}
 	}

@@ -33,7 +33,7 @@ func TestWestFirstPathsAreMinimal(t *testing.T) {
 		for dst := 0; dst < 16; dst++ {
 			src, dst := src, dst
 			n.Inject(Message{
-				ID: int64(src*16 + dst + 1), Src: src, Dst: dst, Bytes: 8,
+				Src: src, Dst: dst, Bytes: 8,
 				Inject: sim.Time((src*16 + dst) * 2000), // spaced out: no contention
 			}, func(d Delivery) {
 				if d.Hops != manhattan(cfg, src, dst) {
@@ -68,14 +68,12 @@ func TestWestFirstConservationProperty(t *testing.T) {
 func TestWestFirstDeadlockFreedomUnderSaturation(t *testing.T) {
 	s := sim.New()
 	n := New(s, westFirstConfig(4, 4))
-	id := int64(0)
 	// Saturating adversarial pattern including the cyclic shifts that
 	// break non-turn-model adaptive routers.
 	for round := 0; round < 60; round++ {
 		for src := 0; src < 16; src++ {
-			id++
 			n.Inject(Message{
-				ID: id, Src: src, Dst: (src + 5) % 16,
+				Src: src, Dst: (src + 5) % 16,
 				Bytes: 512, Inject: sim.Time(round * 20),
 			}, nil)
 		}
@@ -94,13 +92,11 @@ func TestWestFirstSpreadsLoadOffHotColumn(t *testing.T) {
 		cfg := DefaultConfig(MeshTopology, 4, 4)
 		cfg.Routing = routing
 		n := New(s, cfg)
-		id := int64(0)
 		for round := 0; round < 40; round++ {
 			// Column 0 sources all target the far corner region.
 			for y := 0; y < 4; y++ {
-				id++
 				n.Inject(Message{
-					ID: id, Src: nodeAt(cfg, 0, y), Dst: nodeAt(cfg, 3, (y+2)%4),
+					Src: nodeAt(cfg, 0, y), Dst: nodeAt(cfg, 3, (y+2)%4),
 					Bytes: 256, Inject: sim.Time(round * 100),
 				}, nil)
 			}

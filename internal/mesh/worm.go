@@ -22,7 +22,6 @@ type worm struct {
 	net     *Network
 	m       Message
 	done    func(Delivery)
-	slot    int // injection order, the place of its record in Network.Log
 	flits   int
 	fire    func() // w.run, bound once per worm
 	drainFn func() // w.releaseTail, bound once per worm
@@ -323,7 +322,7 @@ func (w *worm) finish(hops int, err error) {
 	if w.nextLive != nil {
 		w.nextLive.prevLive = w.prevLive
 	}
-	n.complete(d, w.slot, w.done)
+	n.complete(d, w.done)
 	*w = worm{net: n, fire: w.fire, drainFn: w.drainFn, acquired: w.acquired[:0], held: w.held[:0],
 		nextFree: n.free}
 	n.free = w

@@ -37,7 +37,6 @@ func syntheticRaw(procs int) *core.RawRun {
 		log = append(log, mesh.Delivery{
 			Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: 32 + 8*(i%4), Inject: t},
 			End:     t + 400,
-			Latency: 400,
 			Blocked: sim.Duration(10 * (i % 5)),
 			Hops:    1 + i%3,
 		})

@@ -30,7 +30,7 @@ func sampleCharacterization(t *testing.T) *core.Characterization {
 			}
 			log = append(log, mesh.Delivery{
 				Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: bytes, Inject: tm},
-				End:     tm + 300, Latency: 300, Hops: 2,
+				End:     tm + 300, Hops: 2,
 			})
 		}
 	}

@@ -46,7 +46,7 @@ func TimelineEvents(label string, log []mesh.Delivery) []obs.TraceEvent {
 			name += " (failed)"
 			args["status"] = "failed"
 		}
-		dur := float64(d.Latency) / 1e3
+		dur := float64(d.Latency()) / 1e3
 		if dur <= 0 {
 			// Zero-length slices vanish in the viewer; render the
 			// minimum visible width instead.

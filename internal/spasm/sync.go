@@ -249,6 +249,6 @@ func (m *Machine) send(at sim.Time, src, dst int, then func(mesh.Delivery)) {
 		return
 	}
 	m.Net.Inject(mesh.Message{
-		ID: m.Net.NextID(), Src: src, Dst: dst, Bytes: syncBytes, Inject: at,
+		Src: src, Dst: dst, Bytes: syncBytes, Inject: at,
 	}, then)
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -42,8 +43,10 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 
 // SummarizeFit returns Summarize(samples) together with
 // FitInterarrival(samples)'s fits and error, from one sorted copy of the
-// sample: the copy serves the median, the ECDF and Weibull's seed. The
-// Summary is returned even when the fit fails.
+// sample: the copy serves the median, the ECDF and Weibull's seed. A
+// sample whose mean is not finite (a NaN or an infinity in it, or finite
+// values whose sum overflows) is an error. The Summary is returned even
+// when the fit fails.
 func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
 	if len(samples) < 8 {
 		return Summarize(samples), nil, errors.New("stats: too few samples to characterize")
@@ -51,6 +54,9 @@ func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
 	ecdf := NewECDF(samples)
 	sum := moments(samples)
 	sum.Median = percentileSorted(ecdf.xs, 0.5)
+	if math.IsNaN(sum.Mean) || math.IsInf(sum.Mean, 0) {
+		return sum, nil, fmt.Errorf("stats: sample mean is %v; samples must be finite and sum within float64 range", sum.Mean)
+	}
 	if sum.Mean <= 0 {
 		return sum, nil, errors.New("stats: non-positive mean; inter-arrival samples must be positive")
 	}

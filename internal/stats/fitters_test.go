@@ -221,17 +221,28 @@ func TestWeibullInitFromSortedSample(t *testing.T) {
 // TestSummarizeFitMatchesSummarize requires SummarizeFit's one sort to
 // give Summarize's Summary bit for bit, FitInterarrival's fits, and the
 // same error texts, on the reference samples and on the samples each
-// early return serves: too few, a point mass and a non-positive mean.
+// early return serves: too few, a mean that is not finite (a NaN or an
+// infinity in the sample, or finite values whose sum overflows), a point
+// mass and a non-positive mean.
 func TestSummarizeFitMatchesSummarize(t *testing.T) {
 	samples := referenceSamples()
 	samples["n=0"] = nil
 	samples["n=7"] = []float64{3, 1, 4, 1, 5, 9, 2}
 	samples["point mass"] = []float64{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}
 	samples["non-positive mean"] = []float64{-3, 1, -4, 1, -5, 9, -2, 0, -6}
+	samples["NaN"] = []float64{1, 2, 3, 4, 5, 6, 7, math.NaN(), 9, 10}
+	samples["+Inf"] = []float64{1, 2, 3, 4, 5, 6, 7, math.Inf(1), 9, 10}
+	samples["-Inf"] = []float64{1, 2, 3, 4, 5, 6, 7, math.Inf(-1), 9, 10}
+	samples["sum overflows"] = []float64{1e308, 1e308, 1e308, 1e308, 1e308, 1e308, 1e308, 1e308}
+	const notFinite = "; samples must be finite and sum within float64 range"
 	wantErr := map[string]string{
 		"n=0":               "stats: too few samples to characterize",
 		"n=7":               "stats: too few samples to characterize",
 		"non-positive mean": "stats: non-positive mean; inter-arrival samples must be positive",
+		"NaN":               "stats: sample mean is NaN" + notFinite,
+		"+Inf":              "stats: sample mean is +Inf" + notFinite,
+		"-Inf":              "stats: sample mean is -Inf" + notFinite,
+		"sum overflows":     "stats: sample mean is +Inf" + notFinite,
 	}
 	bits := func(s Summary) [8]uint64 {
 		return [8]uint64{uint64(s.N), math.Float64bits(s.Mean), math.Float64bits(s.Variance),

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 
 	"commchar/internal/mesh"
@@ -132,19 +131,16 @@ func ReadCSV(r io.Reader, ranks int) (*Trace, error) {
 	}
 }
 
-// deliveryFields is the current delivery-log column count; legacyFields is
-// the pre-fault format still accepted on read.
-const (
-	deliveryFields = 12
-	legacyFields   = 9
-)
+// deliveryFields is the delivery log's column count.
+const deliveryFields = 12
 
 // deliveryHeader is the delivery log's first line.
 const deliveryHeader = "id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops,retries,faults,status\n"
 
 // WriteDeliveries serializes a network log as CSV with header
 // id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops,retries,faults,status.
-// The last three columns flag faulted traffic: retransmission count, the
+// latency_ns is Delivery.Latency, end_ns - inject_ns. The last three
+// columns flag faulted traffic: retransmission count, the
 // mesh.FaultFlags bitmask, and 0 (delivered) or 1 (failed). Every field
 // is an integer, which CSV never quotes, so each row is formatted into
 // one reused buffer.
@@ -158,7 +154,7 @@ func WriteDeliveries(w io.Writer, log []mesh.Delivery) error {
 		d := &log[i]
 		fields := [deliveryFields]int64{
 			d.ID, int64(d.Src), int64(d.Dst), int64(d.Bytes),
-			int64(d.Inject), int64(d.End), int64(d.Latency), int64(d.Blocked),
+			int64(d.Inject), int64(d.End), int64(d.Latency()), int64(d.Blocked),
 			int64(d.Hops), int64(d.Retries), int64(d.Faults), int64(d.Status),
 		}
 		row = row[:0]
@@ -175,30 +171,32 @@ func WriteDeliveries(w io.Writer, log []mesh.Delivery) error {
 }
 
 // MinDeliveryRow is the length in bytes of the shortest row that
-// ReadDeliveries accepts: a legacy 9-column row of one-digit fields with
-// no line end. A log of n bytes therefore holds at most n/MinDeliveryRow
-// rows, which bounds any capacity hint taken from untrusted metadata.
-const MinDeliveryRow = 2*legacyFields - 1
+// ReadDeliveries accepts: 12 one-digit fields with no line end. A log of
+// n bytes therefore holds at most n/MinDeliveryRow rows, which bounds any
+// capacity hint taken from untrusted metadata.
+const MinDeliveryRow = 2*deliveryFields - 1
 
 // ReadDeliveries parses a network log written by WriteDeliveries in one
 // streaming pass. hint is the expected row count: the result is allocated
 // once at that capacity, and grows by append only past it (hint <= 0
-// means unknown). Every field must be a base-10 int64.
+// means unknown). Every field must be a base-10 int64, and latency_ns
+// must equal end_ns - inject_ns as int64 arithmetic gives it, since a
+// Delivery derives its latency and cannot hold another.
 //
 // The first non-blank line is the header and is skipped whatever it
 // holds; an input without one is an error. Blank lines are skipped, and
 // a "\r\n" line end, or a lone "\r" at the end of the input, reads as a
-// plain line end. Legacy 9-column logs (without the fault columns) are
-// accepted, reading as clean traffic. A log is never quoted: a '"'
-// anywhere, header included, makes its record malformed.
+// plain line end. A log is never quoted: a '"' anywhere, header
+// included, makes its record malformed.
 //
-// A malformed record (a quote, or a field count other than 9 or 12)
-// that is the last record of the input is a truncation: the reader
-// returns the cleanly parsed prefix together with a *TruncatedError
-// carrying the record's number and the bytes consumed before it. The
-// same fault followed by another record, or a field that does not parse,
-// is a hard error naming the row (records are counted from 1, header
-// included) and, for a field, its 0-based column.
+// A malformed record (a quote, or a field count other than 12) that is
+// the last record of the input is a truncation: the reader returns the
+// cleanly parsed prefix together with a *TruncatedError carrying the
+// record's number and the bytes consumed before it. The same fault
+// followed by another record, a field that does not parse, or a
+// latency_ns that disagrees with end_ns - inject_ns is a hard error
+// naming the row (records are counted from 1, header included) and the
+// field's 0-based column.
 func ReadDeliveries(r io.Reader, hint int) ([]mesh.Delivery, error) {
 	lr := lineReader{br: bufio.NewReader(r)}
 	if err := lr.header(); err != nil {
@@ -212,7 +210,7 @@ func ReadDeliveries(r io.Reader, hint int) ([]mesh.Delivery, error) {
 		out = make([]mesh.Delivery, 0, hint)
 	}
 	for {
-		row, err := lr.row(legacyFields, deliveryFields)
+		row, err := lr.row(deliveryFields)
 		if err == io.EOF {
 			return out, nil
 		}
@@ -225,13 +223,15 @@ func ReadDeliveries(r io.Reader, hint int) ([]mesh.Delivery, error) {
 				return out, fmt.Errorf("trace: delivery row %d field %d: %w", lr.record, j, err)
 			}
 		}
+		if lat := ints[5] - ints[4]; ints[6] != lat {
+			return out, fmt.Errorf("trace: delivery row %d field 6: latency_ns %d is not end_ns - inject_ns = %d", lr.record, ints[6], lat)
+		}
 		out = append(out, mesh.Delivery{
 			Message: mesh.Message{
 				ID: ints[0], Src: int(ints[1]), Dst: int(ints[2]),
 				Bytes: int(ints[3]), Inject: sim.Time(ints[4]),
 			},
 			End:     sim.Time(ints[5]),
-			Latency: sim.Duration(ints[6]),
 			Blocked: sim.Duration(ints[7]),
 			Hops:    int(ints[8]),
 			Retries: int(ints[9]),
@@ -366,9 +366,9 @@ func (lr *lineReader) header() error {
 
 // row returns the next record cut at its commas; the fields stay valid
 // until the next call. A record with a quote, or whose field count is
-// not one of counts (none above deliveryFields), is malformed and
-// classified by truncatedIfLast.
-func (lr *lineReader) row(counts ...int) ([][]byte, error) {
+// not n (at most deliveryFields), is malformed and classified by
+// truncatedIfLast.
+func (lr *lineReader) row(n int) ([][]byte, error) {
 	line, err := lr.next()
 	if err != nil {
 		return nil, err
@@ -376,13 +376,8 @@ func (lr *lineReader) row(counts ...int) ([][]byte, error) {
 	if bytes.IndexByte(line, '"') >= 0 {
 		return nil, lr.truncatedIfLast("has a quote")
 	}
-	n := bytes.Count(line, []byte{','}) + 1
-	if !slices.Contains(counts, n) {
-		want := strconv.Itoa(counts[0])
-		for _, c := range counts[1:] {
-			want += " or " + strconv.Itoa(c)
-		}
-		return nil, lr.truncatedIfLast(fmt.Sprintf("has %d fields, want %s", n, want))
+	if got := bytes.Count(line, []byte{','}) + 1; got != n {
+		return nil, lr.truncatedIfLast(fmt.Sprintf("has %d fields, want %d", got, n))
 	}
 	row := lr.fields[:n]
 	for j := range n - 1 {

@@ -77,8 +77,8 @@ func FuzzReadCSV(f *testing.F) {
 // referenceReadDeliveries, the encoding/csv reader it replaced: on any
 // input without a '"' both return the same deliveries, the same error
 // text and the same error types, with or without a capacity hint; any
-// input with a '"' is an error. Accepted logs (current 12-column or
-// legacy 9-column) round-trip through WriteDeliveries unchanged.
+// input with a '"' is an error. Accepted logs round-trip through
+// WriteDeliveries unchanged.
 func FuzzReadDeliveries(f *testing.F) {
 	const header = "id,src,dst,bytes,inject_ns,end_ns,latency_ns,blocked_ns,hops,retries,faults,status\n"
 	const row = "1,0,3,64,0,900,900,0,3,0,0,0\n"
@@ -99,6 +99,8 @@ func FuzzReadDeliveries(f *testing.F) {
 	f.Add(header + "1,0,3,64\n" + row)
 	f.Add(header + row + "1,0,3,64")
 	f.Add(header + row + "1,0,\"3\",64,0,900,900,0,3,0,0,0\n")
+	f.Add(header + "1,0,3,64,0,900,899,0,3,0,0,0\n" + row)
+	f.Add(header + "1,0,3,64,9223372036854775807,-9223372036854775808,1,0,3,0,0,0\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		log, err := ReadDeliveries(strings.NewReader(data), 0)
 		if strings.Contains(data, `"`) {

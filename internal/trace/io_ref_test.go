@@ -28,8 +28,7 @@ type recordReader struct {
 
 func newRecordReader(r io.Reader) *recordReader {
 	cr := csv.NewReader(r)
-	// Field counts are validated by the caller (legacy logs have fewer
-	// columns), not by the csv layer.
+	// Field counts are validated by the caller, not by the csv layer.
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
 	return &recordReader{cr: cr}
@@ -177,7 +176,7 @@ func referenceWriteDeliveries(w io.Writer, log []mesh.Delivery) error {
 			strconv.Itoa(d.Bytes),
 			strconv.FormatInt(int64(d.Inject), 10),
 			strconv.FormatInt(int64(d.End), 10),
-			strconv.FormatInt(int64(d.Latency), 10),
+			strconv.FormatInt(int64(d.Latency()), 10),
 			strconv.FormatInt(int64(d.Blocked), 10),
 			strconv.Itoa(d.Hops),
 			strconv.Itoa(d.Retries),
@@ -193,9 +192,10 @@ func referenceWriteDeliveries(w io.Writer, log []mesh.Delivery) error {
 }
 
 // referenceReadDeliveries is the encoding/csv delivery-log reader that
-// ReadDeliveries replaced, kept verbatim as the differential oracle: on
-// any input without a '"', both must return the same deliveries and the
-// same error text.
+// ReadDeliveries replaced, kept as the differential oracle with the rules
+// ReadDeliveries has gained since (12 columns only, and latency_ns equal
+// to end_ns - inject_ns): on any input without a '"', both must return
+// the same deliveries and the same error text.
 func referenceReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
 	rr := newRecordReader(r)
 	if _, err := rr.next(); err != nil { // header
@@ -213,8 +213,8 @@ func referenceReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
 		if err != nil {
 			return out, err
 		}
-		if len(row) != deliveryFields && len(row) != legacyFields {
-			return out, rr.truncatedIfLast(len(row), "9 or 12")
+		if len(row) != deliveryFields {
+			return out, rr.truncatedIfLast(len(row), "12")
 		}
 		var ints [deliveryFields]int64
 		for j, f := range row {
@@ -224,13 +224,15 @@ func referenceReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
 			}
 			ints[j] = v
 		}
+		if lat := ints[5] - ints[4]; ints[6] != lat {
+			return out, fmt.Errorf("trace: delivery row %d field 6: latency_ns %d is not end_ns - inject_ns = %d", rr.record, ints[6], lat)
+		}
 		out = append(out, mesh.Delivery{
 			Message: mesh.Message{
 				ID: ints[0], Src: int(ints[1]), Dst: int(ints[2]),
 				Bytes: int(ints[3]), Inject: sim.Time(ints[4]),
 			},
 			End:     sim.Time(ints[5]),
-			Latency: sim.Duration(ints[6]),
 			Blocked: sim.Duration(ints[7]),
 			Hops:    int(ints[8]),
 			Retries: int(ints[9]),
@@ -261,7 +263,6 @@ func randomLog(rng *rand.Rand, n int) []mesh.Delivery {
 		d.Bytes = int(val(1 << 16))
 		d.Inject = sim.Time(val(1 << 40))
 		d.End = d.Inject + sim.Time(val(1<<20))
-		d.Latency = sim.Duration(val(1 << 20))
 		d.Blocked = sim.Duration(val(1 << 16))
 		d.Hops = int(val(16))
 		if rng.IntN(4) == 0 {

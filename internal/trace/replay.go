@@ -64,7 +64,6 @@ func Replay(s *sim.Simulator, net *mesh.Network, t *Trace, cost CostModel) error
 				case OpSend:
 					p.Hold(cost.SendOverhead(e.Bytes))
 					net.Inject(mesh.Message{
-						ID:     net.NextID(),
 						Src:    rank,
 						Dst:    e.Peer,
 						Bytes:  e.Bytes,

@@ -33,7 +33,7 @@ func referenceMeasureLog(log []mesh.Delivery, elapsed sim.Time, meanUtil float64
 			continue
 		}
 		m.Messages++
-		m.MeanLatencyNS += float64(d.Latency)
+		m.MeanLatencyNS += float64(d.Latency())
 		m.MeanBlockedNS += float64(d.Blocked)
 		m.MeanHops += float64(d.Hops)
 	}
@@ -133,8 +133,8 @@ func TestMeasureLogMatchesReference(t *testing.T) {
 		log := make([]mesh.Delivery, st.IntN(600))
 		for i := range log {
 			d := &log[i]
-			d.Latency = sim.Duration(st.IntN(1 << 43))
-			d.Blocked = sim.Duration(st.IntN(int(d.Latency) + 1))
+			d.End = sim.Time(st.IntN(1 << 43))
+			d.Blocked = sim.Duration(st.IntN(int(d.Latency()) + 1))
 			d.Hops = st.IntN(24)
 			if st.Float64() < 0.1 {
 				d.Status = mesh.StatusFailed
@@ -158,7 +158,7 @@ func TestMeasureLogMatchesReference(t *testing.T) {
 // from the reference: once summed latency passes 2^53 ns, float partial
 // sums round, while the integer total stays exact.
 func TestMeasureLogExactPast2p53(t *testing.T) {
-	log := []mesh.Delivery{{Latency: 1 << 53}, {Latency: 1}, {Latency: 1}}
+	log := []mesh.Delivery{{End: 1 << 53}, {End: 1}, {End: 1}}
 	want := float64(1<<53+2) / 3
 	if got := MeasureLog(log, 0, 0).MeanLatencyNS; got != want {
 		t.Fatalf("mean latency %v, want %v", got, want)
@@ -216,7 +216,7 @@ func TestSimulateKeepsNoLog(t *testing.T) {
 	s := sim.New()
 	net := mesh.New(s, cfg)
 	net.DiscardLog()
-	net.Inject(mesh.Message{ID: 1, Src: 0, Dst: 15, Bytes: 8}, nil)
+	net.Inject(mesh.Message{Src: 0, Dst: 15, Bytes: 8}, nil)
 	mustRun(t, s)
 	if tot := net.Totals(); tot.Delivered != 1 {
 		t.Fatalf("totals %+v after one delivery", tot)

@@ -172,7 +172,6 @@ func (g *Generator) Drive(s *sim.Simulator, net *mesh.Network, until sim.Time, s
 					continue
 				}
 				net.Inject(mesh.Message{
-					ID:     net.NextID(),
 					Src:    sm.Src,
 					Dst:    dst,
 					Bytes:  sampleLength(sm.Lengths, st),
