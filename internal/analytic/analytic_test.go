@@ -107,8 +107,8 @@ func TestFromCharacterization(t *testing.T) {
 			}
 			id++
 			log = append(log, mesh.Delivery{
-				Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: 40, Inject: tm},
-				End:     tm + 300, Hops: 2,
+				ID: id, Src: int32(src), Dst: int32(dst), Bytes: 40, Inject: tm,
+				End: tm + 300, Hops: 2,
 			})
 		}
 	}

@@ -71,7 +71,7 @@ func TestGeneratesCommunication(t *testing.T) {
 	// The transpose phase makes every processor read every other
 	// processor's columns: all pairs should have communicated via their
 	// home nodes. Check traffic is spread over many sources.
-	bySource := map[int]int{}
+	bySource := map[int32]int{}
 	for _, d := range m.Net.Log() {
 		bySource[d.Src]++
 	}

@@ -82,9 +82,9 @@ func TestGeneratesTraffic(t *testing.T) {
 	toZero := map[int]bool{}
 	bySrc := map[int]bool{}
 	for _, d := range m.Net.Log() {
-		bySrc[d.Src] = true
+		bySrc[int(d.Src)] = true
 		if d.Dst == 0 {
-			toZero[d.Src] = true
+			toZero[int(d.Src)] = true
 		}
 	}
 	if len(bySrc) != 8 {

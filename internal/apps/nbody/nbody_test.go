@@ -77,7 +77,7 @@ func TestAllToAllCommunication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcs := map[int]bool{}
+	srcs := map[int32]bool{}
 	for _, d := range m.Net.Log() {
 		srcs[d.Src] = true
 	}

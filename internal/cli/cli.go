@@ -55,13 +55,18 @@ func Usagef(format string, args ...any) error {
 
 // ParseFlags parses args with fs, classifying parse failures (unknown
 // flag, malformed value) as usage errors; -h/-help passes through as
-// flag.ErrHelp, which still exits 0.
+// flag.ErrHelp, which still exits 0. No tool takes a positional argument,
+// so one left after the flags is a usage error too, rather than an input
+// the tool would silently ignore.
 func ParseFlags(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
 		}
 		return Usagef("%v", err)
+	}
+	if fs.NArg() > 0 {
+		return Usagef("unexpected argument %q", fs.Arg(0))
 	}
 	return nil
 }

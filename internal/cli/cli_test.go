@@ -68,6 +68,21 @@ func TestParseFlagsClassification(t *testing.T) {
 	if err := ParseFlags(newSet(), []string{"-n", "zebra"}); !errors.As(err, &ue) {
 		t.Fatalf("bad value: expected UsageError, got %v", err)
 	}
+	// No tool takes a positional argument: one after the flags, or after
+	// a "--", is a usage error naming it.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"samples.txt"}, `unexpected argument "samples.txt"`},
+		{[]string{"-n", "3", "samples.txt", "-n", "4"}, `unexpected argument "samples.txt"`},
+		{[]string{"--", "-n"}, `unexpected argument "-n"`},
+	} {
+		err := ParseFlags(newSet(), c.args)
+		if !errors.As(err, &ue) || ue.Msg != c.want {
+			t.Fatalf("%q: got %v, want the usage error %s", c.args, err, c.want)
+		}
+	}
 	// -h must stay flag.ErrHelp so the tools still exit 0 on it.
 	if err := ParseFlags(newSet(), []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: expected flag.ErrHelp, got %v", err)

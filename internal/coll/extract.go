@@ -84,7 +84,7 @@ func reconstruct(tr *trace.Trace, log []mesh.Delivery, cost trace.CostModel) (*r
 	// Per-source delivery indices in message-ID order = send program order.
 	bySrc := make([][]int, n)
 	for i, d := range log {
-		if d.Src < 0 || d.Src >= n {
+		if d.Src < 0 || int(d.Src) >= n {
 			return nil, fmt.Errorf("coll: delivery %d from rank %d outside %d-rank trace", d.ID, d.Src, n)
 		}
 		bySrc[d.Src] = append(bySrc[d.Src], i)
@@ -123,7 +123,7 @@ func reconstruct(tr *trace.Trace, log []mesh.Delivery, cost trace.CostModel) (*r
 			li := bySrc[r][pos]
 			pos++
 			d := log[li]
-			if d.Dst != e.Peer || d.Bytes != e.Bytes {
+			if int(d.Dst) != e.Peer || d.Bytes != e.Bytes {
 				return nil, fmt.Errorf("coll: rank %d send %d went to %d (%dB) but the trace says %d (%dB)",
 					r, d.ID, d.Dst, d.Bytes, e.Peer, e.Bytes)
 			}
@@ -134,7 +134,7 @@ func reconstruct(tr *trace.Trace, log []mesh.Delivery, cost trace.CostModel) (*r
 		if d.Status != mesh.StatusDelivered {
 			continue
 		}
-		k := chanKey{src: d.Src, dst: d.Dst, tag: tagOf[i]}
+		k := chanKey{src: int(d.Src), dst: int(d.Dst), tag: tagOf[i]}
 		queues[k] = append(queues[k], arrival{end: d.End, bytes: d.Bytes})
 	}
 

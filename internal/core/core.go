@@ -101,7 +101,7 @@ func deliveryOrder(a, b mesh.Delivery) int {
 	if c := cmp.Compare(a.Inject, b.Inject); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Message.ID, b.Message.ID)
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // minSourceSamples is the fewest inter-arrival samples worth fitting.
@@ -150,12 +150,12 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 	byLen := map[int]int{}
 	var latSum, blkSum, hopSum float64
 	for _, d := range sorted {
-		if d.Src < 0 || d.Src >= procs || d.Dst < 0 || d.Dst >= procs {
+		if d.Src < 0 || int(d.Src) >= procs || d.Dst < 0 || int(d.Dst) >= procs {
 			return nil, fmt.Errorf("core: delivery %d endpoints %d->%d outside %d processors",
-				d.Message.ID, d.Src, d.Dst, procs)
+				d.ID, d.Src, d.Dst, procs)
 		}
 		if d.Bytes < 1 {
-			return nil, fmt.Errorf("core: delivery %d has length %d", d.Message.ID, d.Bytes)
+			return nil, fmt.Errorf("core: delivery %d has length %d", d.ID, d.Bytes)
 		}
 		perSource[d.Src]++
 		counts[d.Src][d.Dst]++

@@ -34,8 +34,8 @@ func syntheticLog(procs, perSource int, meanGapNS float64, seed uint64) []mesh.D
 			}
 			id++
 			log = append(log, mesh.Delivery{
-				Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: bytes, Inject: t},
-				End:     t + 500, Blocked: 0, Hops: 3,
+				ID: id, Src: int32(src), Dst: int32(dst), Bytes: bytes, Inject: t,
+				End: t + 500, Blocked: 0, Hops: 3,
 			})
 		}
 	}
@@ -119,16 +119,16 @@ func TestAnalyzeRejectsEmptyAndBadLogs(t *testing.T) {
 		t.Fatal("empty log accepted")
 	}
 	for _, c := range []struct {
-		m    mesh.Message
+		d    mesh.Delivery
 		want string
 	}{
-		{mesh.Message{ID: 1, Src: 9, Dst: 0, Bytes: 8}, "core: delivery 1 endpoints 9->0 outside 4 processors"},
+		{mesh.Delivery{ID: 1, Src: 9, Dst: 0, Bytes: 8}, "core: delivery 1 endpoints 9->0 outside 4 processors"},
 		// A delivery shorter than a byte could not have crossed the
 		// network, and traffic regenerated from it would inject one.
-		{mesh.Message{ID: 2, Src: 0, Dst: 1, Bytes: 0}, "core: delivery 2 has length 0"},
-		{mesh.Message{ID: 3, Src: 0, Dst: 1, Bytes: -8}, "core: delivery 3 has length -8"},
+		{mesh.Delivery{ID: 2, Src: 0, Dst: 1, Bytes: 0}, "core: delivery 2 has length 0"},
+		{mesh.Delivery{ID: 3, Src: 0, Dst: 1, Bytes: -8}, "core: delivery 3 has length -8"},
 	} {
-		bad := append(syntheticLog(4, 20, 1000, 3), mesh.Delivery{Message: c.m})
+		bad := append(syntheticLog(4, 20, 1000, 3), c.d)
 		if _, err := Analyze("x", StrategyDynamic, bad, 4, 0, 0); err == nil || err.Error() != c.want {
 			t.Errorf("error %v, want %q", err, c.want)
 		}
@@ -202,7 +202,7 @@ func TestInterarrivalsHelper(t *testing.T) {
 		src int
 		at  sim.Time
 	}{{0, 10}, {2, 7}, {0, 30}, {0, 35}, {2, 9}, {0, 100}, {1, 5}} {
-		log = append(log, mesh.Delivery{Message: mesh.Message{Src: e.src, Inject: e.at}})
+		log = append(log, mesh.Delivery{Src: int32(e.src), Inject: e.at})
 	}
 	pooled, off := sourceGaps(log, []int{4, 1, 2})
 	if want := []float64{20, 5, 65, 2}; !slices.Equal(pooled, want) {

@@ -79,7 +79,7 @@ type Locality struct {
 // AnalyzeLocality computes the hop-distance distribution of the run.
 func (c *Characterization) AnalyzeLocality() Locality {
 	loc := Locality{MeanHops: c.MeanHops}
-	maxHops := 0
+	maxHops := int32(0)
 	for _, d := range c.Log {
 		if d.Hops > maxHops {
 			maxHops = d.Hops

@@ -16,8 +16,8 @@ func burstyLog(procs int) ([]mesh.Delivery, sim.Time) {
 	add := func(t sim.Time, src, dst, hops int) {
 		id++
 		log = append(log, mesh.Delivery{
-			Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: 8, Inject: t},
-			End:     t + 100, Hops: hops,
+			ID: id, Src: int32(src), Dst: int32(dst), Bytes: 8, Inject: t,
+			End: t + 100, Hops: int32(hops),
 		})
 	}
 	// Phase 1: t in [0, 1000), heavy.
@@ -98,8 +98,8 @@ func TestAnalyzeReceivers(t *testing.T) {
 			dst = 1
 		}
 		log = append(log, mesh.Delivery{
-			Message: mesh.Message{ID: int64(i + 1), Src: 0, Dst: dst, Bytes: 8, Inject: sim.Time(i * 10)},
-			End:     sim.Time(i*10 + 50), Hops: 1,
+			ID: int64(i + 1), Src: 0, Dst: int32(dst), Bytes: 8, Inject: sim.Time(i * 10),
+			End: sim.Time(i*10 + 50), Hops: 1,
 		})
 	}
 	c, err := Analyze("recv", StrategyDynamic, log, 4, 1000, 0)

@@ -125,8 +125,8 @@ func TestAnalyzeEquivariantUnderRankRelabel(t *testing.T) {
 	log := syntheticLog(metamorphicProcs, 300, 10000, 1)
 	relabelled := slices.Clone(log)
 	for i := range relabelled {
-		relabelled[i].Src = perm(relabelled[i].Src)
-		relabelled[i].Dst = perm(relabelled[i].Dst)
+		relabelled[i].Src = int32(perm(int(relabelled[i].Src)))
+		relabelled[i].Dst = int32(perm(int(relabelled[i].Dst)))
 	}
 	base, moved := analyzeForOracle(t, log), analyzeForOracle(t, relabelled)
 

@@ -21,8 +21,8 @@ func twoPhaseLog(procs int) ([]mesh.Delivery, sim.Time) {
 			dst++
 		}
 		log = append(log, mesh.Delivery{
-			Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: bytes, Inject: t},
-			End:     t + 200, Hops: 2,
+			ID: id, Src: int32(src), Dst: int32(dst), Bytes: bytes, Inject: t,
+			End: t + 200, Hops: 2,
 		})
 	}
 	t := sim.Time(0)
@@ -76,8 +76,8 @@ func TestSplitPhasesSmoothTrafficIsOnePhase(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		tm += sim.Time(st.Exponential(500)) + 1
 		log = append(log, mesh.Delivery{
-			Message: mesh.Message{ID: int64(i + 1), Src: i % 4, Dst: (i + 1) % 4, Bytes: 8, Inject: tm},
-			End:     tm + 100, Hops: 1,
+			ID: int64(i + 1), Src: int32(i % 4), Dst: int32((i + 1) % 4), Bytes: 8, Inject: tm,
+			End: tm + 100, Hops: 1,
 		})
 	}
 	c, err := Analyze("smooth", StrategyDynamic, log, 4, tm+100, 0)
@@ -126,8 +126,8 @@ func TestBurstsRawSegmentation(t *testing.T) {
 
 func TestSplitPhasesTinyLog(t *testing.T) {
 	log := []mesh.Delivery{{
-		Message: mesh.Message{ID: 1, Src: 0, Dst: 1, Bytes: 8, Inject: 10},
-		End:     20, Hops: 1,
+		ID: 1, Src: 0, Dst: 1, Bytes: 8, Inject: 10,
+		End: 20, Hops: 1,
 	}}
 	c, err := Analyze("tiny", StrategyDynamic, log, 2, 100, 0)
 	if err != nil {

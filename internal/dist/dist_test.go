@@ -29,8 +29,8 @@ import (
 // against the spec).
 func testArtifact(name string) *pipeline.Artifact {
 	log := []mesh.Delivery{
-		{Message: mesh.Message{ID: 1, Src: 0, Dst: 1, Bytes: 64, Inject: 10}, End: 30, Blocked: 0, Hops: 1},
-		{Message: mesh.Message{ID: 2, Src: 1, Dst: 0, Bytes: 128, Inject: 40}, End: 90, Blocked: 5, Hops: 1},
+		{ID: 1, Src: 0, Dst: 1, Bytes: 64, Inject: 10, End: 30, Blocked: 0, Hops: 1},
+		{ID: 2, Src: 1, Dst: 0, Bytes: 128, Inject: 40, End: 90, Blocked: 5, Hops: 1},
 	}
 	return &pipeline.Artifact{
 		C: &core.Characterization{

@@ -16,6 +16,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 
 	"commchar/internal/sim"
 )
@@ -128,7 +129,8 @@ type Config struct {
 
 	// MaxRetries bounds the retransmissions of a message whose worm is
 	// killed by an injected fault (drop, transient outage, corruption).
-	// Only consulted when a fault injector is installed.
+	// Only consulted when a fault injector is installed. At most 65535, so
+	// that a Delivery holds its retries in 16 bits.
 	MaxRetries int
 	// RetryBase is the first retransmission backoff; attempt k waits
 	// RetryBase << k, capped at RetryCap (capped exponential backoff, in
@@ -187,8 +189,14 @@ func (c Config) Fabric() Topology {
 	}
 }
 
+// MaxEndpoints is the most endpoints Validate accepts on any fabric, so
+// that a Delivery can hold endpoints and hop counts in 32 bits (a fabric
+// has at most 11 nodes per endpoint: a binary fat tree's 1 + levels/2).
+const MaxEndpoints = 1 << 20
+
 // validateShape checks Dims against the per-kind convention documented on
-// Config, so that Fabric can build the topology.
+// Config, so that Fabric can build the topology, and caps the fabric at
+// MaxEndpoints.
 func (c Config) validateShape() error {
 	d := c.Dims
 	switch c.Topology {
@@ -207,7 +215,7 @@ func (c Config) validateShape() error {
 			return fmt.Errorf("mesh: fat tree k=%d n=%d invalid (need arity >= 2, levels >= 1)", d[0], d[1])
 		}
 		for i, leaves := 0, 1; i < d[1]; i++ {
-			if leaves *= d[0]; leaves > 1<<20 {
+			if leaves *= d[0]; leaves > MaxEndpoints {
 				return fmt.Errorf("mesh: fat tree k=%d n=%d exceeds 2^20 endpoints", d[0], d[1])
 			}
 		}
@@ -218,14 +226,23 @@ func (c Config) validateShape() error {
 		if d[0] < 2 || d[1] < 1 {
 			return fmt.Errorf("mesh: dragonfly a=%d h=%d invalid (need routers >= 2, globals >= 1)", d[0], d[1])
 		}
+		// With a and h capped first, a*(a*h+1) cannot overflow.
+		if d[0] > MaxEndpoints || d[1] > MaxEndpoints || d[0]*(d[0]*d[1]+1) > MaxEndpoints {
+			return fmt.Errorf("mesh: dragonfly a=%d h=%d exceeds 2^20 endpoints", d[0], d[1])
+		}
 	case MeshTopology, TorusTopology:
 		if len(d) == 0 || len(d) > 8 {
 			return fmt.Errorf("mesh: %d grid dimensions invalid (want 1 to 8)", len(d))
 		}
+		nodes := 1
 		for _, k := range d {
 			if k < 1 || (c.Topology == TorusTopology && k < 2) {
 				return fmt.Errorf("mesh: grid dimension %d invalid for %s", k, c.Topology)
 			}
+			if k > MaxEndpoints/nodes {
+				return fmt.Errorf("mesh: %s %v exceeds 2^20 endpoints", c.Topology, d)
+			}
+			nodes *= k
 		}
 	default:
 		return fmt.Errorf("mesh: unknown topology %s", c.Topology)
@@ -233,7 +250,9 @@ func (c Config) validateShape() error {
 	return nil
 }
 
-// Validate reports whether the configuration is internally consistent.
+// Validate reports whether the configuration is internally consistent. It
+// also holds every fabric to MaxEndpoints and MaxRetries to 65535, the
+// ranges a Delivery's narrow fields can hold.
 func (c Config) Validate() error {
 	if err := c.validateShape(); err != nil {
 		return err
@@ -249,8 +268,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mesh: router delay %d invalid", c.RouterDelay)
 	case c.VirtualChannels < 1:
 		return fmt.Errorf("mesh: virtual channels %d invalid", c.VirtualChannels)
-	case c.MaxRetries < 0:
-		return fmt.Errorf("mesh: max retries %d invalid", c.MaxRetries)
+	case c.MaxRetries < 0 || c.MaxRetries > math.MaxUint16:
+		return fmt.Errorf("mesh: max retries %d invalid (want 0 to 65535)", c.MaxRetries)
 	case c.RetryBase < 0 || c.RetryCap < 0:
 		return fmt.Errorf("mesh: negative retry backoff")
 	case c.Routing == RoutingWestFirst && (c.Topology != MeshTopology || len(c.Dims) != 2):

@@ -41,7 +41,7 @@ type Injector interface {
 // FaultFlags records, per delivery, which fault classes the message
 // encountered on its way through the fabric, so characterization can
 // separate faulted from clean traffic.
-type FaultFlags int
+type FaultFlags uint8
 
 const (
 	// FaultDropped: at least one traversal was dropped in transit.
@@ -85,7 +85,7 @@ func (f FaultFlags) String() string {
 
 // DeliveryStatus distinguishes messages that reached their destination
 // from messages the network gave up on.
-type DeliveryStatus int
+type DeliveryStatus uint8
 
 const (
 	// StatusDelivered: the tail flit reached the destination.

@@ -155,7 +155,7 @@ func goldenRun(t *testing.T, cfg mesh.Config, spec func(mesh.Topology) string, c
 		if d.Status != mesh.StatusDelivered {
 			return
 		}
-		net.Inject(mesh.Message{Src: d.Dst, Dst: d.Src, Bytes: 16, Inject: d.End}, nil)
+		net.Inject(mesh.Message{Src: int(d.Dst), Dst: int(d.Src), Bytes: 16, Inject: d.End}, nil)
 	}
 	for src := 0; src < eps; src++ {
 		at := sim.Time(0)

@@ -43,7 +43,7 @@ func (c *deliveryChunks) referenceLog() []mesh.Delivery {
 		if out[i].Inject != out[j].Inject {
 			return out[i].Inject < out[j].Inject
 		}
-		return out[i].Message.ID < out[j].Message.ID
+		return out[i].ID < out[j].ID
 	})
 	return out
 }
@@ -83,7 +83,7 @@ func oracleTraffic(s *sim.Simulator, net *mesh.Network, rec *deliveryChunks, ahe
 	st := sim.NewStream(0x5EED)
 	reply := rec.recording(func(d mesh.Delivery) {
 		if d.Status == mesh.StatusDelivered {
-			net.Inject(mesh.Message{Src: d.Dst, Dst: d.Src, Bytes: 16, Inject: d.End}, rec.recording(nil))
+			net.Inject(mesh.Message{Src: int(d.Dst), Dst: int(d.Src), Bytes: 16, Inject: d.End}, rec.recording(nil))
 		}
 	})
 	for src := 0; src < eps; src++ {
@@ -178,9 +178,9 @@ func FuzzLogRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id, inject, latency, bytes, blocked int64, hops int, retries uint16,
 		faults uint8, failed bool, order uint8) {
 		base := mesh.Delivery{
-			Message: mesh.Message{Src: int(id >> 40), Dst: int(inject), Bytes: int(bytes), Inject: sim.Time(inject)},
-			End:     sim.Time(inject + latency), Blocked: sim.Duration(blocked),
-			Hops: hops, Retries: int(retries), Faults: mesh.FaultFlags(faults % 64),
+			Src: int32(id >> 40), Dst: int32(inject), Bytes: int(bytes), Inject: sim.Time(inject),
+			End: sim.Time(inject + latency), Blocked: sim.Duration(blocked),
+			Hops: int32(hops), Retries: retries, Faults: mesh.FaultFlags(faults % 64),
 		}
 		if failed {
 			base.Status = mesh.StatusFailed
@@ -188,8 +188,8 @@ func FuzzLogRecord(f *testing.F) {
 		// Three deliveries around base, two of them sharing its Inject.
 		ds := []mesh.Delivery{base, base, base}
 		ds[1].Inject, ds[1].End = ^sim.Time(inject), ^sim.Time(inject)+sim.Time(latency)
-		ds[1].Faults, ds[1].Retries = ^ds[1].Faults&63, int(retries)<<20
-		ds[2].Src, ds[2].Hops, ds[2].Status = ds[2].Dst, hops/2, mesh.StatusDelivered
+		ds[1].Faults, ds[1].Retries = ^ds[1].Faults&63, ^retries
+		ds[2].Src, ds[2].Hops, ds[2].Status = ds[2].Dst, int32(hops/2), mesh.StatusDelivered
 		perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 		slots := perms[int(order)%len(perms)]
 		want := make([]mesh.Delivery, len(ds))
@@ -205,11 +205,12 @@ func FuzzLogRecord(f *testing.F) {
 }
 
 // TestDeliverySize pins the size of a Delivery, the element of every
-// delivery log: 88 bytes, eleven 8-byte fields (the latency is a method,
-// not a field).
+// delivery log: 56 bytes, with endpoints and hops in 32 bits, retries in
+// 16 and the fault flags and status in 8 (the latency is a method, not a
+// field).
 func TestDeliverySize(t *testing.T) {
-	if got := unsafe.Sizeof(mesh.Delivery{}); got != 88 {
-		t.Errorf("mesh.Delivery is %d bytes, want 88", got)
+	if got := unsafe.Sizeof(mesh.Delivery{}); got != 56 {
+		t.Errorf("mesh.Delivery is %d bytes, want 56", got)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestUncontendedLatency(t *testing.T) {
 	if got.Blocked != 0 {
 		t.Fatalf("blocked = %d, want 0 on idle network", got.Blocked)
 	}
-	if got.Hops != hops {
+	if int(got.Hops) != hops {
 		t.Fatalf("hops = %d, want %d", got.Hops, hops)
 	}
 }
@@ -298,8 +298,8 @@ func TestLatencyAtLeastUncontendedProperty(t *testing.T) {
 				}
 				mustRun(t, s)
 				for _, d := range n.Log() {
-					if d.Hops != n.Hops(d.Src, d.Dst) {
-						t.Logf("%d->%d took %d hops, route has %d", d.Src, d.Dst, d.Hops, n.Hops(d.Src, d.Dst))
+					if int(d.Hops) != n.Hops(int(d.Src), int(d.Dst)) {
+						t.Logf("%d->%d took %d hops, route has %d", d.Src, d.Dst, d.Hops, n.Hops(int(d.Src), int(d.Dst)))
 						return false
 					}
 					floor := cfg.LocalDelay
@@ -398,7 +398,7 @@ func TestLogSortedByInjection(t *testing.T) {
 	n.Inject(Message{Src: 1, Dst: 2, Bytes: 8, Inject: 0}, nil)
 	mustRun(t, s)
 	log := n.Log()
-	if log[0].Message.ID != 2 || log[1].Message.ID != 1 {
+	if log[0].ID != 2 || log[1].ID != 1 {
 		t.Fatalf("log not injection-ordered: %+v", log)
 	}
 }

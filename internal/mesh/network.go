@@ -12,7 +12,9 @@ import (
 )
 
 // Message is the unit of network traffic: the paper's
-// (source, destination, length, injection time) record.
+// (source, destination, length, injection time) record. It is what an
+// injector hands the network; the Delivery logged for it copies its
+// fields, endpoints narrowed to the 32 bits a valid Config bounds them to.
 type Message struct {
 	// ID numbers the message in injection order: Network.Inject sets it
 	// to the message's injection slot + 1, whatever the caller put there.
@@ -27,15 +29,23 @@ type Message struct {
 
 // Delivery is the network log record produced for every message, from which
 // all three communication attributes are characterized. It stores only
-// what it cannot derive: the latency is a method.
+// what it cannot derive (the latency is a method), each field at the
+// width a valid Config bounds it to: Config.Validate caps a fabric at 2^20
+// endpoints, so endpoints and hops fit an int32, and MaxRetries at 65535,
+// so retries fit a uint16. A Delivery is 56 bytes.
 type Delivery struct {
-	Message
+	// The message's fields, as Network.Inject numbered it.
+	ID       int64
+	Src, Dst int32
+	Bytes    int
+	Inject   sim.Time
+
 	End     sim.Time     // tail flit delivered at the destination (or give-up time)
 	Blocked sim.Duration // time the head spent waiting on busy channels
-	Hops    int          // physical links traversed
+	Hops    int32        // physical links traversed
 
 	// Fault bookkeeping (all zero on fault-free runs).
-	Retries int            // retransmission attempts before success/failure
+	Retries uint16         // retransmission attempts before success/failure
 	Faults  FaultFlags     // fault classes encountered
 	Status  DeliveryStatus // delivered, or failed (partitioned/exhausted)
 }
@@ -82,7 +92,7 @@ type hop struct {
 // A network keeps the log unless DiscardLog is called. While a run goes,
 // the log is not kept as Delivery values: each completed message is one
 // compact record of varint deltas (logCodec; 12 to 18 bytes on the runs
-// measured, against a Delivery's 88) in byte chunks that are never
+// measured, against a Delivery's 56) in byte chunks that are never
 // copied, and each record names its message's slot, the order Inject was
 // called in. Log rebuilds the one full []Delivery from those records.
 type Network struct {
@@ -482,8 +492,8 @@ type logCodec struct {
 
 // put appends d's record to buf.
 func (c *logCodec) put(buf []byte, d *Delivery) []byte {
-	if d.Retries < 0 || d.Retries >= 1<<57 || uint64(d.Faults) >= 1<<6 || uint64(d.Status) > 1 {
-		panic(fmt.Sprintf("mesh: message %d has retries %d, faults %d, status %d", d.ID, d.Retries, d.Faults, d.Status))
+	if d.Faults >= 1<<6 || d.Status > 1 {
+		panic(fmt.Sprintf("mesh: message %d has faults %d, status %d", d.ID, d.Faults, d.Status))
 	}
 	slot := int(d.ID - 1)
 	buf = binary.AppendUvarint(buf, zigzag(int64(slot-c.slot)))
@@ -512,9 +522,9 @@ func (c *logCodec) nextSlot(buf []byte) (int, []byte) {
 func (c *logCodec) get(buf []byte, d *Delivery) []byte {
 	d.ID = int64(c.slot) + 1
 	u, buf := uvarint(buf)
-	d.Src = int(u)
+	d.Src = int32(u)
 	u, buf = uvarint(buf)
-	d.Dst = int(u)
+	d.Dst = int32(u)
 	u, buf = uvarint(buf)
 	d.Bytes = int(u)
 	u, buf = uvarint(buf)
@@ -525,9 +535,9 @@ func (c *logCodec) get(buf []byte, d *Delivery) []byte {
 	u, buf = uvarint(buf)
 	d.Blocked = sim.Duration(u)
 	u, buf = uvarint(buf)
-	d.Hops = int(u)
+	d.Hops = int32(u)
 	u, buf = uvarint(buf)
-	d.Retries, d.Faults, d.Status = int(u>>7), FaultFlags(u>>1&(1<<6-1)), DeliveryStatus(u&1)
+	d.Retries, d.Faults, d.Status = uint16(u>>7), FaultFlags(u>>1&(1<<6-1)), DeliveryStatus(u&1)
 	return buf
 }
 

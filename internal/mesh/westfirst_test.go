@@ -36,7 +36,7 @@ func TestWestFirstPathsAreMinimal(t *testing.T) {
 				Src: src, Dst: dst, Bytes: 8,
 				Inject: sim.Time((src*16 + dst) * 2000), // spaced out: no contention
 			}, func(d Delivery) {
-				if d.Hops != manhattan(cfg, src, dst) {
+				if int(d.Hops) != manhattan(cfg, src, dst) {
 					t.Errorf("%d->%d took %d hops, minimal %d", src, dst, d.Hops, manhattan(cfg, src, dst))
 				}
 			})

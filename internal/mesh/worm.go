@@ -309,7 +309,9 @@ func (w *worm) partition() {
 // returns the worm to the free list.
 func (w *worm) finish(hops int, err error) {
 	n := w.net
-	d := Delivery{Message: w.m, Blocked: w.blocked, Hops: hops, Retries: w.attempt, Faults: w.flags}
+	m := &w.m
+	d := Delivery{ID: m.ID, Src: int32(m.Src), Dst: int32(m.Dst), Bytes: m.Bytes, Inject: m.Inject,
+		Blocked: w.blocked, Hops: int32(hops), Retries: uint16(w.attempt), Faults: w.flags}
 	if err != nil {
 		d.Status = StatusFailed
 		n.failures = append(n.failures, err)

@@ -27,8 +27,8 @@ import (
 // so the seed corpus covers every member and field the codec serializes.
 func wireFuzzArtifact() *Artifact {
 	log := []mesh.Delivery{
-		{Message: mesh.Message{ID: 1, Src: 0, Dst: 1, Bytes: 64, Inject: 10}, End: 30, Blocked: 0, Hops: 1},
-		{Message: mesh.Message{ID: 2, Src: 1, Dst: 0, Bytes: 128, Inject: 40}, End: 90, Blocked: 5, Hops: 2},
+		{ID: 1, Src: 0, Dst: 1, Bytes: 64, Inject: 10, End: 30, Blocked: 0, Hops: 1},
+		{ID: 2, Src: 1, Dst: 0, Bytes: 128, Inject: 40, End: 90, Blocked: 5, Hops: 2},
 	}
 	tr := trace.New(2)
 	tr.Add(0, trace.Event{Op: trace.OpSend, Peer: 1, Bytes: 64, Compute: 10})

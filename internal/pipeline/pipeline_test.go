@@ -35,10 +35,10 @@ func syntheticRaw(procs int) *core.RawRun {
 			dst = (dst + 1) % procs
 		}
 		log = append(log, mesh.Delivery{
-			Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: 32 + 8*(i%4), Inject: t},
+			ID: id, Src: int32(src), Dst: int32(dst), Bytes: 32 + 8*(i%4), Inject: t,
 			End:     t + 400,
 			Blocked: sim.Duration(10 * (i % 5)),
-			Hops:    1 + i%3,
+			Hops:    int32(1 + i%3),
 		})
 	}
 	return &RawRun{Procs: procs, Elapsed: t + 1000, MeanUtil: 0.125, Events: 4321, Log: log}

@@ -335,7 +335,7 @@ func FaultSummary(w io.Writer, log []mesh.Delivery, failures []error) {
 	counts := make([]int, len(flagNames))
 	var faulted, failed, retries int
 	for _, d := range log {
-		retries += d.Retries
+		retries += int(d.Retries)
 		if d.Status != mesh.StatusDelivered {
 			failed++
 		}

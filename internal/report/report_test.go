@@ -29,8 +29,8 @@ func sampleCharacterization(t *testing.T) *core.Characterization {
 				bytes = 40
 			}
 			log = append(log, mesh.Delivery{
-				Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: bytes, Inject: tm},
-				End:     tm + 300, Hops: 2,
+				ID: id, Src: int32(src), Dst: int32(dst), Bytes: bytes, Inject: tm,
+				End: tm + 300, Hops: 2,
 			})
 		}
 	}

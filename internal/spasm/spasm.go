@@ -59,8 +59,9 @@ type Machine struct {
 	cfg  Config
 	envs []*Env
 
-	bar   barrierState
-	locks map[int]*lockState
+	bar      barrierState
+	locks    map[int]*lockState
+	freeSync *syncMsg // delivered sync messages, reused by send
 }
 
 // New builds a machine. It panics on inconsistent configuration (a

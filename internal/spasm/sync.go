@@ -62,27 +62,13 @@ func (e *Env) Barrier() {
 		b.arrived -= n - 1
 		// Release everyone.
 		for dst := 1; dst < n; dst++ {
-			dst := dst
-			m.send(e.p.Now(), 0, dst, func(mesh.Delivery) {
-				b.pendingRelease[dst]++
-				if w, ok := b.releaseWaiting[dst]; ok {
-					delete(b.releaseWaiting, dst)
-					w.Wake()
-				}
-			})
+			m.send(e.p.Now(), 0, dst, barrierRelease, nil, dst)
 		}
 		return
 	}
 
 	// Arrive at processor 0.
-	m.send(e.p.Now(), e.id, 0, func(mesh.Delivery) {
-		b.arrived++
-		if b.waiting0 != nil {
-			w := *b.waiting0
-			b.waiting0 = nil
-			w.Wake()
-		}
-	})
+	m.send(e.p.Now(), e.id, 0, barrierArrive, nil, 0)
 	// Wait for our release.
 	for b.pendingRelease[e.id] == 0 {
 		b.releaseWaiting[e.id] = sim.WakerFor(e.p)
@@ -116,13 +102,7 @@ func (e *Env) treeBarrier() {
 		b.childArrived[id]--
 	}
 	if id != 0 {
-		m.send(e.p.Now(), id, parent, func(mesh.Delivery) {
-			b.childArrived[parent]++
-			if w, ok := b.arriveWaiting[parent]; ok {
-				delete(b.arriveWaiting, parent)
-				w.Wake()
-			}
-		})
+		m.send(e.p.Now(), id, parent, barrierChild, nil, parent)
 		// Wait for the release from the parent.
 		for b.pendingRelease[id] == 0 {
 			b.releaseWaiting[id] = sim.WakerFor(e.p)
@@ -132,19 +112,13 @@ func (e *Env) treeBarrier() {
 	}
 	// Relay the release to the children.
 	for _, c := range children {
-		c := c
-		m.send(e.p.Now(), id, c, func(mesh.Delivery) {
-			b.pendingRelease[c]++
-			if w, ok := b.releaseWaiting[c]; ok {
-				delete(b.releaseWaiting, c)
-				w.Wake()
-			}
-		})
+		m.send(e.p.Now(), id, c, barrierRelease, nil, c)
 	}
 }
 
 // lockState is one lock's queue at its home node.
 type lockState struct {
+	home    int // the processor the lock lives on
 	held    bool
 	holder  int
 	queue   []grantTarget
@@ -160,7 +134,7 @@ type grantTarget struct {
 func (m *Machine) lock(id int) *lockState {
 	l, ok := m.locks[id]
 	if !ok {
-		l = &lockState{holder: -1, pending: map[int]int{}, waiting: map[int]sim.Waker{}}
+		l = &lockState{home: m.lockHome(id), holder: -1, pending: map[int]int{}, waiting: map[int]sim.Waker{}}
 		m.locks[id] = l
 	}
 	return l
@@ -179,28 +153,9 @@ func (m *Machine) lockHome(id int) int {
 func (e *Env) Lock(id int) {
 	t0 := e.p.Now()
 	defer func() { e.prof.Sync += sim.Duration(e.p.Now() - t0) }()
-	m := e.m
-	home := m.lockHome(id)
-	l := m.lock(id)
-
-	// Request travels to the lock's home.
-	m.send(e.p.Now(), e.id, home, func(mesh.Delivery) {
-		if !l.held {
-			l.held = true
-			l.holder = e.id
-			// Grant travels back.
-			m.send(m.Sim.Now(), home, e.id, func(mesh.Delivery) {
-				l.pending[e.id]++
-				if w, ok := l.waiting[e.id]; ok {
-					delete(l.waiting, e.id)
-					w.Wake()
-				}
-			})
-			return
-		}
-		l.queue = append(l.queue, grantTarget{proc: e.id, at: m.Sim.Now()})
-	})
-
+	l := e.m.lock(id)
+	// Request travels to the lock's home, and the grant back.
+	e.m.send(e.p.Now(), e.id, l.home, lockRequest, l, e.id)
 	for l.pending[e.id] == 0 {
 		l.waiting[e.id] = sim.WakerFor(e.p)
 		e.p.Suspend()
@@ -211,14 +166,76 @@ func (e *Env) Lock(id int) {
 // Unlock releases the numbered lock. The caller does not wait for the
 // release message to reach the lock's home (release is asynchronous).
 func (e *Env) Unlock(id int) {
-	m := e.m
-	home := m.lockHome(id)
-	l := m.lock(id)
+	l := e.m.lock(id)
 	if !l.held || l.holder != e.id {
 		panic(fmt.Sprintf("spasm: processor %d unlocks lock %d held by %d", e.id, id, l.holder))
 	}
 	l.holder = -1 // logically released; home processes the message on arrival
-	m.send(e.p.Now(), e.id, home, func(mesh.Delivery) {
+	e.m.send(e.p.Now(), e.id, l.home, lockRelease, l, e.id)
+}
+
+// syncKind names what a synchronization message does when it arrives.
+type syncKind uint8
+
+const (
+	barrierArrive  syncKind = iota // linear barrier: an arrival reaches processor 0
+	barrierChild                   // tree barrier: a child's arrival reaches proc
+	barrierRelease                 // a barrier release reaches proc
+	lockRequest                    // proc's request reaches the lock's home
+	lockGrant                      // the lock's grant reaches proc
+	lockRelease                    // the holder's release reaches the lock's home
+)
+
+// syncMsg is one synchronization message in flight: what it does on
+// arrival, on which lock, for which processor. Records come from the
+// machine's free list and bind their arrival callbacks once, when made,
+// as mesh's worms do, so a message allocates nothing in the steady state.
+type syncMsg struct {
+	m    *Machine
+	kind syncKind
+	lock *lockState // lock messages only
+	proc int
+
+	arriveFn    func()              // r.arrive, bound once per record
+	deliveredFn func(mesh.Delivery) // r.delivered, bound once per record
+	nextFree    *syncMsg
+}
+
+// delivered is the network's delivery callback for a remote message.
+func (r *syncMsg) delivered(mesh.Delivery) { r.arrive() }
+
+// arrive runs the message's effect at its destination. The record goes
+// back to the free list first, so a message sent from here reuses it.
+func (r *syncMsg) arrive() {
+	m, l, proc := r.m, r.lock, r.proc
+	r.nextFree, m.freeSync = m.freeSync, r
+	b := &m.bar
+	switch r.kind {
+	case barrierArrive:
+		b.arrived++
+		if b.waiting0 != nil {
+			w := *b.waiting0
+			b.waiting0 = nil
+			w.Wake()
+		}
+	case barrierChild:
+		b.childArrived[proc]++
+		wake(b.arriveWaiting, proc)
+	case barrierRelease:
+		b.pendingRelease[proc]++
+		wake(b.releaseWaiting, proc)
+	case lockRequest:
+		if !l.held {
+			l.held = true
+			l.holder = proc
+			m.send(m.Sim.Now(), l.home, proc, lockGrant, l, proc)
+			return
+		}
+		l.queue = append(l.queue, grantTarget{proc: proc, at: m.Sim.Now()})
+	case lockGrant:
+		l.pending[proc]++
+		wake(l.waiting, proc)
+	case lockRelease:
 		if len(l.queue) == 0 {
 			l.held = false
 			return
@@ -228,27 +245,38 @@ func (e *Env) Unlock(id int) {
 		// the next append does not reallocate it.
 		l.queue = l.queue[:copy(l.queue, l.queue[1:])]
 		l.holder = next.proc
-		m.send(m.Sim.Now(), home, next.proc, func(mesh.Delivery) {
-			l.pending[next.proc]++
-			if w, ok := l.waiting[next.proc]; ok {
-				delete(l.waiting, next.proc)
-				w.Wake()
-			}
-		})
-	})
+		m.send(m.Sim.Now(), l.home, next.proc, lockGrant, l, next.proc)
+	}
 }
 
-// send injects a synchronization control message and invokes then on
-// delivery; then is the network's own delivery callback, so a remote
-// message allocates no wrapper. Same-node messages skip the fabric but
-// still pay the local interface delay, and their then sees a zero
-// Delivery.
-func (m *Machine) send(at sim.Time, src, dst int, then func(mesh.Delivery)) {
+// wake resumes the process waiting in waiting under proc, if there is one.
+func wake(waiting map[int]sim.Waker, proc int) {
+	if w, ok := waiting[proc]; ok {
+		delete(waiting, proc)
+		w.Wake()
+	}
+}
+
+// send injects a synchronization control message of the given kind,
+// which arrive carries out on delivery. The record comes from the
+// machine's free list, and the network calls its bound callback, so a
+// message allocates nothing once the list holds as many records as are
+// ever in flight. Same-node messages skip the fabric but still pay the
+// local interface delay.
+func (m *Machine) send(at sim.Time, src, dst int, kind syncKind, l *lockState, proc int) {
+	r := m.freeSync
+	if r != nil {
+		m.freeSync, r.nextFree = r.nextFree, nil
+	} else {
+		r = &syncMsg{m: m}
+		r.arriveFn, r.deliveredFn = r.arrive, r.delivered
+	}
+	r.kind, r.lock, r.proc = kind, l, proc
 	if src == dst {
-		m.Sim.At(at+sim.Time(m.cfg.Mesh.LocalDelay), func() { then(mesh.Delivery{}) })
+		m.Sim.At(at+sim.Time(m.cfg.Mesh.LocalDelay), r.arriveFn)
 		return
 	}
 	m.Net.Inject(mesh.Message{
 		Src: src, Dst: dst, Bytes: syncBytes, Inject: at,
-	}, then)
+	}, r.deliveredFn)
 }

@@ -181,7 +181,10 @@ const MinDeliveryRow = 2*deliveryFields - 1
 // once at that capacity, and grows by append only past it (hint <= 0
 // means unknown). Every field must be a base-10 int64, and latency_ns
 // must equal end_ns - inject_ns as int64 arithmetic gives it, since a
-// Delivery derives its latency and cannot hold another.
+// Delivery derives its latency and cannot hold another. The fields a
+// Delivery holds narrower must fit: src, dst and hops an int32, retries a
+// uint16, faults no bit beyond FaultPartitioned, and status
+// StatusDelivered or StatusFailed.
 //
 // The first non-blank line is the header and is skipped whatever it
 // holds; an input without one is an error. Blank lines are skipped, and
@@ -193,10 +196,10 @@ const MinDeliveryRow = 2*deliveryFields - 1
 // the last record of the input is a truncation: the reader returns the
 // cleanly parsed prefix together with a *TruncatedError carrying the
 // record's number and the bytes consumed before it. The same fault
-// followed by another record, a field that does not parse, or a
-// latency_ns that disagrees with end_ns - inject_ns is a hard error
-// naming the row (records are counted from 1, header included) and the
-// field's 0-based column.
+// followed by another record, a field that does not parse or does not
+// fit, or a latency_ns that disagrees with end_ns - inject_ns is a hard
+// error, even in the last record, naming the row (records are counted
+// from 1, header included) and the field's 0-based column.
 func ReadDeliveries(r io.Reader, hint int) ([]mesh.Delivery, error) {
 	lr := lineReader{br: bufio.NewReader(r)}
 	if err := lr.header(); err != nil {
@@ -226,19 +229,39 @@ func ReadDeliveries(r io.Reader, hint int) ([]mesh.Delivery, error) {
 		if lat := ints[5] - ints[4]; ints[6] != lat {
 			return out, fmt.Errorf("trace: delivery row %d field 6: latency_ns %d is not end_ns - inject_ns = %d", lr.record, ints[6], lat)
 		}
+		for _, nf := range narrowFields {
+			if v := ints[nf.col]; v < nf.min || v > nf.max {
+				return out, fmt.Errorf("trace: delivery row %d field %d: %s %d outside [%d, %d]", lr.record, nf.col, nf.name, v, nf.min, nf.max)
+			}
+		}
 		out = append(out, mesh.Delivery{
-			Message: mesh.Message{
-				ID: ints[0], Src: int(ints[1]), Dst: int(ints[2]),
-				Bytes: int(ints[3]), Inject: sim.Time(ints[4]),
-			},
+			ID: ints[0], Src: int32(ints[1]), Dst: int32(ints[2]),
+			Bytes: int(ints[3]), Inject: sim.Time(ints[4]),
 			End:     sim.Time(ints[5]),
 			Blocked: sim.Duration(ints[7]),
-			Hops:    int(ints[8]),
-			Retries: int(ints[9]),
+			Hops:    int32(ints[8]),
+			Retries: uint16(ints[9]),
 			Faults:  mesh.FaultFlags(ints[10]),
 			Status:  mesh.DeliveryStatus(ints[11]),
 		})
 	}
+}
+
+// narrowFields are the delivery-log columns a Delivery holds in fewer
+// than 64 bits, with the range each must lie in: src, dst and hops are
+// int32, retries a uint16, faults the FaultFlags bits, and status
+// delivered or failed.
+var narrowFields = [...]struct {
+	col      int
+	name     string
+	min, max int64
+}{
+	{1, "src", math.MinInt32, math.MaxInt32},
+	{2, "dst", math.MinInt32, math.MaxInt32},
+	{8, "hops", math.MinInt32, math.MaxInt32},
+	{9, "retries", 0, math.MaxUint16},
+	{10, "faults", 0, int64(mesh.FaultPartitioned)<<1 - 1},
+	{11, "status", int64(mesh.StatusDelivered), int64(mesh.StatusFailed)},
 }
 
 // parseInt64 parses a base-10 int64 field. parseInt takes the common

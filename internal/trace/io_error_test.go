@@ -2,9 +2,12 @@ package trace
 
 import (
 	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"commchar/internal/mesh"
 )
 
 func TestReadCSVErrorPaths(t *testing.T) {
@@ -233,6 +236,49 @@ func TestReadDeliveriesLatencyRule(t *testing.T) {
 		}
 		if len(log) != 1 {
 			t.Errorf("%q: %d deliveries before the bad row, want 1", bad, len(log))
+		}
+	}
+}
+
+// TestReadDeliveriesRangeRule pins the ranges of the fields a Delivery
+// holds narrower than int64: src, dst and hops must fit an int32, retries
+// a uint16, faults no bit beyond FaultPartitioned, and status must be
+// delivered or failed. Each bound is accepted, and one past it is a hard
+// error naming the row and field, even as the last record, rather than a
+// silent truncation.
+func TestReadDeliveriesRangeRule(t *testing.T) {
+	const first = "2,0,3,64,0,900,900,0,3,0,0,0\n"
+	edge := "1,-2147483648,2147483647,64,0,900,900,0,-2147483648,65535,63,1\n"
+	log, err := ReadDeliveries(strings.NewReader(deliveryHeader+edge), 0)
+	if err != nil || len(log) != 1 || log[0].Src != math.MinInt32 || log[0].Dst != math.MaxInt32 ||
+		log[0].Hops != math.MinInt32 || log[0].Retries != math.MaxUint16 || log[0].Faults != 63 || log[0].Status != mesh.StatusFailed {
+		t.Fatalf("fields at their bounds: %+v, %v", log, err)
+	}
+	for _, c := range []struct {
+		row   string
+		field string
+	}{
+		{"1,2147483648,3,64,0,900,900,0,3,0,0,0\n", "field 1: src 2147483648 outside"},
+		{"1,0,-2147483649,64,0,900,900,0,3,0,0,0\n", "field 2: dst -2147483649 outside"},
+		{"1,0,3,64,0,900,900,0,4294967296,0,0,0\n", "field 8: hops 4294967296 outside"},
+		{"1,0,3,64,0,900,900,0,3,65536,0,0\n", "field 9: retries 65536 outside"},
+		{"1,0,3,64,0,900,900,0,3,-1,0,0\n", "field 9: retries -1 outside"},
+		{"1,0,3,64,0,900,900,0,3,0,64,0\n", "field 10: faults 64 outside"},
+		{"1,0,3,64,0,900,900,0,3,0,0,2\n", "field 11: status 2 outside"},
+	} {
+		for _, last := range []bool{true, false} {
+			in := deliveryHeader + first + c.row
+			if !last {
+				in += first
+			}
+			log, err := ReadDeliveries(strings.NewReader(in), 0)
+			var te *TruncatedError
+			if err == nil || errors.As(err, &te) || !strings.HasPrefix(err.Error(), "trace: delivery row 3 "+c.field) {
+				t.Errorf("%q (last %v): %v, want a hard error at row 3 %s", c.row, last, err, c.field)
+			}
+			if len(log) != 1 {
+				t.Errorf("%q (last %v): %d deliveries before the bad row, want 1", c.row, last, len(log))
+			}
 		}
 	}
 }

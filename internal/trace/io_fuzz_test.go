@@ -101,6 +101,14 @@ func FuzzReadDeliveries(f *testing.F) {
 	f.Add(header + row + "1,0,\"3\",64,0,900,900,0,3,0,0,0\n")
 	f.Add(header + "1,0,3,64,0,900,899,0,3,0,0,0\n" + row)
 	f.Add(header + "1,0,3,64,9223372036854775807,-9223372036854775808,1,0,3,0,0,0\n")
+	// One seed per narrow field, past its range; the last at every bound.
+	f.Add(header + row + "2,2147483648,3,64,0,900,900,0,3,0,0,0\n")
+	f.Add(header + "1,0,-2147483649,64,0,900,900,0,3,0,0,0\n" + row)
+	f.Add(header + "1,0,3,64,0,900,900,0,9223372036854775807,0,0,0\n")
+	f.Add(header + "1,0,3,64,0,900,900,0,3,65536,0,0\n")
+	f.Add(header + "1,0,3,64,0,900,900,0,3,0,-64,0\n")
+	f.Add(header + "1,0,3,64,0,900,900,0,3,0,0,2\n")
+	f.Add(header + "1,-2147483648,2147483647,64,0,900,900,0,-2147483648,65535,63,1\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		log, err := ReadDeliveries(strings.NewReader(data), 0)
 		if strings.Contains(data, `"`) {

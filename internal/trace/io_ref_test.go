@@ -170,16 +170,16 @@ func referenceWriteDeliveries(w io.Writer, log []mesh.Delivery) error {
 	}
 	for _, d := range log {
 		row := []string{
-			strconv.FormatInt(d.Message.ID, 10),
-			strconv.Itoa(d.Src),
-			strconv.Itoa(d.Dst),
+			strconv.FormatInt(d.ID, 10),
+			strconv.Itoa(int(d.Src)),
+			strconv.Itoa(int(d.Dst)),
 			strconv.Itoa(d.Bytes),
 			strconv.FormatInt(int64(d.Inject), 10),
 			strconv.FormatInt(int64(d.End), 10),
 			strconv.FormatInt(int64(d.Latency()), 10),
 			strconv.FormatInt(int64(d.Blocked), 10),
-			strconv.Itoa(d.Hops),
-			strconv.Itoa(d.Retries),
+			strconv.Itoa(int(d.Hops)),
+			strconv.Itoa(int(d.Retries)),
 			strconv.Itoa(int(d.Faults)),
 			strconv.Itoa(int(d.Status)),
 		}
@@ -193,9 +193,10 @@ func referenceWriteDeliveries(w io.Writer, log []mesh.Delivery) error {
 
 // referenceReadDeliveries is the encoding/csv delivery-log reader that
 // ReadDeliveries replaced, kept as the differential oracle with the rules
-// ReadDeliveries has gained since (12 columns only, and latency_ns equal
-// to end_ns - inject_ns): on any input without a '"', both must return
-// the same deliveries and the same error text.
+// ReadDeliveries has gained since (12 columns only, latency_ns equal to
+// end_ns - inject_ns, and each narrow field in its Delivery type's range,
+// checked here by strconv's sized parsers): on any input without a '"',
+// both must return the same deliveries and the same error text.
 func referenceReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
 	rr := newRecordReader(r)
 	if _, err := rr.next(); err != nil { // header
@@ -227,15 +228,34 @@ func referenceReadDeliveries(r io.Reader) ([]mesh.Delivery, error) {
 		if lat := ints[5] - ints[4]; ints[6] != lat {
 			return out, fmt.Errorf("trace: delivery row %d field 6: latency_ns %d is not end_ns - inject_ns = %d", rr.record, ints[6], lat)
 		}
+		src, err1 := strconv.ParseInt(row[1], 10, 32)
+		dst, err2 := strconv.ParseInt(row[2], 10, 32)
+		hops, err8 := strconv.ParseInt(row[8], 10, 32)
+		retries, err9 := strconv.ParseUint(row[9], 10, 16)
+		for _, c := range []struct {
+			col      int
+			name     string
+			bad      bool
+			min, max int64
+		}{
+			{1, "src", err1 != nil, math.MinInt32, math.MaxInt32},
+			{2, "dst", err2 != nil, math.MinInt32, math.MaxInt32},
+			{8, "hops", err8 != nil, math.MinInt32, math.MaxInt32},
+			{9, "retries", err9 != nil, 0, math.MaxUint16},
+			{10, "faults", ints[10]&^int64(1<<6-1) != 0, 0, 1<<6 - 1},
+			{11, "status", ints[11] != 0 && ints[11] != 1, 0, 1},
+		} {
+			if c.bad {
+				return out, fmt.Errorf("trace: delivery row %d field %d: %s %d outside [%d, %d]", rr.record, c.col, c.name, ints[c.col], c.min, c.max)
+			}
+		}
 		out = append(out, mesh.Delivery{
-			Message: mesh.Message{
-				ID: ints[0], Src: int(ints[1]), Dst: int(ints[2]),
-				Bytes: int(ints[3]), Inject: sim.Time(ints[4]),
-			},
+			ID: ints[0], Src: int32(src), Dst: int32(dst),
+			Bytes: int(ints[3]), Inject: sim.Time(ints[4]),
 			End:     sim.Time(ints[5]),
 			Blocked: sim.Duration(ints[7]),
-			Hops:    int(ints[8]),
-			Retries: int(ints[9]),
+			Hops:    int32(hops),
+			Retries: uint16(retries),
 			Faults:  mesh.FaultFlags(ints[10]),
 			Status:  mesh.DeliveryStatus(ints[11]),
 		})
@@ -259,14 +279,14 @@ func randomLog(rng *rand.Rand, n int) []mesh.Delivery {
 	for i := range log {
 		d := &log[i]
 		d.ID = int64(i + 1)
-		d.Src, d.Dst = int(val(64)), int(val(64))
+		d.Src, d.Dst = int32(val(64)), int32(val(64))
 		d.Bytes = int(val(1 << 16))
 		d.Inject = sim.Time(val(1 << 40))
 		d.End = d.Inject + sim.Time(val(1<<20))
 		d.Blocked = sim.Duration(val(1 << 16))
-		d.Hops = int(val(16))
+		d.Hops = int32(val(16))
 		if rng.IntN(4) == 0 {
-			d.Retries = int(val(8))
+			d.Retries = uint16(val(8))
 			d.Faults = mesh.FaultFlags(rng.IntN(int(mesh.FaultPartitioned) << 1))
 		}
 		if rng.IntN(8) == 0 {

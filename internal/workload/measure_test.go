@@ -135,7 +135,7 @@ func TestMeasureLogMatchesReference(t *testing.T) {
 			d := &log[i]
 			d.End = sim.Time(st.IntN(1 << 43))
 			d.Blocked = sim.Duration(st.IntN(int(d.Latency()) + 1))
-			d.Hops = st.IntN(24)
+			d.Hops = int32(st.IntN(24))
 			if st.Float64() < 0.1 {
 				d.Status = mesh.StatusFailed
 			}

@@ -31,8 +31,8 @@ func knownLog(procs, perSource int, meanGapNS float64, seed uint64) ([]mesh.Deli
 			}
 			id++
 			log = append(log, mesh.Delivery{
-				Message: mesh.Message{ID: id, Src: src, Dst: dst, Bytes: bytes, Inject: t},
-				End:     t + 400, Hops: 3,
+				ID: id, Src: int32(src), Dst: int32(dst), Bytes: bytes, Inject: t,
+				End: t + 400, Hops: 3,
 			})
 			if t > maxT {
 				maxT = t
