@@ -14,3 +14,22 @@ func BenchmarkAnalyze(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnalyzeSkewed characterizes a log shaped like a cold Maxflow
+// run's: 16 sources of 20,000 gaps each, quantized to the 25 ns network
+// cycle, so the pooled sample is half of all the data fitted and its fit
+// the largest by far.
+func BenchmarkAnalyzeSkewed(b *testing.B) {
+	log := syntheticLog(16, 20001, 2000, 1)
+	for i := range log {
+		log[i].Inject -= log[i].Inject % 25
+		log[i].End = log[i].Inject + 500
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Analyze("skewed", StrategyDynamic, log, 16, 1<<40, 0.1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

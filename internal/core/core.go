@@ -110,8 +110,10 @@ const minSourceSamples = 8
 // Analyze characterizes a network log. procs is the machine size; elapsed
 // the simulated run time; meanUtil the network's mean link utilization.
 // The pooled inter-arrival sample is allocated once, at its final size,
-// and each source's sample is a sub-slice of it; stats.SummarizeFit sorts
-// each sample once for its Summary and its fits.
+// and each source's sample is a sub-slice of it. stats.SummarizeFits fits
+// every source's sample and the pooled one on one worker pool, largest
+// first, so the pooled fit overlaps the others; each result is bit for
+// bit what stats.SummarizeFit returns for its sample.
 func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, elapsed sim.Time, meanUtil float64) (*Characterization, error) {
 	if len(log) == 0 {
 		return nil, errors.New("core: empty network log")
@@ -170,20 +172,25 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 	c.MeanBlockedNS = blkSum / n
 	c.MeanHops = hopSum / n
 
-	// Temporal: per-source inter-arrival fits plus the pooled aggregate.
+	// Temporal: per-source inter-arrival fits plus the pooled aggregate,
+	// all fitted at once; the pooled sample is the last.
 	pooled, off := sourceGaps(sorted, perSource)
+	samples := make([][]float64, procs+1)
+	for src := range procs {
+		samples[src] = pooled[off[src]:off[src+1]:off[src+1]]
+	}
+	samples[procs] = pooled
+	res := stats.SummarizeFits(samples)
+	agg := res[procs]
+	if agg.Err != nil && len(pooled) >= minSourceSamples {
+		return nil, fmt.Errorf("core: aggregate fit: %w", agg.Err)
+	}
 	c.PerSource = make([]SourceTemporal, procs)
-	for src := range c.PerSource {
-		gaps := pooled[off[src]:off[src+1]:off[src+1]]
+	for src, r := range res[:procs] {
 		// A source too sparse, or too degenerate, to fit keeps no fits.
-		sum, fits, _ := stats.SummarizeFit(gaps)
-		c.PerSource[src] = SourceTemporal{Src: src, Samples: len(gaps), Summary: sum, Fits: fits}
+		c.PerSource[src] = SourceTemporal{Src: src, Samples: len(samples[src]), Summary: r.Summary, Fits: r.Fits}
 	}
-	sum, fits, err := stats.SummarizeFit(pooled)
-	if err != nil && len(pooled) >= minSourceSamples {
-		return nil, fmt.Errorf("core: aggregate fit: %w", err)
-	}
-	c.Aggregate = SourceTemporal{Src: -1, Samples: len(pooled), Summary: sum, Fits: fits}
+	c.Aggregate = SourceTemporal{Src: -1, Samples: len(pooled), Summary: agg.Summary, Fits: agg.Fits}
 
 	// Spatial and volume.
 	c.Spatial = stats.AggregateSpatial(counts)

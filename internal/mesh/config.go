@@ -130,7 +130,8 @@ type Config struct {
 	// MaxRetries bounds the retransmissions of a message whose worm is
 	// killed by an injected fault (drop, transient outage, corruption).
 	// Only consulted when a fault injector is installed. At most 65535, so
-	// that a Delivery holds its retries in 16 bits.
+	// that a Delivery holds its retries in 16 bits; with RetryCap 0, also
+	// small enough that RetryBase << MaxRetries does not overflow.
 	MaxRetries int
 	// RetryBase is the first retransmission backoff; attempt k waits
 	// RetryBase << k, capped at RetryCap (capped exponential backoff, in
@@ -252,7 +253,8 @@ func (c Config) validateShape() error {
 
 // Validate reports whether the configuration is internally consistent. It
 // also holds every fabric to MaxEndpoints and MaxRetries to 65535, the
-// ranges a Delivery's narrow fields can hold.
+// ranges a Delivery's narrow fields can hold, and an uncapped backoff to
+// one whose summed wait over every retry fits a sim.Duration.
 func (c Config) Validate() error {
 	if err := c.validateShape(); err != nil {
 		return err
@@ -272,6 +274,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mesh: max retries %d invalid (want 0 to 65535)", c.MaxRetries)
 	case c.RetryBase < 0 || c.RetryCap < 0:
 		return fmt.Errorf("mesh: negative retry backoff")
+	case c.RetryCap == 0 && c.RetryBase > math.MaxInt64>>c.MaxRetries:
+		return fmt.Errorf("mesh: uncapped retry backoff %d << %d max retries overflows", c.RetryBase, c.MaxRetries)
 	case c.Routing == RoutingWestFirst && (c.Topology != MeshTopology || len(c.Dims) != 2):
 		return fmt.Errorf("mesh: west-first routing is defined for the 2-D mesh topology only")
 	}
@@ -279,6 +283,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mesh: %s requires >= %d virtual channels for deadlock freedom", c.Topology, lanes)
 	}
 	return nil
+}
+
+// backoff returns the wait before retransmission attempt+1: RetryBase <<
+// attempt, saturated at RetryCap, or at the largest duration when
+// uncapped, so that it never wraps negative however many retries run.
+func (c Config) backoff(attempt int) sim.Duration {
+	limit := c.RetryCap
+	if limit == 0 {
+		limit = math.MaxInt64
+	}
+	if c.RetryBase > limit>>attempt {
+		return limit
+	}
+	return c.RetryBase << attempt
 }
 
 // Flits returns the number of flits a message of the given byte length

@@ -5,17 +5,24 @@ import (
 	"testing"
 
 	"commchar/internal/mesh"
+	"commchar/internal/sim"
 )
 
 // TestValidateCaps checks the bounds Validate holds every configuration
 // to so that a Delivery's narrow fields cannot overflow: at most
 // mesh.MaxEndpoints (2^20) endpoints on every fabric, and at most 65535
-// retries. Sizes whose product overflows an int are rejected too, and
-// every fabric of the engine digest table still validates.
+// retries, with an uncapped backoff that cannot overflow over them. Sizes
+// whose product overflows an int are rejected too, and every fabric of
+// the engine digest table still validates.
 func TestValidateCaps(t *testing.T) {
 	withRetries := func(n int) mesh.Config {
 		cfg := mesh.DefaultConfig(mesh.MeshTopology, 4, 4)
 		cfg.MaxRetries = n
+		return cfg
+	}
+	uncapped := func(base sim.Duration, n int) mesh.Config {
+		cfg := withRetries(n)
+		cfg.RetryBase, cfg.RetryCap = base, 0
 		return cfg
 	}
 	for _, c := range []struct {
@@ -37,6 +44,11 @@ func TestValidateCaps(t *testing.T) {
 		{"dragonfly 2x2^62", mesh.DefaultConfig(mesh.DragonflyTopology, 2, 1<<62), "exceeds 2^20 endpoints"},
 		{"retries 65535", withRetries(65535), ""},
 		{"retries 65536", withRetries(65536), "max retries 65536 invalid"},
+		// Uncapped, 200 ns << 55 is about 7.2e18 ns and fits an int64;
+		// << 56 does not. A zero base never overflows.
+		{"uncapped 200ns x 55 retries", uncapped(200, 55), ""},
+		{"uncapped 200ns x 56 retries", uncapped(200, 56), "uncapped retry backoff 200 << 56 max retries overflows"},
+		{"uncapped 0ns x 65535 retries", uncapped(0, 65535), ""},
 	} {
 		err := c.cfg.Validate()
 		switch {

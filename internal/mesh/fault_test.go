@@ -14,8 +14,14 @@ import (
 // given fault schedule and returns the delivery log.
 func uniformRun(t *testing.T, spec string, seed uint64) []mesh.Delivery {
 	t.Helper()
+	return uniformRunWith(t, mesh.DefaultConfig(mesh.MeshTopology, 4, 4), spec, seed)
+}
+
+// uniformRunWith is uniformRun on a 4x4 mesh configured by cfg.
+func uniformRunWith(t *testing.T, cfg mesh.Config, spec string, seed uint64) []mesh.Delivery {
+	t.Helper()
 	s := sim.New()
-	net := mesh.New(s, mesh.DefaultConfig(mesh.MeshTopology, 4, 4))
+	net := mesh.New(s, cfg)
 	if spec != "" {
 		sched, err := fault.Parse(spec, seed)
 		if err != nil {
@@ -194,6 +200,24 @@ func TestRetryExhaustionFailsDeterministically(t *testing.T) {
 	}
 	if !reflect.DeepEqual(run(), run()) {
 		t.Fatal("exhaustion runs diverged")
+	}
+}
+
+// TestLongRetryChainSaturatesBackoff retries every message 70 times,
+// past the 63 doublings an int64 backoff holds: the capped backoff must
+// saturate at RetryCap rather than wrap negative, so every message fails
+// by exhaustion and the run does not panic.
+func TestLongRetryChainSaturatesBackoff(t *testing.T) {
+	cfg := mesh.DefaultConfig(mesh.MeshTopology, 4, 4)
+	cfg.MaxRetries = 70
+	log := uniformRunWith(t, cfg, "drop:1", 5)
+	if len(log) != 16*50 {
+		t.Fatalf("%d deliveries, want %d", len(log), 16*50)
+	}
+	for _, d := range log {
+		if d.Status != mesh.StatusFailed || d.Retries != 70 {
+			t.Fatalf("message %d: status %d after %d retries, want failed after 70", d.ID, d.Status, d.Retries)
+		}
 	}
 }
 

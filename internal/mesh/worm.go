@@ -290,11 +290,7 @@ func (w *worm) kill(fault FaultFlags) {
 			Retries: w.attempt, Time: w.net.sim.Now()})
 		return
 	}
-	backoff := cfg.RetryBase << w.attempt
-	if cfg.RetryCap > 0 && backoff > cfg.RetryCap {
-		backoff = cfg.RetryCap
-	}
-	w.hold(backoff, wormBackoff)
+	w.hold(cfg.backoff(w.attempt), wormBackoff)
 }
 
 // partition fails the message when permanent failures have cut the head,

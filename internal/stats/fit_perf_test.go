@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,6 +94,45 @@ func TestFitDUDAllocsIndependentOfIters(t *testing.T) {
 	if short != long || long > maxAllocs {
 		t.Fatalf("allocs per call: %v at %d iterations, %v at %d; want equal and at most %d",
 			short, shortIters, long, longIters, maxAllocs)
+	}
+}
+
+// TestSummarizeFitsLongestFirstInSlot fits samples of mixed lengths,
+// among them one too short to fit and one point mass, on one pool at
+// GOMAXPROCS 1, 2 and 4. The pool must take them longest first, ties in
+// input order, and out[i] must equal SummarizeFit(samples[i]).
+func TestSummarizeFitsLongestFirstInSlot(t *testing.T) {
+	point := make([]float64, 40)
+	for i := range point {
+		point[i] = 2000
+	}
+	samples := [][]float64{
+		{1, 2, 3, 4, 5},
+		sampleFrom(HyperExp2{P: 0.7, Rate1: 3, Rate2: 0.3}, 300, 1),
+		point,
+		quantize(sampleFrom(Exponential{Rate: 0.01}, 1200, 2), 25),
+		sampleFrom(Erlang{K: 4, Rate: 2}, 300, 3),
+	}
+	if got, want := longestFirst(samples), []int{3, 1, 4, 2, 0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("start order %v, want %v", got, want)
+	}
+	want := make([]SampleFit, len(samples))
+	for i, s := range samples {
+		r := &want[i]
+		r.Summary, r.Fits, r.Err = SummarizeFit(s)
+	}
+	if want[0].Err == nil || want[2].Fits[0].Dist.Name() != (Deterministic{}).Name() {
+		t.Fatal("the short sample must fail and the point mass fit Deterministic")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := SummarizeFits(samples)
+		for i := range samples {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("GOMAXPROCS %d: slot %d = %+v, want %+v", procs, i, got[i], want[i])
+			}
+		}
 	}
 }
 

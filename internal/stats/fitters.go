@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,7 +47,9 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 // sample: the copy serves the median, the ECDF and Weibull's seed. A
 // sample whose mean is not finite (a NaN or an infinity in it, or finite
 // values whose sum overflows) is an error. The Summary is returned even
-// when the fit fails.
+// when the fit fails. Its result depends on the sample alone, so a caller
+// with several samples fits them all at once through SummarizeFits and
+// gets the same bits.
 func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
 	if len(samples) < 8 {
 		return Summarize(samples), nil, errors.New("stats: too few samples to characterize")
@@ -98,6 +101,40 @@ func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
 	}
 	sortFits(out)
 	return sum, out, nil
+}
+
+// SampleFit is one sample's SummarizeFit result.
+type SampleFit struct {
+	Summary Summary
+	Fits    []CandidateFit
+	Err     error
+}
+
+// SummarizeFits runs SummarizeFit on every sample on one worker pool and
+// returns the results in input order; out[i] is bit for bit what
+// SummarizeFit(samples[i]) returns. The longest sample starts first, so
+// the largest fit overlaps the others rather than running alone at the
+// end, and each result has its own slot, so nothing depends on how the
+// workers ran. A panic in any fit is raised again on the caller.
+func SummarizeFits(samples [][]float64) []SampleFit {
+	out := make([]SampleFit, len(samples))
+	order := longestFirst(samples)
+	parallelFor(len(order), func(k int) {
+		r := &out[order[k]]
+		r.Summary, r.Fits, r.Err = SummarizeFit(samples[order[k]])
+	})
+	return out
+}
+
+// longestFirst returns the indices of samples from the longest sample to
+// the shortest; equal lengths keep input order.
+func longestFirst(samples [][]float64) []int {
+	order := make([]int, len(samples))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(samples[b]) - len(samples[a]) })
+	return order
 }
 
 // sortFits ranks candidate fits best-first under a total order: R²
