@@ -56,6 +56,14 @@ type level struct {
 	rhs   []float64
 	res   []float64
 	tmp   []float64
+
+	// halo holds the planes this rank sends in its exchanges on this
+	// level, double-buffered: exchange k sends halo[k%2]'s top and bottom
+	// planes. A neighbour copies exchange k's planes out before it sends
+	// its own exchange k+1, which this rank must receive before it starts
+	// exchange k+2, so a buffer is never refilled while it may be read.
+	halo      [2]struct{ top, bottom []float64 }
+	exchanges int
 }
 
 func (l *level) idx(z, y, x int) int { return x + l.n*(y+l.n*z) }
@@ -166,13 +174,19 @@ func (s *solver) exchange(li int, field []float64) {
 	tagUp, tagDown := 2*li, 2*li+1
 	bytes := plane * 8
 
-	// Copy-out keeps payloads stable while in flight.
-	top := append([]float64(nil), field[l.nzLoc*plane:(l.nzLoc+1)*plane]...)
-	bottom := append([]float64(nil), field[plane:2*plane]...)
-	r.Send(up, tagUp, bytes, top)        // my top plane: up's bottom ghost
-	r.Send(down, tagDown, bytes, bottom) // my bottom plane: down's top ghost
-	_, fromDown := r.Recv(down, tagUp)   // down's top plane: my bottom ghost
-	_, fromUp := r.Recv(up, tagDown)     // up's bottom plane: my top ghost
+	// The planes go out through a halo buffer, so a payload stays as
+	// sent until its receiver has copied it (see level.halo).
+	out := &l.halo[l.exchanges%2]
+	l.exchanges++
+	if out.top == nil {
+		out.top, out.bottom = make([]float64, plane), make([]float64, plane)
+	}
+	copy(out.top, field[l.nzLoc*plane:(l.nzLoc+1)*plane])
+	copy(out.bottom, field[plane:2*plane])
+	r.Send(up, tagUp, bytes, out.top)        // my top plane: up's bottom ghost
+	r.Send(down, tagDown, bytes, out.bottom) // my bottom plane: down's top ghost
+	_, fromDown := r.Recv(down, tagUp)       // down's top plane: my bottom ghost
+	_, fromUp := r.Recv(up, tagDown)         // up's bottom plane: my top ghost
 	copy(field[0:plane], fromDown.([]float64))
 	copy(field[(l.nzLoc+1)*plane:(l.nzLoc+2)*plane], fromUp.([]float64))
 }

@@ -1,7 +1,10 @@
 package mg
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"commchar/internal/mesh"
@@ -152,4 +155,79 @@ func TestRHSZeroMean(t *testing.T) {
 	if math.Abs(sum) > 1e-9 {
 		t.Fatalf("RHS mean = %v", sum/float64(len(f)))
 	}
+}
+
+// runDigest runs the solver at procs ranks and returns the bits of its
+// residual norms and the SHA-256 of its trace in CSV form.
+func runDigest(t *testing.T, cfg Config, procs int) (norms string, digest string) {
+	t.Helper()
+	w := mp.NewWorld(mp.DefaultConfig(procs))
+	res, err := Run(w, cfg, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range res.Norms {
+		norms += fmt.Sprintf("%016x ", math.Float64bits(v))
+	}
+	h := sha256.New()
+	if err := w.Trace().WriteCSV(h); err != nil {
+		t.Fatal(err)
+	}
+	return norms, fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestHaloBuffersKeepResults pins the residual norms and the trace of
+// runs at 2, 4 and 8 ranks to the values the solver gave when every
+// exchange sent freshly allocated copies of its planes: sending from
+// double-buffered halo planes must not change a bit.
+func TestHaloBuffersKeepResults(t *testing.T) {
+	cfg := Config{N: 16, Cycles: 3, PreSmooth: 2, PostSmooth: 2, CoarseSmooth: 20, RngSeed: 7}
+	want := map[int][2]string{
+		2: {"4042a0e9bf58e9e3 400fac5d735450ba 3fe5e263e61865c3 3fcff7c3ffedfa10 ",
+			"d0be4a876c2b453b5c4d7ce2515827bd466e8b7a4d94b8e6f0fa5ef778b47657"},
+		4: {"4042a0e9bf58e9e3 400f3672a5027482 3fe3473bd91f4c9a 3fc700b31da3056c ",
+			"53cf5706be47f787b7543b761e87858018a97cc4c58962c84310394158a2bc81"},
+		8: {"4042a0e9bf58e9e5 3ff97bd9277e208d 3fe8056bbcc2c33b 3fdab350975cefbe ",
+			"eb07373299e406ccb069a6ac47bc5b5d421f1dc3a20375096e9f767055b98f6b"},
+	}
+	for procs, w := range want {
+		if norms, digest := runDigest(t, cfg, procs); norms != w[0] || digest != w[1] {
+			t.Errorf("%d ranks: norms %s trace %s, want norms %s trace %s", procs, norms, digest, w[0], w[1])
+		}
+	}
+}
+
+// TestHaloBuffersPerRankConstant requires the bytes a run allocates to
+// grow with its V-cycles by much less than the planes its extra cycles
+// send: each rank reuses two halo buffers per level rather than copying
+// every plane it sends into a new one.
+func TestHaloBuffersPerRankConstant(t *testing.T) {
+	const procs = 4
+	run := func(cycles int) (allocated, sent uint64) {
+		cfg := Config{N: 32, Cycles: cycles, PreSmooth: 2, PostSmooth: 2, CoarseSmooth: 20, RngSeed: 7}
+		w := mp.NewWorld(mp.DefaultConfig(procs))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(w, cfg, procs); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		for _, evs := range w.Trace().Events {
+			for _, e := range evs {
+				if e.Op == trace.OpSend {
+					sent += uint64(e.Bytes)
+				}
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc, sent
+	}
+	a1, s1 := run(1)
+	a4, s4 := run(4)
+	// Copying every plane out costs about 1.12 bytes per byte sent; the
+	// halo buffers leave about 0.13, the messages' own bookkeeping.
+	ratio := float64(a4-a1) / float64(s4-s1)
+	if ratio > 0.5 {
+		t.Fatalf("%.3f bytes allocated per byte sent by the extra cycles, want at most 0.5", ratio)
+	}
+	t.Logf("%.3f bytes allocated per byte sent by the extra cycles", ratio)
 }

@@ -71,3 +71,38 @@ func TestMissAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInvalidationAllocFree pins the invalidation path: once warm, a
+// write that invalidates three sharers, one of them the block's home,
+// allocates nothing. Each round has processors 1, 2 and the home read
+// the block, fetching it from the last writer, and then processor 0
+// writes it, so the write sends two remote INVs and their acks and
+// applies one local invalidation.
+func TestInvalidationAllocFree(t *testing.T) {
+	s, sys, addrs := missRig()
+	const home = 5
+	addr := addrs[0]
+	round := func(p *sim.Process) {
+		for _, proc := range []int{1, 2, home} {
+			sys.Read(p, proc, addr)
+		}
+		sys.Write(p, 0, addr)
+	}
+	var allocs float64
+	s.Spawn("sharers and writer", func(p *sim.Process) {
+		for range 50 { // grow the calendar, the log, the maps and the free list
+			round(p)
+		}
+		before := sys.Stats().Invalidations
+		allocs = testing.AllocsPerRun(200, func() { round(p) })
+		if got := sys.Stats().Invalidations - before; got != 3*201 {
+			t.Errorf("%d invalidations in 201 rounds, want 3 a round", got)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("an invalidating write round allocates %v times, want 0", allocs)
+	}
+}

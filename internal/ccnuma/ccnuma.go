@@ -230,6 +230,7 @@ type System struct {
 	locks  map[uint64]*sim.Facility // per-block transaction serialization
 	// waiters holds each requesting process's reusable completion state.
 	waiters map[*sim.Process]*waiter
+	freeInv *invalidation // finished invalidations, reused by invalidateAll
 
 	nextAlloc uint64
 	stats     Stats
@@ -326,9 +327,12 @@ func (s *System) send(p *sim.Process, src, dst, bytes int) {
 // waiter is a process's completion state for its outstanding protocol
 // message. send blocks the process until the tail arrives, so a process
 // has at most one message outstanding, and its delivery callback is bound
-// once rather than allocated per message.
+// once rather than allocated per message. invalidateAll blocks it too,
+// until acks reaches zero.
 type waiter struct {
 	done        bool
+	acks        int   // invalidation acks still to come
+	targets     []int // the sharers a write invalidates, reused
 	wake        sim.Waker
 	deliveredFn func(mesh.Delivery)
 }
@@ -534,15 +538,17 @@ func (s *System) miss(p *sim.Process, proc int, block uint64, write bool) {
 	// Invalidate every other sharer in parallel; home collects the acks.
 	// The sharer set is a map: sort so the INVs inject in processor order,
 	// keeping the run (and its network log) bit-for-bit reproducible.
-	var targets []int
+	w := s.waiterFor(p)
+	targets := w.targets[:0]
 	for sh := range e.sharers {
 		if sh != proc {
 			targets = append(targets, sh)
 		}
 	}
 	sort.Ints(targets)
+	w.targets = targets
 	if len(targets) > 0 {
-		s.invalidateAll(p, home, block, targets)
+		s.invalidateAll(p, w, home, block, targets)
 		for _, t := range targets {
 			delete(e.sharers, t)
 		}
@@ -580,42 +586,79 @@ func (s *System) setState(proc int, block uint64, st LineState) {
 
 // invalidateAll sends INV from home to every target concurrently, applies
 // the invalidation at each target when its INV arrives, has each target ack
-// back to home, and resumes p when the last ack is home.
-func (s *System) invalidateAll(p *sim.Process, home int, block uint64, targets []int) {
-	ctl := s.cfg.ControlBytes
-	remaining := len(targets)
-	w := sim.WakerFor(p)
+// back to home, and resumes p when the last ack is home. w is p's waiter,
+// which counts the acks.
+func (s *System) invalidateAll(p *sim.Process, w *waiter, home int, block uint64, targets []int) {
+	w.acks = len(targets)
 	for _, t := range targets {
-		t := t
 		s.stats.ControlMsgs += 2
+		r := s.newInvalidation(w, home, t, block)
 		if t == home {
 			// Local invalidate: apply and ack with only NI delays.
-			s.sim.Schedule(sim.Duration(2*s.net.Config().LocalDelay), func() {
-				s.setState(t, block, Invalid)
-				remaining--
-				if remaining == 0 {
-					w.Wake()
-				}
-			})
+			s.sim.Schedule(sim.Duration(2*s.net.Config().LocalDelay), r.localFn)
 			continue
 		}
 		s.net.Inject(mesh.Message{
-			Src: home, Dst: t, Bytes: ctl, Inject: p.Now(),
-		}, func(d mesh.Delivery) {
-			s.setState(t, block, Invalid)
-			// Ack back to home.
-			s.net.Inject(mesh.Message{
-				Src: t, Dst: home, Bytes: ctl, Inject: d.End,
-			}, func(mesh.Delivery) {
-				remaining--
-				if remaining == 0 {
-					w.Wake()
-				}
-			})
-		})
+			Src: home, Dst: t, Bytes: s.cfg.ControlBytes, Inject: p.Now(),
+		}, r.invalidatedFn)
 	}
-	for remaining > 0 {
+	for w.acks > 0 {
 		p.Suspend()
+	}
+}
+
+// invalidation is one target's invalidation in flight: the INV from home,
+// then the ack back. Records come from the system's free list and bind
+// their callbacks once, when made, as spasm's sync messages do, so an
+// invalidation allocates nothing in the steady state.
+type invalidation struct {
+	s            *System
+	w            *waiter // the requester, counting its acks
+	home, target int
+	block        uint64
+
+	invalidatedFn func(mesh.Delivery) // r.invalidated, bound once per record
+	ackedFn       func(mesh.Delivery) // r.acked, bound once per record
+	localFn       func()              // r.local, bound once per record
+	nextFree      *invalidation
+}
+
+func (s *System) newInvalidation(w *waiter, home, target int, block uint64) *invalidation {
+	r := s.freeInv
+	if r == nil {
+		r = &invalidation{s: s}
+		r.invalidatedFn, r.ackedFn, r.localFn = r.invalidated, r.acked, r.local
+	} else {
+		s.freeInv = r.nextFree
+	}
+	r.w, r.home, r.target, r.block = w, home, target, block
+	return r
+}
+
+// invalidated applies the INV at its target and sends the ack home.
+func (r *invalidation) invalidated(d mesh.Delivery) {
+	r.s.setState(r.target, r.block, Invalid)
+	r.s.net.Inject(mesh.Message{
+		Src: r.target, Dst: r.home, Bytes: r.s.cfg.ControlBytes, Inject: d.End,
+	}, r.ackedFn)
+}
+
+func (r *invalidation) acked(mesh.Delivery) { r.finish() }
+
+// local applies an invalidation at home itself and acks it.
+func (r *invalidation) local() {
+	r.s.setState(r.target, r.block, Invalid)
+	r.finish()
+}
+
+// finish returns the record to the free list, then counts its ack and
+// wakes the requester at the last one.
+func (r *invalidation) finish() {
+	s, w := r.s, r.w
+	r.w, r.nextFree, s.freeInv = nil, s.freeInv, r
+	w.acks--
+	if w.acks == 0 {
+		w.wake.Wake()
 	}
 }
 

@@ -110,10 +110,12 @@ const minSourceSamples = 8
 // Analyze characterizes a network log. procs is the machine size; elapsed
 // the simulated run time; meanUtil the network's mean link utilization.
 // The pooled inter-arrival sample is allocated once, at its final size,
-// and each source's sample is a sub-slice of it. stats.SummarizeFits fits
-// every source's sample and the pooled one on one worker pool, largest
-// first, so the pooled fit overlaps the others; each result is bit for
-// bit what stats.SummarizeFit returns for its sample.
+// source after source, and stats.SummarizeSources fits each source's
+// segment of it and the pooled sample on one worker pool, largest first.
+// It sorts each segment in place and counts the pooled sample by merging
+// the segments' counts, so no sample is copied and the pooled sample is
+// never sorted; each result is bit for bit what stats.SummarizeFit
+// returns for its sample.
 func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, elapsed sim.Time, meanUtil float64) (*Characterization, error) {
 	if len(log) == 0 {
 		return nil, errors.New("core: empty network log")
@@ -175,12 +177,7 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 	// Temporal: per-source inter-arrival fits plus the pooled aggregate,
 	// all fitted at once; the pooled sample is the last.
 	pooled, off := sourceGaps(sorted, perSource)
-	samples := make([][]float64, procs+1)
-	for src := range procs {
-		samples[src] = pooled[off[src]:off[src+1]:off[src+1]]
-	}
-	samples[procs] = pooled
-	res := stats.SummarizeFits(samples)
+	res := stats.SummarizeSources(pooled, off)
 	agg := res[procs]
 	if agg.Err != nil && len(pooled) >= minSourceSamples {
 		return nil, fmt.Errorf("core: aggregate fit: %w", agg.Err)
@@ -188,7 +185,7 @@ func Analyze(name string, strategy Strategy, log []mesh.Delivery, procs int, ela
 	c.PerSource = make([]SourceTemporal, procs)
 	for src, r := range res[:procs] {
 		// A source too sparse, or too degenerate, to fit keeps no fits.
-		c.PerSource[src] = SourceTemporal{Src: src, Samples: len(samples[src]), Summary: r.Summary, Fits: r.Fits}
+		c.PerSource[src] = SourceTemporal{Src: src, Samples: off[src+1] - off[src], Summary: r.Summary, Fits: r.Fits}
 	}
 	c.Aggregate = SourceTemporal{Src: -1, Samples: len(pooled), Summary: agg.Summary, Fits: agg.Fits}
 

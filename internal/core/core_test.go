@@ -216,11 +216,12 @@ func TestInterarrivalsHelper(t *testing.T) {
 // TestAnalyzeBytesPerDelivery bounds what Analyze allocates per delivery:
 // the slope of its bytes between n and 4n deliveries per source, so the
 // fixed cost of the fits (their ECDF points and DUD state) cancels out.
-// Each sample built once at its final size and sorted once, with message
-// lengths counted rather than collected, costs about 24 bytes a delivery
-// (the pooled gaps, and a sorted copy and the logs of every gap, per
-// source and pooled); growing buffers by append and sorting each sample
-// twice cost about 190.
+// Each sample built once at its final size and fitted from its Counts,
+// with message lengths counted rather than collected, costs about 15
+// bytes a delivery: the pooled gaps, and the Counts of these mostly
+// distinct gaps, per source and pooled. A sorted copy of every sample
+// cost about 24; growing buffers by append and sorting each sample twice
+// cost about 190.
 func TestAnalyzeBytesPerDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fits four 16-source logs")
@@ -246,6 +247,40 @@ func TestAnalyzeBytesPerDelivery(t *testing.T) {
 			slope, small, n, large, 4*n)
 	}
 	t.Logf("%.1f bytes per delivery", slope)
+}
+
+// TestAnalyzeBytesPerGap bounds what Analyze allocates per inter-arrival
+// gap beyond the 8 bytes of sourceGaps' pooled sample, on
+// BenchmarkAnalyzeSkewed's log in (Inject, ID) order, as Network.Log
+// returns it: the slope of its bytes between 5,000 and 20,000 gaps per
+// source. Fitting from Counts sorts each source's gaps in place and
+// merges their Counts into the pooled one, so only the Counts grow, with
+// the distinct values; a sorted copy of every source's sample and of the
+// pooled one would add 16 bytes a gap.
+func TestAnalyzeBytesPerGap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fits two 16-source logs of up to 320,000 gaps")
+	}
+	const maxBeyond = 4.0
+	allocated := func(perSource int) uint64 {
+		log := skewedLog(perSource + 1)
+		slices.SortFunc(log, deliveryOrder)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Analyze("skewed", StrategyDynamic, log, 16, 1<<40, 0.1); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const small, large = 5000, 20000
+	a, b := allocated(small), allocated(large)
+	beyond := (float64(b)-float64(a))/float64(16*(large-small)) - 8
+	if beyond > maxBeyond {
+		t.Fatalf("Analyze allocates %.1f bytes per gap beyond the pooled gaps (%d bytes at %d gaps per source, %d at %d), want at most %.0f",
+			beyond, a, small, b, large, maxBeyond)
+	}
+	t.Logf("%.2f bytes per gap beyond the pooled gaps", beyond)
 }
 
 // TestMeshFor pins the standard mesh geometry (mesh.DefaultGrid) that

@@ -110,8 +110,7 @@ func CDFOverlay(w io.Writer, title string, samples []float64, d stats.Distributi
 	if title != "" {
 		fmt.Fprintf(w, "%s\n", title)
 	}
-	ecdf := stats.NewECDF(samples)
-	xs, ys := ecdf.Points(points)
+	xs, ys := stats.NewCounts(samples).Points(points)
 	fmt.Fprintf(w, "  %-14s %-9s %-9s  (E = empirical, + = fitted, * = both)\n", "x (ns)", "F_emp", "F_fit")
 	for i := range xs {
 		fe, ff := ys[i], d.CDF(xs[i])

@@ -10,6 +10,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -79,62 +80,153 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
+	return NewCounts(xs).quantile(p)
+}
+
+// Counts is a sample's order statistics, and so its empirical CDF: the
+// run-length encoding of the sorted sample over runs of bit-equal values.
+// Values[j] is the j-th run's value, ascending, and Ends[j] the rank one
+// past its last copy, so the run holds sorted ranks [Ends[j-1], Ends[j])
+// and Ends[len(Ends)-1] is the sample size. An inter-arrival sample is
+// mostly ties, so Counts is far smaller than the sample, and everything
+// read off it is evaluated once per run rather than once per value.
+type Counts struct {
+	Values []float64
+	Ends   []int
+}
+
+// NewCounts returns the order statistics of a sample, from a sorted copy.
+func NewCounts(sample []float64) Counts {
+	sorted := slices.Clone(sample)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return countSorted(sorted)
 }
 
-func percentileSorted(sorted []float64, p float64) float64 {
-	if p <= 0 {
-		return sorted[0]
+// countSorted run-length encodes a sorted sample. It counts the runs
+// first, so both slices are allocated once, at their final size.
+func countSorted(sorted []float64) Counts {
+	runs := 0
+	for i, x := range sorted {
+		if i == 0 || !sameBits(x, sorted[i-1]) {
+			runs++
+		}
 	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
+	c := Counts{Values: make([]float64, runs), Ends: make([]int, runs)}
+	j := -1
+	for i, x := range sorted {
+		if i == 0 || !sameBits(x, sorted[i-1]) {
+			j++
+			c.Values[j] = x
+		}
+		c.Ends[j] = i + 1
 	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return c
 }
 
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	xs []float64 // sorted sample
+// mergeCounts returns the order statistics of the union of the samples
+// parts counts, by a k-way merge of their runs; equal values from
+// different parts join one run. It counts sort.Float64s of the
+// concatenated samples only when no part holds a NaN or a −0: sort places
+// a NaN first, which < does not, and a −0 ties with +0 in whatever order
+// the sort leaves them. It merges twice, first to count the runs, so
+// both slices are allocated once, at their final size.
+func mergeCounts(parts []Counts) Counts {
+	runs := 0
+	mergeRuns(parts, func(float64, int) { runs++ })
+	c := Counts{Values: make([]float64, 0, runs), Ends: make([]int, 0, runs)}
+	mergeRuns(parts, func(x float64, end int) {
+		c.Values = append(c.Values, x)
+		c.Ends = append(c.Ends, end)
+	})
+	return c
 }
 
-// NewECDF builds an ECDF from a sample (copied and sorted).
-func NewECDF(sample []float64) *ECDF {
-	xs := make([]float64, len(sample))
-	copy(xs, sample)
-	sort.Float64s(xs)
-	return &ECDF{xs: xs}
+// mergeRuns calls run(x, end) for each run of the merge of parts, in
+// ascending order: its value and the rank one past its last copy.
+func mergeRuns(parts []Counts, run func(x float64, end int)) {
+	next := make([]int, len(parts)) // each part's next run
+	n := 0
+	for {
+		k := -1 // the part whose next value is least
+		for i, p := range parts {
+			if next[i] < len(p.Values) && (k < 0 || p.Values[next[i]] < parts[k].Values[next[k]]) {
+				k = i
+			}
+		}
+		if k < 0 {
+			return
+		}
+		x := parts[k].Values[next[k]]
+		for i, p := range parts {
+			if j := next[i]; j < len(p.Values) && p.Values[j] == x {
+				n += p.count(j)
+				next[i]++
+			}
+		}
+		run(x, n)
+	}
 }
 
 // N returns the sample size.
-func (e *ECDF) N() int { return len(e.xs) }
+func (c Counts) N() int {
+	if len(c.Ends) == 0 {
+		return 0
+	}
+	return c.Ends[len(c.Ends)-1]
+}
+
+// start returns the rank of the first copy of Values[j].
+func (c Counts) start(j int) int {
+	if j == 0 {
+		return 0
+	}
+	return c.Ends[j-1]
+}
+
+// count returns the number of copies of Values[j].
+func (c Counts) count(j int) int { return c.Ends[j] - c.start(j) }
+
+// at returns the order statistic of rank i, the sorted sample's i-th value.
+func (c Counts) at(i int) float64 {
+	return c.Values[sort.SearchInts(c.Ends, i+1)]
+}
+
+// quantile is Percentile on the counted sample, which must not be empty.
+func (c Counts) quantile(p float64) float64 {
+	n := c.N()
+	if p <= 0 {
+		return c.Values[0]
+	}
+	if p >= 1 {
+		return c.Values[len(c.Values)-1]
+	}
+	pos := p * float64(n-1)
+	lo := int(math.Floor(pos))
+	frac := pos - float64(lo)
+	if lo+1 >= n {
+		return c.at(lo)
+	}
+	return c.at(lo)*(1-frac) + c.at(lo+1)*frac
+}
 
 // At returns F_n(x) = fraction of sample <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.xs) == 0 {
+func (c Counts) At(x float64) float64 {
+	if len(c.Values) == 0 {
 		return math.NaN()
 	}
-	i := sort.SearchFloat64s(e.xs, x)
-	// SearchFloat64s finds the first index >= x; advance over equals.
-	for i < len(e.xs) && e.xs[i] == x {
-		i++
+	// SearchFloat64s finds the first run >= x; advance over equals.
+	j := sort.SearchFloat64s(c.Values, x)
+	for j < len(c.Values) && c.Values[j] == x {
+		j++
 	}
-	return float64(i) / float64(len(e.xs))
+	return float64(c.start(j)) / float64(c.N())
 }
 
 // Points returns up to max (x, F_n(x)) pairs spread evenly through the
 // sorted sample, suitable as regression data. Each point uses the midpoint
 // plotting position (i+0.5)/n, which avoids F=0 and F=1 exactly.
-func (e *ECDF) Points(max int) (xs, ys []float64) {
-	n := len(e.xs)
+func (c Counts) Points(max int) (xs, ys []float64) {
+	n := c.N()
 	if n == 0 {
 		return nil, nil
 	}
@@ -143,9 +235,13 @@ func (e *ECDF) Points(max int) (xs, ys []float64) {
 	}
 	xs = make([]float64, 0, max)
 	ys = make([]float64, 0, max)
+	j := 0 // the run holding rank i; i only grows
 	for k := 0; k < max; k++ {
 		i := k * n / max
-		xs = append(xs, e.xs[i])
+		for c.Ends[j] <= i {
+			j++
+		}
+		xs = append(xs, c.Values[j])
 		ys = append(ys, (float64(i)+0.5)/float64(n))
 	}
 	return xs, ys

@@ -48,7 +48,7 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 2, 3})
+	e := NewCounts([]float64{1, 2, 2, 3})
 	cases := []struct{ x, want float64 }{
 		{0.5, 0}, {1, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
 	}
@@ -69,7 +69,7 @@ func TestECDFMonotoneProperty(t *testing.T) {
 				return true
 			}
 		}
-		e := NewECDF(raw)
+		e := NewCounts(raw)
 		prev := -1.0
 		xs := append([]float64(nil), probe...)
 		for i := range xs {
@@ -109,7 +109,7 @@ func TestECDFPoints(t *testing.T) {
 	for i := range sample {
 		sample[i] = float64(i)
 	}
-	xs, ys := NewECDF(sample).Points(10)
+	xs, ys := NewCounts(sample).Points(10)
 	if len(xs) != 10 || len(ys) != 10 {
 		t.Fatalf("got %d points", len(xs))
 	}

@@ -302,13 +302,13 @@ func requireSameFit(t *testing.T, what string, got FitResult, gotErr error, want
 // FitInterarrival regresses on, and requires identical results.
 func requireMatchesReference(t *testing.T, samples []float64, family, start int) {
 	t.Helper()
-	sum := Summarize(samples)
-	if !(sum.Mean > 0) {
+	raw := takeRawSums(samples)
+	if !(raw.sum.Mean > 0) {
 		return
 	}
-	ecdf := NewECDF(samples)
-	xs, ys := ecdf.Points(maxRegressionPoints)
-	cands := candidateModels(sum, samples, ecdf.xs)
+	counts := NewCounts(samples)
+	xs, ys := counts.Points(maxRegressionPoints)
+	cands := candidateModels(raw, weibullInit(counts, raw.sum.Mean))
 	for i, c := range cands {
 		if family >= 0 && i != family%len(cands) {
 			continue

@@ -256,7 +256,7 @@ func TestDUDRecoversHyperExpFromSamples(t *testing.T) {
 	for i := range sample {
 		sample[i] = trueDist.Sample(st)
 	}
-	xs, ys := NewECDF(sample).Points(200)
+	xs, ys := NewCounts(sample).Points(200)
 	m := Model{
 		Name: "h2",
 		F: func(th []float64, x float64) float64 {
@@ -335,7 +335,7 @@ func TestFitDUDEvaluatesOncePerDistinctX(t *testing.T) {
 	for i := range sample {
 		sample[i] = float64(100 * (1 + st.IntN(6)))
 	}
-	xs, ys := NewECDF(sample).Points(maxRegressionPoints)
+	xs, ys := NewCounts(sample).Points(maxRegressionPoints)
 	distinct := distinctValues(xs)
 	if len(distinct) != 6 || len(xs) != maxRegressionPoints {
 		t.Fatalf("%d distinct values among %d points, want 6 among %d", len(distinct), len(xs), maxRegressionPoints)

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"math"
-	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,28 +24,17 @@ func fitsDigest(t *testing.T, fits []CandidateFit) [sha256.Size]byte {
 // samples from eight goroutines at once, each fit itself fanning out over
 // the families, and requires the digests of the sequential fits.
 func TestFitInterarrivalConcurrentMatchesSequential(t *testing.T) {
-	dists := []Distribution{
-		Exponential{Rate: 0.5},
-		HyperExp2{P: 0.7, Rate1: 3, Rate2: 0.3},
-		Erlang{K: 4, Rate: 2},
-		Weibull{Shape: 1.6, Scale: 8},
-		Uniform{Lo: 1, Hi: 9},
-		Lognormal{Mu: 1, Sigma: 0.8},
-		Gamma{Shape: 2.5, Rate: 0.4},
-		Lomax{Alpha: 3, Scale: 6},
-	}
-	samples := make([][]float64, len(dists))
-	want := make([][sha256.Size]byte, len(dists))
-	for i, d := range dists {
-		samples[i] = sampleFrom(d, 600+100*i, uint64(20+i))
-		fits, err := FitInterarrival(samples[i])
+	samples := concurrentSamples()
+	want := make([][sha256.Size]byte, len(samples))
+	for i, s := range samples {
+		fits, err := FitInterarrival(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = fitsDigest(t, fits)
 	}
-	got := make([][]CandidateFit, len(dists))
-	errs := make([]error, len(dists))
+	got := make([][]CandidateFit, len(samples))
+	errs := make([]error, len(samples))
 	var wg sync.WaitGroup
 	for i := range samples {
 		wg.Add(1)
@@ -62,7 +49,7 @@ func TestFitInterarrivalConcurrentMatchesSequential(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		if fitsDigest(t, got[i]) != want[i] {
-			t.Errorf("%s sample: concurrent fit differs from the sequential fit", dists[i].Name())
+			t.Errorf("sample %d: concurrent fit differs from the sequential fit", i)
 		}
 	}
 }
@@ -71,7 +58,7 @@ func TestFitInterarrivalConcurrentMatchesSequential(t *testing.T) {
 // call to be a small constant: the workspace is allocated once, before the
 // iteration, whether the fit stops after one iteration or runs on.
 func TestFitDUDAllocsIndependentOfIters(t *testing.T) {
-	xs, ys := NewECDF(sampleFrom(Weibull{Shape: 2.2, Scale: 5}, 2000, 31)).Points(maxRegressionPoints)
+	xs, ys := NewCounts(sampleFrom(Weibull{Shape: 2.2, Scale: 5}, 2000, 31)).Points(maxRegressionPoints)
 	m := Model{
 		Name:       "weibull",
 		F:          func(th []float64, x float64) float64 { return Weibull{Shape: th[0], Scale: th[1]}.CDF(x) },
@@ -97,45 +84,6 @@ func TestFitDUDAllocsIndependentOfIters(t *testing.T) {
 	}
 }
 
-// TestSummarizeFitsLongestFirstInSlot fits samples of mixed lengths,
-// among them one too short to fit and one point mass, on one pool at
-// GOMAXPROCS 1, 2 and 4. The pool must take them longest first, ties in
-// input order, and out[i] must equal SummarizeFit(samples[i]).
-func TestSummarizeFitsLongestFirstInSlot(t *testing.T) {
-	point := make([]float64, 40)
-	for i := range point {
-		point[i] = 2000
-	}
-	samples := [][]float64{
-		{1, 2, 3, 4, 5},
-		sampleFrom(HyperExp2{P: 0.7, Rate1: 3, Rate2: 0.3}, 300, 1),
-		point,
-		quantize(sampleFrom(Exponential{Rate: 0.01}, 1200, 2), 25),
-		sampleFrom(Erlang{K: 4, Rate: 2}, 300, 3),
-	}
-	if got, want := longestFirst(samples), []int{3, 1, 4, 2, 0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("start order %v, want %v", got, want)
-	}
-	want := make([]SampleFit, len(samples))
-	for i, s := range samples {
-		r := &want[i]
-		r.Summary, r.Fits, r.Err = SummarizeFit(s)
-	}
-	if want[0].Err == nil || want[2].Fits[0].Dist.Name() != (Deterministic{}).Name() {
-		t.Fatal("the short sample must fail and the point mass fit Deterministic")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		got := SummarizeFits(samples)
-		for i := range samples {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("GOMAXPROCS %d: slot %d = %+v, want %+v", procs, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // benchmarkSample is the sample both benchmarks fit: bursty traffic, as
 // the message-passing sources produce, large enough that the regression
 // sees all maxRegressionPoints ECDF points.
@@ -148,9 +96,10 @@ func benchmarkSample() []float64 {
 // each fit takes. Both are counts, so they compare exactly across hosts.
 func BenchmarkFitDUD(b *testing.B) {
 	sample := benchmarkSample()
-	ecdf := NewECDF(sample)
-	xs, ys := ecdf.Points(maxRegressionPoints)
-	for _, c := range candidateModels(Summarize(sample), sample, ecdf.xs) {
+	counts := NewCounts(sample)
+	xs, ys := counts.Points(maxRegressionPoints)
+	raw := takeRawSums(sample)
+	for _, c := range candidateModels(raw, weibullInit(counts, raw.sum.Mean)) {
 		b.Run(c.model.Name, func(b *testing.B) {
 			var calls int
 			m := c.model
@@ -183,7 +132,7 @@ func quantize(sample []float64, unit float64) []float64 {
 	return sample
 }
 
-// BenchmarkFitInterarrival runs the whole per-source procedure: ECDF,
+// BenchmarkFitInterarrival runs the whole per-source procedure: Counts,
 // every family from three starts, and the KS and χ² scores. The samples
 // are the continuous benchmarkSample, which has no ties; a quantized one
 // with a handful of distinct gaps, where DUD's regression points are

@@ -36,27 +36,116 @@ const chiSquareBins = 20
 // values, DUD refinement) and returns the candidates sorted best-first by
 // R². This is the paper's Section 3 procedure with SAS replaced by the
 // stats package. A caller that also needs the sample's Summary calls
-// SummarizeFit, which sorts the sample once for both.
+// SummarizeFit.
 func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 	_, fits, err := SummarizeFit(samples)
 	return fits, err
 }
 
 // SummarizeFit returns Summarize(samples) together with
-// FitInterarrival(samples)'s fits and error, from one sorted copy of the
-// sample: the copy serves the median, the ECDF and Weibull's seed. A
-// sample whose mean is not finite (a NaN or an infinity in it, or finite
-// values whose sum overflows) is an error. The Summary is returned even
-// when the fit fails. Its result depends on the sample alone, so a caller
-// with several samples fits them all at once through SummarizeFits and
-// gets the same bits.
+// FitInterarrival(samples)'s fits and error. It takes the sums that
+// depend on the sample's order from the sample as given, then counts one
+// sorted copy of it; the median, the regression points, Weibull's seed,
+// KS and χ² all come from those Counts. A sample whose mean is not finite
+// (a NaN or an infinity in it, or finite values whose sum overflows) is
+// an error. The Summary is returned even when the fit fails.
+// SummarizeSources runs the same fit on every source of a run and on
+// their pooled sample, with no copy.
 func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
-	if len(samples) < 8 {
-		return Summarize(samples), nil, errors.New("stats: too few samples to characterize")
+	raw := takeRawSums(samples)
+	sorted := slices.Clone(samples)
+	sort.Float64s(sorted)
+	return fitCounted(raw, countSorted(sorted))
+}
+
+// SampleFit is one sample's SummarizeFit result.
+type SampleFit struct {
+	Summary Summary
+	Fits    []CandidateFit
+	Err     error
+}
+
+// SummarizeSources fits the inter-arrival samples of every source of a
+// run, and their pooled sample, on one worker pool. gaps holds the
+// sources' samples back to back, source s's at gaps[off[s]:off[s+1]], and
+// the pooled sample is gaps[off[0]:off[len(off)-1]], source after source.
+// It returns len(off) results, the sources' and then the pooled one's;
+// each is bit for bit what SummarizeFit returns for that sample as it was
+// passed in.
+//
+// It reorders gaps and copies none of it:
+//  1. It takes every sum that depends on sample order, each source's and
+//     the pooled sample's, before anything is reordered.
+//  2. It sorts each source's samples in place and counts them.
+//  3. It counts the pooled sample by merging the sources' Counts, with no
+//     sort of the pooled sample. That equals counting sort.Float64s of it
+//     only because inter-arrival gaps are non-negative whole
+//     nanoseconds, never a NaN or a −0 (see mergeCounts).
+//
+// Each step takes the longest sample first, so the pooled sample's work
+// overlaps the sources' rather than running alone at the end. Each result
+// has its own slot, so nothing depends on how the workers ran, and a
+// panic in any fit is raised again on the caller.
+func SummarizeSources(gaps []float64, off []int) []SampleFit {
+	k := len(off) - 1
+	samples := make([][]float64, k+1)
+	for s := range k {
+		samples[s] = gaps[off[s]:off[s+1]]
 	}
-	ecdf := NewECDF(samples)
-	sum := moments(samples)
-	sum.Median = percentileSorted(ecdf.xs, 0.5)
+	samples[k] = gaps[off[0]:off[k]]
+	order := longestFirst(samples)
+	raw := make([]rawSums, k+1)
+	parallelFor(k+1, func(t int) { raw[order[t]] = takeRawSums(samples[order[t]]) })
+	counts := make([]Counts, k+1)
+	parallelFor(k+1, func(t int) {
+		if s := order[t]; s < k {
+			sort.Float64s(samples[s])
+			counts[s] = countSorted(samples[s])
+		}
+	})
+	counts[k] = mergeCounts(counts[:k])
+	out := make([]SampleFit, k+1)
+	parallelFor(k+1, func(t int) {
+		r := &out[order[t]]
+		r.Summary, r.Fits, r.Err = fitCounted(raw[order[t]], counts[order[t]])
+	})
+	return out
+}
+
+// longestFirst returns the indices of samples from the longest sample to
+// the shortest; equal lengths keep input order.
+func longestFirst(samples [][]float64) []int {
+	order := make([]int, len(samples))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(samples[b]) - len(samples[a]) })
+	return order
+}
+
+// rawSums are the statistics whose floating-point sums run in the
+// sample's own order: its moments and the lognormal seed.
+type rawSums struct {
+	sum             Summary // without the median
+	logMu, logSigma float64
+	logOK           bool
+}
+
+func takeRawSums(samples []float64) rawSums {
+	r := rawSums{sum: moments(samples)}
+	r.logMu, r.logSigma, r.logOK = lognormalInit(samples)
+	return r
+}
+
+// fitCounted is SummarizeFit on a sample's raw-order sums and its Counts.
+func fitCounted(raw rawSums, c Counts) (Summary, []CandidateFit, error) {
+	sum := raw.sum
+	if sum.N > 0 {
+		sum.Median = c.quantile(0.5)
+	}
+	if sum.N < 8 {
+		return sum, nil, errors.New("stats: too few samples to characterize")
+	}
 	if math.IsNaN(sum.Mean) || math.IsInf(sum.Mean, 0) {
 		return sum, nil, fmt.Errorf("stats: sample mean is %v; samples must be finite and sum within float64 range", sum.Mean)
 	}
@@ -74,21 +163,21 @@ func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
 		}}, nil
 	}
 
-	xs, ys := ecdf.Points(maxRegressionPoints)
+	xs, ys := c.Points(maxRegressionPoints)
 
 	// Every family is fitted from every start in parallel, then scored in
 	// parallel. Each result has its own slot and is read in candidate
 	// order, so the outcome does not depend on how the workers ran.
-	cands := candidateModels(sum, samples, ecdf.xs)
+	cands := candidateModels(raw, weibullInit(c, sum.Mean))
 	runs := make([]dudRun, len(cands)*len(multiStarts))
 	parallelFor(len(runs), func(t int) {
-		c := cands[t/len(multiStarts)]
-		seed := startFrom(c, multiStarts[t%len(multiStarts)])
-		runs[t].res, runs[t].err = FitDUD(c.model, xs, ys, seed, FitOptions{})
+		cand := cands[t/len(multiStarts)]
+		seed := startFrom(cand, multiStarts[t%len(multiStarts)])
+		runs[t].res, runs[t].err = FitDUD(cand.model, xs, ys, seed, FitOptions{})
 	})
 	fits := make([]*CandidateFit, len(cands))
 	parallelFor(len(cands), func(i int) {
-		fits[i] = score(cands[i], runs[i*len(multiStarts):(i+1)*len(multiStarts)], xs, ys, ecdf.xs)
+		fits[i] = score(cands[i], runs[i*len(multiStarts):(i+1)*len(multiStarts)], xs, ys, c)
 	})
 	out := make([]CandidateFit, 0, len(fits))
 	for _, fit := range fits {
@@ -101,40 +190,6 @@ func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
 	}
 	sortFits(out)
 	return sum, out, nil
-}
-
-// SampleFit is one sample's SummarizeFit result.
-type SampleFit struct {
-	Summary Summary
-	Fits    []CandidateFit
-	Err     error
-}
-
-// SummarizeFits runs SummarizeFit on every sample on one worker pool and
-// returns the results in input order; out[i] is bit for bit what
-// SummarizeFit(samples[i]) returns. The longest sample starts first, so
-// the largest fit overlaps the others rather than running alone at the
-// end, and each result has its own slot, so nothing depends on how the
-// workers ran. A panic in any fit is raised again on the caller.
-func SummarizeFits(samples [][]float64) []SampleFit {
-	out := make([]SampleFit, len(samples))
-	order := longestFirst(samples)
-	parallelFor(len(order), func(k int) {
-		r := &out[order[k]]
-		r.Summary, r.Fits, r.Err = SummarizeFit(samples[order[k]])
-	})
-	return out
-}
-
-// longestFirst returns the indices of samples from the longest sample to
-// the shortest; equal lengths keep input order.
-func longestFirst(samples [][]float64) []int {
-	order := make([]int, len(samples))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return len(samples[b]) - len(samples[a]) })
-	return order
 }
 
 // sortFits ranks candidate fits best-first under a total order: R²
@@ -167,9 +222,10 @@ type candidate struct {
 	nparams int
 }
 
-// candidateModels builds every family's model and seed for a sample, its
-// summary and a sorted copy of it.
-func candidateModels(sum Summary, samples, sorted []float64) []candidate {
+// candidateModels builds every family's model and seed for a sample from
+// its raw-order sums and Weibull's seed.
+func candidateModels(raw rawSums, weibull []float64) []candidate {
+	sum := raw.sum
 	mean := sum.Mean
 	cv := sum.CV
 
@@ -194,7 +250,7 @@ func candidateModels(sum Summary, samples, sorted []float64) []candidate {
 				},
 				Transforms: []ParamTransform{TransformLog, TransformLog},
 			},
-			init:    weibullInit(sorted, mean),
+			init:    weibull,
 			build:   func(th []float64) Distribution { return Weibull{Shape: th[0], Scale: th[1]} },
 			nparams: 2,
 		},
@@ -305,7 +361,7 @@ func candidateModels(sum Summary, samples, sorted []float64) []candidate {
 	})
 
 	// Lognormal, seeded by MLE on the positive subsample.
-	if mu, sigma, ok := lognormalInit(samples); ok {
+	if mu, sigma := raw.logMu, raw.logSigma; raw.logOK {
 		cands = append(cands, candidate{
 			model: Model{
 				Name: "lognormal",
@@ -373,8 +429,8 @@ func parallelFor(n int, f func(i int)) {
 }
 
 // score keeps the family's best run, in start order, and scores it: R²
-// against the ECDF points (xs, ys), KS and χ² against the sorted sample.
-func score(c candidate, runs []dudRun, xs, ys []float64, sorted []float64) *CandidateFit {
+// against the ECDF points (xs, ys), KS and χ² against the counted sample.
+func score(c candidate, runs []dudRun, xs, ys []float64, counts Counts) *CandidateFit {
 	theta := c.init
 	iters := 0
 	bestRSS := math.Inf(1)
@@ -401,8 +457,8 @@ func score(c candidate, runs []dudRun, xs, ys []float64, sorted []float64) *Cand
 	return &CandidateFit{
 		Dist:  dist,
 		R2:    r2,
-		KS:    ksSorted(sorted, dist),
-		Chi:   chiSquareSorted(sorted, dist, chiSquareBins, c.nparams),
+		KS:    counts.ks(dist),
+		Chi:   counts.chiSquare(dist, chiSquareBins, c.nparams),
 		Iters: iters,
 	}
 }
@@ -472,24 +528,28 @@ func erlangStages(cv float64) int {
 
 // weibullInit estimates (shape, scale) by linear regression on the
 // linearized CDF: ln(-ln(1-F)) = k·ln x - k·ln λ, over the positive
-// values of sorted, a sorted sample (they are its suffix).
-func weibullInit(sorted []float64, mean float64) []float64 {
-	xs := sorted[sort.Search(len(sorted), func(i int) bool { return sorted[i] > 0 }):]
-	if len(xs) < 8 {
+// values of a counted sample (they are its last runs). It takes ln x once
+// per run; the plotting position F depends on the rank, so the sums still
+// add one term per value, in rank order.
+func weibullInit(c Counts, mean float64) []float64 {
+	first := sort.Search(len(c.Values), func(j int) bool { return c.Values[j] > 0 })
+	below := c.start(first) // the count of values <= 0
+	if c.N()-below < 8 {
 		return []float64{1, mean}
 	}
-	n := float64(len(xs))
+	n := float64(c.N() - below)
 	var sx, sy, sxx, sxy float64
 	var m int
-	for i, x := range xs {
-		f := (float64(i) + 0.5) / n
-		lx := math.Log(x)
-		ly := math.Log(-math.Log(1 - f))
-		sx += lx
-		sy += ly
-		sxx += lx * lx
-		sxy += lx * ly
-		m++
+	for j := first; j < len(c.Values); j++ {
+		lx := math.Log(c.Values[j])
+		for ; m < c.Ends[j]-below; m++ {
+			f := (float64(m) + 0.5) / n
+			ly := math.Log(-math.Log(1 - f))
+			sx += lx
+			sy += ly
+			sxx += lx * lx
+			sxy += lx * ly
+		}
 	}
 	den := float64(m)*sxx - sx*sx
 	if math.Abs(den) < 1e-12 {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -179,9 +180,10 @@ func TestSortFitsBreaksR2Ties(t *testing.T) {
 	}
 }
 
-// TestWeibullInitFromSortedSample: seeding Weibull from the positive
-// suffix of the ECDF's sorted copy gives, bit for bit, the seed of the
-// former route, which filtered the positives and sorted them again.
+// TestWeibullInitFromSortedSample: seeding Weibull from the positive runs
+// of the sample's Counts gives, bit for bit, the seed of the former
+// routes: the positive suffix of a sorted copy, and the positives filtered
+// and sorted again.
 func TestWeibullInitFromSortedSample(t *testing.T) {
 	former := func(samples []float64, mean float64) []float64 {
 		var pos []float64
@@ -191,7 +193,7 @@ func TestWeibullInitFromSortedSample(t *testing.T) {
 			}
 		}
 		sort.Float64s(pos)
-		return weibullInit(pos, mean)
+		return referenceWeibullInit(pos, mean)
 	}
 	st := sim.NewStream(9)
 	for n := 8; n < 400; n += 37 {
@@ -208,11 +210,14 @@ func TestWeibullInitFromSortedSample(t *testing.T) {
 				samples[i] = math.Ceil(st.Float64()*1e4) / 100
 			}
 		}
-		sorted := NewECDF(samples).xs
-		got, want := weibullInit(sorted, 3), former(samples, 3)
-		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("n=%d: seed %v, want %v", n, got, want)
+		sorted := slices.Clone(samples)
+		sort.Float64s(sorted)
+		got := weibullInit(NewCounts(samples), 3)
+		for _, want := range [][]float64{referenceWeibullInit(sorted, 3), former(samples, 3)} {
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("n=%d: seed %v, want %v", n, got, want)
+				}
 			}
 		}
 	}

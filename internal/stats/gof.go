@@ -32,28 +32,26 @@ func RSquared(y, yhat []float64) float64 {
 // KolmogorovSmirnov returns the KS statistic sup_x |F_n(x) - F(x)| of the
 // sample against the distribution's CDF.
 func KolmogorovSmirnov(sample []float64, d Distribution) float64 {
-	return ksSorted(NewECDF(sample).xs, d)
+	return NewCounts(sample).ks(d)
 }
 
-// ksSorted is KolmogorovSmirnov on an already sorted sample. A run of
-// equal values shares one evaluation of the CDF.
-func ksSorted(xs []float64, d Distribution) float64 {
-	n := len(xs)
+// ks is KolmogorovSmirnov on a counted sample. Each run evaluates the CDF
+// once, at its value, and compares it with the ECDF steps i/n for the
+// ranks i from its first copy to one past its last. The rounded i/n rise
+// with i, so |f - i/n| falls and then rises, and its largest value is at
+// one end of the run: the two ends give, bit for bit, the maximum of
+// |f - i/n| and |(i+1)/n - f| over every copy.
+func (c Counts) ks(d Distribution) float64 {
+	n := c.N()
 	if n == 0 {
 		return math.NaN()
 	}
 	var ks float64
-	for i := 0; i < n; {
-		x := xs[i]
+	for j, x := range c.Values {
 		f := d.CDF(x)
-		for ; i < n && sameBits(xs[i], x); i++ {
-			lo := math.Abs(f - float64(i)/float64(n))
-			hi := math.Abs(float64(i+1)/float64(n) - f)
-			if lo > ks {
-				ks = lo
-			}
-			if hi > ks {
-				ks = hi
+		for _, i := range [2]int{c.start(j), c.Ends[j]} {
+			if v := math.Abs(f - float64(i)/float64(n)); v > ks {
+				ks = v
 			}
 		}
 	}
@@ -71,23 +69,25 @@ type ChiSquareResult struct {
 // distribution, using equal-probability bins (so expected counts are uniform)
 // and the given number of estimated parameters for the degrees of freedom.
 func ChiSquareGoF(sample []float64, d Distribution, bins, estimatedParams int) ChiSquareResult {
-	return chiSquareSorted(NewECDF(sample).xs, d, bins, estimatedParams)
+	return NewCounts(sample).chiSquare(d, bins, estimatedParams)
 }
 
-// chiSquareSorted is ChiSquareGoF on an already sorted sample.
-func chiSquareSorted(xs []float64, d Distribution, bins, estimatedParams int) ChiSquareResult {
-	n := len(xs)
+// chiSquare is ChiSquareGoF on a counted sample. All copies of a value
+// share its CDF, so they fall in one bin together, and each bin takes
+// whole runs.
+func (c Counts) chiSquare(d Distribution, bins, estimatedParams int) ChiSquareResult {
+	n := c.N()
 	if n == 0 || bins < 2 {
 		return ChiSquareResult{Statistic: math.NaN(), PValue: math.NaN()}
 	}
 
 	expected := float64(n) / float64(bins)
 	var stat float64
-	idx := 0
-	// f is the CDF at xs[fi], evaluated once per run of equal values and
-	// carried across bins; fi < 0 until the first evaluation.
+	idx, j := 0, 0 // the rank and the run the next bin starts at
+	// f is the CDF at Values[fj], evaluated once per run and carried
+	// across bins; fj < 0 until the first evaluation.
 	var f float64
-	fi := -1
+	fj := -1
 	for b := 0; b < bins; b++ {
 		// Bin b covers CDF mass ((b)/bins, (b+1)/bins]; count sample
 		// points whose model CDF falls there. The last bin takes the
@@ -96,13 +96,14 @@ func chiSquareSorted(xs []float64, d Distribution, bins, estimatedParams int) Ch
 		if b < bins-1 {
 			upper := float64(b+1) / float64(bins)
 			start := idx
-			for ; idx < n; idx++ {
-				if fi < 0 || !sameBits(xs[idx], xs[fi]) {
-					f, fi = d.CDF(xs[idx]), idx
+			for ; j < len(c.Values); j++ {
+				if fj != j {
+					f, fj = d.CDF(c.Values[j]), j
 				}
 				if !(f <= upper) {
 					break
 				}
+				idx = c.Ends[j]
 			}
 			count = idx - start
 		}

@@ -9,9 +9,10 @@ import (
 	"commchar/internal/sim"
 )
 
-// referenceKSSorted is ksSorted as it stood before runs of equal values
-// shared one CDF evaluation: the CDF is called at every sample point. It is
-// kept verbatim as the oracle that ksSorted must match bit for bit.
+// referenceKSSorted is KS on the sorted sample as it stood before runs of
+// equal values shared one CDF evaluation: the CDF is called at every
+// sample point. It is kept verbatim as the oracle that Counts.ks must
+// match bit for bit.
 func referenceKSSorted(xs []float64, d Distribution) float64 {
 	n := len(xs)
 	if n == 0 {
@@ -32,11 +33,11 @@ func referenceKSSorted(xs []float64, d Distribution) float64 {
 	return ks
 }
 
-// referenceChiSquareSorted is chiSquareSorted as it stood before runs of
-// equal values shared one CDF evaluation: the CDF is called at every point
-// a bin tests, twice at a bin boundary and once per point of the last bin.
-// It is kept verbatim as the oracle that chiSquareSorted must match bit for
-// bit.
+// referenceChiSquareSorted is χ² on the sorted sample as it stood before
+// runs of equal values shared one CDF evaluation: the CDF is called at
+// every point a bin tests, twice at a bin boundary and once per point of
+// the last bin. It is kept verbatim as the oracle that Counts.chiSquare
+// must match bit for bit.
 func referenceChiSquareSorted(xs []float64, d Distribution, bins, estimatedParams int) ChiSquareResult {
 	n := len(xs)
 	if n == 0 || bins < 2 {
@@ -78,16 +79,17 @@ func distinctValues(sample []float64) []float64 {
 	return out
 }
 
-// requireSameScores sorts the sample and scores it against every candidate
-// family built from its starting values, and against a few fixed
-// distributions, with the scoring functions and their per-point
-// references: the R² vector of fillCDF over the sample's ECDF points, KS,
-// and χ² at several bin counts must agree bit for bit.
+// requireSameScores counts the sample and scores it against every
+// candidate family built from its starting values, and against a few fixed
+// distributions, with the scoring functions and their per-point references
+// on the sorted sample: the R² vector of fillCDF over the sample's ECDF
+// points, KS, and χ² at several bin counts must agree bit for bit.
 func requireSameScores(t *testing.T, samples []float64) {
 	t.Helper()
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
-	xs, _ := NewECDF(samples).Points(maxRegressionPoints)
+	counts := NewCounts(samples)
+	xs, _ := counts.Points(maxRegressionPoints)
 	dists := []Distribution{
 		Exponential{Rate: 1},
 		Uniform{Lo: 1, Hi: 3},
@@ -96,7 +98,8 @@ func requireSameScores(t *testing.T, samples []float64) {
 		Normal{Mu: sorted[len(sorted)/2], Sigma: 0},
 		Uniform{Lo: math.Inf(-1), Hi: math.Inf(1)}, // NaN everywhere finite
 	}
-	for _, c := range candidateModels(Summarize(samples), samples, sorted) {
+	raw := takeRawSums(samples)
+	for _, c := range candidateModels(raw, weibullInit(counts, raw.sum.Mean)) {
 		dists = append(dists, c.build(c.init))
 	}
 	yhat := make([]float64, len(xs))
@@ -117,11 +120,11 @@ func requireSameScores(t *testing.T, samples []float64) {
 		if ok != wantOK {
 			t.Fatalf("%s: fillCDF reports %v, want %v", what, ok, wantOK)
 		}
-		if got, want := ksSorted(sorted, d), referenceKSSorted(sorted, d); !sameBits(got, want) {
+		if got, want := counts.ks(d), referenceKSSorted(sorted, d); !sameBits(got, want) {
 			t.Fatalf("%s: KS %v, reference %v", what, got, want)
 		}
 		for _, bins := range []int{2, 7, chiSquareBins, 64} {
-			got := chiSquareSorted(sorted, d, bins, 2)
+			got := counts.chiSquare(d, bins, 2)
 			want := referenceChiSquareSorted(sorted, d, bins, 2)
 			if !sameBits(got.Statistic, want.Statistic) || got.DF != want.DF || !sameBits(got.PValue, want.PValue) {
 				t.Fatalf("%s, %d bins: χ² %+v, reference %+v", what, bins, got, want)
