@@ -87,8 +87,13 @@ type FitResult struct {
 // least-squares step predicts a better point, and step halving guards the
 // descent. No derivatives of F are ever taken. Each point keeps its model
 // vector, so an iteration evaluates the model only at the points it
-// replaces, and only once per run of equal xs; every buffer is allocated
-// once per call.
+// replaces, and only once per run of equal xs.
+//
+// Every buffer of a fit lives in a workspace that is laid out afresh for
+// the fit's p and n, and no value is carried from one fit to the next.
+// FitDUD runs on a fresh one; SummarizeSources gives each worker of its
+// pool one workspace for all the fits it runs, so a warm fit allocates
+// only the returned Theta.
 //
 // When the secant system is singular, DUD re-nudges the worst point off
 // the best and tries again. For p = 2, singularSecant proves from the
@@ -100,6 +105,21 @@ type FitResult struct {
 // middle point's: the result is the same, bit for bit, and so is Iters.
 // For p = 3 there is no such cheap proof, and every iteration solves.
 func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitResult, error) {
+	var w workspace
+	return w.fitDUD(m, xs, ys, theta0, opt)
+}
+
+// workspace is the scratch memory of DUD fits and of score, owned by one
+// goroutine at a time. It grows to the largest fit run on it and is laid
+// out again for each fit.
+type workspace struct {
+	cells []float64   // every vector and matrix row of a fit
+	rows  [][]float64 // the row headers of a fit's matrices
+	yhat  []float64   // score's fitted CDF at the regression points
+}
+
+// fitDUD is FitDUD on the workspace w.
+func (w *workspace) fitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitResult, error) {
 	opt = opt.withDefaults()
 	if len(xs) != len(ys) {
 		return FitResult{}, fmt.Errorf("stats: %d xs vs %d ys", len(xs), len(ys))
@@ -115,22 +135,44 @@ func FitDUD(m Model, xs, ys []float64, theta0 []float64, opt FitOptions) (FitRes
 		return FitResult{}, fmt.Errorf("stats: %d observations cannot identify %d parameters", len(xs), p)
 	}
 
-	// The workspace. pts[j] is a simplex point in unconstrained space,
-	// vals[j] its RSS and g[j] its model vector F(pts[j]; xs); g[p+1]
-	// receives the candidate's vector.
+	// The workspace, cut from w. pts[j] is a simplex point in
+	// unconstrained space, vals[j] its RSS and g[j] its model vector
+	// F(pts[j]; xs); g[p+1] receives the candidate's vector.
+	// The cuts below take (2p+3)·n cells for g, dG and r, 4p²+p for pts,
+	// dTheta, ata and lu, and 5p+1 for the five short vectors.
 	n := len(xs)
-	th := make([]float64, p)
-	pts := newMatrix(p+1, p)
-	vals := make([]float64, p+1)
-	g := newMatrix(p+2, n)
-	dTheta := newMatrix(p, p)
-	dG := newMatrix(p, n)
-	r := make([]float64, n)
-	ata := newMatrix(p, p)
-	atb := make([]float64, p)
-	lu := newMatrix(p, p)
-	alpha := make([]float64, p)
-	cand := make([]float64, p)
+	if need := (2*p+3)*n + 4*p*p + 6*p + 1; len(w.cells) < need {
+		w.cells = make([]float64, need)
+	}
+	if need := 6*p + 3; len(w.rows) < need {
+		w.rows = make([][]float64, need)
+	}
+	cells, rows := w.cells, w.rows
+	vec := func(k int) []float64 {
+		v := cells[:k:k]
+		cells = cells[k:]
+		return v
+	}
+	mat := func(r, c int) [][]float64 {
+		mr := rows[:r:r]
+		rows = rows[r:]
+		for i := range mr {
+			mr[i] = vec(c)
+		}
+		return mr
+	}
+	th := vec(p)
+	pts := mat(p+1, p)
+	vals := vec(p + 1)
+	g := mat(p+2, n)
+	dTheta := mat(p, p)
+	dG := mat(p, n)
+	r := vec(n)
+	ata := mat(p, p)
+	atb := vec(p)
+	lu := mat(p, p)
+	alpha := vec(p)
+	cand := vec(p)
 
 	// eval fills gv with the model at u and returns the RSS, or +Inf if a
 	// residual is NaN or infinite. A run of equal xs, as ties in the
@@ -349,16 +391,6 @@ func sign(x float64) float64 {
 		return -1
 	}
 	return 1
-}
-
-// newMatrix returns an r×c matrix whose rows share one backing array.
-func newMatrix(r, c int) [][]float64 {
-	cells := make([]float64, r*c)
-	m := make([][]float64, r)
-	for i := range m {
-		m[i] = cells[i*c : (i+1)*c : (i+1)*c]
-	}
-	return m
 }
 
 // normalEquations fills ata with dGᵀdG and atb with dGᵀr, where the rows

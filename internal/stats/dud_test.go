@@ -8,6 +8,16 @@ import (
 	"commchar/internal/sim"
 )
 
+// newMatrix returns an r×c matrix whose rows share one backing array.
+func newMatrix(r, c int) [][]float64 {
+	cells := make([]float64, r*c)
+	m := make([][]float64, r)
+	for i := range m {
+		m[i] = cells[i*c : (i+1)*c : (i+1)*c]
+	}
+	return m
+}
+
 // solve runs solveLinear on fresh scratch and returns its solution.
 func solve(a [][]float64, b []float64) ([]float64, bool) {
 	x := make([]float64, len(b))

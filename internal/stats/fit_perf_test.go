@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,7 +57,9 @@ func TestFitInterarrivalConcurrentMatchesSequential(t *testing.T) {
 
 // TestFitDUDAllocsIndependentOfIters requires FitDUD's allocations per
 // call to be a small constant: the workspace is allocated once, before the
-// iteration, whether the fit stops after one iteration or runs on.
+// iteration, whether the fit stops after one iteration or runs on. A fit
+// on a warm workspace, as the fitting pool's workers run them, allocates
+// only the Theta it returns.
 func TestFitDUDAllocsIndependentOfIters(t *testing.T) {
 	xs, ys := NewCounts(sampleFrom(Weibull{Shape: 2.2, Scale: 5}, 2000, 31)).Points(maxRegressionPoints)
 	m := Model{
@@ -65,15 +68,18 @@ func TestFitDUDAllocsIndependentOfIters(t *testing.T) {
 		Transforms: []ParamTransform{TransformLog, TransformLog},
 	}
 	theta0 := []float64{0.5, 40}
-	allocs := func(opt FitOptions) (float64, int) {
-		res, err := FitDUD(m, xs, ys, theta0, opt)
+	var w workspace
+	allocs := func(opt FitOptions) (fresh, warm float64, iters int) {
+		res, err := w.fitDUD(m, xs, ys, theta0, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() { _, _ = FitDUD(m, xs, ys, theta0, opt) }), res.Iters
+		fresh = testing.AllocsPerRun(5, func() { _, _ = FitDUD(m, xs, ys, theta0, opt) })
+		warm = testing.AllocsPerRun(5, func() { _, _ = w.fitDUD(m, xs, ys, theta0, opt) })
+		return fresh, warm, res.Iters
 	}
-	short, shortIters := allocs(FitOptions{MaxIter: 1})
-	long, longIters := allocs(FitOptions{})
+	short, shortWarm, shortIters := allocs(FitOptions{MaxIter: 1})
+	long, longWarm, longIters := allocs(FitOptions{})
 	if longIters < 20*shortIters {
 		t.Fatalf("fit ran %d iterations, want many more than %d", longIters, shortIters)
 	}
@@ -81,6 +87,10 @@ func TestFitDUDAllocsIndependentOfIters(t *testing.T) {
 	if short != long || long > maxAllocs {
 		t.Fatalf("allocs per call: %v at %d iterations, %v at %d; want equal and at most %d",
 			short, shortIters, long, longIters, maxAllocs)
+	}
+	if shortWarm > 1 || longWarm > 1 {
+		t.Fatalf("allocs per fit on a warm workspace: %v at %d iterations, %v at %d; want at most 1, the returned Theta",
+			shortWarm, shortIters, longWarm, longIters)
 	}
 }
 
@@ -161,14 +171,30 @@ func BenchmarkFitInterarrival(b *testing.B) {
 }
 
 // TestParallelForRunsEveryIndexAndForwardsPanics requires every index to
-// run exactly once, and a worker's panic to reach the caller's goroutine.
+// run exactly once, on a worker index in range that no call running at
+// the same time holds, and a worker's panic to reach the caller's
+// goroutine. Fits reuse their worker's workspace on that guarantee.
 func TestParallelForRunsEveryIndexAndForwardsPanics(t *testing.T) {
 	const n = 100
-	var calls [n]atomic.Int32
-	parallelFor(n, func(i int) { calls[i].Add(1) })
-	for i := range calls {
-		if c := calls[i].Load(); c != 1 {
-			t.Fatalf("index %d ran %d times", i, c)
+	for _, workers := range []int{1, 3, 8, 2 * n} {
+		var calls [n]atomic.Int32
+		held := make([]atomic.Bool, min(workers, n))
+		parallelFor(workers, n, func(w, i int) {
+			if w < 0 || w >= len(held) {
+				t.Errorf("%d workers: index %d ran on worker %d", workers, i, w)
+				return
+			}
+			if held[w].Swap(true) {
+				t.Errorf("%d workers: index %d ran on worker %d while another call held it", workers, i, w)
+			}
+			calls[i].Add(1)
+			runtime.Gosched()
+			held[w].Store(false)
+		})
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Fatalf("%d workers: index %d ran %d times", workers, i, c)
+			}
 		}
 	}
 	defer func() {
@@ -176,10 +202,37 @@ func TestParallelForRunsEveryIndexAndForwardsPanics(t *testing.T) {
 			t.Fatalf("recovered %v, want the worker's panic", r)
 		}
 	}()
-	parallelFor(n, func(i int) {
+	parallelFor(4, n, func(_, i int) {
 		if i == 37 {
 			panic("boom")
 		}
 	})
 	t.Fatal("parallelFor returned after a worker panicked")
+}
+
+// TestSummarizeSourcesBytesPerSample bounds what SummarizeSources
+// allocates per fitted sample, on 16 quantized sources and their pooled
+// sample, at GOMAXPROCS 2. Each sample runs 27 DUD fits: with a fresh DUD
+// workspace per fit a sample cost about 417 KB, and with one workspace per
+// pool worker it costs about 28 KB. TestAnalyzeBytesPerGap takes the slope
+// over sample length, which cancels this fixed cost.
+func TestSummarizeSourcesBytesPerSample(t *testing.T) {
+	const maxPerSample = 64 << 10
+	gaps := quantize(sampleFrom(HyperExp2{P: 0.7, Rate1: 0.03, Rate2: 0.003}, 32000, 44), 1)
+	off := splitOffsets(len(gaps), 16)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := SummarizeSources(gaps, off)
+	runtime.ReadMemStats(&after)
+	for s, r := range res {
+		if r.Err != nil || len(r.Fits) < 2 {
+			t.Fatalf("sample %d: %d fits, error %v; want every family fitted", s, len(r.Fits), r.Err)
+		}
+	}
+	perSample := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(res))
+	if perSample > maxPerSample {
+		t.Fatalf("SummarizeSources allocates %.0f bytes per fitted sample, want at most %d", perSample, maxPerSample)
+	}
+	t.Logf("%.0f bytes per fitted sample", perSample)
 }

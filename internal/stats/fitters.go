@@ -52,10 +52,10 @@ func FitInterarrival(samples []float64) ([]CandidateFit, error) {
 // SummarizeSources runs the same fit on every source of a run and on
 // their pooled sample, with no copy.
 func SummarizeFit(samples []float64) (Summary, []CandidateFit, error) {
-	raw := takeRawSums(samples)
 	sorted := slices.Clone(samples)
 	sort.Float64s(sorted)
-	return fitCounted(raw, countSorted(sorted))
+	r := fitSamples([]rawSums{takeRawSums(samples)}, []Counts{countSorted(sorted)}, []int{0}, runtime.GOMAXPROCS(0))[0]
+	return r.Summary, r.Fits, r.Err
 }
 
 // SampleFit is one sample's SummarizeFit result.
@@ -73,19 +73,25 @@ type SampleFit struct {
 // each is bit for bit what SummarizeFit returns for that sample as it was
 // passed in.
 //
-// It reorders gaps and copies none of it:
+// It reorders gaps and copies none of it. Each step is one pass of the
+// pool over every sample, or every job of every sample:
 //  1. It takes every sum that depends on sample order, each source's and
 //     the pooled sample's, before anything is reordered.
-//  2. It sorts each source's samples in place and counts them.
-//  3. It counts the pooled sample by merging the sources' Counts, with no
+//  2. It sorts each source's samples in place and counts them, then
+//     counts the pooled sample by merging the sources' Counts, with no
 //     sort of the pooled sample. That equals counting sort.Float64s of it
 //     only because inter-arrival gaps are non-negative whole
 //     nanoseconds, never a NaN or a −0 (see mergeCounts).
+//  3. It builds each sample's Summary, regression points and candidates.
+//  4. It runs every (sample, family, start) DUD fit.
+//  5. It scores every (sample, family).
+//  6. It ranks each sample's fits in the sample's own slot.
 //
 // Each step takes the longest sample first, so the pooled sample's work
-// overlaps the sources' rather than running alone at the end. Each result
-// has its own slot, so nothing depends on how the workers ran, and a
-// panic in any fit is raised again on the caller.
+// overlaps the sources' rather than running alone at the end. Every
+// worker reuses one workspace for its fits and scores. Each result has
+// its own slot, so nothing depends on how the workers ran, and a panic in
+// any fit is raised again on the caller.
 func SummarizeSources(gaps []float64, off []int) []SampleFit {
 	k := len(off) - 1
 	samples := make([][]float64, k+1)
@@ -94,22 +100,18 @@ func SummarizeSources(gaps []float64, off []int) []SampleFit {
 	}
 	samples[k] = gaps[off[0]:off[k]]
 	order := longestFirst(samples)
+	procs := runtime.GOMAXPROCS(0)
 	raw := make([]rawSums, k+1)
-	parallelFor(k+1, func(t int) { raw[order[t]] = takeRawSums(samples[order[t]]) })
+	parallelFor(procs, k+1, func(_, t int) { raw[order[t]] = takeRawSums(samples[order[t]]) })
 	counts := make([]Counts, k+1)
-	parallelFor(k+1, func(t int) {
+	parallelFor(procs, k+1, func(_, t int) {
 		if s := order[t]; s < k {
 			sort.Float64s(samples[s])
 			counts[s] = countSorted(samples[s])
 		}
 	})
 	counts[k] = mergeCounts(counts[:k])
-	out := make([]SampleFit, k+1)
-	parallelFor(k+1, func(t int) {
-		r := &out[order[t]]
-		r.Summary, r.Fits, r.Err = fitCounted(raw[order[t]], counts[order[t]])
-	})
-	return out
+	return fitSamples(raw, counts, order, procs)
 }
 
 // longestFirst returns the indices of samples from the longest sample to
@@ -137,59 +139,104 @@ func takeRawSums(samples []float64) rawSums {
 	return r
 }
 
-// fitCounted is SummarizeFit on a sample's raw-order sums and its Counts.
-func fitCounted(raw rawSums, c Counts) (Summary, []CandidateFit, error) {
+// regression is one sample's fitting state: its regression points, its
+// candidates, their DUD runs (family-major, one per multi-start) and
+// their scored fits (nil where scoring failed).
+type regression struct {
+	xs, ys []float64
+	cands  []candidate
+	runs   []dudRun
+	fits   []*CandidateFit
+}
+
+// fitSamples fits every sample from its raw-order sums and its Counts on
+// procs workers, samples in the given order, steps 3 to 6 of
+// SummarizeSources. The DUD fits of every sample, every family and every
+// start share one pass of the pool, and so do the scores.
+func fitSamples(raw []rawSums, counts []Counts, order []int, procs int) []SampleFit {
+	out := make([]SampleFit, len(raw))
+	regs := make([]regression, len(raw))
+	parallelFor(procs, len(order), func(_, t int) {
+		s := order[t]
+		out[s], regs[s] = prepare(raw[s], counts[s])
+	})
+	type job struct{ s, i int }
+	var fits, scores []job
+	for _, s := range order {
+		for i := range regs[s].runs {
+			fits = append(fits, job{s, i})
+		}
+		for i := range regs[s].cands {
+			scores = append(scores, job{s, i})
+		}
+	}
+	spaces := make([]workspace, procs)
+	parallelFor(procs, len(fits), func(w, t int) {
+		r := &regs[fits[t].s]
+		i := fits[t].i
+		cand := r.cands[i/len(multiStarts)]
+		seed := startFrom(cand, multiStarts[i%len(multiStarts)])
+		r.runs[i].res, r.runs[i].err = spaces[w].fitDUD(cand.model, r.xs, r.ys, seed, FitOptions{})
+	})
+	parallelFor(procs, len(scores), func(w, t int) {
+		r := &regs[scores[t].s]
+		i := scores[t].i
+		r.fits[i] = spaces[w].score(r.cands[i], r.runs[i*len(multiStarts):(i+1)*len(multiStarts)], r.xs, r.ys, counts[scores[t].s])
+	})
+	for s, r := range regs {
+		if r.cands == nil {
+			continue
+		}
+		out[s].Fits = make([]CandidateFit, 0, len(r.fits))
+		for _, fit := range r.fits {
+			if fit != nil {
+				out[s].Fits = append(out[s].Fits, *fit)
+			}
+		}
+		if len(out[s].Fits) == 0 {
+			out[s].Fits, out[s].Err = nil, errors.New("stats: no candidate family could be fitted")
+			continue
+		}
+		sortFits(out[s].Fits)
+	}
+	return out
+}
+
+// prepare takes a sample's Summary from its raw-order sums and Counts,
+// and its regression points and candidates. A sample that is too short,
+// whose mean is not finite or not positive, or that is a point mass gets
+// its whole result here and no regression.
+func prepare(raw rawSums, c Counts) (SampleFit, regression) {
 	sum := raw.sum
 	if sum.N > 0 {
 		sum.Median = c.quantile(0.5)
 	}
+	fail := func(err error) (SampleFit, regression) { return SampleFit{Summary: sum, Err: err}, regression{} }
 	if sum.N < 8 {
-		return sum, nil, errors.New("stats: too few samples to characterize")
+		return fail(errors.New("stats: too few samples to characterize"))
 	}
 	if math.IsNaN(sum.Mean) || math.IsInf(sum.Mean, 0) {
-		return sum, nil, fmt.Errorf("stats: sample mean is %v; samples must be finite and sum within float64 range", sum.Mean)
+		return fail(fmt.Errorf("stats: sample mean is %v; samples must be finite and sum within float64 range", sum.Mean))
 	}
 	if sum.Mean <= 0 {
-		return sum, nil, errors.New("stats: non-positive mean; inter-arrival samples must be positive")
+		return fail(errors.New("stats: non-positive mean; inter-arrival samples must be positive"))
 	}
 
 	// Degenerate sample: a point mass. Continuous families cannot beat
 	// it, and regression on a single x is ill-posed.
 	if sum.StdDev <= 1e-12*math.Abs(sum.Mean) {
-		return sum, []CandidateFit{{
+		return SampleFit{Summary: sum, Fits: []CandidateFit{{
 			Dist: Deterministic{Value: sum.Mean},
 			R2:   1, KS: 0,
 			Chi: ChiSquareResult{Statistic: 0, DF: 1, PValue: 1},
-		}}, nil
+		}}}, regression{}
 	}
 
-	xs, ys := c.Points(maxRegressionPoints)
-
-	// Every family is fitted from every start in parallel, then scored in
-	// parallel. Each result has its own slot and is read in candidate
-	// order, so the outcome does not depend on how the workers ran.
-	cands := candidateModels(raw, weibullInit(c, sum.Mean))
-	runs := make([]dudRun, len(cands)*len(multiStarts))
-	parallelFor(len(runs), func(t int) {
-		cand := cands[t/len(multiStarts)]
-		seed := startFrom(cand, multiStarts[t%len(multiStarts)])
-		runs[t].res, runs[t].err = FitDUD(cand.model, xs, ys, seed, FitOptions{})
-	})
-	fits := make([]*CandidateFit, len(cands))
-	parallelFor(len(cands), func(i int) {
-		fits[i] = score(cands[i], runs[i*len(multiStarts):(i+1)*len(multiStarts)], xs, ys, c)
-	})
-	out := make([]CandidateFit, 0, len(fits))
-	for _, fit := range fits {
-		if fit != nil {
-			out = append(out, *fit)
-		}
-	}
-	if len(out) == 0 {
-		return sum, nil, errors.New("stats: no candidate family could be fitted")
-	}
-	sortFits(out)
-	return sum, out, nil
+	r := regression{cands: candidateModels(raw, weibullInit(c, sum.Mean))}
+	r.xs, r.ys = c.Points(maxRegressionPoints)
+	r.runs = make([]dudRun, len(r.cands)*len(multiStarts))
+	r.fits = make([]*CandidateFit, len(r.cands))
+	return SampleFit{Summary: sum}, r
 }
 
 // sortFits ranks candidate fits best-first under a total order: R²
@@ -399,16 +446,18 @@ type dudRun struct {
 	err error
 }
 
-// parallelFor calls f(i) for every i in [0, n) from min(GOMAXPROCS, n)
+// parallelFor calls f(w, i) for every i in [0, n) from min(workers, n)
 // goroutines that pull indices from a shared counter, and returns once
-// every call has. A panic in f is raised again on the caller's goroutine,
-// so the caller's recovery boundary still catches it.
-func parallelFor(n int, f func(i int)) {
+// every call has. w is the calling goroutine's index in [0, min(workers,
+// n)), so no two calls that run at once share a w. A panic in f is raised
+// again on the caller's goroutine, so the caller's recovery boundary
+// still catches it.
+func parallelFor(workers, n int, f func(w, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var once sync.Once
 	var panicked any
-	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+	for w := range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -418,7 +467,7 @@ func parallelFor(n int, f func(i int)) {
 				}
 			}()
 			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				f(i)
+				f(w, i)
 			}
 		}()
 	}
@@ -428,9 +477,10 @@ func parallelFor(n int, f func(i int)) {
 	}
 }
 
-// score keeps the family's best run, in start order, and scores it: R²
-// against the ECDF points (xs, ys), KS and χ² against the counted sample.
-func score(c candidate, runs []dudRun, xs, ys []float64, counts Counts) *CandidateFit {
+// score keeps the family's best run, in start order, and scores it on the
+// workspace w: R² against the ECDF points (xs, ys), KS and χ² against the
+// counted sample.
+func (w *workspace) score(c candidate, runs []dudRun, xs, ys []float64, counts Counts) *CandidateFit {
 	theta := c.init
 	iters := 0
 	bestRSS := math.Inf(1)
@@ -442,7 +492,10 @@ func score(c candidate, runs []dudRun, xs, ys []float64, counts Counts) *Candida
 		}
 	}
 	dist := c.build(theta)
-	yhat := make([]float64, len(xs))
+	if len(w.yhat) < len(xs) {
+		w.yhat = make([]float64, len(xs))
+	}
+	yhat := w.yhat[:len(xs)]
 	if !fillCDF(yhat, xs, dist) {
 		// Fall back to the initial estimate if refinement went astray.
 		dist = c.build(c.init)
