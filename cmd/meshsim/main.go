@@ -1,9 +1,10 @@
 // Command meshsim replays an application-level communication trace (CSV,
 // as written by trace.Trace.WriteCSV) through the wormhole interconnect
 // simulator, honouring send/receive dependencies, and reports network
-// metrics. The fabric defaults to the paper's 2-D mesh; -topology selects
-// any other supported interconnect (torus, torus3d, torus4d, hypercube,
-// fattree, dragonfly), with -dims pinning the exact shape. Optionally it
+// metrics. The fabric defaults to the paper's 2-D mesh, sized for -ranks;
+// -topology selects any supported interconnect (mesh, torus, torus3d,
+// torus4d, hypercube, fattree, dragonfly), with -dims pinning the exact
+// shape, so a 4x4 mesh is -topology mesh -dims 4,4. Optionally it
 // injects faults from a deterministic schedule and writes the delivery
 // log for offline analysis.
 //
@@ -13,8 +14,8 @@
 //
 // Usage:
 //
-//	meshsim -trace app.csv -ranks 16 [-width 4 -height 4] [-sp2] [-vcs 1]
-//	        [-topology torus3d] [-dims 4,4,4]
+//	meshsim -trace app.csv -ranks 16 [-sp2] [-vcs 1]
+//	        [-topology torus3d [-dims 4,4,4]]
 //	        [-faults "drop:0.01;down:1<->2@1ms-2ms"] [-fault-seed 1]
 //	        [-max-events N] [-max-sim-ms MS] [-spec-timeout D] [-out deliveries.csv]
 //
@@ -33,8 +34,6 @@ import (
 
 	"commchar/internal/cli"
 	"commchar/internal/core"
-	"commchar/internal/fault"
-	"commchar/internal/mesh"
 	"commchar/internal/obs"
 	"commchar/internal/pipeline"
 	"commchar/internal/report"
@@ -50,8 +49,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	traceFile := fs.String("trace", "", "trace CSV file (required)")
 	ranks := fs.Int("ranks", 16, "number of ranks in the trace")
-	width := fs.Int("width", 0, "mesh width (default: derived from ranks)")
-	height := fs.Int("height", 0, "mesh height")
 	useSP2 := fs.Bool("sp2", false, "charge IBM SP2 software overheads during replay")
 	vcs := fs.Int("vcs", 0, "virtual channels per link (0 = fabric default)")
 	topology := fs.String("topology", "", "interconnect fabric: "+strings.Join(core.TopologyNames(), ", ")+" (default: the paper's 2-D mesh)")
@@ -82,18 +79,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return cli.Usagef("-dims: %v", err)
 	}
-	if *topology != "" && (*width != 0 || *height != 0) {
-		return cli.Usagef("-width/-height apply to the default mesh only; use -dims with -topology")
-	}
 	if dims != nil && *topology == "" {
 		return cli.Usagef("-dims requires -topology")
-	}
-	if *faults != "" {
-		// Validate the schedule up front so a bad spec is a usage error,
-		// not a mid-replay failure; the pipeline parses its own copy.
-		if _, err := fault.Parse(*faults, *faultSeed); err != nil {
-			return cli.Usagef("-faults: %v", err)
-		}
 	}
 	f, err := os.Open(*traceFile)
 	if err != nil {
@@ -112,14 +99,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// The default 2-D mesh path keeps its exact historical spec (explicit
-	// Width/Height, VCs defaulting to 1) so cache keys from older builds
-	// stay valid. Any other fabric rides the spec's Topology/Dims fields
-	// and lets the pipeline size it.
 	spec := pipeline.RunSpec{
 		Trace:           tr,
 		Procs:           *ranks,
 		VirtualChannels: *vcs,
+		Topology:        *topology,
+		Dims:            dims,
 		UseSP2:          *useSP2,
 		Faults:          *faults,
 		FaultSeed:       *faultSeed,
@@ -127,39 +112,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			MaxEvents:  *maxEvents,
 			MaxSimTime: sim.Time(*maxSimMS * 1e6),
 		},
-	}
-	var fab mesh.Topology
-	var fabCycle sim.Duration
-	if *topology == "" {
-		w, h := *width, *height
-		if w == 0 || h == 0 {
-			grid := mesh.DefaultGrid(*ranks)
-			w, h = grid[0], grid[1]
-		}
-		spec.Width, spec.Height = w, h
-		fabCycle = mesh.DefaultConfig(mesh.MeshTopology, w, h).CycleTime
-		if spec.VirtualChannels == 0 {
-			spec.VirtualChannels = 1
-		}
-	} else {
-		spec.Topology = *topology
-		spec.Dims = dims
-		// Pre-flight the fabric so a bad selector or shape is a usage
-		// error before any simulation state is built; the same checks run
-		// again inside spec validation.
-		fcfg, err := core.TopologyFor(*topology, dims, *ranks)
-		if err != nil {
-			return cli.Usagef("%v", err)
-		}
-		if *vcs > 0 {
-			fcfg.VirtualChannels = *vcs
-		}
-		if err := fcfg.Validate(); err != nil {
-			return cli.Usagef("%v", err)
-		}
-		spec.VirtualChannels = fcfg.VirtualChannels
-		fab = fcfg.Fabric()
-		fabCycle = fcfg.CycleTime
 	}
 
 	ob, err := of.Observer(stderr)
@@ -179,14 +131,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	machine, err := spec.Machine() // the fabric the run was validated on and ran on
+	if err != nil {
+		return err
+	}
 	c := art.C
 	m := workload.MeasureLog(c.Log, c.Elapsed, c.MeanUtilization)
-	if fab == nil {
+	if spec.Topology == "" {
 		fmt.Fprintf(stdout, "mesh          : %dx%d, %d VCs, %v flit cycle\n",
-			spec.Width, spec.Height, spec.VirtualChannels, fabCycle)
+			machine.Dims[0], machine.Dims[1], machine.VirtualChannels, machine.CycleTime)
 	} else {
+		fab := machine.Fabric()
 		fmt.Fprintf(stdout, "fabric        : %s, %d endpoints / %d nodes, %d VCs, %v flit cycle\n",
-			fab.Name(), fab.Endpoints(), fab.Nodes(), spec.VirtualChannels, fabCycle)
+			fab.Name(), fab.Endpoints(), fab.Nodes(), machine.VirtualChannels, machine.CycleTime)
 	}
 	fmt.Fprintf(stdout, "messages      : %d\n", m.Messages)
 	fmt.Fprintf(stdout, "simulated time: %.3f ms\n", float64(c.Elapsed)/1e6)

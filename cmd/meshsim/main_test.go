@@ -55,7 +55,7 @@ func TestFaultRunDeterministic(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "deliveries.csv")
 		var stdout, stderr bytes.Buffer
 		err := run(context.Background(), []string{
-			"-trace", tracePath, "-ranks", "4", "-width", "2", "-height", "2",
+			"-trace", tracePath, "-ranks", "4", "-topology", "mesh", "-dims", "2,2",
 			"-faults", "drop:0.2", "-fault-seed", seed,
 			"-max-events", "5000000", "-out", out,
 		}, &stdout, &stderr)
@@ -129,11 +129,11 @@ func TestUsageErrors(t *testing.T) {
 	if !errors.As(err, &ue) {
 		t.Fatalf("missing -trace: expected UsageError, got %v", err)
 	}
-	err = run(context.Background(), []string{"-trace", "x.csv", "-faults", "nonsense"}, &out, &out)
+	err = run(context.Background(), []string{"-trace", writeRingTrace(t, 1), "-ranks", "4", "-faults", "nonsense"}, &out, &out)
 	if !errors.As(err, &ue) {
 		t.Fatalf("bad -faults: expected UsageError, got %v", err)
 	}
-	err = run(context.Background(), []string{"-trace", writeRingTrace(t, 1), "-ranks", "4", "-width", "1", "-height", "2"}, &out, &out)
+	err = run(context.Background(), []string{"-trace", writeRingTrace(t, 1), "-ranks", "4", "-topology", "mesh", "-dims", "1,2"}, &out, &out)
 	if code := cli.ExitCode(err); code != cli.ExitUsage {
 		t.Fatalf("1x2 mesh for 4 ranks: exit code %d, want %d (%v)", code, cli.ExitUsage, err)
 	}
@@ -181,7 +181,7 @@ func TestSpecTimeoutStopsReplay(t *testing.T) {
 	}
 	var stdout, stderr bytes.Buffer
 	err := run(context.Background(), []string{
-		"-trace", writeTrace(t, tr), "-ranks", "4", "-width", "2", "-height", "2", "-spec-timeout", "200ms",
+		"-trace", writeTrace(t, tr), "-ranks", "4", "-topology", "mesh", "-dims", "2,2", "-spec-timeout", "200ms",
 	}, &stdout, &stderr)
 	if code := cli.ExitCode(err); code != cli.ExitFailure {
 		t.Fatalf("exit code %d, want %d (%v)", code, cli.ExitFailure, err)
@@ -212,7 +212,8 @@ func TestTruncatedHeaderFails(t *testing.T) {
 
 // TestTopologyFlagEndToEnd replays the same trace on every fabric through
 // the full command path and checks the header names the fabric, the run
-// is deterministic, and the default path still prints the legacy header.
+// is deterministic, and the default path still prints the legacy header
+// and replays the same machine as the mesh named with its shape.
 func TestTopologyFlagEndToEnd(t *testing.T) {
 	tracePath := writeRingTrace(t, 10)
 	runOnce := func(args ...string) string {
@@ -225,8 +226,18 @@ func TestTopologyFlagEndToEnd(t *testing.T) {
 		return stdout.String()
 	}
 
-	if out := runOnce(); !bytes.Contains([]byte(out), []byte("mesh          : 4x1")) {
-		t.Errorf("default run lost the legacy header:\n%s", out)
+	def := runOnce()
+	if !strings.HasPrefix(def, "mesh          : 4x1, 1 VCs, ") {
+		t.Errorf("default run lost the legacy header:\n%s", def)
+	}
+	named := runOnce("-topology", "mesh", "-dims", "4,1")
+	if !strings.HasPrefix(named, "fabric        : mesh4x1, ") {
+		t.Errorf("-topology mesh header:\n%s", named)
+	}
+	_, defBody, _ := strings.Cut(def, "\n")
+	_, namedBody, _ := strings.Cut(named, "\n")
+	if defBody != namedBody {
+		t.Errorf("default and -topology mesh -dims 4,1 replays differ:\n%s\nvs\n%s", def, named)
 	}
 	for topo, name := range map[string]string{
 		"torus3d":   "torus2x2x2",
@@ -256,7 +267,7 @@ func TestTopologyUsageErrors(t *testing.T) {
 		"unknown fabric":    {"-topology", "nosuch"},
 		"bad dims":          {"-topology", "torus", "-dims", "4,x"},
 		"dims without topo": {"-dims", "4,4"},
-		"width with topo":   {"-topology", "torus3d", "-width", "2", "-height", "2"},
+		"width is gone":     {"-width", "2", "-height", "2"},
 		"torus one lane":    {"-topology", "torus3d", "-vcs", "1"},
 		"too small":         {"-topology", "hypercube", "-dims", "1"},
 	} {

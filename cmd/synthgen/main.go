@@ -1,7 +1,8 @@
 // Command synthgen demonstrates the methodology's payoff: it characterizes
 // an application (or a previously saved delivery log), regenerates
 // synthetic traffic from the fitted temporal/spatial/volume models, drives
-// the mesh with it, and compares network metrics between the real and
+// the interconnect the application ran on with it (the default 2-D mesh
+// for a delivery log), and compares network metrics between the real and
 // synthetic workloads.
 //
 // The -app path executes through the shared run pipeline: with
@@ -62,7 +63,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return cli.Usagef("-dims: %v", err)
 	}
 
+	// The synthetic traffic runs on the machine the characterized traffic
+	// ran on; a delivery log names none, so it gets the default mesh.
 	var c *core.Characterization
+	validate := workload.Validate
 	switch {
 	case *app != "":
 		sc, err := apps.ParseScale(*scale)
@@ -84,14 +88,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if cf.Metrics {
 			defer eng.Metrics().Render(stderr)
 		}
-		art, err := eng.RunContext(ctx, pipeline.RunSpec{
+		spec := pipeline.RunSpec{
 			App: *app, Procs: *procs, Scale: sc,
 			Topology: *topology, Dims: dims,
-		})
+		}
+		art, err := eng.RunContext(ctx, spec)
+		if err != nil {
+			return err
+		}
+		machine, err := spec.Machine()
 		if err != nil {
 			return err
 		}
 		c = art.C
+		validate = func(c *core.Characterization, seed uint64) (*workload.Validation, error) {
+			return workload.ValidateOn(c, machine, seed)
+		}
 	case *logFile != "":
 		if *elapsedMS <= 0 {
 			return cli.Usagef("-elapsed-ms required with -log")
@@ -114,7 +126,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return cli.Usagef("one of -app or -log required")
 	}
 
-	v, err := workload.Validate(c, *seed)
+	v, err := validate(c, *seed)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"commchar/internal/apps"
+	"commchar/internal/pipeline"
+	"commchar/internal/workload"
 )
 
 // TestZeroLengthLogIsAnError runs synthgen on a delivery log where every
@@ -36,5 +40,59 @@ func TestZeroLengthLogIsAnError(t *testing.T) {
 	}
 	if out := stdout.String() + stderr.String(); strings.Contains(out, "internal error") {
 		t.Fatalf("run reported an internal error:\n%s", out)
+	}
+}
+
+// TestRegeneratesOnTheRunFabric: an -app run on a named fabric has its
+// synthetic traffic regenerated on that fabric, not on the default 2-D
+// mesh: synthgen's synthetic column equals workload.ValidateOn over the
+// machine of the spec it ran.
+func TestRegeneratesOnTheRunFabric(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run(context.Background(), []string{
+		"-app", "IS", "-procs", "8", "-scale", "small", "-topology", "torus3d", "-seed", "3",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+
+	spec := pipeline.RunSpec{App: "IS", Procs: 8, Scale: apps.ScaleSmall, Topology: "torus3d"}
+	eng, err := pipeline.New(pipeline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := eng.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torus, err := spec.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := func(v *workload.Validation) []string {
+		return []string{
+			fmt.Sprintf("%-22s %14.4f %14.4f %8.3f\n", "msg rate (msg/us)",
+				v.Original.MessageRate, v.Synthetic.MessageRate, v.RateErr),
+			fmt.Sprintf("%-22s %14.0f %14.0f %8.3f\n", "mean latency (ns)",
+				v.Original.MeanLatencyNS, v.Synthetic.MeanLatencyNS, v.LatencyErr),
+			fmt.Sprintf("%-22s %14.4f %14.4f %8.3f\n", "mean link utilization",
+				v.Original.MeanUtilization, v.Synthetic.MeanUtilization, v.UtilErr),
+		}
+	}
+	onTorus, err := workload.ValidateOn(art.C, torus, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onMesh, err := workload.Validate(art.C, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(lines(onTorus), "") == strings.Join(lines(onMesh), "") {
+		t.Fatal("the torus and the default mesh regenerate alike, so this run cannot tell them apart")
+	}
+	for _, want := range lines(onTorus) {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("output lacks the torus regeneration's line %q:\n%s", want, stdout.String())
+		}
 	}
 }

@@ -87,6 +87,12 @@ import (
 // on the worker's server, not in the lease protocol, so no lease message
 // changed: an older coordinator started with -workers fails at startup
 // with a connection error, and a newer one never attaches.
+//
+// Still version 4: RunSpec lost its Width/Height fields; a 2-D mesh's
+// shape is spelled with Dims. A leased spec is the spec's verbatim JSON,
+// and no coordinator of any version sets Width/Height: sweepd and
+// characterize -dist-listen never did, and meshsim, the one tool that
+// did, never leases. So no lease message can carry the removed fields.
 const ProtoVersion = 4
 
 // DegradedError reports a sweep that completed — every artifact was

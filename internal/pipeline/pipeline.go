@@ -478,6 +478,10 @@ func (e *Engine) runOnce(ctx context.Context, spec RunSpec, key, track string) (
 	if e.remote != nil {
 		return e.runRemote(ctx, spec, key, track)
 	}
+	machine, err := spec.Machine()
+	if err != nil {
+		return nil, err
+	}
 	res, err := e.runStages(ctx, spec, track)
 	if err != nil {
 		return nil, err
@@ -497,7 +501,7 @@ func (e *Engine) runOnce(ctx context.Context, spec RunSpec, key, track string) (
 	e.metrics.Runs.Add(1)
 	e.metrics.SimEvents.Add(res.raw.Events)
 	e.metrics.SimTimeNS.Add(int64(res.raw.Elapsed))
-	topo := e.meshConfig(spec).Topology.String()
+	topo := machine.Topology.String()
 	e.metrics.topoRuns.Add(topo, 1)
 	e.metrics.topoMsgs.Add(topo, int64(len(res.raw.Log)))
 	e.metrics.topoSimNS.Add(topo, int64(res.raw.Elapsed))
@@ -573,31 +577,6 @@ func (e *Engine) runRemote(ctx context.Context, spec RunSpec, key, track string)
 	return &a, nil
 }
 
-// meshConfig builds the run's interconnect configuration from the spec
-// overrides: the named topology (default 2-D mesh), sized for the spec's
-// processors unless Dims (or the legacy Width/Height) pins the shape.
-// validate has already vetted the topology, so the fallible sizing step
-// cannot fail here.
-func (e *Engine) meshConfig(spec RunSpec) mesh.Config {
-	cfg, err := core.TopologyFor(spec.Topology, spec.Dims, spec.Procs)
-	if err != nil {
-		// Unreachable after validate; keep the legacy geometry rather than
-		// panicking inside a worker.
-		cfg = mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(spec.Procs)...)
-	}
-	if spec.Width > 0 {
-		cfg = mesh.DefaultConfig(mesh.MeshTopology, spec.Width, spec.Height)
-	}
-	if spec.CycleTime > 0 {
-		cfg.CycleTime = spec.CycleTime
-	}
-	if spec.VirtualChannels > 0 {
-		cfg.VirtualChannels = spec.VirtualChannels
-	}
-	cfg.Routing = spec.Routing
-	return cfg
-}
-
 // faultSchedule parses the spec's fault schedule; every run gets its own
 // (schedules carry RNG state, so they must never be shared across runs).
 func (e *Engine) faultSchedule(spec RunSpec) (*fault.Schedule, error) {
@@ -627,8 +606,12 @@ func (e *Engine) acquire(ctx context.Context, spec RunSpec, track string) (*stag
 // from the spec (execution-driven strategy). The context reaches the
 // machine's simulator, so the kernel is killable mid-execution.
 func (e *Engine) acquireDynamic(ctx context.Context, spec RunSpec, track string) (*stageResult, error) {
+	machine, err := spec.Machine()
+	if err != nil {
+		return nil, err
+	}
 	cfg := spasm.DefaultConfig(spec.Procs)
-	cfg.Mesh = e.meshConfig(spec)
+	cfg.Mesh = machine
 	cfg.Barrier = spec.Barrier
 	cfg.Memory.Protocol = spec.Protocol
 	if spec.CacheBytes > 0 {
@@ -696,6 +679,10 @@ func (e *Engine) acquireReplay(ctx context.Context, spec RunSpec, track string) 
 
 // replay is the shared log stage: drive the trace through the mesh.
 func (e *Engine) replay(ctx context.Context, spec RunSpec, track string, tr *trace.Trace, cost trace.CostModel) (*stageResult, error) {
+	machine, err := spec.Machine()
+	if err != nil {
+		return nil, err
+	}
 	sched, err := e.faultSchedule(spec)
 	if err != nil {
 		return nil, err
@@ -710,7 +697,7 @@ func (e *Engine) replay(ctx context.Context, spec RunSpec, track string, tr *tra
 		hook, every = e.simProgress, simProgressInterval
 	}
 	_, stop := e.stage(track, obs.StageReplay, &e.metrics.ReplayNS, e.histReplay)
-	raw, err := core.ReplayTraceObserved(ctx, tr, e.meshConfig(spec), cost, inj, spec.Watchdog, every, hook)
+	raw, err := core.ReplayTraceObserved(ctx, tr, machine, cost, inj, spec.Watchdog, every, hook)
 	stop()
 	if err != nil {
 		return nil, err

@@ -84,7 +84,7 @@ func TestKeyDistinguishesEveryField(t *testing.T) {
 		"cycle":    {App: "IS", Procs: 8, Scale: apps.ScaleSmall, CycleTime: 1 * sim.Nanosecond},
 		"cache":    {App: "IS", Procs: 8, Scale: apps.ScaleSmall, CacheBytes: 8 << 10},
 		"vcs":      {App: "IS", Procs: 8, Scale: apps.ScaleSmall, VirtualChannels: 4},
-		"mesh":     {App: "IS", Procs: 8, Scale: apps.ScaleSmall, Width: 8, Height: 1},
+		"mesh":     {App: "IS", Procs: 8, Scale: apps.ScaleSmall, Dims: []int{8, 1}},
 		"barrier":  {App: "IS", Procs: 8, Scale: apps.ScaleSmall, Barrier: spasm.BarrierTree},
 		"protocol": {App: "IS", Procs: 8, Scale: apps.ScaleSmall, Protocol: ccnuma.MESI},
 		"routing":  {App: "IS", Procs: 8, Scale: apps.ScaleSmall, Routing: mesh.RoutingWestFirst},
@@ -138,10 +138,9 @@ func TestValidateRejectsMalformedSpecs(t *testing.T) {
 		spec  RunSpec
 		usage bool // a machine shape a user typed: exit 2
 	}{
-		{RunSpec{Procs: 8}, false},                                // neither App nor Trace
-		{RunSpec{App: "IS", Procs: 1}, true},                      // too few processors
-		{RunSpec{App: "IS", Procs: 8, Width: 4}, true},            // width without height
-		{RunSpec{App: "IS", Procs: 8, Width: 2, Height: 2}, true}, // mesh too small
+		{RunSpec{Procs: 8}, false},                              // neither App nor Trace
+		{RunSpec{App: "IS", Procs: 1}, true},                    // too few processors
+		{RunSpec{App: "IS", Procs: 8, Dims: []int{2, 2}}, true}, // mesh too small
 	}
 	e, err := New(Options{})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"commchar/internal/ccnuma"
 	"commchar/internal/cli"
 	"commchar/internal/core"
+	"commchar/internal/fault"
 	"commchar/internal/mesh"
 	"commchar/internal/mp"
 	"commchar/internal/sim"
@@ -44,7 +45,6 @@ type RunSpec struct {
 	CycleTime       sim.Duration          // mesh flit-cycle time
 	CacheBytes      int                   // per-processor cache capacity
 	VirtualChannels int                   // lanes per physical link
-	Width, Height   int                   // mesh geometry (both or neither)
 	Barrier         spasm.BarrierKind     // barrier algorithm (dynamic strategy)
 	Protocol        ccnuma.Protocol       // coherence protocol (dynamic strategy)
 	Routing         mesh.RoutingAlgorithm // mesh routing algorithm
@@ -56,8 +56,7 @@ type RunSpec struct {
 	// smallest instance that fits Procs: per-dimension sizes for
 	// mesh/torus*, [d] for a hypercube, [arity, levels] for a fat tree,
 	// [routers, globals] for a dragonfly. The zero values select the
-	// historical 2-D mesh and render nothing into the spec string, so
-	// existing cache keys stay valid.
+	// historical 2-D mesh. Machine resolves the two into the run's fabric.
 	Topology string
 	Dims     []int
 
@@ -99,11 +98,34 @@ func (s RunSpec) Label() string {
 	return "trace"
 }
 
-// validate rejects malformed specs before any simulation runs.
-// Topology-invalid specs — unknown fabric name, a shape too small for
-// Procs, a lane count below the fabric's deadlock-freedom floor — are
-// usage errors (exit code 2): the sweep fails fast here instead of
-// mid-replay.
+// Machine resolves the spec's interconnect: the named fabric (the 2-D
+// mesh when Topology is empty), sized for Procs unless Dims pins its
+// shape, with the cycle-time, lane and routing overrides applied. validate
+// checks every spec through it and the engine builds every run from it,
+// so the machine a spec is checked against is the machine it runs on.
+func (s RunSpec) Machine() (mesh.Config, error) {
+	cfg, err := core.TopologyFor(s.Topology, s.Dims, s.Procs)
+	if err != nil {
+		return mesh.Config{}, err
+	}
+	if s.CycleTime > 0 {
+		cfg.CycleTime = s.CycleTime
+	}
+	if s.VirtualChannels > 0 {
+		cfg.VirtualChannels = s.VirtualChannels
+	}
+	cfg.Routing = s.Routing
+	if err := cfg.Validate(); err != nil {
+		return mesh.Config{}, err
+	}
+	return cfg, nil
+}
+
+// validate rejects malformed specs before any simulation runs. A machine
+// a user typed — an unknown fabric name, a shape too small for Procs, a
+// lane count below the fabric's deadlock-freedom floor, a bad fault
+// schedule — is a usage error (exit code 2): the sweep fails fast here
+// instead of mid-replay.
 func (s RunSpec) validate() error {
 	if (s.App == "") == (s.Trace == nil) {
 		return fmt.Errorf("pipeline: spec needs exactly one of App or Trace")
@@ -111,25 +133,11 @@ func (s RunSpec) validate() error {
 	if s.Procs < 2 {
 		return cli.Usagef("pipeline: %d processors (need at least 2)", s.Procs)
 	}
-	if (s.Width > 0) != (s.Height > 0) {
-		return cli.Usagef("pipeline: mesh override needs both Width and Height")
+	if _, err := s.Machine(); err != nil {
+		return cli.Usagef("pipeline: %v", err)
 	}
-	if s.Width > 0 && s.Width*s.Height < s.Procs {
-		return cli.Usagef("pipeline: %dx%d mesh too small for %d processors", s.Width, s.Height, s.Procs)
-	}
-	if s.Topology != "" || s.Dims != nil {
-		if s.Width > 0 && s.Topology != "mesh" {
-			return cli.Usagef("pipeline: Width/Height override applies to the mesh topology only, not %q", s.Topology)
-		}
-		cfg, err := core.TopologyFor(s.Topology, s.Dims, s.Procs)
-		if err != nil {
-			return cli.Usagef("pipeline: %v", err)
-		}
-		if s.VirtualChannels > 0 {
-			cfg.VirtualChannels = s.VirtualChannels
-		}
-		cfg.Routing = s.Routing
-		if err := cfg.Validate(); err != nil {
+	if s.Faults != "" {
+		if _, err := fault.Parse(s.Faults, s.FaultSeed); err != nil {
 			return cli.Usagef("pipeline: %v", err)
 		}
 	}
@@ -144,21 +152,27 @@ func (s RunSpec) validate() error {
 // String renders the spec's canonical machine-configuration string: every
 // result-affecting field except the trace content, in a fixed order. It is
 // the exact byte sequence hashed into the cache key (after the salt), so
-// its stability is a compatibility contract: zero-valued Topology/Dims
-// render nothing, keeping keys from before the topology generalization
-// valid.
+// its stability is a compatibility contract. The mesh= slot is where specs
+// from before the topology generalization spelled a 2-D mesh's shape: it
+// holds Dims when Topology is empty and Dims has two values (and then no
+// dims= field follows), and 0x0 otherwise. Zero-valued Topology and Dims
+// render nothing, so those older keys stay valid.
 func (s RunSpec) String() string {
 	var b strings.Builder
+	w, h, dims := 0, 0, s.Dims
+	if s.Topology == "" && len(dims) == 2 {
+		w, h, dims = dims[0], dims[1], nil
+	}
 	fmt.Fprintf(&b, "app=%s|procs=%d|scale=%d|", s.App, s.Procs, s.Scale)
 	fmt.Fprintf(&b, "cycle=%d|cache=%d|vcs=%d|mesh=%dx%d|barrier=%d|protocol=%d|routing=%d|",
-		s.CycleTime, s.CacheBytes, s.VirtualChannels, s.Width, s.Height, s.Barrier, s.Protocol, s.Routing)
+		s.CycleTime, s.CacheBytes, s.VirtualChannels, w, h, s.Barrier, s.Protocol, s.Routing)
 	fmt.Fprintf(&b, "faults=%s|faultseed=%d|sp2=%t|", s.Faults, s.FaultSeed, s.UseSP2)
 	if s.Topology != "" {
 		fmt.Fprintf(&b, "topo=%s|", s.Topology)
 	}
-	if len(s.Dims) > 0 {
+	if len(dims) > 0 {
 		b.WriteString("dims=")
-		for i, d := range s.Dims {
+		for i, d := range dims {
 			if i > 0 {
 				b.WriteByte('x')
 			}

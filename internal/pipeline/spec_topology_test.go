@@ -2,28 +2,30 @@ package pipeline
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"commchar/internal/apps"
 	"commchar/internal/cli"
+	"commchar/internal/mesh"
 	"commchar/internal/trace"
 )
 
 // TestSpecStringLegacyGolden pins the exact canonical bytes of a spec that
-// predates the topology generalization. This string is hashed into every
-// cache key, so any drift silently invalidates every
-// on-disk artifact: the golden value is a compatibility contract, not a
-// snapshot to regenerate.
+// predates the topology generalization, a 4x2 mesh, which such specs
+// spelled in the mesh= slot. This string is hashed into every cache key,
+// so any drift silently invalidates every on-disk artifact: the golden
+// value is a compatibility contract, not a snapshot to regenerate.
 func TestSpecStringLegacyGolden(t *testing.T) {
-	spec := RunSpec{App: "IS", Procs: 8, Scale: apps.ScaleSmall, Width: 4, Height: 2, VirtualChannels: 1}
+	spec := RunSpec{App: "IS", Procs: 8, Scale: apps.ScaleSmall, Dims: []int{4, 2}, VirtualChannels: 1}
 	const want = "app=IS|procs=8|scale=0|cycle=0|cache=0|vcs=1|mesh=4x2|barrier=0|protocol=0|routing=0|faults=|faultseed=0|sp2=false|"
 	if got := spec.String(); got != want {
 		t.Fatalf("legacy spec string drifted:\n got %q\nwant %q", got, want)
 	}
-	// Zero-valued Topology/Dims must render nothing at all.
+	// A 2-D mesh's Dims fill the mesh= slot and render nothing else.
 	if s := spec.String(); strings.Contains(s, "topo=") || strings.Contains(s, "dims=") {
-		t.Fatalf("zero-valued topology leaked into the spec string: %q", s)
+		t.Fatalf("legacy mesh shape leaked past the mesh= slot: %q", s)
 	}
 }
 
@@ -69,10 +71,51 @@ func TestKeyStableForDefaultTopology(t *testing.T) {
 	}
 }
 
+// TestMachineResolvesEverySpelling: the default fabric, its derived shape
+// spelled out, and the mesh named explicitly resolve to one machine, and
+// the spec's overrides land on it. A 2-D mesh's Dims fill the legacy
+// mesh= slot of the spec string.
+func TestMachineResolvesEverySpelling(t *testing.T) {
+	for _, n := range []int{4, 8, 16} {
+		want, err := RunSpec{App: "IS", Procs: n}.Machine()
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for name, spec := range map[string]RunSpec{
+			"dims": {App: "IS", Procs: n, Dims: mesh.DefaultGrid(n)},
+			"mesh": {App: "IS", Procs: n, Topology: "mesh"},
+		} {
+			got, err := spec.Machine()
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d %s: machine %+v, want %+v", n, name, got, want)
+			}
+		}
+	}
+
+	spec := RunSpec{App: "IS", Procs: 8, Dims: []int{4, 2}, CycleTime: 10,
+		VirtualChannels: 3, Routing: mesh.RoutingWestFirst}
+	cfg, err := spec.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cfg.Dims, []int{4, 2}) || cfg.CycleTime != 10 ||
+		cfg.VirtualChannels != 3 || cfg.Routing != mesh.RoutingWestFirst {
+		t.Errorf("overrides not applied: %+v", cfg)
+	}
+	if s := spec.String(); !strings.Contains(s, "|mesh=4x2|") || strings.Contains(s, "dims=") {
+		t.Errorf("2-D mesh dims left the legacy slot: %q", s)
+	}
+}
+
 // TestValidateFailsFastOnTopologyInvalidSpecs: a spec naming an unknown
-// fabric, a shape too small for its processors, or a lane count below the
-// fabric's deadlock-freedom floor is rejected as a usage error (exit code
-// 2) before any simulation state exists.
+// fabric, a shape too small for its processors, a default fabric past
+// mesh.MaxEndpoints, or a lane count below the fabric's deadlock-freedom
+// floor is rejected as a usage error (exit code 2) before any simulation
+// state exists. Only validate runs here: an engine handed the oversized
+// spec would try to simulate it.
 func TestValidateFailsFastOnTopologyInvalidSpecs(t *testing.T) {
 	cases := map[string]RunSpec{
 		"unknown fabric": {App: "IS", Procs: 8, Topology: "nosuch"},
@@ -83,8 +126,9 @@ func TestValidateFailsFastOnTopologyInvalidSpecs(t *testing.T) {
 			Dims: []int{4}},
 		"dragonfly one lane": {App: "IS", Procs: 8, Topology: "dragonfly",
 			VirtualChannels: 1},
-		"width override off-mesh": {App: "IS", Procs: 8, Topology: "torus3d",
-			Width: 4, Height: 2},
+		// The default fabric is checked too: at the cap it cannot be built.
+		"default mesh too large": {App: "IS", Procs: mesh.MaxEndpoints + 1},
+		"bad fault schedule":     {App: "IS", Procs: 8, Faults: "nonsense"},
 	}
 	for name, spec := range cases {
 		err := spec.validate()
@@ -112,8 +156,8 @@ func TestValidateFailsFastOnTopologyInvalidSpecs(t *testing.T) {
 	}
 }
 
-// TestTraceSpecKeyGolden pins the cache key of a trace spec shaped as
-// meshsim builds one for the default mesh. Key hashes the trace's
+// TestTraceSpecKeyGolden pins the cache key of a trace spec on a 2x2 mesh
+// with one lane, a shape older meshsim builds wrote. Key hashes the trace's
 // WriteCSV bytes, so if that format moved every cached replay would be
 // orphaned: like the legacy spec string, the value is a compatibility
 // contract, not a snapshot to regenerate.
@@ -123,7 +167,7 @@ func TestTraceSpecKeyGolden(t *testing.T) {
 		tr.Add(r, trace.Event{Op: trace.OpSend, Peer: (r + 1) % 4, Bytes: 64 << r, Tag: -1048578, Compute: 1500})
 		tr.Add(r, trace.Event{Op: trace.OpRecv, Peer: (r + 3) % 4, Tag: -1048578, Compute: -7})
 	}
-	spec := RunSpec{Trace: tr, Procs: 4, Width: 2, Height: 2, VirtualChannels: 1, Faults: "drop:0.01", FaultSeed: 7}
+	spec := RunSpec{Trace: tr, Procs: 4, Dims: []int{2, 2}, VirtualChannels: 1, Faults: "drop:0.01", FaultSeed: 7}
 	const want = "72c52c56f126e6d8a2ffc200943010146293ee82dc7fcd949a8c905c306511f5"
 	got, err := spec.Key("")
 	if err != nil {

@@ -32,8 +32,9 @@ func workspaceFits(name string, sample []float64, n int) []workspaceFit {
 }
 
 // shortEvaluations runs the fit on a fresh workspace and counts the model
-// evaluations that stopped before the last distinct x: those the singular
-// re-nudge cycle cut short, leaving the rest of their model vector stale.
+// evaluations that stopped before the last distinct x, leaving the rest of
+// their model vector stale: those the singular re-nudge cycle cut short,
+// and step-halving candidates that stopped evaluating once rejected.
 func shortEvaluations(f workspaceFit) int {
 	distinct := len(distinctValues(f.xs))
 	var last []float64

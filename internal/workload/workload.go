@@ -72,11 +72,13 @@ func calibrate(dist stats.Distribution, targetMean float64) stats.Distribution {
 	return rateCalibrated{inner: dist, k: k}
 }
 
+var errEmpty = errors.New("workload: empty characterization")
+
 // FromCharacterization builds the generator. Sources with no fitted
 // temporal model (too few messages) are skipped.
 func FromCharacterization(c *core.Characterization) (*Generator, error) {
 	if c == nil || len(c.PerSource) == 0 {
-		return nil, errors.New("workload: empty characterization")
+		return nil, errEmpty
 	}
 	g := &Generator{Procs: c.Procs}
 	lengths := c.Volume.Distinct
@@ -314,15 +316,28 @@ type Validation struct {
 	UtilErr    float64
 }
 
-// Validate regenerates the characterized application's traffic on a fresh
-// mesh of the same geometry for the same simulated duration, and compares
-// network metrics.
+// Validate is ValidateOn the default machine for c.Procs processors, the
+// paper's 2-D mesh: the fabric of every run that names no other.
 func Validate(c *core.Characterization, seed uint64) (*Validation, error) {
+	if c == nil {
+		return nil, errEmpty
+	}
+	cfg, err := core.TopologyFor("", nil, c.Procs)
+	if err != nil {
+		return nil, err
+	}
+	return ValidateOn(c, cfg, seed)
+}
+
+// ValidateOn regenerates the characterized application's traffic on a
+// fresh instance of cfg, the fabric the application ran on, for the same
+// simulated duration, and compares network metrics.
+func ValidateOn(c *core.Characterization, cfg mesh.Config, seed uint64) (*Validation, error) {
 	g, err := FromCharacterization(c)
 	if err != nil {
 		return nil, err
 	}
-	synth, err := Simulate(g, mesh.DefaultConfig(mesh.MeshTopology, mesh.DefaultGrid(c.Procs)...), c.Elapsed, seed)
+	synth, err := Simulate(g, cfg, c.Elapsed, seed)
 	if err != nil {
 		return nil, err
 	}
