@@ -33,7 +33,6 @@ import (
 	"commchar/internal/core"
 	"commchar/internal/dist"
 	"commchar/internal/mp"
-	"commchar/internal/obs"
 	"commchar/internal/pipeline"
 	"commchar/internal/report"
 	"commchar/internal/trace"
@@ -55,15 +54,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	dimsFlag := fs.String("dims", "", "fabric dimensions, e.g. 4,4,4 (topology-specific; default: derived from -procs)")
 	distListen := fs.String("dist-listen", "", "serve a coordinator lease API on this address and run remotely on the sweepd workers that -join it")
 	pf := pipeline.AddFlags(fs)
-	of := obs.AddFlags(fs)
-	cf := cli.AddCommonFlags(fs)
-	if err := cli.ParseFlags(fs, args); err != nil {
+	if err := cli.ParseFlags(fs, args, stdout); err != nil {
 		return err
 	}
-	if cf.Version {
-		fmt.Fprintln(stdout, cli.VersionString())
-		return nil
-	}
+	defer pf.Close()
 
 	sc, err := apps.ParseScale(*scale)
 	if err != nil {
@@ -87,11 +81,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return cli.Usagef("-dims: %v", err)
 	}
-	ob, err := of.Observer(stderr)
+	ob, err := pf.Observer(stderr)
 	if err != nil {
 		return err
 	}
-	defer ob.Close()
 	var coord *dist.Coordinator
 	if *distListen != "" {
 		// Client mode: serve a coordinator for the fleet and route the
@@ -109,12 +102,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "coordinator listening on %s\n", coordURL)
 		pf.Remote = coord
 	}
-	eng, err := pf.Engine(ob)
+	eng, err := pf.Engine(stderr)
 	if err != nil {
 		return err
-	}
-	if cf.Metrics {
-		defer eng.Metrics().Render(stderr)
 	}
 	art, err := eng.RunContext(ctx, pipeline.RunSpec{
 		App: *app, Procs: *procs, Scale: sc,

@@ -25,7 +25,6 @@ import (
 	"commchar/internal/apps"
 	"commchar/internal/cli"
 	"commchar/internal/experiments"
-	"commchar/internal/obs"
 	"commchar/internal/pipeline"
 )
 
@@ -38,34 +37,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	scale := fs.String("scale", "full", "problem scale: full or small")
 	only := fs.String("only", "", "run a single experiment (substring of its key, e.g. 'Table 2')")
 	pf := pipeline.AddFlags(fs)
-	of := obs.AddFlags(fs)
-	cf := cli.AddCommonFlags(fs)
-	if err := cli.ParseFlags(fs, args); err != nil {
+	if err := cli.ParseFlags(fs, args, stdout); err != nil {
 		return err
 	}
-	if cf.Version {
-		fmt.Fprintln(stdout, cli.VersionString())
-		return nil
-	}
+	defer pf.Close()
 
 	sc, err := apps.ParseScale(*scale)
 	if err != nil {
 		return err
 	}
 
-	ob, err := of.Observer(stderr)
+	eng, err := pf.Engine(stderr)
 	if err != nil {
 		return err
-	}
-	defer ob.Close()
-	eng, err := pf.Engine(ob)
-	if err != nil {
-		return err
-	}
-	if cf.Metrics {
-		// The summary goes to stderr so stdout stays byte-identical across
-		// -parallel settings and cache states (cold vs warm).
-		defer eng.Metrics().Render(stderr)
 	}
 
 	r := experiments.NewRunner(ctx, sc, eng)

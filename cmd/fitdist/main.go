@@ -28,7 +28,6 @@ import (
 
 	"commchar/internal/apps"
 	"commchar/internal/cli"
-	"commchar/internal/obs"
 	"commchar/internal/pipeline"
 	"commchar/internal/report"
 	"commchar/internal/stats"
@@ -67,15 +66,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	scale := fs.String("scale", "full", "problem scale: full or small (with -app)")
 	overlay := fs.Bool("overlay", false, "print the measured-vs-fitted CDF overlay for the winner")
 	pf := pipeline.AddFlags(fs)
-	of := obs.AddFlags(fs)
-	cf := cli.AddCommonFlags(fs)
-	if err := cli.ParseFlags(fs, args); err != nil {
+	if err := cli.ParseFlags(fs, args, stdout); err != nil {
 		return err
 	}
-	if cf.Version {
-		fmt.Fprintln(stdout, cli.VersionString())
-		return nil
-	}
+	defer pf.Close()
 	if *app != "" && *in != "" {
 		return cli.Usagef("-app and -in are mutually exclusive")
 	}
@@ -89,17 +83,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if _, err := apps.ByName(sc, *app); err != nil {
 			return cli.Usagef("%v", err)
 		}
-		ob, err := of.Observer(stderr)
+		eng, err := pf.Engine(stderr)
 		if err != nil {
 			return err
-		}
-		defer ob.Close()
-		eng, err := pf.Engine(ob)
-		if err != nil {
-			return err
-		}
-		if cf.Metrics {
-			defer eng.Metrics().Render(stderr)
 		}
 		art, err := eng.RunContext(ctx, pipeline.RunSpec{App: *app, Procs: *procs, Scale: sc})
 		if err != nil {

@@ -34,7 +34,6 @@ import (
 
 	"commchar/internal/cli"
 	"commchar/internal/core"
-	"commchar/internal/obs"
 	"commchar/internal/pipeline"
 	"commchar/internal/report"
 	"commchar/internal/sim"
@@ -59,15 +58,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	maxSimMS := fs.Float64("max-sim-ms", 0, "watchdog: abort past this simulated time in ms (0 = unlimited)")
 	out := fs.String("out", "", "write the delivery log (CSV) to this file")
 	pf := pipeline.AddFlags(fs)
-	of := obs.AddFlags(fs)
-	cf := cli.AddCommonFlags(fs)
-	if err := cli.ParseFlags(fs, args); err != nil {
+	if err := cli.ParseFlags(fs, args, stdout); err != nil {
 		return err
 	}
-	if cf.Version {
-		fmt.Fprintln(stdout, cli.VersionString())
-		return nil
-	}
+	defer pf.Close()
 
 	if *traceFile == "" {
 		return cli.Usagef("-trace required")
@@ -114,17 +108,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		},
 	}
 
-	ob, err := of.Observer(stderr)
+	eng, err := pf.Engine(stderr)
 	if err != nil {
 		return err
-	}
-	defer ob.Close()
-	eng, err := pf.Engine(ob)
-	if err != nil {
-		return err
-	}
-	if cf.Metrics {
-		defer eng.Metrics().Render(stderr)
 	}
 	art, err := eng.RunContext(ctx, spec)
 	if err != nil {

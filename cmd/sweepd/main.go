@@ -78,37 +78,31 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	netChaos := fs.String("net-chaos", "", "inject seeded network faults into this worker's coordinator client, e.g. 'drop:0.2;delay:0.5:10ms' (see internal/fault)")
 	netChaosSeed := fs.Uint64("net-chaos-seed", 1, "seed for the -net-chaos schedule")
 	pf := pipeline.AddFlags(fs)
-	of := obs.AddFlags(fs)
-	cf := cli.AddCommonFlags(fs)
-	if err := cli.ParseFlags(fs, args); err != nil {
+	if err := cli.ParseFlags(fs, args, stdout); err != nil {
 		return err
 	}
-	if cf.Version {
-		fmt.Fprintln(stdout, cli.VersionString())
-		return nil
-	}
+	defer pf.Close()
 	if *coordinator == *worker {
 		return cli.Usagef("exactly one of -coordinator or -worker required")
 	}
 
-	ob, err := of.Observer(stderr)
+	ob, err := pf.Observer(stderr)
 	if err != nil {
 		return err
 	}
-	defer ob.Close()
 
 	if *worker {
 		return runWorker(ctx, workerConfig{
 			name: *name, join: *join,
 			netChaos: *netChaos, netChaosSeed: *netChaosSeed,
-			pf: pf, cf: cf,
+			pf: pf,
 		}, ob, stdout, stderr)
 	}
 	return runCoordinator(ctx, coordinatorConfig{
 		listen: *listen, apps: *appsFlag, procs: *procsFlag,
 		topologies: *topoFlag, collectives: *collFlag, scale: *scale,
 		lease: *lease, maxAttempts: *maxAttempts, local: *local,
-		speculate: *speculate, pf: pf, cf: cf,
+		speculate: *speculate, pf: pf,
 	}, ob, stdout, stderr)
 }
 
@@ -124,7 +118,6 @@ type coordinatorConfig struct {
 	local       bool
 	speculate   float64
 	pf          *pipeline.Flags
-	cf          *cli.CommonFlags
 }
 
 func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer, stdout, stderr io.Writer) error {
@@ -151,12 +144,9 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig, ob *obs.Observer
 		cfg.pf.Remote = coord
 	}
 
-	eng, err := cfg.pf.Engine(ob)
+	eng, err := cfg.pf.Engine(stderr)
 	if err != nil {
 		return err
-	}
-	if cfg.cf.Metrics {
-		defer eng.Metrics().Render(stderr)
 	}
 
 	arts, runErr := eng.RunAll(ctx, specs...)
@@ -187,7 +177,6 @@ type workerConfig struct {
 	netChaos     string
 	netChaosSeed uint64
 	pf           *pipeline.Flags
-	cf           *cli.CommonFlags
 }
 
 func runWorker(ctx context.Context, cfg workerConfig, ob *obs.Observer, stdout, stderr io.Writer) error {
@@ -213,12 +202,9 @@ func runWorker(ctx context.Context, cfg workerConfig, ob *obs.Observer, stdout, 
 		fmt.Fprintf(stderr, "worker %s: net chaos %q (seed %d)\n", name, cfg.netChaos, cfg.netChaosSeed)
 	}
 
-	eng, err := cfg.pf.Engine(ob)
+	eng, err := cfg.pf.Engine(stderr)
 	if err != nil {
 		return err
-	}
-	if cfg.cf.Metrics {
-		defer eng.Metrics().Render(stderr)
 	}
 
 	w, err := dist.NewWorker(dist.WorkerOptions{
@@ -270,22 +256,9 @@ func sweepSpecs(appsList, procsList, topoList, collList, scale string) ([]pipeli
 	if len(topos) == 0 {
 		topos = []string{""}
 	}
-	for _, t := range topos {
-		if t == "" {
-			continue
-		}
-		if _, err := core.TopologyFor(t, nil, procs[0]); err != nil {
-			return nil, cli.Usagef("-topologies: %v", err)
-		}
-	}
 	colls := splitList(collList)
 	if len(colls) == 0 {
 		colls = []string{""}
-	}
-	for _, c := range colls {
-		if _, err := mp.ParseAlgorithm(c); err != nil {
-			return nil, cli.Usagef("-collectives: %v", err)
-		}
 	}
 	var specs []pipeline.RunSpec
 	for _, n := range names {
@@ -304,6 +277,11 @@ func sweepSpecs(appsList, procsList, topoList, collList, scale string) ([]pipeli
 					}
 					if label != n {
 						s.Name = label
+					}
+					// A bad fabric or family is a usage error before
+					// any spec runs.
+					if err := s.Validate(); err != nil {
+						return nil, err
 					}
 					specs = append(specs, s)
 				}

@@ -27,7 +27,6 @@ import (
 	"commchar/internal/apps"
 	"commchar/internal/cli"
 	"commchar/internal/core"
-	"commchar/internal/obs"
 	"commchar/internal/pipeline"
 	"commchar/internal/sim"
 	"commchar/internal/trace"
@@ -48,15 +47,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	topology := fs.String("topology", "", "interconnect fabric for -app runs: "+strings.Join(core.TopologyNames(), ", ")+" (default: the paper's 2-D mesh)")
 	dimsFlag := fs.String("dims", "", "fabric dimensions, e.g. 4,4,4 (topology-specific; default: derived from -procs)")
 	pf := pipeline.AddFlags(fs)
-	of := obs.AddFlags(fs)
-	cf := cli.AddCommonFlags(fs)
-	if err := cli.ParseFlags(fs, args); err != nil {
+	if err := cli.ParseFlags(fs, args, stdout); err != nil {
 		return err
 	}
-	if cf.Version {
-		fmt.Fprintln(stdout, cli.VersionString())
-		return nil
-	}
+	defer pf.Close()
 
 	dims, err := core.ParseDims(*dimsFlag)
 	if err != nil {
@@ -76,17 +70,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if _, err := apps.ByName(sc, *app); err != nil {
 			return cli.Usagef("%v", err)
 		}
-		ob, err := of.Observer(stderr)
+		eng, err := pf.Engine(stderr)
 		if err != nil {
 			return err
-		}
-		defer ob.Close()
-		eng, err := pf.Engine(ob)
-		if err != nil {
-			return err
-		}
-		if cf.Metrics {
-			defer eng.Metrics().Render(stderr)
 		}
 		spec := pipeline.RunSpec{
 			App: *app, Procs: *procs, Scale: sc,

@@ -3,11 +3,13 @@
 // SIGINT/SIGTERM into the context (first signal cancels cooperatively,
 // second kills), maps the returned error onto the exit-code conventions,
 // and converts panics escaping a tool into structured errors instead of
-// raw crashes, so a broken sub-step degrades gracefully.
+// raw crashes, so a broken sub-step degrades gracefully. ParseFlags gives
+// every tool -version; the rest of the flags every tool shares, and the
+// engine and exit work they drive, are pipeline.Flags.
 //
 // Exit codes:
 //
-//	0    success (also -h/-help)
+//	0    success (also -h/-help and -version)
 //	1    runtime failure — the tool produced no usable result
 //	2    usage mistake (bad flag value, missing argument)
 //	3    degraded success — a sweep under -on-error=continue completed
@@ -28,6 +30,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"commchar/internal/obs"
 	"commchar/internal/resilience"
 )
 
@@ -53,12 +56,21 @@ func Usagef(format string, args ...any) error {
 	return &UsageError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// ParseFlags parses args with fs, classifying parse failures (unknown
-// flag, malformed value) as usage errors; -h/-help passes through as
-// flag.ErrHelp, which still exits 0. No tool takes a positional argument,
-// so one left after the flags is a usage error too, rather than an input
-// the tool would silently ignore.
-func ParseFlags(fs *flag.FlagSet, args []string) error {
+// errVersion is what ParseFlags returns once -version has printed the
+// build line. It wraps flag.ErrHelp, so it too ends the run with exit 0
+// and no error message.
+var errVersion = fmt.Errorf("version printed: %w", flag.ErrHelp)
+
+// ParseFlags registers -version on fs and parses args with it,
+// classifying parse failures (unknown flag, malformed value) as usage
+// errors; -h/-help passes through as flag.ErrHelp, which still exits 0.
+// No tool takes a positional argument, so one left after the flags is a
+// usage error too, rather than an input the tool would silently ignore.
+// -version prints the build identity (module version, VCS revision, Go
+// version) on stdout and returns errVersion.
+func ParseFlags(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	version := fs.Bool("version", false,
+		"print the build identity (module version, VCS revision, Go version) and exit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return err
@@ -67,6 +79,10 @@ func ParseFlags(fs *flag.FlagSet, args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return Usagef("unexpected argument %q", fs.Arg(0))
+	}
+	if *version {
+		fmt.Fprintln(stdout, obs.ReadBuildInfo().String())
+		return errVersion
 	}
 	return nil
 }

@@ -1,11 +1,13 @@
 package cli
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"commchar/internal/resilience"
@@ -58,14 +60,14 @@ func TestParseFlagsClassification(t *testing.T) {
 		return fs
 	}
 
-	if err := ParseFlags(newSet(), []string{"-n", "3"}); err != nil {
+	if err := ParseFlags(newSet(), []string{"-n", "3"}, io.Discard); err != nil {
 		t.Fatalf("clean parse: %v", err)
 	}
 	var ue *UsageError
-	if err := ParseFlags(newSet(), []string{"-no-such-flag"}); !errors.As(err, &ue) {
+	if err := ParseFlags(newSet(), []string{"-no-such-flag"}, io.Discard); !errors.As(err, &ue) {
 		t.Fatalf("unknown flag: expected UsageError, got %v", err)
 	}
-	if err := ParseFlags(newSet(), []string{"-n", "zebra"}); !errors.As(err, &ue) {
+	if err := ParseFlags(newSet(), []string{"-n", "zebra"}, io.Discard); !errors.As(err, &ue) {
 		t.Fatalf("bad value: expected UsageError, got %v", err)
 	}
 	// No tool takes a positional argument: one after the flags, or after
@@ -78,16 +80,45 @@ func TestParseFlagsClassification(t *testing.T) {
 		{[]string{"-n", "3", "samples.txt", "-n", "4"}, `unexpected argument "samples.txt"`},
 		{[]string{"--", "-n"}, `unexpected argument "-n"`},
 	} {
-		err := ParseFlags(newSet(), c.args)
+		err := ParseFlags(newSet(), c.args, io.Discard)
 		if !errors.As(err, &ue) || ue.Msg != c.want {
 			t.Fatalf("%q: got %v, want the usage error %s", c.args, err, c.want)
 		}
 	}
 	// -h must stay flag.ErrHelp so the tools still exit 0 on it.
-	if err := ParseFlags(newSet(), []string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+	if err := ParseFlags(newSet(), []string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: expected flag.ErrHelp, got %v", err)
 	}
-	if got := ExitCode(ParseFlags(newSet(), []string{"-h"})); got != ExitOK {
+	if got := ExitCode(ParseFlags(newSet(), []string{"-h"}, io.Discard)); got != ExitOK {
 		t.Fatalf("-h exit = %d, want %d", got, ExitOK)
+	}
+}
+
+// TestParseFlagsVersion: -version prints the build line on stdout and ends
+// the run with exit 0 and no error message, and -h lists it.
+func TestParseFlagsVersion(t *testing.T) {
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var stdout bytes.Buffer
+	err := ParseFlags(fs, []string{"-version"}, &stdout)
+	if !errors.Is(err, errVersion) || !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-version: got %v, want errVersion (a flag.ErrHelp)", err)
+	}
+	if got := ExitCode(err); got != ExitOK {
+		t.Fatalf("-version exit = %d, want %d", got, ExitOK)
+	}
+	if line := stdout.String(); !strings.HasPrefix(line, "commchar ") || strings.Count(line, "\n") != 1 {
+		t.Fatalf("-version printed %q, want one line starting \"commchar \"", line)
+	}
+
+	fs = flag.NewFlagSet("tool", flag.ContinueOnError)
+	var usage bytes.Buffer
+	fs.SetOutput(&usage)
+	stdout.Reset()
+	if err := ParseFlags(fs, []string{"-h"}, &stdout); !errors.Is(err, flag.ErrHelp) || errors.Is(err, errVersion) {
+		t.Fatalf("-h: got %v, want flag.ErrHelp", err)
+	}
+	if !strings.Contains(usage.String(), "  -version\n") || stdout.Len() != 0 {
+		t.Fatalf("-h usage does not list -version (or wrote stdout %q):\n%s", stdout.String(), usage.String())
 	}
 }

@@ -146,20 +146,6 @@ func TestNilFakeClockIsNoOp(t *testing.T) {
 	}
 }
 
-func TestDisabledFlagsYieldNilObserver(t *testing.T) {
-	var buf bytes.Buffer
-	var f *Flags
-	if o, err := f.Observer(&buf); o != nil || err != nil {
-		t.Errorf("nil Flags: Observer = %v, %v; want nil, nil", o, err)
-	}
-	if o, err := new(Flags).Observer(&buf); o != nil || err != nil {
-		t.Errorf("zero Flags: Observer = %v, %v; want nil, nil", o, err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("disabled flags wrote to stderr: %q", buf.String())
-	}
-}
-
 func TestObserverCloseWritesExports(t *testing.T) {
 	dir := t.TempDir()
 	o := NewObserver(NewFake(epoch, time.Millisecond))

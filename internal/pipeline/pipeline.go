@@ -267,7 +267,7 @@ func (e *Engine) Run(spec RunSpec) (*Artifact, error) {
 // the engine's per-spec deadline (SpecTimeout) bounds the run. A failure — panic, deadline, cancellation, or a simulation
 // error — is reported as a *SpecError.
 func (e *Engine) RunContext(ctx context.Context, spec RunSpec) (*Artifact, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	key, err := spec.Key(e.salt)
@@ -653,7 +653,7 @@ func (e *Engine) acquireDynamic(ctx context.Context, spec RunSpec, track string)
 func (e *Engine) acquireStatic(ctx context.Context, spec RunSpec, track string) (*stageResult, error) {
 	alg, err := mp.ParseAlgorithm(spec.Collectives)
 	if err != nil {
-		return nil, err // unreachable after validate
+		return nil, err // unreachable after Validate
 	}
 	_, stop := e.stage(track, obs.StageAcquire, &e.metrics.AcquireNS, e.histAcquire)
 	tr, err := core.AcquireMessagePassingWith(spec.Procs, alg, func(w *mp.World) error {

@@ -100,7 +100,7 @@ func (s RunSpec) Label() string {
 
 // Machine resolves the spec's interconnect: the named fabric (the 2-D
 // mesh when Topology is empty), sized for Procs unless Dims pins its
-// shape, with the cycle-time, lane and routing overrides applied. validate
+// shape, with the cycle-time, lane and routing overrides applied. Validate
 // checks every spec through it and the engine builds every run from it,
 // so the machine a spec is checked against is the machine it runs on.
 func (s RunSpec) Machine() (mesh.Config, error) {
@@ -121,12 +121,12 @@ func (s RunSpec) Machine() (mesh.Config, error) {
 	return cfg, nil
 }
 
-// validate rejects malformed specs before any simulation runs. A machine
+// Validate rejects malformed specs before any simulation runs. A machine
 // a user typed — an unknown fabric name, a shape too small for Procs, a
 // lane count below the fabric's deadlock-freedom floor, a bad fault
 // schedule — is a usage error (exit code 2): the sweep fails fast here
 // instead of mid-replay.
-func (s RunSpec) validate() error {
+func (s RunSpec) Validate() error {
 	if (s.App == "") == (s.Trace == nil) {
 		return fmt.Errorf("pipeline: spec needs exactly one of App or Trace")
 	}

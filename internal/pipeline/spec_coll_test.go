@@ -49,7 +49,7 @@ func TestSpecStringCollectives(t *testing.T) {
 
 func TestValidateRejectsUnknownCollectives(t *testing.T) {
 	spec := RunSpec{App: "MG", Procs: 8, Collectives: "hypercubic"}
-	err := spec.validate()
+	err := spec.Validate()
 	if err == nil {
 		t.Fatal("unknown collective family accepted")
 	}
@@ -59,7 +59,7 @@ func TestValidateRejectsUnknownCollectives(t *testing.T) {
 	}
 	for _, ok := range []string{"", "linear", "binomial"} {
 		spec.Collectives = ok
-		if err := spec.validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			t.Fatalf("%q rejected: %v", ok, err)
 		}
 	}

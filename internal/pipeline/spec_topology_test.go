@@ -131,7 +131,7 @@ func TestValidateFailsFastOnTopologyInvalidSpecs(t *testing.T) {
 		"bad fault schedule":     {App: "IS", Procs: 8, Faults: "nonsense"},
 	}
 	for name, spec := range cases {
-		err := spec.validate()
+		err := spec.Validate()
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 			continue
@@ -150,7 +150,7 @@ func TestValidateFailsFastOnTopologyInvalidSpecs(t *testing.T) {
 		{App: "IS", Procs: 8, Topology: "dragonfly"},
 	}
 	for _, spec := range good {
-		if err := spec.validate(); err != nil {
+		if err := spec.Validate(); err != nil {
 			t.Errorf("%+v rejected: %v", spec, err)
 		}
 	}

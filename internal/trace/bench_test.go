@@ -92,3 +92,25 @@ func BenchmarkReadCSV(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkValidateRing times one Validate of a 4-rank ring of 100,000
+// rounds that tags every round apart: each rank sends to its successor
+// and receives from its predecessor, 800,000 events and 400,000 distinct
+// (src, dst, tag) channels in all.
+func BenchmarkValidateRing(b *testing.B) {
+	const ranks, rounds = 4, 100_000
+	tr := trace.New(ranks)
+	for round := range rounds {
+		for r := range ranks {
+			tr.Add(r, trace.Event{Op: trace.OpSend, Peer: (r + 1) % ranks, Bytes: 64, Tag: round})
+			tr.Add(r, trace.Event{Op: trace.OpRecv, Peer: (r + ranks - 1) % ranks, Tag: round})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tr.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

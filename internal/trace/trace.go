@@ -10,6 +10,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"slices"
 
 	"commchar/internal/sim"
 )
@@ -92,8 +93,11 @@ func (t *Trace) Validate() error {
 	if len(t.Events) != t.Ranks {
 		return fmt.Errorf("trace: %d event sequences for %d ranks", len(t.Events), t.Ranks)
 	}
-	type channel struct{ src, dst, tag int }
-	balance := map[channel]int{}
+	// The channels balance by sorting references to the events, 8 bytes
+	// an event, not by keeping a table of channels. int32 is wide enough:
+	// 2^31 ranks, or events of one rank, would take over 40 GiB.
+	type ref struct{ rank, i int32 }
+	refs := make([]ref, 0, t.TotalEvents())
 	for rank, seq := range t.Events {
 		for i, e := range seq {
 			if e.Peer < 0 || e.Peer >= t.Ranks {
@@ -102,31 +106,48 @@ func (t *Trace) Validate() error {
 			if e.Compute < 0 {
 				return fmt.Errorf("trace: rank %d event %d negative compute", rank, i)
 			}
-			switch e.Op {
-			case OpSend:
-				if e.Bytes <= 0 {
-					return fmt.Errorf("trace: rank %d event %d sends %d bytes", rank, i, e.Bytes)
-				}
-				balance[channel{rank, e.Peer, e.Tag}]++
-			case OpRecv:
-				balance[channel{e.Peer, rank, e.Tag}]--
-			default:
+			if e.Op != OpSend && e.Op != OpRecv {
 				return fmt.Errorf("trace: rank %d event %d has op %v", rank, i, e.Op)
 			}
+			if e.Op == OpSend && e.Bytes <= 0 {
+				return fmt.Errorf("trace: rank %d event %d sends %d bytes", rank, i, e.Bytes)
+			}
+			refs = append(refs, ref{int32(rank), int32(i)})
 		}
 	}
-	// Of several unbalanced channels, name the smallest (src, dst, tag), so
-	// the error does not depend on the map's iteration order.
-	var first channel
-	unbalanced := 0
-	for ch, b := range balance {
-		if b != 0 && (unbalanced == 0 ||
-			cmp.Or(cmp.Compare(ch.src, first.src), cmp.Compare(ch.dst, first.dst), cmp.Compare(ch.tag, first.tag)) < 0) {
-			first, unbalanced = ch, b
+	// channel returns an event's (src, dst, tag), and +1 for a send or -1
+	// for a receive.
+	channel := func(r ref) (src, dst, tag, n int) {
+		e := &t.Events[r.rank][r.i]
+		if e.Op == OpSend {
+			return int(r.rank), e.Peer, e.Tag, 1
 		}
+		return e.Peer, int(r.rank), e.Tag, -1
 	}
-	if unbalanced != 0 {
-		return fmt.Errorf("trace: channel %d->%d tag %d unbalanced by %d", first.src, first.dst, first.tag, unbalanced)
+	byChannel := func(a, b ref) int {
+		as, ad, at, _ := channel(a)
+		bs, bd, bt, _ := channel(b)
+		if as != bs {
+			return cmp.Compare(as, bs)
+		}
+		if ad != bd {
+			return cmp.Compare(ad, bd)
+		}
+		return cmp.Compare(at, bt)
+	}
+	slices.SortFunc(refs, byChannel)
+	// Walking the channels in (src, dst, tag) order, the first unbalanced
+	// one is the smallest, so the error names the same channel every time.
+	for i := 0; i < len(refs); {
+		first, unbalanced := refs[i], 0
+		for ; i < len(refs) && byChannel(refs[i], first) == 0; i++ {
+			_, _, _, n := channel(refs[i])
+			unbalanced += n
+		}
+		if unbalanced != 0 {
+			src, dst, tag, _ := channel(first)
+			return fmt.Errorf("trace: channel %d->%d tag %d unbalanced by %d", src, dst, tag, unbalanced)
+		}
 	}
 	return nil
 }
